@@ -14,8 +14,9 @@
 //!   scan-everything implementation would have traversed versus how many
 //!   the incremental-moment fast paths actually scanned.
 
-use qpredict_bench::{bench, smoke_mode};
+use qpredict_bench::{bench, smoke_mode, write_artifact};
 use qpredict_core::{run_wait_prediction, searched, PredictorKind};
+use qpredict_obs::json::Json;
 use qpredict_predict::{CachingPredictor, RunTimePredictor, SmithPredictor};
 use qpredict_search::{PredEvent, PredictionWorkload, Target};
 use qpredict_sim::Algorithm;
@@ -117,25 +118,6 @@ fn bench_obs_off_path() -> f64 {
     secs / INNER as f64
 }
 
-fn write_json(path: &std::path::Path, fields: &[(&str, String)]) {
-    let mut s = String::from("{\n");
-    for (i, (k, v)) in fields.iter().enumerate() {
-        let comma = if i + 1 < fields.len() { "," } else { "" };
-        s.push_str(&format!("  \"{k}\": {v}{comma}\n"));
-    }
-    s.push_str("}\n");
-    std::fs::write(path, s).expect("write BENCH_estimation.json");
-}
-
-/// JSON number: finite, or null.
-fn num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.6}")
-    } else {
-        "null".to_string()
-    }
-}
-
 fn main() {
     let (uncached_eps, cached_eps) = bench_queue_reestimation();
     let (waittime_secs, hit_rate) = bench_waittime_cell();
@@ -146,36 +128,21 @@ fn main() {
     let obs_off_per_call = bench_obs_off_path();
     let obs_off_fraction = obs_off_per_call * uncached_eps;
 
-    // Smoke runs still exercise the emission path, but into a scratch
-    // location so they never clobber the committed trajectory artifact.
-    let root = if smoke_mode() {
-        std::env::temp_dir()
-    } else {
-        std::env::var("CARGO_MANIFEST_DIR")
-            .map(|d| {
-                std::path::Path::new(&d)
-                    .join("../..")
-                    .canonicalize()
-                    .unwrap_or_else(|_| std::path::PathBuf::from(d))
-            })
-            .unwrap_or_else(|_| std::path::PathBuf::from("."))
-    };
-    let path = root.join("BENCH_estimation.json");
-    write_json(
-        &path,
-        &[
-            ("bench", "\"estimation\"".to_string()),
-            ("smoke", smoke_mode().to_string()),
-            ("uncached_estimates_per_sec", num(uncached_eps)),
-            ("cached_estimates_per_sec", num(cached_eps)),
-            ("cache_speedup", num(cached_eps / uncached_eps)),
-            ("waittime_end_to_end_sec", num(waittime_secs)),
-            ("waittime_cache_hit_rate", num(hit_rate)),
-            ("history_points_scanned", scanned.to_string()),
-            ("history_points_naive_scan", naive.to_string()),
-            ("scan_reduction_factor", num(reduction)),
-            ("obs_off_ns_per_call", num(obs_off_per_call * 1e9)),
-            ("obs_off_overhead_fraction", num(obs_off_fraction)),
+    let path = write_artifact(
+        "BENCH_estimation.json",
+        vec![
+            ("bench", Json::Str("estimation".into())),
+            ("smoke", Json::Bool(smoke_mode())),
+            ("uncached_estimates_per_sec", Json::Num(uncached_eps)),
+            ("cached_estimates_per_sec", Json::Num(cached_eps)),
+            ("cache_speedup", Json::Num(cached_eps / uncached_eps)),
+            ("waittime_end_to_end_sec", Json::Num(waittime_secs)),
+            ("waittime_cache_hit_rate", Json::Num(hit_rate)),
+            ("history_points_scanned", Json::Num(scanned as f64)),
+            ("history_points_naive_scan", Json::Num(naive as f64)),
+            ("scan_reduction_factor", Json::Num(reduction)),
+            ("obs_off_ns_per_call", Json::Num(obs_off_per_call * 1e9)),
+            ("obs_off_overhead_fraction", Json::Num(obs_off_fraction)),
         ],
     );
     println!("estimation/scan-reduction          {reduction:.1}x fewer points scanned");

@@ -14,7 +14,8 @@
 
 use std::path::PathBuf;
 
-use qpredict_bench::{bench, smoke_mode};
+use qpredict_bench::{bench, smoke_mode, write_artifact};
+use qpredict_obs::json::Json;
 use qpredict_serve::{FsyncPolicy, ServeConfig, Service};
 use qpredict_workload::synthesize_events;
 use qpredict_workload::synthetic::toy;
@@ -82,24 +83,6 @@ fn bench_policy(lines: &[String], label: &str, policy: Option<FsyncPolicy>) -> (
     (lines.len() as f64 / secs, fp)
 }
 
-fn write_json(path: &std::path::Path, fields: &[(&str, String)]) {
-    let mut s = String::from("{\n");
-    for (i, (k, v)) in fields.iter().enumerate() {
-        let comma = if i + 1 < fields.len() { "," } else { "" };
-        s.push_str(&format!("  \"{k}\": {v}{comma}\n"));
-    }
-    s.push_str("}\n");
-    std::fs::write(path, s).expect("write BENCH_serve.json");
-}
-
-fn num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.6}")
-    } else {
-        "null".to_string()
-    }
-}
-
 fn main() {
     let jobs = if smoke_mode() { 40 } else { 250 };
     let lines = event_stream(jobs);
@@ -115,36 +98,23 @@ fn main() {
          {fp0:016X} {fp1:016X} {fp2:016X} {fp3:016X}"
     );
 
-    let root = if smoke_mode() {
-        std::env::temp_dir()
-    } else {
-        std::env::var("CARGO_MANIFEST_DIR")
-            .map(|d| {
-                std::path::Path::new(&d)
-                    .join("../..")
-                    .canonicalize()
-                    .unwrap_or_else(|_| std::path::PathBuf::from(d))
-            })
-            .unwrap_or_else(|_| std::path::PathBuf::from("."))
-    };
-    let path = root.join("BENCH_serve.json");
-    write_json(
-        &path,
-        &[
-            ("bench", "\"serve\"".to_string()),
-            ("smoke", smoke_mode().to_string()),
-            ("stream_events", lines.len().to_string()),
-            ("events_per_sec_ephemeral", num(eps_ephemeral)),
-            ("events_per_sec_wal_fsync_never", num(eps_never)),
-            ("events_per_sec_wal_fsync_batch64", num(eps_batch)),
-            ("events_per_sec_wal_fsync_always", num(eps_always)),
+    let path = write_artifact(
+        "BENCH_serve.json",
+        vec![
+            ("bench", Json::Str("serve".into())),
+            ("smoke", Json::Bool(smoke_mode())),
+            ("stream_events", Json::Num(lines.len() as f64)),
+            ("events_per_sec_ephemeral", Json::Num(eps_ephemeral)),
+            ("events_per_sec_wal_fsync_never", Json::Num(eps_never)),
+            ("events_per_sec_wal_fsync_batch64", Json::Num(eps_batch)),
+            ("events_per_sec_wal_fsync_always", Json::Num(eps_always)),
             (
                 "fsync_batching_speedup",
-                num(eps_batch / eps_always.max(1e-12)),
+                Json::Num(eps_batch / eps_always.max(1e-12)),
             ),
             (
                 "wal_overhead_fraction",
-                num(1.0 - eps_never / eps_ephemeral.max(1e-12)),
+                Json::Num(1.0 - eps_never / eps_ephemeral.max(1e-12)),
             ),
         ],
     );

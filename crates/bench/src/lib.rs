@@ -11,6 +11,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use qpredict_core::paper::Scale;
+use qpredict_obs::json::Json;
 
 /// One-iteration smoke mode, for CI: `QPREDICT_BENCH_SMOKE=1` makes
 /// every [`bench()`] call run its closure exactly once and report that
@@ -19,6 +20,27 @@ use qpredict_core::paper::Scale;
 /// emission bugs surface) in seconds instead of minutes.
 pub fn smoke_mode() -> bool {
     std::env::var_os("QPREDICT_BENCH_SMOKE").is_some_and(|v| v != "0")
+}
+
+/// Write a bench's headline numbers as the JSON object `members` to
+/// `<workspace root>/<file>`, the committed trajectory artifact. Smoke
+/// runs write to the temp directory instead, so they never clobber it.
+/// Returns the path written.
+pub fn write_artifact(file: &str, members: Vec<(&str, Json)>) -> std::path::PathBuf {
+    let root = if smoke_mode() {
+        std::env::temp_dir()
+    } else {
+        let manifest = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+        manifest.join("../..").canonicalize().unwrap_or(manifest)
+    };
+    let path = root.join(file);
+    let members = members
+        .into_iter()
+        .map(|(k, v)| (k.to_string(), v))
+        .collect();
+    std::fs::write(&path, Json::Obj(members).to_pretty())
+        .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    path
 }
 
 /// Time `f` and print its median per-iteration cost as

@@ -1,11 +1,14 @@
 #![warn(missing_docs)]
 
-//! Shared durable-file codec: checksummed text frames written atomically.
+//! Shared durable-file machinery for search checkpoints and the serve
+//! WAL/snapshots:
 //!
-//! Extracted from `search::checkpoint` (PR 2) so the GA checkpoints and
-//! the serve WAL/snapshots share one implementation of the three
-//! load-bearing mechanisms:
-//!
+//! * **One state codec** — [`codec`] is the only place that knows how a
+//!   snapshot or checkpoint body is laid out: tagged records of
+//!   positional tokens, `f64`s as the hex of their IEEE-754 bits so
+//!   decode∘encode is the identity (NaN payloads and `-0.0` included).
+//!   Each stateful type implements [`Codec`] once, listing its fields in
+//!   both directions.
 //! * **Checksum framing** — a file body is "sealed" by appending a
 //!   trailing `sum <FNV-1a 64 hex>` line covering every byte above it
 //!   ([`seal`]); [`check_frame`] verifies the checksum *before* any
@@ -16,14 +19,13 @@
 //!   temporary file, fsyncs, then renames into place: a kill at any
 //!   instant leaves either the old or the new file intact, never a torn
 //!   one.
-//! * **Bit-exact floats** — [`f64_hex`]/[`parse_f64_hex`] encode `f64`s
-//!   as the hex of their IEEE-754 bit patterns so decode∘encode is the
-//!   identity, including for NaN and ±∞.
 //!
-//! The byte format is unchanged from the original checkpoint codec —
-//! search checkpoints written before the extraction still load — and the
-//! FNV-1a constants match `qpredict_obs::fnv1a` and the estimation-lock
-//! fingerprints.
+//! The FNV-1a constants match the estimation-lock fingerprints and the
+//! run-report config fingerprints.
+
+pub mod codec;
+
+pub use codec::{Codec, CodecError, Reader, Writer};
 
 use std::fmt;
 use std::path::Path;
@@ -131,9 +133,14 @@ pub fn check_frame(text: &str) -> Result<&str, FrameError> {
         None => return Err(FrameError::MissingChecksum { lines: lines() }),
     };
     let (body, sum_line) = text.split_at(body_end);
-    let stored = sum_line
-        .trim_end()
+    // Exactly `sum <16 hex digits>`, newline optional: nothing else may
+    // follow the seal.
+    let hex = sum_line
+        .strip_suffix('\n')
+        .unwrap_or(sum_line)
         .strip_prefix("sum ")
+        .filter(|h| h.len() == 16 && h.bytes().all(|b| b.is_ascii_hexdigit()));
+    let stored = hex
         .and_then(|h| u64::from_str_radix(h, 16).ok())
         .ok_or(FrameError::UnreadableChecksum { lines: lines() })?;
     let computed = fnv1a(body.as_bytes());
@@ -176,44 +183,6 @@ pub fn read_to_string(path: &Path) -> Result<String, IoOpError> {
         op: format!("read {}", path.display()),
         source,
     })
-}
-
-/// The hex of an `f64`'s IEEE-754 bit pattern (`{:016X}`), the
-/// workspace's bit-exact float encoding.
-pub fn f64_hex(x: f64) -> String {
-    format!("{:016X}", x.to_bits())
-}
-
-/// Parse a [`f64_hex`]-encoded float back, bit-exactly.
-pub fn parse_f64_hex(s: &str) -> Result<f64, String> {
-    parse_u64_hex(s).map(f64::from_bits)
-}
-
-/// Parse a `{:016X}`-style hex `u64`.
-pub fn parse_u64_hex(s: &str) -> Result<u64, String> {
-    u64::from_str_radix(s, 16).map_err(|e| format!("bad hex {s:?}: {e}"))
-}
-
-/// Split a record line of `key=value` words into the values, in the
-/// order given by `want`, rejecting missing, extra, or misnamed fields.
-pub fn parse_kv<'a>(rest: &'a str, want: &[&str]) -> Result<Vec<&'a str>, String> {
-    let mut out = Vec::with_capacity(want.len());
-    let words: Vec<&str> = rest.split_whitespace().collect();
-    if words.len() != want.len() {
-        return Err(format!(
-            "expected {} fields, found {}",
-            want.len(),
-            words.len()
-        ));
-    }
-    for (word, key) in words.iter().zip(want) {
-        let value = word
-            .strip_prefix(key)
-            .and_then(|v| v.strip_prefix('='))
-            .ok_or_else(|| format!("expected {key}=..., found {word:?}"))?;
-        out.push(value);
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -293,25 +262,5 @@ mod tests {
         let err = read_to_string(Path::new("/nonexistent/qpredict/x.snap")).unwrap_err();
         assert!(err.op.contains("read"), "{err}");
         assert!(err.to_string().contains("x.snap"));
-    }
-
-    #[test]
-    fn f64_hex_is_bitwise_including_non_finite() {
-        for x in [0.0, -0.0, 1.5, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            let back = parse_f64_hex(&f64_hex(x)).expect("parses");
-            assert_eq!(x.to_bits(), back.to_bits());
-        }
-        assert!(parse_f64_hex("zz").is_err());
-    }
-
-    #[test]
-    fn parse_kv_enforces_names_and_arity() {
-        assert_eq!(
-            parse_kv("a=1 b=two", &["a", "b"]).expect("parses"),
-            vec!["1", "two"]
-        );
-        assert!(parse_kv("a=1", &["a", "b"]).is_err());
-        assert!(parse_kv("a=1 c=2", &["a", "b"]).is_err());
-        assert!(parse_kv("a=1 b=2 extra=3", &["a", "b"]).is_err());
     }
 }

@@ -244,18 +244,6 @@ pub fn reset() {
     });
 }
 
-/// FNV-1a over a byte stream — the workspace's standard cheap
-/// fingerprint (same constants as the checkpoint checksum and the
-/// estimation-lock fingerprints).
-pub fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -337,12 +325,5 @@ mod tests {
         assert_eq!(s.buckets[HIST_BUCKETS - 1], 1); // clamped tail
         assert_eq!(s.count, 6);
         assert_eq!(s.max_ns, u64::MAX);
-    }
-
-    #[test]
-    fn fnv1a_matches_reference_vector() {
-        // FNV-1a("a") from the reference implementation.
-        assert_eq!(fnv1a(*b"a"), 0xaf63dc4c8601ec8c);
-        assert_eq!(fnv1a([]), 0xcbf29ce484222325);
     }
 }

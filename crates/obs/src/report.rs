@@ -3,9 +3,10 @@
 //! One JSON object per run: schema version, the command and its
 //! arguments (with an FNV-1a config fingerprint so reports from
 //! identical invocations are trivially groupable), per-command metrics,
-//! and the thread's span/counter aggregates. Written atomically — tmp
-//! file then rename, the same pattern as `qpredict-search`'s checkpoint
-//! writer — so a reader never observes a torn report.
+//! and the thread's span/counter aggregates. Callers write it with
+//! `qpredict_durable::write_atomic` (tmp file, sync, rename), the writer
+//! the search checkpoints and serve snapshots use, so a reader never
+//! observes a torn report.
 //!
 //! ## Schema (version 1)
 //!
@@ -21,11 +22,8 @@
 //! }
 //! ```
 
-use std::io;
-use std::path::Path;
-
 use crate::json::Json;
-use crate::{fnv1a, ObsSnapshot};
+use crate::ObsSnapshot;
 
 /// Version stamped into (and required of) every report.
 pub const SCHEMA_VERSION: u64 = 1;
@@ -57,11 +55,12 @@ impl RunReport {
     /// The config fingerprint: FNV-1a over the NUL-joined argument
     /// vector, as a 16-digit hex string.
     pub fn fingerprint(&self) -> String {
-        let bytes = self
+        let bytes: Vec<u8> = self
             .args
             .iter()
-            .flat_map(|a| a.bytes().chain(std::iter::once(0u8)));
-        format!("{:016x}", fnv1a(bytes))
+            .flat_map(|a| a.bytes().chain([0]))
+            .collect();
+        format!("{:016x}", qpredict_durable::fnv1a(&bytes))
     }
 
     /// Assemble the report around a registry snapshot (usually
@@ -203,25 +202,6 @@ pub fn validate(report: &Json, require_activity: bool) -> Result<(), String> {
     Ok(())
 }
 
-/// Write `text` to `path` atomically: write and sync a sibling temp
-/// file, then rename over the destination. Parent directories are
-/// created as needed.
-pub fn write_atomic(path: &Path, text: &str) -> io::Result<()> {
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)?;
-        }
-    }
-    let tmp = path.with_extension("report.tmp");
-    {
-        use std::io::Write as _;
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(text.as_bytes())?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -278,20 +258,5 @@ mod tests {
         )
         .unwrap();
         assert!(validate(&wrong_version, false).is_err());
-    }
-
-    #[test]
-    fn atomic_write_lands_complete() {
-        let dir = std::env::temp_dir().join("qpredict-obs-test");
-        let path = dir.join("nested/report.json");
-        let _ = std::fs::remove_dir_all(&dir);
-        write_atomic(&path, "{\"ok\": true}\n").expect("write");
-        let text = std::fs::read_to_string(&path).expect("read back");
-        assert_eq!(text, "{\"ok\": true}\n");
-        assert!(
-            !path.with_extension("report.tmp").exists(),
-            "temp file must be renamed away"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

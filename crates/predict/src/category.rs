@@ -7,6 +7,7 @@
 
 use std::collections::{HashMap, VecDeque};
 
+use qpredict_durable::{codec_struct, Codec, CodecError, Reader, Writer};
 use qpredict_workload::Job;
 
 use crate::estimators::RegressionKind;
@@ -40,7 +41,7 @@ impl Point {
 /// Category identity: which template, the values of its selected
 /// characteristics (by characteristic index; `u32::MAX` = slot unused),
 /// and the node bucket (`u32::MAX` when the template ignores nodes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CategoryKey {
     template: u16,
     values: [u32; 8],
@@ -273,215 +274,91 @@ impl CategoryStore {
     pub fn clear(&mut self) {
         self.map.clear();
     }
+}
 
-    /// Serialize every category as `cat …` lines, in deterministic
-    /// (sorted-key) order, appended to `out`.
-    ///
-    /// Aggregates (moments, regression sums) are serialized **bitwise**
-    /// rather than recomputed on restore: their f64 values carry the
-    /// whole add/remove history of the stream, which a replay of only
-    /// the surviving points would not reproduce. [`decode_state_line`]
-    /// rebuilds a `History` byte-for-byte equal to the original.
-    ///
-    /// [`decode_state_line`]: CategoryStore::decode_state_line
-    pub fn encode_state(&self, out: &mut String) {
-        use std::fmt::Write as _;
-        let mut keys: Vec<&CategoryKey> = self.map.keys().collect();
-        keys.sort_by_key(|k| (k.template, k.values, k.node_bucket));
-        let fx = |x: f64| format!("{:016X}", x.to_bits());
-        for key in keys {
-            let h = &self.map[key];
-            let _ = write!(out, "cat {} {}", key.template, key.node_bucket);
-            let _ = write!(out, " vals=");
-            for (i, v) in key.values.iter().enumerate() {
-                let sep = if i == 0 { "" } else { "," };
-                let _ = write!(out, "{sep}{v}");
-            }
-            let _ = write!(out, " abs={},{},{}", h.abs.n, fx(h.abs.sum), fx(h.abs.sum2));
-            let _ = write!(
-                out,
-                " ratio={},{},{}",
-                h.ratio.n,
-                fx(h.ratio.sum),
-                fx(h.ratio.sum2)
-            );
-            match h.reg {
-                Some((kind, rel, m)) => {
-                    let k = match kind {
-                        RegressionKind::Linear => "lin",
-                        RegressionKind::Inverse => "inv",
-                        RegressionKind::Logarithmic => "log",
-                    };
-                    let _ = write!(
-                        out,
-                        " reg={k},{},{},{},{},{},{},{}",
-                        if rel { 1 } else { 0 },
-                        m.n,
-                        fx(m.sg),
-                        fx(m.sy),
-                        fx(m.sgg),
-                        fx(m.sgy),
-                        fx(m.syy)
-                    );
-                }
-                None => {
-                    let _ = write!(out, " reg=-");
-                }
-            }
-            let _ = write!(out, " pts=");
-            for (i, p) in h.points.iter().enumerate() {
-                let sep = if i == 0 { "" } else { ";" };
-                let _ = write!(
-                    out,
-                    "{sep}{}:{}:{}",
-                    fx(p.runtime),
-                    fx(p.ratio),
-                    fx(p.nodes)
-                );
-            }
-            out.push('\n');
+// ----- state codec ---------------------------------------------------------
+//
+// Aggregates (moments, regression sums) are stored bitwise rather than
+// recomputed on restore: their f64 values carry the whole add/remove
+// history of the stream, which a replay of only the surviving points
+// would not reproduce.
+
+codec_struct!(CategoryKey {
+    template,
+    node_bucket,
+    values
+});
+
+codec_struct!(Moments { n, sum, sum2 });
+
+codec_struct!(RegMoments {
+    n,
+    sg,
+    sy,
+    sgg,
+    sgy,
+    syy
+});
+
+impl Codec for RegressionKind {
+    fn encode(&self, w: &mut Writer) {
+        w.word(match self {
+            RegressionKind::Linear => "lin",
+            RegressionKind::Inverse => "inv",
+            RegressionKind::Logarithmic => "log",
+        });
+    }
+    fn decode(r: &mut Reader<'_>, _: &()) -> Result<RegressionKind, CodecError> {
+        match r.word()? {
+            "lin" => Ok(RegressionKind::Linear),
+            "inv" => Ok(RegressionKind::Inverse),
+            "log" => Ok(RegressionKind::Logarithmic),
+            other => Err(r.error(format!("unknown regression kind {other:?}"))),
         }
     }
+}
 
-    /// Rebuild one category from the `rest` of a `cat` line produced by
-    /// [`encode_state`](CategoryStore::encode_state).
-    pub fn decode_state_line(&mut self, rest: &str) -> Result<(), String> {
-        let px = |s: &str| -> Result<f64, String> {
-            u64::from_str_radix(s, 16)
-                .map(f64::from_bits)
-                .map_err(|e| format!("bad hex float {s:?}: {e}"))
+codec_struct!(Point {
+    runtime,
+    ratio,
+    nodes
+});
+
+impl Codec for History {
+    fn encode(&self, w: &mut Writer) {
+        w.put(&self.abs)
+            .put(&self.ratio)
+            .put(&self.reg)
+            .put(&self.points);
+    }
+    fn decode(r: &mut Reader<'_>, _: &()) -> Result<History, CodecError> {
+        let h = History {
+            abs: r.get()?,
+            ratio: r.get()?,
+            reg: r.get()?,
+            points: r.get()?,
         };
-        let mut words = words_of(rest);
-        let template = words
-            .next()
-            .ok_or("cat: missing template index")?
-            .parse::<u16>()
-            .map_err(|e| format!("bad template index: {e}"))?;
-        let node_bucket = words
-            .next()
-            .ok_or("cat: missing node bucket")?
-            .parse::<u32>()
-            .map_err(|e| format!("bad node bucket: {e}"))?;
-        let vals = field(words.next(), "vals")?;
-        let mut values = [UNUSED; 8];
-        let parts: Vec<&str> = vals.split(',').collect();
-        if parts.len() != 8 {
-            return Err(format!("vals needs 8 entries, found {}", parts.len()));
-        }
-        for (slot, part) in values.iter_mut().zip(&parts) {
-            *slot = part
-                .parse::<u32>()
-                .map_err(|e| format!("bad value {part:?}: {e}"))?;
-        }
-        let abs = parse_moments(field(words.next(), "abs")?)?;
-        let ratio = parse_moments(field(words.next(), "ratio")?)?;
-        let reg_text = field(words.next(), "reg")?;
-        let reg = if reg_text == "-" {
-            None
-        } else {
-            let p: Vec<&str> = reg_text.split(',').collect();
-            if p.len() != 8 {
-                return Err(format!("reg needs 8 entries, found {}", p.len()));
-            }
-            let kind = match p[0] {
-                "lin" => RegressionKind::Linear,
-                "inv" => RegressionKind::Inverse,
-                "log" => RegressionKind::Logarithmic,
-                other => return Err(format!("unknown regression kind {other:?}")),
-            };
-            let rel = match p[1] {
-                "0" => false,
-                "1" => true,
-                other => return Err(format!("bad relative flag {other:?}")),
-            };
-            let m = RegMoments {
-                n: p[2]
-                    .parse::<usize>()
-                    .map_err(|e| format!("bad reg n: {e}"))?,
-                sg: px(p[3])?,
-                sy: px(p[4])?,
-                sgg: px(p[5])?,
-                sgy: px(p[6])?,
-                syy: px(p[7])?,
-            };
-            Some((kind, rel, m))
-        };
-        let pts_text = field(words.next(), "pts")?;
-        if words.next().is_some() {
-            return Err("cat: trailing fields".into());
-        }
-        let mut points = VecDeque::new();
-        if !pts_text.is_empty() {
-            for triple in pts_text.split(';') {
-                let p: Vec<&str> = triple.split(':').collect();
-                if p.len() != 3 {
-                    return Err(format!("point needs 3 entries, found {}", p.len()));
-                }
-                points.push_back(Point {
-                    runtime: px(p[0])?,
-                    ratio: px(p[1])?,
-                    nodes: px(p[2])?,
-                });
-            }
-        }
-        if abs.n != points.len() {
-            return Err(format!(
+        if h.abs.n != h.points.len() {
+            return Err(r.error(format!(
                 "abs moments count {} disagrees with {} stored points",
-                abs.n,
-                points.len()
-            ));
+                h.abs.n,
+                h.points.len()
+            )));
         }
-        let key = CategoryKey {
-            template,
-            values,
-            node_bucket,
-        };
-        if self
-            .map
-            .insert(
-                key,
-                History {
-                    points,
-                    abs,
-                    ratio,
-                    reg,
-                },
-            )
-            .is_some()
-        {
-            return Err("cat: duplicate category key".into());
-        }
-        Ok(())
+        Ok(h)
     }
 }
 
-fn words_of(rest: &str) -> impl Iterator<Item = &str> {
-    rest.split_whitespace()
-}
-
-fn field<'a>(word: Option<&'a str>, key: &str) -> Result<&'a str, String> {
-    word.and_then(|w| w.strip_prefix(key))
-        .and_then(|w| w.strip_prefix('='))
-        .ok_or_else(|| format!("cat: missing {key}= field"))
-}
-
-fn parse_moments(text: &str) -> Result<Moments, String> {
-    let p: Vec<&str> = text.split(',').collect();
-    if p.len() != 3 {
-        return Err(format!("moments need 3 entries, found {}", p.len()));
+/// One `cat` record per category, in key order.
+impl Codec for CategoryStore {
+    fn encode(&self, w: &mut Writer) {
+        w.map_records("cat", &self.map);
     }
-    let px = |s: &str| -> Result<f64, String> {
-        u64::from_str_radix(s, 16)
-            .map(f64::from_bits)
-            .map_err(|e| format!("bad hex float {s:?}: {e}"))
-    };
-    Ok(Moments {
-        n: p[0]
-            .parse::<usize>()
-            .map_err(|e| format!("bad moments n: {e}"))?,
-        sum: px(p[1])?,
-        sum2: px(p[2])?,
-    })
+    fn decode(r: &mut Reader<'_>, _: &()) -> Result<CategoryStore, CodecError> {
+        Ok(CategoryStore {
+            map: r.map_records("cat", &(), &())?,
+        })
+    }
 }
 
 #[cfg(test)]

@@ -17,7 +17,8 @@
 
 use std::collections::HashMap;
 
-use qpredict_workload::{Characteristic, Dur, Job, Sym, Workload};
+use qpredict_durable::{Codec, CodecError, Reader, Writer};
+use qpredict_workload::{Characteristic, Dur, Job, Sym, SymbolTable, Workload};
 
 use crate::{Prediction, RunTimePredictor};
 
@@ -202,154 +203,6 @@ impl DowneyPredictor {
         Some(Dur::from_secs_f64(t.max(elapsed.as_secs_f64() + 1.0)))
     }
 
-    /// Serialize the complete mutable state as deterministic text.
-    /// Fitted models are *not* serialized: the fit is a deterministic
-    /// function of the sorted run-time vector, so restoring the vectors
-    /// with `dirty = true` reproduces bit-identical models lazily.
-    /// `Sym` handles are written as raw interning indices.
-    pub fn encode_state(&self) -> String {
-        use std::fmt::Write as _;
-        let runtimes = |out: &mut String, c: &Category| {
-            let _ = write!(out, " rts=");
-            for (i, r) in c.runtimes.iter().enumerate() {
-                let sep = if i == 0 { "" } else { "," };
-                let _ = write!(out, "{sep}{:016X}", r.to_bits());
-            }
-            out.push('\n');
-        };
-        let mut s = String::with_capacity(128);
-        let _ = writeln!(s, "downey-state v1");
-        let _ = writeln!(
-            s,
-            "config variant={} char={}",
-            match self.variant {
-                DowneyVariant::ConditionalAverage => "avg",
-                DowneyVariant::ConditionalMedian => "med",
-            },
-            self.category_char.map(|c| c.abbrev()).unwrap_or("-")
-        );
-        let _ = writeln!(
-            s,
-            "totals sum={:016X} n={} gen={}",
-            self.total_sum.to_bits(),
-            self.total_n,
-            self.generation
-        );
-        let mut keys: Vec<&Option<Sym>> = self.categories.keys().collect();
-        keys.sort();
-        for key in keys {
-            let tag = match key {
-                Some(sym) => sym.index().to_string(),
-                None => "-".to_string(),
-            };
-            let _ = write!(s, "cat {tag}");
-            runtimes(&mut s, &self.categories[key]);
-        }
-        let _ = write!(s, "glob");
-        runtimes(&mut s, &self.global);
-        s
-    }
-
-    /// Rebuild a predictor from [`encode_state`](Self::encode_state)
-    /// output. `syms` must have the same interning order as the table the
-    /// state was recorded under.
-    pub fn decode_state(
-        syms: &qpredict_workload::SymbolTable,
-        text: &str,
-    ) -> Result<DowneyPredictor, String> {
-        use qpredict_workload::CHARACTERISTICS;
-        let mut lines = text.lines();
-        let magic = lines.next().ok_or("empty downey state")?;
-        if magic != "downey-state v1" {
-            return Err(format!("not a downey state: {magic:?}"));
-        }
-        let parse_cat = |rest: &str, key: &str| -> Result<Category, String> {
-            let list = rest
-                .trim_start()
-                .strip_prefix(key)
-                .and_then(|w| w.strip_prefix('='))
-                .ok_or_else(|| format!("missing {key}= field"))?;
-            let runtimes = if list.is_empty() {
-                Vec::new()
-            } else {
-                list.split(',')
-                    .map(qpredict_durable::parse_f64_hex)
-                    .collect::<Result<Vec<f64>, String>>()?
-            };
-            Ok(Category {
-                runtimes,
-                model: None,
-                dirty: true,
-            })
-        };
-        let mut p: Option<DowneyPredictor> = None;
-        let mut saw_totals = false;
-        for line in lines {
-            let (key, rest) = line.split_once(' ').unwrap_or((line, ""));
-            match key {
-                "config" => {
-                    let v = qpredict_durable::parse_kv(rest, &["variant", "char"])?;
-                    let variant = match v[0] {
-                        "avg" => DowneyVariant::ConditionalAverage,
-                        "med" => DowneyVariant::ConditionalMedian,
-                        other => return Err(format!("unknown downey variant {other:?}")),
-                    };
-                    let category_char = if v[1] == "-" {
-                        None
-                    } else {
-                        Some(
-                            CHARACTERISTICS
-                                .iter()
-                                .copied()
-                                .find(|c| c.abbrev() == v[1])
-                                .ok_or_else(|| format!("unknown characteristic {:?}", v[1]))?,
-                        )
-                    };
-                    p = Some(DowneyPredictor::new(variant, category_char));
-                }
-                _ if p.is_none() => {
-                    return Err("downey state must open with its config record".into());
-                }
-                "totals" => {
-                    let v = qpredict_durable::parse_kv(rest, &["sum", "n", "gen"])?;
-                    let p = p.as_mut().expect("checked above");
-                    p.total_sum = qpredict_durable::parse_f64_hex(v[0])?;
-                    p.total_n = v[1].parse().map_err(|e| format!("bad n: {e}"))?;
-                    p.generation = v[2].parse().map_err(|e| format!("bad gen: {e}"))?;
-                    saw_totals = true;
-                }
-                "cat" => {
-                    let (tag, rest) = rest.split_once(' ').ok_or("cat: missing runtime list")?;
-                    let sym = if tag == "-" {
-                        None
-                    } else {
-                        let i = tag
-                            .parse::<usize>()
-                            .map_err(|e| format!("bad symbol index {tag:?}: {e}"))?;
-                        Some(syms.sym_at(i).ok_or_else(|| {
-                            format!("symbol index {i} beyond table of {}", syms.len())
-                        })?)
-                    };
-                    let cat = parse_cat(rest, "rts")?;
-                    let p = p.as_mut().expect("checked above");
-                    if p.categories.insert(sym, cat).is_some() {
-                        return Err(format!("cat: duplicate category {tag:?}"));
-                    }
-                }
-                "glob" => {
-                    let p = p.as_mut().expect("checked above");
-                    p.global = parse_cat(rest, "rts")?;
-                }
-                other => return Err(format!("unknown downey state record {other:?}")),
-            }
-        }
-        let p = p.ok_or("downey state missing config record")?;
-        if !saw_totals {
-            return Err("downey state missing totals record".into());
-        }
-        Ok(p)
-    }
-
     fn point_estimate(&self, model: CdfModel, age_s: f64) -> f64 {
         let a = age_s.max(1.0).min(model.tmax * 0.999);
         match self.variant {
@@ -363,6 +216,72 @@ impl DowneyPredictor {
                 }
             }
         }
+    }
+}
+
+/// Fitted models are *not* stored: the fit is a deterministic function
+/// of the sorted run-time vector, so restoring the vector with
+/// `dirty = true` reproduces bit-identical models lazily.
+impl Codec for Category {
+    fn encode(&self, w: &mut Writer) {
+        w.put(&self.runtimes);
+    }
+    fn decode(r: &mut Reader<'_>, _: &()) -> Result<Category, CodecError> {
+        Ok(Category {
+            runtimes: r.get()?,
+            model: None,
+            dirty: true,
+        })
+    }
+}
+
+impl Codec for DowneyVariant {
+    fn encode(&self, w: &mut Writer) {
+        w.word(match self {
+            DowneyVariant::ConditionalAverage => "avg",
+            DowneyVariant::ConditionalMedian => "med",
+        });
+    }
+    fn decode(r: &mut Reader<'_>, _: &()) -> Result<DowneyVariant, CodecError> {
+        match r.word()? {
+            "avg" => Ok(DowneyVariant::ConditionalAverage),
+            "med" => Ok(DowneyVariant::ConditionalMedian),
+            other => Err(r.error(format!("unknown downey variant {other:?}"))),
+        }
+    }
+}
+
+/// The complete mutable state. `Sym` keys are stored as interning
+/// indices and decoded against the restorer's symbol table, which must
+/// have the same interning order as the one the state was recorded
+/// under.
+impl Codec<SymbolTable> for DowneyPredictor {
+    fn encode(&self, w: &mut Writer) {
+        w.record("downey-state v2");
+        w.record("config")
+            .put(&self.variant)
+            .put(&self.category_char);
+        w.record("totals")
+            .put(&self.total_sum)
+            .put(&self.total_n)
+            .put(&self.generation);
+        w.map_records("cat", &self.categories);
+        w.record("glob").put(&self.global);
+    }
+    fn decode(r: &mut Reader<'_>, syms: &SymbolTable) -> Result<DowneyPredictor, CodecError> {
+        r.record("downey-state v2")?.record("config")?;
+        let variant = r.get()?;
+        let category_char = r.get()?;
+        r.record("totals")?;
+        Ok(DowneyPredictor {
+            variant,
+            category_char,
+            total_sum: r.get()?,
+            total_n: r.get()?,
+            generation: r.get()?,
+            categories: r.map_records("cat", syms, &())?,
+            global: r.record("glob")?.get()?,
+        })
     }
 }
 
@@ -434,6 +353,7 @@ impl RunTimePredictor for DowneyPredictor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qpredict_durable::codec::{decode, encode};
     use qpredict_workload::{JobBuilder, JobId, SymbolTable};
 
     fn qjob(syms: &mut SymbolTable, queue: &str, rt: i64) -> qpredict_workload::Job {
@@ -660,9 +580,9 @@ mod tests {
             p.on_complete(&qjob(&mut syms, "short", 30 + i * 11));
             p.on_complete(&JobBuilder::new().runtime(Dur(200 + i * 7)).build(JobId(0)));
         }
-        let state = p.encode_state();
-        let back = DowneyPredictor::decode_state(&syms, &state).expect("decodes");
-        assert_eq!(back.encode_state(), state, "re-encode must be identical");
+        let state = encode(&p);
+        let back: DowneyPredictor = decode(&state, &syms).expect("decodes");
+        assert_eq!(encode(&back), state, "re-encode must be identical");
         assert_eq!(back.category_characteristic(), p.category_characteristic());
         let mut back = back;
         for i in 0..10i64 {
@@ -675,15 +595,16 @@ mod tests {
         let j = qjob(&mut syms, "batch", 512);
         p.on_complete(&j);
         back.on_complete(&j);
-        assert_eq!(p.encode_state(), back.encode_state());
+        assert_eq!(encode(&p), encode(&back));
     }
 
     #[test]
     fn state_decode_rejects_garbage() {
         let syms = SymbolTable::new();
-        assert!(DowneyPredictor::decode_state(&syms, "").is_err());
-        assert!(DowneyPredictor::decode_state(&syms, "downey-state v1\n").is_err());
-        let no_config = "downey-state v1\ntotals sum=0000000000000000 n=0 gen=0\n";
-        assert!(DowneyPredictor::decode_state(&syms, no_config).is_err());
+        let restore = |text: &str| decode::<_, DowneyPredictor>(text, &syms);
+        assert!(restore("").is_err());
+        assert!(restore("downey-state v2\n").is_err());
+        let no_config = "downey-state v2\ntotals 0000000000000000 0 0\n";
+        assert!(restore(no_config).is_err());
     }
 }

@@ -28,7 +28,8 @@
 
 use std::collections::HashMap;
 
-use qpredict_workload::{Characteristic, Dur, Job, Sym};
+use qpredict_durable::{Codec, CodecError, Reader, Writer};
+use qpredict_workload::{Characteristic, Dur, Job, Sym, SymbolTable};
 
 use crate::estimators::{mean, weighted_linear, Estimate};
 use crate::{Prediction, RunTimePredictor};
@@ -138,181 +139,58 @@ impl GibbonsPredictor {
         triples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
         weighted_linear(triples.into_iter(), nodes)
     }
+}
 
-    /// Serialize the complete mutable state as deterministic text;
-    /// observation vectors keep insertion order (mean/variance sums
-    /// depend on f64 summation order). `Sym` handles are written as raw
-    /// interning indices — the restorer must present a symbol table with
-    /// the same interning order (see
-    /// [`SymbolTable::sym_at`](qpredict_workload::SymbolTable)).
-    pub fn encode_state(&self) -> String {
-        use std::fmt::Write as _;
-        let fx = |x: f64| format!("{:016X}", x.to_bits());
-        let sym = |s: Option<Sym>| match s {
-            Some(s) => s.index().to_string(),
-            None => "-".to_string(),
-        };
-        let subcat = |out: &mut String, sc: &SubCategory| {
-            let _ = write!(out, " rts=");
-            for (i, r) in sc.runtimes.iter().enumerate() {
-                let sep = if i == 0 { "" } else { "," };
-                let _ = write!(out, "{sep}{}", fx(*r));
-            }
-            let _ = write!(out, " nodes=");
-            for (i, n) in sc.nodes.iter().enumerate() {
-                let sep = if i == 0 { "" } else { "," };
-                let _ = write!(out, "{sep}{}", fx(*n));
-            }
-            out.push('\n');
-        };
-        let mut s = String::with_capacity(256);
-        let _ = writeln!(s, "gibbons-state v1");
-        let _ = writeln!(
-            s,
-            "totals sum={:016X} n={} max={:016X} gen={}",
-            self.total_sum.to_bits(),
-            self.total_n,
-            self.max_seen.to_bits(),
-            self.generation
-        );
-        let mut ue_keys: Vec<&Key2> = self.by_user_exe.keys().collect();
-        ue_keys.sort();
-        for key in ue_keys {
-            let buckets = &self.by_user_exe[key];
-            let mut bs: Vec<&u32> = buckets.keys().collect();
-            bs.sort();
-            for b in bs {
-                let _ = write!(s, "ue {} {} {}", sym(key.0), sym(key.1), b);
-                subcat(&mut s, &buckets[b]);
-            }
-        }
-        let mut e_keys: Vec<&Option<Sym>> = self.by_exe.keys().collect();
-        e_keys.sort();
-        for key in e_keys {
-            let buckets = &self.by_exe[key];
-            let mut bs: Vec<&u32> = buckets.keys().collect();
-            bs.sort();
-            for b in bs {
-                let _ = write!(s, "exe {} {}", sym(*key), b);
-                subcat(&mut s, &buckets[b]);
-            }
-        }
-        let mut bs: Vec<&u32> = self.global.keys().collect();
-        bs.sort();
-        for b in bs {
-            let _ = write!(s, "glob {b}");
-            subcat(&mut s, &self.global[b]);
-        }
-        s
+/// Observation vectors keep insertion order: mean and variance sums
+/// depend on the f64 summation order.
+impl Codec for SubCategory {
+    fn encode(&self, w: &mut Writer) {
+        w.put(&self.runtimes).put(&self.nodes);
     }
-
-    /// Rebuild a predictor from [`encode_state`](Self::encode_state)
-    /// output. `syms` must have the same interning order as the table the
-    /// state was recorded under.
-    pub fn decode_state(
-        syms: &qpredict_workload::SymbolTable,
-        text: &str,
-    ) -> Result<GibbonsPredictor, String> {
-        let mut p = GibbonsPredictor::new();
-        let mut lines = text.lines();
-        let magic = lines.next().ok_or("empty gibbons state")?;
-        if magic != "gibbons-state v1" {
-            return Err(format!("not a gibbons state: {magic:?}"));
-        }
-        let sym_of = |s: &str| -> Result<Option<Sym>, String> {
-            if s == "-" {
-                return Ok(None);
-            }
-            let i = s
-                .parse::<usize>()
-                .map_err(|e| format!("bad symbol index {s:?}: {e}"))?;
-            syms.sym_at(i)
-                .map(Some)
-                .ok_or_else(|| format!("symbol index {i} beyond table of {}", syms.len()))
+    fn decode(r: &mut Reader<'_>, _: &()) -> Result<SubCategory, CodecError> {
+        let sc = SubCategory {
+            runtimes: r.get()?,
+            nodes: r.get()?,
         };
-        let mut saw_totals = false;
-        for line in lines {
-            let (key, rest) = line.split_once(' ').unwrap_or((line, ""));
-            match key {
-                "totals" => {
-                    let v = qpredict_durable::parse_kv(rest, &["sum", "n", "max", "gen"])?;
-                    p.total_sum = qpredict_durable::parse_f64_hex(v[0])?;
-                    p.total_n = v[1].parse().map_err(|e| format!("bad n: {e}"))?;
-                    p.max_seen = qpredict_durable::parse_f64_hex(v[2])?;
-                    p.generation = v[3].parse().map_err(|e| format!("bad gen: {e}"))?;
-                    saw_totals = true;
-                }
-                "ue" => {
-                    let mut w = rest.split_whitespace();
-                    let u = sym_of(w.next().ok_or("ue: missing user")?)?;
-                    let e = sym_of(w.next().ok_or("ue: missing executable")?)?;
-                    let (b, sc) = parse_subcat(&mut w)?;
-                    let slot = p.by_user_exe.entry((u, e)).or_default();
-                    if slot.insert(b, sc).is_some() {
-                        return Err(format!("ue: duplicate bucket {b}"));
-                    }
-                }
-                "exe" => {
-                    let mut w = rest.split_whitespace();
-                    let e = sym_of(w.next().ok_or("exe: missing executable")?)?;
-                    let (b, sc) = parse_subcat(&mut w)?;
-                    let slot = p.by_exe.entry(e).or_default();
-                    if slot.insert(b, sc).is_some() {
-                        return Err(format!("exe: duplicate bucket {b}"));
-                    }
-                }
-                "glob" => {
-                    let mut w = rest.split_whitespace();
-                    let (b, sc) = parse_subcat(&mut w)?;
-                    if p.global.insert(b, sc).is_some() {
-                        return Err(format!("glob: duplicate bucket {b}"));
-                    }
-                }
-                other => return Err(format!("unknown gibbons state record {other:?}")),
-            }
+        if sc.runtimes.len() != sc.nodes.len() {
+            return Err(r.error(format!(
+                "{} runtimes vs {} node counts",
+                sc.runtimes.len(),
+                sc.nodes.len()
+            )));
         }
-        if !saw_totals {
-            return Err("gibbons state missing totals record".into());
-        }
-        Ok(p)
+        Ok(sc)
     }
 }
 
-/// Parse `<bucket> rts=<hex,…> nodes=<hex,…>` from the remaining words
-/// of a subcategory line.
-fn parse_subcat<'a>(
-    words: &mut impl Iterator<Item = &'a str>,
-) -> Result<(u32, SubCategory), String> {
-    let bucket = words
-        .next()
-        .ok_or("missing bucket")?
-        .parse::<u32>()
-        .map_err(|e| format!("bad bucket: {e}"))?;
-    let parse_list = |word: Option<&str>, key: &str| -> Result<Vec<f64>, String> {
-        let text = word
-            .and_then(|w| w.strip_prefix(key))
-            .and_then(|w| w.strip_prefix('='))
-            .ok_or_else(|| format!("missing {key}= field"))?;
-        if text.is_empty() {
-            return Ok(Vec::new());
-        }
-        text.split(',')
-            .map(qpredict_durable::parse_f64_hex)
-            .collect()
-    };
-    let runtimes = parse_list(words.next(), "rts")?;
-    let nodes = parse_list(words.next(), "nodes")?;
-    if words.next().is_some() {
-        return Err("trailing subcategory fields".into());
+/// The complete mutable state. `Sym` keys are stored as interning
+/// indices and decoded against the restorer's symbol table, which must
+/// have the same interning order as the one the state was recorded
+/// under.
+impl Codec<SymbolTable> for GibbonsPredictor {
+    fn encode(&self, w: &mut Writer) {
+        w.record("gibbons-state v2");
+        w.record("totals")
+            .put(&self.total_sum)
+            .put(&self.total_n)
+            .put(&self.max_seen)
+            .put(&self.generation);
+        w.map_records("ue", &self.by_user_exe);
+        w.map_records("exe", &self.by_exe);
+        w.record("glob").put(&self.global);
     }
-    if runtimes.len() != nodes.len() {
-        return Err(format!(
-            "{} runtimes vs {} node counts",
-            runtimes.len(),
-            nodes.len()
-        ));
+    fn decode(r: &mut Reader<'_>, syms: &SymbolTable) -> Result<GibbonsPredictor, CodecError> {
+        r.record("gibbons-state v2")?.record("totals")?;
+        Ok(GibbonsPredictor {
+            total_sum: r.get()?,
+            total_n: r.get()?,
+            max_seen: r.get()?,
+            generation: r.get()?,
+            by_user_exe: r.map_records("ue", syms, &())?,
+            by_exe: r.map_records("exe", syms, &())?,
+            global: r.record("glob")?.get()?,
+        })
     }
-    Ok((bucket, SubCategory { runtimes, nodes }))
 }
 
 impl RunTimePredictor for GibbonsPredictor {
@@ -423,6 +301,7 @@ impl RunTimePredictor for GibbonsPredictor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qpredict_durable::codec::{decode, encode};
     use qpredict_workload::{JobBuilder, JobId, SymbolTable};
 
     fn job(
@@ -605,9 +484,9 @@ mod tests {
         }
         // A job with no user/exe exercises the None symbol keys.
         p.on_complete(&JobBuilder::new().nodes(4).runtime(Dur(444)).build(JobId(0)));
-        let state = p.encode_state();
-        let back = GibbonsPredictor::decode_state(&syms, &state).expect("decodes");
-        assert_eq!(back.encode_state(), state, "re-encode must be identical");
+        let state = encode(&p);
+        let back: GibbonsPredictor = decode(&state, &syms).expect("decodes");
+        assert_eq!(encode(&back), state, "re-encode must be identical");
         let mut back = back;
         for i in 0..10i64 {
             let probe = job(&mut syms, "alice", "x", 1 + (i as u32 * 3 % 16), 1);
@@ -619,20 +498,25 @@ mod tests {
         let j = job(&mut syms, "dave", "x", 8, 321);
         p.on_complete(&j);
         back.on_complete(&j);
-        assert_eq!(p.encode_state(), back.encode_state());
+        assert_eq!(encode(&p), encode(&back));
     }
 
     #[test]
     fn state_decode_rejects_garbage() {
         let syms = SymbolTable::new();
-        assert!(GibbonsPredictor::decode_state(&syms, "").is_err());
-        assert!(GibbonsPredictor::decode_state(&syms, "nonsense\n").is_err());
+        let restore = |text: &str| decode::<_, GibbonsPredictor>(text, &syms);
+        assert!(restore("").is_err());
+        assert!(restore("nonsense\n").is_err());
         // A symbol index beyond the table is a configuration mismatch.
-        let bad = "gibbons-state v1\n\
-                   totals sum=0000000000000000 n=0 max=0000000000000000 gen=0\n\
-                   exe 7 0 rts=4059000000000000 nodes=3FF0000000000000\n";
-        assert!(GibbonsPredictor::decode_state(&syms, bad)
+        let bad = "gibbons-state v2\n\
+                   totals 0000000000000000 0 0000000000000000 0\n\
+                   ue 0\n\
+                   exe 1\n\
+                   exe 7 1 0 1 4059000000000000 1 3FF0000000000000\n\
+                   glob 0\n";
+        assert!(restore(bad)
             .unwrap_err()
+            .to_string()
             .contains("beyond table"));
     }
 

@@ -18,6 +18,7 @@
 //! running for `a` seconds is guaranteed a run time of at least `a`; see
 //! DESIGN.md).
 
+use qpredict_durable::{codec_struct, Codec, CodecError, Reader, Writer};
 use qpredict_workload::{Dur, Job};
 
 use crate::category::{CategoryStore, History, Point};
@@ -211,93 +212,56 @@ impl SmithPredictor {
             Dur::HOUR
         }
     }
+}
 
-    /// Serialize the complete mutable state (aggregates bitwise, points,
-    /// counters, generation) as deterministic text. The template set is
-    /// *not* serialized — the restorer reconstructs it from its own
-    /// configuration — but its rendering is fingerprinted so a mismatch
-    /// is detected instead of silently mixing histories across sets.
-    pub fn encode_state(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::with_capacity(64 + self.store.category_count() * 160);
-        let _ = writeln!(s, "smith-state v1");
-        let _ = writeln!(s, "set fp={:016X}", set_fingerprint(&self.set));
-        let _ = writeln!(
-            s,
-            "global sum={:016X} n={} max={:016X} gen={}",
-            self.global_sum.to_bits(),
-            self.global_n,
-            self.max_seen.to_bits(),
-            self.generation
-        );
-        let o = self.ops;
-        let _ = writeln!(
-            s,
-            "ops scanned={} moment_pts={} moment_est={} scan_est={}",
-            o.scanned_points, o.moment_points, o.moment_estimates, o.scan_estimates
-        );
-        self.store.encode_state(&mut s);
-        s
+codec_struct!(EstimateOps {
+    scanned_points,
+    moment_points,
+    moment_estimates,
+    scan_estimates
+});
+
+/// Magic first record of an encoded Smith state.
+const SMITH_MAGIC: &str = "smith-state v2";
+
+/// The complete mutable state: aggregates bitwise, points, counters and
+/// generation. The template set is *not* stored — the restorer passes
+/// the set from its own configuration as context — but its rendering is
+/// fingerprinted, so a restore under a different set is refused instead
+/// of silently mixing histories. A restored predictor is state-identical
+/// to the original: every later prediction is bit-identical.
+impl Codec<TemplateSet> for SmithPredictor {
+    fn encode(&self, w: &mut Writer) {
+        w.record(SMITH_MAGIC);
+        w.record("set").put(&set_fingerprint(&self.set));
+        w.record("global")
+            .put(&self.global_sum)
+            .put(&self.global_n)
+            .put(&self.max_seen)
+            .put(&self.generation);
+        w.record("ops").put(&self.ops);
+        w.put(&self.store);
     }
-
-    /// Rebuild a predictor from [`encode_state`](Self::encode_state)
-    /// output and the template set the state was recorded under. The
-    /// result is state-identical to the original: every later prediction
-    /// is bit-identical.
-    pub fn decode_state(set: TemplateSet, text: &str) -> Result<SmithPredictor, String> {
-        let mut p = SmithPredictor::new(set);
-        let mut lines = text.lines();
-        let magic = lines.next().ok_or("empty smith state")?;
-        if magic != "smith-state v1" {
-            return Err(format!("not a smith state: {magic:?}"));
+    fn decode(r: &mut Reader<'_>, set: &TemplateSet) -> Result<SmithPredictor, CodecError> {
+        r.record(SMITH_MAGIC)?;
+        let fp: u64 = r.record("set")?.get()?;
+        let have = set_fingerprint(set);
+        if fp != have {
+            return Err(r.error(format!(
+                "state was recorded under a different template set \
+                 ({fp:016X} != {have:016X})"
+            )));
         }
-        let mut saw_global = false;
-        for line in lines {
-            let (key, rest) = line.split_once(' ').unwrap_or((line, ""));
-            match key {
-                "set" => {
-                    let v = parse_state_kv(rest, &["fp"])?;
-                    let fp = u64::from_str_radix(v[0], 16)
-                        .map_err(|e| format!("bad set fingerprint: {e}"))?;
-                    let have = set_fingerprint(&p.set);
-                    if fp != have {
-                        return Err(format!(
-                            "state was recorded under a different template set \
-                             ({fp:016X} != {have:016X})"
-                        ));
-                    }
-                }
-                "global" => {
-                    let v = parse_state_kv(rest, &["sum", "n", "max", "gen"])?;
-                    p.global_sum = f64::from_bits(
-                        u64::from_str_radix(v[0], 16).map_err(|e| format!("bad sum: {e}"))?,
-                    );
-                    p.global_n = v[1].parse().map_err(|e| format!("bad n: {e}"))?;
-                    p.max_seen = f64::from_bits(
-                        u64::from_str_radix(v[2], 16).map_err(|e| format!("bad max: {e}"))?,
-                    );
-                    p.generation = v[3].parse().map_err(|e| format!("bad gen: {e}"))?;
-                    saw_global = true;
-                }
-                "ops" => {
-                    let v =
-                        parse_state_kv(rest, &["scanned", "moment_pts", "moment_est", "scan_est"])?;
-                    let d = |s: &str| s.parse::<u64>().map_err(|e| format!("bad counter: {e}"));
-                    p.ops = EstimateOps {
-                        scanned_points: d(v[0])?,
-                        moment_points: d(v[1])?,
-                        moment_estimates: d(v[2])?,
-                        scan_estimates: d(v[3])?,
-                    };
-                }
-                "cat" => p.store.decode_state_line(rest)?,
-                other => return Err(format!("unknown smith state record {other:?}")),
-            }
-        }
-        if !saw_global {
-            return Err("smith state missing global record".into());
-        }
-        Ok(p)
+        r.record("global")?;
+        Ok(SmithPredictor {
+            set: set.clone(),
+            global_sum: r.get()?,
+            global_n: r.get()?,
+            max_seen: r.get()?,
+            generation: r.get()?,
+            ops: r.record("ops")?.get()?,
+            store: r.get()?,
+        })
     }
 }
 
@@ -306,8 +270,6 @@ impl SmithPredictor {
 fn set_fingerprint(set: &TemplateSet) -> u64 {
     qpredict_durable::fnv1a(set.to_string().as_bytes())
 }
-
-use qpredict_durable::parse_kv as parse_state_kv;
 
 impl RunTimePredictor for SmithPredictor {
     fn name(&self) -> &'static str {
@@ -390,6 +352,7 @@ impl RunTimePredictor for SmithPredictor {
 mod tests {
     use super::*;
     use crate::template::{EstimatorKind, TemplateSet};
+    use qpredict_durable::codec::{decode, encode};
     use qpredict_workload::{Characteristic, JobBuilder, JobId, SymbolTable};
 
     fn user_set() -> TemplateSet {
@@ -605,9 +568,9 @@ mod tests {
             // Interleave predictions so ops counters are nonzero.
             let _ = p.predict(&j, Dur::ZERO);
         }
-        let state = p.encode_state();
-        let back = SmithPredictor::decode_state(set.clone(), &state).expect("decodes");
-        assert_eq!(back.encode_state(), state, "re-encode must be identical");
+        let state = encode(&p);
+        let back: SmithPredictor = decode(&state, &set).expect("decodes");
+        assert_eq!(encode(&back), state, "re-encode must be identical");
         assert_eq!(back.generation(), p.generation());
         assert_eq!(back.estimate_ops(), p.estimate_ops());
         let mut back = back;
@@ -634,7 +597,7 @@ mod tests {
             .build(JobId(999));
         p.on_complete(&j);
         back.on_complete(&j);
-        assert_eq!(p.encode_state(), back.encode_state());
+        assert_eq!(encode(&p), encode(&back));
     }
 
     #[test]
@@ -642,16 +605,18 @@ mod tests {
         let mut syms = SymbolTable::new();
         let mut p = SmithPredictor::new(user_set());
         p.on_complete(&job(&mut syms, "alice", 100));
-        let state = p.encode_state();
+        let state = encode(&p);
+        let restore = |set: &TemplateSet, text: &str| decode::<_, SmithPredictor>(text, set);
         let other = TemplateSet::new(vec![Template::mean_over(&[])]);
-        assert!(SmithPredictor::decode_state(other, &state)
+        assert!(restore(&other, &state)
             .unwrap_err()
+            .to_string()
             .contains("different template set"));
-        assert!(SmithPredictor::decode_state(user_set(), "garbage\n").is_err());
-        assert!(SmithPredictor::decode_state(user_set(), "").is_err());
+        assert!(restore(&user_set(), "garbage\n").is_err());
+        assert!(restore(&user_set(), "").is_err());
         // A truncated cat line fails loudly, not silently.
         let cut = state.rfind("cat").unwrap() + 10;
-        assert!(SmithPredictor::decode_state(user_set(), &state[..cut]).is_err());
+        assert!(restore(&user_set(), &state[..cut]).is_err());
     }
 
     #[test]

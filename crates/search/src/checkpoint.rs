@@ -7,38 +7,41 @@
 //! text format:
 //!
 //! ```text
-//! qpredict-ga-checkpoint v2
-//! config pop=<n> elitism=<n> mutation=<f64 bits hex> fmin=<f64 bits hex> seed=<hex> seeds=<hex>
+//! qpredict-ga-checkpoint v3
+//! config <population> <elitism> <mutation rate> <f_min> <seed> <seeds hash>
 //! rng <s0> <s1> <s2> <s3>
 //! gen <n>
 //! evals <n>
-//! best <f64 bits hex> <chromosome as 0/1 string>
-//! hist <f64 bits hex> ...
-//! health attempts=<n> retries=<n> panics=<n> budget=<n> errors=<n> quarantined=<n> injected=<n> resumes=<n> cache_hits=<n> cache_misses=<n>
-//! pop <chromosome as 0/1 string>        (one line per individual)
+//! best <error> <chromosome as a 0/1 string>
+//! hist <count> <error>...
+//! health <attempts> <retries> <panics> <budget> <errors> <quarantined> <injected> <resumes> <cache hits> <cache misses>
+//! pop <count>
+//! pop <chromosome as a 0/1 string>      (one record per individual)
 //! sum <FNV-1a 64 of everything above, hex>
 //! ```
 //!
-//! Floating-point values are written as the hex of their IEEE-754 bit
-//! patterns, so decode∘encode is the identity and a resumed run's
-//! fitness trace is *byte*-identical to an uninterrupted one. Loading
-//! verifies the trailing checksum before believing any field, so a
-//! truncated or bit-flipped file is rejected with a typed
-//! [`CheckpointError`], never a panic or a silent garbage resume.
-//! [`Checkpoint::save_atomic`] writes to a temporary file and renames it
-//! into place, so a kill mid-write leaves the previous checkpoint
-//! intact.
+//! The body is written and read by the workspace's one state codec,
+//! [`qpredict_durable::codec`]: records of positional tokens, integers in
+//! decimal and every `f64` as the hex of its IEEE-754 bits, so
+//! decode∘encode is the identity and a resumed run's fitness trace is
+//! *byte*-identical to an uninterrupted one. Loading verifies the
+//! trailing checksum before believing any field, so a truncated or
+//! bit-flipped file is rejected with a typed [`CheckpointError`], never
+//! a panic or a silent garbage resume. [`Checkpoint::save_atomic`]
+//! writes to a temporary file and renames it into place, so a kill
+//! mid-write leaves the previous checkpoint intact.
 //!
-//! The checksum framing, atomic replace, and bit-exact float encoding
-//! live in the shared [`qpredict_durable`] crate (extracted from this
-//! module so the serve WAL/snapshots reuse the same codec); this module
-//! keeps the GA-specific record schema and error taxonomy. The byte
-//! format is unchanged — pre-extraction checkpoints still load.
+//! The checksum framing and atomic replace also live in
+//! [`qpredict_durable`]; this module keeps the GA-specific record schema,
+//! its cross-field checks and the error taxonomy. v3 moved the body onto
+//! the shared codec; v2 files are refused as [`CheckpointError::BadMagic`].
 
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-use qpredict_durable::{check_frame, fnv1a_byte, parse_kv, seal, FrameError, FNV_OFFSET};
+use qpredict_durable::codec;
+use qpredict_durable::{check_frame, fnv1a_byte, seal, FrameError, FNV_OFFSET};
+use qpredict_durable::{codec_struct, Codec, CodecError, Reader, Writer};
 use qpredict_workload::Rng64;
 
 use crate::encoding::{Chromosome, BITS_PER_TEMPLATE};
@@ -46,8 +49,9 @@ use crate::ga::GaConfig;
 use crate::supervisor::SearchHealth;
 
 /// First line of every checkpoint file; bump the version on breaking
-/// changes (v2 added the estimate-cache counters to the health line).
-pub const CHECKPOINT_MAGIC: &str = "qpredict-ga-checkpoint v2";
+/// changes (v2 added the estimate-cache counters to the health line, v3
+/// moved the body onto the shared state codec).
+pub const CHECKPOINT_MAGIC: &str = "qpredict-ga-checkpoint v3";
 
 /// Default checkpoint file name inside a `--checkpoint-dir`.
 pub const CHECKPOINT_FILE: &str = "ga.ckpt";
@@ -183,8 +187,8 @@ pub enum CheckpointError {
         /// Checksum of the body as read.
         computed: u64,
     },
-    /// A line failed to parse after the checksum verified (version skew
-    /// within v1 would land here).
+    /// A line failed to parse, or the fields contradict each other,
+    /// after the checksum verified.
     Malformed {
         /// 1-based line number.
         line: usize,
@@ -241,79 +245,24 @@ impl std::error::Error for CheckpointError {
     }
 }
 
-fn bits_to_string(bits: &[bool]) -> String {
-    bits.iter().map(|&b| if b { '1' } else { '0' }).collect()
-}
-
 impl Checkpoint {
-    /// Serialize to the text format described in the module docs.
+    /// Serialize to the sealed text format described in the module docs.
     pub fn encode(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::with_capacity(256 + self.population.len() * 240);
-        let _ = writeln!(s, "{CHECKPOINT_MAGIC}");
-        let c = &self.config;
-        let _ = writeln!(
-            s,
-            "config pop={} elitism={} mutation={:016X} fmin={:016X} seed={:016X} seeds={:016X}",
-            c.population,
-            c.elitism,
-            c.mutation_rate.to_bits(),
-            c.f_min.to_bits(),
-            c.seed,
-            c.seeds_hash
-        );
-        let r = self.rng_state;
-        let _ = writeln!(
-            s,
-            "rng {:016X} {:016X} {:016X} {:016X}",
-            r[0], r[1], r[2], r[3]
-        );
-        let _ = writeln!(s, "gen {}", self.generation);
-        let _ = writeln!(s, "evals {}", self.evaluations);
-        let _ = writeln!(
-            s,
-            "best {:016X} {}",
-            self.best_error.to_bits(),
-            bits_to_string(&self.best)
-        );
-        let _ = write!(s, "hist");
-        for e in &self.error_history {
-            let _ = write!(s, " {:016X}", e.to_bits());
-        }
-        s.push('\n');
-        let h = &self.health;
-        let _ = writeln!(
-            s,
-            "health attempts={} retries={} panics={} budget={} errors={} quarantined={} \
-             injected={} resumes={} cache_hits={} cache_misses={}",
-            h.attempts,
-            h.retries,
-            h.panics,
-            h.budget_exhausted,
-            h.eval_errors,
-            h.quarantined,
-            h.injected_faults,
-            h.resumes,
-            h.cache_hits,
-            h.cache_misses
-        );
-        for c in &self.population {
-            let _ = writeln!(s, "pop {}", bits_to_string(c));
-        }
-        seal(s)
+        seal(codec::encode(self))
     }
 
     /// Parse and validate the text format. The checksum is verified
     /// before any field is interpreted.
     pub fn decode(text: &str) -> Result<Checkpoint, CheckpointError> {
+        let bad_magic = |found: &str| CheckpointError::BadMagic {
+            found: found.chars().take(60).collect(),
+        };
         let body = check_frame(text).map_err(|e| match e {
             // No checksum line at all: distinguish "not a checkpoint"
             // from "truncated checkpoint".
             FrameError::MissingChecksum { lines } => {
                 if !text.starts_with(CHECKPOINT_MAGIC) {
-                    CheckpointError::BadMagic {
-                        found: text.lines().next().unwrap_or("").chars().take(60).collect(),
-                    }
+                    bad_magic(text.lines().next().unwrap_or(""))
                 } else {
                     CheckpointError::Malformed {
                         line: lines,
@@ -329,130 +278,38 @@ impl Checkpoint {
                 CheckpointError::ChecksumMismatch { stored, computed }
             }
         })?;
-
-        let mut lines = body.lines().enumerate();
-        let malformed = |line: usize, reason: String| CheckpointError::Malformed {
-            line: line + 1,
-            reason,
-        };
-        let (_, magic) = lines.next().ok_or(CheckpointError::BadMagic {
-            found: String::new(),
-        })?;
+        let magic = body.lines().next().unwrap_or("");
         if magic != CHECKPOINT_MAGIC {
-            return Err(CheckpointError::BadMagic {
-                found: magic.chars().take(60).collect(),
-            });
+            return Err(bad_magic(magic));
         }
-
-        let mut config = None;
-        let mut rng_state = None;
-        let mut generation = None;
-        let mut evaluations = None;
-        let mut best = None;
-        let mut error_history = None;
-        let mut health = None;
-        let mut population: Vec<Chromosome> = Vec::new();
-
-        for (ln, line) in lines {
-            let (key, rest) = line.split_once(' ').unwrap_or((line, ""));
-            match key {
-                "config" => config = Some(parse_config(rest).map_err(|r| malformed(ln, r))?),
-                "rng" => {
-                    let words: Vec<u64> = rest
-                        .split_whitespace()
-                        .map(|w| u64::from_str_radix(w, 16))
-                        .collect::<Result<_, _>>()
-                        .map_err(|e| malformed(ln, format!("bad rng word: {e}")))?;
-                    let s: [u64; 4] = words
-                        .try_into()
-                        .map_err(|_| malformed(ln, "rng needs exactly 4 words".into()))?;
-                    rng_state = Some(s);
-                }
-                "gen" => {
-                    generation = Some(
-                        rest.parse::<usize>()
-                            .map_err(|e| malformed(ln, format!("bad generation: {e}")))?,
-                    )
-                }
-                "evals" => {
-                    evaluations = Some(
-                        rest.parse::<usize>()
-                            .map_err(|e| malformed(ln, format!("bad evaluations: {e}")))?,
-                    )
-                }
-                "best" => {
-                    let (err_hex, bits) = rest
-                        .split_once(' ')
-                        .ok_or_else(|| malformed(ln, "best needs error and bits".into()))?;
-                    let err = f64::from_bits(
-                        u64::from_str_radix(err_hex, 16)
-                            .map_err(|e| malformed(ln, format!("bad best error: {e}")))?,
-                    );
-                    best = Some((err, parse_bits(bits).map_err(|r| malformed(ln, r))?));
-                }
-                "hist" => {
-                    let hist: Vec<f64> = rest
-                        .split_whitespace()
-                        .map(|w| u64::from_str_radix(w, 16).map(f64::from_bits))
-                        .collect::<Result<_, _>>()
-                        .map_err(|e| malformed(ln, format!("bad history entry: {e}")))?;
-                    error_history = Some(hist);
-                }
-                "health" => health = Some(parse_health(rest).map_err(|r| malformed(ln, r))?),
-                "pop" => population.push(parse_bits(rest).map_err(|r| malformed(ln, r))?),
-                other => {
-                    return Err(malformed(ln, format!("unknown record {other:?}")));
-                }
-            }
-        }
-
-        let require = |name: &str, line: usize| malformed(line, format!("missing {name} record"));
-        let config = config.ok_or_else(|| require("config", 1))?;
-        let rng_state = rng_state.ok_or_else(|| require("rng", 1))?;
-        let generation = generation.ok_or_else(|| require("gen", 1))?;
-        let evaluations = evaluations.ok_or_else(|| require("evals", 1))?;
-        let (best_error, best) = best.ok_or_else(|| require("best", 1))?;
-        let error_history = error_history.ok_or_else(|| require("hist", 1))?;
-        let health = health.ok_or_else(|| require("health", 1))?;
+        let ck: Checkpoint = codec::decode(body, &()).map_err(|e| CheckpointError::Malformed {
+            line: e.line,
+            reason: e.reason,
+        })?;
 
         // Cross-field validation: a verified checksum proves the bytes,
         // not the semantics.
-        if generation == 0 {
+        let malformed = |reason: String| CheckpointError::Malformed { line: 1, reason };
+        if ck.generation == 0 {
             return Err(malformed(
-                1,
                 "checkpoint at generation 0 is meaningless".into(),
             ));
         }
-        if error_history.len() != generation {
-            return Err(malformed(
-                1,
-                format!(
-                    "history has {} entries for {generation} generations",
-                    error_history.len()
-                ),
-            ));
+        if ck.error_history.len() != ck.generation {
+            return Err(malformed(format!(
+                "history has {} entries for {} generations",
+                ck.error_history.len(),
+                ck.generation
+            )));
         }
-        if population.len() != config.population {
-            return Err(malformed(
-                1,
-                format!(
-                    "population has {} individuals, config says {}",
-                    population.len(),
-                    config.population
-                ),
-            ));
+        if ck.population.len() != ck.config.population {
+            return Err(malformed(format!(
+                "population has {} individuals, config says {}",
+                ck.population.len(),
+                ck.config.population
+            )));
         }
-        Ok(Checkpoint {
-            config,
-            generation,
-            evaluations,
-            rng_state,
-            best_error,
-            best,
-            error_history,
-            health,
-            population,
-        })
+        Ok(ck)
     }
 
     /// The checkpoint file inside `dir`.
@@ -489,82 +346,104 @@ impl Checkpoint {
     }
 }
 
-fn parse_config(rest: &str) -> Result<ConfigFingerprint, String> {
-    let v = parse_kv(
-        rest,
-        &["pop", "elitism", "mutation", "fmin", "seed", "seeds"],
-    )?;
-    let dec = |s: &str| {
-        s.parse::<usize>()
-            .map_err(|e| format!("bad integer {s:?}: {e}"))
-    };
-    let hex = |s: &str| u64::from_str_radix(s, 16).map_err(|e| format!("bad hex {s:?}: {e}"));
-    Ok(ConfigFingerprint {
-        population: dec(v[0])?,
-        elitism: dec(v[1])?,
-        mutation_rate: f64::from_bits(hex(v[2])?),
-        f_min: f64::from_bits(hex(v[3])?),
-        seed: hex(v[4])?,
-        seeds_hash: hex(v[5])?,
-    })
+codec_struct!(ConfigFingerprint {
+    population,
+    elitism,
+    mutation_rate,
+    f_min,
+    seed,
+    seeds_hash
+});
+
+codec_struct!(SearchHealth {
+    attempts,
+    retries,
+    panics,
+    budget_exhausted,
+    eval_errors,
+    quarantined,
+    injected_faults,
+    resumes,
+    cache_hits,
+    cache_misses
+});
+
+/// A chromosome is one token, its bits as `0`/`1` characters.
+fn write_chromosome(w: &mut Writer, bits: &[bool]) {
+    let word: String = bits.iter().map(|&b| if b { '1' } else { '0' }).collect();
+    w.word(&word);
 }
 
-fn parse_health(rest: &str) -> Result<SearchHealth, String> {
-    let v = parse_kv(
-        rest,
-        &[
-            "attempts",
-            "retries",
-            "panics",
-            "budget",
-            "errors",
-            "quarantined",
-            "injected",
-            "resumes",
-            "cache_hits",
-            "cache_misses",
-        ],
-    )?;
-    let dec = |s: &str| {
-        s.parse::<u64>()
-            .map_err(|e| format!("bad integer {s:?}: {e}"))
-    };
-    Ok(SearchHealth {
-        attempts: dec(v[0])?,
-        retries: dec(v[1])?,
-        panics: dec(v[2])?,
-        budget_exhausted: dec(v[3])?,
-        eval_errors: dec(v[4])?,
-        quarantined: dec(v[5])?,
-        injected_faults: dec(v[6])?,
-        resumes: dec(v[7])?,
-        cache_hits: dec(v[8])?,
-        cache_misses: dec(v[9])?,
-    })
-}
-
-fn parse_bits(s: &str) -> Result<Chromosome, String> {
-    let bits: Chromosome = s
+fn read_chromosome(r: &mut Reader<'_>) -> Result<Chromosome, CodecError> {
+    let bits: Chromosome = r
+        .word()?
         .chars()
         .map(|c| match c {
             '0' => Ok(false),
             '1' => Ok(true),
-            other => Err(format!("invalid chromosome character {other:?}")),
+            other => Err(r.error(format!("invalid chromosome character {other:?}"))),
         })
         .collect::<Result<_, _>>()?;
-    if bits.is_empty() || !bits.len().is_multiple_of(BITS_PER_TEMPLATE) {
-        return Err(format!(
+    if !bits.len().is_multiple_of(BITS_PER_TEMPLATE) {
+        return Err(r.error(format!(
             "chromosome length {} is not a positive multiple of {BITS_PER_TEMPLATE}",
             bits.len()
-        ));
+        )));
     }
     if bits.len() / BITS_PER_TEMPLATE > 10 {
-        return Err(format!(
+        return Err(r.error(format!(
             "chromosome has {} templates, the cap is 10",
             bits.len() / BITS_PER_TEMPLATE
-        ));
+        )));
     }
     Ok(bits)
+}
+
+/// The checkpoint body, unsealed. The population count is stored, not
+/// inferred from the configuration, so [`Checkpoint::decode`] can report
+/// a disagreement between the two.
+impl Codec for Checkpoint {
+    fn encode(&self, w: &mut Writer) {
+        w.record(CHECKPOINT_MAGIC);
+        w.record("config").put(&self.config);
+        w.record("rng").put(&self.rng_state);
+        w.record("gen").put(&self.generation);
+        w.record("evals").put(&self.evaluations);
+        w.record("best").put(&self.best_error);
+        write_chromosome(w, &self.best);
+        w.record("hist").put(&self.error_history);
+        w.record("health").put(&self.health);
+        w.record("pop").put(&self.population.len());
+        for c in &self.population {
+            write_chromosome(w.record("pop"), c);
+        }
+    }
+    fn decode(r: &mut Reader<'_>, _: &()) -> Result<Checkpoint, CodecError> {
+        r.record(CHECKPOINT_MAGIC)?;
+        let config = r.record("config")?.get()?;
+        let rng_state = r.record("rng")?.get()?;
+        let generation = r.record("gen")?.get()?;
+        let evaluations = r.record("evals")?.get()?;
+        let best_error = r.record("best")?.get()?;
+        let best = read_chromosome(r)?;
+        let error_history = r.record("hist")?.get()?;
+        let health = r.record("health")?.get()?;
+        let n: usize = r.record("pop")?.get()?;
+        let population = (0..n)
+            .map(|_| read_chromosome(r.record("pop")?))
+            .collect::<Result<_, _>>()?;
+        Ok(Checkpoint {
+            config,
+            generation,
+            evaluations,
+            rng_state,
+            best_error,
+            best,
+            error_history,
+            health,
+            population,
+        })
+    }
 }
 
 #[cfg(test)]

@@ -14,8 +14,9 @@
 //! * [`ServiceState`] — the deterministic core: per-job lifecycle state
 //!   machine, bounded reorder buffer with a watermark for disordered
 //!   input, late-completion backfill, bounded-memory job tables and
-//!   predictor history, and wait-time query answering (free-node profile
-//!   plus FCFS reservations, as in the paper's scheduling section).
+//!   predictor history, and wait-time query answering (a
+//!   conservative-backfill reservation over predicted run times, equal
+//!   to the offline nested forecast).
 //! * [`wal`] — checksummed write-ahead log of raw input lines; torn or
 //!   bit-flipped tails bound the damage to the unacknowledged suffix.
 //! * [`Service`] — ties them together with atomic, checksummed

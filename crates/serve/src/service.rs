@@ -26,7 +26,7 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 
-use qpredict_durable::{check_frame, seal, IoOpError};
+use qpredict_durable::{check_frame, codec, seal, IoOpError};
 use qpredict_obs::counter_add;
 
 use crate::config::{FsyncPolicy, ServeConfig};
@@ -312,7 +312,7 @@ impl Service {
                 .flush()
                 .map_err(|e| io_op(format!("flush {}", o.path.display()), e))?;
         }
-        let sealed = seal(self.state.encode());
+        let sealed = seal(codec::encode(&self.state));
         let seq = self.state.applied_seq();
         let path = dir.join(format!("snap-{seq:012}.snap"));
         qpredict_durable::write_atomic(&path, &sealed, "snap.tmp")?;
@@ -493,7 +493,7 @@ fn list_snapshots(dir: &Path) -> Result<Vec<(u64, PathBuf)>, ServeError> {
 fn load_snapshot(cfg: &ServeConfig, path: &Path) -> Result<ServiceState, String> {
     let text = qpredict_durable::read_to_string(path).map_err(|e| e.to_string())?;
     let body = check_frame(&text).map_err(|e| e.to_string())?;
-    ServiceState::decode(cfg.clone(), body)
+    codec::decode(body, cfg).map_err(|e| e.to_string())
 }
 
 fn prune_snapshots(dir: &Path, keep: usize) -> Result<(), ServeError> {

@@ -28,8 +28,9 @@
 //! reorder buffer by `horizon`.
 
 use std::collections::{HashMap, VecDeque};
-use std::fmt::Write as _;
 
+use qpredict_durable::codec;
+use qpredict_durable::{codec_struct, Codec, CodecError, Reader, Writer};
 use qpredict_obs::counter_add;
 use qpredict_predict::{
     CachingPredictor, DowneyPredictor, DowneyVariant, GibbonsPredictor, Prediction,
@@ -89,52 +90,19 @@ pub struct Counters {
     pub responses: u64,
 }
 
-impl Counters {
-    fn encode(&self) -> String {
-        format!(
-            "counters ev={} mal={} dup={} ooo={} late={} orph={} shed={} \
-             evict={} done={} canc={} resp={}",
-            self.events,
-            self.malformed,
-            self.duplicate,
-            self.out_of_order,
-            self.late,
-            self.orphan,
-            self.shed,
-            self.evicted,
-            self.completions,
-            self.cancelled,
-            self.responses,
-        )
-    }
-
-    fn decode(rest: &str) -> Result<Counters, String> {
-        let fields = qpredict_durable::parse_kv(
-            rest,
-            &[
-                "ev", "mal", "dup", "ooo", "late", "orph", "shed", "evict", "done", "canc", "resp",
-            ],
-        )?;
-        let num = |i: usize| -> Result<u64, String> {
-            fields[i]
-                .parse::<u64>()
-                .map_err(|e| format!("bad counter: {e}"))
-        };
-        Ok(Counters {
-            events: num(0)?,
-            malformed: num(1)?,
-            duplicate: num(2)?,
-            out_of_order: num(3)?,
-            late: num(4)?,
-            orphan: num(5)?,
-            shed: num(6)?,
-            evicted: num(7)?,
-            completions: num(8)?,
-            cancelled: num(9)?,
-            responses: num(10)?,
-        })
-    }
-}
+codec_struct!(Counters {
+    events,
+    malformed,
+    duplicate,
+    out_of_order,
+    late,
+    orphan,
+    shed,
+    evicted,
+    completions,
+    cancelled,
+    responses
+});
 
 /// Lifecycle phase of a tracked job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -176,6 +144,45 @@ impl JobRecord {
     }
 }
 
+impl Codec for Phase {
+    fn encode(&self, w: &mut Writer) {
+        match self {
+            Phase::Queued => w.word("q"),
+            Phase::Running { started } => w.word("r").put(started),
+            Phase::Done => w.word("d"),
+        };
+    }
+    fn decode(r: &mut Reader<'_>, _: &()) -> Result<Phase, CodecError> {
+        match r.word()? {
+            "q" => Ok(Phase::Queued),
+            "r" => Ok(Phase::Running { started: r.get()? }),
+            "d" => Ok(Phase::Done),
+            other => Err(r.error(format!("bad phase {other:?}"))),
+        }
+    }
+}
+
+impl Codec<SymbolTable> for JobRecord {
+    fn encode(&self, w: &mut Writer) {
+        w.put(&self.internal)
+            .put(&self.nodes)
+            .put(&self.limit)
+            .put(&self.chars)
+            .put(&self.submit)
+            .put(&self.phase);
+    }
+    fn decode(r: &mut Reader<'_>, syms: &SymbolTable) -> Result<JobRecord, CodecError> {
+        Ok(JobRecord {
+            internal: r.get()?,
+            nodes: r.get()?,
+            limit: r.get()?,
+            chars: r.get_in(syms)?,
+            submit: r.get()?,
+            phase: r.get()?,
+        })
+    }
+}
+
 /// The hosted predictor, behind one dispatch enum so the service can
 /// snapshot and restore whichever kind it runs.
 #[derive(Debug)]
@@ -183,6 +190,17 @@ enum ServePredictor {
     Smith(SmithPredictor),
     Gibbons(GibbonsPredictor),
     Downey(DowneyPredictor),
+}
+
+/// Run `$body` on whichever predictor `$self` hosts, bound as `$p`.
+macro_rules! each {
+    ($self:expr, $p:ident => $body:expr) => {
+        match $self {
+            ServePredictor::Smith($p) => $body,
+            ServePredictor::Gibbons($p) => $body,
+            ServePredictor::Downey($p) => $body,
+        }
+    };
 }
 
 impl ServePredictor {
@@ -201,32 +219,6 @@ impl ServePredictor {
         }
     }
 
-    fn encode_state(&self) -> String {
-        match self {
-            ServePredictor::Smith(p) => p.encode_state(),
-            ServePredictor::Gibbons(p) => p.encode_state(),
-            ServePredictor::Downey(p) => p.encode_state(),
-        }
-    }
-
-    fn decode_state(
-        cfg: &ServeConfig,
-        syms: &SymbolTable,
-        text: &str,
-    ) -> Result<ServePredictor, String> {
-        Ok(match cfg.predictor {
-            PredictorKind::Smith => {
-                ServePredictor::Smith(SmithPredictor::decode_state(cfg.template_set(), text)?)
-            }
-            PredictorKind::Gibbons => {
-                ServePredictor::Gibbons(GibbonsPredictor::decode_state(syms, text)?)
-            }
-            PredictorKind::DowneyAvg | PredictorKind::DowneyMed => {
-                ServePredictor::Downey(DowneyPredictor::decode_state(syms, text)?)
-            }
-        })
-    }
-
     /// Completed data points held, for memory-bound checks. Smith reports
     /// its category store; the baselines report their history vectors'
     /// total length.
@@ -241,50 +233,60 @@ impl ServePredictor {
     }
 }
 
+/// A `pred` record naming the hosted predictor, then its state. Decoding
+/// needs the configuration (which predictor, which template set) and the
+/// restored symbol table.
+impl Codec<(&ServeConfig, &SymbolTable)> for ServePredictor {
+    fn encode(&self, w: &mut Writer) {
+        w.record("pred").word(self.name());
+        each!(self, p => w.put(p));
+    }
+
+    fn decode(
+        r: &mut Reader<'_>,
+        &(cfg, syms): &(&ServeConfig, &SymbolTable),
+    ) -> Result<ServePredictor, CodecError> {
+        let name = r.record("pred")?.word()?;
+        if name != cfg.predictor.name() {
+            return Err(r.error(format!(
+                "state hosts predictor {name:?}, config wants {:?}",
+                cfg.predictor.name()
+            )));
+        }
+        Ok(match cfg.predictor {
+            PredictorKind::Smith => ServePredictor::Smith(r.get_in(&cfg.template_set())?),
+            PredictorKind::Gibbons => ServePredictor::Gibbons(r.get_in(syms)?),
+            PredictorKind::DowneyAvg | PredictorKind::DowneyMed => {
+                ServePredictor::Downey(r.get_in(syms)?)
+            }
+        })
+    }
+}
+
 impl RunTimePredictor for ServePredictor {
     fn name(&self) -> &'static str {
-        match self {
-            ServePredictor::Smith(p) => p.name(),
-            ServePredictor::Gibbons(p) => p.name(),
-            ServePredictor::Downey(p) => p.name(),
-        }
+        each!(self, p => p.name())
     }
 
     fn predict(&mut self, job: &Job, elapsed: Dur) -> Prediction {
-        match self {
-            ServePredictor::Smith(p) => p.predict(job, elapsed),
-            ServePredictor::Gibbons(p) => p.predict(job, elapsed),
-            ServePredictor::Downey(p) => p.predict(job, elapsed),
-        }
+        each!(self, p => p.predict(job, elapsed))
     }
 
     fn on_complete(&mut self, job: &Job) {
-        match self {
-            ServePredictor::Smith(p) => p.on_complete(job),
-            ServePredictor::Gibbons(p) => p.on_complete(job),
-            ServePredictor::Downey(p) => p.on_complete(job),
-        }
+        each!(self, p => p.on_complete(job))
     }
 
     fn reset(&mut self) {
-        match self {
-            ServePredictor::Smith(p) => p.reset(),
-            ServePredictor::Gibbons(p) => p.reset(),
-            ServePredictor::Downey(p) => p.reset(),
-        }
+        each!(self, p => p.reset())
     }
 
     fn generation(&self) -> Option<u64> {
-        match self {
-            ServePredictor::Smith(p) => p.generation(),
-            ServePredictor::Gibbons(p) => p.generation(),
-            ServePredictor::Downey(p) => p.generation(),
-        }
+        each!(self, p => p.generation())
     }
 }
 
 /// Magic first line of an encoded state body.
-pub const STATE_MAGIC: &str = "qpredict-serve-state v1";
+pub const STATE_MAGIC: &str = "qpredict-serve-state v2";
 
 /// The in-memory service state. See the module docs for the model.
 #[derive(Debug)]
@@ -550,11 +552,14 @@ impl ServiceState {
 
     /// Answer a wait-time query about `id` at time `now`.
     ///
-    /// For a queued job the answer is the paper's estimated queue wait:
-    /// build the free-node profile from the predicted completion times of
-    /// the running jobs, reserve (FCFS) every job queued ahead at its
-    /// earliest fit using its predicted run time, then place the queried
-    /// job — its earliest fit minus `now` is the wait.
+    /// For a queued job the answer is the paper's estimated queue wait, a
+    /// conservative-backfill reservation over predicted run times: build
+    /// the free-node profile from the predicted completion times of the
+    /// running jobs, reserve every job queued ahead at its earliest fit
+    /// using its predicted run time, then place the queried job — its
+    /// earliest fit minus `now` is the wait. This equals the nested
+    /// backfill forecast with belief = prediction (locked by a test), in
+    /// one pass.
     fn answer(&mut self, id: u64, now: Time) -> String {
         let Some(r) = self.jobs.get(&id).copied() else {
             return format!("t={} id={id} unknown", now.0);
@@ -606,7 +611,7 @@ impl ServiceState {
                 if !violations.is_empty() {
                     counter_add("serve.oversubscribed", 1);
                 }
-                // FCFS: reserve everything queued ahead of the target.
+                // Reserve everything queued ahead of the target, in order.
                 let mut queued: Vec<(u32, JobRecord)> = self
                     .jobs
                     .values()
@@ -643,244 +648,10 @@ impl ServiceState {
         }
     }
 
-    // ----- snapshot codec ------------------------------------------------
-
-    /// Serialize the full state to a text body (no checksum framing; the
-    /// durability layer seals it). Deterministic: equal states encode to
-    /// equal bytes, and every floating-point aggregate inside the
-    /// predictor is carried bitwise, so decode → encode is the identity.
-    pub fn encode(&self) -> String {
-        let mut s = String::new();
-        let _ = writeln!(s, "{STATE_MAGIC}");
-        let _ = writeln!(s, "config fp={:016X}", self.cfg.fingerprint());
-        let _ = writeln!(
-            s,
-            "cursor seq={} next={} watermark={}",
-            self.applied_seq,
-            self.next_internal,
-            match self.watermark {
-                Some(t) => t.0.to_string(),
-                None => "-".to_string(),
-            }
-        );
-        let _ = writeln!(s, "{}", self.counters.encode());
-        for (_, name) in self.syms.iter() {
-            let _ = writeln!(s, "sym {name}");
-        }
-        let mut jobs: Vec<(&u64, &JobRecord)> = self.jobs.iter().collect();
-        jobs.sort_by_key(|(_, r)| r.internal);
-        for (ext, r) in jobs {
-            let phase = match r.phase {
-                Phase::Queued => "q".to_string(),
-                Phase::Running { started } => format!("r:{}", started.0),
-                Phase::Done => "d".to_string(),
-            };
-            let chars: Vec<String> = r
-                .chars
-                .iter()
-                .map(|c| match c {
-                    Some(sym) => sym.index().to_string(),
-                    None => "-".to_string(),
-                })
-                .collect();
-            let _ = writeln!(
-                s,
-                "job {ext} {} {} {} {} {} {}",
-                r.internal,
-                r.nodes,
-                match r.limit {
-                    Some(l) => l.0.to_string(),
-                    None => "-".to_string(),
-                },
-                r.submit.0,
-                phase,
-                chars.join(","),
-            );
-        }
-        let fifo: Vec<String> = self.done_fifo.iter().map(|id| id.to_string()).collect();
-        let _ = writeln!(
-            s,
-            "donefifo {}",
-            if fifo.is_empty() {
-                "-".to_string()
-            } else {
-                fifo.join(",")
-            }
-        );
-        for (ev, seq) in &self.buffer {
-            let _ = writeln!(s, "rb {seq} {}", ev.encode());
-        }
-        let _ = writeln!(s, "pred {}", self.cfg.predictor.name());
-        for line in self.predictor.inner().encode_state().lines() {
-            let _ = writeln!(s, "| {line}");
-        }
-        s
-    }
-
-    /// Rebuild a state from [`ServiceState::encode`] output. `cfg` must
-    /// fingerprint-match the one the state was recorded under.
-    pub fn decode(cfg: ServeConfig, text: &str) -> Result<ServiceState, String> {
-        let mut lines = text.lines();
-        let magic = lines.next().ok_or("empty state")?;
-        if magic != STATE_MAGIC {
-            return Err(format!("not a serve state: {magic:?}"));
-        }
-        let mut state = ServiceState::new(cfg);
-        let mut pred_lines = String::new();
-        let mut pred_named = false;
-        let mut seen_fifo = false;
-        for line in lines {
-            let (word, rest) = line.split_once(' ').unwrap_or((line, ""));
-            match word {
-                "config" => {
-                    let fp = rest
-                        .strip_prefix("fp=")
-                        .ok_or("bad config line")
-                        .and_then(|h| {
-                            u64::from_str_radix(h, 16).map_err(|_| "bad config fingerprint")
-                        })?;
-                    if fp != state.cfg.fingerprint() {
-                        return Err(format!(
-                            "state recorded under a different configuration \
-                             (fp {fp:016X}, ours {:016X})",
-                            state.cfg.fingerprint()
-                        ));
-                    }
-                }
-                "cursor" => {
-                    let f = qpredict_durable::parse_kv(rest, &["seq", "next", "watermark"])?;
-                    state.applied_seq = f[0].parse().map_err(|e| format!("bad cursor seq: {e}"))?;
-                    state.next_internal =
-                        f[1].parse().map_err(|e| format!("bad cursor next: {e}"))?;
-                    state.watermark = match f[2] {
-                        "-" => None,
-                        t => Some(Time(t.parse().map_err(|e| format!("bad watermark: {e}"))?)),
-                    };
-                }
-                "counters" => state.counters = Counters::decode(rest)?,
-                "sym" => {
-                    state.syms.intern(rest);
-                }
-                "job" => {
-                    let w: Vec<&str> = rest.split(' ').collect();
-                    if w.len() != 7 {
-                        return Err(format!("bad job record: {rest:?}"));
-                    }
-                    let ext: u64 = w[0].parse().map_err(|e| format!("bad job id: {e}"))?;
-                    let internal: u32 =
-                        w[1].parse().map_err(|e| format!("bad internal id: {e}"))?;
-                    let nodes: u32 = w[2].parse().map_err(|e| format!("bad nodes: {e}"))?;
-                    let limit = match w[3] {
-                        "-" => None,
-                        l => Some(Dur(l.parse().map_err(|e| format!("bad limit: {e}"))?)),
-                    };
-                    let submit = Time(w[4].parse().map_err(|e| format!("bad submit: {e}"))?);
-                    let phase = match w[5] {
-                        "q" => Phase::Queued,
-                        "d" => Phase::Done,
-                        p => match p.strip_prefix("r:") {
-                            Some(t) => Phase::Running {
-                                started: Time(
-                                    t.parse().map_err(|e| format!("bad start time: {e}"))?,
-                                ),
-                            },
-                            None => return Err(format!("bad phase {p:?}")),
-                        },
-                    };
-                    let mut chars = [None; 8];
-                    let parts: Vec<&str> = w[6].split(',').collect();
-                    if parts.len() != 8 {
-                        return Err(format!("bad characteristics {:?}", w[6]));
-                    }
-                    for (i, part) in parts.iter().enumerate() {
-                        if *part != "-" {
-                            let idx: usize =
-                                part.parse().map_err(|e| format!("bad sym index: {e}"))?;
-                            chars[i] = Some(
-                                state
-                                    .syms
-                                    .sym_at(idx)
-                                    .ok_or_else(|| format!("sym index {idx} beyond table"))?,
-                            );
-                        }
-                    }
-                    if state
-                        .jobs
-                        .insert(
-                            ext,
-                            JobRecord {
-                                internal,
-                                nodes,
-                                limit,
-                                chars,
-                                submit,
-                                phase,
-                            },
-                        )
-                        .is_some()
-                    {
-                        return Err(format!("duplicate job record for id {ext}"));
-                    }
-                    if phase != Phase::Done {
-                        state.live += 1;
-                    }
-                }
-                "donefifo" => {
-                    seen_fifo = true;
-                    if rest != "-" {
-                        for part in rest.split(',') {
-                            state
-                                .done_fifo
-                                .push_back(part.parse().map_err(|e| format!("bad done id: {e}"))?);
-                        }
-                    }
-                }
-                "rb" => {
-                    let (seq, ev) = rest.split_once(' ').ok_or("bad rb record")?;
-                    let seq: u64 = seq.parse().map_err(|e| format!("bad rb seq: {e}"))?;
-                    let ev = JobEvent::parse(ev).map_err(|e| format!("bad rb event: {e}"))?;
-                    state.buffer.push((ev, seq));
-                }
-                "pred" => {
-                    if rest != state.cfg.predictor.name() {
-                        return Err(format!(
-                            "state hosts predictor {rest:?}, config wants {:?}",
-                            state.cfg.predictor.name()
-                        ));
-                    }
-                    pred_named = true;
-                }
-                "|" => {
-                    pred_lines.push_str(rest);
-                    pred_lines.push('\n');
-                }
-                other => return Err(format!("unknown state record {other:?}")),
-            }
-        }
-        if !pred_named {
-            return Err("state missing predictor section".into());
-        }
-        if !seen_fifo {
-            return Err("state missing donefifo record".into());
-        }
-        let inner = ServePredictor::decode_state(&state.cfg, &state.syms, &pred_lines)?;
-        state.predictor = CachingPredictor::new(inner);
-        // The buffer must come back in its sorted order; verify rather
-        // than trust.
-        let sorted = state
-            .buffer
-            .windows(2)
-            .all(|w| (w[0].0.sort_key(), w[0].1) <= (w[1].0.sort_key(), w[1].1));
-        if !sorted {
-            return Err("reorder buffer not in canonical order".into());
-        }
-        Ok(state)
-    }
-
     /// FNV-1a fingerprint of the encoded state — the bit-identity probe
     /// used by the chaos tests.
     pub fn fingerprint(&self) -> u64 {
-        qpredict_durable::fnv1a(self.encode().as_bytes())
+        qpredict_durable::fnv1a(codec::encode(self).as_bytes())
     }
 
     /// Like [`ServiceState::fingerprint`], but ignoring the anomaly
@@ -889,12 +660,71 @@ impl ServiceState {
     /// tallies yet must converge to the same learned state, job table,
     /// and pending buffer.
     pub fn core_fingerprint(&self) -> u64 {
-        let full = self.encode();
+        let full = codec::encode(self);
         let body: Vec<&str> = full
             .lines()
             .filter(|l| !l.starts_with("counters "))
             .collect();
         qpredict_durable::fnv1a(body.join("\n").as_bytes())
+    }
+}
+
+/// The full state as a snapshot body (the durability layer seals it).
+/// Deterministic: equal states encode to equal bytes, and every
+/// floating-point aggregate inside the predictor is carried bitwise, so
+/// decode → encode is the identity. Decoding needs the configuration,
+/// which must fingerprint-match the one the state was recorded under.
+impl Codec<ServeConfig> for ServiceState {
+    fn encode(&self, w: &mut Writer) {
+        w.record(STATE_MAGIC);
+        w.record("config").put(&self.cfg.fingerprint());
+        w.record("cursor")
+            .put(&self.applied_seq)
+            .put(&self.next_internal)
+            .put(&self.watermark);
+        w.record("counters").put(&self.counters);
+        w.record("syms").put(&self.syms);
+        w.map_records("job", &self.jobs);
+        w.record("donefifo").put(&self.done_fifo);
+        w.record("rb").put(&self.buffer);
+        w.put(self.predictor.inner());
+    }
+
+    fn decode(r: &mut Reader<'_>, cfg: &ServeConfig) -> Result<ServiceState, CodecError> {
+        let fp: u64 = r.record(STATE_MAGIC)?.record("config")?.get()?;
+        if fp != cfg.fingerprint() {
+            return Err(r.error(format!(
+                "state recorded under a different configuration \
+                 (fp {fp:016X}, ours {:016X})",
+                cfg.fingerprint()
+            )));
+        }
+        let mut state = ServiceState::new(cfg.clone());
+        r.record("cursor")?;
+        state.applied_seq = r.get()?;
+        state.next_internal = r.get()?;
+        state.watermark = r.get()?;
+        state.counters = r.record("counters")?.get()?;
+        state.syms = r.record("syms")?.get()?;
+        state.jobs = r.map_records("job", &(), &state.syms)?;
+        state.live = state
+            .jobs
+            .values()
+            .filter(|j| j.phase != Phase::Done)
+            .count();
+        state.done_fifo = r.record("donefifo")?.get()?;
+        state.buffer = r.record("rb")?.get()?;
+        // The buffer must come back in its sorted order; verify rather
+        // than trust.
+        let sorted = state
+            .buffer
+            .windows(2)
+            .all(|w| (w[0].0.sort_key(), w[0].1) <= (w[1].0.sort_key(), w[1].1));
+        if !sorted {
+            return Err(r.error("reorder buffer not in canonical order"));
+        }
+        state.predictor = CachingPredictor::new(r.get_in(&(&state.cfg, &state.syms))?);
+        Ok(state)
     }
 }
 
@@ -1022,9 +852,13 @@ mod tests {
                 "cancel 9 950", // orphan — counters must survive too
             ],
         );
-        let body = s.encode();
-        let back = ServiceState::decode(cfg, &body).expect("decode");
-        assert_eq!(back.encode(), body, "decode→encode must be the identity");
+        let body = codec::encode(&s);
+        let back: ServiceState = codec::decode(&body, &cfg).expect("decode");
+        assert_eq!(
+            codec::encode(&back),
+            body,
+            "decode→encode must be the identity"
+        );
         assert_eq!(back.fingerprint(), s.fingerprint());
         // And the two must continue in lockstep.
         let mut s2 = back;
@@ -1046,13 +880,15 @@ mod tests {
     fn decode_rejects_garbage_and_wrong_config() {
         let cfg = small_cfg();
         let s = ServiceState::new(cfg.clone());
-        let body = s.encode();
-        assert!(ServiceState::decode(cfg.clone(), "").is_err());
-        assert!(ServiceState::decode(cfg.clone(), "serve nonsense\n").is_err());
+        let body = codec::encode(&s);
+        let restore = |cfg: &ServeConfig, text: &str| codec::decode::<_, ServiceState>(text, cfg);
+        assert!(restore(&cfg, "").is_err());
+        assert!(restore(&cfg, "serve nonsense\n").is_err());
         let mut other = cfg.clone();
         other.max_history = 7;
-        assert!(ServiceState::decode(other, &body)
+        assert!(restore(&other, &body)
             .unwrap_err()
+            .to_string()
             .contains("different configuration"),);
         // Truncating the predictor section must fail, not half-load.
         let cut = body
@@ -1060,7 +896,100 @@ mod tests {
             .filter(|l| !l.starts_with("pred"))
             .collect::<Vec<_>>()
             .join("\n");
-        assert!(ServiceState::decode(cfg, &cut).is_err());
+        assert!(restore(&cfg, &cut).is_err());
+    }
+
+    /// The nested-simulation forecast of `waitpred` (conservative
+    /// backfill, scheduler belief = prediction) over a snapshot of
+    /// `state` at `now`, using the state's own predictor.
+    fn nested_forecast(state: &mut ServiceState, id: u64, now: Time) -> Time {
+        use qpredict_sim::{Algorithm, Snapshot};
+        let machine = state.cfg.machine_nodes;
+        let mut wl = qpredict_workload::Workload::new("serve", machine);
+        wl.jobs = (0..state.next_internal)
+            .map(|i| JobBuilder::new().build(JobId(i)))
+            .collect();
+        let mut records: Vec<JobRecord> = state.jobs.values().copied().collect();
+        records.sort_by_key(|r| r.internal);
+        let mut snap = Snapshot {
+            now,
+            free_nodes: machine,
+            running: Vec::new(),
+            queued: Vec::new(),
+        };
+        for r in &records {
+            wl.jobs[r.internal as usize] = r.job(Dur::SECOND);
+            match r.phase {
+                Phase::Running { started } => {
+                    snap.free_nodes -= r.nodes;
+                    snap.running.push((JobId(r.internal), started));
+                }
+                Phase::Queued => snap.queued.push((JobId(r.internal), r.internal as u64)),
+                Phase::Done => {}
+            }
+        }
+        let target = JobId(state.jobs[&id].internal);
+        let predictor = std::cell::RefCell::new(&mut state.predictor);
+        let p = |job: &Job, elapsed: Dur| {
+            let mut pred = predictor.borrow_mut();
+            pred.predict(job, elapsed).clamped(elapsed).estimate
+        };
+        qpredict_core::forecast_start(&wl, Algorithm::Backfill, &snap, p, p, target)
+    }
+
+    /// Online = offline: on an in-order stream, every queued job's wait
+    /// answer equals the nested backfill forecast over the same state with
+    /// belief = prediction.
+    #[test]
+    fn queued_answers_equal_the_nested_backfill_forecast() {
+        use qpredict_sim::{Algorithm, MaxRuntimeEstimator, Simulation};
+        let wl = qpredict_workload::synthetic::toy(600, 32, 11);
+        let mut belief = MaxRuntimeEstimator::from_workload(&wl);
+        let schedule = Simulation::run(&wl, Algorithm::Backfill, &mut belief);
+        let mut events: Vec<JobEvent> = qpredict_workload::synthesize_events(&wl, 0)
+            .into_iter()
+            .filter(|e| matches!(e.kind, EventKind::Submit(_)))
+            .collect();
+        for o in &schedule.outcomes {
+            let id = o.id.0 as u64 + 1;
+            for (time, kind) in [
+                (o.start, EventKind::Start),
+                (o.finish, EventKind::Finish { runtime: None }),
+                (o.submit, EventKind::Query),
+            ] {
+                events.push(JobEvent { id, time, kind });
+            }
+        }
+        events.sort_by_key(JobEvent::sort_key);
+
+        let mut s = ServiceState::new(ServeConfig {
+            machine_nodes: wl.machine_nodes,
+            ..ServeConfig::default()
+        });
+        let (mut out, mut compared) = (Vec::new(), 0);
+        for (seq, ev) in (1u64..).zip(&events) {
+            if ev.kind != EventKind::Query {
+                s.ingest_line(seq, &ev.encode(), &mut out);
+                continue;
+            }
+            s.drain(&mut out);
+            let answer = s.answer(ev.id, ev.time);
+            let Some(wait) = answer
+                .split(' ')
+                .find_map(|w| w.strip_prefix("wait="))
+                .map(|w| w.parse::<i64>().expect("integer wait"))
+            else {
+                continue;
+            };
+            let start = nested_forecast(&mut s, ev.id, ev.time);
+            assert_eq!(
+                wait,
+                start.since(ev.time).max(Dur::ZERO).0,
+                "query {ev:?}: {answer}"
+            );
+            compared += 1;
+        }
+        assert!(compared >= 200, "only {compared} queued answers compared");
     }
 
     #[test]

@@ -27,6 +27,8 @@
 
 use std::fmt::Write as _;
 
+use qpredict_durable::{Codec, CodecError, Reader, Writer};
+
 use crate::job::{Characteristic, CHARACTERISTICS};
 use crate::time::{Dur, Time};
 use crate::workload::Workload;
@@ -99,6 +101,17 @@ pub struct JobEvent {
     pub time: Time,
     /// What happened.
     pub kind: EventKind,
+}
+
+/// Stored as one string token holding its event-log line.
+impl Codec for JobEvent {
+    fn encode(&self, w: &mut Writer) {
+        w.str(&self.encode());
+    }
+    fn decode(r: &mut Reader<'_>, _: &()) -> Result<JobEvent, CodecError> {
+        let line = r.str()?;
+        JobEvent::parse(&line).map_err(|e| r.error(format!("bad event {line:?}: {e}")))
+    }
 }
 
 impl JobEvent {
@@ -175,10 +188,7 @@ impl JobEvent {
                             limit = Some(Dur(secs));
                         }
                         other => {
-                            let c = CHARACTERISTICS
-                                .iter()
-                                .copied()
-                                .find(|c| c.abbrev() == other)
+                            let c = Characteristic::from_abbrev(other)
                                 .ok_or_else(|| format!("unknown submit key {other:?}"))?;
                             if chars.iter().any(|(seen, _)| *seen == c) {
                                 return Err(format!("characteristic {other:?} repeated"));

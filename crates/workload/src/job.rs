@@ -8,6 +8,8 @@
 //! originating site — e.g. the ANL trace records executables and arguments
 //! but has no queues, while SDSC records queues but no executables.
 
+use qpredict_durable::{Codec, CodecError, Reader, Writer};
+
 use crate::symbols::Sym;
 use crate::time::{Dur, Time};
 
@@ -78,6 +80,14 @@ impl Characteristic {
         }
     }
 
+    /// The characteristic with abbreviation `abbrev`.
+    pub fn from_abbrev(abbrev: &str) -> Option<Characteristic> {
+        CHARACTERISTICS
+            .iter()
+            .copied()
+            .find(|c| c.abbrev() == abbrev)
+    }
+
     /// Human-readable name.
     pub fn name(self) -> &'static str {
         match self {
@@ -96,6 +106,18 @@ impl Characteristic {
     #[inline]
     pub fn index(self) -> usize {
         self as usize
+    }
+}
+
+/// Stored as its [`abbrev`](Characteristic::abbrev).
+impl Codec for Characteristic {
+    fn encode(&self, w: &mut Writer) {
+        w.word(self.abbrev());
+    }
+    fn decode(r: &mut Reader<'_>, _: &()) -> Result<Characteristic, CodecError> {
+        let word = r.word()?;
+        Characteristic::from_abbrev(word)
+            .ok_or_else(|| r.error(format!("unknown characteristic {word:?}")))
     }
 }
 

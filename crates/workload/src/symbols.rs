@@ -7,6 +7,8 @@
 
 use std::collections::HashMap;
 
+use qpredict_durable::{Codec, CodecError, Reader, Writer};
+
 /// An interned string handle. Only meaningful relative to the
 /// [`SymbolTable`] that produced it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -71,9 +73,6 @@ impl SymbolTable {
     }
 
     /// The handle at position `index` in interning order, if interned.
-    /// Together with [`SymbolTable::iter`] this lets snapshot codecs
-    /// rebuild `Sym`-keyed state: persist strings in interning order,
-    /// re-intern on restore, and `sym_at(i)` reproduces the handles.
     pub fn sym_at(&self, index: usize) -> Option<Sym> {
         (index < self.names.len()).then_some(Sym(index as u32))
     }
@@ -84,6 +83,42 @@ impl SymbolTable {
             .iter()
             .enumerate()
             .map(|(i, n)| (Sym(i as u32), n.as_ref()))
+    }
+}
+
+/// A handle is stored as its interning index and decoded against the
+/// table it indexes, which must have been restored first (see the
+/// [`SymbolTable`] codec).
+impl Codec<SymbolTable> for Sym {
+    fn encode(&self, w: &mut Writer) {
+        w.put(&self.0);
+    }
+    fn decode(r: &mut Reader<'_>, syms: &SymbolTable) -> Result<Sym, CodecError> {
+        let i: usize = r.get()?;
+        syms.sym_at(i)
+            .ok_or_else(|| r.error(format!("symbol index {i} beyond table of {}", syms.len())))
+    }
+}
+
+/// The names in interning order, so re-interning them reproduces every
+/// handle.
+impl Codec for SymbolTable {
+    fn encode(&self, w: &mut Writer) {
+        w.put(&self.names.len());
+        for name in &self.names {
+            w.str(name);
+        }
+    }
+    fn decode(r: &mut Reader<'_>, _: &()) -> Result<SymbolTable, CodecError> {
+        let n: usize = r.get()?;
+        let mut syms = SymbolTable::new();
+        for i in 0..n {
+            let name = r.str()?;
+            if syms.intern(&name).index() != i {
+                return Err(r.error(format!("symbol {name:?} listed twice")));
+            }
+        }
+        Ok(syms)
     }
 }
 

@@ -8,6 +8,8 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
+use qpredict_durable::{Codec, CodecError, Reader, Writer};
+
 /// An absolute instant on the simulation clock, in seconds.
 ///
 /// `Time::ZERO` is the epoch of a trace (typically the submission instant of
@@ -19,6 +21,21 @@ pub struct Time(pub i64);
 /// a signed difference (for example a prediction error).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Dur(pub i64);
+
+macro_rules! seconds_codec {
+    ($($t:ident),*) => {$(
+        impl Codec for $t {
+            fn encode(&self, w: &mut Writer) {
+                w.put(&self.0);
+            }
+            fn decode(r: &mut Reader<'_>, _: &()) -> Result<$t, CodecError> {
+                r.get().map($t)
+            }
+        }
+    )*};
+}
+
+seconds_codec!(Time, Dur);
 
 impl Time {
     /// The trace epoch.

@@ -13,6 +13,19 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 
+# The end-to-end benchmark is a package of its own that calls the crates'
+# public APIs; building it here turns an API break into a CI failure
+# rather than a failed benchmark run. Cargo rewrites its lock file when a
+# crate's path dependencies change, so the committed one is put back.
+echo "==> cargo build --release --offline --manifest-path e2ebench/Cargo.toml"
+BENCH_LOCK="$(mktemp)"
+cp e2ebench/Cargo.lock "$BENCH_LOCK"
+bench_build=0
+cargo build --release --offline --manifest-path e2ebench/Cargo.toml || bench_build=$?
+cp "$BENCH_LOCK" e2ebench/Cargo.lock
+rm -f "$BENCH_LOCK"
+[ "$bench_build" -eq 0 ]
+
 echo "==> cargo doc --no-deps (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 

@@ -821,7 +821,7 @@ fn main() {
             emit_stdout(&text);
         } else {
             let path = std::path::Path::new(dest);
-            qpredict::obs::report::write_atomic(path, &text).unwrap_or_else(|e| {
+            qpredict::durable::write_atomic(path, &text, "report.tmp").unwrap_or_else(|e| {
                 eprintln!("cannot write report {dest}: {e}");
                 exit(1)
             });

@@ -23,7 +23,9 @@
 //!   regenerates every quantitative table in the paper;
 //! * [`serve`] — a crash-safe online predictor service: write-ahead
 //!   logged, snapshotted, tolerant of disordered/duplicated/late events,
-//!   with bounded memory and kill-anywhere recovery.
+//!   with bounded memory and kill-anywhere recovery;
+//! * [`durable`] — the one state codec, checksum seals and atomic file
+//!   writes behind every snapshot, checkpoint and run report.
 //!
 //! ## Quickstart
 //!
@@ -49,6 +51,7 @@
 //! ```
 
 pub use qpredict_core as core;
+pub use qpredict_durable as durable;
 pub use qpredict_obs as obs;
 pub use qpredict_predict as predict;
 pub use qpredict_search as search;
