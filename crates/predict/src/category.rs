@@ -4,6 +4,11 @@
 //! a *category* holding the data points of completed jobs. Histories are
 //! bounded by their template's maximum history: when full, the oldest
 //! point is evicted (paper step 3(b)ii).
+//!
+//! A template equal to an earlier one in its set would keep an identical
+//! copy of every category and produce identical estimates, which the
+//! selection tie-break never prefers; the store keeps one category per
+//! distinct template.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -11,7 +16,12 @@ use qpredict_durable::{codec_struct, Codec, CodecError, Reader, Writer};
 use qpredict_workload::Job;
 
 use crate::estimators::RegressionKind;
-use crate::template::{Template, TemplateSet};
+use crate::rtindex::RuntimeIndex;
+use crate::template::{EstimatorKind, Template, TemplateSet};
+
+/// Histories of indexed templates build their runtime index at this
+/// many points; below it a scan costs about what the index would.
+pub const INDEX_MIN_POINTS: usize = 64;
 
 /// One completed job's contribution to a category.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -131,6 +141,19 @@ impl RegMoments {
     }
 }
 
+/// Whether `t`'s categories keep a runtime index: elapsed-time
+/// conditioning over absolute run times with a mean or a linear
+/// regression on node count — the estimates whose sums the index holds.
+/// Relative values and inverse/log regressions scan.
+fn indexes(t: &Template) -> bool {
+    t.use_rtime
+        && !t.relative
+        && matches!(
+            t.estimator,
+            EstimatorKind::Mean | EstimatorKind::LinearRegression
+        )
+}
+
 /// Bounded history of one category, with running aggregates for the hot
 /// mean- and regression-estimator paths.
 ///
@@ -145,6 +168,11 @@ pub struct History {
     /// Regression configuration and running sums, populated on first
     /// push for regression templates (`None` for mean templates).
     reg: Option<(RegressionKind, bool, RegMoments)>,
+    /// Runtime-ordered index of the points, for templates that
+    /// `indexes` accepts once the history holds
+    /// [`INDEX_MIN_POINTS`]. Derived from `points`; never encoded. Boxed:
+    /// most categories never grow an index and pay one pointer.
+    index: Option<Box<RuntimeIndex>>,
 }
 
 impl History {
@@ -155,6 +183,9 @@ impl History {
         if let Some(cap) = t.max_history {
             while self.points.len() >= cap.max(1) as usize {
                 let old = self.points.pop_front().expect("len checked");
+                if let Some(ix) = self.index.as_mut() {
+                    ix.remove(old.runtime, old.nodes);
+                }
                 self.abs.remove(old.runtime);
                 if old.ratio.is_finite() {
                     self.ratio.remove(old.ratio);
@@ -170,6 +201,29 @@ impl History {
         if let Some(kind) = t.estimator.regression() {
             self.update_reg(kind, t.relative, p, evicted);
         }
+        match self.index.as_mut() {
+            Some(ix) => ix.insert(p.runtime, p.nodes),
+            None => self.build_index(t),
+        }
+    }
+
+    /// Build the runtime index when `indexes(t)` and the history is
+    /// large enough to need it (a no-op otherwise).
+    fn build_index(&mut self, t: &Template) {
+        if indexes(t) && self.points.len() >= INDEX_MIN_POINTS {
+            let points = self.points.iter().map(|p| (p.runtime, p.nodes));
+            self.index = Some(Box::new(RuntimeIndex::build(points)));
+        }
+    }
+
+    /// Exact moments of the points whose run time exceeds `elapsed_s`
+    /// (`y` = run time, `g` = node count), read from the runtime index,
+    /// with the number of points read to form them. `None` when the
+    /// history has no index or the index cannot answer exactly; the
+    /// caller then scans. Equal, bit for bit, to the sums a scan of the
+    /// same points forms (see DESIGN.md §11).
+    pub fn rtime_moments(&self, elapsed_s: f64) -> Option<(RegMoments, usize)> {
+        self.index.as_ref()?.above(elapsed_s)
     }
 
     /// Keep the regression sums in step with the deque. Appends add one
@@ -231,22 +285,42 @@ impl History {
 }
 
 /// All categories of one template set.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct CategoryStore {
+    /// The set's distinct templates with their index in the set: the
+    /// first of each group of equal templates.
+    templates: Vec<(usize, Template)>,
     map: HashMap<CategoryKey, History>,
 }
 
 impl CategoryStore {
-    /// An empty store.
-    pub fn new() -> CategoryStore {
-        CategoryStore::default()
+    /// An empty store for `set`.
+    pub fn new(set: &TemplateSet) -> CategoryStore {
+        let all = set.templates();
+        let templates = all
+            .iter()
+            .enumerate()
+            .filter(|&(ti, t)| !all[..ti].contains(t))
+            .map(|(ti, t)| (ti, *t))
+            .collect();
+        CategoryStore {
+            templates,
+            map: HashMap::new(),
+        }
+    }
+
+    /// The set's distinct templates, each with its index in the set, in
+    /// set order. A template equal to an earlier one is left out: its
+    /// categories and estimates would be copies of the earlier one's.
+    pub fn templates(&self) -> &[(usize, Template)] {
+        &self.templates
     }
 
     /// Insert a completed job into every category it matches.
-    pub fn insert(&mut self, set: &TemplateSet, job: &Job) {
+    pub fn insert(&mut self, job: &Job) {
         let p = Point::from_job(job);
-        for (ti, t) in set.templates().iter().enumerate() {
-            if let Some(key) = CategoryKey::for_job(ti, t, job) {
+        for (ti, t) in &self.templates {
+            if let Some(key) = CategoryKey::for_job(*ti, t, job) {
                 self.map.entry(key).or_default().push(p, t);
             }
         }
@@ -281,7 +355,7 @@ impl CategoryStore {
 // Aggregates (moments, regression sums) are stored bitwise rather than
 // recomputed on restore: their f64 values carry the whole add/remove
 // history of the stream, which a replay of only the surviving points
-// would not reproduce.
+// would not reproduce. Runtime indexes are rebuilt from the points.
 
 codec_struct!(CategoryKey {
     template,
@@ -337,6 +411,7 @@ impl Codec for History {
             ratio: r.get()?,
             reg: r.get()?,
             points: r.get()?,
+            index: None,
         };
         if h.abs.n != h.points.len() {
             return Err(r.error(format!(
@@ -349,15 +424,26 @@ impl Codec for History {
     }
 }
 
-/// One `cat` record per category, in key order.
-impl Codec for CategoryStore {
+/// One `cat` record per category, in key order. Decoding under the
+/// set the store was recorded with rebuilds each runtime index, and
+/// refuses a category of a template the store does not keep.
+impl Codec<TemplateSet> for CategoryStore {
     fn encode(&self, w: &mut Writer) {
         w.map_records("cat", &self.map);
     }
-    fn decode(r: &mut Reader<'_>, _: &()) -> Result<CategoryStore, CodecError> {
-        Ok(CategoryStore {
-            map: r.map_records("cat", &(), &())?,
-        })
+    fn decode(r: &mut Reader<'_>, set: &TemplateSet) -> Result<CategoryStore, CodecError> {
+        let mut store = CategoryStore::new(set);
+        store.map = r.map_records("cat", &(), &())?;
+        for (key, h) in store.map.iter_mut() {
+            let ti = usize::from(key.template);
+            let Some((_, t)) = store.templates.iter().find(|(i, _)| *i == ti) else {
+                return Err(r.error(format!(
+                    "category of template {ti}, which is not a distinct template of the set"
+                )));
+            };
+            h.build_index(t);
+        }
+        Ok(store)
     }
 }
 
@@ -380,13 +466,13 @@ mod tests {
     fn insert_places_job_in_all_matching_categories() {
         let (mut syms, set) = setup();
         let u = syms.intern("alice");
-        let mut store = CategoryStore::new();
+        let mut store = CategoryStore::new(&set);
         let j = JobBuilder::new()
             .with(Characteristic::User, u)
             .nodes(3)
             .runtime(Dur(100))
             .build(JobId(0));
-        store.insert(&set, &j);
+        store.insert(&j);
         assert_eq!(store.category_count(), 2);
         assert_eq!(
             store.history(0, &set.templates()[0], &j).map(|h| h.len()),
@@ -401,9 +487,9 @@ mod tests {
     #[test]
     fn job_without_user_skips_user_template() {
         let (_syms, set) = setup();
-        let mut store = CategoryStore::new();
+        let mut store = CategoryStore::new(&set);
         let j = JobBuilder::new().nodes(3).runtime(Dur(100)).build(JobId(0));
-        store.insert(&set, &j);
+        store.insert(&j);
         assert_eq!(store.category_count(), 1); // only the node-range template
         assert!(store.history(0, &set.templates()[0], &j).is_none());
     }
@@ -413,7 +499,7 @@ mod tests {
         let (mut syms, set) = setup();
         let a = syms.intern("alice");
         let b = syms.intern("bob");
-        let mut store = CategoryStore::new();
+        let mut store = CategoryStore::new(&set);
         let ja = JobBuilder::new()
             .with(Characteristic::User, a)
             .runtime(Dur(100))
@@ -422,8 +508,8 @@ mod tests {
             .with(Characteristic::User, b)
             .runtime(Dur(900))
             .build(JobId(1));
-        store.insert(&set, &ja);
-        store.insert(&set, &jb);
+        store.insert(&ja);
+        store.insert(&jb);
         let ha = store.history(0, &set.templates()[0], &ja).unwrap();
         assert_eq!(ha.len(), 1);
         assert_eq!(ha.iter().next().unwrap().runtime, 100.0);
@@ -432,11 +518,11 @@ mod tests {
     #[test]
     fn node_buckets_separate_categories() {
         let (_syms, set) = setup();
-        let mut store = CategoryStore::new();
+        let mut store = CategoryStore::new(&set);
         let small = JobBuilder::new().nodes(2).runtime(Dur(10)).build(JobId(0));
         let large = JobBuilder::new().nodes(20).runtime(Dur(99)).build(JobId(1));
-        store.insert(&set, &small);
-        store.insert(&set, &large);
+        store.insert(&small);
+        store.insert(&large);
         let h = store.history(1, &set.templates()[1], &small).unwrap();
         assert_eq!(h.len(), 1);
         assert_eq!(h.iter().next().unwrap().runtime, 10.0);
@@ -523,11 +609,11 @@ mod tests {
     fn clear_empties_store() {
         let (mut syms, set) = setup();
         let u = syms.intern("alice");
-        let mut store = CategoryStore::new();
+        let mut store = CategoryStore::new(&set);
         let j = JobBuilder::new()
             .with(Characteristic::User, u)
             .build(JobId(0));
-        store.insert(&set, &j);
+        store.insert(&j);
         store.clear();
         assert_eq!(store.category_count(), 0);
     }

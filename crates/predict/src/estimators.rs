@@ -37,21 +37,12 @@ pub fn mean(values: impl Iterator<Item = f64>) -> Option<Estimate> {
         sum += v;
         sum2 += v * v;
     }
-    if n == 0 {
-        return None;
-    }
-    let m = sum / n as f64;
-    let ci = if n >= 2 {
-        let var = ((sum2 - sum * sum / n as f64) / (n as f64 - 1.0)).max(0.0);
-        Z * var.sqrt() / (n as f64).sqrt()
-    } else {
-        f64::INFINITY
-    };
-    Some(Estimate { value: m, ci, n })
+    mean_from_moments(n, sum, sum2)
 }
 
 /// Sample mean from precomputed moments `(n, sum, sum2)` — the O(1) fast
-/// path equivalent of [`mean`].
+/// path equivalent of [`mean`], which shares its post-sum arithmetic, so
+/// for identical sums the results are bit-identical.
 pub fn mean_from_moments(n: usize, sum: f64, sum2: f64) -> Option<Estimate> {
     if n == 0 {
         return None;

@@ -21,6 +21,11 @@
 //!   run times;
 //! * history is never bounded.
 //!
+//! Level 1/3/5 means read exact sums from a runtime-ordered index once a
+//! subcategory is large enough, and levels 2/4/6 reuse each
+//! subcategory's `(mean nodes, mean run time, weight)` until it changes;
+//! both are bit-identical to recomputing (DESIGN.md §11).
+//!
 //! Jobs lacking a user or executable fall into a single "unknown" value
 //! for that characteristic (relevant for traces like SDSC that record
 //! neither; level 1 then degenerates toward level 5, which is the
@@ -31,7 +36,9 @@ use std::collections::HashMap;
 use qpredict_durable::{Codec, CodecError, Reader, Writer};
 use qpredict_workload::{Characteristic, Dur, Job, Sym, SymbolTable};
 
-use crate::estimators::{mean, weighted_linear, Estimate};
+use crate::category::INDEX_MIN_POINTS;
+use crate::estimators::{mean, mean_from_moments, weighted_linear, Estimate};
+use crate::rtindex::RuntimeIndex;
 use crate::{Prediction, RunTimePredictor};
 
 /// Run times observed in one `(key, node-bucket)` subcategory.
@@ -39,12 +46,64 @@ use crate::{Prediction, RunTimePredictor};
 struct SubCategory {
     runtimes: Vec<f64>,
     nodes: Vec<f64>,
+    /// Runtime-ordered index of the run times, from
+    /// [`INDEX_MIN_POINTS`] on. Derived; never encoded.
+    index: Option<Box<RuntimeIndex>>,
+    /// This subcategory's regression triple, until the next push.
+    /// Derived; never encoded.
+    triple: Option<(f64, f64, f64)>,
 }
 
 impl SubCategory {
     fn push(&mut self, rt: f64, nodes: f64) {
         self.runtimes.push(rt);
         self.nodes.push(nodes);
+        self.triple = None;
+        match self.index.as_mut() {
+            Some(ix) => ix.insert(rt, 0.0),
+            None => self.build_index(),
+        }
+    }
+
+    /// Index the run times once there are enough of them.
+    fn build_index(&mut self) {
+        if self.runtimes.len() >= INDEX_MIN_POINTS {
+            let points = self.runtimes.iter().map(|&rt| (rt, 0.0));
+            self.index = Some(Box::new(RuntimeIndex::build(points)));
+        }
+    }
+
+    /// Mean of the run times above `elapsed_s` (all of them when
+    /// `elapsed_s <= 0`): from the index when it answers exactly, else
+    /// by scanning in insertion order. The two agree bit for bit.
+    fn mean_above(&self, elapsed_s: f64) -> Option<Estimate> {
+        let bound = if elapsed_s <= 0.0 {
+            f64::NEG_INFINITY
+        } else {
+            elapsed_s
+        };
+        match self.index.as_ref().and_then(|ix| ix.above(bound)) {
+            Some((m, _)) => mean_from_moments(m.n, m.sy, m.syy),
+            None => mean(
+                self.runtimes
+                    .iter()
+                    .copied()
+                    .filter(|&rt| elapsed_s <= 0.0 || rt > elapsed_s),
+            ),
+        }
+    }
+
+    /// `(mean nodes, mean run time, inverse run-time variance)` for the
+    /// weighted regression, computed once per change. Near-zero
+    /// variances are floored to keep weights finite.
+    fn triple(&mut self) -> (f64, f64, f64) {
+        if let Some(t) = self.triple {
+            return t;
+        }
+        let var = self.runtime_variance().max(1.0); // floor: 1 s^2
+        let t = (self.mean_nodes(), self.mean_runtime(), 1.0 / var);
+        self.triple = Some(t);
+        t
     }
 
     fn mean_nodes(&self) -> f64 {
@@ -98,6 +157,18 @@ impl GibbonsPredictor {
         GibbonsPredictor::default()
     }
 
+    /// One characteristic key's pair of levels: the bucket mean (1/3/5),
+    /// else the regression across its buckets (2/4/6).
+    fn levels(
+        subcats: &mut HashMap<u32, SubCategory>,
+        bucket: u32,
+        elapsed_s: f64,
+        nodes: f64,
+    ) -> Option<Estimate> {
+        Self::bucket_mean(subcats, bucket, elapsed_s)
+            .or_else(|| Self::subcat_regression(subcats, nodes))
+    }
+
     /// Level 1/3/5: mean of the run times in the exact node bucket,
     /// conditioned on the elapsed running time.
     fn bucket_mean(
@@ -105,28 +176,18 @@ impl GibbonsPredictor {
         bucket: u32,
         elapsed_s: f64,
     ) -> Option<Estimate> {
-        let sc = subcats.get(&bucket)?;
-        let est = mean(
-            sc.runtimes
-                .iter()
-                .copied()
-                .filter(|&rt| elapsed_s <= 0.0 || rt > elapsed_s),
-        )?;
+        let est = subcats.get(&bucket)?.mean_above(elapsed_s)?;
         (est.n >= MIN_MEAN_POINTS).then_some(est)
     }
 
     /// Level 2/4/6: weighted linear regression over subcategory means,
     /// weighted by inverse run-time variance. Subcategories need at
-    /// least two points to contribute a variance; near-zero variances
-    /// are floored to keep weights finite.
-    fn subcat_regression(subcats: &HashMap<u32, SubCategory>, nodes: f64) -> Option<Estimate> {
+    /// least two points to contribute a variance.
+    fn subcat_regression(subcats: &mut HashMap<u32, SubCategory>, nodes: f64) -> Option<Estimate> {
         let mut triples: Vec<(f64, f64, f64)> = subcats
-            .values()
+            .values_mut()
             .filter(|sc| sc.runtimes.len() >= 2)
-            .map(|sc| {
-                let var = sc.runtime_variance().max(1.0); // floor: 1 s^2
-                (sc.mean_nodes(), sc.mean_runtime(), 1.0 / var)
-            })
+            .map(SubCategory::triple)
             .collect();
         if triples.len() < 2 {
             return None;
@@ -148,9 +209,10 @@ impl Codec for SubCategory {
         w.put(&self.runtimes).put(&self.nodes);
     }
     fn decode(r: &mut Reader<'_>, _: &()) -> Result<SubCategory, CodecError> {
-        let sc = SubCategory {
+        let mut sc = SubCategory {
             runtimes: r.get()?,
             nodes: r.get()?,
+            ..SubCategory::default()
         };
         if sc.runtimes.len() != sc.nodes.len() {
             return Err(r.error(format!(
@@ -159,6 +221,7 @@ impl Codec for SubCategory {
                 sc.nodes.len()
             )));
         }
+        sc.build_index();
         Ok(sc)
     }
 }
@@ -206,35 +269,19 @@ impl RunTimePredictor for GibbonsPredictor {
         let elapsed_s = elapsed.as_secs_f64();
         let nodes = job.nodes as f64;
 
-        let est = None
-            // 1: (u, e, n, rtime) mean
-            .or_else(|| {
-                self.by_user_exe
-                    .get(&(u, e))
-                    .and_then(|s| Self::bucket_mean(s, bucket, elapsed_s))
-            })
-            // 2: (u, e) weighted linear regression
-            .or_else(|| {
-                self.by_user_exe
-                    .get(&(u, e))
-                    .and_then(|s| Self::subcat_regression(s, nodes))
-            })
-            // 3: (e, n, rtime) mean
+        // 1/2: (u, e, n, rtime) mean, else (u, e) weighted regression
+        let est = self
+            .by_user_exe
+            .get_mut(&(u, e))
+            .and_then(|s| Self::levels(s, bucket, elapsed_s, nodes))
+            // 3/4: (e, n, rtime) mean, else (e) weighted regression
             .or_else(|| {
                 self.by_exe
-                    .get(&e)
-                    .and_then(|s| Self::bucket_mean(s, bucket, elapsed_s))
+                    .get_mut(&e)
+                    .and_then(|s| Self::levels(s, bucket, elapsed_s, nodes))
             })
-            // 4: (e) weighted linear regression
-            .or_else(|| {
-                self.by_exe
-                    .get(&e)
-                    .and_then(|s| Self::subcat_regression(s, nodes))
-            })
-            // 5: (n, rtime) mean
-            .or_else(|| Self::bucket_mean(&self.global, bucket, elapsed_s))
-            // 6: () weighted linear regression
-            .or_else(|| Self::subcat_regression(&self.global, nodes));
+            // 5/6: (n, rtime) mean, else () weighted regression
+            .or_else(|| Self::levels(&mut self.global, bucket, elapsed_s, nodes));
 
         let cap = (self.max_seen * 2.0).max(3600.0);
         match est {
@@ -518,6 +565,69 @@ mod tests {
             .unwrap_err()
             .to_string()
             .contains("beyond table"));
+    }
+
+    /// The indexed bucket mean equals the insertion-order scan bit for
+    /// bit, at every elapsed time around the stored run times, and the
+    /// cached regression triple equals a fresh computation.
+    #[test]
+    fn indexed_mean_and_cached_triple_match_recomputation() {
+        use qpredict_workload::rng::Rng64;
+        let mut rng = Rng64::seed_from_u64(0x61BB);
+        for case in 0..12 {
+            let span = [5, 400, 200_000][case % 3];
+            let mut sc = SubCategory::default();
+            for i in 0..400 {
+                sc.push(rng.gen_range_i64(0, span) as f64, (1 + i % 9) as f64);
+                let stored = sc.runtimes[rng.gen_index(sc.runtimes.len())];
+                for e in [0.0, 1.0, stored - 1.0, stored, stored + 1.0, span as f64] {
+                    let scan = mean(sc.runtimes.iter().copied().filter(|&rt| e <= 0.0 || rt > e));
+                    let fast = sc.mean_above(e);
+                    let bits =
+                        |x: Option<Estimate>| x.map(|x| (x.n, x.value.to_bits(), x.ci.to_bits()));
+                    assert_eq!(bits(fast), bits(scan), "case {case} point {i} elapsed {e}");
+                }
+                assert_eq!(sc.index.is_some(), sc.runtimes.len() >= INDEX_MIN_POINTS);
+                if sc.runtimes.len() >= 2 {
+                    let cached = sc.triple();
+                    let fresh = SubCategory {
+                        runtimes: sc.runtimes.clone(),
+                        nodes: sc.nodes.clone(),
+                        ..SubCategory::default()
+                    }
+                    .triple();
+                    let bits = |t: (f64, f64, f64)| (t.0.to_bits(), t.1.to_bits(), t.2.to_bits());
+                    assert_eq!(bits(cached), bits(fresh));
+                }
+            }
+        }
+    }
+
+    /// Decoding rebuilds the runtime indexes: a restored predictor with
+    /// indexed subcategories predicts exactly like the original.
+    #[test]
+    fn decoded_state_rebuilds_indexes() {
+        let mut syms = SymbolTable::new();
+        let mut p = GibbonsPredictor::new();
+        for i in 0..300i64 {
+            let exe = ["x", "y"][(i % 2) as usize];
+            p.on_complete(&job(
+                &mut syms,
+                "alice",
+                exe,
+                4 + (i as u32 % 4),
+                30 + (i * 7919) % 5000,
+            ));
+        }
+        let mut back: GibbonsPredictor = decode(&encode(&p), &syms).expect("decodes");
+        assert!(back.global.values().any(|sc| sc.index.is_some()));
+        for e in [0, 1, 29, 30, 2500, 4999, 6000] {
+            let probe = job(&mut syms, "alice", "x", 5, 1);
+            let a = p.predict(&probe, Dur(e));
+            let b = back.predict(&probe, Dur(e));
+            assert_eq!(a, b, "elapsed {e}");
+            assert_eq!(a.ci_halfwidth.to_bits(), b.ci_halfwidth.to_bits());
+        }
     }
 
     #[test]

@@ -31,6 +31,7 @@ pub mod estimate;
 pub mod estimators;
 pub mod fallback;
 pub mod gibbons;
+mod rtindex;
 pub mod smith;
 pub mod template;
 

@@ -16,31 +16,36 @@
 //! only data points whose run time exceeds the elapsed time" — the
 //! paper's phrasing says "less than", which we read as a typo since a job
 //! running for `a` seconds is guaranteed a run time of at least `a`; see
-//! DESIGN.md).
+//! DESIGN.md). Elapsed-conditioned estimates over absolute run times
+//! with a mean or linear regression read exact suffix sums from a
+//! runtime-ordered index instead of scanning the category; the result is
+//! bit-identical to the scan (DESIGN.md §11).
 
 use qpredict_durable::{codec_struct, Codec, CodecError, Reader, Writer};
 use qpredict_workload::{Dur, Job};
 
-use crate::category::{CategoryStore, History, Point};
+use crate::category::{CategoryStore, History, Point, RegMoments};
 use crate::estimators::{mean, mean_from_moments, regression, regression_from_moments, Estimate};
 use crate::template::{Template, TemplateSet};
 use crate::{Prediction, RunTimePredictor};
 
 /// How a [`SmithPredictor`] produced its estimates: points actually
-/// traversed by scans versus points the running-moment fast paths did
-/// *not* traverse (what a naive scan-everything implementation would
-/// have read). The ratio is the layer's headline win.
+/// traversed versus points the estimates covered without traversing
+/// them. Their sum is what a naive scan-everything implementation would
+/// have read.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EstimateOps {
-    /// History points traversed by scan-path estimates (only the
-    /// `use_rtime` elapsed-conditioned case scans).
+    /// History points actually traversed: every point of a scanned
+    /// category, and the entries of the one block an indexed estimate
+    /// reads.
     pub scanned_points: u64,
-    /// History points covered by moment-based estimates without being
-    /// traversed.
+    /// History points covered by estimates without being traversed.
     pub moment_points: u64,
-    /// Estimates served from running moments.
+    /// Estimates served from running moments (no elapsed-time
+    /// conditioning).
     pub moment_estimates: u64,
-    /// Estimates served by scanning history.
+    /// Elapsed-conditioned estimates, served by a scan or by the
+    /// runtime index.
     pub scan_estimates: u64,
 }
 
@@ -76,8 +81,8 @@ impl SmithPredictor {
     /// Build a predictor over `set` with empty history.
     pub fn new(set: TemplateSet) -> SmithPredictor {
         SmithPredictor {
+            store: CategoryStore::new(&set),
             set,
-            store: CategoryStore::new(),
             global_sum: 0.0,
             global_n: 0,
             max_seen: 0.0,
@@ -111,17 +116,15 @@ impl SmithPredictor {
     /// Estimate from one template's category for `job`, if valid.
     fn category_estimate(
         &self,
-        ti: usize,
         t: &Template,
         job: &Job,
         elapsed: Dur,
         history: &History,
         ops: &mut EstimateOps,
     ) -> Option<Estimate> {
-        let _ = ti;
         let elapsed_s = elapsed.as_secs_f64();
-        // Only elapsed-time conditioning needs a per-estimate scan; every
-        // other configuration reads running aggregates. (Relative
+        // Only elapsed-time conditioning selects points per estimate;
+        // every other configuration reads running aggregates. (Relative
         // histories never hold non-finite ratios — `applies_to` requires
         // a limit at insertion — so the scan path's ratio filter is
         // vacuous and the aggregates cover the same points.)
@@ -145,45 +148,54 @@ impl SmithPredictor {
                 p.runtime
             }
         };
-        if scans {
-            ops.scan_estimates += 1;
-            ops.scanned_points += history.len() as u64;
-        } else {
+        let len = history.len() as u64;
+        let x0 = job.nodes as f64;
+        // Running sums answer every unconditioned estimate. The runtime
+        // index answers a conditioned one when it can be exact, with the
+        // sums the scan below would form. Anything else scans.
+        let sums = if !scans {
             ops.moment_estimates += 1;
-            ops.moment_points += history.len() as u64;
-        }
-        let est = match t.estimator.regression() {
-            None if !scans => {
-                let m = if t.relative {
-                    history.ratio_moments()
-                } else {
-                    history.abs_moments()
-                };
-                mean_from_moments(m.n, m.sum, m.sum2)
-            }
-            None => mean(history.iter().filter(filter).map(&value_of)),
-            Some(kind) if !scans => {
-                let m = history
+            ops.moment_points += len;
+            Some(match t.estimator.regression() {
+                None => {
+                    let m = if t.relative {
+                        history.ratio_moments()
+                    } else {
+                        history.abs_moments()
+                    };
+                    RegMoments {
+                        n: m.n,
+                        sy: m.sum,
+                        syy: m.sum2,
+                        ..RegMoments::default()
+                    }
+                }
+                Some(kind) => history
                     .reg_moments(kind, t.relative)
-                    .expect("regression history maintains its sums");
-                regression_from_moments(
-                    kind,
-                    m.n,
-                    m.sg,
-                    m.sy,
-                    m.sgg,
-                    m.sgy,
-                    m.syy,
-                    job.nodes as f64,
-                )
+                    .expect("regression history maintains its sums"),
+            })
+        } else {
+            // Only histories of templates the index serves have one.
+            let indexed = history.rtime_moments(elapsed_s);
+            let read = indexed.map_or(len, |(_, read)| read as u64);
+            ops.scan_estimates += 1;
+            ops.scanned_points += read;
+            ops.moment_points += len - read;
+            indexed.map(|(m, _)| m)
+        };
+        let est = match (sums, t.estimator.regression()) {
+            (Some(m), None) => mean_from_moments(m.n, m.sy, m.syy),
+            (Some(m), Some(kind)) => {
+                regression_from_moments(kind, m.n, m.sg, m.sy, m.sgg, m.sgy, m.syy, x0)
             }
-            Some(kind) => regression(
+            (None, None) => mean(history.iter().filter(filter).map(&value_of)),
+            (None, Some(kind)) => regression(
                 kind,
                 history
                     .iter()
                     .filter(filter)
                     .map(|p| (p.nodes, value_of(p))),
-                job.nodes as f64,
+                x0,
             ),
         }?;
         // Scale relative estimates back to seconds.
@@ -222,13 +234,14 @@ codec_struct!(EstimateOps {
 });
 
 /// Magic first record of an encoded Smith state.
-const SMITH_MAGIC: &str = "smith-state v2";
+const SMITH_MAGIC: &str = "smith-state v3";
 
 /// The complete mutable state: aggregates bitwise, points, counters and
-/// generation. The template set is *not* stored — the restorer passes
-/// the set from its own configuration as context — but its rendering is
-/// fingerprinted, so a restore under a different set is refused instead
-/// of silently mixing histories. A restored predictor is state-identical
+/// generation, with one category set per distinct template. The template
+/// set is *not* stored — the restorer passes the set from its own
+/// configuration as context — but its rendering is fingerprinted, so a
+/// restore under a different set is refused instead of silently mixing
+/// histories. Runtime indexes are rebuilt from the decoded points. A restored predictor is state-identical
 /// to the original: every later prediction is bit-identical.
 impl Codec<TemplateSet> for SmithPredictor {
     fn encode(&self, w: &mut Writer) {
@@ -260,7 +273,7 @@ impl Codec<TemplateSet> for SmithPredictor {
             max_seen: r.get()?,
             generation: r.get()?,
             ops: r.record("ops")?.get()?,
-            store: r.get()?,
+            store: r.get_in(set)?,
         })
     }
 }
@@ -285,11 +298,13 @@ impl RunTimePredictor for SmithPredictor {
         let mut best: Option<(f64, usize, u32, usize, f64)> = None;
         // (ci, n, specificity, ti, value) — kept flat for cheap compares.
         let mut ops = EstimateOps::default();
-        for (ti, t) in self.set.templates().iter().enumerate() {
+        // A template equal to an earlier one is skipped: its estimate
+        // would equal the earlier one's, which wins that tie on `ti`.
+        for &(ti, ref t) in self.store.templates() {
             let Some(history) = self.store.history(ti, t, job) else {
                 continue;
             };
-            let Some(est) = self.category_estimate(ti, t, job, elapsed, history, &mut ops) else {
+            let Some(est) = self.category_estimate(t, job, elapsed, history, &mut ops) else {
                 continue;
             };
             let better = match best {
@@ -327,7 +342,7 @@ impl RunTimePredictor for SmithPredictor {
 
     fn on_complete(&mut self, job: &Job) {
         let _span = qpredict_obs::span("smith.learn");
-        self.store.insert(&self.set, job);
+        self.store.insert(job);
         self.global_sum += job.runtime.as_secs_f64();
         self.global_n += 1;
         self.max_seen = self.max_seen.max(job.runtime.as_secs_f64());
@@ -617,6 +632,23 @@ mod tests {
         // A truncated cat line fails loudly, not silently.
         let cut = state.rfind("cat").unwrap() + 10;
         assert!(restore(&user_set(), &state[..cut]).is_err());
+    }
+
+    #[test]
+    fn state_decode_rejects_category_of_duplicate_template() {
+        let mut syms = SymbolTable::new();
+        let t = Template::mean_over(&[Characteristic::User]);
+        let set = TemplateSet::new(vec![t, t]);
+        let mut p = SmithPredictor::new(set.clone());
+        p.on_complete(&job(&mut syms, "alice", 100));
+        assert_eq!(p.category_count(), 1, "the copy keeps no category");
+        let state = encode(&p);
+        assert!(decode::<_, SmithPredictor>(&state, &set).is_ok());
+        // The same category filed under the copy's index is refused.
+        let forged = state.replacen("\ncat 0 ", "\ncat 1 ", 1);
+        assert_ne!(forged, state);
+        let err = decode::<_, SmithPredictor>(&forged, &set).unwrap_err();
+        assert!(err.to_string().contains("not a distinct template"), "{err}");
     }
 
     #[test]

@@ -10,8 +10,8 @@
 use qpredict_core::{run_scheduling, run_wait_prediction, PredictorKind};
 use qpredict_predict::{ErrorStats, EstimatorKind, Template, TemplateSet};
 use qpredict_sim::{Algorithm, Metrics};
-use qpredict_workload::synthetic::toy;
-use qpredict_workload::Characteristic as C;
+use qpredict_workload::synthetic::{generate, sites, toy};
+use qpredict_workload::{Characteristic as C, Workload};
 
 /// FNV-1a over the bit patterns of an [`ErrorStats`]' public accessors
 /// (which jointly determine every private field up to bit identity).
@@ -71,6 +71,49 @@ fn lock_set() -> TemplateSet {
     ])
 }
 
+/// The SDSC96 site model at 2,000 jobs, built the way the CLI builds
+/// `waitpred sdsc96 --jobs 2000`: large `(Queue)` categories that reach
+/// the elapsed-time conditioning of the shipped GA set at scale.
+fn sdsc96_2k() -> Workload {
+    let mut spec = sites::sdsc96_spec();
+    spec.n_jobs = 2000;
+    spec.n_users = spec.n_users.min(100);
+    generate(&spec)
+}
+
+/// An `rtime`-heavy set for the SDSC96 cells whose history caps evict
+/// within 2,000 jobs: a duplicated linear `(Queue)` template, a capped
+/// `(Queue)` mean and a tightly capped `(Queue, User)` mean.
+fn rtime_capped_set() -> TemplateSet {
+    TemplateSet::new(vec![
+        Template::mean_over(&[C::Queue])
+            .with_estimator(EstimatorKind::LinearRegression)
+            .with_max_history(300)
+            .with_rtime(),
+        Template::mean_over(&[C::Queue])
+            .with_max_history(200)
+            .with_rtime(),
+        Template::mean_over(&[C::Queue])
+            .with_estimator(EstimatorKind::LinearRegression)
+            .with_max_history(300)
+            .with_rtime(),
+        Template::mean_over(&[C::Queue, C::User])
+            .with_max_history(40)
+            .with_rtime(),
+    ])
+}
+
+fn site_kinds() -> Vec<(&'static str, PredictorKind)> {
+    vec![
+        ("smith", PredictorKind::Smith),
+        (
+            "smith-rtime-capped",
+            PredictorKind::SmithWith(rtime_capped_set()),
+        ),
+        ("gibbons", PredictorKind::Gibbons),
+    ]
+}
+
 fn kinds() -> Vec<(&'static str, PredictorKind)> {
     vec![
         ("actual", PredictorKind::Actual),
@@ -114,6 +157,21 @@ fn main() {
             fp_metrics(&out.metrics),
             fp_stats(&out.wait_errors),
             fp_stats(&out.runtime_errors),
+        );
+    }
+
+    println!("// --- site lock: SDSC96 site model, 2000 jobs, Backfill ---");
+    let wl = sdsc96_2k();
+    for (label, kind) in site_kinds() {
+        let out = run_scheduling(&wl, Algorithm::Backfill, kind.clone());
+        let wait = run_wait_prediction(&wl, Algorithm::Backfill, kind);
+        println!(
+            "    (\"{label}\", {:#018x}, {:#018x}, {:#018x}, {:#018x}, {:#018x}),",
+            fp_metrics(&out.metrics),
+            fp_stats(&out.runtime_errors),
+            fp_metrics(&wait.metrics),
+            fp_stats(&wait.wait_errors),
+            fp_stats(&wait.runtime_errors),
         );
     }
 }

@@ -11,12 +11,17 @@
 //!
 //! If one of these assertions ever fails, the change was NOT
 //! behavior-preserving: either fix it or consciously re-capture.
+//!
+//! The site-model cells (`SITE_LOCK`) add a 2,000-job SDSC96 workload
+//! whose large `(Queue)` categories, duplicated GA template and capped
+//! `rtime` histories reach the runtime-ordered index and its eviction
+//! path, which the toy cells are too small to reach.
 
 use qpredict_core::{run_scheduling, run_wait_prediction, PredictorKind};
 use qpredict_predict::{ErrorStats, EstimatorKind, Template, TemplateSet};
 use qpredict_sim::{Algorithm, Metrics};
-use qpredict_workload::synthetic::toy;
-use qpredict_workload::Characteristic as C;
+use qpredict_workload::synthetic::{generate, sites, toy};
+use qpredict_workload::{Characteristic as C, Workload};
 
 fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -67,12 +72,46 @@ fn lock_set() -> TemplateSet {
     ])
 }
 
+/// The SDSC96 site model at 2,000 jobs, as `waitpred sdsc96 --jobs 2000`
+/// builds it: `(Queue)` categories large enough for elapsed-time
+/// conditioning to reach the runtime index, under the shipped GA set
+/// with its duplicated template.
+fn sdsc96_2k() -> Workload {
+    let mut spec = sites::sdsc96_spec();
+    spec.n_jobs = 2000;
+    spec.n_users = spec.n_users.min(100);
+    generate(&spec)
+}
+
+/// An `rtime`-heavy set whose history caps evict within 2,000 jobs: a
+/// duplicated linear `(Queue)` template, a capped `(Queue)` mean and a
+/// tightly capped `(Queue, User)` mean.
+fn rtime_capped_set() -> TemplateSet {
+    TemplateSet::new(vec![
+        Template::mean_over(&[C::Queue])
+            .with_estimator(EstimatorKind::LinearRegression)
+            .with_max_history(300)
+            .with_rtime(),
+        Template::mean_over(&[C::Queue])
+            .with_max_history(200)
+            .with_rtime(),
+        Template::mean_over(&[C::Queue])
+            .with_estimator(EstimatorKind::LinearRegression)
+            .with_max_history(300)
+            .with_rtime(),
+        Template::mean_over(&[C::Queue, C::User])
+            .with_max_history(40)
+            .with_rtime(),
+    ])
+}
+
 fn kind_for(label: &str) -> PredictorKind {
     match label {
         "actual" => PredictorKind::Actual,
         "maxrt" => PredictorKind::MaxRuntime,
         "smith" => PredictorKind::Smith,
         "smith-lock" => PredictorKind::SmithWith(lock_set()),
+        "smith-rtime-capped" => PredictorKind::SmithWith(rtime_capped_set()),
         "gibbons" => PredictorKind::Gibbons,
         "downey-avg" => PredictorKind::DowneyAverage,
         other => panic!("unknown predictor label {other}"),
@@ -161,6 +200,38 @@ const WAITTIME_LOCK: [(&str, &str, u64, u64, u64); 4] = [
     ),
 ];
 
+/// (predictor, scheduling metrics fp, scheduling runtime-error fp,
+/// wait-study metrics fp, wait-error fp, wait-study runtime-error fp)
+/// for `run_scheduling` and `run_wait_prediction` under Backfill over
+/// [`sdsc96_2k`] — captured before the runtime index and the sharing of
+/// duplicate templates.
+const SITE_LOCK: [(&str, u64, u64, u64, u64, u64); 3] = [
+    (
+        "smith",
+        0x33a84c0485db6abd,
+        0xca037efb763a1f0d,
+        0x86e2da94e402588e,
+        0x9438d4860f9ae1a4,
+        0x98ea72e10c09d89d,
+    ),
+    (
+        "smith-rtime-capped",
+        0x18c5a3a4ebc028a7,
+        0xf8ac39cec870f955,
+        0x86e2da94e402588e,
+        0x95cf2cd096dc8cdb,
+        0x2ba07e81db235980,
+    ),
+    (
+        "gibbons",
+        0x5367c075c4ef945c,
+        0x9f1096cc9635a2c2,
+        0x86e2da94e402588e,
+        0xf16737fa1d8c5e8e,
+        0x41afccf8155618eb,
+    ),
+];
+
 #[test]
 fn scheduling_outputs_are_bit_identical_to_pre_refactor() {
     let wl = toy(300, 32, 41);
@@ -241,6 +312,40 @@ fn wait_prediction_outputs_are_bit_identical_to_pre_refactor() {
             fp_stats(&out.runtime_errors),
             rt_fp,
             "{alg} + {kind}: runtime-error stats drifted"
+        );
+    }
+}
+
+#[test]
+fn site_model_outputs_are_bit_identical_to_pre_index() {
+    let wl = sdsc96_2k();
+    for (kind, sched_fp, sched_rt_fp, metrics_fp, wait_fp, rt_fp) in SITE_LOCK {
+        let sched = run_scheduling(&wl, Algorithm::Backfill, kind_for(kind));
+        assert_eq!(
+            fp_metrics(&sched.metrics),
+            sched_fp,
+            "{kind}: schedule metrics drifted"
+        );
+        assert_eq!(
+            fp_stats(&sched.runtime_errors),
+            sched_rt_fp,
+            "{kind}: scheduling runtime-error stats drifted"
+        );
+        let out = run_wait_prediction(&wl, Algorithm::Backfill, kind_for(kind));
+        assert_eq!(
+            fp_metrics(&out.metrics),
+            metrics_fp,
+            "{kind}: outer-schedule metrics drifted"
+        );
+        assert_eq!(
+            fp_stats(&out.wait_errors),
+            wait_fp,
+            "{kind}: wait-error stats drifted"
+        );
+        assert_eq!(
+            fp_stats(&out.runtime_errors),
+            rt_fp,
+            "{kind}: runtime-error stats drifted"
         );
     }
 }
