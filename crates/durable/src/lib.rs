@@ -8,7 +8,8 @@
 //!   positional tokens, `f64`s as the hex of their IEEE-754 bits so
 //!   decode∘encode is the identity (NaN payloads and `-0.0` included).
 //!   Each stateful type implements [`Codec`] once, listing its fields in
-//!   both directions.
+//!   both directions; a type that can also write only what changed since
+//!   its last mark implements [`Delta`].
 //! * **Checksum framing** — a file body is "sealed" by appending a
 //!   trailing `sum <FNV-1a 64 hex>` line covering every byte above it
 //!   ([`seal`]); [`check_frame`] verifies the checksum *before* any
@@ -25,7 +26,7 @@
 
 pub mod codec;
 
-pub use codec::{Codec, CodecError, Reader, Writer};
+pub use codec::{Codec, CodecError, Delta, Reader, Writer};
 
 use std::fmt;
 use std::path::Path;
@@ -116,11 +117,17 @@ impl std::error::Error for FrameError {}
 
 /// Append the trailing `sum <hex>` line covering every byte of `body`
 /// (which must end with a newline, as line-oriented encoders produce).
-pub fn seal(mut body: String) -> String {
+pub fn seal(body: String) -> String {
+    seal_sum(body).0
+}
+
+/// [`seal`], also returning the checksum it appended, so a later file
+/// can name this one as its predecessor.
+pub fn seal_sum(mut body: String) -> (String, u64) {
     use std::fmt::Write as _;
     let sum = fnv1a(body.as_bytes());
     let _ = writeln!(body, "sum {sum:016X}");
-    body
+    (body, sum)
 }
 
 /// Verify the trailing checksum of a sealed frame and return the body
@@ -152,13 +159,26 @@ pub fn check_frame(text: &str) -> Result<&str, FrameError> {
 
 /// Write `text` to `path` atomically: create the parent directory if
 /// needed, serialize to a sibling temp file (`path` with its extension
-/// replaced by `tmp_extension`), fsync, then rename over `path`.
+/// replaced by `tmp_extension`), fsync, rename over `path`, then fsync
+/// the directory so the rename itself survives a crash.
 pub fn write_atomic(path: &Path, text: &str, tmp_extension: &str) -> Result<(), IoOpError> {
+    write_atomic_with(path, text, tmp_extension, true)
+}
+
+/// [`write_atomic`], with its two fsyncs only when `sync`. Without them
+/// the rename is still atomic against a killed process, but an OS crash
+/// may lose the file or leave it empty or torn — callers that skip the
+/// syncs must verify what they read back (a sealed frame does).
+pub fn write_atomic_with(
+    path: &Path,
+    text: &str,
+    tmp_extension: &str,
+    sync: bool,
+) -> Result<(), IoOpError> {
     let io_err = |op: String| move |source: std::io::Error| IoOpError { op, source };
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).map_err(io_err(format!("create {}", dir.display())))?;
-        }
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+    if let Some(dir) = dir {
+        std::fs::create_dir_all(dir).map_err(io_err(format!("create {}", dir.display())))?;
     }
     let tmp = path.with_extension(tmp_extension);
     {
@@ -167,14 +187,23 @@ pub fn write_atomic(path: &Path, text: &str, tmp_extension: &str) -> Result<(), 
             std::fs::File::create(&tmp).map_err(io_err(format!("create {}", tmp.display())))?;
         f.write_all(text.as_bytes())
             .map_err(io_err(format!("write {}", tmp.display())))?;
-        f.sync_all()
-            .map_err(io_err(format!("sync {}", tmp.display())))?;
+        if sync {
+            f.sync_all()
+                .map_err(io_err(format!("sync {}", tmp.display())))?;
+        }
     }
     std::fs::rename(&tmp, path).map_err(io_err(format!(
         "rename {} -> {}",
         tmp.display(),
         path.display()
-    )))
+    )))?;
+    if sync {
+        let dir = dir.unwrap_or(Path::new("."));
+        std::fs::File::open(dir)
+            .and_then(|d| d.sync_all())
+            .map_err(io_err(format!("sync {}", dir.display())))?;
+    }
+    Ok(())
 }
 
 /// Read `path` to a string, tagging failures with the operation.
@@ -193,6 +222,13 @@ mod tests {
     fn fnv1a_matches_reference_vector() {
         assert_eq!(fnv1a(b"a"), 0xaf63dc4c8601ec8c);
         assert_eq!(fnv1a(b""), FNV_OFFSET);
+    }
+
+    #[test]
+    fn seal_sum_names_the_appended_checksum() {
+        let (sealed, sum) = seal_sum("magic v1\n".to_string());
+        assert_eq!(sealed, seal("magic v1\n".to_string()));
+        assert!(sealed.ends_with(&format!("sum {sum:016X}\n")));
     }
 
     #[test]
@@ -254,6 +290,9 @@ mod tests {
         assert_eq!(read_to_string(&path).expect("read"), "hello\n");
         write_atomic(&path, "world\n", "snap.tmp").expect("overwrite");
         assert_eq!(read_to_string(&path).expect("reread"), "world\n");
+        write_atomic_with(&path, "again\n", "snap.tmp", false).expect("unsynced");
+        assert!(!path.with_extension("snap.tmp").exists());
+        assert_eq!(read_to_string(&path).expect("reread"), "again\n");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -21,7 +21,7 @@
 //! runtime-ordered index instead of scanning the category; the result is
 //! bit-identical to the scan (DESIGN.md §11).
 
-use qpredict_durable::{codec_struct, Codec, CodecError, Reader, Writer};
+use qpredict_durable::{codec_struct, Codec, CodecError, Delta, Reader, Writer};
 use qpredict_workload::{Dur, Job};
 
 use crate::category::{CategoryStore, History, Point, RegMoments};
@@ -275,6 +275,34 @@ impl Codec<TemplateSet> for SmithPredictor {
             ops: r.record("ops")?.get()?,
             store: r.get_in(set)?,
         })
+    }
+}
+
+/// The global aggregates and counters whole, then the category store's
+/// delta: appended points and eviction counts per touched category.
+impl Delta<TemplateSet> for SmithPredictor {
+    fn encode_delta(&self, w: &mut Writer) {
+        w.record("smith-delta")
+            .put(&self.global_sum)
+            .put(&self.global_n)
+            .put(&self.max_seen)
+            .put(&self.generation);
+        w.record("ops").put(&self.ops);
+        self.store.encode_delta(w);
+    }
+
+    fn apply_delta(&mut self, r: &mut Reader<'_>, set: &TemplateSet) -> Result<(), CodecError> {
+        r.record("smith-delta")?;
+        self.global_sum = r.get()?;
+        self.global_n = r.get()?;
+        self.max_seen = r.get()?;
+        self.generation = r.get()?;
+        self.ops = r.record("ops")?.get()?;
+        self.store.apply_delta(r, set)
+    }
+
+    fn mark(&mut self) {
+        self.store.mark();
     }
 }
 

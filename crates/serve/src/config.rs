@@ -107,7 +107,9 @@ pub struct ServeConfig {
     /// Cap on retained finished-job records (kept only to recognise
     /// duplicate lifecycle events). Evicted FIFO beyond the cap.
     pub max_done: usize,
-    /// Write a snapshot every this many input lines.
+    /// Write a snapshot segment (a base or a delta) every this many
+    /// input lines; recovery from an intact chain replays at most this
+    /// many WAL records.
     pub snapshot_every: u64,
     /// WAL flush policy.
     pub fsync: FsyncPolicy,

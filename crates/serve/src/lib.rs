@@ -19,9 +19,11 @@
 //!   to the offline nested forecast).
 //! * [`wal`] — checksummed write-ahead log of raw input lines; torn or
 //!   bit-flipped tails bound the damage to the unacknowledged suffix.
-//! * [`Service`] — ties them together with atomic, checksummed
-//!   snapshots (newest two kept) and kill-anywhere recovery: newest
-//!   intact snapshot + WAL suffix + output-log reconciliation replays to
+//! * [`Service`] — ties them together with atomic, checksummed snapshot
+//!   segments (a full base, then deltas of only what changed, compacted
+//!   into a new base once the deltas outweigh it; the newest two bases
+//!   kept with their chains) and kill-anywhere recovery: newest intact
+//!   base + its chain + WAL suffix + output-log reconciliation replays to
 //!   a state *bit-identical* to the uninterrupted run, down to every
 //!   floating-point aggregate in the predictor.
 //!
@@ -34,5 +36,5 @@ pub mod state;
 pub mod wal;
 
 pub use config::{FsyncPolicy, PredictorKind, ServeConfig};
-pub use service::{RecoveryReport, ServeError, Service};
+pub use service::{load_segments, RecoveryReport, ServeError, Service};
 pub use state::{Counters, Response, ServiceState};

@@ -1,32 +1,60 @@
-//! The durable service: [`ServiceState`] plus WAL, snapshots, an output
-//! log, and kill-anywhere recovery.
+//! The durable service: [`ServiceState`] plus WAL, snapshot segments, an
+//! output log, and kill-anywhere recovery.
 //!
 //! # Durability protocol
 //!
 //! Every input line is appended to the WAL *before* it touches state
 //! (write-ahead), then ingested, then any responses are appended to the
-//! output log. Every `snapshot_every` lines the full state is sealed
-//! (checksummed) and written atomically to `snap-<seq>.snap`; the two
-//! newest snapshots are kept so a corrupted latest snapshot falls back to
-//! its predecessor.
+//! output log. The WAL is never truncated (only a torn tail is cut), so
+//! it stays the source of truth; snapshots only bound how much of it a
+//! recovery replays.
+//!
+//! Every `snapshot_every` lines the service writes one **segment**,
+//! sealed (checksummed) and renamed into place atomically as
+//! `snap-<seq>.snap`, where `<seq>` counts segments. A segment is either
+//! a **base**, the whole state, or a **delta**: only what changed since
+//! the previous segment (see [`Delta`]), naming that segment's sequence
+//! number and checksum as its parent. The first segment a process writes
+//! is a base; after that a delta, until the deltas written since the
+//! base add up to more bytes than the base itself, when the next segment
+//! is a new base. A base is paid for by at least as many delta bytes,
+//! so snapshot bytes stay proportional to the change in the stream:
+//! amortized O(1) per event, where whole-state snapshots cost O(state).
+//!
+//! The two newest bases are kept, each with its chain of deltas; older
+//! segments are pruned when a base is written. Live segment files are
+//! tracked in memory; the directory is listed only when the service
+//! opens.
+//!
+//! Syncs follow [`FsyncPolicy`]. Under `Always` and `Batch` a snapshot
+//! first syncs the WAL (so a segment never claims more than the log can
+//! prove), then syncs the segment before its rename — and so before any
+//! predecessor is pruned — and `finish` syncs the output log. Under
+//! `Never` none of these syncs run: durability is what the OS provides.
 //!
 //! # Recovery
 //!
-//! [`Service::open`] with `resume` walks backwards through the snapshots
-//! until one passes its checksum and decodes, replays the WAL records
-//! with greater sequence numbers (stopping at the first torn record and
-//! truncating the tail), and reconciles the output log by dropping its
-//! torn last line and re-emitting only responses whose ordinal exceeds
-//! the last durable one. Because the state core is deterministic, this
-//! reproduces the uninterrupted run bit for bit; the caller then re-feeds
-//! the original input and the service skips every line it has already
-//! ingested.
+//! [`Service::open`] with `resume` takes the newest base that passes its
+//! checksum and decodes, then applies the deltas after it in sequence
+//! order while each one verifies and chains onto the last. A bad delta
+//! ends the chain; a bad base falls back to the previous base and its
+//! chain. Recovery then replays the WAL records with greater sequence
+//! numbers — from an intact chain, at most `snapshot_every` of them —
+//! stopping at the first torn record and truncating the tail, and
+//! reconciles the output log by dropping its torn last line and
+//! re-emitting only responses whose ordinal exceeds the last durable
+//! one. Because the state core is deterministic, this reproduces the
+//! uninterrupted run bit for bit; the caller then re-feeds the original
+//! input and the service skips every line it has already ingested.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 
-use qpredict_durable::{check_frame, codec, seal, IoOpError};
+use qpredict_durable::{
+    check_frame, fnv1a, seal_sum, write_atomic_with, Codec, CodecError, Delta, IoOpError, Reader,
+    Writer,
+};
 use qpredict_obs::counter_add;
 
 use crate::config::{FsyncPolicy, ServeConfig};
@@ -74,12 +102,16 @@ fn io_op(op: impl Into<String>, source: std::io::Error) -> ServeError {
 pub struct RecoveryReport {
     /// True when the service resumed existing on-disk state.
     pub resumed: bool,
-    /// Sequence number of the snapshot that loaded (0 = none, started
-    /// from the WAL alone).
+    /// Sequence number of the base segment that loaded (0 = none,
+    /// started from the WAL alone).
     pub snapshot_seq: u64,
-    /// Snapshots that failed their checksum or decode and were skipped.
+    /// Delta segments applied on top of that base.
+    pub deltas_applied: u64,
+    /// Segments skipped because they, or a segment their chain runs
+    /// through, failed the checksum, decode or chain check: every
+    /// segment newer than the last one applied.
     pub snapshot_fallbacks: u64,
-    /// WAL records replayed on top of the snapshot.
+    /// WAL records replayed on top of the segments.
     pub wal_replayed: u64,
     /// Bytes of torn WAL tail truncated.
     pub wal_torn_bytes: u64,
@@ -130,6 +162,25 @@ struct OutLog {
     path: PathBuf,
 }
 
+/// The snapshot segments of a state directory, as this process knows
+/// them.
+#[derive(Debug, Default)]
+struct Segments {
+    /// Live segment files, oldest first: sequence number, and whether
+    /// the file is a base known to verify.
+    live: Vec<(u64, bool)>,
+    /// Sequence number of the next segment.
+    next: u64,
+    /// `(seq, checksum)` of the newest segment this process wrote — what
+    /// the next delta chains onto. `None` until this process writes a
+    /// base.
+    tip: Option<(u64, u64)>,
+    /// Bytes of the newest base this process wrote.
+    base_bytes: u64,
+    /// Bytes of the deltas written on that base.
+    chain_bytes: u64,
+}
+
 /// A crash-safe online predictor service.
 #[derive(Debug)]
 pub struct Service {
@@ -145,6 +196,7 @@ pub struct Service {
     input_seq: u64,
     last_snapshot_seq: u64,
     snapshots_written: u64,
+    segments: Segments,
     /// What recovery found when the service opened.
     pub recovery: RecoveryReport,
 }
@@ -181,6 +233,7 @@ impl Service {
             input_seq: 0,
             last_snapshot_seq: 0,
             snapshots_written: 0,
+            segments: Segments::default(),
             recovery: RecoveryReport::default(),
         };
         // The output log's durable ordinal must be known before WAL
@@ -212,7 +265,15 @@ impl Service {
                     "state dir {} already holds a WAL; pass resume to continue it",
                     dir.display()
                 )));
+            } else {
+                // Leftover segments of an abandoned run: newer ones get
+                // higher numbers, and pruning removes these in time.
+                svc.segments.live = list_segments(dir)?
+                    .into_iter()
+                    .map(|(seq, _)| (seq, false))
+                    .collect();
             }
+            svc.segments.next = svc.segments.live.last().map_or(1, |&(seq, _)| seq + 1);
             let fresh = !wal_path.exists();
             let file = OpenOptions::new()
                 .create(true)
@@ -232,7 +293,9 @@ impl Service {
                     .file
                     .write_all(hdr.as_bytes())
                     .map_err(|e| io_op(format!("write {}", writer.path.display()), e))?;
-                writer.sync()?;
+                if svc.cfg.fsync != FsyncPolicy::Never {
+                    writer.sync()?;
+                }
             }
             svc.wal = Some(writer);
         }
@@ -252,7 +315,7 @@ impl Service {
         &self.cfg
     }
 
-    /// Snapshots written by this process.
+    /// Snapshot segments (bases and deltas) written by this process.
     pub fn snapshots_written(&self) -> u64 {
         self.snapshots_written
     }
@@ -281,8 +344,9 @@ impl Service {
         Ok(fresh)
     }
 
-    /// End of stream: drain the reorder buffer, flush the output log,
-    /// and (when durable) write a final snapshot.
+    /// End of stream: drain the reorder buffer, write a final segment
+    /// (when durable) and, unless the fsync policy is `Never`, sync the
+    /// output log.
     pub fn finish(&mut self) -> Result<Vec<Response>, ServeError> {
         let mut out = Vec::new();
         self.state.drain(&mut out);
@@ -290,7 +354,11 @@ impl Service {
         if self.state_dir.is_some() {
             self.snapshot_now()?;
         }
-        if let Some(o) = &mut self.out {
+        if let Some(o) = self
+            .out
+            .as_mut()
+            .filter(|_| self.cfg.fsync != FsyncPolicy::Never)
+        {
             o.file
                 .sync_all()
                 .map_err(|e| io_op(format!("sync {}", o.path.display()), e))?;
@@ -298,28 +366,55 @@ impl Service {
         Ok(fresh)
     }
 
-    /// Force a snapshot now (also syncs the WAL first so the snapshot
-    /// never claims more than the log can prove).
+    /// Write a snapshot segment now: a delta on this process's newest
+    /// segment, or a base when there is none yet or the chain has
+    /// outgrown its base. Unless the fsync policy is `Never`, the WAL is
+    /// synced first, so a segment never claims more than the log can
+    /// prove, and the segment before its rename.
     pub fn snapshot_now(&mut self) -> Result<(), ServeError> {
         let Some(dir) = self.state_dir.clone() else {
             return Ok(());
         };
-        if let Some(w) = &mut self.wal {
+        let sync = self.cfg.fsync != FsyncPolicy::Never;
+        if let Some(w) = self.wal.as_mut().filter(|_| sync) {
             w.sync()?;
         }
-        if let Some(o) = &mut self.out {
-            o.file
-                .flush()
-                .map_err(|e| io_op(format!("flush {}", o.path.display()), e))?;
+        let segs = &mut self.segments;
+        let seq = segs.next;
+        let parent = segs
+            .tip
+            .filter(|_| segs.chain_bytes <= segs.base_bytes && self.state.journaled());
+        let mut w = Writer::default();
+        w.record("segment").put(&seq);
+        match parent {
+            Some((parent_seq, parent_sum)) => {
+                w.word("delta").put(&parent_seq).put(&parent_sum);
+                self.state.encode_delta(&mut w);
+            }
+            None => {
+                w.word("base");
+                self.state.encode(&mut w);
+            }
         }
-        let sealed = seal(codec::encode(&self.state));
-        let seq = self.state.applied_seq();
-        let path = dir.join(format!("snap-{seq:012}.snap"));
-        qpredict_durable::write_atomic(&path, &sealed, "snap.tmp")?;
-        self.last_snapshot_seq = seq;
+        let (text, sum) = seal_sum(w.finish());
+        write_atomic_with(&segment_path(&dir, seq), &text, "snap.tmp", sync)?;
+        self.state.mark();
+        let bytes = text.len() as u64;
+        segs.next += 1;
+        segs.tip = Some((seq, sum));
+        segs.live.push((seq, parent.is_none()));
+        if parent.is_some() {
+            segs.chain_bytes += bytes;
+        } else {
+            segs.base_bytes = bytes;
+            segs.chain_bytes = 0;
+            counter_add("serve.snapshot_bases", 1);
+            segs.prune(&dir)?;
+        }
+        self.last_snapshot_seq = self.state.applied_seq();
         self.snapshots_written += 1;
         counter_add("serve.snapshots", 1);
-        prune_snapshots(&dir, 2)?;
+        counter_add("serve.snapshot_bytes", bytes);
         Ok(())
     }
 
@@ -341,33 +436,27 @@ impl Service {
         Ok(fresh)
     }
 
-    /// Rebuild state from `dir`: newest intact snapshot, then the WAL
-    /// suffix, then reconcile the output log.
+    /// Rebuild state from `dir`: newest intact base and its chain, then
+    /// the WAL suffix, then reconcile the output log.
     fn recover(&mut self, dir: &Path, wal_path: &Path) -> Result<(), ServeError> {
         self.recovery.resumed = true;
         counter_add("serve.recoveries", 1);
-        // 1. Newest snapshot that passes checksum + decode.
-        for (seq, path) in list_snapshots(dir)?.into_iter().rev() {
-            match load_snapshot(&self.cfg, &path) {
-                Ok(state) => {
-                    self.state = state;
-                    self.recovery.snapshot_seq = seq;
-                    break;
-                }
-                Err(reason) => {
-                    // A torn or bit-flipped snapshot is exactly what the
-                    // previous one is for; fatal only if *config* differs.
-                    if reason.contains("different configuration") {
-                        return Err(ServeError::Config(format!(
-                            "snapshot {}: {reason}",
-                            path.display()
-                        )));
-                    }
-                    self.recovery.snapshot_fallbacks += 1;
-                    counter_add("serve.snapshot_fallback", 1);
-                }
-            }
+        // 1. Newest base that verifies, with its chain.
+        let segs = read_segments(dir)?;
+        let load = load_chain(&self.cfg, &segs)?;
+        if let Some(state) = load.state {
+            self.state = state;
         }
+        self.recovery.snapshot_seq = load.base_seq;
+        self.recovery.deltas_applied = load.deltas;
+        self.recovery.snapshot_fallbacks = load.skipped;
+        if load.skipped > 0 {
+            counter_add("serve.snapshot_fallback", load.skipped);
+        }
+        self.segments.live = segs
+            .iter()
+            .map(|s| (s.seq, matches!(s.parsed, Some((Kind::Base, _, _)))))
+            .collect();
         // 2. WAL suffix.
         if wal_path.exists() {
             let text = read_file(wal_path)?;
@@ -410,6 +499,28 @@ impl Service {
                 }
             }
         }
+        Ok(())
+    }
+}
+
+impl Segments {
+    /// Keep the two newest bases, each with its chain: remove every
+    /// segment older than the second newest base.
+    fn prune(&mut self, dir: &Path) -> Result<(), ServeError> {
+        let mut bases = self.live.iter().enumerate().filter(|(_, s)| s.1).rev();
+        let Some((keep_from, _)) = bases.nth(1) else {
+            return Ok(());
+        };
+        for &(seq, _) in &self.live[..keep_from] {
+            let path = segment_path(dir, seq);
+            match fs::remove_file(&path) {
+                Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
+                    return Err(io_op(format!("remove {}", path.display()), e));
+                }
+                _ => {}
+            }
+        }
+        self.live.drain(..keep_from);
         Ok(())
     }
 }
@@ -470,8 +581,12 @@ fn read_file(path: &Path) -> Result<String, ServeError> {
     })
 }
 
-/// Snapshot files in `dir`, sorted by sequence number ascending.
-fn list_snapshots(dir: &Path) -> Result<Vec<(u64, PathBuf)>, ServeError> {
+fn segment_path(dir: &Path, seq: u64) -> PathBuf {
+    dir.join(format!("snap-{seq:012}.snap"))
+}
+
+/// Segment files in `dir`, sorted by sequence number ascending.
+fn list_segments(dir: &Path) -> Result<Vec<(u64, PathBuf)>, ServeError> {
     let mut snaps = Vec::new();
     let entries = fs::read_dir(dir).map_err(|e| io_op(format!("read dir {}", dir.display()), e))?;
     for entry in entries {
@@ -490,20 +605,138 @@ fn list_snapshots(dir: &Path) -> Result<Vec<(u64, PathBuf)>, ServeError> {
     Ok(snaps)
 }
 
-fn load_snapshot(cfg: &ServeConfig, path: &Path) -> Result<ServiceState, String> {
-    let text = qpredict_durable::read_to_string(path).map_err(|e| e.to_string())?;
-    let body = check_frame(&text).map_err(|e| e.to_string())?;
-    codec::decode(body, cfg).map_err(|e| e.to_string())
+/// What a segment holds, from its `segment` record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    Base,
+    /// A delta on the segment with this `(seq, checksum)`.
+    Delta(u64, u64),
 }
 
-fn prune_snapshots(dir: &Path, keep: usize) -> Result<(), ServeError> {
-    let snaps = list_snapshots(dir)?;
-    if snaps.len() > keep {
-        for (_, path) in &snaps[..snaps.len() - keep] {
-            fs::remove_file(path).map_err(|e| io_op(format!("remove {}", path.display()), e))?;
-        }
+/// One segment file as recovery read it.
+struct ReadSegment {
+    seq: u64,
+    /// Kind, checksum and sealed body, when the file verified and its
+    /// `segment` record names its own sequence number.
+    parsed: Option<(Kind, u64, String)>,
+}
+
+/// Read `body`'s `segment` record; the reader is left at the state (a
+/// base) or delta that follows.
+fn segment_header(body: &str) -> Result<(Reader<'_>, u64, Kind), CodecError> {
+    let mut r = Reader::new(body);
+    let seq: u64 = r.record("segment")?.get()?;
+    let kind = match r.word()? {
+        "base" => Kind::Base,
+        "delta" => Kind::Delta(r.get()?, r.get()?),
+        other => return Err(r.error(format!("unknown segment kind {other:?}"))),
+    };
+    Ok((r, seq, kind))
+}
+
+/// Read every segment file in `dir` and check its frame and header.
+fn read_segments(dir: &Path) -> Result<Vec<ReadSegment>, ServeError> {
+    let mut segs = Vec::new();
+    for (seq, path) in list_segments(dir)? {
+        let parsed = qpredict_durable::read_to_string(&path)
+            .ok()
+            .and_then(|mut text| {
+                let body = check_frame(&text).ok()?;
+                let (_, named, kind) = segment_header(body).ok()?;
+                let (sum, len) = (fnv1a(body.as_bytes()), body.len());
+                text.truncate(len);
+                (named == seq).then_some((kind, sum, text))
+            });
+        segs.push(ReadSegment { seq, parsed });
     }
-    Ok(())
+    Ok(segs)
+}
+
+/// The result of [`load_chain`].
+struct Loaded {
+    state: Option<ServiceState>,
+    base_seq: u64,
+    deltas: u64,
+    skipped: u64,
+}
+
+/// Decode the newest base in `segs` that verifies and apply the deltas
+/// that chain onto it. A base recorded under a different configuration
+/// is fatal; anything else wrong with a segment just ends the chain (or
+/// falls back to an older base), and the WAL replays the rest.
+fn load_chain(cfg: &ServeConfig, segs: &[ReadSegment]) -> Result<Loaded, ServeError> {
+    let decode_base = |body: &str| -> Result<ServiceState, CodecError> {
+        let (mut r, _, _) = segment_header(body)?;
+        let state = ServiceState::decode(&mut r, cfg)?;
+        r.finish()?;
+        Ok(state)
+    };
+    let apply = |state: &mut ServiceState, body: &str| -> Result<(), CodecError> {
+        let (mut r, _, _) = segment_header(body)?;
+        state.apply_delta(&mut r, cfg)?;
+        r.finish()
+    };
+    for (bi, base) in segs.iter().enumerate().rev() {
+        let Some((Kind::Base, base_sum, body)) = &base.parsed else {
+            continue;
+        };
+        let mut state = match decode_base(body) {
+            Ok(state) => state,
+            Err(e) if e.reason.contains("different configuration") => {
+                return Err(ServeError::Config(format!(
+                    "snapshot segment {}: {e}",
+                    base.seq
+                )));
+            }
+            Err(_) => continue,
+        };
+        // The deltas that verify and chain, in order.
+        let mut chain = Vec::new();
+        let mut tip = (base.seq, *base_sum);
+        for seg in &segs[bi + 1..] {
+            match &seg.parsed {
+                Some((Kind::Delta(pseq, psum), sum, body)) if (*pseq, *psum) == tip => {
+                    chain.push(body.as_str());
+                    tip = (seg.seq, *sum);
+                }
+                _ => break,
+            }
+        }
+        // A delta that verifies but does not apply ends the chain; the
+        // state it half-applied to is rebuilt without it.
+        let mut applied = 0;
+        while applied < chain.len() {
+            if apply(&mut state, chain[applied]).is_ok() {
+                applied += 1;
+                continue;
+            }
+            chain.truncate(applied);
+            state = decode_base(body).expect("decoded a moment ago");
+            for body in &chain {
+                apply(&mut state, body).expect("applied a moment ago");
+            }
+        }
+        return Ok(Loaded {
+            state: Some(state),
+            base_seq: base.seq,
+            deltas: applied as u64,
+            skipped: (segs.len() - 1 - bi - applied) as u64,
+        });
+    }
+    Ok(Loaded {
+        state: None,
+        base_seq: 0,
+        deltas: 0,
+        skipped: segs.len() as u64,
+    })
+}
+
+/// The state the segments in `dir` hold: the newest base that verifies
+/// with every delta that verifies and chains onto it — the state as of
+/// the last intact segment, without the WAL. `None` when no base
+/// verifies. Recovery starts from exactly this state.
+pub fn load_segments(cfg: &ServeConfig, dir: &Path) -> Result<Option<ServiceState>, ServeError> {
+    Ok(load_chain(cfg, &read_segments(dir)?)?.state)
 }
 
 #[cfg(test)]

@@ -30,7 +30,7 @@
 use std::collections::{HashMap, VecDeque};
 
 use qpredict_durable::codec;
-use qpredict_durable::{codec_struct, Codec, CodecError, Reader, Writer};
+use qpredict_durable::{codec_struct, Codec, CodecError, Delta, Reader, Writer};
 use qpredict_obs::counter_add;
 use qpredict_predict::{
     CachingPredictor, DowneyPredictor, DowneyVariant, GibbonsPredictor, Prediction,
@@ -263,6 +263,37 @@ impl Codec<(&ServeConfig, &SymbolTable)> for ServePredictor {
     }
 }
 
+/// The same `pred` record, then the hosted predictor's delta.
+impl Delta<(&ServeConfig, &SymbolTable)> for ServePredictor {
+    fn encode_delta(&self, w: &mut Writer) {
+        w.record("pred").word(self.name());
+        each!(self, p => p.encode_delta(w));
+    }
+
+    fn apply_delta(
+        &mut self,
+        r: &mut Reader<'_>,
+        &(cfg, syms): &(&ServeConfig, &SymbolTable),
+    ) -> Result<(), CodecError> {
+        let name = r.record("pred")?.word()?;
+        if name != self.name() {
+            return Err(r.error(format!(
+                "delta for predictor {name:?}, state hosts {:?}",
+                self.name()
+            )));
+        }
+        match self {
+            ServePredictor::Smith(p) => p.apply_delta(r, &cfg.template_set()),
+            ServePredictor::Gibbons(p) => p.apply_delta(r, syms),
+            ServePredictor::Downey(p) => p.apply_delta(r, syms),
+        }
+    }
+
+    fn mark(&mut self) {
+        each!(self, p => p.mark())
+    }
+}
+
 impl RunTimePredictor for ServePredictor {
     fn name(&self) -> &'static str {
         each!(self, p => p.name())
@@ -286,7 +317,26 @@ impl RunTimePredictor for ServePredictor {
 }
 
 /// Magic first line of an encoded state body.
-pub const STATE_MAGIC: &str = "qpredict-serve-state v2";
+pub const STATE_MAGIC: &str = "qpredict-serve-state v3";
+
+/// Magic first line of an encoded state delta.
+pub const DELTA_MAGIC: &str = "qpredict-serve-delta v3";
+
+/// What changed since the last mark: the part of an incremental snapshot
+/// that is not read off the state itself. Only a marked state keeps one
+/// (the durable service marks at every snapshot); ephemeral state never
+/// pays for it.
+#[derive(Debug, Default)]
+struct Journal {
+    /// Ids of jobs inserted, changed or removed, with repeats.
+    jobs: Vec<u64>,
+    /// Done-FIFO length at the mark.
+    fifo_len: usize,
+    /// Done-FIFO pops since the mark.
+    fifo_pops: usize,
+    /// Symbols interned at the mark.
+    syms: usize,
+}
 
 /// The in-memory service state. See the module docs for the model.
 #[derive(Debug)]
@@ -303,6 +353,7 @@ pub struct ServiceState {
     next_internal: u32,
     applied_seq: u64,
     counters: Counters,
+    journal: Option<Journal>,
 }
 
 impl ServiceState {
@@ -320,6 +371,27 @@ impl ServiceState {
             next_internal: 0,
             applied_seq: 0,
             counters: Counters::default(),
+            journal: None,
+        }
+    }
+
+    /// True when the state has tracked its changes since the last mark,
+    /// so an incremental snapshot can be written.
+    pub(crate) fn journaled(&self) -> bool {
+        self.journal.is_some()
+    }
+
+    /// Record that job `id` was inserted, changed or removed. A journal
+    /// that grows past several job tables' worth of ids is dropped
+    /// instead: the next snapshot must then be whole, and memory stays
+    /// bounded however long the service goes between snapshots.
+    fn touch(&mut self, id: u64) {
+        let cap = 4 * (self.cfg.max_jobs + self.cfg.max_done).max(1024);
+        if let Some(j) = &mut self.journal {
+            j.jobs.push(id);
+            if j.jobs.len() > cap {
+                self.journal = None;
+            }
         }
     }
 
@@ -444,12 +516,16 @@ impl ServiceState {
                     },
                 );
                 self.live += 1;
+                self.touch(ev.id);
                 self.shed_overload();
             }
             EventKind::Start => match self.jobs.get_mut(&ev.id) {
                 None => self.orphan(),
                 Some(r) => match r.phase {
-                    Phase::Queued => r.phase = Phase::Running { started: ev.time },
+                    Phase::Queued => {
+                        r.phase = Phase::Running { started: ev.time };
+                        self.touch(ev.id);
+                    }
                     Phase::Running { .. } | Phase::Done => self.duplicate(),
                 },
             },
@@ -477,6 +553,7 @@ impl ServiceState {
                 Some(r) => match r.phase {
                     Phase::Queued | Phase::Running { .. } => {
                         r.phase = Phase::Done;
+                        self.touch(ev.id);
                         self.live -= 1;
                         self.counters.cancelled += 1;
                         counter_add("serve.cancelled", 1);
@@ -514,6 +591,7 @@ impl ServiceState {
         if let Some(rec) = self.jobs.get_mut(&id) {
             rec.phase = Phase::Done;
         }
+        self.touch(id);
         self.live -= 1;
         self.counters.completions += 1;
         counter_add("serve.completions", 1);
@@ -525,7 +603,11 @@ impl ServiceState {
         self.done_fifo.push_back(id);
         while self.done_fifo.len() > self.cfg.max_done.max(1) {
             let old = self.done_fifo.pop_front().expect("non-empty fifo");
+            if let Some(j) = &mut self.journal {
+                j.fifo_pops += 1;
+            }
             self.jobs.remove(&old);
+            self.touch(old);
             self.counters.evicted += 1;
             counter_add("serve.evicted", 1);
         }
@@ -544,6 +626,7 @@ impl ServiceState {
                 .map(|(id, _)| *id)
                 .expect("live > 0 implies a live job exists");
             self.jobs.remove(&oldest);
+            self.touch(oldest);
             self.live -= 1;
             self.counters.shed += 1;
             counter_add("serve.shed", 1);
@@ -707,24 +790,138 @@ impl Codec<ServeConfig> for ServiceState {
         state.counters = r.record("counters")?.get()?;
         state.syms = r.record("syms")?.get()?;
         state.jobs = r.map_records("job", &(), &state.syms)?;
-        state.live = state
+        state.count_live();
+        state.done_fifo = r.record("donefifo")?.get()?;
+        state.read_buffer(r)?;
+        state.predictor = CachingPredictor::new(r.get_in(&(&state.cfg, &state.syms))?);
+        Ok(state)
+    }
+}
+
+impl ServiceState {
+    fn count_live(&mut self) {
+        self.live = self
             .jobs
             .values()
             .filter(|j| j.phase != Phase::Done)
             .count();
-        state.done_fifo = r.record("donefifo")?.get()?;
-        state.buffer = r.record("rb")?.get()?;
-        // The buffer must come back in its sorted order; verify rather
-        // than trust.
-        let sorted = state
+    }
+
+    /// Read the `rb` record. The buffer must come back in its sorted
+    /// order; verify rather than trust.
+    fn read_buffer(&mut self, r: &mut Reader<'_>) -> Result<(), CodecError> {
+        self.buffer = r.record("rb")?.get()?;
+        let sorted = self
             .buffer
             .windows(2)
             .all(|w| (w[0].0.sort_key(), w[0].1) <= (w[1].0.sort_key(), w[1].1));
         if !sorted {
             return Err(r.error("reorder buffer not in canonical order"));
         }
-        state.predictor = CachingPredictor::new(r.get_in(&(&state.cfg, &state.syms))?);
-        Ok(state)
+        Ok(())
+    }
+}
+
+/// The change since the last mark. The bounded parts — cursor, counters,
+/// reorder buffer — are written whole; the rest only as change: symbols
+/// interned, job records inserted, changed or removed (`-`), done-FIFO
+/// pops and pushes, and the predictor's own delta.
+///
+/// # Panics
+/// [`Delta::encode_delta`] panics on a state that keeps no journal: one
+/// never marked, or whose journal outgrew its cap since the last mark.
+/// The service writes a base then.
+impl Delta<ServeConfig> for ServiceState {
+    fn encode_delta(&self, w: &mut Writer) {
+        let j = self.journal.as_ref().expect("delta of an unmarked state");
+        w.record(DELTA_MAGIC);
+        w.record("config").put(&self.cfg.fingerprint());
+        w.record("cursor")
+            .put(&self.applied_seq)
+            .put(&self.next_internal)
+            .put(&self.watermark);
+        w.record("counters").put(&self.counters);
+        w.record("symsadd")
+            .put(&j.syms)
+            .put(&(self.syms.len() - j.syms));
+        for (_, name) in self.syms.iter().skip(j.syms) {
+            w.str(name);
+        }
+        let mut ids = j.jobs.clone();
+        ids.sort_unstable();
+        ids.dedup();
+        let changed: Vec<(u64, Option<JobRecord>)> = ids
+            .into_iter()
+            .map(|id| (id, self.jobs.get(&id).copied()))
+            .collect();
+        w.map_records("job", changed.iter().map(|(id, rec)| (id, rec)));
+        let pops = j.fifo_pops.min(j.fifo_len);
+        let pushed: Vec<u64> = self.done_fifo.range(j.fifo_len - pops..).copied().collect();
+        w.record("donefifo").put(&pops).put(&pushed);
+        w.record("rb").put(&self.buffer);
+        self.predictor.inner().encode_delta(w);
+    }
+
+    fn apply_delta(&mut self, r: &mut Reader<'_>, _: &ServeConfig) -> Result<(), CodecError> {
+        let fp: u64 = r.record(DELTA_MAGIC)?.record("config")?.get()?;
+        if fp != self.cfg.fingerprint() {
+            return Err(r.error(format!(
+                "delta recorded under a different configuration (fp {fp:016X})"
+            )));
+        }
+        r.record("cursor")?;
+        self.applied_seq = r.get()?;
+        self.next_internal = r.get()?;
+        self.watermark = r.get()?;
+        self.counters = r.record("counters")?.get()?;
+        let from: usize = r.record("symsadd")?.get()?;
+        if from != self.syms.len() {
+            return Err(r.error(format!(
+                "delta adds symbols from {from}, table holds {}",
+                self.syms.len()
+            )));
+        }
+        let n: usize = r.get()?;
+        for i in from..from + n {
+            let name = r.str()?;
+            if self.syms.intern(&name).index() != i {
+                return Err(r.error(format!("symbol {name:?} listed twice")));
+            }
+        }
+        let changed: Vec<(u64, Option<JobRecord>)> = r.map_records("job", &(), &self.syms)?;
+        for (id, rec) in changed {
+            match rec {
+                Some(rec) => self.jobs.insert(id, rec),
+                None => self.jobs.remove(&id),
+            };
+        }
+        self.count_live();
+        let pops: usize = r.record("donefifo")?.get()?;
+        if pops > self.done_fifo.len() {
+            return Err(r.error(format!(
+                "delta pops {pops} of {} done records",
+                self.done_fifo.len()
+            )));
+        }
+        self.done_fifo.drain(..pops);
+        let pushed: Vec<u64> = r.get()?;
+        self.done_fifo.extend(pushed);
+        self.read_buffer(r)?;
+        self.predictor
+            .inner_mut()
+            .apply_delta(r, &(&self.cfg, &self.syms))
+    }
+
+    fn mark(&mut self) {
+        let mut jobs = self.journal.take().map(|j| j.jobs).unwrap_or_default();
+        jobs.clear();
+        self.journal = Some(Journal {
+            jobs,
+            fifo_len: self.done_fifo.len(),
+            fifo_pops: 0,
+            syms: self.syms.len(),
+        });
+        self.predictor.inner_mut().mark();
     }
 }
 

@@ -65,6 +65,35 @@ wait "$SERVE_PID" 2>/dev/null || true
 cmp "$SERVE_TMP/ref.out" "$SERVE_TMP/run.out"
 echo "    serve recovered bit-identically after SIGKILL"
 
+# Second kill, mid-chain: no fsync at all and a segment every 4 lines on
+# a longer stream, so by the kill the service has compacted its delta
+# chain into a new base at least once (the recovered base is not the
+# first segment) and recovery replays base + deltas + WAL suffix.
+./target/release/qpredict events toy --jobs 240 --query-every 5 \
+    --out "$SERVE_TMP/long.log" 2>/dev/null
+./target/release/qpredict serve "$SERVE_TMP/long.log" \
+    --state-dir "$SERVE_TMP/long-ref-state" --snapshot-every 4 --fsync never \
+    --out "$SERVE_TMP/long-ref.out" 2>/dev/null
+./target/release/qpredict serve "$SERVE_TMP/long.log" \
+    --state-dir "$SERVE_TMP/long-state" --snapshot-every 4 --fsync never \
+    --throttle-us 2000 --out "$SERVE_TMP/long-run.out" 2>/dev/null &
+SERVE_PID=$!
+sleep 0.5
+kill -KILL "$SERVE_PID" 2>/dev/null
+wait "$SERVE_PID" 2>/dev/null || true
+./target/release/qpredict serve "$SERVE_TMP/long.log" \
+    --state-dir "$SERVE_TMP/long-state" --resume --snapshot-every 4 --fsync never \
+    --out "$SERVE_TMP/long-run.out" 2>"$SERVE_TMP/long-resume.err"
+cmp "$SERVE_TMP/long-ref.out" "$SERVE_TMP/long-run.out"
+RECOVERED="$(grep '^serve: recovered' "$SERVE_TMP/long-resume.err")"
+echo "    $RECOVERED"
+BASE_SEQ="$(echo "$RECOVERED" | sed -E 's/.*snapshot seq ([0-9]+) .*/\1/')"
+if [ "$BASE_SEQ" -le 1 ]; then
+    echo "serve: the kill landed before the first compaction" >&2
+    exit 1
+fi
+echo "    serve recovered bit-identically from base + deltas after SIGKILL"
+
 # One-iteration smoke run of every bench: catches panics, broken
 # assertions, and artifact-emission bugs in the bench binaries without
 # paying for real measurements. The estimation bench also asserts the

@@ -717,9 +717,10 @@ fn main() {
             if svc.recovery.resumed {
                 let r = svc.recovery;
                 eprintln!(
-                    "serve: recovered (snapshot seq {}, {} WAL records replayed, {} torn WAL \
-                     bytes truncated, {} snapshot fallbacks, {} responses re-emitted)",
+                    "serve: recovered (snapshot seq {} + {} deltas, {} WAL records replayed, {} \
+                     torn WAL bytes truncated, {} snapshot fallbacks, {} responses re-emitted)",
                     r.snapshot_seq,
+                    r.deltas_applied,
                     r.wal_replayed,
                     r.wal_torn_bytes,
                     r.snapshot_fallbacks,

@@ -1,16 +1,30 @@
-//! Guard against the quadratic in elapsed-time prediction coming back.
+//! Guards against quadratics coming back.
 //!
 //! Wait-time prediction re-estimates every running job at every
 //! forecast, conditioned on its elapsed time. A predictor that scans the
 //! whole category for each such estimate reads points in proportion to
 //! jobs × history, so quadrupling the trace multiplies the points read
 //! by about 16. Reading suffix sums from the runtime index keeps it near
-//! 4. The guard counts the points the Smith predictor traversed rather
-//! than timing anything, so it is deterministic.
+//! 4.
+//!
+//! The online service snapshots its state every `snapshot_every` lines.
+//! Rewriting the whole state each time writes bytes in proportion to
+//! lines × state, and the state grows with the stream; delta segments
+//! over a compacted base write in proportion to the change.
+//!
+//! The guards count work (points traversed, snapshot bytes) rather than
+//! timing anything, so they are deterministic. The recording flag is
+//! process-global, so they take turns.
+
+use std::sync::Mutex;
 
 use qpredict_core::{run_wait_prediction, PredictorKind};
+use qpredict_serve::{FsyncPolicy, ServeConfig, Service};
 use qpredict_sim::Algorithm;
-use qpredict_workload::synthetic::{generate, sites};
+use qpredict_workload::synthesize_events;
+use qpredict_workload::synthetic::{generate, sites, toy};
+
+static RECORDING: Mutex<()> = Mutex::new(());
 
 /// History points the Smith predictor traversed while predicting waits
 /// on the SDSC96 site model cut to `jobs` jobs (sized as the CLI's
@@ -28,6 +42,7 @@ fn scanned_points(jobs: usize) -> u64 {
 
 #[test]
 fn elapsed_conditioned_prediction_reads_near_linearly_many_points() {
+    let _turn = RECORDING.lock().unwrap_or_else(|e| e.into_inner());
     qpredict_obs::set_recording(true);
     let small = scanned_points(500);
     let large = scanned_points(2000);
@@ -38,5 +53,54 @@ fn elapsed_conditioned_prediction_reads_near_linearly_many_points() {
         ratio <= 6.0,
         "4x the jobs read {ratio:.1}x the points ({small} -> {large}): \
          elapsed-time conditioning has gone quadratic"
+    );
+}
+
+/// Bytes of snapshot segments a durable service writes over the event
+/// stream of the toy workload with `jobs` jobs, at the default caps (so
+/// the job table and histories grow with the stream), with a segment
+/// every 64 lines.
+fn snapshot_bytes(jobs: usize) -> u64 {
+    let lines: Vec<String> = synthesize_events(&toy(jobs, 64, 5), 5)
+        .iter()
+        .map(|e| e.encode())
+        .collect();
+    let dir = std::env::temp_dir().join(format!(
+        "qpredict-scaling-serve-{jobs}-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = ServeConfig {
+        snapshot_every: 64,
+        fsync: FsyncPolicy::Never,
+        ..ServeConfig::default()
+    };
+    qpredict_obs::reset();
+    let mut svc = Service::open(cfg, Some(&dir), None, false).expect("open");
+    for l in &lines {
+        svc.feed_line(l).expect("feed");
+    }
+    svc.finish().expect("finish");
+    let _ = std::fs::remove_dir_all(&dir);
+    qpredict_obs::snapshot().counter("serve.snapshot_bytes")
+}
+
+/// 4x the stream at the same `snapshot_every` must write at most 5x the
+/// snapshot bytes. Measured: whole-state snapshots wrote 13.1x (7.25 MB
+/// -> 95.2 MB, summing the size of every snapshot file written); delta
+/// segments over a compacted base write 4.29x (1.42 MB -> 6.08 MB).
+#[test]
+fn serve_snapshot_bytes_grow_linearly_with_the_stream() {
+    let _turn = RECORDING.lock().unwrap_or_else(|e| e.into_inner());
+    qpredict_obs::set_recording(true);
+    let small = snapshot_bytes(1000);
+    let large = snapshot_bytes(4000);
+    qpredict_obs::set_recording(false);
+    assert!(small > 0, "the service wrote no snapshots");
+    let ratio = large as f64 / small as f64;
+    assert!(
+        ratio <= 5.0,
+        "4x the stream wrote {ratio:.1}x the snapshot bytes ({small} -> {large}): \
+         snapshots have gone quadratic"
     );
 }
