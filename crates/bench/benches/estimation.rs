@@ -93,24 +93,26 @@ fn scan_reduction() -> (u64, u64) {
 }
 
 /// Per-call cost of the observability layer's disarmed path (recording
-/// off): one span guard plus the four counter increments the hottest
-/// instrumented seam (`smith.predict`) performs. Returns seconds per
-/// instrumented call, amortized over an inner loop so the timer
-/// resolution doesn't dominate.
+/// off), as the hottest instrumented seam (`smith.predict`) runs it: one
+/// span guard, then one `recording()` check gating its four counter
+/// increments. Returns seconds per instrumented call, amortized over an
+/// inner loop so the timer resolution doesn't dominate.
 fn bench_obs_off_path() -> f64 {
     assert!(
         !qpredict_obs::recording(),
         "overhead bench measures the recording-OFF path"
     );
     const INNER: u64 = 1_000;
-    let secs = bench("estimation", "obs-off/span+4-counters-x1000", || {
+    let secs = bench("estimation", "obs-off/span+gated-x1000", || {
         let mut acc = 0u64;
         for i in 0..INNER {
             let _span = qpredict_obs::span("bench.off");
-            qpredict_obs::counter_add("bench.a", 1);
-            qpredict_obs::counter_add("bench.b", 1);
-            qpredict_obs::counter_add("bench.c", 1);
-            qpredict_obs::counter_add("bench.d", 1);
+            if qpredict_obs::recording() {
+                qpredict_obs::counter_add("bench.a", 1);
+                qpredict_obs::counter_add("bench.b", 1);
+                qpredict_obs::counter_add("bench.c", 1);
+                qpredict_obs::counter_add("bench.d", 1);
+            }
             acc = acc.wrapping_add(i);
         }
         acc

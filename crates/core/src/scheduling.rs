@@ -210,20 +210,21 @@ mod tests {
         assert_ne!(clean.metrics.mean_wait, a.metrics.mean_wait);
     }
 
+    /// Scheduling estimates are not memoized: the cache counters report
+    /// a pass-through, every estimate a miss, for a cacheable predictor
+    /// (Smith) and an uncacheable one (the fallback chain) alike.
     #[test]
-    fn estimate_cache_counters_are_reported() {
+    fn estimate_cache_counters_report_a_pass_through() {
         let wl = toy(200, 16, 38);
-        let out = run_scheduling(&wl, Algorithm::Lwf, PredictorKind::Smith);
-        let c = out.metrics.estimate_cache.expect("caching layer engaged");
-        assert!(c.hits > 0, "LWF re-estimates queued jobs every pass");
-        assert!(c.misses > 0);
-        assert!(c.invalidations > 0, "completions must flush the cache");
-        // The fallback chain is deliberately uncacheable (side-effecting
-        // predict): every call reaches the chain, counted as misses.
-        let fb = run_scheduling(&wl, Algorithm::Lwf, PredictorKind::Fallback);
-        let cf = fb.metrics.estimate_cache.expect("stats still reported");
-        assert_eq!(cf.hits, 0, "uncacheable predictors must pass through");
-        assert_eq!(cf.misses, fb.runtime_errors.count());
+        for kind in [PredictorKind::Smith, PredictorKind::Fallback] {
+            let out = run_scheduling(&wl, Algorithm::Lwf, kind);
+            let who = out.predictor;
+            let c = out.metrics.estimate_cache.expect("counters reported");
+            assert!(out.runtime_errors.count() > 0, "{who}: LWF estimates");
+            assert_eq!(c.hits, 0, "{who}: nothing is served from a cache");
+            assert_eq!(c.misses, out.runtime_errors.count(), "{who}");
+            assert_eq!(c.invalidations, 0, "{who}");
+        }
     }
 
     #[test]

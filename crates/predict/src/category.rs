@@ -9,8 +9,15 @@
 //! copy of every category and produce identical estimates, which the
 //! selection tie-break never prefers; the store keeps one category per
 //! distinct template.
+//!
+//! Categories live in dense *slots*. A job's category under every
+//! template depends only on its *signature*, so the store resolves each
+//! signature once to the slot of every distinct template and later finds
+//! them all with one hash of five words, instead of building and hashing
+//! one [`CategoryKey`] per template on every prediction and completion.
 
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 use qpredict_durable::{codec_struct, Codec, CodecError, Delta, Reader, Writer};
 use qpredict_workload::Job;
@@ -80,6 +87,74 @@ impl CategoryKey {
         })
     }
 }
+
+/// Everything a job's category key under any template is built from:
+/// its 8 characteristic values, its node count and whether it records a
+/// limit, packed into five words. Jobs with equal signatures fall into
+/// the same category under every template.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Signature([u64; 5]);
+
+impl Signature {
+    /// The signature of `job`: characteristic values two to a word, then
+    /// the node count, the limit flag (bit 32) and which characteristics
+    /// are recorded (bits 33..41).
+    fn of(job: &Job) -> Signature {
+        let mut words = [0u64; 5];
+        let mut recorded = 0u64;
+        for (i, c) in job.chars.iter().enumerate() {
+            if let Some(v) = c {
+                words[i / 2] |= (v.index() as u64) << (32 * (i % 2));
+                recorded |= 1 << i;
+            }
+        }
+        words[4] =
+            u64::from(job.nodes) | u64::from(job.max_runtime.is_some()) << 32 | recorded << 33;
+        Signature(words)
+    }
+}
+
+impl Hash for Signature {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        for w in self.0 {
+            state.write_u64(w);
+        }
+    }
+}
+
+/// A multiplicative word hasher (the rotate-xor-multiply step of FxHash)
+/// for [`Signature`]s: a handful of cycles per word where std's SipHash
+/// costs tens of nanoseconds per key. The table it serves holds job
+/// signatures, not attacker-chosen input, so flooding resistance buys
+/// nothing here.
+#[derive(Debug, Clone, Copy, Default)]
+struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, w: u64) {
+        self.0 = (self.0.rotate_left(5) ^ w).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn finish(&self) -> u64 {
+        // The table indexes buckets by the low bits, which a multiply
+        // mixes least; rotate the well-mixed middle bits down.
+        self.0.rotate_left(26)
+    }
+}
+
+/// Slot index of a template a signature has no category under.
+const NO_SLOT: u32 = u32::MAX;
+
+/// Where a signature's slots start in [`CategoryStore`]'s resolution
+/// list: one entry per distinct template, in template order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Resolved(u32);
 
 /// Running first/second moments of a value stream, maintained under
 /// append and evict. Floating-point drift from incremental subtraction is
@@ -352,12 +427,29 @@ struct HistoryDelta {
 }
 
 /// All categories of one template set.
+///
+/// Categories are dense slots: `slots` holds the histories and `index`
+/// maps each key to its slot. The *resolution table* is derived from
+/// them: it maps a job's signature to the slot of each distinct
+/// template, or to none when the template does not apply. A slot is
+/// created empty when a signature first resolves to it, so a later
+/// completion lands in it. Empty slots are invisible: the category count,
+/// the codec and deltas see only slots holding points. The table is
+/// never encoded; clearing drops it and it refills lazily.
 #[derive(Debug, Clone)]
 pub struct CategoryStore {
     /// The set's distinct templates with their index in the set: the
     /// first of each group of equal templates.
     templates: Vec<(usize, Template)>,
-    map: HashMap<CategoryKey, History>,
+    slots: Vec<History>,
+    index: HashMap<CategoryKey, u32>,
+    /// Each resolved signature's offset into `resolved`.
+    table: HashMap<Signature, u32, BuildHasherDefault<WordHasher>>,
+    /// Per resolved signature, the slot of each distinct template (or
+    /// `NO_SLOT`), in template order.
+    resolved: Vec<u32>,
+    /// Category keys built to resolve signatures (diagnostics).
+    resolutions: u64,
     /// Set by [`CategoryStore::clear`] until the next mark, so a delta
     /// also says that every category went away.
     cleared: bool,
@@ -375,7 +467,11 @@ impl CategoryStore {
             .collect();
         CategoryStore {
             templates,
-            map: HashMap::new(),
+            slots: Vec::new(),
+            index: HashMap::new(),
+            table: HashMap::default(),
+            resolved: Vec::new(),
+            resolutions: 0,
             cleared: false,
         }
     }
@@ -387,38 +483,117 @@ impl CategoryStore {
         &self.templates
     }
 
+    /// Resolve `job`'s categories: one hash of its signature once the
+    /// signature has been seen, else one key per distinct template.
+    pub(crate) fn resolve(&mut self, job: &Job) -> Resolved {
+        let sig = Signature::of(job);
+        if let Some(&at) = self.table.get(&sig) {
+            return Resolved(at);
+        }
+        let at = u32::try_from(self.resolved.len()).expect("resolution table overflow");
+        for k in 0..self.templates.len() {
+            let (ti, t) = self.templates[k];
+            self.resolutions += 1;
+            let slot = CategoryKey::for_job(ti, &t, job).map_or(NO_SLOT, |key| self.slot_of(key));
+            self.resolved.push(slot);
+        }
+        self.table.insert(sig, at);
+        Resolved(at)
+    }
+
+    /// The resolved job's non-empty categories: each distinct template
+    /// with its index in the set and its history, in set order.
+    pub(crate) fn matching(
+        &self,
+        r: Resolved,
+    ) -> impl Iterator<Item = (usize, &Template, &History)> + '_ {
+        let slots = &self.resolved[r.0 as usize..][..self.templates.len()];
+        self.templates
+            .iter()
+            .zip(slots)
+            .filter_map(|(&(ti, ref t), &slot)| {
+                let h = self.slots.get(slot as usize)?;
+                (!h.is_empty()).then_some((ti, t, h))
+            })
+    }
+
     /// Insert a completed job into every category it matches.
     pub fn insert(&mut self, job: &Job) {
         let p = Point::from_job(job);
-        for (ti, t) in &self.templates {
-            if let Some(key) = CategoryKey::for_job(*ti, t, job) {
-                self.map.entry(key).or_default().push(p, t);
+        let at = self.resolve(job).0 as usize;
+        let slots = &self.resolved[at..][..self.templates.len()];
+        for ((_, t), &slot) in self.templates.iter().zip(slots) {
+            if let Some(h) = self.slots.get_mut(slot as usize) {
+                h.push(p, t);
             }
         }
     }
 
     /// The history of `job`'s category under template `ti`, if any
-    /// points exist.
+    /// points exist, found by building and hashing its key: the simple
+    /// path the resolved one must agree with.
     pub fn history(&self, ti: usize, t: &Template, job: &Job) -> Option<&History> {
         let key = CategoryKey::for_job(ti, t, job)?;
-        self.map.get(&key).filter(|h| !h.is_empty())
+        let slot = *self.index.get(&key)?;
+        Some(&self.slots[slot as usize]).filter(|h| !h.is_empty())
     }
 
-    /// Number of live categories.
+    /// Number of live categories: those holding points.
     pub fn category_count(&self) -> usize {
-        self.map.len()
+        self.slots.iter().filter(|h| !h.is_empty()).count()
     }
 
     /// Total points held across every category (bounded-memory
     /// diagnostics: the serve crate's eviction test watches this).
     pub fn total_points(&self) -> usize {
-        self.map.values().map(|h| h.len()).sum()
+        self.slots.iter().map(|h| h.len()).sum()
+    }
+
+    /// Signatures in the resolution table (diagnostics).
+    pub(crate) fn signature_count(&self) -> usize {
+        self.table.len()
+    }
+
+    /// Category keys built to resolve signatures since the store was
+    /// created: distinct signatures × distinct templates while nothing
+    /// clears it (diagnostics; never encoded).
+    pub(crate) fn key_resolutions(&self) -> u64 {
+        self.resolutions
     }
 
     /// Discard everything.
     pub fn clear(&mut self) {
-        self.map.clear();
+        self.drop_categories();
         self.cleared = true;
+    }
+
+    /// Drop every category and the resolution table built over them.
+    fn drop_categories(&mut self) {
+        self.slots.clear();
+        self.index.clear();
+        self.table.clear();
+        self.resolved.clear();
+    }
+
+    /// The slot of `key`, created empty if it has none.
+    fn slot_of(&mut self, key: CategoryKey) -> u32 {
+        *self.index.entry(key).or_insert_with(|| {
+            self.slots.push(History::default());
+            u32::try_from(self.slots.len() - 1).expect("category slot overflow")
+        })
+    }
+
+    fn slot_mut(&mut self, key: CategoryKey) -> &mut History {
+        let slot = self.slot_of(key);
+        &mut self.slots[slot as usize]
+    }
+
+    /// The non-empty categories with their keys, in no particular order.
+    fn live(&self) -> impl Iterator<Item = (&CategoryKey, &History)> + '_ {
+        self.index
+            .iter()
+            .map(|(k, &slot)| (k, &self.slots[slot as usize]))
+            .filter(|(_, h)| !h.is_empty())
     }
 }
 
@@ -510,16 +685,17 @@ impl Codec for History {
 /// refuses a category of a template the store does not keep.
 impl Codec<TemplateSet> for CategoryStore {
     fn encode(&self, w: &mut Writer) {
-        w.map_records("cat", &self.map);
+        w.map_records("cat", self.live());
     }
     fn decode(r: &mut Reader<'_>, set: &TemplateSet) -> Result<CategoryStore, CodecError> {
         let mut store = CategoryStore::new(set);
-        store.map = r.map_records("cat", &(), &())?;
-        for (key, h) in store.map.iter_mut() {
-            let Some(t) = template_of(&store.templates, key) else {
-                return Err(not_distinct(r, key));
+        let cats: Vec<(CategoryKey, History)> = r.map_records("cat", &(), &())?;
+        for (key, mut h) in cats {
+            let Some(t) = template_of(&store.templates, &key) else {
+                return Err(not_distinct(r, &key));
             };
             h.build_index(t);
+            *store.slot_mut(key) = h;
         }
         Ok(store)
     }
@@ -546,8 +722,7 @@ impl Delta<TemplateSet> for CategoryStore {
     fn encode_delta(&self, w: &mut Writer) {
         w.record("catclear").put(&self.cleared);
         let changed: Vec<(&CategoryKey, HistoryDelta)> = self
-            .map
-            .iter()
+            .live()
             .filter_map(|(k, h)| Some((k, h.delta()?)))
             .collect();
         w.map_records("catd", changed.iter().map(|(k, d)| (*k, d)));
@@ -555,23 +730,23 @@ impl Delta<TemplateSet> for CategoryStore {
 
     fn apply_delta(&mut self, r: &mut Reader<'_>, _: &TemplateSet) -> Result<(), CodecError> {
         if r.record("catclear")?.get()? {
-            self.map.clear();
+            self.drop_categories();
         }
         let changed: Vec<(CategoryKey, HistoryDelta)> = r.map_records("catd", &(), &())?;
         for (key, d) in changed {
-            let Some(t) = template_of(&self.templates, &key) else {
+            let Some(&t) = template_of(&self.templates, &key) else {
                 return Err(not_distinct(r, &key));
             };
-            let h = self.map.entry(key).or_default();
+            let h = self.slot_mut(key);
             h.apply(d).map_err(|e| r.error(e))?;
-            h.build_index(t);
+            h.build_index(&t);
         }
         Ok(())
     }
 
     fn mark(&mut self) {
         self.cleared = false;
-        for h in self.map.values_mut() {
+        for h in &mut self.slots {
             h.mark = (h.inserted, h.points.len());
         }
     }

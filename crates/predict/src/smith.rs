@@ -215,6 +215,75 @@ impl SmithPredictor {
         Some(est)
     }
 
+    /// Step 2: of the estimates from `categories` (each distinct
+    /// template's index in the set, the template and the job's history
+    /// under it), keep the one with the smallest confidence interval.
+    /// Ties (e.g. two infinite intervals) break toward more data points,
+    /// then higher template specificity, then template order — all
+    /// deterministic. Returns the prediction (the fallback when no
+    /// category could predict) and the work the estimates did.
+    fn select<'h>(
+        &self,
+        job: &Job,
+        elapsed: Dur,
+        categories: impl Iterator<Item = (usize, &'h Template, &'h History)>,
+    ) -> (Prediction, EstimateOps) {
+        let mut best: Option<(f64, usize, u32, usize, f64)> = None;
+        // (ci, n, specificity, ti, value) — kept flat for cheap compares.
+        let mut ops = EstimateOps::default();
+        for (ti, t, history) in categories {
+            let Some(est) = self.category_estimate(t, job, elapsed, history, &mut ops) else {
+                continue;
+            };
+            let better = match best {
+                None => true,
+                Some((bci, bn, bspec, bti, _)) => (
+                    est.ci,
+                    std::cmp::Reverse(est.n),
+                    std::cmp::Reverse(t.specificity()),
+                    ti,
+                )
+                    .partial_cmp(&(bci, std::cmp::Reverse(bn), std::cmp::Reverse(bspec), bti))
+                    .map(|o| o == std::cmp::Ordering::Less)
+                    .unwrap_or(false),
+            };
+            if better {
+                best = Some((est.ci, est.n, t.specificity(), ti, est.value));
+            }
+        }
+        let cap = (self.max_seen * 2.0).max(3600.0);
+        let prediction = match best {
+            Some((ci, _, _, _, value)) => Prediction {
+                estimate: Dur::from_secs_f64(value.clamp(1.0, cap)),
+                ci_halfwidth: ci,
+                fallback: false,
+            },
+            None => Prediction::fallback(self.fallback_estimate(job)),
+        };
+        (prediction.clamped(elapsed), ops)
+    }
+
+    /// [`RunTimePredictor::predict`] the simple way: each distinct
+    /// template's category is found by building and hashing its key, and
+    /// nothing is recorded or resolved. The oracle tests hold `predict`,
+    /// which resolves the job's categories once per signature, to this
+    /// bit for bit.
+    pub fn predict_by_keys(&self, job: &Job, elapsed: Dur) -> Prediction {
+        let categories = self
+            .store
+            .templates()
+            .iter()
+            .filter_map(|&(ti, ref t)| Some((ti, t, self.store.history(ti, t, job)?)));
+        self.select(job, elapsed, categories).0
+    }
+
+    /// Signatures the predictor has resolved to categories, and the
+    /// category keys it built to resolve them (diagnostics; never
+    /// encoded). Keys grow with distinct signatures, not with calls.
+    pub fn resolution_counts(&self) -> (usize, u64) {
+        (self.store.signature_count(), self.store.key_resolutions())
+    }
+
     fn fallback_estimate(&self, job: &Job) -> Dur {
         if self.global_n > 0 {
             Dur::from_secs_f64(self.global_sum / self.global_n as f64)
@@ -319,53 +388,16 @@ impl RunTimePredictor for SmithPredictor {
 
     fn predict(&mut self, job: &Job, elapsed: Dur) -> Prediction {
         let _span = qpredict_obs::span("smith.predict");
-        // Step 2: gather candidate estimates and keep the one with the
-        // smallest confidence interval. Ties (e.g. two infinite
-        // intervals) break toward more data points, then higher template
-        // specificity, then template order — all deterministic.
-        let mut best: Option<(f64, usize, u32, usize, f64)> = None;
-        // (ci, n, specificity, ti, value) — kept flat for cheap compares.
-        let mut ops = EstimateOps::default();
-        // A template equal to an earlier one is skipped: its estimate
-        // would equal the earlier one's, which wins that tie on `ti`.
-        for &(ti, ref t) in self.store.templates() {
-            let Some(history) = self.store.history(ti, t, job) else {
-                continue;
-            };
-            let Some(est) = self.category_estimate(t, job, elapsed, history, &mut ops) else {
-                continue;
-            };
-            let better = match best {
-                None => true,
-                Some((bci, bn, bspec, bti, _)) => (
-                    est.ci,
-                    std::cmp::Reverse(est.n),
-                    std::cmp::Reverse(t.specificity()),
-                    ti,
-                )
-                    .partial_cmp(&(bci, std::cmp::Reverse(bn), std::cmp::Reverse(bspec), bti))
-                    .map(|o| o == std::cmp::Ordering::Less)
-                    .unwrap_or(false),
-            };
-            if better {
-                best = Some((est.ci, est.n, t.specificity(), ti, est.value));
-            }
+        let resolved = self.store.resolve(job);
+        let (prediction, ops) = self.select(job, elapsed, self.store.matching(resolved));
+        if qpredict_obs::recording() {
+            qpredict_obs::counter_add("smith.scanned_points", ops.scanned_points);
+            qpredict_obs::counter_add("smith.moment_points", ops.moment_points);
+            qpredict_obs::counter_add("smith.moment_estimates", ops.moment_estimates);
+            qpredict_obs::counter_add("smith.scan_estimates", ops.scan_estimates);
         }
-        qpredict_obs::counter_add("smith.scanned_points", ops.scanned_points);
-        qpredict_obs::counter_add("smith.moment_points", ops.moment_points);
-        qpredict_obs::counter_add("smith.moment_estimates", ops.moment_estimates);
-        qpredict_obs::counter_add("smith.scan_estimates", ops.scan_estimates);
         self.ops.merge(ops);
-        let cap = (self.max_seen * 2.0).max(3600.0);
-        match best {
-            Some((ci, _, _, _, value)) => Prediction {
-                estimate: Dur::from_secs_f64(value.clamp(1.0, cap)),
-                ci_halfwidth: ci,
-                fallback: false,
-            }
-            .clamped(elapsed),
-            None => Prediction::fallback(self.fallback_estimate(job)).clamped(elapsed),
-        }
+        prediction
     }
 
     fn on_complete(&mut self, job: &Job) {

@@ -3,10 +3,9 @@
 //!
 //! The full predictor suite (template-based, Gibbons, Downey) lives in
 //! `qpredict-predict`, and every [`qpredict_predict::RunTimePredictor`]
-//! is a [`RuntimeEstimator`] via the blanket impl below — including the
-//! memoizing [`qpredict_predict::CachingPredictor`], so a cached
-//! predictor can drive the engine directly. The estimators defined here
-//! are the ones the simulator itself needs for baselines and tests.
+//! is a [`RuntimeEstimator`] via the blanket impl below. The estimators
+//! defined here are the ones the simulator itself needs for baselines
+//! and tests.
 
 use qpredict_predict::{MaxRuntimePredictor, RunTimePredictor};
 use qpredict_workload::{Dur, Job, Time, Workload};
@@ -58,8 +57,11 @@ pub trait RuntimeEstimator {
 /// matters) and completions feed the predictor's history. This is the
 /// unification point of the estimation layer: the simulator, the
 /// experiment drivers, and the GA's fitness loop all consult the same
-/// [`RunTimePredictor`] implementations, optionally memoized by
-/// [`qpredict_predict::CachingPredictor`].
+/// [`RunTimePredictor`] implementations. A scheduling run consults them
+/// directly: its estimates rarely repeat between completions, so
+/// memoizing them with [`qpredict_predict::CachingPredictor`] costs more
+/// than it saves. The wait-time studies, whose nested forecasts repeat
+/// estimates, wrap their predictor in one.
 impl<P: RunTimePredictor> RuntimeEstimator for P {
     fn estimate(&mut self, job: &Job, _now: Time, elapsed: Dur) -> Dur {
         self.predict(job, elapsed).estimate

@@ -52,10 +52,12 @@ pub struct Metrics {
     pub mean_bounded_slowdown: f64,
     /// Total work in node-seconds.
     pub total_work_node_s: f64,
-    /// Estimate-cache hit/miss/invalidation counters, when the run was
-    /// driven through a [`qpredict_predict::CachingPredictor`]. `None`
-    /// for runs that never consulted the caching layer. Purely
-    /// observability: two otherwise-identical schedules may differ here.
+    /// Estimate-cache hit/miss/invalidation counters: those of the
+    /// [`qpredict_predict::CachingPredictor`] behind the wait-time
+    /// studies, or a pass-through's (every estimate a miss) for
+    /// scheduling runs, which do not memoize. `None` for runs that never
+    /// consulted the estimation layer. Purely observability: two
+    /// otherwise-identical schedules may differ here.
     pub estimate_cache: Option<CacheStats>,
 }
 

@@ -26,6 +26,15 @@ cp "$BENCH_LOCK" e2ebench/Cargo.lock
 rm -f "$BENCH_LOCK"
 [ "$bench_build" -eq 0 ]
 
+# Traced smoke: the traced cell rebuilds the scheduling cell from the
+# layers' public functions and must reproduce the untraced outputs and
+# estimate-cache counters bit for bit, or the run reports itself wrong.
+echo "==> e2ebench traced smoke (simulate-ctc --trace 1)"
+BENCH_JSON="$("${CARGO_TARGET_DIR:-e2ebench/target}/release/qpredict-e2ebench" \
+    --workload simulate-ctc --seed 1 --seconds 1 --trace 1 2>/dev/null | tail -n 1)"
+echo "$BENCH_JSON" | grep -q '"correct": true' \
+    || { echo "e2ebench traced simulate-ctc is not correct: $BENCH_JSON" >&2; exit 1; }
+
 echo "==> cargo doc --no-deps (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 

@@ -12,28 +12,41 @@
 //! lines × state, and the state grows with the stream; delta segments
 //! over a compacted base write in proportion to the change.
 //!
-//! The guards count work (points traversed, snapshot bytes) rather than
-//! timing anything, so they are deterministic. The recording flag is
-//! process-global, so they take turns.
+//! A scheduling pass re-estimates every queued and running job. The
+//! Smith predictor finds a job's categories through a table resolved
+//! once per distinct job signature; building one category key per
+//! template on every estimate would make the key work grow with the
+//! estimates instead.
+//!
+//! The guards count work (points traversed, snapshot bytes, keys built)
+//! rather than timing anything, so they are deterministic. The recording
+//! flag is process-global, so the guards that read it take turns.
 
+use std::collections::HashSet;
 use std::sync::Mutex;
 
-use qpredict_core::{run_wait_prediction, PredictorKind};
+use qpredict_core::{run_wait_prediction, searched, PredictorEstimator, PredictorKind};
+use qpredict_predict::SmithPredictor;
 use qpredict_serve::{FsyncPolicy, ServeConfig, Service};
-use qpredict_sim::Algorithm;
+use qpredict_sim::{Algorithm, Simulation};
 use qpredict_workload::synthesize_events;
-use qpredict_workload::synthetic::{generate, sites, toy};
+use qpredict_workload::synthetic::{generate, sites, toy, SiteSpec};
 
 static RECORDING: Mutex<()> = Mutex::new(());
+
+/// The site model cut to `jobs` jobs, sized as the CLI's `--jobs N`
+/// sizes it.
+fn site(mut spec: SiteSpec, jobs: usize) -> qpredict_workload::Workload {
+    spec.n_jobs = jobs;
+    spec.n_users = spec.n_users.min((jobs / 20).max(4));
+    generate(&spec)
+}
 
 /// History points the Smith predictor traversed while predicting waits
 /// on the SDSC96 site model cut to `jobs` jobs (sized as the CLI's
 /// `waitpred sdsc96 --jobs N` sizes it), under backfill.
 fn scanned_points(jobs: usize) -> u64 {
-    let mut spec = sites::sdsc96_spec();
-    spec.n_jobs = jobs;
-    spec.n_users = spec.n_users.min((jobs / 20).max(4));
-    let wl = generate(&spec);
+    let wl = site(sites::sdsc96_spec(), jobs);
     qpredict_obs::reset();
     let out = run_wait_prediction(&wl, Algorithm::Backfill, PredictorKind::Smith);
     assert_eq!(out.wait_errors.count(), jobs as u64, "every job forecast");
@@ -103,4 +116,49 @@ fn serve_snapshot_bytes_grow_linearly_with_the_stream() {
         "4x the stream wrote {ratio:.1}x the snapshot bytes ({small} -> {large}): \
          snapshots have gone quadratic"
     );
+}
+
+/// Category keys the Smith predictor built while driving backfill on the
+/// CTC site model cut to `jobs` jobs, with the estimates it answered.
+/// Every job is estimated while it waits, so every signature of the
+/// trace is resolved. Keys must be exactly distinct signatures ×
+/// distinct templates, and the table must stay within twice the
+/// non-empty categories. Measured (signatures / non-empty categories,
+/// then estimates per key built): 2k jobs 282 / 346 (0.82), 40; 8k jobs
+/// 629 / 651 (0.97), 73; 32k jobs 901 / 706 (1.28), 206. Building keys
+/// on every estimate would mean one key per estimate and template.
+#[test]
+fn category_keys_grow_with_signatures_not_estimates() {
+    for jobs in [2_000, 8_000, 32_000] {
+        let wl = site(sites::ctc_spec(), jobs);
+        let set = searched::set_for(&wl);
+        let all = set.templates();
+        let templates = (0..all.len())
+            .filter(|&i| !all[..i].contains(&all[i]))
+            .count() as u64;
+        let signatures: HashSet<_> = wl
+            .jobs
+            .iter()
+            .map(|j| (j.chars, j.nodes, j.max_runtime.is_some()))
+            .collect();
+        let mut est = PredictorEstimator::new(SmithPredictor::new(set));
+        let result = Simulation::run(&wl, Algorithm::Backfill, &mut est);
+        assert_eq!(result.metrics.n_jobs, jobs);
+        let p = est.predictor();
+        let (resolved, keys) = p.resolution_counts();
+        let estimates = est.errors().count();
+        let categories = p.category_count();
+        assert_eq!(resolved, signatures.len(), "{jobs} jobs: signatures");
+        assert_eq!(
+            keys,
+            signatures.len() as u64 * templates,
+            "{jobs} jobs: {keys} keys for {} signatures x {templates} templates \
+             over {estimates} estimates",
+            signatures.len()
+        );
+        assert!(
+            resolved <= 2 * categories,
+            "{jobs} jobs: {resolved} signatures for {categories} categories"
+        );
+    }
 }
