@@ -3,7 +3,10 @@
 
 use qpredict_bench::bench;
 use qpredict_predict::TemplateSet;
-use qpredict_search::{decode, encode, evaluate, search, GaConfig, PredictionWorkload, Target};
+use qpredict_search::{
+    decode, encode, evaluate, search_supervised, GaConfig, PredictionWorkload, SupervisorConfig,
+    Target,
+};
 use qpredict_sim::Algorithm;
 use qpredict_workload::synthetic::toy;
 use qpredict_workload::Characteristic;
@@ -33,11 +36,14 @@ fn bench_ga_generation() {
         let cfg = GaConfig {
             population: 12,
             generations: 2,
-            threads: 1,
             seed: 9,
             ..GaConfig::default()
         };
-        search(&wl, &pw, &cfg)
+        let sup = SupervisorConfig {
+            threads: 1,
+            ..SupervisorConfig::default()
+        };
+        search_supervised(&wl, &pw, &cfg, &sup, None)
     });
 }
 

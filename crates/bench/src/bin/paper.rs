@@ -3,9 +3,12 @@
 //! ```text
 //! paper [--jobs N|--jobs full] [--threads T] [--out FILE] <what>...
 //!
-//! what: table1 table2 table3 table4 ... table15 compress2x ga-ablation
-//!       ga-search all
+//! what: table1 table2 table3 table4 ... table15 compress2x statewait
+//!       easy-ablation warmup ga-ablation ga-search all
 //! ```
+//!
+//! Flag errors and unknown experiment names exit 2 with a one-line
+//! diagnostic before any workload is generated.
 //!
 //! `all` regenerates tables 1–15 plus the compressed-SDSC experiment and
 //! writes a markdown report (default `experiments_data.md`).
@@ -16,13 +19,13 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use qpredict_bench::{human_secs, parse_scale};
-use qpredict_core::grid::default_threads;
 use qpredict_core::paper::{self, Scale};
 use qpredict_core::tables::Table;
 use qpredict_core::PredictorKind;
+use qpredict_obs::{default_threads, par_map};
 use qpredict_search::{
-    greedy_search, search, search_supervised, GaConfig, GreedyConfig, PredictionWorkload,
-    SupervisorConfig, Target,
+    greedy_search, search_supervised, GaConfig, GreedyConfig, PredictionWorkload, SupervisorConfig,
+    Target,
 };
 use qpredict_sim::Algorithm;
 use qpredict_workload::Workload;
@@ -32,6 +35,42 @@ struct Args {
     threads: usize,
     out: Option<String>,
     what: Vec<String>,
+}
+
+/// Report a usage error on one line and exit 2.
+fn usage_error(msg: String) -> ! {
+    eprintln!("paper: {msg}");
+    std::process::exit(2)
+}
+
+/// Parse the value after `flag`, or exit with a usage error when it is
+/// missing or `parse` rejects it.
+fn flag<T>(
+    it: &mut impl Iterator<Item = String>,
+    flag: &str,
+    expected: &str,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> T {
+    let v = it
+        .next()
+        .unwrap_or_else(|| usage_error(format!("missing value for {flag}")));
+    parse(&v).unwrap_or_else(|| {
+        usage_error(format!(
+            "invalid value {v:?} for {flag} (expected {expected})"
+        ))
+    })
+}
+
+/// What `all` runs: every table, then the extension experiments.
+fn all() -> impl Iterator<Item = String> {
+    let extensions = ["compress2x", "statewait", "easy-ablation", "warmup"];
+    (1..=15)
+        .map(|i| format!("table{i}"))
+        .chain(extensions.map(String::from))
+}
+
+fn is_experiment(what: &str) -> bool {
+    matches!(what, "all" | "ga-ablation" | "ga-search") || all().any(|w| w == what)
 }
 
 fn parse_args() -> Args {
@@ -44,27 +83,19 @@ fn parse_args() -> Args {
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--jobs" => {
-                let v = it.next().expect("--jobs needs a value");
-                args.scale = parse_scale(&v).expect("--jobs takes `full` or a count");
-            }
-            "--threads" => {
-                args.threads = it
-                    .next()
-                    .expect("--threads needs a value")
-                    .parse()
-                    .expect("--threads takes a count");
-            }
-            "--out" => args.out = Some(it.next().expect("--out needs a path")),
+            "--jobs" => args.scale = flag(&mut it, "--jobs", "`full` or a count", parse_scale),
+            "--threads" => args.threads = flag(&mut it, "--threads", "a count", |v| v.parse().ok()),
+            "--out" => args.out = Some(flag(&mut it, "--out", "a path", |v| Some(v.into()))),
             "--help" | "-h" => {
                 eprintln!(
                     "usage: paper [--jobs N|full] [--threads T] [--out FILE] \
                      <table1..table15|compress2x|statewait|easy-ablation|\
-                     ga-ablation|ga-search|all>..."
+                     warmup|ga-ablation|ga-search|all>..."
                 );
                 std::process::exit(0);
             }
-            other => args.what.push(other.to_string()),
+            other if is_experiment(other) => args.what.push(other.to_string()),
+            other => usage_error(format!("unknown experiment {other:?}; see --help")),
         }
     }
     if args.what.is_empty() {
@@ -98,10 +129,7 @@ fn run_one(what: &str, wls: &[Workload], threads: usize, report: &mut String) {
         "statewait" => emit(report, &statewait_table(wls, threads)),
         "easy-ablation" => emit(report, &easy_ablation(wls, threads)),
         "warmup" => emit(report, &warmup_table(wls, threads)),
-        other => {
-            eprintln!("unknown experiment {other:?}; see --help");
-            std::process::exit(2);
-        }
+        other => unreachable!("parse_args admits only known experiments, not {other:?}"),
     }
     eprintln!("[{what}: {}]", human_secs(started.elapsed().as_secs_f64()));
 }
@@ -156,11 +184,16 @@ fn ga_ablation(wls: &[Workload], threads: usize) -> Table {
     let cfg = GaConfig {
         population: 24,
         generations: 12,
-        threads,
         seeds: vec![curated],
         ..GaConfig::default()
     };
-    let ga = search(wl, &pw, &cfg);
+    let sup = SupervisorConfig {
+        threads,
+        ..SupervisorConfig::default()
+    };
+    let ga = search_supervised(wl, &pw, &cfg, &sup, None)
+        .expect("unfaulted search is clean")
+        .result;
     t.push_row(vec![
         "genetic algorithm".into(),
         format!("{:.2}", ga.best_error_min),
@@ -172,7 +205,7 @@ fn ga_ablation(wls: &[Workload], threads: usize) -> Table {
 
 /// Run the GA per workload, validate the winner against the curated set
 /// on a held-out stream, and print the better set (plus paste-ready Rust
-/// for `qpredict-core/src/searched.rs`).
+/// for `qpredict-predict/src/searched.rs`).
 fn ga_search(wls: &[Workload], threads: usize) -> Table {
     let mut t = Table::new(
         "ga-search",
@@ -199,7 +232,6 @@ fn ga_search(wls: &[Workload], threads: usize) -> Table {
         let cfg = GaConfig {
             population: 28,
             generations: 20,
-            threads,
             seeds: vec![curated.clone()],
             ..GaConfig::default()
         };
@@ -241,19 +273,14 @@ fn ga_search(wls: &[Workload], threads: usize) -> Table {
 fn statewait_table(wls: &[Workload], threads: usize) -> Table {
     use qpredict_core::{run_state_wait_prediction, run_wait_prediction};
     let algs = [Algorithm::Lwf, Algorithm::Backfill];
-    let cells: Vec<_> = wls
+    let cells = wls
         .iter()
-        .flat_map(|w| {
-            algs.iter().map(move |&alg| {
-                move || {
-                    let sim = run_wait_prediction(w, alg, PredictorKind::Smith);
-                    let state = run_state_wait_prediction(w, alg, PredictorKind::Smith);
-                    (sim, state)
-                }
-            })
-        })
-        .collect();
-    let outcomes = qpredict_core::run_cells(cells, threads);
+        .flat_map(|w| algs.iter().map(move |&alg| (w, alg)));
+    let outcomes = par_map(cells.collect(), threads, |_, (w, alg)| {
+        let sim = run_wait_prediction(w, alg, PredictorKind::Smith);
+        let state = run_state_wait_prediction(w, alg, PredictorKind::Smith);
+        (sim, state)
+    });
     let mut t = Table::new(
         "statewait",
         "Future-work extension: state-based vs simulation-based wait prediction (MAE min / % of mean wait)",
@@ -284,20 +311,13 @@ fn statewait_table(wls: &[Workload], threads: usize) -> Table {
 /// cold vs pre-trained on the first half.
 fn warmup_table(wls: &[Workload], threads: usize) -> Table {
     use qpredict_core::{run_wait_prediction, run_wait_prediction_warm};
-    let cells: Vec<_> = wls
-        .iter()
-        .map(|w| {
-            move || {
-                let half = w.len() / 2;
-                let eval = w.suffix(half);
-                let cold = run_wait_prediction(&eval, Algorithm::Backfill, PredictorKind::Smith);
-                let warm =
-                    run_wait_prediction_warm(w, Algorithm::Backfill, PredictorKind::Smith, half);
-                (cold, warm)
-            }
-        })
-        .collect();
-    let outcomes = qpredict_core::run_cells(cells, threads);
+    let outcomes = par_map(wls.iter().collect(), threads, |_, w| {
+        let half = w.len() / 2;
+        let eval = w.suffix(half);
+        let cold = run_wait_prediction(&eval, Algorithm::Backfill, PredictorKind::Smith);
+        let warm = run_wait_prediction_warm(w, Algorithm::Backfill, PredictorKind::Smith, half);
+        (cold, warm)
+    });
     let mut t = Table::new(
         "warmup",
         "Cold start vs training-set initialization (Smith, backfill, second half of each trace)",
@@ -327,17 +347,17 @@ fn easy_ablation(wls: &[Workload], threads: usize) -> Table {
     use qpredict_core::run_scheduling;
     let kinds = [PredictorKind::MaxRuntime, PredictorKind::Smith];
     let algs = [Algorithm::Backfill, Algorithm::EasyBackfill];
-    let mut cells: Vec<Box<dyn FnOnce() -> qpredict_core::SchedulingOutcome + Send + '_>> =
-        Vec::new();
+    let mut cells = Vec::new();
     for w in wls {
         for kind in &kinds {
             for &alg in &algs {
-                let kind = kind.clone();
-                cells.push(Box::new(move || run_scheduling(w, alg, kind)));
+                cells.push((w, kind, alg));
             }
         }
     }
-    let outcomes = qpredict_core::run_cells(cells, threads);
+    let outcomes = par_map(cells, threads, |_, (w, kind, alg)| {
+        run_scheduling(w, alg, kind.clone())
+    });
     let mut t = Table::new(
         "easy-ablation",
         "Backfill flavour ablation: conservative (paper) vs EASY mean waits (min)",
@@ -393,12 +413,7 @@ fn set_to_rust(set: &qpredict_predict::TemplateSet) -> String {
 fn main() {
     let args = parse_args();
     let what: Vec<String> = if args.what.iter().any(|w| w == "all") {
-        let mut v: Vec<String> = (1..=15).map(|i| format!("table{i}")).collect();
-        v.push("compress2x".into());
-        v.push("statewait".into());
-        v.push("easy-ablation".into());
-        v.push("warmup".into());
-        v
+        all().collect()
     } else {
         args.what.clone()
     };

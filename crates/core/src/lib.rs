@@ -14,22 +14,19 @@
 //!   with a run-time predictor and measure utilization and mean wait;
 //! * [`PredictorKind`] — uniform construction of every predictor the
 //!   paper compares (actual, maximum run times, Smith, Gibbons, Downey
-//!   x2);
+//!   x2), re-exported from `qpredict-predict` with its [`searched`]
+//!   template sets;
 //! * [`template_search`] — the supervised, resumable GA template search
 //!   (checkpoint/restore, panic-isolated retrying evaluation) packaged
 //!   as a harness step;
 //! * [`paper`] — one function per paper table, with the published values
-//!   embedded for side-by-side comparison;
-//! * [`grid`] — a parallel runner for experiment grids
-//!   (workload x algorithm x predictor).
+//!   embedded for side-by-side comparison; its grids
+//!   (workload x algorithm x predictor) run on `qpredict_obs::par_map`.
 
 pub mod adapter;
 pub mod forecast;
-pub mod grid;
-pub mod kind;
 pub mod paper;
 pub mod scheduling;
-pub mod searched;
 pub mod statewait;
 pub mod tables;
 pub mod template_search;
@@ -37,8 +34,7 @@ pub mod waittime;
 
 pub use adapter::PredictorEstimator;
 pub use forecast::{forecast_start, forecast_start_interval, WaitInterval};
-pub use grid::run_cells;
-pub use kind::PredictorKind;
+pub use qpredict_predict::{searched, PredictorKind};
 pub use scheduling::{run_scheduling, run_scheduling_with, FaultSummary, SchedulingOutcome};
 pub use statewait::{run_state_wait_prediction, StateWaitPredictor};
 pub use tables::Table;

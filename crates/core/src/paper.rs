@@ -7,14 +7,14 @@
 //! comparison is about *shape* (who wins, by roughly what factor), not
 //! absolute numbers — see EXPERIMENTS.md.
 
+use qpredict_obs::par_map;
 use qpredict_sim::Algorithm;
 use qpredict_workload::{compress_interarrivals, synthetic, Workload, WorkloadStats};
 
-use crate::grid::run_cells;
-use crate::kind::PredictorKind;
 use crate::scheduling::run_scheduling;
 use crate::tables::Table;
 use crate::waittime::run_wait_prediction;
+use crate::PredictorKind;
 
 /// How much of each trace to simulate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -416,17 +416,12 @@ pub fn wait_table(table: u8, wls: &[Workload], threads: usize) -> Table {
     } else {
         &[Algorithm::Fcfs, Algorithm::Lwf, Algorithm::Backfill]
     };
-    let cells: Vec<_> = wls
+    let cells = wls
         .iter()
-        .flat_map(|w| {
-            let kind = kind.clone();
-            algs.iter().map(move |&alg| {
-                let kind = kind.clone();
-                move || run_wait_prediction(w, alg, kind)
-            })
-        })
-        .collect();
-    let outcomes = run_cells(cells, threads);
+        .flat_map(|w| algs.iter().map(move |&alg| (w, alg)));
+    let outcomes = par_map(cells.collect(), threads, |_, (w, alg)| {
+        run_wait_prediction(w, alg, kind.clone())
+    });
 
     let refs = wait_ref(table);
     let mut t = Table::new(
@@ -466,17 +461,12 @@ pub fn wait_table(table: u8, wls: &[Workload], threads: usize) -> Table {
 pub fn sched_table(table: u8, wls: &[Workload], threads: usize) -> Table {
     let kind = table_predictor(table);
     let algs = [Algorithm::Lwf, Algorithm::Backfill];
-    let cells: Vec<_> = wls
+    let cells = wls
         .iter()
-        .flat_map(|w| {
-            let kind = kind.clone();
-            algs.iter().map(move |&alg| {
-                let kind = kind.clone();
-                move || run_scheduling(w, alg, kind)
-            })
-        })
-        .collect();
-    let outcomes = run_cells(cells, threads);
+        .flat_map(|w| algs.iter().map(move |&alg| (w, alg)));
+    let outcomes = par_map(cells.collect(), threads, |_, (w, alg)| {
+        run_scheduling(w, alg, kind.clone())
+    });
 
     let refs = sched_ref(table);
     let mut t = Table::new(
@@ -529,17 +519,17 @@ pub fn compress2x(wls: &[Workload], threads: usize) -> Table {
         PredictorKind::DowneyMedian,
     ];
     let algs = [Algorithm::Lwf, Algorithm::Backfill];
-    type Cell<'a> = Box<dyn FnOnce() -> crate::scheduling::SchedulingOutcome + Send + 'a>;
-    let mut cells: Vec<Cell<'_>> = Vec::new();
+    let mut cells = Vec::new();
     for w in &compressed {
         for &alg in &algs {
             for kind in &kinds {
-                let kind = kind.clone();
-                cells.push(Box::new(move || run_scheduling(w, alg, kind)));
+                cells.push((w, alg, kind));
             }
         }
     }
-    let outcomes = run_cells(cells, threads);
+    let outcomes = par_map(cells, threads, |_, (w, alg, kind)| {
+        run_scheduling(w, alg, kind.clone())
+    });
 
     let mut t = Table::new(
         "compress2x",

@@ -9,7 +9,7 @@ use qpredict_sim::{
 use qpredict_workload::Workload;
 
 use crate::adapter::PredictorEstimator;
-use crate::kind::PredictorKind;
+use crate::PredictorKind;
 
 /// Results of one scheduling run.
 #[derive(Debug, Clone)]

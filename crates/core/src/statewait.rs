@@ -25,8 +25,8 @@ use qpredict_predict::{CachingPredictor, ErrorStats, RunTimePredictor};
 use qpredict_sim::{Algorithm, MaxRuntimeEstimator, SimHooks, Simulation, Snapshot};
 use qpredict_workload::{Dur, Job, JobId, Time, Workload};
 
-use crate::kind::PredictorKind;
 use crate::waittime::WaitPredictionOutcome;
+use crate::PredictorKind;
 
 /// Bucketed description of "what the system looked like" when a job was
 /// submitted.

@@ -9,6 +9,7 @@
 //! a killed search resumed from its snapshot reports the same best
 //! template set and fitness trace as an uninterrupted one.
 
+use qpredict_predict::searched::curated_seed_for;
 use qpredict_predict::TemplateSet;
 use qpredict_search::{
     resume_supervised, search_supervised, CheckpointPolicy, GaConfig, PredictionWorkload,
@@ -16,8 +17,6 @@ use qpredict_search::{
 };
 use qpredict_sim::Algorithm;
 use qpredict_workload::Workload;
-
-use crate::searched::curated_seed_for;
 
 /// Everything a supervised search run needs besides the workload.
 #[derive(Debug, Clone)]

@@ -27,7 +27,7 @@ use qpredict_sim::{
 use qpredict_workload::{Dur, Job, Time, Workload};
 
 use crate::forecast::forecast_start;
-use crate::kind::PredictorKind;
+use crate::PredictorKind;
 
 /// Results of a wait-time prediction run.
 #[derive(Debug, Clone)]
@@ -121,7 +121,7 @@ pub fn run_wait_prediction_warm(
 fn run_wait_prediction_with(
     wl: &Workload,
     alg: Algorithm,
-    predictor: crate::kind::BoxedPredictor,
+    predictor: Box<dyn RunTimePredictor + Send>,
 ) -> WaitPredictionOutcome {
     let _span = qpredict_obs::span("run.waitpred");
     let predictor_name = predictor.name();

@@ -35,9 +35,13 @@
 //! spans and counters, and [`snapshot`] reads the calling thread's view.
 //! This keeps the hot path free of cross-thread synchronization and
 //! keeps parallel test binaries from polluting each other's tallies.
-//! Worker threads (e.g. the GA evaluation pool) do not publish directly;
-//! their health deltas are absorbed on the coordinating thread, which
-//! mirrors them into its registry.
+//!
+//! [`par_map`] is the workspace's one parallel fan-out: the paper's
+//! experiment grids and the GA's fitness evaluations all run through
+//! it. Its workers do not publish to the caller's registry; results
+//! (e.g. the GA's health deltas) come back to the calling thread, which
+//! mirrors them into its own. With one thread `par_map` runs inline, so
+//! everything its items record lands in the caller's registry.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -45,7 +49,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 pub mod json;
+mod par;
 pub mod report;
+
+pub use par::{default_threads, par_map};
 
 /// Number of log2 latency buckets: bucket `i` counts spans whose
 /// duration in nanoseconds `d` satisfies `floor(log2(d)) == i` (bucket 0
@@ -252,7 +259,7 @@ mod tests {
     /// Tests that toggle the global recording flag must not interleave.
     static FLAG: Mutex<()> = Mutex::new(());
 
-    fn locked() -> std::sync::MutexGuard<'static, ()> {
+    pub(crate) fn locked() -> std::sync::MutexGuard<'static, ()> {
         FLAG.lock().unwrap_or_else(|e| e.into_inner())
     }
 

@@ -1,15 +1,14 @@
 //! Uniform construction of every predictor the paper compares.
 
-use qpredict_predict::{
-    DegradationCounts, DowneyPredictor, DowneyVariant, FallbackPredictor, GibbonsPredictor,
-    MaxRuntimePredictor, OraclePredictor, Prediction, RunTimePredictor, SmithPredictor,
-    TemplateSet,
+use qpredict_workload::Workload;
+
+use crate::{
+    searched, DowneyPredictor, DowneyVariant, FallbackPredictor, GibbonsPredictor,
+    MaxRuntimePredictor, OraclePredictor, RunTimePredictor, SmithPredictor, TemplateSet,
 };
-use qpredict_workload::{Dur, Job, Workload};
 
-use crate::searched;
-
-/// Which run-time predictor to use in an experiment.
+/// Which run-time predictor an experiment, the CLI or the online
+/// service runs.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PredictorKind {
     /// Actual run times (perfect information; Tables 4 and 10).
@@ -75,9 +74,10 @@ impl PredictorKind {
         }
     }
 
-    /// Build the predictor for `wl`.
-    pub fn build(&self, wl: &Workload) -> BoxedPredictor {
-        let inner: Box<dyn RunTimePredictor + Send> = match self {
+    /// Build the predictor for `wl`, boxed so experiment code can treat
+    /// every kind uniformly and move it across threads.
+    pub fn build(&self, wl: &Workload) -> Box<dyn RunTimePredictor + Send> {
+        match self {
             PredictorKind::Actual => Box::new(OraclePredictor),
             PredictorKind::MaxRuntime => Box::new(MaxRuntimePredictor::from_workload(wl)),
             PredictorKind::Smith => Box::new(SmithPredictor::new(searched::set_for(wl))),
@@ -103,8 +103,7 @@ impl PredictorKind {
                 MaxRuntimePredictor::from_workload(wl),
                 FallbackPredictor::DEFAULT_ESTIMATE,
             )),
-        };
-        BoxedPredictor { inner }
+        }
     }
 }
 
@@ -114,43 +113,11 @@ impl std::fmt::Display for PredictorKind {
     }
 }
 
-/// A heap-allocated predictor implementing [`RunTimePredictor`] by
-/// delegation (so experiment code can treat all kinds uniformly and move
-/// them across threads).
-pub struct BoxedPredictor {
-    inner: Box<dyn RunTimePredictor + Send>,
-}
-
-impl RunTimePredictor for BoxedPredictor {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    fn predict(&mut self, job: &Job, elapsed: Dur) -> Prediction {
-        self.inner.predict(job, elapsed)
-    }
-
-    fn on_complete(&mut self, job: &Job) {
-        RunTimePredictor::on_complete(self.inner.as_mut(), job)
-    }
-
-    fn reset(&mut self) {
-        self.inner.reset()
-    }
-
-    fn degradations(&self) -> Option<DegradationCounts> {
-        self.inner.degradations()
-    }
-
-    fn generation(&self) -> Option<u64> {
-        self.inner.generation()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use qpredict_workload::synthetic::toy;
+    use qpredict_workload::Dur;
 
     #[test]
     fn builds_every_kind() {
@@ -193,7 +160,7 @@ mod tests {
 
     #[test]
     fn smith_with_uses_given_set() {
-        use qpredict_predict::Template;
+        use crate::Template;
         let wl = toy(50, 16, 2);
         let set = TemplateSet::new(vec![Template::mean_over(&[])]);
         let kind = PredictorKind::SmithWith(set);

@@ -22,6 +22,9 @@
 //! [`Prediction`] for a job given how long it has already been running,
 //! and they learn from completions (`on_complete`), mirroring the paper's
 //! step 3 ("at the time each application completes execution").
+//!
+//! [`PredictorKind`] names every predictor the paper compares and builds
+//! it for a workload, using the [`searched`] template sets for Smith.
 
 pub mod baseline;
 pub mod category;
@@ -31,7 +34,9 @@ pub mod estimate;
 pub mod estimators;
 pub mod fallback;
 pub mod gibbons;
+pub mod kind;
 mod rtindex;
+pub mod searched;
 pub mod smith;
 pub mod template;
 
@@ -41,6 +46,7 @@ pub use error::ErrorStats;
 pub use estimate::{CacheStats, CachingPredictor};
 pub use fallback::{DegradationCounts, FallbackPredictor};
 pub use gibbons::GibbonsPredictor;
+pub use kind::PredictorKind;
 pub use smith::{EstimateOps, SmithPredictor};
 pub use template::{CharSet, EstimatorKind, Template, TemplateSet};
 
@@ -153,6 +159,39 @@ pub trait RunTimePredictor {
     /// [`CachingPredictor`] memoization for this predictor.
     fn generation(&self) -> Option<u64> {
         None
+    }
+}
+
+/// A boxed predictor is a predictor: every method forwards, so
+/// [`PredictorKind::build`]'s `Box<dyn RunTimePredictor + Send>` runs
+/// wherever a concrete predictor does.
+impl<P: RunTimePredictor + ?Sized> RunTimePredictor for Box<P> {
+    fn name(&self) -> &'static str {
+        (**self).name()
+    }
+
+    fn predict(&mut self, job: &Job, elapsed: Dur) -> Prediction {
+        (**self).predict(job, elapsed)
+    }
+
+    fn try_predict(&mut self, job: &Job, elapsed: Dur) -> Result<Prediction, PredictError> {
+        (**self).try_predict(job, elapsed)
+    }
+
+    fn on_complete(&mut self, job: &Job) {
+        (**self).on_complete(job)
+    }
+
+    fn reset(&mut self) {
+        (**self).reset()
+    }
+
+    fn degradations(&self) -> Option<DegradationCounts> {
+        (**self).degradations()
+    }
+
+    fn generation(&self) -> Option<u64> {
+        (**self).generation()
     }
 }
 

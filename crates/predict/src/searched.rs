@@ -23,7 +23,7 @@
 //! Unknown workloads fall back to [`TemplateSet::default_for`], which
 //! adapts to whatever characteristics the trace records.
 
-use qpredict_predict::{EstimatorKind, Template, TemplateSet};
+use crate::{EstimatorKind, Template, TemplateSet};
 use qpredict_workload::{Characteristic, Workload, CHARACTERISTICS};
 
 use Characteristic as C;
@@ -292,7 +292,7 @@ mod tests {
 
     #[test]
     fn searched_sets_predict_without_fallback_after_warmup() {
-        use qpredict_predict::{RunTimePredictor, SmithPredictor};
+        use crate::{RunTimePredictor, SmithPredictor};
         use qpredict_workload::Dur;
         for name in ["ANL", "CTC", "SDSC95", "SDSC96"] {
             let wl = synthetic::by_name(name).unwrap().truncated(600);

@@ -10,11 +10,11 @@
 //! counts and every later prediction agree with a twin that never
 //! resolved anything it did not learn from.
 
-use qpredict_core::searched;
 use qpredict_durable::codec::{decode, encode};
 use qpredict_durable::{Delta, Reader, Writer};
 use qpredict_predict::{
-    EstimateOps, EstimatorKind, Prediction, RunTimePredictor, SmithPredictor, Template, TemplateSet,
+    searched, EstimateOps, EstimatorKind, Prediction, RunTimePredictor, SmithPredictor, Template,
+    TemplateSet,
 };
 use qpredict_workload::rng::Rng64;
 use qpredict_workload::synthetic::{generate, sites, toy};

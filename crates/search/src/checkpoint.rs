@@ -58,8 +58,9 @@ pub const CHECKPOINT_FILE: &str = "ga.ckpt";
 
 /// The GA-configuration facets that must match for a resume to be
 /// bit-identical to the original run. `generations` is deliberately
-/// excluded so a finished run may be extended; `threads` is excluded
-/// because evaluation outcomes are thread-count-invariant.
+/// excluded so a finished run may be extended. The worker count lives in
+/// `SupervisorConfig`, outside the fingerprint, because evaluation
+/// outcomes are thread-count-invariant.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConfigFingerprint {
     /// Individuals per generation.
@@ -595,13 +596,6 @@ mod tests {
         assert_eq!(field, "population");
         assert_ne!(stored, current);
         assert!(a.mismatch(&a.clone()).is_none());
-        // Thread count is not part of the fingerprint.
-        let c = ConfigFingerprint::of(&GaConfig {
-            threads: cfg.threads + 3,
-            generations: cfg.generations + 9,
-            ..cfg
-        });
-        assert!(a.mismatch(&c).is_none());
     }
 
     #[test]

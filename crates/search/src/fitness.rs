@@ -1,6 +1,11 @@
 //! Fitness evaluation: how well a template set predicts run times over a
 //! recorded prediction workload.
 //!
+//! There is one replay loop, [`replay`], run under a step budget and
+//! returning the error statistics with the replay's cache counters; the
+//! supervisor calls it directly, and [`evaluate`] wraps it with the
+//! [`derived_eval_budget`] for callers that want only the errors.
+//!
 //! Every replay routes through a [`CachingPredictor`]: prediction
 //! workloads recorded from wait-time forecasts re-request the same
 //! `(job, elapsed)` estimates many times between `Insert` events, and
@@ -20,55 +25,27 @@ use crate::workloads::{PredEvent, PredictionWorkload};
 /// return the prediction-error statistics. Lower mean absolute error is
 /// better; this is the raw error `E` the GA's fitness scaling consumes.
 pub fn evaluate(set: &TemplateSet, wl: &Workload, pw: &PredictionWorkload) -> ErrorStats {
-    evaluate_with_cache(set, wl, pw).0
+    replay(set, wl, pw, derived_eval_budget(pw))
+        .expect("the derived budget covers every event")
+        .0
 }
 
-/// Like [`evaluate`], also returning the estimate-cache counters of the
-/// replay (folded into `SearchHealth` by the supervisor).
-pub fn evaluate_with_cache(
-    set: &TemplateSet,
-    wl: &Workload,
-    pw: &PredictionWorkload,
-) -> (ErrorStats, CacheStats) {
-    let mut predictor = CachingPredictor::new(SmithPredictor::new(set.clone()));
-    let mut stats = ErrorStats::new();
-    for ev in &pw.events {
-        match *ev {
-            PredEvent::Predict { job, elapsed } => {
-                let j = wl.job(job);
-                let pred = predictor.predict(j, elapsed);
-                stats.record(pred.estimate, j.runtime);
-            }
-            PredEvent::Insert { job } => predictor.on_complete(wl.job(job)),
-        }
-    }
-    (stats, predictor.stats())
-}
-
-/// The step budget [`evaluate_guarded`] derives when the caller passes
-/// none: every evaluation replays exactly `pw.events.len()` events, so
-/// any legitimate run finishes well inside this.
+/// The step budget [`evaluate`] uses and the supervisor derives when
+/// its configuration names none: every evaluation replays exactly
+/// `pw.events.len()` events, so any legitimate run finishes well inside
+/// this.
 pub fn derived_eval_budget(pw: &PredictionWorkload) -> u64 {
     pw.events.len() as u64 + 1_000
 }
 
-/// Like [`evaluate`], but under a step budget: each replayed event costs
-/// one step, and exceeding `max_steps` aborts with
+/// The one fitness replay, under a step budget: each replayed event
+/// costs one step, and exceeding `max_steps` aborts with
 /// [`SimError::BudgetExhausted`] — the same watchdog contract
 /// `Simulation::run_guarded` gives the scheduler, applied to the GA's
 /// fitness loop so a hung evaluation cannot wedge a search worker.
-pub fn evaluate_guarded(
-    set: &TemplateSet,
-    wl: &Workload,
-    pw: &PredictionWorkload,
-    max_steps: u64,
-) -> Result<ErrorStats, SimError> {
-    evaluate_guarded_with_cache(set, wl, pw, max_steps).map(|(stats, _)| stats)
-}
-
-/// Like [`evaluate_guarded`], also returning the estimate-cache counters
-/// of the replay so the supervisor can fold them into `SearchHealth`.
-pub fn evaluate_guarded_with_cache(
+/// Also returns the estimate-cache counters of the replay, which the
+/// supervisor folds into `SearchHealth`.
+pub fn replay(
     set: &TemplateSet,
     wl: &Workload,
     pw: &PredictionWorkload,
@@ -92,46 +69,6 @@ pub fn evaluate_guarded_with_cache(
         }
     }
     Ok((stats, predictor.stats()))
-}
-
-/// Evaluate many template sets in parallel over the same workload,
-/// returning errors in input order. Uses scoped threads with a shared
-/// work queue (the sets differ wildly in cost, so static partitioning
-/// would straggle).
-pub fn evaluate_many(
-    sets: &[TemplateSet],
-    wl: &Workload,
-    pw: &PredictionWorkload,
-    threads: usize,
-) -> Vec<ErrorStats> {
-    let threads = threads.max(1).min(sets.len().max(1));
-    if threads <= 1 || sets.len() <= 1 {
-        return sets.iter().map(|s| evaluate(s, wl, pw)).collect();
-    }
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let results: Vec<std::sync::Mutex<Option<ErrorStats>>> = (0..sets.len())
-        .map(|_| std::sync::Mutex::new(None))
-        .collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= sets.len() {
-                    break;
-                }
-                let stats = evaluate(&sets[i], wl, pw);
-                *results[i].lock().expect("result slot poisoned") = Some(stats);
-            });
-        }
-    });
-    results
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("result slot poisoned")
-                .expect("worker filled every slot")
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -191,7 +128,7 @@ mod tests {
             TemplateSet::new(vec![Template::mean_over(&[Characteristic::Executable])]),
         ];
         let serial: Vec<_> = sets.iter().map(|s| evaluate(s, &wl, &pw)).collect();
-        let parallel = evaluate_many(&sets, &wl, &pw, 4);
+        let parallel = qpredict_obs::par_map(sets, 4, |_, s| evaluate(&s, &wl, &pw));
         assert_eq!(serial, parallel);
     }
 
@@ -200,8 +137,8 @@ mod tests {
         let (wl, pw) = setup();
         let set = TemplateSet::new(vec![Template::mean_over(&[Characteristic::User])]);
         let plain = evaluate(&set, &wl, &pw);
-        let guarded =
-            evaluate_guarded(&set, &wl, &pw, derived_eval_budget(&pw)).expect("budget is generous");
+        let (guarded, _) =
+            replay(&set, &wl, &pw, derived_eval_budget(&pw)).expect("budget is generous");
         assert_eq!(plain, guarded);
     }
 
@@ -209,7 +146,7 @@ mod tests {
     fn guarded_reports_budget_exhaustion() {
         let (wl, pw) = setup();
         let set = TemplateSet::new(vec![Template::mean_over(&[])]);
-        let err = evaluate_guarded(&set, &wl, &pw, 3).unwrap_err();
+        let err = replay(&set, &wl, &pw, 3).unwrap_err();
         assert_eq!(err, SimError::BudgetExhausted { steps: 3 });
     }
 
@@ -225,14 +162,13 @@ mod tests {
     fn cached_replay_is_invisible_to_the_error_stream() {
         let (wl, pw) = setup();
         let set = TemplateSet::new(vec![Template::mean_over(&[Characteristic::User])]);
-        let (stats, cache) = evaluate_with_cache(&set, &wl, &pw);
+        let (stats, cache) =
+            replay(&set, &wl, &pw, derived_eval_budget(&pw)).expect("budget is generous");
         assert_eq!(stats, evaluate(&set, &wl, &pw));
         // Every Predict event was scored, hit or miss.
         assert_eq!(cache.total(), pw.n_predictions as u64);
-        let (guarded, gcache) =
-            evaluate_guarded_with_cache(&set, &wl, &pw, derived_eval_budget(&pw))
-                .expect("budget is generous");
-        assert_eq!(guarded, stats);
-        assert_eq!(gcache, cache);
+        let (unbounded, ucache) = replay(&set, &wl, &pw, u64::MAX).expect("no budget");
+        assert_eq!(unbounded, stats);
+        assert_eq!(ucache, cache);
     }
 }

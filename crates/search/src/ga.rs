@@ -49,8 +49,6 @@ pub struct GaConfig {
     pub f_min: f64,
     /// Individuals preserved unmutated each generation.
     pub elitism: usize,
-    /// Worker threads for fitness evaluation.
-    pub threads: usize,
     /// RNG seed.
     pub seed: u64,
     /// Template sets injected into the initial population (warm start),
@@ -66,9 +64,6 @@ impl Default for GaConfig {
             mutation_rate: 0.01,
             f_min: 1.0,
             elitism: 2,
-            threads: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4),
             seed: 0xCA15_7EAD,
             seeds: Vec::new(),
         }
@@ -424,15 +419,12 @@ fn drive(
 
 /// Run the genetic search for a good template set over `pw`.
 ///
-/// This is the plain entry point: supervised evaluation with default
-/// retry policy and no fault injection or checkpointing. See
-/// [`search_supervised`] for the full supervision surface.
+/// This is the plain entry point: supervised evaluation with the default
+/// [`SupervisorConfig`] (machine parallelism, default retry policy, no
+/// fault injection) and no checkpointing. See [`search_supervised`] for
+/// the full supervision surface.
 pub fn search(wl: &Workload, pw: &PredictionWorkload, cfg: &GaConfig) -> GaResult {
-    let sup = SupervisorConfig {
-        threads: cfg.threads,
-        ..SupervisorConfig::default()
-    };
-    search_supervised(wl, pw, cfg, &sup, None)
+    search_supervised(wl, pw, cfg, &SupervisorConfig::default(), None)
         .expect("search without faults or checkpoints cannot fail")
         .result
 }
@@ -614,7 +606,6 @@ mod tests {
         let cfg = GaConfig {
             population: 12,
             generations: 6,
-            threads: 2,
             seed: 99,
             ..GaConfig::default()
         };
@@ -656,10 +647,7 @@ mod tests {
         let wl = toy(150, 32, 14);
         let pw = PredictionWorkload::build(&wl, Target::WaitPrediction(Algorithm::Fcfs), 4);
         let cfg = GaConfig::quick(11);
-        let sup = SupervisorConfig {
-            threads: cfg.threads,
-            ..SupervisorConfig::default()
-        };
+        let sup = SupervisorConfig::default();
         let mut runner = GaRunner::new(&cfg);
         while !runner.is_done() {
             runner.step(&wl, &pw, &sup).expect("clean run");

@@ -10,7 +10,7 @@
 use qpredict_predict::{Template, TemplateSet};
 use qpredict_workload::{Characteristic, Workload, CHARACTERISTICS};
 
-use crate::fitness::evaluate_many;
+use crate::fitness::evaluate;
 use crate::workloads::PredictionWorkload;
 
 /// Tunables for [`greedy_search`].
@@ -26,9 +26,7 @@ impl Default for GreedyConfig {
     fn default() -> GreedyConfig {
         GreedyConfig {
             max_templates: 10,
-            threads: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4),
+            threads: qpredict_obs::default_threads(),
         }
     }
 }
@@ -96,8 +94,8 @@ pub fn greedy_search(
         if candidates.is_empty() {
             break;
         }
-        let sets: Vec<TemplateSet> = candidates.iter().map(|(_, s)| s.clone()).collect();
-        let errors = evaluate_many(&sets, wl, pw, cfg.threads);
+        let sets: Vec<&TemplateSet> = candidates.iter().map(|(_, s)| s).collect();
+        let errors = qpredict_obs::par_map(sets, cfg.threads, |_, s| evaluate(s, wl, pw));
         let (best_i, err) = errors
             .iter()
             .enumerate()

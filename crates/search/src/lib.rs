@@ -44,9 +44,7 @@ pub mod workloads;
 
 pub use checkpoint::{Checkpoint, CheckpointError, ConfigFingerprint};
 pub use encoding::{decode, encode, Chromosome, BITS_PER_TEMPLATE};
-pub use fitness::{
-    evaluate, evaluate_guarded, evaluate_guarded_with_cache, evaluate_many, evaluate_with_cache,
-};
+pub use fitness::{evaluate, replay};
 pub use ga::{
     resume_supervised, search, search_supervised, CheckpointPolicy, GaConfig, GaResult, GaRunner,
     SearchError, SupervisedResult,

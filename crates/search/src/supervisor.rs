@@ -4,11 +4,12 @@
 //! The genetic search is the longest-running computation in this
 //! reproduction, and a single poisoned category history or panicking
 //! evaluation must not take the whole run down. This module wraps
-//! [`crate::fitness::evaluate_guarded`] in a supervision layer:
+//! [`crate::fitness::replay`] in a supervision layer:
 //!
-//! * every evaluation runs inside `catch_unwind` on a worker thread fed
-//!   from a shared queue and drained over a **bounded channel**, so a
-//!   panic kills one attempt, never the process;
+//! * every evaluation runs inside `catch_unwind` on a
+//!   [`qpredict_obs::par_map`] worker, so a panic kills one attempt,
+//!   never the process, and each worker hands back its outcome with its
+//!   health delta, absorbed by the caller in input order;
 //! * each evaluation carries a **step budget** (the same watchdog
 //!   contract as `Simulation::run_guarded`), so a hung evaluation is cut
 //!   off with [`SimError::BudgetExhausted`];
@@ -29,15 +30,13 @@
 //! across a kill-and-resume boundary.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
 use std::time::Duration;
 
 use qpredict_predict::{ErrorStats, TemplateSet};
 use qpredict_sim::{FaultPlan, SimError};
 use qpredict_workload::{JobId, Rng64, Workload};
 
-use crate::fitness::{derived_eval_budget, evaluate_guarded_with_cache};
+use crate::fitness::{derived_eval_budget, replay};
 use crate::workloads::PredictionWorkload;
 
 /// Payload of an injected evaluator panic, so chaos tests and the CLI
@@ -69,9 +68,7 @@ pub struct SupervisorConfig {
 impl Default for SupervisorConfig {
     fn default() -> SupervisorConfig {
         SupervisorConfig {
-            threads: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4),
+            threads: qpredict_obs::default_threads(),
             max_retries: 3,
             eval_budget: None,
             backoff_base_ms: 1,
@@ -287,12 +284,12 @@ fn evaluate_one(
             .and_then(|p| draw_fault(p, generation, idx as u64, attempt));
         let attempt_result = catch_unwind(AssertUnwindSafe(|| match fault {
             Some(InjectedFault::Panic) => std::panic::panic_any(InjectedPanic),
-            Some(InjectedFault::Hang) => evaluate_guarded_with_cache(set, wl, pw, 0),
+            Some(InjectedFault::Hang) => replay(set, wl, pw, 0),
             Some(InjectedFault::Error) => Err(SimError::EstimateFailed {
                 job: JobId(0),
                 reason: "injected evaluator fault".into(),
             }),
-            None => evaluate_guarded_with_cache(set, wl, pw, budget),
+            None => replay(set, wl, pw, budget),
         }));
         let cause = match attempt_result {
             Ok(Ok((stats, cache))) => {
@@ -337,10 +334,9 @@ pub struct GenerationReport {
 
 /// Evaluate a generation's template sets under supervision.
 ///
-/// Work is pulled from a shared atomic queue by `cfg.threads` scoped
-/// workers and the results drained over a bounded channel; outcomes are
-/// deterministic in `(cfg, generation, sets)` regardless of thread
-/// count or interleaving.
+/// Individuals are spread over `cfg.threads` workers by
+/// [`qpredict_obs::par_map`]; outcomes are deterministic in
+/// `(cfg, generation, sets)` regardless of thread count or interleaving.
 pub fn evaluate_generation(
     generation: u64,
     sets: &[TemplateSet],
@@ -348,57 +344,18 @@ pub fn evaluate_generation(
     pw: &PredictionWorkload,
     cfg: &SupervisorConfig,
 ) -> GenerationReport {
-    // Workers never record observability state (the registry is
-    // thread-local); this span and the health mirror below run on the
-    // caller's thread only.
+    // Parallel workers record into their own thread-local registries;
+    // this span and the health mirror below run on the caller's thread.
     let _span = qpredict_obs::span("ga.eval");
-    let n = sets.len();
-    let threads = cfg.threads.max(1).min(n.max(1));
-    let mut outcomes: Vec<Option<EvalOutcome>> = vec![None; n];
+    let evaluated = qpredict_obs::par_map(sets.iter().collect(), cfg.threads, |i, set| {
+        evaluate_one(generation, i, set, wl, pw, cfg)
+    });
     let mut health = SearchHealth::default();
-    if threads <= 1 {
-        for (i, set) in sets.iter().enumerate() {
-            let (o, h) = evaluate_one(generation, i, set, wl, pw, cfg);
-            outcomes[i] = Some(o);
-            health.absorb(&h);
-        }
-    } else {
-        let next = AtomicUsize::new(0);
-        // Bounded: workers block once the collector falls behind, so a
-        // huge population cannot balloon the in-flight result set.
-        let (tx, rx) = mpsc::sync_channel::<(usize, EvalOutcome, SearchHealth)>(threads * 2);
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                let tx = tx.clone();
-                let next = &next;
-                scope.spawn(move || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let (o, h) = evaluate_one(generation, i, &sets[i], wl, pw, cfg);
-                    if tx.send((i, o, h)).is_err() {
-                        break; // collector gone; nothing useful left to do
-                    }
-                });
-            }
-            drop(tx);
-            for (i, o, h) in rx.iter() {
-                outcomes[i] = Some(o);
-                health.absorb(&h);
-            }
-        });
-    }
-    // A lost worker (a panic that escaped catch_unwind would abort the
-    // scope instead, but stay defensive) quarantines its individual
-    // rather than poisoning the generation.
-    let outcomes: Vec<EvalOutcome> = outcomes
+    let outcomes: Vec<EvalOutcome> = evaluated
         .into_iter()
-        .map(|o| {
-            o.unwrap_or_else(|| {
-                health.quarantined += 1;
-                EvalOutcome::Quarantined(FailureCause::Panic)
-            })
+        .map(|(o, h)| {
+            health.absorb(&h);
+            o
         })
         .collect();
     qpredict_obs::counter_add("search.attempts", health.attempts);

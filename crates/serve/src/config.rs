@@ -1,45 +1,8 @@
 //! Service configuration: which predictor to run, how much memory it may
 //! keep, and how aggressively to make state durable.
 
-use qpredict_predict::{Template, TemplateSet};
+use qpredict_predict::{PredictorKind, Template, TemplateSet};
 use qpredict_workload::Characteristic;
-
-/// Which run-time predictor the service hosts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PredictorKind {
-    /// The paper's template-based predictor (default).
-    Smith,
-    /// Gibbons' fixed template hierarchy.
-    Gibbons,
-    /// Downey's log-uniform model, conditional-average estimator.
-    DowneyAvg,
-    /// Downey's log-uniform model, conditional-median estimator.
-    DowneyMed,
-}
-
-impl PredictorKind {
-    /// Parse a CLI spelling (`smith`, `gibbons`, `downey-avg`,
-    /// `downey-med`).
-    pub fn parse(s: &str) -> Option<PredictorKind> {
-        match s {
-            "smith" => Some(PredictorKind::Smith),
-            "gibbons" => Some(PredictorKind::Gibbons),
-            "downey-avg" => Some(PredictorKind::DowneyAvg),
-            "downey-med" => Some(PredictorKind::DowneyMed),
-            _ => None,
-        }
-    }
-
-    /// Canonical spelling, the inverse of [`PredictorKind::parse`].
-    pub fn name(self) -> &'static str {
-        match self {
-            PredictorKind::Smith => "smith",
-            PredictorKind::Gibbons => "gibbons",
-            PredictorKind::DowneyAvg => "downey-avg",
-            PredictorKind::DowneyMed => "downey-med",
-        }
-    }
-}
 
 /// When the write-ahead log is flushed to stable storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,7 +49,9 @@ impl FsyncPolicy {
 /// changed freely between runs of the same service.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Hosted predictor.
+    /// Hosted predictor: `Smith` (over [`ServeConfig::template_set`]),
+    /// `Gibbons`, `DowneyAverage` or `DowneyMedian` (Downey's model over
+    /// `User`). [`crate::Service::open`] refuses any other kind.
     pub predictor: PredictorKind,
     /// Machine size assumed when answering wait-time queries.
     pub machine_nodes: u32,
@@ -174,19 +139,6 @@ impl ServeConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn predictor_kind_round_trips() {
-        for k in [
-            PredictorKind::Smith,
-            PredictorKind::Gibbons,
-            PredictorKind::DowneyAvg,
-            PredictorKind::DowneyMed,
-        ] {
-            assert_eq!(PredictorKind::parse(k.name()), Some(k));
-        }
-        assert_eq!(PredictorKind::parse("oracle"), None);
-    }
 
     #[test]
     fn fsync_policy_parses() {

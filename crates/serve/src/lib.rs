@@ -35,6 +35,7 @@ pub mod service;
 pub mod state;
 pub mod wal;
 
-pub use config::{FsyncPolicy, PredictorKind, ServeConfig};
+pub use config::{FsyncPolicy, ServeConfig};
+pub use qpredict_predict::PredictorKind;
 pub use service::{load_segments, RecoveryReport, ServeError, Service};
 pub use state::{Counters, Response, ServiceState};

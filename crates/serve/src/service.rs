@@ -224,7 +224,7 @@ impl Service {
             ));
         }
         let mut svc = Service {
-            state: ServiceState::new(cfg.clone()),
+            state: ServiceState::hosting(cfg.clone()).map_err(ServeError::Config)?,
             cfg,
             state_dir: state_dir.map(Path::to_path_buf),
             wal: None,

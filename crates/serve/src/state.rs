@@ -33,7 +33,7 @@ use qpredict_durable::codec;
 use qpredict_durable::{codec_struct, Codec, CodecError, Delta, Reader, Writer};
 use qpredict_obs::counter_add;
 use qpredict_predict::{
-    CachingPredictor, DowneyPredictor, DowneyVariant, GibbonsPredictor, Prediction,
+    CachingPredictor, DowneyPredictor, DowneyVariant, GibbonsPredictor, Prediction, PredictorKind,
     RunTimePredictor, SmithPredictor,
 };
 use qpredict_sim::profile::Profile;
@@ -42,7 +42,7 @@ use qpredict_workload::{
     CHARACTERISTICS,
 };
 
-use crate::config::{PredictorKind, ServeConfig};
+use crate::config::ServeConfig;
 
 /// One answer produced by the service, numbered in emission order.
 ///
@@ -203,20 +203,28 @@ macro_rules! each {
     };
 }
 
+/// Why serve cannot host `kind`: it hosts the learning predictors over
+/// its own bounded template set, not the oracle, the user limits, an
+/// explicit template set or the fallback chain.
+fn unhosted(kind: &PredictorKind) -> String {
+    let name = match kind {
+        PredictorKind::SmithWith(_) => "smith with an explicit template set",
+        other => other.name(),
+    };
+    format!("serve hosts smith|gibbons|downey-avg|downey-med, not {name:?}")
+}
+
 impl ServePredictor {
-    fn build(cfg: &ServeConfig) -> ServePredictor {
-        match cfg.predictor {
+    fn build(cfg: &ServeConfig) -> Result<ServePredictor, String> {
+        let downey =
+            |v| ServePredictor::Downey(DowneyPredictor::new(v, Some(Characteristic::User)));
+        Ok(match &cfg.predictor {
             PredictorKind::Smith => ServePredictor::Smith(SmithPredictor::new(cfg.template_set())),
             PredictorKind::Gibbons => ServePredictor::Gibbons(GibbonsPredictor::new()),
-            PredictorKind::DowneyAvg => ServePredictor::Downey(DowneyPredictor::new(
-                DowneyVariant::ConditionalAverage,
-                Some(Characteristic::User),
-            )),
-            PredictorKind::DowneyMed => ServePredictor::Downey(DowneyPredictor::new(
-                DowneyVariant::ConditionalMedian,
-                Some(Characteristic::User),
-            )),
-        }
+            PredictorKind::DowneyAverage => downey(DowneyVariant::ConditionalAverage),
+            PredictorKind::DowneyMedian => downey(DowneyVariant::ConditionalMedian),
+            other => return Err(unhosted(other)),
+        })
     }
 
     /// Completed data points held, for memory-bound checks. Smith reports
@@ -253,12 +261,13 @@ impl Codec<(&ServeConfig, &SymbolTable)> for ServePredictor {
                 cfg.predictor.name()
             )));
         }
-        Ok(match cfg.predictor {
+        Ok(match &cfg.predictor {
             PredictorKind::Smith => ServePredictor::Smith(r.get_in(&cfg.template_set())?),
             PredictorKind::Gibbons => ServePredictor::Gibbons(r.get_in(syms)?),
-            PredictorKind::DowneyAvg | PredictorKind::DowneyMed => {
+            PredictorKind::DowneyAverage | PredictorKind::DowneyMedian => {
                 ServePredictor::Downey(r.get_in(syms)?)
             }
+            other => return Err(r.error(unhosted(other))),
         })
     }
 }
@@ -358,9 +367,19 @@ pub struct ServiceState {
 
 impl ServiceState {
     /// An empty service.
+    ///
+    /// # Panics
+    ///
+    /// When `cfg.predictor` is a kind serve cannot host;
+    /// [`crate::Service::open`] refuses those with a config error.
     pub fn new(cfg: ServeConfig) -> ServiceState {
-        ServiceState {
-            predictor: CachingPredictor::new(ServePredictor::build(&cfg)),
+        ServiceState::hosting(cfg).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// An empty service, or why serve cannot host `cfg.predictor`.
+    pub(crate) fn hosting(cfg: ServeConfig) -> Result<ServiceState, String> {
+        Ok(ServiceState {
+            predictor: CachingPredictor::new(ServePredictor::build(&cfg)?),
             cfg,
             syms: SymbolTable::new(),
             jobs: HashMap::new(),
@@ -372,7 +391,7 @@ impl ServiceState {
             applied_seq: 0,
             counters: Counters::default(),
             journal: None,
-        }
+        })
     }
 
     /// True when the state has tracked its changes since the last mark,
@@ -782,7 +801,7 @@ impl Codec<ServeConfig> for ServiceState {
                 cfg.fingerprint()
             )));
         }
-        let mut state = ServiceState::new(cfg.clone());
+        let mut state = ServiceState::hosting(cfg.clone()).map_err(|e| r.error(e))?;
         r.record("cursor")?;
         state.applied_seq = r.get()?;
         state.next_internal = r.get()?;

@@ -113,10 +113,10 @@ fn base_plus_chain_equals_live_state_after_every_segment() {
     for predictor in [
         PredictorKind::Smith,
         PredictorKind::Gibbons,
-        PredictorKind::DowneyAvg,
+        PredictorKind::DowneyAverage,
     ] {
         for seed in [3u64, 17] {
-            let cfg = cfg(predictor);
+            let cfg = cfg(predictor.clone());
             let dir = tmp_dir(&format!("live-{}-{seed}", predictor.name()));
             let mut svc = Service::open(cfg.clone(), Some(&dir), None, false).unwrap();
             let (mut deltas, mut bases) = (0, 0);

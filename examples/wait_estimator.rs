@@ -16,7 +16,7 @@ use qpredict::sim::{MaxRuntimeEstimator, SimHooks, Simulation, Snapshot};
 use qpredict::workload::synthetic;
 
 struct Kiosk {
-    predictor: qpredict::core::kind::BoxedPredictor,
+    predictor: Box<dyn RunTimePredictor + Send>,
     belief: MaxRuntimeEstimator,
     /// (job, queue depth, predicted wait) for sampled arrivals.
     shown: Vec<(JobId, usize, Dur)>,

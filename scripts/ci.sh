@@ -13,6 +13,18 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 
+# Thread-invariance smoke: the paper harness's grids run on a parallel
+# fan-out, and one worker or three must print the same tables.
+echo "==> paper --jobs 400 tables with --threads 1 vs --threads 3"
+PAPER_TMP="$(mktemp -d)"
+PAPER_LIST=(table6 table12 compress2x statewait easy-ablation warmup)
+./target/release/paper --jobs 400 --threads 1 "${PAPER_LIST[@]}" \
+    >"$PAPER_TMP/one.txt" 2>/dev/null
+./target/release/paper --jobs 400 --threads 3 "${PAPER_LIST[@]}" \
+    >"$PAPER_TMP/three.txt" 2>/dev/null
+cmp "$PAPER_TMP/one.txt" "$PAPER_TMP/three.txt"
+rm -rf "$PAPER_TMP"
+
 # The end-to-end benchmark is a package of its own that calls the crates'
 # public APIs; building it here turns an API break into a CI failure
 # rather than a failed benchmark run. Cargo rewrites its lock file when a

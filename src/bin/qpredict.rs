@@ -596,7 +596,6 @@ fn main() {
                 algorithm: opts.alg,
                 depth: 4,
                 supervisor: SupervisorConfig {
-                    threads: ga.threads,
                     max_retries: opts.max_retries.unwrap_or(3),
                     eval_budget: opts.eval_budget,
                     faults,
@@ -687,16 +686,9 @@ fn main() {
                         .to_string(),
                 );
             }
-            let kind =
-                qpredict::serve::PredictorKind::parse(opts.predictor.name()).unwrap_or_else(|| {
-                    flag_error(format!(
-                        "serve hosts smith|gibbons|downey-avg|downey-med, not {:?}",
-                        opts.predictor.name()
-                    ))
-                });
             let defaults = qpredict::serve::ServeConfig::default();
             let cfg = qpredict::serve::ServeConfig {
-                predictor: kind,
+                predictor: opts.predictor.clone(),
                 machine_nodes: opts.nodes,
                 horizon: opts.horizon.unwrap_or(defaults.horizon),
                 max_history: opts.max_history.unwrap_or(defaults.max_history),

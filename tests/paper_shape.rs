@@ -146,3 +146,20 @@ fn sdsc_derived_limits_overestimate() {
         "derived queue limits must overpredict on average"
     );
 }
+
+/// The paper's grids run on a parallel fan-out; the tables they render
+/// must not depend on how many workers ran them.
+#[test]
+fn paper_tables_do_not_depend_on_the_thread_count() {
+    use qpredict::core::paper::{compress2x, sched_table, wait_table, workloads, Scale};
+    let wls = workloads(Scale::Jobs(400));
+    let render = |threads: usize| {
+        [
+            wait_table(6, &wls, threads),
+            sched_table(12, &wls, threads),
+            compress2x(&wls, threads),
+        ]
+        .map(|t| t.to_string())
+    };
+    assert_eq!(render(1), render(3));
+}

@@ -24,13 +24,15 @@ use qpredict::workload::Workload;
 
 const GENERATIONS: usize = 6;
 
+/// Fitness-evaluation workers for the supervised runs.
+const THREADS: usize = 2;
+
 fn fixture(seed: u64) -> (Workload, PredictionWorkload, GaConfig) {
     let wl = toy(120, 32, seed);
     let pw = PredictionWorkload::build(&wl, Target::WaitPrediction(Algorithm::Backfill), 4);
     let cfg = GaConfig {
         population: 8,
         generations: GENERATIONS,
-        threads: 2,
         seed: seed.wrapping_mul(97) + 13,
         ..GaConfig::default()
     };
@@ -61,7 +63,7 @@ fn assert_identical(a: &SupervisedResult, b: &SupervisedResult, what: &str) {
 fn kill_and_resume_is_bit_identical_at_any_generation() {
     let (wl, pw, cfg) = fixture(71);
     let sup = SupervisorConfig {
-        threads: cfg.threads,
+        threads: THREADS,
         ..SupervisorConfig::default()
     };
     let reference =
@@ -97,11 +99,11 @@ fn kill_and_resume_is_bit_identical_at_any_generation() {
 fn retryable_chaos_converges_to_the_faultless_result() {
     let (wl, pw, cfg) = fixture(72);
     let clean_sup = SupervisorConfig {
-        threads: cfg.threads,
+        threads: THREADS,
         ..SupervisorConfig::default()
     };
     let chaos_sup = SupervisorConfig {
-        threads: cfg.threads,
+        threads: THREADS,
         max_retries: 10,
         faults: Some(FaultPlan {
             eval_panic_prob: 0.05,
@@ -131,7 +133,7 @@ fn retryable_chaos_converges_to_the_faultless_result() {
 fn full_chaos_completes_with_exact_fault_accounting() {
     let (wl, pw, cfg) = fixture(73);
     let sup = SupervisorConfig {
-        threads: cfg.threads,
+        threads: THREADS,
         faults: Some(FaultPlan::eval_chaos(99, 0.08)),
         ..SupervisorConfig::default()
     };
@@ -162,7 +164,7 @@ fn full_chaos_completes_with_exact_fault_accounting() {
 fn chaos_is_seed_deterministic() {
     let (wl, pw, cfg) = fixture(74);
     let sup = SupervisorConfig {
-        threads: cfg.threads,
+        threads: THREADS,
         faults: Some(FaultPlan::eval_chaos(7, 0.06)),
         ..SupervisorConfig::default()
     };
@@ -187,7 +189,7 @@ fn chaos_is_seed_deterministic() {
 fn resume_under_chaos_is_bit_identical() {
     let (wl, pw, cfg) = fixture(75);
     let sup = SupervisorConfig {
-        threads: cfg.threads,
+        threads: THREADS,
         faults: Some(FaultPlan::eval_chaos(11, 0.05)),
         ..SupervisorConfig::default()
     };
