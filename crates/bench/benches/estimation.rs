@@ -94,7 +94,7 @@ fn scan_reduction() -> (u64, u64) {
 
 /// Per-call cost of the observability layer's disarmed path (recording
 /// off), as the hottest instrumented seam (`smith.predict`) runs it: one
-/// span guard, then one `recording()` check gating its four counter
+/// `recording()` read that gates both the span and the four counter
 /// increments. Returns seconds per instrumented call, amortized over an
 /// inner loop so the timer resolution doesn't dominate.
 fn bench_obs_off_path() -> f64 {
@@ -106,8 +106,9 @@ fn bench_obs_off_path() -> f64 {
     let secs = bench("estimation", "obs-off/span+gated-x1000", || {
         let mut acc = 0u64;
         for i in 0..INNER {
-            let _span = qpredict_obs::span("bench.off");
-            if qpredict_obs::recording() {
+            let recording = qpredict_obs::recording();
+            let _span = recording.then(|| qpredict_obs::span("bench.off"));
+            if recording {
                 qpredict_obs::counter_add("bench.a", 1);
                 qpredict_obs::counter_add("bench.b", 1);
                 qpredict_obs::counter_add("bench.c", 1);

@@ -10,8 +10,10 @@
 //! Flag errors and unknown experiment names exit 2 with a one-line
 //! diagnostic before any workload is generated.
 //!
-//! `all` regenerates tables 1–15 plus the compressed-SDSC experiment and
-//! writes a markdown report (default `experiments_data.md`).
+//! `all` regenerates tables 1–15 plus the compressed-SDSC experiment.
+//! Tables go to stdout. `--out FILE` also writes them as a markdown
+//! report (the committed `experiments_data.md` is one); without it no
+//! file is written.
 //! `ga-search` runs the genetic template search per workload and prints
 //! the winning template sets (expensive; scale with `--jobs`).
 
@@ -165,7 +167,7 @@ fn ga_ablation(wls: &[Workload], threads: usize) -> Table {
         "1".into(),
     ]);
 
-    let (greedy_set, traj) = greedy_search(
+    let (greedy_set, _, evaluations) = greedy_search(
         wl,
         &pw,
         &GreedyConfig {
@@ -178,7 +180,7 @@ fn ga_ablation(wls: &[Workload], threads: usize) -> Table {
         "greedy".into(),
         format!("{:.2}", e.mean_abs_error_min()),
         greedy_set.len().to_string(),
-        format!("~{}", traj.len() * 40),
+        evaluations.to_string(),
     ]);
 
     let cfg = GaConfig {

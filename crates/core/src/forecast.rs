@@ -30,8 +30,13 @@
 //! completion occurs *inside* a forecast, so the predictor is frozen at
 //! one generation for its duration, and across forecasts repeated
 //! `(job, elapsed)` queries are served from the cache until a completion
-//! bumps the generation. [`forecast_start_interval`] additionally pins
-//! its three passes to one set of memoized predictions, below.
+//! bumps the generation. Below the cache, a Smith predictor also
+//! memoizes each job signature's selection over the templates that
+//! ignore elapsed time, until a completion touches their categories, so
+//! a cache miss for a running job at a new elapsed time recomputes only
+//! the elapsed-conditioned estimates. [`forecast_start_interval`]
+//! additionally pins its three passes to one set of memoized
+//! predictions, below.
 
 use qpredict_sim::{schedule_pass, Algorithm, QueueEntry, RunningView, Snapshot};
 use qpredict_workload::{Dur, Job, JobId, Time, Workload};

@@ -18,7 +18,9 @@
 //! predictor's generation — and therefore every estimate — is frozen, so
 //! the repeats are served from the cache. Error stats are still recorded
 //! per call, keeping the measured error stream bit-identical to an
-//! uncached run.
+//! uncached run. A miss reaches the Smith predictor's own per-signature
+//! memo, which recomputes only the estimates that depend on the elapsed
+//! time or on a category a completion has touched since.
 
 use qpredict_predict::{CachingPredictor, ErrorStats, RunTimePredictor};
 use qpredict_sim::{

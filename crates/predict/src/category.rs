@@ -15,6 +15,12 @@
 //! signature once to the slot of every distinct template and later finds
 //! them all with one hash of five words, instead of building and hashing
 //! one [`CategoryKey`] per template on every prediction and completion.
+//!
+//! Each slot carries a *change stamp*: the store's push count at the last
+//! push into it. A caller that remembers the push count when it read some
+//! slots can later tell whether any of them changed since, without
+//! reading them. Stamps live only in memory: they are never encoded, and
+//! clearing or decoding a store starts them over.
 
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
@@ -151,10 +157,19 @@ impl Hasher for WordHasher {
 /// Slot index of a template a signature has no category under.
 const NO_SLOT: u32 = u32::MAX;
 
-/// Where a signature's slots start in [`CategoryStore`]'s resolution
-/// list: one entry per distinct template, in template order.
+/// A resolved signature: its ordinal in [`CategoryStore`]'s resolution
+/// list, which holds one slot per distinct template for each signature,
+/// in template order. Ordinals are dense from 0 and stay valid until the
+/// store is cleared.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Resolved(u32);
+
+impl Resolved {
+    /// The signature's ordinal.
+    pub(crate) fn index(self) -> usize {
+        self.0 as usize
+    }
+}
 
 /// Running first/second moments of a value stream, maintained under
 /// append and evict. Floating-point drift from incremental subtraction is
@@ -442,11 +457,15 @@ pub struct CategoryStore {
     /// first of each group of equal templates.
     templates: Vec<(usize, Template)>,
     slots: Vec<History>,
+    /// Each slot's change stamp: the value of `pushes` at its last push.
+    stamps: Vec<u64>,
+    /// Completed jobs inserted since the store was created or cleared.
+    pushes: u64,
     index: HashMap<CategoryKey, u32>,
-    /// Each resolved signature's offset into `resolved`.
+    /// Each resolved signature's ordinal.
     table: HashMap<Signature, u32, BuildHasherDefault<WordHasher>>,
-    /// Per resolved signature, the slot of each distinct template (or
-    /// `NO_SLOT`), in template order.
+    /// Per resolved signature, by ordinal, the slot of each distinct
+    /// template (or `NO_SLOT`), in template order.
     resolved: Vec<u32>,
     /// Category keys built to resolve signatures (diagnostics).
     resolutions: u64,
@@ -468,6 +487,8 @@ impl CategoryStore {
         CategoryStore {
             templates,
             slots: Vec::new(),
+            stamps: Vec::new(),
+            pushes: 0,
             index: HashMap::new(),
             table: HashMap::default(),
             resolved: Vec::new(),
@@ -490,7 +511,7 @@ impl CategoryStore {
         if let Some(&at) = self.table.get(&sig) {
             return Resolved(at);
         }
-        let at = u32::try_from(self.resolved.len()).expect("resolution table overflow");
+        let at = u32::try_from(self.table.len()).expect("resolution table overflow");
         for k in 0..self.templates.len() {
             let (ti, t) = self.templates[k];
             self.resolutions += 1;
@@ -501,30 +522,69 @@ impl CategoryStore {
         Resolved(at)
     }
 
-    /// The resolved job's non-empty categories: each distinct template
-    /// with its index in the set and its history, in set order.
-    pub(crate) fn matching(
-        &self,
+    /// The resolved signature's slot of each distinct template (or
+    /// `NO_SLOT`), in template order.
+    fn slots_of(&self, r: Resolved) -> &[u32] {
+        let n = self.templates.len();
+        &self.resolved[r.index() * n..][..n]
+    }
+
+    /// The resolved job's non-empty categories under the distinct
+    /// templates at `positions` (ascending indexes into
+    /// [`CategoryStore::templates`]): each template with its index in the
+    /// set and its history, in set order.
+    pub(crate) fn matching<'a>(
+        &'a self,
         r: Resolved,
-    ) -> impl Iterator<Item = (usize, &Template, &History)> + '_ {
-        let slots = &self.resolved[r.0 as usize..][..self.templates.len()];
-        self.templates
+        positions: &'a [usize],
+    ) -> impl Iterator<Item = (usize, &'a Template, &'a History)> + 'a {
+        let slots = self.slots_of(r);
+        positions.iter().filter_map(move |&k| {
+            let h = self.slots.get(slots[k] as usize)?;
+            let (ti, ref t) = self.templates[k];
+            (!h.is_empty()).then_some((ti, t, h))
+        })
+    }
+
+    /// The slots, empty ones included, of the resolved signature's
+    /// categories under the distinct templates at `positions`: every
+    /// slot whose history can change what those templates estimate for
+    /// the signature.
+    pub(crate) fn category_slots<'a>(
+        &'a self,
+        r: Resolved,
+        positions: &'a [usize],
+    ) -> impl Iterator<Item = u32> + 'a {
+        let slots = self.slots_of(r);
+        positions
             .iter()
-            .zip(slots)
-            .filter_map(|(&(ti, ref t), &slot)| {
-                let h = self.slots.get(slot as usize)?;
-                (!h.is_empty()).then_some((ti, t, h))
-            })
+            .map(move |&k| slots[k])
+            .filter(|&slot| slot != NO_SLOT)
+    }
+
+    /// Completed jobs inserted since the store was created or cleared:
+    /// the stamp the next push will exceed.
+    pub(crate) fn pushes(&self) -> u64 {
+        self.pushes
+    }
+
+    /// Whether any of `slots` was pushed to after the push count was
+    /// `stamp`.
+    pub(crate) fn changed_since(&self, slots: &[u32], stamp: u64) -> bool {
+        slots.iter().any(|&s| self.stamps[s as usize] > stamp)
     }
 
     /// Insert a completed job into every category it matches.
     pub fn insert(&mut self, job: &Job) {
         let p = Point::from_job(job);
-        let at = self.resolve(job).0 as usize;
-        let slots = &self.resolved[at..][..self.templates.len()];
+        let r = self.resolve(job);
+        self.pushes += 1;
+        let n = self.templates.len();
+        let slots = &self.resolved[r.index() * n..][..n];
         for ((_, t), &slot) in self.templates.iter().zip(slots) {
             if let Some(h) = self.slots.get_mut(slot as usize) {
                 h.push(p, t);
+                self.stamps[slot as usize] = self.pushes;
             }
         }
     }
@@ -570,6 +630,8 @@ impl CategoryStore {
     /// Drop every category and the resolution table built over them.
     fn drop_categories(&mut self) {
         self.slots.clear();
+        self.stamps.clear();
+        self.pushes = 0;
         self.index.clear();
         self.table.clear();
         self.resolved.clear();
@@ -579,13 +641,18 @@ impl CategoryStore {
     fn slot_of(&mut self, key: CategoryKey) -> u32 {
         *self.index.entry(key).or_insert_with(|| {
             self.slots.push(History::default());
+            self.stamps.push(0);
             u32::try_from(self.slots.len() - 1).expect("category slot overflow")
         })
     }
 
+    /// The history of `key`'s slot, created if it has none, stamped as
+    /// changed: the caller is about to rewrite it.
     fn slot_mut(&mut self, key: CategoryKey) -> &mut History {
-        let slot = self.slot_of(key);
-        &mut self.slots[slot as usize]
+        let slot = self.slot_of(key) as usize;
+        self.pushes += 1;
+        self.stamps[slot] = self.pushes;
+        &mut self.slots[slot]
     }
 
     /// The non-empty categories with their keys, in no particular order.
@@ -695,7 +762,8 @@ impl Codec<TemplateSet> for CategoryStore {
                 return Err(not_distinct(r, &key));
             };
             h.build_index(t);
-            *store.slot_mut(key) = h;
+            let slot = store.slot_of(key);
+            store.slots[slot as usize] = h;
         }
         Ok(store)
     }

@@ -20,11 +20,17 @@
 //! with a mean or linear regression read exact suffix sums from a
 //! runtime-ordered index instead of scanning the category; the result is
 //! bit-identical to the scan (DESIGN.md §11).
+//!
+//! History changes only when a job completes, so between completions a
+//! job's estimates can only move where they depend on its elapsed time.
+//! The predictor memoizes, per resolved job signature, the selection over
+//! the templates without elapsed-time conditioning, and reuses it until a
+//! push into one of those categories stamps it stale (DESIGN.md §11).
 
 use qpredict_durable::{codec_struct, Codec, CodecError, Delta, Reader, Writer};
 use qpredict_workload::{Dur, Job};
 
-use crate::category::{CategoryStore, History, Point, RegMoments};
+use crate::category::{CategoryStore, History, Point, RegMoments, Resolved};
 use crate::estimators::{mean, mean_from_moments, regression, regression_from_moments, Estimate};
 use crate::template::{Template, TemplateSet};
 use crate::{Prediction, RunTimePredictor};
@@ -58,11 +64,129 @@ impl EstimateOps {
     }
 }
 
+/// A category's estimate as selection ranks it: `(ci, n, specificity,
+/// template index, value)`, kept flat for cheap compares.
+type Ranked = (f64, usize, u32, usize, f64);
+
+/// One signature's memoized selection over the templates without
+/// elapsed-time conditioning.
+#[derive(Debug, Clone, Copy)]
+struct MemoEntry {
+    /// The store's push count when the entry was last known valid: it
+    /// holds while no checked slot has a newer stamp.
+    stamp: u64,
+    /// The limit the relative estimates were scaled by.
+    limit: Option<Dur>,
+    /// The winning estimate, if any category could predict.
+    best: Option<Ranked>,
+    /// The work those estimates did.
+    ops: EstimateOps,
+    /// Where the signature's slots under those templates sit in
+    /// [`Memo::checks`].
+    checks: (u32, u32),
+}
+
+/// Per resolved signature, the selection over the categories whose
+/// estimates do not depend on the elapsed time. Derived state: never
+/// encoded, dropped on `reset`, decode and `apply_delta`.
+#[derive(Debug, Clone, Default)]
+struct Memo {
+    /// Positions in the store's distinct templates of those without
+    /// elapsed-time conditioning, whose selection is memoized.
+    plain: Vec<usize>,
+    /// Positions of those with it, estimated on every call.
+    rtime: Vec<usize>,
+    /// By signature ordinal.
+    entries: Vec<Option<MemoEntry>>,
+    /// Each entry's slots under the `plain` templates, empty ones
+    /// included, so a check never walks the others.
+    checks: Vec<u32>,
+    hits: u64,
+    misses: u64,
+}
+
+impl Memo {
+    fn new(store: &CategoryStore) -> Box<Memo> {
+        let (rtime, plain) =
+            (0..store.templates().len()).partition(|&k| store.templates()[k].1.use_rtime);
+        Box::new(Memo {
+            plain,
+            rtime,
+            ..Memo::default()
+        })
+    }
+
+    /// Drop every entry; the counts are kept.
+    fn clear(&mut self) {
+        self.entries.clear();
+        self.checks.clear();
+    }
+
+    /// The memoized selection for `job`'s resolved signature, if it was
+    /// made for the same limit and none of its categories changed since.
+    fn get(
+        &mut self,
+        r: Resolved,
+        job: &Job,
+        store: &CategoryStore,
+    ) -> Option<(Option<Ranked>, EstimateOps)> {
+        let e = self.entries.get_mut(r.index())?.as_mut()?;
+        let now = store.pushes();
+        let held = e.limit == job.max_runtime
+            && (e.stamp == now
+                || !store.changed_since(
+                    &self.checks[e.checks.0 as usize..e.checks.1 as usize],
+                    e.stamp,
+                ));
+        if !held {
+            return None;
+        }
+        e.stamp = now;
+        self.hits += 1;
+        Some((e.best, e.ops))
+    }
+
+    /// Remember the selection just made for `job`'s resolved signature.
+    fn put(
+        &mut self,
+        r: Resolved,
+        job: &Job,
+        store: &CategoryStore,
+        best: Option<Ranked>,
+        ops: EstimateOps,
+    ) {
+        self.misses += 1;
+        let i = r.index();
+        if self.entries.len() <= i {
+            self.entries.resize(i + 1, None);
+        }
+        let checks = match self.entries[i] {
+            Some(e) => e.checks,
+            None => {
+                let start = self.checks.len();
+                self.checks.extend(store.category_slots(r, &self.plain));
+                let at = |n: usize| u32::try_from(n).expect("memo check list overflow");
+                (at(start), at(self.checks.len()))
+            }
+        };
+        self.entries[i] = Some(MemoEntry {
+            stamp: store.pushes(),
+            limit: job.max_runtime,
+            best,
+            ops,
+            checks,
+        });
+    }
+}
+
 /// History-based predictor driven by a [`TemplateSet`].
 #[derive(Debug, Clone)]
 pub struct SmithPredictor {
     set: TemplateSet,
     store: CategoryStore,
+    /// Boxed: hosts that keep predictors of several kinds in one enum
+    /// pay one pointer for it.
+    memo: Box<Memo>,
     /// Running mean of all completed run times — the last-resort
     /// fallback when no category can predict.
     global_sum: f64,
@@ -80,8 +204,10 @@ pub struct SmithPredictor {
 impl SmithPredictor {
     /// Build a predictor over `set` with empty history.
     pub fn new(set: TemplateSet) -> SmithPredictor {
+        let store = CategoryStore::new(&set);
         SmithPredictor {
-            store: CategoryStore::new(&set),
+            memo: Memo::new(&store),
+            store,
             set,
             global_sum: 0.0,
             global_n: 0,
@@ -115,7 +241,6 @@ impl SmithPredictor {
 
     /// Estimate from one template's category for `job`, if valid.
     fn category_estimate(
-        &self,
         t: &Template,
         job: &Job,
         elapsed: Dur,
@@ -209,33 +334,35 @@ impl SmithPredictor {
         } else {
             est
         };
-        if !est.value.is_finite() {
+        // A NaN interval would make the selection order partial; the
+        // estimators clamp variances, so none arises from real history.
+        if !est.value.is_finite() || est.ci.is_nan() {
             return None;
         }
         Some(est)
     }
 
-    /// Step 2: of the estimates from `categories` (each distinct
+    /// Step 2: fold the estimates from `categories` (each distinct
     /// template's index in the set, the template and the job's history
-    /// under it), keep the one with the smallest confidence interval.
-    /// Ties (e.g. two infinite intervals) break toward more data points,
-    /// then higher template specificity, then template order — all
-    /// deterministic. Returns the prediction (the fallback when no
-    /// category could predict) and the work the estimates did.
-    fn select<'h>(
-        &self,
+    /// under it) into `best`, keeping the one with the smallest
+    /// confidence interval, and add the work they did to `ops`. Ties
+    /// (e.g. two infinite intervals) break toward more data points, then
+    /// higher template specificity, then template order. No interval is
+    /// NaN and template indexes are unique, so this is a strict total
+    /// order: the winner does not depend on the order the categories are
+    /// folded in, or on how they are split between calls.
+    fn fold<'h>(
+        best: &mut Option<Ranked>,
         job: &Job,
         elapsed: Dur,
         categories: impl Iterator<Item = (usize, &'h Template, &'h History)>,
-    ) -> (Prediction, EstimateOps) {
-        let mut best: Option<(f64, usize, u32, usize, f64)> = None;
-        // (ci, n, specificity, ti, value) — kept flat for cheap compares.
-        let mut ops = EstimateOps::default();
+        ops: &mut EstimateOps,
+    ) {
         for (ti, t, history) in categories {
-            let Some(est) = self.category_estimate(t, job, elapsed, history, &mut ops) else {
+            let Some(est) = Self::category_estimate(t, job, elapsed, history, ops) else {
                 continue;
             };
-            let better = match best {
+            let better = match *best {
                 None => true,
                 Some((bci, bn, bspec, bti, _)) => (
                     est.ci,
@@ -248,9 +375,15 @@ impl SmithPredictor {
                     .unwrap_or(false),
             };
             if better {
-                best = Some((est.ci, est.n, t.specificity(), ti, est.value));
+                *best = Some((est.ci, est.n, t.specificity(), ti, est.value));
             }
         }
+    }
+
+    /// The prediction the winning estimate makes, capped by the longest
+    /// run time seen, or the fallback when no category could predict.
+    /// Both global terms are read here, on every call.
+    fn finish(&self, best: Option<Ranked>, job: &Job, elapsed: Dur) -> Prediction {
         let cap = (self.max_seen * 2.0).max(3600.0);
         let prediction = match best {
             Some((ci, _, _, _, value)) => Prediction {
@@ -260,21 +393,52 @@ impl SmithPredictor {
             },
             None => Prediction::fallback(self.fallback_estimate(job)),
         };
-        (prediction.clamped(elapsed), ops)
+        prediction.clamped(elapsed)
     }
 
     /// [`RunTimePredictor::predict`] the simple way: each distinct
-    /// template's category is found by building and hashing its key, and
-    /// nothing is recorded or resolved. The oracle tests hold `predict`,
-    /// which resolves the job's categories once per signature, to this
-    /// bit for bit.
+    /// template's category is found by building and hashing its key,
+    /// every estimate is computed, in template order, and nothing is
+    /// recorded, resolved or memoized. The oracle tests hold `predict`,
+    /// which resolves the job's categories once per signature and reuses
+    /// memoized selections, to this bit for bit.
     pub fn predict_by_keys(&self, job: &Job, elapsed: Dur) -> Prediction {
         let categories = self
             .store
             .templates()
             .iter()
             .filter_map(|&(ti, ref t)| Some((ti, t, self.store.history(ti, t, job)?)));
-        self.select(job, elapsed, categories).0
+        let mut best = None;
+        Self::fold(
+            &mut best,
+            job,
+            elapsed,
+            categories,
+            &mut EstimateOps::default(),
+        );
+        self.finish(best, job, elapsed)
+    }
+
+    /// The selection over the resolved job's categories under templates
+    /// without elapsed-time conditioning, and the work its estimates did:
+    /// memoized per signature, computed when the memo does not hold.
+    fn plain_selection(&mut self, r: Resolved, job: &Job) -> (Option<Ranked>, EstimateOps) {
+        if let Some(held) = self.memo.get(r, job, &self.store) {
+            return held;
+        }
+        let mut best = None;
+        let mut ops = EstimateOps::default();
+        let categories = self.store.matching(r, &self.memo.plain);
+        Self::fold(&mut best, job, Dur::ZERO, categories, &mut ops);
+        self.memo.put(r, job, &self.store, best, ops);
+        (best, ops)
+    }
+
+    /// Predictions answered from a memoized selection, and those that
+    /// computed one (diagnostics; never encoded). Each prediction counts
+    /// once.
+    pub fn memo_counts(&self) -> (u64, u64) {
+        (self.memo.hits, self.memo.misses)
     }
 
     /// Signatures the predictor has resolved to categories, and the
@@ -335,14 +499,18 @@ impl Codec<TemplateSet> for SmithPredictor {
             )));
         }
         r.record("global")?;
+        let (global_sum, global_n, max_seen, generation) = (r.get()?, r.get()?, r.get()?, r.get()?);
+        let ops = r.record("ops")?.get()?;
+        let store: CategoryStore = r.get_in(set)?;
         Ok(SmithPredictor {
             set: set.clone(),
-            global_sum: r.get()?,
-            global_n: r.get()?,
-            max_seen: r.get()?,
-            generation: r.get()?,
-            ops: r.record("ops")?.get()?,
-            store: r.get_in(set)?,
+            memo: Memo::new(&store),
+            store,
+            global_sum,
+            global_n,
+            max_seen,
+            generation,
+            ops,
         })
     }
 }
@@ -367,6 +535,7 @@ impl Delta<TemplateSet> for SmithPredictor {
         self.max_seen = r.get()?;
         self.generation = r.get()?;
         self.ops = r.record("ops")?.get()?;
+        self.memo.clear();
         self.store.apply_delta(r, set)
     }
 
@@ -387,10 +556,15 @@ impl RunTimePredictor for SmithPredictor {
     }
 
     fn predict(&mut self, job: &Job, elapsed: Dur) -> Prediction {
-        let _span = qpredict_obs::span("smith.predict");
-        let resolved = self.store.resolve(job);
-        let (prediction, ops) = self.select(job, elapsed, self.store.matching(resolved));
-        if qpredict_obs::recording() {
+        // One read of the flag gates the span and the counters alike.
+        let recording = qpredict_obs::recording();
+        let _span = recording.then(|| qpredict_obs::span("smith.predict"));
+        let r = self.store.resolve(job);
+        let (mut best, mut ops) = self.plain_selection(r, job);
+        let rtime = self.store.matching(r, &self.memo.rtime);
+        Self::fold(&mut best, job, elapsed, rtime, &mut ops);
+        let prediction = self.finish(best, job, elapsed);
+        if recording {
             qpredict_obs::counter_add("smith.scanned_points", ops.scanned_points);
             qpredict_obs::counter_add("smith.moment_points", ops.moment_points);
             qpredict_obs::counter_add("smith.moment_estimates", ops.moment_estimates);
@@ -411,6 +585,7 @@ impl RunTimePredictor for SmithPredictor {
 
     fn reset(&mut self) {
         self.store.clear();
+        self.memo.clear();
         self.global_sum = 0.0;
         self.global_n = 0;
         self.max_seen = 0.0;

@@ -67,17 +67,20 @@ pub fn candidate_pool(wl: &Workload) -> Vec<Template> {
     pool
 }
 
-/// Run the greedy search. Returns the chosen set and its error
-/// trajectory (error after each accepted template).
+/// Run the greedy search. Returns the chosen set, its error trajectory
+/// (error after each accepted template) and the number of template sets
+/// evaluated: every candidate of every round, including a last round
+/// that improved nothing.
 pub fn greedy_search(
     wl: &Workload,
     pw: &PredictionWorkload,
     cfg: &GreedyConfig,
-) -> (TemplateSet, Vec<f64>) {
+) -> (TemplateSet, Vec<f64>, usize) {
     let pool = candidate_pool(wl);
     let mut chosen: Vec<Template> = Vec::new();
     let mut trajectory = Vec::new();
     let mut best_err = f64::INFINITY;
+    let mut evaluations = 0;
 
     while chosen.len() < cfg.max_templates.min(10) {
         // Evaluate every remaining candidate appended to the current set.
@@ -95,6 +98,7 @@ pub fn greedy_search(
             break;
         }
         let sets: Vec<&TemplateSet> = candidates.iter().map(|(_, s)| s).collect();
+        evaluations += sets.len();
         let errors = qpredict_obs::par_map(sets, cfg.threads, |_, s| evaluate(s, wl, pw));
         let (best_i, err) = errors
             .iter()
@@ -113,7 +117,7 @@ pub fn greedy_search(
         chosen.push(Template::mean_over(&[]));
         trajectory.push(best_err);
     }
-    (TemplateSet::new(chosen), trajectory)
+    (TemplateSet::new(chosen), trajectory, evaluations)
 }
 
 #[cfg(test)]
@@ -142,7 +146,7 @@ mod tests {
             max_templates: 3,
             threads: 2,
         };
-        let (set, traj) = greedy_search(&wl, &pw, &cfg);
+        let (set, traj, _) = greedy_search(&wl, &pw, &cfg);
         assert!(!traj.is_empty());
         for w in traj.windows(2) {
             assert!(w[1] <= w[0] + 1e-9, "greedy must not regress");
@@ -158,8 +162,34 @@ mod tests {
             max_templates: 2,
             threads: 2,
         };
-        let (a, _) = greedy_search(&wl, &pw, &cfg);
-        let (b, _) = greedy_search(&wl, &pw, &cfg);
+        let (a, _, _) = greedy_search(&wl, &pw, &cfg);
+        let (b, _, _) = greedy_search(&wl, &pw, &cfg);
         assert_eq!(a, b);
+    }
+
+    /// The evaluation count is every candidate of every round: the whole
+    /// pool in the first round, one fewer in each later one, and a last
+    /// round that improved nothing counts too.
+    #[test]
+    fn greedy_counts_every_evaluated_set() {
+        let wl = toy(120, 32, 16);
+        let pw = PredictionWorkload::build(&wl, Target::WaitPrediction(Algorithm::Fcfs), 4);
+        let pool = candidate_pool(&wl).len();
+        let one = GreedyConfig {
+            max_templates: 1,
+            threads: 1,
+        };
+        assert_eq!(greedy_search(&wl, &pw, &one).2, pool);
+        for max_templates in [3, 10] {
+            let cfg = GreedyConfig {
+                max_templates,
+                threads: 2,
+            };
+            let (_, traj, evaluations) = greedy_search(&wl, &pw, &cfg);
+            let stalled = traj.len() < max_templates;
+            let rounds = traj.len() + usize::from(stalled);
+            let want: usize = (0..rounds).map(|r| pool - r).sum();
+            assert_eq!(evaluations, want, "max {max_templates}: {traj:?}");
+        }
     }
 }

@@ -58,10 +58,14 @@ pub trait RuntimeEstimator {
 /// unification point of the estimation layer: the simulator, the
 /// experiment drivers, and the GA's fitness loop all consult the same
 /// [`RunTimePredictor`] implementations. A scheduling run consults them
-/// directly: its estimates rarely repeat between completions, so
-/// memoizing them with [`qpredict_predict::CachingPredictor`] costs more
-/// than it saves. The wait-time studies, whose nested forecasts repeat
-/// estimates, wrap their predictor in one.
+/// directly: its `(job, elapsed)` pairs rarely repeat between
+/// completions, so memoizing them with
+/// [`qpredict_predict::CachingPredictor`] costs more than it saves. What
+/// does repeat is each job's selection over the templates that ignore
+/// elapsed time, and [`qpredict_predict::SmithPredictor`] memoizes that
+/// itself until a completion touches its categories. The wait-time
+/// studies, whose nested forecasts repeat whole estimates, wrap their
+/// predictor in a `CachingPredictor` above that memo.
 impl<P: RunTimePredictor> RuntimeEstimator for P {
     fn estimate(&mut self, job: &Job, _now: Time, elapsed: Dur) -> Dur {
         self.predict(job, elapsed).estimate

@@ -38,7 +38,7 @@ fn main() {
     );
 
     // Greedy search over a candidate pool.
-    let (greedy_set, _) = greedy_search(&wl, &pw, &GreedyConfig::default());
+    let (greedy_set, _, _) = greedy_search(&wl, &pw, &GreedyConfig::default());
     let e = evaluate(&greedy_set, &wl, &pw);
     println!(
         "greedy search:         MAE {:.2} min   {greedy_set}",

@@ -47,6 +47,15 @@ BENCH_JSON="$("${CARGO_TARGET_DIR:-e2ebench/target}/release/qpredict-e2ebench" \
 echo "$BENCH_JSON" | grep -q '"correct": true' \
     || { echo "e2ebench traced simulate-ctc is not correct: $BENCH_JSON" >&2; exit 1; }
 
+# The traced wait-prediction cell rebuilds its estimate cache above a
+# timed Smith predictor; its outputs, cache hits and lookups must match
+# `run_wait_prediction`'s through the predictor's own memo.
+echo "==> e2ebench traced smoke (waitpred-sdsc96 --trace 1)"
+BENCH_JSON="$("${CARGO_TARGET_DIR:-e2ebench/target}/release/qpredict-e2ebench" \
+    --workload waitpred-sdsc96 --seed 1 --seconds 1 --trace 1 2>/dev/null | tail -n 1)"
+echo "$BENCH_JSON" | grep -q '"correct": true' \
+    || { echo "e2ebench traced waitpred-sdsc96 is not correct: $BENCH_JSON" >&2; exit 1; }
+
 echo "==> cargo doc --no-deps (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 
