@@ -24,7 +24,8 @@
 //!
 //! The global toggle ([`set_recording`]) gates every span and counter:
 //! when off, the only cost is one relaxed atomic load per call site
-//! (benchmarked under 2% of an estimate's cost in the estimation bench).
+//! (under 2% of a warm Smith prediction, a gate in
+//! `tests/observability.rs`).
 //! Timing data is *never* fed back into any scheduling or prediction
 //! decision — `tests/estimation_lock.rs` locks bit-identical outputs
 //! with recording on and off.

@@ -16,21 +16,21 @@
 //! * failures are classified **retryable** (panic, budget exhaustion —
 //!   plausibly transient) vs **fatal** (a typed evaluator error —
 //!   deterministic, retrying is futile), and retryable ones are retried
-//!   up to [`SupervisorConfig::max_retries`] times with exponential
-//!   backoff and jitter drawn from the workspace [`Rng64`];
+//!   at once, up to [`SupervisorConfig::max_retries`] times: a retry
+//!   replays the evaluation in process, so there is no shared resource
+//!   for a pause to spare;
 //! * individuals whose evaluation ultimately fails are **quarantined**:
 //!   they receive the worst fitness in their generation instead of
 //!   poisoning it, and the event is recorded per cause in
 //!   [`SearchHealth`].
 //!
-//! Determinism: injected faults ([`FaultPlan::eval_chaos`]) and backoff
-//! jitter are drawn from RNGs derived from `(seed, generation,
-//! individual, attempt)`, never from shared mutable state, so outcomes
-//! are byte-identical whatever the thread interleaving — and identical
-//! across a kill-and-resume boundary.
+//! Determinism: injected faults ([`FaultPlan::eval_chaos`]) are drawn
+//! from RNGs derived from `(seed, generation, individual, attempt)`,
+//! never from shared mutable state, so outcomes are byte-identical
+//! whatever the thread interleaving — and identical across a
+//! kill-and-resume boundary.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::Duration;
 
 use qpredict_predict::{ErrorStats, TemplateSet};
 use qpredict_sim::{FaultPlan, SimError};
@@ -55,12 +55,6 @@ pub struct SupervisorConfig {
     /// Per-evaluation step budget; `None` derives a generous one from
     /// the prediction-workload size ([`derived_eval_budget`]).
     pub eval_budget: Option<u64>,
-    /// First backoff delay, milliseconds (doubles per retry).
-    pub backoff_base_ms: u64,
-    /// Backoff ceiling, milliseconds.
-    pub backoff_cap_ms: u64,
-    /// Seed for the backoff-jitter streams (derived per attempt).
-    pub retry_seed: u64,
     /// Evaluator fault injection (chaos testing); `None` disables it.
     pub faults: Option<FaultPlan>,
 }
@@ -71,9 +65,6 @@ impl Default for SupervisorConfig {
             threads: qpredict_obs::default_threads(),
             max_retries: 3,
             eval_budget: None,
-            backoff_base_ms: 1,
-            backoff_cap_ms: 50,
-            retry_seed: 0x5EED_BACC,
             faults: None,
         }
     }
@@ -237,28 +228,8 @@ fn draw_fault(plan: &FaultPlan, generation: u64, idx: u64, attempt: u64) -> Opti
     }
 }
 
-/// Backoff before retry `attempt` (1-based): `base · 2^(attempt-1)`
-/// capped, scaled by a jitter factor in `[0.5, 1.5)` so a fleet of
-/// retrying workers does not stampede in lockstep.
-fn backoff_delay(cfg: &SupervisorConfig, generation: u64, idx: u64, attempt: u64) -> Duration {
-    let exp = (attempt - 1).min(16) as u32;
-    let base = cfg
-        .backoff_base_ms
-        .saturating_mul(1u64 << exp)
-        .min(cfg.backoff_cap_ms);
-    let mut rng = derived_rng(
-        cfg.retry_seed,
-        generation,
-        idx,
-        attempt,
-        0xBAC0_FF00_0000_0001,
-    );
-    let jitter = 0.5 + rng.gen_f64();
-    Duration::from_micros((base as f64 * 1000.0 * jitter) as u64)
-}
-
 /// Evaluate one individual under supervision: attempt, classify,
-/// back off, retry; quarantine when attempts are exhausted or the
+/// retry; quarantine when attempts are exhausted or the
 /// failure is fatal. Returns the outcome plus this evaluation's health
 /// delta (folded into the generation report by the caller).
 fn evaluate_one(
@@ -275,7 +246,6 @@ fn evaluate_one(
     for attempt in 0..=u64::from(cfg.max_retries) {
         if attempt > 0 {
             health.retries += 1;
-            std::thread::sleep(backoff_delay(cfg, generation, idx as u64, attempt));
         }
         health.attempts += 1;
         let fault = cfg
@@ -425,7 +395,6 @@ mod tests {
         let cfg = SupervisorConfig {
             threads: 4,
             max_retries: 8,
-            backoff_base_ms: 0,
             faults: Some(FaultPlan {
                 eval_panic_prob: 0.4,
                 ..FaultPlan::new(77)
@@ -449,7 +418,6 @@ mod tests {
         let ss = sets(10);
         let base = SupervisorConfig {
             max_retries: 2,
-            backoff_base_ms: 0,
             faults: Some(FaultPlan::eval_chaos(5, 0.5)),
             ..SupervisorConfig::default()
         };
@@ -475,7 +443,6 @@ mod tests {
         let cfg = SupervisorConfig {
             threads: 2,
             max_retries: 5,
-            backoff_base_ms: 0,
             faults: Some(FaultPlan {
                 eval_error_prob: 1.0,
                 ..FaultPlan::new(9)

@@ -19,8 +19,7 @@
 //!   rather than state corruption;
 //! * events older than the **watermark** (the newest applied timestamp)
 //!   are applied immediately as late backfill — a late completion still
-//!   reaches the predictor, whose generation bump precisely invalidates
-//!   the estimate cache.
+//!   reaches the predictor, and every later answer sees it.
 //!
 //! Memory is bounded everywhere: per-category predictor history by
 //! `max_history`, live jobs by `max_jobs` (drop-oldest load shedding),
@@ -33,7 +32,7 @@ use qpredict_durable::codec;
 use qpredict_durable::{codec_struct, Codec, CodecError, Delta, Reader, Writer};
 use qpredict_obs::counter_add;
 use qpredict_predict::{
-    CachingPredictor, DowneyPredictor, DowneyVariant, GibbonsPredictor, Prediction, PredictorKind,
+    CacheStats, DowneyPredictor, DowneyVariant, GibbonsPredictor, Prediction, PredictorKind,
     RunTimePredictor, SmithPredictor,
 };
 use qpredict_sim::profile::Profile;
@@ -319,10 +318,6 @@ impl RunTimePredictor for ServePredictor {
     fn reset(&mut self) {
         each!(self, p => p.reset())
     }
-
-    fn generation(&self) -> Option<u64> {
-        each!(self, p => p.generation())
-    }
 }
 
 /// Magic first line of an encoded state body.
@@ -352,7 +347,14 @@ struct Journal {
 pub struct ServiceState {
     cfg: ServeConfig,
     syms: SymbolTable,
-    predictor: CachingPredictor<ServePredictor>,
+    /// Consulted directly on every answer: an estimate cache above it
+    /// would start cold after a resume, so a resumed run would reach
+    /// the predictor for answers an uninterrupted run served from the
+    /// cache, and the predictor's encoded work counters would differ.
+    predictor: ServePredictor,
+    /// Predictions made since this state was built or restored. Not
+    /// encoded: it feeds [`ServiceState::cache_stats`] only.
+    predictions: u64,
     jobs: HashMap<u64, JobRecord>,
     done_fifo: VecDeque<u64>,
     /// Pending events, kept sorted by `(sort_key, seq)`.
@@ -379,7 +381,8 @@ impl ServiceState {
     /// An empty service, or why serve cannot host `cfg.predictor`.
     pub(crate) fn hosting(cfg: ServeConfig) -> Result<ServiceState, String> {
         Ok(ServiceState {
-            predictor: CachingPredictor::new(ServePredictor::build(&cfg)?),
+            predictor: ServePredictor::build(&cfg)?,
+            predictions: 0,
             cfg,
             syms: SymbolTable::new(),
             jobs: HashMap::new(),
@@ -433,7 +436,7 @@ impl ServiceState {
     /// only; baselines report 0). Bounded by
     /// `max_history × template count`.
     pub fn predictor_resident_points(&self) -> usize {
-        self.predictor.inner().resident_points()
+        self.predictor.resident_points()
     }
 
     /// Events waiting in the reorder buffer.
@@ -441,9 +444,21 @@ impl ServiceState {
         self.buffer.len()
     }
 
-    /// Estimate-cache statistics of the hosted predictor.
-    pub fn cache_stats(&self) -> qpredict_predict::CacheStats {
-        self.predictor.stats()
+    /// Estimate-cache counters of an uncached predictor: every
+    /// prediction since this state was built or restored reached the
+    /// predictor and counts as a miss.
+    pub fn cache_stats(&self) -> CacheStats {
+        CacheStats {
+            misses: self.predictions,
+            ..CacheStats::default()
+        }
+    }
+
+    /// The hosted predictor's estimate for `job`, clamped to run past
+    /// `elapsed`.
+    fn predict(&mut self, job: &Job, elapsed: Dur) -> Prediction {
+        self.predictions += 1;
+        self.predictor.predict(job, elapsed).clamped(elapsed)
     }
 
     /// Ingest one raw input line. `seq` must exceed every previously
@@ -481,8 +496,7 @@ impl ServiceState {
             if ev.time < w {
                 // Behind the watermark: the canonical position has
                 // already been applied past. Backfill immediately — a
-                // late finish still teaches the predictor, and the
-                // generation bump invalidates stale cached estimates.
+                // late finish still teaches the predictor.
                 self.counters.late += 1;
                 counter_add("serve.late", 1);
                 self.apply(ev, out);
@@ -670,10 +684,7 @@ impl ServiceState {
             Phase::Done => format!("t={} id={id} done", now.0),
             Phase::Running { started } => {
                 let elapsed = now.since(started).max(Dur::ZERO);
-                let p = self
-                    .predictor
-                    .predict(&r.job(Dur::SECOND), elapsed)
-                    .clamped(elapsed);
+                let p = self.predict(&r.job(Dur::SECOND), elapsed);
                 let rem = p.estimate - elapsed;
                 format!(
                     "t={} id={id} running rem={} ci={:016X} fallback={}",
@@ -699,10 +710,7 @@ impl ServiceState {
                 let mut profile_in: Vec<(u32, Time)> = Vec::with_capacity(running.len());
                 for (_, rec, started) in &running {
                     let elapsed = now.since(*started).max(Dur::ZERO);
-                    let p = self
-                        .predictor
-                        .predict(&rec.job(Dur::SECOND), elapsed)
-                        .clamped(elapsed);
+                    let p = self.predict(&rec.job(Dur::SECOND), elapsed);
                     profile_in.push((rec.nodes.min(machine), *started + p.estimate));
                 }
                 // Disordered streams can legitimately claim more running
@@ -724,18 +732,12 @@ impl ServiceState {
                     .collect();
                 queued.sort_by_key(|(internal, _)| *internal);
                 for (_, rec) in &queued {
-                    let p = self
-                        .predictor
-                        .predict(&rec.job(Dur::SECOND), Dur::ZERO)
-                        .clamped(Dur::ZERO);
+                    let p = self.predict(&rec.job(Dur::SECOND), Dur::ZERO);
                     let nodes = rec.nodes.min(machine);
                     let at = profile.earliest_fit(nodes, p.estimate);
                     profile.reserve(at, p.estimate, nodes);
                 }
-                let p = self
-                    .predictor
-                    .predict(&r.job(Dur::SECOND), Dur::ZERO)
-                    .clamped(Dur::ZERO);
+                let p = self.predict(&r.job(Dur::SECOND), Dur::ZERO);
                 let start = profile.earliest_fit(r.nodes.min(machine), p.estimate);
                 let wait = start.since(now).max(Dur::ZERO);
                 format!(
@@ -789,7 +791,7 @@ impl Codec<ServeConfig> for ServiceState {
         w.map_records("job", &self.jobs);
         w.record("donefifo").put(&self.done_fifo);
         w.record("rb").put(&self.buffer);
-        w.put(self.predictor.inner());
+        w.put(&self.predictor);
     }
 
     fn decode(r: &mut Reader<'_>, cfg: &ServeConfig) -> Result<ServiceState, CodecError> {
@@ -812,7 +814,7 @@ impl Codec<ServeConfig> for ServiceState {
         state.count_live();
         state.done_fifo = r.record("donefifo")?.get()?;
         state.read_buffer(r)?;
-        state.predictor = CachingPredictor::new(r.get_in(&(&state.cfg, &state.syms))?);
+        state.predictor = r.get_in(&(&state.cfg, &state.syms))?;
         Ok(state)
     }
 }
@@ -878,7 +880,7 @@ impl Delta<ServeConfig> for ServiceState {
         let pushed: Vec<u64> = self.done_fifo.range(j.fifo_len - pops..).copied().collect();
         w.record("donefifo").put(&pops).put(&pushed);
         w.record("rb").put(&self.buffer);
-        self.predictor.inner().encode_delta(w);
+        self.predictor.encode_delta(w);
     }
 
     fn apply_delta(&mut self, r: &mut Reader<'_>, _: &ServeConfig) -> Result<(), CodecError> {
@@ -926,9 +928,7 @@ impl Delta<ServeConfig> for ServiceState {
         let pushed: Vec<u64> = r.get()?;
         self.done_fifo.extend(pushed);
         self.read_buffer(r)?;
-        self.predictor
-            .inner_mut()
-            .apply_delta(r, &(&self.cfg, &self.syms))
+        self.predictor.apply_delta(r, &(&self.cfg, &self.syms))
     }
 
     fn mark(&mut self) {
@@ -940,7 +940,7 @@ impl Delta<ServeConfig> for ServiceState {
             fifo_pops: 0,
             syms: self.syms.len(),
         });
-        self.predictor.inner_mut().mark();
+        self.predictor.mark();
     }
 }
 

@@ -1,6 +1,7 @@
 //! Integration tests for the online predictor service: kill-anywhere
-//! recovery, corrupted-snapshot and torn-WAL tolerance, reorder
-//! equivalence under permutation, and bounded memory on long streams.
+//! recovery, corrupted-snapshot and torn-WAL tolerance, one end state
+//! under every durability policy, reorder equivalence under permutation,
+//! and bounded memory on long streams.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -42,11 +43,56 @@ fn event_lines(jobs: usize) -> Vec<String> {
     lines
 }
 
+/// Known jobs queried back to back, with no completion between the
+/// queries: each answer re-estimates the same queued jobs at the same
+/// predictor state, the case an estimate cache above the predictor
+/// would serve. One line per snapshot, so a kill between two queries
+/// resumes from a snapshot taken between them.
+fn back_to_back_queries() -> (ServeConfig, Vec<String>) {
+    let cfg = ServeConfig {
+        horizon: 1,
+        snapshot_every: 1,
+        ..cfg()
+    };
+    let lines = [
+        "submit 1 100 nodes=4 limit=3600 u=ann e=lu",
+        "start 1 110",
+        "finish 1 700",
+        "submit 2 800 nodes=4 limit=3600 u=ann e=lu",
+        "start 2 810",
+        "finish 2 1500",
+        "submit 3 1600 nodes=8 limit=7200 u=ann e=lu",
+        "start 3 1610",
+        "submit 4 1620 nodes=60 limit=3600 u=ann e=lu",
+        "submit 5 1630 nodes=4 limit=3600 u=bob e=fft",
+        "submit 6 1640 nodes=16 limit=1800 u=ann e=lu",
+        "query 6 1650",
+        "query 6 1651",
+        "query 5 1652",
+        "query 6 1653",
+        "query 4 1654",
+        "query 6 1655",
+        "query 5 1656",
+        "finish 3 2600",
+        "start 4 2610",
+        "query 6 2620",
+        "query 6 2621",
+        "query 5 2622",
+    ];
+    (cfg, lines.iter().map(|l| l.to_string()).collect())
+}
+
 /// Run the full stream uninterrupted; returns (state fingerprint, output
 /// log bytes).
-fn reference_run(root: &Path, lines: &[String]) -> (u64, String) {
+fn reference_run(cfg: &ServeConfig, root: &Path, lines: &[String]) -> (u64, String) {
     let out = root.join("ref.out");
-    let mut svc = Service::open(cfg(), Some(&root.join("ref-state")), Some(&out), false).unwrap();
+    let mut svc = Service::open(
+        cfg.clone(),
+        Some(&root.join("ref-state")),
+        Some(&out),
+        false,
+    )
+    .unwrap();
     for l in lines {
         svc.feed_line(l).unwrap();
     }
@@ -56,8 +102,8 @@ fn reference_run(root: &Path, lines: &[String]) -> (u64, String) {
 
 /// Feed `lines[..k]` into a fresh durable service and abandon it without
 /// `finish()` — the in-process equivalent of a kill.
-fn abandoned_prefix(state_dir: &Path, out: &Path, lines: &[String], k: usize) {
-    let mut svc = Service::open(cfg(), Some(state_dir), Some(out), false).unwrap();
+fn abandoned_prefix(cfg: &ServeConfig, state_dir: &Path, out: &Path, lines: &[String], k: usize) {
+    let mut svc = Service::open(cfg.clone(), Some(state_dir), Some(out), false).unwrap();
     for l in &lines[..k] {
         svc.feed_line(l).unwrap();
     }
@@ -66,8 +112,8 @@ fn abandoned_prefix(state_dir: &Path, out: &Path, lines: &[String], k: usize) {
 
 /// Resume from `state_dir`, re-feed everything, and return the recovered
 /// service after `finish()`.
-fn resumed_full_run(state_dir: &Path, out: &Path, lines: &[String]) -> Service {
-    let mut svc = Service::open(cfg(), Some(state_dir), Some(out), true).unwrap();
+fn resumed_full_run(cfg: &ServeConfig, state_dir: &Path, out: &Path, lines: &[String]) -> Service {
+    let mut svc = Service::open(cfg.clone(), Some(state_dir), Some(out), true).unwrap();
     assert!(svc.recovery.resumed);
     for l in lines {
         svc.feed_line(l).unwrap();
@@ -80,29 +126,33 @@ fn resumed_full_run(state_dir: &Path, out: &Path, lines: &[String]) -> Service {
 /// yield bit-identical state and output to an uninterrupted run.
 #[test]
 fn kill_at_every_index_recovers_bit_identically() {
-    let root = tmp_dir("killpoints");
-    let lines = event_lines(18);
-    let (want_fp, want_out) = reference_run(&root, &lines);
-
-    for k in 0..=lines.len() {
-        let state_dir = root.join(format!("k{k}"));
-        let out = root.join(format!("k{k}.out"));
-        abandoned_prefix(&state_dir, &out, &lines, k);
-        let svc = resumed_full_run(&state_dir, &out, &lines);
-        assert_eq!(
-            svc.state().fingerprint(),
-            want_fp,
-            "state diverged after kill at line {k}"
-        );
-        assert_eq!(
-            fs::read_to_string(&out).unwrap(),
-            want_out,
-            "output log diverged after kill at line {k}"
-        );
-        let _ = fs::remove_dir_all(&state_dir);
-        let _ = fs::remove_file(&out);
+    let streams = [
+        ("synthetic", (cfg(), event_lines(18))),
+        ("back-to-back", back_to_back_queries()),
+    ];
+    for (name, (cfg, lines)) in &streams {
+        let root = tmp_dir(&format!("killpoints-{name}"));
+        let (want_fp, want_out) = reference_run(cfg, &root, lines);
+        for k in 0..=lines.len() {
+            let state_dir = root.join(format!("k{k}"));
+            let out = root.join(format!("k{k}.out"));
+            abandoned_prefix(cfg, &state_dir, &out, lines, k);
+            let svc = resumed_full_run(cfg, &state_dir, &out, lines);
+            assert_eq!(
+                svc.state().fingerprint(),
+                want_fp,
+                "{name}: state diverged after kill at line {k}"
+            );
+            assert_eq!(
+                fs::read_to_string(&out).unwrap(),
+                want_out,
+                "{name}: output log diverged after kill at line {k}"
+            );
+            let _ = fs::remove_dir_all(&state_dir);
+            let _ = fs::remove_file(&out);
+        }
+        let _ = fs::remove_dir_all(&root);
     }
-    let _ = fs::remove_dir_all(&root);
 }
 
 /// A bit-flipped latest snapshot must fail its checksum, fall back to the
@@ -111,11 +161,11 @@ fn kill_at_every_index_recovers_bit_identically() {
 fn corrupted_latest_snapshot_falls_back_to_previous() {
     let root = tmp_dir("snapflip");
     let lines = event_lines(18);
-    let (want_fp, want_out) = reference_run(&root, &lines);
+    let (want_fp, want_out) = reference_run(&cfg(), &root, &lines);
 
     let state_dir = root.join("state");
     let out = root.join("events.out");
-    abandoned_prefix(&state_dir, &out, &lines, lines.len());
+    abandoned_prefix(&cfg(), &state_dir, &out, &lines, lines.len());
 
     // Flip one byte in the middle of the newest snapshot.
     let mut snaps: Vec<PathBuf> = fs::read_dir(&state_dir)
@@ -133,7 +183,7 @@ fn corrupted_latest_snapshot_falls_back_to_previous() {
     bytes[mid] ^= 0x40;
     fs::write(newest, bytes).unwrap();
 
-    let svc = resumed_full_run(&state_dir, &out, &lines);
+    let svc = resumed_full_run(&cfg(), &state_dir, &out, &lines);
     assert!(svc.recovery.snapshot_fallbacks >= 1, "{:?}", svc.recovery);
     assert_eq!(svc.state().fingerprint(), want_fp);
     assert_eq!(fs::read_to_string(&out).unwrap(), want_out);
@@ -146,12 +196,12 @@ fn corrupted_latest_snapshot_falls_back_to_previous() {
 fn torn_wal_tail_is_truncated_and_harmless() {
     let root = tmp_dir("torntail");
     let lines = event_lines(18);
-    let (want_fp, want_out) = reference_run(&root, &lines);
+    let (want_fp, want_out) = reference_run(&cfg(), &root, &lines);
 
     let state_dir = root.join("state");
     let out = root.join("events.out");
     let k = lines.len() - 3; // kill with work still pending
-    abandoned_prefix(&state_dir, &out, &lines, k);
+    abandoned_prefix(&cfg(), &state_dir, &out, &lines, k);
 
     // Simulate a torn write: a half-record plus raw garbage (including
     // invalid UTF-8) at the tail of the log.
@@ -161,10 +211,49 @@ fn torn_wal_tail_is_truncated_and_harmless() {
     bytes.extend_from_slice(&[0xFF, 0xFE, 0x00, 0x9f]);
     fs::write(&wal, bytes).unwrap();
 
-    let svc = resumed_full_run(&state_dir, &out, &lines);
+    let svc = resumed_full_run(&cfg(), &state_dir, &out, &lines);
     assert!(svc.recovery.wal_torn_bytes > 0, "{:?}", svc.recovery);
     assert_eq!(svc.state().fingerprint(), want_fp);
     assert_eq!(fs::read_to_string(&out).unwrap(), want_out);
+    let _ = fs::remove_dir_all(&root);
+}
+
+/// The durability policy decides when bytes reach the disk, never what
+/// the service computes: an ephemeral run and durable runs under
+/// `fsync never`, `batch(64)` and `always` end on one state fingerprint.
+#[test]
+fn every_fsync_policy_ends_on_one_state() {
+    let lines: Vec<String> = synthesize_events(&qpredict_workload::synthetic::toy(250, 64, 313), 8)
+        .iter()
+        .map(|e| e.encode())
+        .collect();
+    let root = tmp_dir("policies");
+    let run = |durable: Option<(&str, FsyncPolicy)>| -> u64 {
+        let cfg = ServeConfig {
+            snapshot_every: 64,
+            fsync: durable.map_or(FsyncPolicy::Never, |(_, p)| p),
+            ..ServeConfig::default()
+        };
+        let dir = durable.map(|(tag, _)| root.join(tag));
+        let mut svc = Service::open(cfg, dir.as_deref(), None, false).unwrap();
+        for l in &lines {
+            svc.feed_line(l).unwrap();
+        }
+        svc.finish().unwrap();
+        svc.state().fingerprint()
+    };
+    let ephemeral = run(None);
+    for (tag, policy) in [
+        ("never", FsyncPolicy::Never),
+        ("batch64", FsyncPolicy::Batch(64)),
+        ("always", FsyncPolicy::Always),
+    ] {
+        assert_eq!(
+            run(Some((tag, policy))),
+            ephemeral,
+            "fsync {tag} ended on another state than the ephemeral run"
+        );
+    }
     let _ = fs::remove_dir_all(&root);
 }
 

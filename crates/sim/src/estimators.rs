@@ -8,7 +8,7 @@
 //! and tests.
 
 use qpredict_predict::{MaxRuntimePredictor, RunTimePredictor};
-use qpredict_workload::{Dur, Job, Time, Workload};
+use qpredict_workload::{Dur, Job, Time};
 
 /// Why an estimator could not supply a usable estimate.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -103,40 +103,15 @@ impl RuntimeEstimator for ConstantEstimator {
 /// are derived from the trace, exactly as the paper does: the longest
 /// running job in each queue becomes the maximum for that queue.
 ///
-/// The limit derivation is shared with
-/// [`qpredict_predict::MaxRuntimePredictor`] — this type is the thin
-/// engine-facing face of the same logic (it exists separately only so
-/// the simulator's baselines need no predictor boxing).
-#[derive(Debug, Clone)]
-pub struct MaxRuntimeEstimator {
-    limits: MaxRuntimePredictor,
-}
-
-impl MaxRuntimeEstimator {
-    /// Build from a workload, deriving per-queue maxima for jobs without
-    /// explicit limits.
-    pub fn from_workload(w: &Workload) -> MaxRuntimeEstimator {
-        MaxRuntimeEstimator {
-            limits: MaxRuntimePredictor::from_workload(w),
-        }
-    }
-
-    /// The estimate used for `job` before clamping by elapsed time.
-    pub fn limit_for(&self, job: &Job) -> Dur {
-        self.limits.limit_for(job)
-    }
-}
-
-impl RuntimeEstimator for MaxRuntimeEstimator {
-    fn estimate(&mut self, job: &Job, _now: Time, elapsed: Dur) -> Dur {
-        self.limit_for(job).max(elapsed + Dur::SECOND)
-    }
-}
+/// This is [`MaxRuntimePredictor`] itself: through the blanket impl
+/// above it estimates `limit.max(elapsed + 1 s)`, so a running job past
+/// its limit stays ahead of reality.
+pub type MaxRuntimeEstimator = MaxRuntimePredictor;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qpredict_workload::{Characteristic, JobBuilder, JobId};
+    use qpredict_workload::{Characteristic, JobBuilder, JobId, Workload};
 
     #[test]
     fn actual_returns_runtime() {

@@ -1,18 +1,23 @@
 //! Integration tests for the observability layer: spans and counters
 //! flow from instrumented library code into the thread-local registry,
-//! recording is inert when off, and a full run report round-trips
-//! through the JSON writer/parser and schema validator.
+//! recording is inert when off and costs a warm prediction under 2%,
+//! and a full run report round-trips through the JSON writer/parser and
+//! schema validator.
 //!
 //! The recording flag is process-global while the registry is
 //! thread-local, so every test here serializes on one mutex and leaves
 //! the flag off when done.
 
+use std::hint::black_box;
 use std::sync::Mutex;
+use std::time::Instant;
 
-use qpredict::core::{run_scheduling, PredictorKind};
+use qpredict::core::{run_scheduling, searched, PredictorKind};
 use qpredict::obs::{self, json::Json, report};
+use qpredict::predict::{RunTimePredictor, SmithPredictor};
 use qpredict::sim::Algorithm;
 use qpredict::workload::synthetic::toy;
+use qpredict::workload::Dur;
 
 static FLAG: Mutex<()> = Mutex::new(());
 
@@ -79,6 +84,84 @@ fn recording_off_is_inert() {
         snap.counters.is_empty(),
         "counters leaked: {:?}",
         snap.counters
+    );
+}
+
+/// Median seconds per call of `f`, after warm-up, over nine batches of
+/// about 20 ms each.
+fn warm_median_secs<T>(mut f: impl FnMut() -> T) -> f64 {
+    let warm = Instant::now();
+    for _ in 0..3 {
+        black_box(f());
+    }
+    let per_call = (warm.elapsed().as_secs_f64() / 3.0).max(1e-9);
+    let batch = ((0.02 / per_call) as usize).clamp(1, 1_000_000);
+    let mut samples: Vec<f64> = (0..9)
+        .map(|_| {
+            let t = Instant::now();
+            for _ in 0..batch {
+                black_box(f());
+            }
+            t.elapsed().as_secs_f64() / batch as f64
+        })
+        .collect();
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
+}
+
+/// The disarmed seam costs under 2% of a warm Smith prediction. The
+/// seam is what `smith.predict` runs with recording off: one
+/// `recording()` read gating its span and its four counters. The
+/// prediction is the 64-job queue of a half-warmed trace, re-estimated
+/// with no completion between passes, as a scheduling pass re-estimates
+/// its queue. Both sides are medians of warm calls. Debug builds time
+/// unoptimized code, where the seam weighs more, so the gate runs in
+/// release.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "times optimized code: run with cargo test --release"
+)]
+fn recording_off_costs_under_two_percent_of_a_warm_predict() {
+    let _guard = locked();
+    obs::set_recording(false);
+    let wl = toy(4_000, 64, 310);
+    let mut smith = SmithPredictor::new(searched::set_for(&wl));
+    for j in wl.jobs.iter().take(wl.len() / 2) {
+        smith.on_complete(j);
+    }
+    let queue: Vec<_> = wl.jobs.iter().skip(wl.len() / 2).take(64).collect();
+    let per_predict = warm_median_secs(|| {
+        queue
+            .iter()
+            .map(|j| smith.predict(j, Dur::ZERO).estimate.seconds())
+            .sum::<i64>()
+    }) / queue.len() as f64;
+
+    const INNER: u64 = 1_000;
+    let per_seam = warm_median_secs(|| {
+        let mut acc = 0u64;
+        for i in 0..INNER {
+            let recording = obs::recording();
+            let _span = recording.then(|| obs::span("gate.off"));
+            if recording {
+                obs::counter_add("gate.a", 1);
+                obs::counter_add("gate.b", 1);
+                obs::counter_add("gate.c", 1);
+                obs::counter_add("gate.d", 1);
+            }
+            acc = acc.wrapping_add(i);
+        }
+        acc
+    }) / INNER as f64;
+
+    let share = per_seam / per_predict;
+    assert!(
+        share < 0.02,
+        "the disarmed seam costs {:.3}% of a warm predict ({:.2} ns of {:.1} ns)",
+        100.0 * share,
+        per_seam * 1e9,
+        per_predict * 1e9
     );
 }
 

@@ -20,6 +20,11 @@
 //! cannot change, so the predictor memoizes each signature's selection
 //! and must serve most of a pass from that memo.
 //!
+//! Most estimates need no scan at all: the templates that ignore elapsed
+//! time answer from running moments, so a recorded wait-prediction
+//! stream must read at most half the points a scan of every category
+//! would.
+//!
 //! The guards count work (points traversed, snapshot bytes, keys built,
 //! memo hits)
 //! rather than timing anything, so they are deterministic. The recording
@@ -29,7 +34,8 @@ use std::collections::HashSet;
 use std::sync::Mutex;
 
 use qpredict_core::{run_wait_prediction, searched, PredictorEstimator, PredictorKind};
-use qpredict_predict::SmithPredictor;
+use qpredict_predict::{RunTimePredictor, SmithPredictor};
+use qpredict_search::{PredEvent, PredictionWorkload, Target};
 use qpredict_serve::{FsyncPolicy, ServeConfig, Service};
 use qpredict_sim::{Algorithm, Simulation};
 use qpredict_workload::synthesize_events;
@@ -69,6 +75,39 @@ fn elapsed_conditioned_prediction_reads_near_linearly_many_points() {
         ratio <= 6.0,
         "4x the jobs read {ratio:.1}x the points ({small} -> {large}): \
          elapsed-time conditioning has gone quadratic"
+    );
+}
+
+/// Replay the predictions and completions of a backfill wait-prediction
+/// run on the SDSC96 site model cut to 1,000 jobs through a bare Smith
+/// predictor: the points it scanned must be at most half of what
+/// scanning every matching category per estimate would read. SDSC96's
+/// set conditions on elapsed time, so some estimates must scan; a set
+/// without such templates scans nothing and would pass vacuously.
+#[test]
+fn moment_fast_paths_halve_the_points_scanned() {
+    let wl = site(sites::sdsc96_spec(), 1_000);
+    let pw = PredictionWorkload::build(&wl, Target::WaitPrediction(Algorithm::Backfill), 2);
+    let mut p = SmithPredictor::new(searched::set_for(&wl));
+    for ev in &pw.events {
+        match *ev {
+            PredEvent::Predict { job, elapsed } => {
+                p.predict(wl.job(job), elapsed);
+            }
+            PredEvent::Insert { job } => p.on_complete(wl.job(job)),
+        }
+    }
+    let ops = p.estimate_ops();
+    assert!(
+        ops.scanned_points > 0,
+        "the SDSC96 set conditions on elapsed time"
+    );
+    let naive = ops.scanned_points + ops.moment_points;
+    let reduction = naive as f64 / ops.scanned_points as f64;
+    assert!(
+        reduction >= 2.0,
+        "scanned {} of {naive} points, only {reduction:.2}x fewer than a naive scan",
+        ops.scanned_points
     );
 }
 
