@@ -20,8 +20,8 @@
 //! which serves about 97% of the CTC cell's predictions.
 //! [`qpredict_predict::CachingPredictor`] stays where whole
 //! `(job, elapsed)` repeats are common: the nested forecasts of the
-//! wait-time studies, the GA's fitness replays and the online service.
-//! There it sits above the Smith memo.
+//! wait-time studies and the GA's fitness replays. There it sits above
+//! the Smith memo.
 
 use qpredict_predict::{CacheStats, DegradationCounts, ErrorStats, RunTimePredictor};
 use qpredict_sim::RuntimeEstimator;

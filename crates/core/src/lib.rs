@@ -6,7 +6,8 @@
 //!
 //! * [`forecast_start`] — simulate a scheduler forward from a system
 //!   [`qpredict_sim::Snapshot`] using predicted run times, yielding the
-//!   predicted start time of a job (Section 3's technique);
+//!   predicted start time of a job (Section 3's technique; re-exported
+//!   from `qpredict-sim`, where the online service calls it too);
 //! * [`run_wait_prediction`] — the full Tables 4–9 pipeline: schedule a
 //!   trace with maximum run times, predict every arrival's wait at
 //!   submission via nested simulation, and score the predictions;
@@ -24,7 +25,6 @@
 //!   (workload x algorithm x predictor) run on `qpredict_obs::par_map`.
 
 pub mod adapter;
-pub mod forecast;
 pub mod paper;
 pub mod scheduling;
 pub mod statewait;
@@ -33,8 +33,8 @@ pub mod template_search;
 pub mod waittime;
 
 pub use adapter::PredictorEstimator;
-pub use forecast::{forecast_start, forecast_start_interval, WaitInterval};
 pub use qpredict_predict::{searched, PredictorKind};
+pub use qpredict_sim::{forecast_start, forecast_start_interval, WaitInterval};
 pub use scheduling::{run_scheduling, run_scheduling_with, FaultSummary, SchedulingOutcome};
 pub use statewait::{run_state_wait_prediction, StateWaitPredictor};
 pub use tables::Table;

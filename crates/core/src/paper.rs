@@ -28,7 +28,7 @@ pub enum Scale {
 /// Generate the four paper workloads at the given scale, in the paper's
 /// order (ANL, CTC, SDSC95, SDSC96).
 pub fn workloads(scale: Scale) -> Vec<Workload> {
-    let mut out: Vec<Workload> = match scale {
+    match scale {
         Scale::Full => synthetic::ALL_SITES
             .iter()
             .map(|n| synthetic::by_name(n).expect("known site"))
@@ -43,15 +43,7 @@ pub fn workloads(scale: Scale) -> Vec<Workload> {
                 synthetic::generate(&spec)
             })
             .collect(),
-    };
-    // Truncated names like "ANL" stay clean for report rows.
-    for w in &mut out {
-        if let Scale::Jobs(_) = scale {
-            // keep the site name; scale is reported separately
-        }
-        let _ = w;
     }
-    out
 }
 
 /// The predictor each paper table studies.

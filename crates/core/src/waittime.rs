@@ -24,11 +24,11 @@
 
 use qpredict_predict::{CachingPredictor, ErrorStats, RunTimePredictor};
 use qpredict_sim::{
-    Algorithm, MaxRuntimeEstimator, Metrics, RuntimeEstimator, SimHooks, Simulation, Snapshot,
+    forecast_start, Algorithm, MaxRuntimeEstimator, Metrics, RuntimeEstimator, SimHooks,
+    Simulation, Snapshot,
 };
 use qpredict_workload::{Dur, Job, Time, Workload};
 
-use crate::forecast::forecast_start;
 use crate::PredictorKind;
 
 /// Results of a wait-time prediction run.

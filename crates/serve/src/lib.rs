@@ -14,9 +14,9 @@
 //! * [`ServiceState`] — the deterministic core: per-job lifecycle state
 //!   machine, bounded reorder buffer with a watermark for disordered
 //!   input, late-completion backfill, bounded-memory job tables and
-//!   predictor history, and wait-time query answering (a
-//!   conservative-backfill reservation over predicted run times, equal
-//!   to the offline nested forecast).
+//!   predictor history, and wait-time query answering (the offline
+//!   studies' nested forecast, `qpredict_sim::forecast_replay`, run as
+//!   conservative backfill over predicted run times).
 //! * [`wal`] — checksummed write-ahead log of raw input lines; torn or
 //!   bit-flipped tails bound the damage to the unacknowledged suffix.
 //! * [`Service`] — ties them together with atomic, checksummed snapshot

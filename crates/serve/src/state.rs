@@ -35,7 +35,7 @@ use qpredict_predict::{
     CacheStats, DowneyPredictor, DowneyVariant, GibbonsPredictor, Prediction, PredictorKind,
     RunTimePredictor, SmithPredictor,
 };
-use qpredict_sim::profile::Profile;
+use qpredict_sim::{forecast_replay, Algorithm, QueueEntry, RunningView};
 use qpredict_workload::{
     Characteristic, Dur, EventKind, Job, JobBuilder, JobEvent, JobId, Sym, SymbolTable, Time,
     CHARACTERISTICS,
@@ -668,14 +668,13 @@ impl ServiceState {
 
     /// Answer a wait-time query about `id` at time `now`.
     ///
-    /// For a queued job the answer is the paper's estimated queue wait, a
-    /// conservative-backfill reservation over predicted run times: build
-    /// the free-node profile from the predicted completion times of the
-    /// running jobs, reserve every job queued ahead at its earliest fit
-    /// using its predicted run time, then place the queried job — its
-    /// earliest fit minus `now` is the wait. This equals the nested
-    /// backfill forecast with belief = prediction (locked by a test), in
-    /// one pass.
+    /// For a queued job the answer is the paper's estimated queue wait:
+    /// the nested conservative-backfill forecast with the scheduler's
+    /// belief = prediction ([`forecast_replay`]), over the running jobs
+    /// and the jobs queued ahead of the target. Each is predicted once, in
+    /// admission order, running jobs first; with exact beliefs the
+    /// forecast takes its first-pass stop, so the wait is the target's
+    /// earliest fit after everything ahead has been reserved.
     fn answer(&mut self, id: u64, now: Time) -> String {
         let Some(r) = self.jobs.get(&id).copied() else {
             return format!("t={} id={id} unknown", now.0);
@@ -696,49 +695,58 @@ impl ServiceState {
             }
             Phase::Queued => {
                 let machine = self.cfg.machine_nodes.max(1);
-                // Predicted completion times of running jobs, in internal
-                // (admission) order for determinism.
-                let mut running: Vec<(u32, JobRecord, Time)> = self
+                let mut ahead: Vec<JobRecord> = self
                     .jobs
                     .values()
-                    .filter_map(|rec| match rec.phase {
-                        Phase::Running { started } => Some((rec.internal, *rec, started)),
-                        _ => None,
+                    .filter(|rec| match rec.phase {
+                        Phase::Running { .. } => true,
+                        Phase::Queued => rec.internal < r.internal,
+                        Phase::Done => false,
                     })
+                    .copied()
                     .collect();
-                running.sort_by_key(|(internal, _, _)| *internal);
-                let mut profile_in: Vec<(u32, Time)> = Vec::with_capacity(running.len());
-                for (_, rec, started) in &running {
-                    let elapsed = now.since(*started).max(Dur::ZERO);
-                    let p = self.predict(&rec.job(Dur::SECOND), elapsed);
-                    profile_in.push((rec.nodes.min(machine), *started + p.estimate));
+                // Predict running jobs first, then the queue, each in
+                // admission order: the predictor's state depends on the
+                // call sequence, and snapshots record it.
+                ahead.sort_by_key(|rec| (rec.phase == Phase::Queued, rec.internal));
+                let (mut running, mut queue) = (Vec::new(), Vec::new());
+                let entry = |rec: &JobRecord, pred_runtime: Dur| QueueEntry {
+                    id: JobId(rec.internal),
+                    seq: rec.internal as u64,
+                    nodes: rec.nodes.min(machine),
+                    pred_runtime,
+                };
+                for rec in &ahead {
+                    if let Phase::Running { started } = rec.phase {
+                        let elapsed = now.since(started).max(Dur::ZERO);
+                        let end = started + self.predict(&rec.job(Dur::SECOND), elapsed).estimate;
+                        let view = RunningView {
+                            nodes: rec.nodes.min(machine),
+                            pred_end: end,
+                        };
+                        running.push((view, end));
+                    } else {
+                        let dur = self.predict(&rec.job(Dur::SECOND), Dur::ZERO).estimate;
+                        queue.push((entry(rec, dur), dur));
+                    }
                 }
+                let p = self.predict(&r.job(Dur::SECOND), Dur::ZERO);
+                queue.push((entry(&r, p.estimate), p.estimate));
                 // Disordered streams can legitimately claim more running
                 // nodes than the machine has; observe, don't assert.
                 let mut violations = Vec::new();
-                let mut profile =
-                    Profile::new_reporting(machine, now, &profile_in, Some(&mut violations));
+                let start = forecast_replay(
+                    Algorithm::Backfill,
+                    machine,
+                    now,
+                    running,
+                    queue,
+                    JobId(r.internal),
+                    Some(&mut violations),
+                );
                 if !violations.is_empty() {
                     counter_add("serve.oversubscribed", 1);
                 }
-                // Reserve everything queued ahead of the target, in order.
-                let mut queued: Vec<(u32, JobRecord)> = self
-                    .jobs
-                    .values()
-                    .filter_map(|rec| match rec.phase {
-                        Phase::Queued if rec.internal < r.internal => Some((rec.internal, *rec)),
-                        _ => None,
-                    })
-                    .collect();
-                queued.sort_by_key(|(internal, _)| *internal);
-                for (_, rec) in &queued {
-                    let p = self.predict(&rec.job(Dur::SECOND), Dur::ZERO);
-                    let nodes = rec.nodes.min(machine);
-                    let at = profile.earliest_fit(nodes, p.estimate);
-                    profile.reserve(at, p.estimate, nodes);
-                }
-                let p = self.predict(&r.job(Dur::SECOND), Dur::ZERO);
-                let start = profile.earliest_fit(r.nodes.min(machine), p.estimate);
                 let wait = start.since(now).max(Dur::ZERO);
                 format!(
                     "t={} id={id} wait={} runtime={} ci={:016X} fallback={}",
@@ -1119,7 +1127,7 @@ mod tests {
     /// backfill, scheduler belief = prediction) over a snapshot of
     /// `state` at `now`, using the state's own predictor.
     fn nested_forecast(state: &mut ServiceState, id: u64, now: Time) -> Time {
-        use qpredict_sim::{Algorithm, Snapshot};
+        use qpredict_sim::Snapshot;
         let machine = state.cfg.machine_nodes;
         let mut wl = qpredict_workload::Workload::new("serve", machine);
         wl.jobs = (0..state.next_internal)
@@ -1150,7 +1158,7 @@ mod tests {
             let mut pred = predictor.borrow_mut();
             pred.predict(job, elapsed).clamped(elapsed).estimate
         };
-        qpredict_core::forecast_start(&wl, Algorithm::Backfill, &snap, p, p, target)
+        qpredict_sim::forecast_start(&wl, Algorithm::Backfill, &snap, p, p, target)
     }
 
     /// Online = offline: on an in-order stream, every queued job's wait
@@ -1158,7 +1166,7 @@ mod tests {
     /// belief = prediction.
     #[test]
     fn queued_answers_equal_the_nested_backfill_forecast() {
-        use qpredict_sim::{Algorithm, MaxRuntimeEstimator, Simulation};
+        use qpredict_sim::{MaxRuntimeEstimator, Simulation};
         let wl = qpredict_workload::synthetic::toy(600, 32, 11);
         let mut belief = MaxRuntimeEstimator::from_workload(&wl);
         let schedule = Simulation::run(&wl, Algorithm::Backfill, &mut belief);

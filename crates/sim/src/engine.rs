@@ -17,7 +17,7 @@ use qpredict_workload::{Dur, Job, JobId, Time, Workload};
 
 use crate::estimators::RuntimeEstimator;
 use crate::metrics::{JobOutcome, Metrics};
-use crate::scheduler::{schedule_pass_reporting, Algorithm, QueueEntry, RunningView};
+use crate::scheduler::{schedule_pass, Algorithm, QueueEntry, RunningView};
 
 /// A point-in-time view of the simulated system, captured after a
 /// submission is enqueued and before the scheduler reacts to it.
@@ -445,7 +445,7 @@ impl<'w> Simulation<'w> {
                 pred_runtime: pred,
             });
         }
-        let start_idxs = schedule_pass_reporting(
+        let start_idxs = schedule_pass(
             self.alg,
             self.now,
             self.wl.machine_nodes,
@@ -508,7 +508,6 @@ impl<'w> Simulation<'w> {
                 id.0 as u64,
                 id,
             )));
-            est.on_start(job, self.now);
             hooks.on_job_start(job, self.now);
         }
         Ok(())

@@ -43,9 +43,6 @@ pub trait RuntimeEstimator {
         Ok(self.estimate(job, now, elapsed))
     }
 
-    /// Called when a job begins execution.
-    fn on_start(&mut self, _job: &Job, _now: Time) {}
-
     /// Called when a job completes; learning estimators insert history
     /// here (the paper inserts data points at completion time).
     fn on_complete(&mut self, _job: &Job, _now: Time) {}

@@ -261,10 +261,6 @@ impl<E: RuntimeEstimator> RuntimeEstimator for FaultyEstimator<E> {
         Ok(self.corrupt(base, elapsed))
     }
 
-    fn on_start(&mut self, job: &Job, now: Time) {
-        self.inner.on_start(job, now);
-    }
-
     fn on_complete(&mut self, job: &Job, now: Time) {
         self.inner.on_complete(job, now);
     }

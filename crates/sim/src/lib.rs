@@ -20,10 +20,14 @@
 //! The engine is deterministic: identical inputs produce identical
 //! schedules. All decisions that could tie are broken by arrival sequence
 //! numbers.
+//!
+//! [`forecast_start`] replays the same passes on predicted run times to
+//! forecast when a queued job starts (Section 3's wait prediction).
 
 pub mod engine;
 pub mod estimators;
 pub mod fault;
+pub mod forecast;
 pub mod metrics;
 pub mod profile;
 pub mod scheduler;
@@ -37,8 +41,9 @@ pub use estimators::{
     ActualEstimator, ConstantEstimator, EstimateError, MaxRuntimeEstimator, RuntimeEstimator,
 };
 pub use fault::{FaultCounts, FaultPlan, FaultReport, FaultyEstimator};
+pub use forecast::{forecast_replay, forecast_start, forecast_start_interval, WaitInterval};
 pub use metrics::{JobOutcome, Metrics};
 pub use profile::Profile;
 pub use qpredict_predict::CacheStats;
-pub use scheduler::{schedule_pass, schedule_pass_reporting, Algorithm, QueueEntry, RunningView};
+pub use scheduler::{schedule_pass, Algorithm, QueueEntry, RunningView};
 pub use timeline::{timeline_of, Timeline};

@@ -31,20 +31,14 @@ impl Profile {
     /// (the job is demonstrably still running).
     ///
     /// An oversubscribed `running` set (more nodes in use than the
-    /// machine has) trips a debug assertion; release builds clamp and
-    /// continue. Guarded callers that must *observe* the violation
-    /// instead of asserting use [`Profile::new_reporting`].
-    pub fn new(machine_nodes: u32, now: Time, running: &[(u32, Time)]) -> Profile {
-        Profile::new_reporting(machine_nodes, now, running, None)
-    }
-
-    /// Like [`Profile::new`], but when `violations` is provided an
-    /// oversubscribed `running` set is *reported* into it (the guarded
-    /// engine's invariant-violation channel) rather than debug-asserted:
-    /// fault injection and corrupt traces can legitimately hand the
+    /// machine has) trips a debug assertion when `violations` is `None`;
+    /// release builds clamp and continue. When `violations` is provided
+    /// the oversubscription is *reported* into it (the guarded engine's
+    /// invariant-violation channel) instead: fault injection, corrupt
+    /// traces and disordered event streams can legitimately hand the
     /// backfill pass more running nodes than the machine has, and the
     /// wrong free-node profile that results must be visible, not silent.
-    pub fn new_reporting(
+    pub fn new(
         machine_nodes: u32,
         now: Time,
         running: &[(u32, Time)],
@@ -89,11 +83,6 @@ impl Profile {
             machine_nodes,
             segments,
         }
-    }
-
-    /// The machine size this profile covers.
-    pub fn machine_nodes(&self) -> u32 {
-        self.machine_nodes
     }
 
     /// Free nodes at instant `t` (which must be at or after the profile's
@@ -189,11 +178,6 @@ impl Profile {
         }
     }
 
-    /// Number of segments (for tests and diagnostics).
-    pub fn segment_count(&self) -> usize {
-        self.segments.len()
-    }
-
     /// Verify internal invariants: segments strictly ordered, frees within
     /// the machine size. Returns the first violation.
     pub fn check(&self) -> Result<(), String> {
@@ -230,7 +214,7 @@ mod tests {
 
     #[test]
     fn empty_machine_is_fully_free() {
-        let p = Profile::new(64, t(0), &[]);
+        let p = Profile::new(64, t(0), &[], None);
         assert_eq!(p.free_at(t(0)), 64);
         assert_eq!(p.free_at(t(1_000_000)), 64);
         assert_eq!(p.earliest_fit(64, Dur(100)), t(0));
@@ -239,7 +223,7 @@ mod tests {
 
     #[test]
     fn running_jobs_occupy_until_pred_end() {
-        let p = Profile::new(10, t(0), &[(4, t(100)), (3, t(50))]);
+        let p = Profile::new(10, t(0), &[(4, t(100)), (3, t(50))], None);
         assert_eq!(p.free_at(t(0)), 3);
         assert_eq!(p.free_at(t(49)), 3);
         assert_eq!(p.free_at(t(50)), 6);
@@ -251,14 +235,14 @@ mod tests {
     fn late_pred_end_clamped_to_future() {
         // A running job whose predicted end has already passed still holds
         // its nodes for one more second.
-        let p = Profile::new(10, t(100), &[(4, t(50))]);
+        let p = Profile::new(10, t(100), &[(4, t(50))], None);
         assert_eq!(p.free_at(t(100)), 6);
         assert_eq!(p.free_at(t(101)), 10);
     }
 
     #[test]
     fn earliest_fit_waits_for_capacity() {
-        let p = Profile::new(10, t(0), &[(8, t(100))]);
+        let p = Profile::new(10, t(0), &[(8, t(100))], None);
         // 2 nodes fit immediately; 5 must wait for the running job.
         assert_eq!(p.earliest_fit(2, Dur(50)), t(0));
         assert_eq!(p.earliest_fit(5, Dur(50)), t(100));
@@ -266,7 +250,7 @@ mod tests {
 
     #[test]
     fn earliest_fit_requires_window_not_instant() {
-        let mut p = Profile::new(10, t(0), &[]);
+        let mut p = Profile::new(10, t(0), &[], None);
         // Block [50, 150) with 9 nodes: 5-node jobs cannot overlap it.
         p.reserve(t(50), Dur(100), 9);
         // A 5-node 40s job fits at 0 (window [0,40) clear).
@@ -278,7 +262,7 @@ mod tests {
 
     #[test]
     fn reserve_subtracts_and_restores() {
-        let mut p = Profile::new(10, t(0), &[]);
+        let mut p = Profile::new(10, t(0), &[], None);
         p.reserve(t(20), Dur(30), 7);
         assert_eq!(p.free_at(t(19)), 10);
         assert_eq!(p.free_at(t(20)), 3);
@@ -289,7 +273,7 @@ mod tests {
 
     #[test]
     fn stacked_reservations() {
-        let mut p = Profile::new(10, t(0), &[]);
+        let mut p = Profile::new(10, t(0), &[], None);
         p.reserve(t(0), Dur(100), 4);
         p.reserve(t(50), Dur(100), 4);
         assert_eq!(p.free_at(t(0)), 6);
@@ -306,7 +290,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "exceeds machine")]
     fn oversized_request_panics() {
-        Profile::new(10, t(0), &[]).earliest_fit(11, Dur(1));
+        Profile::new(10, t(0), &[], None).earliest_fit(11, Dur(1));
     }
 
     #[test]
@@ -316,7 +300,7 @@ mod tests {
         // that promises nothing until jobs end — and never more than
         // the machine.
         let mut violations = Vec::new();
-        let p = Profile::new_reporting(10, t(0), &[(8, t(100)), (4, t(50))], Some(&mut violations));
+        let p = Profile::new(10, t(0), &[(8, t(100)), (4, t(50))], Some(&mut violations));
         assert_eq!(violations.len(), 1, "{violations:?}");
         assert!(violations[0].contains("oversubscribed"), "{violations:?}");
         assert!(violations[0].contains("12 of 10"), "{violations:?}");
@@ -329,7 +313,7 @@ mod tests {
     #[test]
     fn healthy_profile_reports_nothing() {
         let mut violations = Vec::new();
-        let p = Profile::new_reporting(10, t(0), &[(4, t(100))], Some(&mut violations));
+        let p = Profile::new(10, t(0), &[(4, t(100))], Some(&mut violations));
         assert!(violations.is_empty());
         assert_eq!(p.free_at(t(0)), 6);
     }
@@ -341,7 +325,7 @@ mod tests {
         use qpredict_workload::Rng64;
         let mut rng = Rng64::seed_from_u64(9);
         for _ in 0..50 {
-            let mut p = Profile::new(32, t(0), &[(10, t(40)), (6, t(90))]);
+            let mut p = Profile::new(32, t(0), &[(10, t(40)), (6, t(90))], None);
             for _ in 0..40 {
                 let nodes = 1 + rng.gen_index(32) as u32;
                 let dur = Dur(rng.gen_range_i64(1, 200));

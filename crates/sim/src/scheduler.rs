@@ -2,9 +2,9 @@
 //! function over a view of the system state.
 //!
 //! Both the outer simulation engine ([`crate::engine`]) and the nested
-//! wait-time-forecast simulation in `qpredict-core` call
-//! [`schedule_pass`], so predicted and real scheduler behaviour come from
-//! literally the same code.
+//! wait-time forecast ([`crate::forecast`]) call [`schedule_pass`], so
+//! predicted and real scheduler behaviour come from literally the same
+//! code.
 
 use qpredict_workload::{Dur, JobId, Time};
 
@@ -115,26 +115,14 @@ impl QueueEntry {
 /// * `free_nodes` — nodes not occupied by running jobs.
 /// * `running` — running jobs (only backfill reads it).
 /// * `queue` — queued jobs in any order; `seq` defines arrival order.
+/// * `violations` — when provided, an oversubscribed running set
+///   (possible under fault injection, a corrupt trace or a disordered
+///   event stream) is reported through it instead of tripping a debug
+///   assertion, so a silently-wrong backfill profile cannot hide.
 ///
 /// Returns indices into `queue` of the jobs to start, in the order they
 /// should start. The function is pure: callers apply the starts.
 pub fn schedule_pass(
-    alg: Algorithm,
-    now: Time,
-    machine_nodes: u32,
-    free_nodes: u32,
-    running: &[RunningView],
-    queue: &[QueueEntry],
-) -> Vec<usize> {
-    schedule_pass_reporting(alg, now, machine_nodes, free_nodes, running, queue, None)
-}
-
-/// [`schedule_pass`] with an invariant-violation sink: when `violations`
-/// is provided, an oversubscribed running set (possible under fault
-/// injection or a corrupt trace) is reported through it instead of
-/// tripping a debug assertion — the guarded engine threads its
-/// violation log here so a silently-wrong backfill profile cannot hide.
-pub fn schedule_pass_reporting(
     alg: Algorithm,
     now: Time,
     machine_nodes: u32,
@@ -168,24 +156,18 @@ pub fn schedule_pass_reporting(
             },
             false,
         ),
-        Algorithm::Backfill => backfill_pass(
+        Algorithm::Backfill | Algorithm::EasyBackfill => backfill_pass(
             now,
             machine_nodes,
-            free_nodes,
             running,
             queue,
-            false,
+            alg == Algorithm::EasyBackfill,
             violations,
-        ),
-        Algorithm::EasyBackfill => backfill_pass(
-            now,
-            machine_nodes,
-            free_nodes,
-            running,
-            queue,
-            true,
-            violations,
-        ),
+        )
+        .into_iter()
+        .filter(|&(_, at)| at == now)
+        .map(|(i, _)| i)
+        .collect(),
     }
 }
 
@@ -228,41 +210,40 @@ fn in_order_pass(
 /// With `easy` set, only the first blocked job receives a reservation
 /// (EASY semantics); otherwise every blocked job does (conservative, the
 /// paper's flavour).
-#[allow(clippy::too_many_arguments)]
-fn backfill_pass(
+///
+/// Returns `(index into queue, placement)` for every job that starts
+/// (placed at `now`) or receives a reservation, in arrival order. The
+/// forecast's first-pass stop reads a target's reservation from here.
+pub(crate) fn backfill_pass(
     now: Time,
     machine_nodes: u32,
-    free_nodes: u32,
     running: &[RunningView],
     queue: &[QueueEntry],
     easy: bool,
     violations: Option<&mut Vec<String>>,
-) -> Vec<usize> {
-    let _ = free_nodes; // implied by `running`; the profile recomputes it
+) -> Vec<(usize, Time)> {
     let running_pairs: Vec<(u32, Time)> = running.iter().map(|r| (r.nodes, r.pred_end)).collect();
-    let mut profile = Profile::new_reporting(machine_nodes, now, &running_pairs, violations);
+    let mut profile = Profile::new(machine_nodes, now, &running_pairs, violations);
 
     let mut order: Vec<usize> = (0..queue.len()).collect();
     order.sort_by_key(|&i| queue[i].seq);
 
-    let mut starts = Vec::new();
+    let mut placed = Vec::new();
     let mut reserved = false;
     for i in order {
         let e = &queue[i];
         let nodes = e.nodes.min(machine_nodes);
         let dur = e.pred_runtime.max(Dur::SECOND);
         let at = profile.earliest_fit(nodes, dur);
-        if at == now {
-            profile.reserve(at, dur, nodes);
-            starts.push(i);
-        } else if !easy || !reserved {
-            profile.reserve(at, dur, nodes);
-            reserved = true;
-        }
         // Under EASY, blocked jobs beyond the first reserve nothing and
         // simply wait.
+        if at == now || !easy || !reserved {
+            profile.reserve(at, dur, nodes);
+            reserved |= at != now;
+            placed.push((i, at));
+        }
     }
-    starts
+    placed
 }
 
 #[cfg(test)]
@@ -283,14 +264,14 @@ mod tests {
         // Head needs 8 nodes, only 4 free; the 1-node job behind it must
         // NOT start (no backfilling in FCFS).
         let queue = [qe(0, 8, 100), qe(1, 1, 100)];
-        let starts = schedule_pass(Algorithm::Fcfs, Time(0), 8, 4, &[rv(4, 50)], &queue);
+        let starts = schedule_pass(Algorithm::Fcfs, Time(0), 8, 4, &[rv(4, 50)], &queue, None);
         assert!(starts.is_empty());
     }
 
     #[test]
     fn fcfs_starts_in_arrival_order() {
         let queue = [qe(1, 2, 100), qe(0, 2, 100)];
-        let starts = schedule_pass(Algorithm::Fcfs, Time(0), 8, 8, &[], &queue);
+        let starts = schedule_pass(Algorithm::Fcfs, Time(0), 8, 8, &[], &queue, None);
         assert_eq!(starts, vec![1, 0]); // seq 0 first
     }
 
@@ -298,7 +279,7 @@ mod tests {
     fn lwf_orders_by_work() {
         // seq0: 4 nodes x 100 s = 400 work; seq1: 1 node x 100 s = 100.
         let queue = [qe(0, 4, 100), qe(1, 1, 100)];
-        let starts = schedule_pass(Algorithm::Lwf, Time(0), 8, 8, &[], &queue);
+        let starts = schedule_pass(Algorithm::Lwf, Time(0), 8, 8, &[], &queue, None);
         assert_eq!(starts, vec![1, 0]);
     }
 
@@ -308,14 +289,14 @@ mod tests {
         // 1-node job (work 200) fits and starts — LWF does not idle the
         // machine behind a wide head.
         let queue = [qe(0, 8, 10), qe(1, 1, 200)];
-        let starts = schedule_pass(Algorithm::Lwf, Time(0), 8, 4, &[rv(4, 50)], &queue);
+        let starts = schedule_pass(Algorithm::Lwf, Time(0), 8, 4, &[rv(4, 50)], &queue, None);
         assert_eq!(starts, vec![1]);
     }
 
     #[test]
     fn lwf_ties_break_by_arrival() {
         let queue = [qe(1, 2, 100), qe(0, 2, 100)];
-        let starts = schedule_pass(Algorithm::Lwf, Time(0), 2, 2, &[], &queue);
+        let starts = schedule_pass(Algorithm::Lwf, Time(0), 2, 2, &[], &queue, None);
         assert_eq!(starts, vec![1]); // same work, seq 0 wins, then blocked
     }
 
@@ -335,7 +316,7 @@ mod tests {
         let queue = [qe(0, 2, 100)];
         let running = [rv(8, 100), rv(4, 150)];
         let mut violations = Vec::new();
-        let starts = schedule_pass_reporting(
+        let starts = schedule_pass(
             Algorithm::Backfill,
             Time(0),
             8,
@@ -358,7 +339,15 @@ mod tests {
         // Second job: 4 nodes, 50 s: fits now and ends at t=50 <= 100, so
         // it cannot delay the reservation -> backfilled.
         let queue = [qe(0, 8, 100), qe(1, 4, 50)];
-        let starts = schedule_pass(Algorithm::Backfill, Time(0), 8, 4, &[rv(4, 100)], &queue);
+        let starts = schedule_pass(
+            Algorithm::Backfill,
+            Time(0),
+            8,
+            4,
+            &[rv(4, 100)],
+            &queue,
+            None,
+        );
         assert_eq!(starts, vec![1]);
     }
 
@@ -367,7 +356,15 @@ mod tests {
         // Same as above but the small job runs 150 s: it would hold 4
         // nodes past t=100 and delay the 8-node reservation.
         let queue = [qe(0, 8, 100), qe(1, 4, 150)];
-        let starts = schedule_pass(Algorithm::Backfill, Time(0), 8, 4, &[rv(4, 100)], &queue);
+        let starts = schedule_pass(
+            Algorithm::Backfill,
+            Time(0),
+            8,
+            4,
+            &[rv(4, 100)],
+            &queue,
+            None,
+        );
         assert!(starts.is_empty());
     }
 
@@ -382,14 +379,22 @@ mod tests {
         // q2: 4 nodes 250 s: starting now would run to 250, overlapping
         // [100,300) where 8 nodes are reserved -> must not start.
         let queue = [qe(0, 8, 100), qe(1, 8, 100), qe(2, 4, 250)];
-        let starts = schedule_pass(Algorithm::Backfill, Time(0), 8, 4, &[rv(4, 100)], &queue);
+        let starts = schedule_pass(
+            Algorithm::Backfill,
+            Time(0),
+            8,
+            4,
+            &[rv(4, 100)],
+            &queue,
+            None,
+        );
         assert!(starts.is_empty());
     }
 
     #[test]
     fn backfill_without_contention_starts_everything_that_fits() {
         let queue = [qe(0, 2, 100), qe(1, 2, 100), qe(2, 2, 100)];
-        let starts = schedule_pass(Algorithm::Backfill, Time(0), 8, 8, &[], &queue);
+        let starts = schedule_pass(Algorithm::Backfill, Time(0), 8, 8, &[], &queue, None);
         assert_eq!(starts, vec![0, 1, 2]);
     }
 
@@ -424,8 +429,17 @@ mod tests {
         //     alongside q0 but not alongside q1 (8 nodes at [200, ...)).
         let queue = [qe(0, 6, 100), qe(1, 8, 100), qe(2, 2, 250)];
         let running = [rv(4, 100)];
-        let conservative = schedule_pass(Algorithm::Backfill, Time(0), 8, 4, &running, &queue);
-        let easy = schedule_pass(Algorithm::EasyBackfill, Time(0), 8, 4, &running, &queue);
+        let conservative =
+            schedule_pass(Algorithm::Backfill, Time(0), 8, 4, &running, &queue, None);
+        let easy = schedule_pass(
+            Algorithm::EasyBackfill,
+            Time(0),
+            8,
+            4,
+            &running,
+            &queue,
+            None,
+        );
         // Conservative: q0 reserved at 100 (6 nodes), q1 reserved at 200,
         // q2 (2 nodes, 250 s) would overlap q1's [200, 300) full-machine
         // reservation -> refused.

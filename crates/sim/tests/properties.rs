@@ -53,7 +53,7 @@ fn passes_respect_capacity() {
             Algorithm::Backfill,
             Algorithm::EasyBackfill,
         ] {
-            let starts = schedule_pass(alg, Time(0), machine, free, &running, &queue);
+            let starts = schedule_pass(alg, Time(0), machine, free, &running, &queue, None);
             let total: u32 = starts.iter().map(|&i| queue[i].nodes).sum();
             assert!(
                 total <= free,
@@ -73,7 +73,15 @@ fn fcfs_starts_are_a_prefix() {
     for seed in 0u64..128 {
         let mut rng = Rng64::seed_from_u64(seed);
         let (machine, free, running, queue) = random_pass_input(&mut rng);
-        let starts = schedule_pass(Algorithm::Fcfs, Time(0), machine, free, &running, &queue);
+        let starts = schedule_pass(
+            Algorithm::Fcfs,
+            Time(0),
+            machine,
+            free,
+            &running,
+            &queue,
+            None,
+        );
         let mut by_seq: Vec<u64> = starts.iter().map(|&i| queue[i].seq).collect();
         by_seq.sort_unstable();
         for (k, s) in by_seq.iter().enumerate() {
@@ -99,6 +107,7 @@ fn backfill_flavours_agree_on_queue_head() {
             free,
             &running,
             &queue,
+            None,
         );
         let easy = schedule_pass(
             Algorithm::EasyBackfill,
@@ -107,6 +116,7 @@ fn backfill_flavours_agree_on_queue_head() {
             free,
             &running,
             &queue,
+            None,
         );
         let head = queue
             .iter()
@@ -148,7 +158,7 @@ fn empty_machine_always_starts_head() {
             Algorithm::Backfill,
             Algorithm::EasyBackfill,
         ] {
-            let starts = schedule_pass(alg, Time(5), 32, 32, &[], &queue);
+            let starts = schedule_pass(alg, Time(5), 32, 32, &[], &queue, None);
             assert_eq!(
                 &starts,
                 &vec![0usize],

@@ -56,6 +56,15 @@ BENCH_JSON="$("${CARGO_TARGET_DIR:-e2ebench/target}/release/qpredict-e2ebench" \
 echo "$BENCH_JSON" | grep -q '"correct": true' \
     || { echo "e2ebench traced waitpred-sdsc96 is not correct: $BENCH_JSON" >&2; exit 1; }
 
+# The traced serve cell drives wait answers through the shared forecaster:
+# traced and untraced outputs must agree, durable and ephemeral response
+# logs must agree, and no answer may see an oversubscribed running set.
+echo "==> e2ebench traced smoke (serve-anl --trace 1)"
+BENCH_JSON="$("${CARGO_TARGET_DIR:-e2ebench/target}/release/qpredict-e2ebench" \
+    --workload serve-anl --seed 1 --seconds 1 --trace 1 2>/dev/null | tail -n 1)"
+echo "$BENCH_JSON" | grep -q '"correct": true' \
+    || { echo "e2ebench traced serve-anl is not correct: $BENCH_JSON" >&2; exit 1; }
+
 echo "==> cargo doc --no-deps (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 
