@@ -7,9 +7,12 @@
 //! the last ulp — any change in summation order, estimator math, or
 //! scheduling decisions shows up as a mismatch.
 
-use qpredict_core::{run_scheduling, run_wait_prediction, PredictorKind};
+use qpredict_core::{
+    run_scheduling, run_scheduling_with, run_state_wait_prediction, run_wait_prediction,
+    PredictorKind, SchedulingOutcome,
+};
 use qpredict_predict::{ErrorStats, EstimatorKind, Template, TemplateSet};
-use qpredict_sim::{Algorithm, Metrics};
+use qpredict_sim::{Algorithm, FaultPlan, Metrics};
 use qpredict_workload::synthetic::{generate, sites, toy};
 use qpredict_workload::{Characteristic as C, Workload};
 
@@ -125,6 +128,95 @@ fn kinds() -> Vec<(&'static str, PredictorKind)> {
     ]
 }
 
+/// FNV-1a over a scheduling run's fault accounting (trace mutations and
+/// corrupted estimates) and its fallback-chain accounting (estimates from
+/// fallback paths and per-tier degradation counts). Absent parts hash as
+/// zeros.
+fn fp_robustness(out: &SchedulingOutcome) -> u64 {
+    let mut words = vec![out.fallback_estimates];
+    let f = out.faults.unwrap_or_default();
+    words.extend([
+        f.trace.cancelled as u64,
+        f.trace.failed as u64,
+        f.trace.delayed as u64,
+        f.estimates.scaled,
+        f.estimates.inverted,
+        f.estimates.dropped,
+    ]);
+    let d = out.degradations.clone().unwrap_or_default();
+    words.extend(d.served.iter().map(|&(_, n)| n));
+    words.extend([d.user_limit, d.static_default, d.degradations]);
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for w in words {
+        h ^= w;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// The robustness paths over `toy(300, 32, 41)`: prediction noise under
+/// LWF and backfill, trace faults under backfill and the fallback chain
+/// under backfill, as `(label, metrics fp, runtime-error fp, robustness
+/// fp)`; then state-based wait prediction over `toy(220, 32, 42)` with
+/// backfill + Smith, whose third fingerprint is its wait errors.
+fn robustness_cells() -> Vec<(&'static str, u64, u64, u64)> {
+    let wl = toy(300, 32, 41);
+    let noise = FaultPlan::pred_noise(3, 0.3);
+    let trace = FaultPlan {
+        cancel_prob: 0.05,
+        fail_prob: 0.05,
+        delay_prob: 0.1,
+        ..FaultPlan::new(7)
+    };
+    let runs = [
+        (
+            "LWF pred-noise",
+            Algorithm::Lwf,
+            PredictorKind::Smith,
+            Some(&noise),
+        ),
+        (
+            "Backfill pred-noise",
+            Algorithm::Backfill,
+            PredictorKind::Smith,
+            Some(&noise),
+        ),
+        (
+            "Backfill trace-faults",
+            Algorithm::Backfill,
+            PredictorKind::Smith,
+            Some(&trace),
+        ),
+        (
+            "Backfill fallback",
+            Algorithm::Backfill,
+            PredictorKind::Fallback,
+            None,
+        ),
+    ];
+    let mut cells: Vec<_> = runs
+        .into_iter()
+        .map(|(label, alg, kind, plan)| {
+            let out = run_scheduling_with(&wl, alg, kind, plan);
+            (
+                label,
+                fp_metrics(&out.metrics),
+                fp_stats(&out.runtime_errors),
+                fp_robustness(&out),
+            )
+        })
+        .collect();
+    let out =
+        run_state_wait_prediction(&toy(220, 32, 42), Algorithm::Backfill, PredictorKind::Smith);
+    cells.push((
+        "Backfill statewait",
+        fp_metrics(&out.metrics),
+        fp_stats(&out.runtime_errors),
+        fp_stats(&out.wait_errors),
+    ));
+    cells
+}
+
 fn main() {
     println!("// --- scheduling lock: toy(300, 32, 41) ---");
     let wl = toy(300, 32, 41);
@@ -173,5 +265,10 @@ fn main() {
             fp_stats(&wait.wait_errors),
             fp_stats(&wait.runtime_errors),
         );
+    }
+
+    println!("// --- robustness lock: faults, fallback chain, state-based waits ---");
+    for (label, a, b, c) in robustness_cells() {
+        println!("    (\"{label}\", {a:#018x}, {b:#018x}, {c:#018x}),");
     }
 }

@@ -16,10 +16,18 @@
 //! whose large `(Queue)` categories, duplicated GA template and capped
 //! `rtime` histories reach the runtime-ordered index and its eviction
 //! path, which the toy cells are too small to reach.
+//!
+//! The robustness cells (`ROBUSTNESS_LOCK`) cover the paths that wrap
+//! the predictor between it and the engine: prediction-fault injection,
+//! trace faults, the fallback chain's degradation accounting, and the
+//! state-based wait predictor's backlog features.
 
-use qpredict_core::{run_scheduling, run_wait_prediction, PredictorKind};
+use qpredict_core::{
+    run_scheduling, run_scheduling_with, run_state_wait_prediction, run_wait_prediction,
+    PredictorKind, SchedulingOutcome,
+};
 use qpredict_predict::{ErrorStats, EstimatorKind, Template, TemplateSet};
-use qpredict_sim::{Algorithm, Metrics};
+use qpredict_sim::{Algorithm, FaultPlan, Metrics};
 use qpredict_workload::synthetic::{generate, sites, toy};
 use qpredict_workload::{Characteristic as C, Workload};
 
@@ -55,6 +63,26 @@ fn fp_metrics(m: &Metrics) -> u64 {
         m.mean_bounded_slowdown.to_bits(),
         m.total_work_node_s.to_bits(),
     ])
+}
+
+/// A scheduling run's fault accounting (trace mutations and corrupted
+/// estimates) and fallback-chain accounting (estimates from fallback
+/// paths and per-tier degradation counts). Absent parts hash as zeros.
+fn fp_robustness(out: &SchedulingOutcome) -> u64 {
+    let mut words = vec![out.fallback_estimates];
+    let f = out.faults.unwrap_or_default();
+    words.extend([
+        f.trace.cancelled as u64,
+        f.trace.failed as u64,
+        f.trace.delayed as u64,
+        f.estimates.scaled,
+        f.estimates.inverted,
+        f.estimates.dropped,
+    ]);
+    let d = out.degradations.clone().unwrap_or_default();
+    words.extend(d.served.iter().map(|&(_, n)| n));
+    words.extend([d.user_limit, d.static_default, d.degradations]);
+    fnv(words)
 }
 
 fn lock_set() -> TemplateSet {
@@ -231,6 +259,104 @@ const SITE_LOCK: [(&str, u64, u64, u64, u64, u64); 3] = [
         0x41afccf8155618eb,
     ),
 ];
+
+/// (cell, metrics fp, runtime-error fp, robustness fp) for
+/// `run_scheduling_with` over `toy(300, 32, 41)` with Smith under
+/// prediction noise and trace faults, and with the fallback chain; the
+/// last cell is `run_state_wait_prediction` over `toy(220, 32, 42)`,
+/// whose third fingerprint is its wait errors. Captured before the
+/// engine consulted `RunTimePredictor` directly.
+const ROBUSTNESS_LOCK: [(&str, u64, u64, u64); 5] = [
+    (
+        "LWF pred-noise",
+        0x8ab85a4f175f0909,
+        0x1220d244c87d807d,
+        0xb12ffb7ab3e2ea00,
+    ),
+    (
+        "Backfill pred-noise",
+        0xec5f6a0e31f12540,
+        0x7f041a98833a4e0b,
+        0x06f9397d61e40807,
+    ),
+    (
+        "Backfill trace-faults",
+        0xc2b6146ac77090d3,
+        0x328c7b546e929222,
+        0x9b4928f177645863,
+    ),
+    (
+        "Backfill fallback",
+        0xb122cad271fe446d,
+        0x35219c0f09322a81,
+        0x3d430d753ff8950f,
+    ),
+    (
+        "Backfill statewait",
+        0xce979c3d2e66e952,
+        0xa2a60fcbc671034a,
+        0x6622e1ef87ba62a4,
+    ),
+];
+
+/// Run one [`ROBUSTNESS_LOCK`] cell, returning its three fingerprints.
+fn robustness_cell(label: &str) -> (u64, u64, u64) {
+    let (alg, kind, plan) = match label {
+        "LWF pred-noise" => (
+            Algorithm::Lwf,
+            PredictorKind::Smith,
+            Some(FaultPlan::pred_noise(3, 0.3)),
+        ),
+        "Backfill pred-noise" => (
+            Algorithm::Backfill,
+            PredictorKind::Smith,
+            Some(FaultPlan::pred_noise(3, 0.3)),
+        ),
+        "Backfill trace-faults" => (
+            Algorithm::Backfill,
+            PredictorKind::Smith,
+            Some(FaultPlan {
+                cancel_prob: 0.05,
+                fail_prob: 0.05,
+                delay_prob: 0.1,
+                ..FaultPlan::new(7)
+            }),
+        ),
+        "Backfill fallback" => (Algorithm::Backfill, PredictorKind::Fallback, None),
+        "Backfill statewait" => {
+            let out = run_state_wait_prediction(
+                &toy(220, 32, 42),
+                Algorithm::Backfill,
+                PredictorKind::Smith,
+            );
+            return (
+                fp_metrics(&out.metrics),
+                fp_stats(&out.runtime_errors),
+                fp_stats(&out.wait_errors),
+            );
+        }
+        other => panic!("unknown robustness cell {other}"),
+    };
+    let out = run_scheduling_with(&toy(300, 32, 41), alg, kind, plan.as_ref());
+    (
+        fp_metrics(&out.metrics),
+        fp_stats(&out.runtime_errors),
+        fp_robustness(&out),
+    )
+}
+
+#[test]
+fn robustness_outputs_are_bit_identical_to_pre_rewiring() {
+    for (cell, metrics_fp, rt_fp, third_fp) in ROBUSTNESS_LOCK {
+        let (m, r, t) = robustness_cell(cell);
+        assert_eq!(m, metrics_fp, "{cell}: schedule metrics drifted");
+        assert_eq!(r, rt_fp, "{cell}: runtime-error stats drifted");
+        assert_eq!(
+            t, third_fp,
+            "{cell}: fault/degradation accounting or wait errors drifted"
+        );
+    }
+}
 
 #[test]
 fn scheduling_outputs_are_bit_identical_to_pre_refactor() {
