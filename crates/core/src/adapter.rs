@@ -1,12 +1,10 @@
-//! Bridges [`qpredict_predict::RunTimePredictor`] onto
-//! [`qpredict_sim::RuntimeEstimator`] so any predictor can drive the
-//! scheduling algorithms, while recording the run-time prediction errors
-//! the paper reports alongside each experiment.
+//! A [`RunTimePredictor`] wrapper that scores every estimate the
+//! scheduler asks for, recording the run-time prediction errors the
+//! paper reports alongside each experiment.
 //!
-//! Since the estimation layer was unified, any predictor already *is* a
-//! `RuntimeEstimator` (blanket impl in `qpredict-sim`); this adapter is
-//! the thin remaining shim that scores every estimate into an
-//! [`ErrorStats`].
+//! The engine consults any predictor directly; [`PredictorEstimator`]
+//! sits between it and the predictor under study only to score each
+//! estimate into an [`ErrorStats`] and count fallbacks.
 //!
 //! It does not memoize. A scheduling pass re-estimates every queued and
 //! running job, but a completion between passes changes the predictor's
@@ -23,11 +21,10 @@
 //! wait-time studies and the GA's fitness replays. There it sits above
 //! the Smith memo.
 
-use qpredict_predict::{CacheStats, DegradationCounts, ErrorStats, RunTimePredictor};
-use qpredict_sim::RuntimeEstimator;
-use qpredict_workload::{Dur, Job, Time};
+use qpredict_predict::{CacheStats, DegradationCounts, ErrorStats, Prediction, RunTimePredictor};
+use qpredict_workload::{Dur, Job};
 
-/// Adapter: a predictor acting as the simulator's estimator.
+/// Adapter: a predictor that scores what it predicts.
 ///
 /// Every estimate is scored against the job's actual run time into an
 /// [`ErrorStats`] (the simulator only asks for estimates at the instants
@@ -76,33 +73,39 @@ impl<P: RunTimePredictor> PredictorEstimator<P> {
         &self.predictor
     }
 
-    /// Degradation accounting from the wrapped predictor, when it chains
-    /// multiple sources (`None` for simple predictors).
-    pub fn degradations(&self) -> Option<DegradationCounts> {
-        self.predictor.degradations()
-    }
-
     /// Consume the adapter, returning the predictor and the error stats.
     pub fn into_parts(self) -> (P, ErrorStats) {
         (self.predictor, self.errors)
     }
 }
 
-impl<P: RunTimePredictor> RuntimeEstimator for PredictorEstimator<P> {
-    fn estimate(&mut self, job: &Job, _now: Time, elapsed: Dur) -> Dur {
+/// Predictions pass through unchanged after scoring, and `degradations`
+/// is the wrapped predictor's. `generation` stays `None`: every
+/// prediction is recorded, so none may be served from a cache above.
+impl<P: RunTimePredictor> RunTimePredictor for PredictorEstimator<P> {
+    fn name(&self) -> &'static str {
+        self.predictor.name()
+    }
+
+    fn predict(&mut self, job: &Job, elapsed: Dur) -> Prediction {
         let pred = self.predictor.predict(job, elapsed);
-        // Counted as an uncacheable `CachingPredictor` counts, so run
-        // reports still tally every scheduling estimate.
-        qpredict_obs::counter_add("cache.misses", 1);
         if pred.fallback {
             self.fallbacks += 1;
         }
         self.errors.record(pred.estimate, job.runtime);
-        pred.estimate
+        pred
     }
 
-    fn on_complete(&mut self, job: &Job, _now: Time) {
-        RunTimePredictor::on_complete(&mut self.predictor, job);
+    fn on_complete(&mut self, job: &Job) {
+        self.predictor.on_complete(job);
+    }
+
+    fn reset(&mut self) {
+        self.predictor.reset();
+    }
+
+    fn degradations(&self) -> Option<DegradationCounts> {
+        self.predictor.degradations()
     }
 }
 
@@ -116,7 +119,7 @@ mod tests {
     fn oracle_adapter_has_zero_error() {
         let mut a = PredictorEstimator::new(OraclePredictor);
         let j = JobBuilder::new().runtime(Dur(500)).build(JobId(0));
-        assert_eq!(a.estimate(&j, Time(0), Dur::ZERO), Dur(500));
+        assert_eq!(a.predict(&j, Dur::ZERO).estimate, Dur(500));
         assert_eq!(a.errors().mean_abs_error_min(), 0.0);
         assert_eq!(a.errors().count(), 1);
         assert_eq!(a.fallback_count(), 0);
@@ -127,7 +130,7 @@ mod tests {
         let mut a = PredictorEstimator::new(OraclePredictor);
         let j = JobBuilder::new().runtime(Dur(500)).build(JobId(0));
         for _ in 0..5 {
-            a.estimate(&j, Time(0), Dur::ZERO);
+            a.predict(&j, Dur::ZERO);
         }
         assert_eq!(a.errors().count(), 5);
         // Nothing is memoized: every call reached the predictor.
@@ -142,8 +145,8 @@ mod tests {
         let set = TemplateSet::new(vec![Template::mean_over(&[])]);
         let mut a = PredictorEstimator::new(SmithPredictor::new(set));
         let j = JobBuilder::new().runtime(Dur(300)).build(JobId(0));
-        a.on_complete(&j, Time(10));
-        let est = a.estimate(&j, Time(20), Dur::ZERO);
+        a.on_complete(&j);
+        let est = a.predict(&j, Dur::ZERO).estimate;
         assert_eq!(est, Dur(300)); // learned from the completion
         assert_eq!(a.fallback_count(), 0);
     }

@@ -34,7 +34,7 @@ pub mod waittime;
 
 pub use adapter::PredictorEstimator;
 pub use qpredict_predict::{searched, PredictorKind};
-pub use qpredict_sim::{forecast_start, forecast_start_interval, WaitInterval};
+pub use qpredict_sim::forecast_start;
 pub use scheduling::{run_scheduling, run_scheduling_with, FaultSummary, SchedulingOutcome};
 pub use statewait::{run_state_wait_prediction, StateWaitPredictor};
 pub use tables::Table;

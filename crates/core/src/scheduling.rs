@@ -51,7 +51,7 @@ pub fn run_scheduling(wl: &Workload, alg: Algorithm, kind: PredictorKind) -> Sch
 
 /// Like [`run_scheduling`], optionally injecting faults: trace faults
 /// mutate a copy of the workload before the run, prediction faults wrap
-/// the estimator in a [`FaultyEstimator`]. With `faults` of `None` this
+/// the predictor in a [`FaultyEstimator`]. With `faults` of `None` this
 /// is exactly `run_scheduling`. Deterministic in `FaultPlan::seed`.
 pub fn run_scheduling_with(
     wl: &Workload,

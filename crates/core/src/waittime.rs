@@ -24,8 +24,7 @@
 
 use qpredict_predict::{CachingPredictor, ErrorStats, RunTimePredictor};
 use qpredict_sim::{
-    forecast_start, Algorithm, MaxRuntimeEstimator, Metrics, RuntimeEstimator, SimHooks,
-    Simulation, Snapshot,
+    forecast_start, Algorithm, MaxRuntimeEstimator, Metrics, SimHooks, Simulation, Snapshot,
 };
 use qpredict_workload::{Dur, Job, Time, Workload};
 
@@ -67,13 +66,11 @@ impl<P: RunTimePredictor> SimHooks for WaitStudy<'_, P> {
         let predictor = &mut self.predictor;
         let belief = &mut self.belief;
         let errors = &mut self.runtime_errors;
-        let wl = self.wl;
-        let now = snap.now;
         let start = forecast_start(
-            wl,
+            self.wl,
             self.alg,
             snap,
-            |j: &Job, elapsed: Dur| belief.estimate(j, now, elapsed),
+            |j: &Job, elapsed: Dur| belief.predict(j, elapsed).estimate,
             |j: &Job, elapsed: Dur| {
                 let pred = predictor.predict(j, elapsed);
                 errors.record(pred.estimate, j.runtime);

@@ -1,10 +1,12 @@
 //! The trace-driven simulation engine.
 //!
 //! [`Simulation::run`] replays a [`Workload`] against one scheduling
-//! algorithm, consulting a [`RuntimeEstimator`] exactly where the paper's
+//! algorithm, consulting a [`RunTimePredictor`] exactly where the paper's
 //! schedulers consult run-time predictions: LWF re-estimates all waiting
 //! jobs at every scheduling attempt, backfill re-estimates all running and
-//! waiting jobs at every scheduling attempt, FCFS never estimates.
+//! waiting jobs at every scheduling attempt, FCFS never estimates. The
+//! engine reads `predict(job, elapsed).estimate` and reports each
+//! completion through `on_complete(job)`.
 //!
 //! A [`SimHooks`] implementation can observe submissions (receiving a
 //! [`Snapshot`] of the system state — this is how `qpredict-core` runs its
@@ -13,9 +15,9 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+use qpredict_predict::RunTimePredictor;
 use qpredict_workload::{Dur, Job, JobId, Time, Workload};
 
-use crate::estimators::RuntimeEstimator;
 use crate::metrics::{JobOutcome, Metrics};
 use crate::scheduler::{schedule_pass, Algorithm, QueueEntry, RunningView};
 
@@ -87,12 +89,14 @@ pub enum SimError {
         /// Steps executed before giving up.
         steps: u64,
     },
-    /// The estimator reported failure and the engine was asked not to
-    /// schedule on garbage.
+    /// A fitness evaluation failed with a typed error. The engine never
+    /// returns it (every [`RunTimePredictor`] estimate is usable); it is
+    /// the error the search supervisor injects to model an evaluator
+    /// that fails deterministically.
     EstimateFailed {
         /// Job whose estimate failed.
         job: JobId,
-        /// The estimator's reason.
+        /// Why it failed.
         reason: String,
     },
 }
@@ -181,8 +185,7 @@ pub struct Simulation<'w> {
     starts: Vec<Option<Time>>,
     finishes: Vec<Option<Time>>,
     finished: usize,
-    /// Guarded mode: collect invariant violations instead of asserting,
-    /// and consult the estimator through its fallible entry point.
+    /// Guarded mode: collect invariant violations instead of asserting.
     guarded: bool,
     violations: Vec<String>,
 }
@@ -213,25 +216,22 @@ impl<'w> Simulation<'w> {
     }
 
     /// Run to completion with no observer.
-    pub fn run(wl: &'w Workload, alg: Algorithm, est: &mut dyn RuntimeEstimator) -> SimResult {
+    pub fn run(wl: &'w Workload, alg: Algorithm, est: &mut dyn RunTimePredictor) -> SimResult {
         let mut sim = Simulation::new(wl, alg);
         sim.run_with_hooks(est, &mut NoHooks)
     }
 
     /// Run to completion under a step budget and invariant guards,
     /// returning [`SimError`] instead of looping forever or panicking on
-    /// a schedule that cannot make progress.
-    ///
-    /// The estimator is consulted through
-    /// [`RuntimeEstimator::try_estimate`], so an estimator whose every
-    /// source has failed aborts the run rather than scheduling on
-    /// garbage. Invariant violations (capacity exceeded, negative waits,
-    /// unbalanced node accounting) are *reported* in the returned
-    /// [`GuardedRun`] rather than asserted.
+    /// a schedule that cannot make progress: [`SimError::Stalled`] and
+    /// [`SimError::BudgetExhausted`] are its only errors. Invariant
+    /// violations (capacity exceeded, negative waits, unbalanced node
+    /// accounting) are *reported* in the returned [`GuardedRun`] rather
+    /// than asserted.
     pub fn run_guarded(
         wl: &'w Workload,
         alg: Algorithm,
-        est: &mut dyn RuntimeEstimator,
+        est: &mut dyn RunTimePredictor,
         limits: SimLimits,
     ) -> Result<GuardedRun, SimError> {
         let mut sim = Simulation::new(wl, alg);
@@ -253,17 +253,8 @@ impl<'w> Simulation<'w> {
                 sim.free_nodes, wl.machine_nodes
             ));
         }
-        let outcomes: Vec<JobOutcome> = wl
-            .jobs
-            .iter()
-            .map(|j| JobOutcome {
-                id: j.id,
-                submit: j.submit,
-                start: sim.starts[j.id.index()].expect("finished jobs have starts"),
-                finish: sim.finishes[j.id.index()].expect("finished jobs have finishes"),
-            })
-            .collect();
-        for o in &outcomes {
+        let result = sim.result();
+        for o in &result.outcomes {
             if o.start < o.submit {
                 violations.push(format!(
                     "negative wait: job {} started at t={} before submit t={}",
@@ -273,26 +264,27 @@ impl<'w> Simulation<'w> {
                 ));
             }
         }
-        let metrics = Metrics::from_outcomes(wl, &outcomes);
         qpredict_obs::counter_add("sim.violations", violations.len() as u64);
-        Ok(GuardedRun {
-            result: SimResult { outcomes, metrics },
-            violations,
-        })
+        Ok(GuardedRun { result, violations })
     }
 
     /// Run to completion, reporting submissions/starts/completions to
     /// `hooks`.
     pub fn run_with_hooks(
         &mut self,
-        est: &mut dyn RuntimeEstimator,
+        est: &mut dyn RunTimePredictor,
         hooks: &mut dyn SimHooks,
     ) -> SimResult {
         self.drive(est, hooks, None)
-            .expect("unguarded runs use infallible estimates and no budget");
+            .expect("an unguarded run has no step budget");
         debug_assert_eq!(self.finished, self.wl.len(), "jobs lost by the engine");
         debug_assert_eq!(self.free_nodes, self.wl.machine_nodes);
         debug_assert!(self.queue.is_empty() && self.running.is_empty());
+        self.result()
+    }
+
+    /// The schedule of a run whose every job finished.
+    fn result(&self) -> SimResult {
         let outcomes: Vec<JobOutcome> = self
             .wl
             .jobs
@@ -311,7 +303,7 @@ impl<'w> Simulation<'w> {
     /// The event loop shared by the guarded and unguarded entry points.
     fn drive(
         &mut self,
-        est: &mut dyn RuntimeEstimator,
+        est: &mut dyn RunTimePredictor,
         hooks: &mut dyn SimHooks,
         budget: Option<u64>,
     ) -> Result<(), SimError> {
@@ -339,35 +331,16 @@ impl<'w> Simulation<'w> {
                     _ => self.apply_submit(id, hooks),
                 }
             }
-            self.schedule(est, hooks)?;
+            self.schedule(est, hooks);
         }
         qpredict_obs::counter_add("sim.events", events_drained);
         Ok(())
     }
 
-    /// Obtain an estimate, through the fallible path in guarded mode.
-    fn get_estimate(
-        &mut self,
-        est: &mut dyn RuntimeEstimator,
-        id: JobId,
-        elapsed: Dur,
-    ) -> Result<Dur, SimError> {
-        let job = self.wl.job(id);
-        if self.guarded {
-            est.try_estimate(job, self.now, elapsed)
-                .map_err(|e| SimError::EstimateFailed {
-                    job: id,
-                    reason: e.reason,
-                })
-        } else {
-            Ok(est.estimate(job, self.now, elapsed))
-        }
-    }
-
     fn apply_finish(
         &mut self,
         id: JobId,
-        est: &mut dyn RuntimeEstimator,
+        est: &mut dyn RunTimePredictor,
         hooks: &mut dyn SimHooks,
     ) {
         let pos = self
@@ -381,7 +354,7 @@ impl<'w> Simulation<'w> {
         self.finished += 1;
         qpredict_obs::counter_add("sim.jobs_completed", 1);
         let job = self.wl.job(id);
-        est.on_complete(job, self.now);
+        est.on_complete(job);
         hooks.on_job_complete(job, self.now);
     }
 
@@ -393,13 +366,9 @@ impl<'w> Simulation<'w> {
         hooks.after_submit(&snap, self.wl.job(id));
     }
 
-    fn schedule(
-        &mut self,
-        est: &mut dyn RuntimeEstimator,
-        hooks: &mut dyn SimHooks,
-    ) -> Result<(), SimError> {
+    fn schedule(&mut self, est: &mut dyn RunTimePredictor, hooks: &mut dyn SimHooks) {
         if self.queue.is_empty() {
-            return Ok(());
+            return;
         }
         let _span = qpredict_obs::span("sim.schedule");
         if hooks.wants_schedule_snapshots() {
@@ -416,8 +385,9 @@ impl<'w> Simulation<'w> {
                     (r.id, r.start, r.nodes)
                 };
                 let elapsed = self.now - start;
-                let pred = self
-                    .get_estimate(est, id, elapsed)?
+                let pred = est
+                    .predict(self.wl.job(id), elapsed)
+                    .estimate
                     .max(elapsed + Dur::SECOND);
                 running_views.push(RunningView {
                     nodes,
@@ -434,7 +404,9 @@ impl<'w> Simulation<'w> {
         for i in 0..self.queue.len() {
             let (id, seq) = self.queue[i];
             let pred = if self.alg.uses_queue_estimates() {
-                self.get_estimate(est, id, Dur::ZERO)?.max(Dur::SECOND)
+                est.predict(self.wl.job(id), Dur::ZERO)
+                    .estimate
+                    .max(Dur::SECOND)
             } else {
                 Dur::SECOND
             };
@@ -459,7 +431,7 @@ impl<'w> Simulation<'w> {
             },
         );
         if start_idxs.is_empty() {
-            return Ok(());
+            return;
         }
         // Start the chosen jobs; remove from the queue afterwards so the
         // indices stay valid.
@@ -510,7 +482,6 @@ impl<'w> Simulation<'w> {
             )));
             hooks.on_job_start(job, self.now);
         }
-        Ok(())
     }
 
     /// Capture the current system state.
@@ -527,7 +498,8 @@ impl<'w> Simulation<'w> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::estimators::{ActualEstimator, MaxRuntimeEstimator};
+    use crate::estimators::MaxRuntimeEstimator;
+    use qpredict_predict::{OraclePredictor, Prediction};
     use qpredict_workload::JobBuilder;
 
     /// machine of 8 nodes; jobs: (submit, nodes, runtime, max_rt)
@@ -552,7 +524,7 @@ mod tests {
     #[test]
     fn single_job_runs_immediately() {
         let w = wl(&[(10, 4, 100, 200)]);
-        let r = Simulation::run(&w, Algorithm::Fcfs, &mut ActualEstimator);
+        let r = Simulation::run(&w, Algorithm::Fcfs, &mut OraclePredictor);
         assert_eq!(r.outcomes[0].start, Time(10));
         assert_eq!(r.outcomes[0].finish, Time(110));
         assert_eq!(r.metrics.mean_wait, Dur::ZERO);
@@ -561,7 +533,7 @@ mod tests {
     #[test]
     fn fcfs_serializes_oversized_jobs() {
         let w = wl(&[(0, 8, 100, 200), (0, 8, 100, 200)]);
-        let r = Simulation::run(&w, Algorithm::Fcfs, &mut ActualEstimator);
+        let r = Simulation::run(&w, Algorithm::Fcfs, &mut OraclePredictor);
         assert_eq!(r.outcomes[0].start, Time(0));
         assert_eq!(r.outcomes[1].start, Time(100));
         assert_eq!(r.metrics.mean_wait, Dur(50));
@@ -572,7 +544,7 @@ mod tests {
         // Job 0 ends at t=100; job 1 arrives exactly at t=100 and must
         // start immediately (finish processed before submit).
         let w = wl(&[(0, 8, 100, 200), (100, 8, 50, 100)]);
-        let r = Simulation::run(&w, Algorithm::Fcfs, &mut ActualEstimator);
+        let r = Simulation::run(&w, Algorithm::Fcfs, &mut OraclePredictor);
         assert_eq!(r.outcomes[1].start, Time(100));
     }
 
@@ -587,7 +559,7 @@ mod tests {
             (1, 8, 100, 200), // big: work 800
             (2, 1, 50, 100),  // small: work 50
         ]);
-        let r = Simulation::run(&w, Algorithm::Lwf, &mut ActualEstimator);
+        let r = Simulation::run(&w, Algorithm::Lwf, &mut OraclePredictor);
         assert_eq!(r.outcomes[2].start, Time(50)); // small first
         assert_eq!(r.outcomes[1].start, Time(100)); // big after small
     }
@@ -595,7 +567,7 @@ mod tests {
     #[test]
     fn fcfs_would_not_reorder() {
         let w = wl(&[(0, 8, 50, 100), (1, 8, 100, 200), (2, 1, 50, 100)]);
-        let r = Simulation::run(&w, Algorithm::Fcfs, &mut ActualEstimator);
+        let r = Simulation::run(&w, Algorithm::Fcfs, &mut OraclePredictor);
         // FCFS keeps arrival order: the big job takes the whole machine
         // at t=50, and the small job waits behind it until t=150.
         assert_eq!(r.outcomes[1].start, Time(50));
@@ -611,7 +583,7 @@ mod tests {
             (1, 8, 100, 100), // head, reserved at 100
             (2, 4, 50, 50),   // backfills
         ]);
-        let r = Simulation::run(&w, Algorithm::Backfill, &mut ActualEstimator);
+        let r = Simulation::run(&w, Algorithm::Backfill, &mut OraclePredictor);
         assert_eq!(r.outcomes[2].start, Time(2)); // backfilled at submit
         assert_eq!(r.outcomes[1].start, Time(100));
     }
@@ -638,7 +610,7 @@ mod tests {
     fn all_jobs_complete_and_accounting_balances() {
         let w = qpredict_workload::synthetic::toy(400, 32, 3);
         for alg in Algorithm::ALL {
-            let r = Simulation::run(&w, alg, &mut ActualEstimator);
+            let r = Simulation::run(&w, alg, &mut OraclePredictor);
             assert_eq!(r.outcomes.len(), 400);
             for o in &r.outcomes {
                 assert!(o.start >= o.submit, "{alg}: started before submit");
@@ -656,8 +628,8 @@ mod tests {
     fn deterministic_across_runs() {
         let w = qpredict_workload::synthetic::toy(300, 32, 4);
         for alg in Algorithm::ALL {
-            let a = Simulation::run(&w, alg, &mut ActualEstimator);
-            let b = Simulation::run(&w, alg, &mut ActualEstimator);
+            let a = Simulation::run(&w, alg, &mut OraclePredictor);
+            let b = Simulation::run(&w, alg, &mut OraclePredictor);
             assert_eq!(a.outcomes, b.outcomes, "{alg} nondeterministic");
         }
     }
@@ -673,7 +645,7 @@ mod tests {
         let w = wl(&[(0, 8, 100, 100), (10, 8, 100, 100)]);
         let mut hooks = Grab(Vec::new());
         let mut sim = Simulation::new(&w, Algorithm::Fcfs);
-        sim.run_with_hooks(&mut ActualEstimator, &mut hooks);
+        sim.run_with_hooks(&mut OraclePredictor, &mut hooks);
         // First submit: nothing running yet, itself queued.
         assert_eq!(hooks.0[0], (0, 1));
         // Second submit: first job running, itself queued.
@@ -684,9 +656,9 @@ mod tests {
     fn guarded_run_matches_unguarded_on_healthy_trace() {
         let w = qpredict_workload::synthetic::toy(200, 16, 5);
         for alg in Algorithm::ALL {
-            let plain = Simulation::run(&w, alg, &mut ActualEstimator);
+            let plain = Simulation::run(&w, alg, &mut OraclePredictor);
             let guarded =
-                Simulation::run_guarded(&w, alg, &mut ActualEstimator, SimLimits::default())
+                Simulation::run_guarded(&w, alg, &mut OraclePredictor, SimLimits::default())
                     .expect("healthy trace");
             assert_eq!(plain.outcomes, guarded.result.outcomes, "{alg}");
             assert!(
@@ -715,7 +687,7 @@ mod tests {
         let err = Simulation::run_guarded(
             &w,
             Algorithm::Fcfs,
-            &mut ActualEstimator,
+            &mut OraclePredictor,
             SimLimits::default(),
         )
         .unwrap_err();
@@ -735,45 +707,11 @@ mod tests {
         let err = Simulation::run_guarded(
             &w,
             Algorithm::Fcfs,
-            &mut ActualEstimator,
+            &mut OraclePredictor,
             SimLimits { max_steps: Some(3) },
         )
         .unwrap_err();
         assert_eq!(err, SimError::BudgetExhausted { steps: 3 });
-    }
-
-    #[test]
-    fn guarded_run_surfaces_estimate_failure() {
-        struct Broken;
-        impl RuntimeEstimator for Broken {
-            fn estimate(&mut self, job: &Job, _n: Time, _e: Dur) -> Dur {
-                job.runtime
-            }
-            fn try_estimate(
-                &mut self,
-                _job: &Job,
-                _now: Time,
-                _elapsed: Dur,
-            ) -> Result<Dur, crate::estimators::EstimateError> {
-                Err(crate::estimators::EstimateError {
-                    reason: "all sources exhausted".into(),
-                })
-            }
-        }
-        let w = wl(&[(0, 4, 100, 200), (1, 4, 50, 100)]);
-        // Backfill consults the estimator; the failure must surface.
-        let err =
-            Simulation::run_guarded(&w, Algorithm::Backfill, &mut Broken, SimLimits::default())
-                .unwrap_err();
-        match err {
-            SimError::EstimateFailed { reason, .. } => {
-                assert!(reason.contains("exhausted"));
-            }
-            other => panic!("expected EstimateFailed, got {other:?}"),
-        }
-        // FCFS never estimates: the same estimator completes fine.
-        Simulation::run_guarded(&w, Algorithm::Fcfs, &mut Broken, SimLimits::default())
-            .expect("FCFS needs no estimates");
     }
 
     #[test]
@@ -785,13 +723,17 @@ mod tests {
     #[test]
     fn estimator_sees_completions() {
         struct Count(usize);
-        impl RuntimeEstimator for Count {
-            fn estimate(&mut self, job: &Job, _n: Time, _e: Dur) -> Dur {
-                job.runtime
+        impl RunTimePredictor for Count {
+            fn name(&self) -> &'static str {
+                "count"
             }
-            fn on_complete(&mut self, _job: &Job, _now: Time) {
+            fn predict(&mut self, job: &Job, elapsed: Dur) -> Prediction {
+                OraclePredictor.predict(job, elapsed)
+            }
+            fn on_complete(&mut self, _job: &Job) {
                 self.0 += 1;
             }
+            fn reset(&mut self) {}
         }
         let w = wl(&[(0, 2, 10, 10), (0, 2, 10, 10), (5, 2, 10, 10)]);
         let mut est = Count(0);

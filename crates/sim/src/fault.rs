@@ -21,9 +21,8 @@
 //! simulations, so fault-injection runs are reproducible test fixtures,
 //! not flaky chaos.
 
-use qpredict_workload::{Dur, Job, Rng64, Time, Workload};
-
-use crate::estimators::{EstimateError, RuntimeEstimator};
+use qpredict_predict::{DegradationCounts, Prediction, RunTimePredictor};
+use qpredict_workload::{Dur, Job, Rng64, Workload};
 
 /// A deterministic fault-injection plan. All probabilities are in
 /// `[0, 1]`; zero (the default) disables that fault.
@@ -191,8 +190,8 @@ impl FaultCounts {
     }
 }
 
-/// Wraps any estimator and corrupts its estimates according to a
-/// [`FaultPlan`]. Lifecycle events pass through untouched, so learning
+/// Wraps any predictor and corrupts its estimates according to a
+/// [`FaultPlan`]. Completions pass through untouched, so learning
 /// predictors keep training on the truth while the scheduler sees noise.
 pub struct FaultyEstimator<E> {
     inner: E,
@@ -201,7 +200,7 @@ pub struct FaultyEstimator<E> {
     counts: FaultCounts,
 }
 
-impl<E: RuntimeEstimator> FaultyEstimator<E> {
+impl<E: RunTimePredictor> FaultyEstimator<E> {
     /// Wrap `inner` under `plan`. The corruption stream is seeded from
     /// `plan.seed`, independently of the trace-fault stream.
     pub fn new(inner: E, plan: FaultPlan) -> FaultyEstimator<E> {
@@ -219,13 +218,11 @@ impl<E: RuntimeEstimator> FaultyEstimator<E> {
         self.counts
     }
 
-    /// Unwrap, returning the inner estimator and the corruption counts.
+    /// Unwrap, returning the inner predictor and the corruption counts.
     pub fn into_parts(self) -> (E, FaultCounts) {
         (self.inner, self.counts)
     }
-}
 
-impl<E: RuntimeEstimator> FaultyEstimator<E> {
     fn corrupt(&mut self, base: Dur, elapsed: Dur) -> Dur {
         let mut v = base;
         if self.plan.pred_drop_prob > 0.0 && self.rng.gen_bool(self.plan.pred_drop_prob) {
@@ -250,19 +247,30 @@ impl<E: RuntimeEstimator> FaultyEstimator<E> {
     }
 }
 
-impl<E: RuntimeEstimator> RuntimeEstimator for FaultyEstimator<E> {
-    fn estimate(&mut self, job: &Job, now: Time, elapsed: Dur) -> Dur {
-        let base = self.inner.estimate(job, now, elapsed);
-        self.corrupt(base, elapsed)
+/// The corrupted estimate replaces the inner prediction's; its interval
+/// and fallback flag pass through. `generation` stays `None`: every
+/// estimate draws from the corruption stream.
+impl<E: RunTimePredictor> RunTimePredictor for FaultyEstimator<E> {
+    fn name(&self) -> &'static str {
+        self.inner.name()
     }
 
-    fn try_estimate(&mut self, job: &Job, now: Time, elapsed: Dur) -> Result<Dur, EstimateError> {
-        let base = self.inner.try_estimate(job, now, elapsed)?;
-        Ok(self.corrupt(base, elapsed))
+    fn predict(&mut self, job: &Job, elapsed: Dur) -> Prediction {
+        let mut pred = self.inner.predict(job, elapsed);
+        pred.estimate = self.corrupt(pred.estimate, elapsed);
+        pred
     }
 
-    fn on_complete(&mut self, job: &Job, now: Time) {
-        self.inner.on_complete(job, now);
+    fn on_complete(&mut self, job: &Job) {
+        self.inner.on_complete(job);
+    }
+
+    fn reset(&mut self) {
+        self.inner.reset();
+    }
+
+    fn degradations(&self) -> Option<DegradationCounts> {
+        self.inner.degradations()
     }
 }
 
@@ -270,8 +278,8 @@ impl<E: RuntimeEstimator> RuntimeEstimator for FaultyEstimator<E> {
 mod tests {
     use super::*;
     use crate::engine::{SimLimits, Simulation};
-    use crate::estimators::ActualEstimator;
     use crate::scheduler::Algorithm;
+    use qpredict_predict::OraclePredictor;
     use qpredict_workload::synthetic::toy;
     use qpredict_workload::{JobBuilder, JobId};
 
@@ -333,7 +341,7 @@ mod tests {
         let run = Simulation::run_guarded(
             &faulted,
             Algorithm::Backfill,
-            &mut ActualEstimator,
+            &mut OraclePredictor,
             SimLimits::default(),
         )
         .expect("faulted trace still schedules");
@@ -348,11 +356,11 @@ mod tests {
             pred_drop_prob: 0.2,
             ..FaultPlan::new(13)
         };
-        let mut est = FaultyEstimator::new(ActualEstimator, plan);
+        let mut est = FaultyEstimator::new(OraclePredictor, plan);
         let j = JobBuilder::new().runtime(Dur(500)).build(JobId(0));
         for k in 0..500 {
             let elapsed = Dur(k % 700);
-            let e = est.estimate(&j, Time(0), elapsed);
+            let e = est.predict(&j, elapsed).estimate;
             assert!(e >= Dur::SECOND);
             assert!(e >= elapsed + Dur::SECOND);
         }
@@ -364,7 +372,7 @@ mod tests {
         let wl = toy(120, 16, 43);
         let plan = FaultPlan::pred_noise(21, 0.3);
         let run = |plan: &FaultPlan| {
-            let mut est = FaultyEstimator::new(ActualEstimator, plan.clone());
+            let mut est = FaultyEstimator::new(OraclePredictor, plan.clone());
             let r = Simulation::run(&wl, Algorithm::Backfill, &mut est);
             (r.metrics, est.counts())
         };
@@ -393,9 +401,9 @@ mod tests {
     fn pred_noise_zero_leaves_schedule_unchanged() {
         let wl = toy(120, 16, 44);
         let plan = FaultPlan::pred_noise(21, 0.0);
-        let mut est = FaultyEstimator::new(ActualEstimator, plan);
+        let mut est = FaultyEstimator::new(OraclePredictor, plan);
         let faulted = Simulation::run(&wl, Algorithm::Backfill, &mut est);
-        let clean = Simulation::run(&wl, Algorithm::Backfill, &mut ActualEstimator);
+        let clean = Simulation::run(&wl, Algorithm::Backfill, &mut OraclePredictor);
         assert_eq!(faulted.outcomes, clean.outcomes);
         assert_eq!(est.counts().total(), 0);
     }

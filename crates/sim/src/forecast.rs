@@ -40,7 +40,6 @@
 //! running set, which only a disordered event stream produces, is clamped
 //! by the profile; the stop then keeps the first pass's answer.)
 
-use qpredict_predict::Prediction;
 use qpredict_workload::{Dur, Job, JobId, Time, Workload};
 
 use crate::engine::Snapshot;
@@ -66,22 +65,6 @@ pub fn forecast_start(
     mut predict: impl FnMut(&Job, Dur) -> Dur,
     target: JobId,
 ) -> Time {
-    forecast_with(wl, alg, snap, target, |job, elapsed| {
-        let pred = predict(job, elapsed);
-        (belief(job, elapsed), pred)
-    })
-}
-
-/// Resolve every job of `snap` once, in snapshot order (running jobs
-/// first), to its `(belief, prediction)`, then replay until `target`
-/// starts.
-fn forecast_with(
-    wl: &Workload,
-    alg: Algorithm,
-    snap: &Snapshot,
-    target: JobId,
-    mut durations: impl FnMut(&Job, Dur) -> (Dur, Dur),
-) -> Time {
     let _span = qpredict_obs::span("forecast");
     qpredict_obs::counter_add("forecast.calls", 1);
     let running = snap
@@ -90,11 +73,12 @@ fn forecast_with(
         .map(|&(id, start)| {
             let job = wl.job(id);
             let elapsed = snap.now - start;
-            let (belief, pred) = durations(job, elapsed);
+            let pred = predict(job, elapsed);
+            let believed = belief(job, elapsed);
             let floor = elapsed + Dur::SECOND;
             let view = RunningView {
                 nodes: job.nodes,
-                pred_end: start + belief.max(floor),
+                pred_end: start + believed.max(floor),
             };
             (view, start + pred.max(floor))
         })
@@ -104,12 +88,13 @@ fn forecast_with(
         .iter()
         .map(|&(id, seq)| {
             let job = wl.job(id);
-            let (belief, pred) = durations(job, Dur::ZERO);
+            let pred = predict(job, Dur::ZERO);
+            let believed = belief(job, Dur::ZERO);
             let entry = QueueEntry {
                 id,
                 seq,
                 nodes: job.nodes,
-                pred_runtime: belief.max(Dur::SECOND),
+                pred_runtime: believed.max(Dur::SECOND),
             };
             (entry, pred.max(Dur::SECOND))
         })
@@ -220,71 +205,6 @@ fn replay_passes(
             .min()
             .expect("queued work remains but nothing is running");
         running.retain(|&(_, end)| end > now);
-    }
-}
-
-/// A wait-time estimate with uncertainty bounds.
-///
-/// The paper's run-time predictions carry confidence intervals; pushing
-/// the interval endpoints through the forecast yields an optimistic and a
-/// pessimistic start time around the point estimate — what a user-facing
-/// "your job should start between X and Y" service would display.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WaitInterval {
-    /// Start time if every job finishes a confidence-interval early.
-    pub optimistic: Time,
-    /// Start time at the point predictions.
-    pub expected: Time,
-    /// Start time if every job runs a confidence-interval long.
-    pub pessimistic: Time,
-}
-
-/// Forecast the start of `target` three times: at the prediction point
-/// estimates and at the low/high ends of their confidence intervals
-/// (infinite half-widths are treated as ±50% of the estimate).
-///
-/// `belief` drives decisions as in [`forecast_start`]; `predict` returns
-/// the full [`Prediction`] so the interval is available. Each job is
-/// predicted once, so all three replays see identical estimates even
-/// from a stateful predictor.
-pub fn forecast_start_interval(
-    wl: &Workload,
-    alg: Algorithm,
-    snap: &Snapshot,
-    mut belief: impl FnMut(&Job, Dur) -> Dur,
-    mut predict: impl FnMut(&Job, Dur) -> Prediction,
-    target: JobId,
-) -> WaitInterval {
-    let bounded = |est: Dur, ci: f64, sign: f64| -> Dur {
-        let half = if ci.is_finite() {
-            ci
-        } else {
-            est.as_secs_f64() * 0.5
-        };
-        Dur::from_secs_f64((est.as_secs_f64() + sign * half).max(1.0))
-    };
-    let mut resolved = Vec::new();
-    let expected = forecast_with(wl, alg, snap, target, |job, elapsed| {
-        let p = predict(job, elapsed);
-        let b = belief(job, elapsed);
-        resolved.push((b, p.estimate, p.ci_halfwidth));
-        (b, bounded(p.estimate, p.ci_halfwidth, 0.0))
-    });
-    // `forecast_with` resolves jobs in snapshot order, so handing the
-    // resolutions back in that order gives each job its own.
-    let run = |sign: f64| {
-        let mut each = resolved.iter();
-        forecast_with(wl, alg, snap, target, |_, _| {
-            let &(b, est, ci) = each.next().expect("one resolution per job");
-            (b, bounded(est, ci, sign))
-        })
-    };
-    WaitInterval {
-        // Guard the ordering: interval endpoints need not be monotone
-        // through a nonlinear scheduler, so normalize.
-        optimistic: run(-1.0).min(expected),
-        expected,
-        pessimistic: run(1.0).max(expected),
     }
 }
 
@@ -444,51 +364,6 @@ mod tests {
         let w = wl(&[(0, 4, 100)]);
         let s = snap(0, 8, &[], &[]);
         fc(&w, Algorithm::Fcfs, &s, |j, _| j.runtime, JobId(0));
-    }
-
-    #[test]
-    fn interval_brackets_point_estimate() {
-        // One running job with an uncertain prediction; target queued
-        // behind it needing the full machine.
-        let w = wl(&[(0, 8, 1000), (10, 8, 50)]);
-        let s = snap(10, 0, &[(0, 0)], &[1]);
-        let iv = forecast_start_interval(
-            &w,
-            Algorithm::Fcfs,
-            &s,
-            |j, e| j.runtime.max(e + Dur(1)),
-            |j, _e| Prediction {
-                estimate: j.runtime,
-                ci_halfwidth: 200.0,
-                fallback: false,
-            },
-            JobId(1),
-        );
-        assert!(iv.optimistic <= iv.expected);
-        assert!(iv.expected <= iv.pessimistic);
-        assert_eq!(iv.expected, Time(1000));
-        assert_eq!(iv.optimistic, Time(800));
-        assert_eq!(iv.pessimistic, Time(1200));
-    }
-
-    #[test]
-    fn interval_with_exact_predictions_collapses() {
-        let w = wl(&[(0, 8, 1000), (10, 8, 50)]);
-        let s = snap(10, 0, &[(0, 0)], &[1]);
-        let iv = forecast_start_interval(
-            &w,
-            Algorithm::Fcfs,
-            &s,
-            |j, e| j.runtime.max(e + Dur(1)),
-            |j, _e| Prediction {
-                estimate: j.runtime,
-                ci_halfwidth: 0.0,
-                fallback: false,
-            },
-            JobId(1),
-        );
-        assert_eq!(iv.optimistic, iv.expected);
-        assert_eq!(iv.expected, iv.pessimistic);
     }
 
     #[test]

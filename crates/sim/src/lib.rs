@@ -11,11 +11,18 @@
 //!   whenever enough nodes are free;
 //! * **LWF** (least-work-first) — like FCFS but the queue is ordered by
 //!   estimated work (`nodes x estimated run time`), so the scheduler
-//!   consults a [`RuntimeEstimator`];
+//!   consults a run-time predictor;
 //! * **Backfill** — conservative backfill: jobs are examined in arrival
 //!   order; a job starts if it can do so without delaying any job ahead of
 //!   it, otherwise nodes are *reserved* for it at the earliest possible
-//!   time using the estimator's run-time predictions.
+//!   time using the predictor's run-time predictions.
+//!
+//! The engine's one run-time contract is
+//! [`qpredict_predict::RunTimePredictor`]: the oracle, the users' limits
+//! ([`MaxRuntimeEstimator`]), every learned predictor and the
+//! fault-injecting [`FaultyEstimator`] all reach the schedulers through
+//! it. ([`RuntimeEstimator`] is a shim over it that only the end-to-end
+//! benchmark names.)
 //!
 //! The engine is deterministic: identical inputs produce identical
 //! schedules. All decisions that could tie are broken by arrival sequence
@@ -37,11 +44,9 @@ pub mod timeline;
 pub use engine::{
     GuardedRun, NoHooks, SimError, SimHooks, SimLimits, SimResult, Simulation, Snapshot,
 };
-pub use estimators::{
-    ActualEstimator, ConstantEstimator, EstimateError, MaxRuntimeEstimator, RuntimeEstimator,
-};
+pub use estimators::{MaxRuntimeEstimator, RuntimeEstimator};
 pub use fault::{FaultCounts, FaultPlan, FaultReport, FaultyEstimator};
-pub use forecast::{forecast_replay, forecast_start, forecast_start_interval, WaitInterval};
+pub use forecast::{forecast_replay, forecast_start};
 pub use metrics::{JobOutcome, Metrics};
 pub use profile::Profile;
 pub use qpredict_predict::CacheStats;

@@ -129,7 +129,7 @@ impl Timeline {
 pub fn timeline_of(
     w: &Workload,
     alg: crate::scheduler::Algorithm,
-    est: &mut dyn crate::estimators::RuntimeEstimator,
+    est: &mut dyn qpredict_predict::RunTimePredictor,
 ) -> (Timeline, crate::engine::SimResult) {
     let result = crate::engine::Simulation::run(w, alg, est);
     (Timeline::build(w, &result.outcomes), result)
@@ -139,8 +139,8 @@ pub fn timeline_of(
 mod tests {
     use super::*;
     use crate::engine::Simulation;
-    use crate::estimators::ActualEstimator;
     use crate::scheduler::Algorithm;
+    use qpredict_predict::OraclePredictor;
     use qpredict_workload::{synthetic, Dur, JobBuilder};
 
     fn outcome(id: u32, s: i64, f: i64) -> JobOutcome {
@@ -207,7 +207,7 @@ mod tests {
     fn real_schedules_are_feasible() {
         let w = synthetic::toy(400, 32, 77);
         for alg in Algorithm::ALL {
-            let r = Simulation::run(&w, alg, &mut ActualEstimator);
+            let r = Simulation::run(&w, alg, &mut OraclePredictor);
             let t = Timeline::build(&w, &r.outcomes);
             assert!(t.is_feasible(), "{alg} oversubscribed: peak {}", t.peak());
             // Mean occupancy over the makespan must equal utilization x
@@ -226,7 +226,7 @@ mod tests {
     #[test]
     fn timeline_of_helper() {
         let w = synthetic::toy(100, 16, 78);
-        let (t, r) = timeline_of(&w, Algorithm::Backfill, &mut ActualEstimator);
+        let (t, r) = timeline_of(&w, Algorithm::Backfill, &mut OraclePredictor);
         assert_eq!(r.outcomes.len(), 100);
         assert!(t.is_feasible());
         assert!(t.step_count() > 0);

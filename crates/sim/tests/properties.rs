@@ -3,10 +3,9 @@
 //! Deterministic seeded loops stand in for an external property-testing
 //! harness: the workspace must build offline with no crates beyond std.
 
+use qpredict_predict::OraclePredictor;
 use qpredict_sim::tests_support::workload_from_triples;
-use qpredict_sim::{
-    schedule_pass, ActualEstimator, Algorithm, QueueEntry, RunningView, Simulation, Timeline,
-};
+use qpredict_sim::{schedule_pass, Algorithm, QueueEntry, RunningView, Simulation, Timeline};
 use qpredict_workload::{Dur, JobId, Rng64, Time};
 
 /// A consistent `(machine, free, running, queue)` scheduler view.
@@ -194,7 +193,7 @@ fn engine_schedules_feasible() {
             Algorithm::EasyBackfill,
         ][rng.gen_index(4)];
         let wl = workload_from_triples(16, &jobs);
-        let result = Simulation::run(&wl, alg, &mut ActualEstimator);
+        let result = Simulation::run(&wl, alg, &mut OraclePredictor);
         let t = Timeline::build(&wl, &result.outcomes);
         assert!(
             t.is_feasible(),
@@ -212,7 +211,7 @@ fn easy_runs_complete() {
         let mut rng = Rng64::seed_from_u64(seed);
         let jobs = random_triples(&mut rng, 30);
         let wl = workload_from_triples(16, &jobs);
-        let r = Simulation::run(&wl, Algorithm::EasyBackfill, &mut ActualEstimator);
+        let r = Simulation::run(&wl, Algorithm::EasyBackfill, &mut OraclePredictor);
         assert_eq!(r.outcomes.len(), wl.len(), "seed {seed}");
         for o in &r.outcomes {
             assert!(o.start >= o.submit, "seed {seed}");

@@ -87,7 +87,9 @@ fn main() {
             &snap2,
             |j, e| {
                 // The scheduler believes user limits.
-                MaxRuntimeEstimator::from_workload(&wl2).estimate(j, snap.now, e)
+                MaxRuntimeEstimator::from_workload(&wl2)
+                    .predict(j, e)
+                    .estimate
             },
             |j, e| predictor.predict(j, e).estimate,
             probe_id,

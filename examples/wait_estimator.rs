@@ -51,7 +51,7 @@ impl SimHooks for KioskHooks<'_> {
             self.wl,
             Algorithm::Backfill,
             snap,
-            |j, e| belief.estimate(j, now, e),
+            |j, e| belief.predict(j, e).estimate,
             |j, e| predictor.predict(j, e).estimate,
             job.id,
         );

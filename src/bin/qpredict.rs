@@ -49,9 +49,10 @@ use qpredict::core::{
 };
 use qpredict::obs::json::Json;
 use qpredict::obs::report::RunReport;
+use qpredict::predict::OraclePredictor;
 use qpredict::prelude::*;
 use qpredict::search::{CheckpointPolicy, GaConfig, InjectedPanic, SearchError, SupervisorConfig};
-use qpredict::sim::{timeline_of, ActualEstimator, FaultPlan};
+use qpredict::sim::{timeline_of, FaultPlan};
 use qpredict::workload::{analysis, swf, synthetic, IngestPolicy};
 
 struct Opts {
@@ -543,7 +544,7 @@ fn main() {
         }
         "gantt" => {
             let wl = load(source, &opts);
-            let (timeline, result) = timeline_of(&wl, opts.alg, &mut ActualEstimator);
+            let (timeline, result) = timeline_of(&wl, opts.alg, &mut OraclePredictor);
             metric("n_jobs", result.outcomes.len() as f64);
             let csv = timeline.jobs_csv();
             match &opts.out {

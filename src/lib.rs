@@ -66,7 +66,7 @@ pub mod prelude {
         WaitPredictionOutcome,
     };
     pub use qpredict_predict::{Prediction, RunTimePredictor};
-    pub use qpredict_sim::{Algorithm, Metrics, RuntimeEstimator};
+    pub use qpredict_sim::{Algorithm, Metrics};
     pub use qpredict_workload::{
         Characteristic, Dur, Job, JobBuilder, JobId, Time, Workload, WorkloadStats,
     };

@@ -377,7 +377,7 @@ fn scheduling_outputs_are_bit_identical_to_pre_refactor() {
 }
 
 /// The observability layer must be a pure observer: with recording ON,
-/// every locked cell still matches the pre-refactor capture bit for bit.
+/// every toy and robustness cell still matches its capture bit for bit.
 /// (Recording only touches a thread-local registry, so this runs the
 /// full lock tables rather than sampling.)
 #[test]
@@ -414,6 +414,13 @@ fn recording_does_not_perturb_locked_outputs() {
             fp_stats(&out.runtime_errors),
             rt_fp,
             "{alg} + {kind}: recording perturbed runtime-error stats"
+        );
+    }
+    for (cell, metrics_fp, rt_fp, third_fp) in ROBUSTNESS_LOCK {
+        assert_eq!(
+            robustness_cell(cell),
+            (metrics_fp, rt_fp, third_fp),
+            "{cell}: recording perturbed a robustness cell"
         );
     }
     qpredict_obs::set_recording(false);

@@ -1,14 +1,14 @@
 //! Integration tests for the beyond-the-paper extensions: state-based
-//! wait prediction, warm-started predictors, EASY backfill, wait-time
-//! intervals, and the schedule timeline.
+//! wait prediction, warm-started predictors, EASY backfill, and the
+//! schedule timeline.
 
 use qpredict::core::{
-    forecast_start_interval, run_scheduling, run_state_wait_prediction, run_wait_prediction,
-    run_wait_prediction_warm, PredictorKind,
+    run_scheduling, run_state_wait_prediction, run_wait_prediction, run_wait_prediction_warm,
+    PredictorKind,
 };
-use qpredict::predict::RunTimePredictor;
+use qpredict::predict::OraclePredictor;
 use qpredict::prelude::*;
-use qpredict::sim::{ActualEstimator, SimHooks, Simulation, Snapshot, Timeline};
+use qpredict::sim::{Simulation, Timeline};
 use qpredict::workload::synthetic;
 
 /// The state-based predictor runs end-to-end on every site and produces
@@ -73,49 +73,12 @@ fn easy_backfill_end_to_end() {
     );
 }
 
-/// Wait intervals from a live snapshot bracket the point forecast and
-/// widen with predictor uncertainty.
-#[test]
-fn wait_intervals_bracket_and_widen() {
-    struct Grab(Option<Snapshot>);
-    impl SimHooks for Grab {
-        fn after_submit(&mut self, snap: &Snapshot, _job: &Job) {
-            // Take the snapshot with the deepest queue seen so far.
-            if self.0.as_ref().map_or(0, |s| s.queued.len()) < snap.queued.len() {
-                self.0 = Some(snap.clone());
-            }
-        }
-    }
-    let wl = synthetic::toy(600, 16, 503);
-    let mut grab = Grab(None);
-    let mut est = qpredict::sim::MaxRuntimeEstimator::from_workload(&wl);
-    Simulation::new(&wl, Algorithm::Backfill).run_with_hooks(&mut est, &mut grab);
-    let snap = grab.0.expect("some queue formed");
-    assert!(snap.queued.len() >= 2, "need a queue to test intervals");
-    let target = snap.queued.last().unwrap().0;
-
-    let mut predictor = PredictorKind::Smith.build(&wl);
-    for j in wl.jobs.iter().take(wl.len() / 2) {
-        RunTimePredictor::on_complete(&mut predictor, j);
-    }
-    let iv = forecast_start_interval(
-        &wl,
-        Algorithm::Backfill,
-        &snap,
-        |j, e| j.limit_or_max().min(Dur::hours(48)).max(e + Dur::SECOND),
-        |j, e| predictor.predict(j, e),
-        target,
-    );
-    assert!(iv.optimistic <= iv.expected && iv.expected <= iv.pessimistic);
-    assert!(iv.optimistic >= snap.now);
-}
-
 /// Timeline analysis agrees with metrics across algorithms and exports
 /// parseable CSV.
 #[test]
 fn timeline_integration() {
     let wl = synthetic::toy(300, 16, 504);
-    let r = Simulation::run(&wl, Algorithm::Lwf, &mut ActualEstimator);
+    let r = Simulation::run(&wl, Algorithm::Lwf, &mut OraclePredictor);
     let t = Timeline::build(&wl, &r.outcomes);
     assert!(t.is_feasible());
     let csv = t.jobs_csv();

@@ -46,11 +46,18 @@ fn scheduling_run_populates_spans_and_counters() {
         .expect("nested sim span");
     assert_eq!(sim.count, 1);
     assert!(sim.total_ns <= root.total_ns, "child cannot exceed parent");
-    assert!(
-        snap.span("run.scheduling/sim.run/sim.schedule/smith.predict")
-            .is_some(),
-        "predictor span nests under the schedule pass: {:?}",
-        snap.spans.iter().map(|(l, _)| l).collect::<Vec<_>>()
+    let predict = snap
+        .span("run.scheduling/sim.run/sim.schedule/smith.predict")
+        .unwrap_or_else(|| {
+            panic!(
+                "predictor span nests under the schedule pass: {:?}",
+                snap.spans.iter().map(|(l, _)| l).collect::<Vec<_>>()
+            )
+        });
+    assert_eq!(
+        predict.count,
+        out.runtime_errors.count(),
+        "every scored estimate is one Smith prediction"
     );
     assert_eq!(
         snap.counter("sim.jobs_started"),
@@ -58,15 +65,6 @@ fn scheduling_run_populates_spans_and_counters() {
         "every job starts exactly once"
     );
     assert_eq!(snap.counter("sim.jobs_completed"), wl.len() as u64);
-    let hits = snap.counter("cache.hits");
-    let misses = snap.counter("cache.misses");
-    assert!(misses > 0, "cold cache must miss at least once");
-    assert!(
-        hits + misses >= out.runtime_errors.count(),
-        "every scored prediction went through the cache \
-         (hits {hits} + misses {misses} < scored {})",
-        out.runtime_errors.count()
-    );
 }
 
 /// With recording off (the default), instrumented runs leave the

@@ -2,8 +2,8 @@
 //! predict → score.
 
 use qpredict::core::{run_scheduling, run_wait_prediction, PredictorKind};
+use qpredict::predict::OraclePredictor;
 use qpredict::prelude::*;
-use qpredict::sim::ActualEstimator;
 use qpredict::sim::Simulation;
 use qpredict::workload::synthetic;
 
@@ -28,7 +28,7 @@ fn full_grid_completes_and_preserves_jobs() {
 fn schedule_never_oversubscribes() {
     let wl = synthetic::toy(500, 24, 102);
     for alg in [Algorithm::Fcfs, Algorithm::Lwf, Algorithm::Backfill] {
-        let result = Simulation::run(&wl, alg, &mut ActualEstimator);
+        let result = Simulation::run(&wl, alg, &mut OraclePredictor);
         // Sweep: +nodes at start, -nodes at finish; finishes first at ties.
         let mut events: Vec<(Time, i64)> = Vec::with_capacity(wl.len() * 2);
         for o in &result.outcomes {
@@ -108,9 +108,9 @@ fn all_paper_sites_run_the_pipeline() {
 #[test]
 fn fcfs_prefix_property() {
     let wl = synthetic::toy(300, 32, 107);
-    let full = Simulation::run(&wl, Algorithm::Fcfs, &mut ActualEstimator);
+    let full = Simulation::run(&wl, Algorithm::Fcfs, &mut OraclePredictor);
     let half = wl.truncated(150);
-    let part = Simulation::run(&half, Algorithm::Fcfs, &mut ActualEstimator);
+    let part = Simulation::run(&half, Algorithm::Fcfs, &mut OraclePredictor);
     for o in &part.outcomes {
         assert_eq!(o.start, full.outcomes[o.id.index()].start);
     }

@@ -5,8 +5,9 @@
 //! Every case is reproducible from the loop seed printed on failure.
 
 use qpredict::core::{forecast_start, PredictorKind};
+use qpredict::predict::OraclePredictor;
 use qpredict::prelude::*;
-use qpredict::sim::{ActualEstimator, Profile, Simulation};
+use qpredict::sim::{Profile, Simulation};
 use qpredict::workload::{synthetic, Rng64};
 
 /// A small random workload on a 4–64 node machine.
@@ -40,7 +41,7 @@ fn engine_invariants() {
         let mut rng = Rng64::seed_from_u64(seed);
         let wl = random_workload(&mut rng);
         let alg = [Algorithm::Fcfs, Algorithm::Lwf, Algorithm::Backfill][rng.gen_index(3)];
-        let result = Simulation::run(&wl, alg, &mut ActualEstimator);
+        let result = Simulation::run(&wl, alg, &mut OraclePredictor);
         assert_eq!(result.outcomes.len(), wl.len(), "seed {seed}");
         for o in &result.outcomes {
             assert!(o.start >= o.submit, "seed {seed}");
@@ -70,7 +71,7 @@ fn fcfs_starts_in_arrival_order() {
     for seed in 0u64..64 {
         let mut rng = Rng64::seed_from_u64(seed);
         let wl = random_workload(&mut rng);
-        let result = Simulation::run(&wl, Algorithm::Fcfs, &mut ActualEstimator);
+        let result = Simulation::run(&wl, Algorithm::Fcfs, &mut OraclePredictor);
         for pair in result.outcomes.windows(2) {
             assert!(
                 pair[0].start <= pair[1].start,
@@ -100,7 +101,7 @@ fn backfill_beats_serial_execution() {
     for seed in 0u64..64 {
         let mut rng = Rng64::seed_from_u64(seed);
         let wl = random_workload(&mut rng);
-        let bf = Simulation::run(&wl, Algorithm::Backfill, &mut ActualEstimator);
+        let bf = Simulation::run(&wl, Algorithm::Backfill, &mut OraclePredictor);
         // Strictly serial: each job starts after all earlier jobs finished.
         let mut t = Time::ZERO;
         for (o, j) in bf.outcomes.iter().zip(&wl.jobs) {

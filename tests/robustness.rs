@@ -4,7 +4,8 @@
 
 use std::process::Command;
 
-use qpredict::sim::{ActualEstimator, Algorithm, FaultPlan, SimError, SimLimits, Simulation};
+use qpredict::predict::OraclePredictor;
+use qpredict::sim::{Algorithm, FaultPlan, SimError, SimLimits, Simulation};
 use qpredict::workload::{swf, Dur, IngestPolicy, JobBuilder, JobId, SkipCategory, Time, Workload};
 
 fn bin() -> Command {
@@ -98,7 +99,7 @@ fn watchdog_converts_a_stalled_schedule_into_an_error() {
     let err = Simulation::run_guarded(
         &wl,
         Algorithm::Fcfs,
-        &mut ActualEstimator,
+        &mut OraclePredictor,
         SimLimits::default(),
     )
     .expect_err("oversized job must stall the queue");
@@ -237,7 +238,7 @@ fn library_fault_plans_survive_a_guarded_run() {
     let run = Simulation::run_guarded(
         &faulted,
         Algorithm::EasyBackfill,
-        &mut ActualEstimator,
+        &mut OraclePredictor,
         SimLimits::default(),
     )
     .expect("faulted trace still completes");

@@ -19,9 +19,10 @@ fn swf_round_trip_preserves_schedule() {
         assert_eq!(a.max_runtime, b.max_runtime);
     }
     // Schedule both under FCFS (identity-independent): outcomes match.
-    use qpredict::sim::{ActualEstimator, Simulation};
-    let x = Simulation::run(&wl, Algorithm::Fcfs, &mut ActualEstimator);
-    let y = Simulation::run(&back, Algorithm::Fcfs, &mut ActualEstimator);
+    use qpredict::predict::OraclePredictor;
+    use qpredict::sim::Simulation;
+    let x = Simulation::run(&wl, Algorithm::Fcfs, &mut OraclePredictor);
+    let y = Simulation::run(&back, Algorithm::Fcfs, &mut OraclePredictor);
     for (a, b) in x.outcomes.iter().zip(&y.outcomes) {
         assert_eq!(a.start, b.start);
         assert_eq!(a.finish, b.finish);
