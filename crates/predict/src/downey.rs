@@ -166,41 +166,8 @@ impl DowneyPredictor {
         DowneyPredictor::new(variant, c)
     }
 
-    /// The categorization characteristic in use.
-    pub fn category_characteristic(&self) -> Option<Characteristic> {
-        self.category_char
-    }
-
     fn category_value(&self, job: &Job) -> Option<Sym> {
         self.category_char.and_then(|c| job.characteristic(c))
-    }
-
-    /// Conditional quantile of the remaining-lifetime model: the run
-    /// time `t` such that `P(T <= t | T > age) = q` under the fitted
-    /// log-linear CDF. `q = 0.5` recovers the paper's conditional
-    /// median formula `sqrt(age * t_max)` exactly.
-    ///
-    /// Returns `None` until the job's category (or the pooled fallback)
-    /// has a valid model, and `None` for a quantile outside `[0, 1]`
-    /// (including NaN) — a nonsensical `q` is a caller bug we surface as
-    /// "no answer" rather than a panic deep inside a simulation.
-    pub fn predict_quantile(&mut self, job: &Job, elapsed: Dur, q: f64) -> Option<Dur> {
-        if !(0.0..=1.0).contains(&q) {
-            return None;
-        }
-        let key = self.category_value(job);
-        let model = self
-            .categories
-            .get_mut(&key)
-            .and_then(|c| c.fit())
-            .or_else(|| self.global.fit())?;
-        let a = elapsed.as_secs_f64().max(1.0).min(model.tmax * 0.999);
-        // F(t | T > a) = (F(t) - F(a)) / (1 - F(a)) = q
-        let f_a = (model.beta0 + model.beta1 * a.ln()).clamp(0.0, 1.0);
-        let target = f_a + q * (1.0 - f_a);
-        let ln_t = (target - model.beta0) / model.beta1;
-        let t = ln_t.min(30.0).exp().clamp(a, model.tmax);
-        Some(Dur::from_secs_f64(t.max(elapsed.as_secs_f64() + 1.0)))
     }
 
     fn point_estimate(&self, model: CdfModel, age_s: f64) -> f64 {
@@ -428,47 +395,6 @@ mod tests {
     }
 
     #[test]
-    fn quantile_median_matches_paper_formula() {
-        let (mut syms, mut p) = trained(DowneyVariant::ConditionalMedian);
-        let j = qjob(&mut syms, "batch", 1);
-        let a = 50.0;
-        let med = p.predict_quantile(&j, Dur(a as i64), 0.5).unwrap();
-        let q = syms.intern("batch");
-        let m = p.categories.get_mut(&Some(q)).unwrap().fit().unwrap();
-        let want = (a * m.tmax).sqrt();
-        assert!(
-            (med.as_secs_f64() - want).abs() / want < 0.02,
-            "median {} vs sqrt(a*tmax) {}",
-            med.as_secs_f64(),
-            want
-        );
-    }
-
-    #[test]
-    fn quantiles_are_monotone_and_bounded() {
-        let (mut syms, mut p) = trained(DowneyVariant::ConditionalAverage);
-        let j = qjob(&mut syms, "batch", 1);
-        let q10 = p.predict_quantile(&j, Dur(20), 0.10).unwrap();
-        let q50 = p.predict_quantile(&j, Dur(20), 0.50).unwrap();
-        let q90 = p.predict_quantile(&j, Dur(20), 0.90).unwrap();
-        assert!(q10 <= q50 && q50 <= q90);
-        assert!(q10 >= Dur(21), "quantile below elapsed");
-        // q = 1 hits (approximately) the model's tmax.
-        let q100 = p.predict_quantile(&j, Dur(20), 1.0).unwrap();
-        assert!(q100 >= q90);
-    }
-
-    #[test]
-    fn quantile_out_of_range_is_none() {
-        let (mut syms, mut p) = trained(DowneyVariant::ConditionalMedian);
-        let j = qjob(&mut syms, "batch", 1);
-        assert!(p.predict_quantile(&j, Dur(20), 0.5).is_some());
-        assert!(p.predict_quantile(&j, Dur(20), -0.1).is_none());
-        assert!(p.predict_quantile(&j, Dur(20), 1.5).is_none());
-        assert!(p.predict_quantile(&j, Dur(20), f64::NAN).is_none());
-    }
-
-    #[test]
     fn ci_shrinks_with_history() {
         // Noisy log-uniform training data so the fit has real residual
         // spread; the sin-based jitter is deterministic.
@@ -511,15 +437,6 @@ mod tests {
     }
 
     #[test]
-    fn quantile_none_without_history() {
-        let mut syms = SymbolTable::new();
-        let mut p = DowneyPredictor::new(DowneyVariant::ConditionalMedian, None);
-        assert!(p
-            .predict_quantile(&qjob(&mut syms, "q", 1), Dur::ZERO, 0.5)
-            .is_none());
-    }
-
-    #[test]
     fn queues_are_separate_categories() {
         // Each queue needs some runtime spread or its fit degenerates
         // and falls back to the global model.
@@ -541,11 +458,11 @@ mod tests {
     fn for_workload_picks_best_characteristic() {
         let w = qpredict_workload::synthetic::sdsc95().truncated(50);
         let p = DowneyPredictor::for_workload(DowneyVariant::ConditionalMedian, &w);
-        assert_eq!(p.category_characteristic(), Some(Characteristic::Queue));
+        assert_eq!(p.category_char, Some(Characteristic::Queue));
 
         let w = qpredict_workload::synthetic::toy(50, 16, 1);
         let p = DowneyPredictor::for_workload(DowneyVariant::ConditionalMedian, &w);
-        assert_eq!(p.category_characteristic(), None);
+        assert_eq!(p.category_char, None);
     }
 
     #[test]
@@ -586,7 +503,7 @@ mod tests {
         let state = encode(&p);
         let back: DowneyPredictor = decode(&state, &syms).expect("decodes");
         assert_eq!(encode(&back), state, "re-encode must be identical");
-        assert_eq!(back.category_characteristic(), p.category_characteristic());
+        assert_eq!(back.category_char, p.category_char);
         let mut back = back;
         for i in 0..10i64 {
             let probe = qjob(&mut syms, if i % 2 == 0 { "batch" } else { "short" }, 1);

@@ -105,21 +105,9 @@ impl<P: RunTimePredictor> CachingPredictor<P> {
         self.stats
     }
 
-    /// Live cached entries (diagnostics).
-    pub fn cache_len(&self) -> usize {
-        self.cache.len()
-    }
-
     /// Borrow the wrapped predictor.
     pub fn inner(&self) -> &P {
         &self.inner
-    }
-
-    /// Mutably borrow the wrapped predictor. Mutating its history
-    /// directly is safe for cache coherence — every `predict` re-checks
-    /// the generation — but bypasses this wrapper's accounting.
-    pub fn inner_mut(&mut self) -> &mut P {
-        &mut self.inner
     }
 
     /// Unwrap, discarding the cache.
@@ -342,7 +330,7 @@ mod tests {
         assert_eq!(c.predict(&q, Dur::ZERO).estimate, Dur(2), "no caching");
         assert_eq!(c.stats().hits, 0);
         assert_eq!(c.stats().misses, 2);
-        assert_eq!(c.cache_len(), 0);
+        assert!(c.cache.is_empty());
     }
 
     #[test]

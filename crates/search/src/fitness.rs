@@ -16,9 +16,9 @@
 use qpredict_predict::{
     CacheStats, CachingPredictor, ErrorStats, RunTimePredictor, SmithPredictor, TemplateSet,
 };
-use qpredict_sim::SimError;
 use qpredict_workload::Workload;
 
+use crate::supervisor::FailureCause;
 use crate::workloads::{PredEvent, PredictionWorkload};
 
 /// Replay `pw` through a fresh [`SmithPredictor`] built on `set` and
@@ -40,24 +40,23 @@ pub fn derived_eval_budget(pw: &PredictionWorkload) -> u64 {
 
 /// The one fitness replay, under a step budget: each replayed event
 /// costs one step, and exceeding `max_steps` aborts with
-/// [`SimError::BudgetExhausted`] — the same watchdog contract
-/// `Simulation::run_guarded` gives the scheduler, applied to the GA's
-/// fitness loop so a hung evaluation cannot wedge a search worker.
-/// Also returns the estimate-cache counters of the replay, which the
-/// supervisor folds into `SearchHealth`.
+/// [`FailureCause::Budget`], the supervisor's hang watchdog, so a hung
+/// evaluation cannot wedge a search worker. Also returns the
+/// estimate-cache counters of the replay, which the supervisor folds
+/// into `SearchHealth`.
 pub fn replay(
     set: &TemplateSet,
     wl: &Workload,
     pw: &PredictionWorkload,
     max_steps: u64,
-) -> Result<(ErrorStats, CacheStats), SimError> {
+) -> Result<(ErrorStats, CacheStats), FailureCause> {
     let mut predictor = CachingPredictor::new(SmithPredictor::new(set.clone()));
     let mut stats = ErrorStats::new();
     let mut steps = 0u64;
     for ev in &pw.events {
         steps += 1;
         if steps > max_steps {
-            return Err(SimError::BudgetExhausted { steps: max_steps });
+            return Err(FailureCause::Budget);
         }
         match *ev {
             PredEvent::Predict { job, elapsed } => {
@@ -147,7 +146,7 @@ mod tests {
         let (wl, pw) = setup();
         let set = TemplateSet::new(vec![Template::mean_over(&[])]);
         let err = replay(&set, &wl, &pw, 3).unwrap_err();
-        assert_eq!(err, SimError::BudgetExhausted { steps: 3 });
+        assert_eq!(err, FailureCause::Budget);
     }
 
     #[test]

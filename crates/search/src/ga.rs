@@ -538,19 +538,6 @@ fn mutate(c: &mut Chromosome, rate: f64, rng: &mut Rng64) {
     }
 }
 
-/// Encode a seed template set into an initial population member (used by
-/// callers that want to warm-start the search from
-/// [`TemplateSet::default_for`]).
-pub fn seeded_population(seeds: &[TemplateSet], size: usize, rng_seed: u64) -> Vec<Chromosome> {
-    let mut rng = Rng64::seed_from_u64(rng_seed);
-    let mut pop: Vec<Chromosome> = seeds.iter().map(encode).collect();
-    while pop.len() < size {
-        pop.push(random_chromosome(&mut rng));
-    }
-    pop.truncate(size);
-    pop
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -637,7 +624,12 @@ mod tests {
             &[qpredict_workload::Characteristic::User],
             false,
         );
-        let pop = seeded_population(std::slice::from_ref(&seed_set), 8, 1);
+        let cfg = GaConfig {
+            population: 8,
+            seeds: vec![seed_set.clone()],
+            ..GaConfig::quick(1)
+        };
+        let pop = GaRunner::new(&cfg).population;
         assert_eq!(pop.len(), 8);
         assert_eq!(decode(&pop[0]), seed_set);
     }

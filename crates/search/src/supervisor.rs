@@ -10,9 +10,8 @@
 //!   [`qpredict_obs::par_map`] worker, so a panic kills one attempt,
 //!   never the process, and each worker hands back its outcome with its
 //!   health delta, absorbed by the caller in input order;
-//! * each evaluation carries a **step budget** (the same watchdog
-//!   contract as `Simulation::run_guarded`), so a hung evaluation is cut
-//!   off with [`SimError::BudgetExhausted`];
+//! * each evaluation carries a **step budget**, so a hung evaluation is
+//!   cut off with [`FailureCause::Budget`];
 //! * failures are classified **retryable** (panic, budget exhaustion —
 //!   plausibly transient) vs **fatal** (a typed evaluator error —
 //!   deterministic, retrying is futile), and retryable ones are retried
@@ -33,8 +32,8 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use qpredict_predict::{ErrorStats, TemplateSet};
-use qpredict_sim::{FaultPlan, SimError};
-use qpredict_workload::{JobId, Rng64, Workload};
+use qpredict_sim::FaultPlan;
+use qpredict_workload::{Rng64, Workload};
 
 use crate::fitness::{derived_eval_budget, replay};
 use crate::workloads::PredictionWorkload;
@@ -255,10 +254,7 @@ fn evaluate_one(
         let attempt_result = catch_unwind(AssertUnwindSafe(|| match fault {
             Some(InjectedFault::Panic) => std::panic::panic_any(InjectedPanic),
             Some(InjectedFault::Hang) => replay(set, wl, pw, 0),
-            Some(InjectedFault::Error) => Err(SimError::EstimateFailed {
-                job: JobId(0),
-                reason: "injected evaluator fault".into(),
-            }),
+            Some(InjectedFault::Error) => Err(FailureCause::Error),
             None => replay(set, wl, pw, budget),
         }));
         let cause = match attempt_result {
@@ -267,19 +263,14 @@ fn evaluate_one(
                 health.cache_misses += cache.misses;
                 return (EvalOutcome::Ok(stats), health);
             }
-            Ok(Err(SimError::BudgetExhausted { .. })) => {
-                health.budget_exhausted += 1;
-                FailureCause::Budget
-            }
-            Ok(Err(_)) => {
-                health.eval_errors += 1;
-                FailureCause::Error
-            }
-            Err(_) => {
-                health.panics += 1;
-                FailureCause::Panic
-            }
+            Ok(Err(cause)) => cause,
+            Err(_) => FailureCause::Panic,
         };
+        match cause {
+            FailureCause::Panic => health.panics += 1,
+            FailureCause::Budget => health.budget_exhausted += 1,
+            FailureCause::Error => health.eval_errors += 1,
+        }
         if fault.is_some() {
             health.injected_faults += 1;
         }

@@ -71,87 +71,6 @@ pub struct SimResult {
     pub metrics: Metrics,
 }
 
-/// Why a guarded simulation aborted instead of producing a schedule.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SimError {
-    /// The event queue drained while jobs were still waiting: the
-    /// schedule can never make progress (e.g. a job that fits no
-    /// machine state).
-    Stalled {
-        /// Jobs still queued when progress stopped.
-        queued: usize,
-        /// Simulated instant at which the stall was detected.
-        at: Time,
-    },
-    /// The step budget was exhausted before the trace completed — the
-    /// watchdog against a livelocked engine.
-    BudgetExhausted {
-        /// Steps executed before giving up.
-        steps: u64,
-    },
-    /// A fitness evaluation failed with a typed error. The engine never
-    /// returns it (every [`RunTimePredictor`] estimate is usable); it is
-    /// the error the search supervisor injects to model an evaluator
-    /// that fails deterministically.
-    EstimateFailed {
-        /// Job whose estimate failed.
-        job: JobId,
-        /// Why it failed.
-        reason: String,
-    },
-}
-
-impl std::fmt::Display for SimError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SimError::Stalled { queued, at } => {
-                write!(
-                    f,
-                    "simulation stalled at t={} with {queued} jobs queued",
-                    at.seconds()
-                )
-            }
-            SimError::BudgetExhausted { steps } => {
-                write!(f, "simulation exceeded its step budget of {steps}")
-            }
-            SimError::EstimateFailed { job, reason } => {
-                write!(f, "estimate failed for job {}: {reason}", job.0)
-            }
-        }
-    }
-}
-
-impl std::error::Error for SimError {}
-
-/// Budgets for a guarded simulation run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SimLimits {
-    /// Maximum event-loop steps. `None` derives a generous budget from
-    /// the workload size (every well-formed trace finishes well within
-    /// it).
-    pub max_steps: Option<u64>,
-}
-
-impl SimLimits {
-    /// The derived default budget for `wl`: each job contributes one
-    /// submit and one finish instant, so any legitimate run needs at
-    /// most `2·jobs` steps; the slack absorbs future engine changes.
-    pub fn derived_budget(wl: &Workload) -> u64 {
-        10 * wl.len() as u64 + 1_000
-    }
-}
-
-/// A finished guarded run: the schedule plus any invariant violations
-/// the engine observed (reported rather than panicking).
-#[derive(Debug, Clone)]
-pub struct GuardedRun {
-    /// The schedule, as from [`Simulation::run`].
-    pub result: SimResult,
-    /// Human-readable invariant violations (empty on a healthy run):
-    /// capacity exceeded, negative waits, unbalanced node accounting.
-    pub violations: Vec<String>,
-}
-
 impl SimResult {
     /// The outcome for a specific job.
     pub fn outcome(&self, id: JobId) -> &JobOutcome {
@@ -185,17 +104,26 @@ pub struct Simulation<'w> {
     starts: Vec<Option<Time>>,
     finishes: Vec<Option<Time>>,
     finished: usize,
-    /// Guarded mode: collect invariant violations instead of asserting.
-    guarded: bool,
-    violations: Vec<String>,
 }
 
 impl<'w> Simulation<'w> {
     /// Prepare a simulation of `wl` under `alg`. The workload must pass
     /// [`Workload::validate`].
+    ///
+    /// # Panics
+    ///
+    /// If a job asks for more nodes than the machine has: such a job can
+    /// never start, so the run could not finish.
     pub fn new(wl: &'w Workload, alg: Algorithm) -> Simulation<'w> {
         let mut events = BinaryHeap::with_capacity(wl.len() * 2 + 1);
         for j in &wl.jobs {
+            assert!(
+                j.nodes <= wl.machine_nodes,
+                "job {} asks for {} nodes but the machine has {}",
+                j.id.0,
+                j.nodes,
+                wl.machine_nodes
+            );
             events.push(Reverse((j.submit, KIND_SUBMIT, j.id.0 as u64, j.id)));
         }
         Simulation {
@@ -210,8 +138,6 @@ impl<'w> Simulation<'w> {
             starts: vec![None; wl.len()],
             finishes: vec![None; wl.len()],
             finished: 0,
-            guarded: false,
-            violations: Vec::new(),
         }
     }
 
@@ -221,53 +147,6 @@ impl<'w> Simulation<'w> {
         sim.run_with_hooks(est, &mut NoHooks)
     }
 
-    /// Run to completion under a step budget and invariant guards,
-    /// returning [`SimError`] instead of looping forever or panicking on
-    /// a schedule that cannot make progress: [`SimError::Stalled`] and
-    /// [`SimError::BudgetExhausted`] are its only errors. Invariant
-    /// violations (capacity exceeded, negative waits, unbalanced node
-    /// accounting) are *reported* in the returned [`GuardedRun`] rather
-    /// than asserted.
-    pub fn run_guarded(
-        wl: &'w Workload,
-        alg: Algorithm,
-        est: &mut dyn RunTimePredictor,
-        limits: SimLimits,
-    ) -> Result<GuardedRun, SimError> {
-        let mut sim = Simulation::new(wl, alg);
-        sim.guarded = true;
-        let budget = limits
-            .max_steps
-            .unwrap_or_else(|| SimLimits::derived_budget(wl));
-        sim.drive(est, &mut NoHooks, Some(budget))?;
-        if sim.finished != wl.len() {
-            return Err(SimError::Stalled {
-                queued: wl.len() - sim.finished,
-                at: sim.now,
-            });
-        }
-        let mut violations = std::mem::take(&mut sim.violations);
-        if sim.free_nodes != wl.machine_nodes {
-            violations.push(format!(
-                "node accounting unbalanced at end of run: {} free of {}",
-                sim.free_nodes, wl.machine_nodes
-            ));
-        }
-        let result = sim.result();
-        for o in &result.outcomes {
-            if o.start < o.submit {
-                violations.push(format!(
-                    "negative wait: job {} started at t={} before submit t={}",
-                    o.id.0,
-                    o.start.seconds(),
-                    o.submit.seconds()
-                ));
-            }
-        }
-        qpredict_obs::counter_add("sim.violations", violations.len() as u64);
-        Ok(GuardedRun { result, violations })
-    }
-
     /// Run to completion, reporting submissions/starts/completions to
     /// `hooks`.
     pub fn run_with_hooks(
@@ -275,16 +154,10 @@ impl<'w> Simulation<'w> {
         est: &mut dyn RunTimePredictor,
         hooks: &mut dyn SimHooks,
     ) -> SimResult {
-        self.drive(est, hooks, None)
-            .expect("an unguarded run has no step budget");
+        self.drive(est, hooks);
         debug_assert_eq!(self.finished, self.wl.len(), "jobs lost by the engine");
         debug_assert_eq!(self.free_nodes, self.wl.machine_nodes);
         debug_assert!(self.queue.is_empty() && self.running.is_empty());
-        self.result()
-    }
-
-    /// The schedule of a run whose every job finished.
-    fn result(&self) -> SimResult {
         let outcomes: Vec<JobOutcome> = self
             .wl
             .jobs
@@ -300,23 +173,11 @@ impl<'w> Simulation<'w> {
         SimResult { outcomes, metrics }
     }
 
-    /// The event loop shared by the guarded and unguarded entry points.
-    fn drive(
-        &mut self,
-        est: &mut dyn RunTimePredictor,
-        hooks: &mut dyn SimHooks,
-        budget: Option<u64>,
-    ) -> Result<(), SimError> {
+    /// The event loop: advance instant by instant until no event is left.
+    fn drive(&mut self, est: &mut dyn RunTimePredictor, hooks: &mut dyn SimHooks) {
         let _run_span = qpredict_obs::span("sim.run");
-        let mut steps = 0u64;
         let mut events_drained = 0u64;
         while let Some(&Reverse((t, _, _, _))) = self.events.peek() {
-            if let Some(b) = budget {
-                steps += 1;
-                if steps > b {
-                    return Err(SimError::BudgetExhausted { steps: b });
-                }
-            }
             self.now = t;
             // Drain every event at this instant; heap order guarantees
             // finishes come first.
@@ -334,7 +195,6 @@ impl<'w> Simulation<'w> {
             self.schedule(est, hooks);
         }
         qpredict_obs::counter_add("sim.events", events_drained);
-        Ok(())
     }
 
     fn apply_finish(
@@ -424,21 +284,14 @@ impl<'w> Simulation<'w> {
             self.free_nodes,
             &running_views,
             &entries,
-            if self.guarded {
-                Some(&mut self.violations)
-            } else {
-                None
-            },
+            None,
         );
         if start_idxs.is_empty() {
             return;
         }
         // Start the chosen jobs; remove from the queue afterwards so the
         // indices stay valid.
-        let chosen_jobs: Vec<(JobId, u64)> = start_idxs
-            .iter()
-            .map(|&i| (entries[i].id, entries[i].seq))
-            .collect();
+        let chosen_jobs: Vec<JobId> = start_idxs.iter().map(|&i| entries[i].id).collect();
         let mut chosen = vec![false; self.queue.len()];
         for &i in &start_idxs {
             chosen[i] = true;
@@ -449,22 +302,8 @@ impl<'w> Simulation<'w> {
             keep_idx += 1;
             k
         });
-        for (id, seq) in chosen_jobs {
+        for id in chosen_jobs {
             let job = self.wl.job(id);
-            if self.guarded && job.nodes > self.free_nodes {
-                // Report rather than panic, and re-queue the job so node
-                // accounting stays sound (it may then stall, which the
-                // guarded entry point reports as an error).
-                self.violations.push(format!(
-                    "capacity exceeded at t={}: job {} wants {} nodes, {} free",
-                    self.now.seconds(),
-                    id.0,
-                    job.nodes,
-                    self.free_nodes
-                ));
-                self.queue.push((id, seq));
-                continue;
-            }
             debug_assert!(job.nodes <= self.free_nodes, "scheduler oversubscribed");
             qpredict_obs::counter_add("sim.jobs_started", 1);
             self.free_nodes -= job.nodes;
@@ -653,27 +492,10 @@ mod tests {
     }
 
     #[test]
-    fn guarded_run_matches_unguarded_on_healthy_trace() {
-        let w = qpredict_workload::synthetic::toy(200, 16, 5);
-        for alg in Algorithm::ALL {
-            let plain = Simulation::run(&w, alg, &mut OraclePredictor);
-            let guarded =
-                Simulation::run_guarded(&w, alg, &mut OraclePredictor, SimLimits::default())
-                    .expect("healthy trace");
-            assert_eq!(plain.outcomes, guarded.result.outcomes, "{alg}");
-            assert!(
-                guarded.violations.is_empty(),
-                "{alg}: {:?}",
-                guarded.violations
-            );
-        }
-    }
-
-    #[test]
-    fn guarded_run_reports_stall_instead_of_panicking() {
-        // A job wanting more nodes than the machine has can never start.
-        // (Workload::validate rejects this; the guarded engine must
-        // survive a workload that bypassed validation.)
+    #[should_panic(expected = "job 1 asks for 16 nodes but the machine has 8")]
+    fn a_job_larger_than_the_machine_is_rejected_up_front() {
+        // Workload::validate rejects this job; a workload that bypassed
+        // validation must fail at entry, not after simulating the rest.
         let mut w = Workload::new("t", 8);
         w.jobs = vec![
             JobBuilder::new().nodes(4).runtime(Dur(10)).build(JobId(0)),
@@ -683,41 +505,7 @@ mod tests {
                 .submit(Time(1))
                 .build(JobId(1)),
         ];
-        // No finalize-with-clamp: leave the oversized job in place.
-        let err = Simulation::run_guarded(
-            &w,
-            Algorithm::Fcfs,
-            &mut OraclePredictor,
-            SimLimits::default(),
-        )
-        .unwrap_err();
-        assert_eq!(
-            err,
-            SimError::Stalled {
-                queued: 1,
-                at: Time(10)
-            }
-        );
-        assert!(err.to_string().contains("stalled"));
-    }
-
-    #[test]
-    fn guarded_run_honours_step_budget() {
-        let w = qpredict_workload::synthetic::toy(50, 16, 6);
-        let err = Simulation::run_guarded(
-            &w,
-            Algorithm::Fcfs,
-            &mut OraclePredictor,
-            SimLimits { max_steps: Some(3) },
-        )
-        .unwrap_err();
-        assert_eq!(err, SimError::BudgetExhausted { steps: 3 });
-    }
-
-    #[test]
-    fn derived_budget_scales_with_workload() {
-        let w = qpredict_workload::synthetic::toy(100, 16, 7);
-        assert!(SimLimits::derived_budget(&w) >= 2 * 100);
+        Simulation::new(&w, Algorithm::Fcfs);
     }
 
     #[test]

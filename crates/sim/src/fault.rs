@@ -120,11 +120,6 @@ impl FaultPlan {
         self.eval_panic_prob > 0.0 || self.eval_hang_prob > 0.0 || self.eval_error_prob > 0.0
     }
 
-    /// True when the plan corrupts predictions.
-    pub fn has_prediction_faults(&self) -> bool {
-        self.pred_scale_prob > 0.0 || self.pred_invert_prob > 0.0 || self.pred_drop_prob > 0.0
-    }
-
     /// Apply the trace faults, returning the mutated workload (re-sorted
     /// and renumbered via [`Workload::finalize`]) and an account of what
     /// was done. Deterministic in `seed`.
@@ -277,8 +272,9 @@ impl<E: RunTimePredictor> RunTimePredictor for FaultyEstimator<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{SimLimits, Simulation};
+    use crate::engine::Simulation;
     use crate::scheduler::Algorithm;
+    use crate::timeline::Timeline;
     use qpredict_predict::OraclePredictor;
     use qpredict_workload::synthetic::toy;
     use qpredict_workload::{JobBuilder, JobId};
@@ -287,7 +283,7 @@ mod tests {
     fn disabled_plan_is_identity() {
         let wl = toy(100, 16, 40);
         let plan = FaultPlan::new(7);
-        assert!(!plan.has_trace_faults() && !plan.has_prediction_faults());
+        assert!(!plan.has_trace_faults());
         let (faulted, report) = plan.apply_to_workload(&wl);
         assert_eq!(report.total(), 0);
         assert_eq!(faulted.jobs.len(), wl.jobs.len());
@@ -338,14 +334,11 @@ mod tests {
         };
         let (faulted, _) = plan.apply_to_workload(&wl);
         assert!(faulted.validate().is_ok());
-        let run = Simulation::run_guarded(
-            &faulted,
-            Algorithm::Backfill,
-            &mut OraclePredictor,
-            SimLimits::default(),
-        )
-        .expect("faulted trace still schedules");
-        assert!(run.violations.is_empty());
+        // The engine's debug assertions check capacity and node
+        // accounting during the run; the schedule is checked after it.
+        let run = Simulation::run(&faulted, Algorithm::Backfill, &mut OraclePredictor);
+        assert!(Timeline::build(&faulted, &run.outcomes).is_feasible());
+        assert!(run.outcomes.iter().all(|o| o.start >= o.submit));
     }
 
     #[test]
@@ -388,7 +381,11 @@ mod tests {
     fn eval_chaos_sets_only_eval_faults() {
         let plan = FaultPlan::eval_chaos(3, 0.2);
         assert!(plan.has_eval_faults());
-        assert!(!plan.has_trace_faults() && !plan.has_prediction_faults());
+        assert!(!plan.has_trace_faults());
+        assert_eq!(
+            plan.pred_scale_prob + plan.pred_invert_prob + plan.pred_drop_prob,
+            0.0
+        );
         assert!(!FaultPlan::new(3).has_eval_faults());
         // Eval faults are invisible to the trace/prediction machinery.
         let wl = toy(60, 16, 45);

@@ -41,9 +41,7 @@ pub mod scheduler;
 pub mod tests_support;
 pub mod timeline;
 
-pub use engine::{
-    GuardedRun, NoHooks, SimError, SimHooks, SimLimits, SimResult, Simulation, Snapshot,
-};
+pub use engine::{NoHooks, SimHooks, SimResult, Simulation, Snapshot};
 pub use estimators::{MaxRuntimeEstimator, RuntimeEstimator};
 pub use fault::{FaultCounts, FaultPlan, FaultReport, FaultyEstimator};
 pub use forecast::{forecast_replay, forecast_start};

@@ -33,11 +33,11 @@ impl Profile {
     /// An oversubscribed `running` set (more nodes in use than the
     /// machine has) trips a debug assertion when `violations` is `None`;
     /// release builds clamp and continue. When `violations` is provided
-    /// the oversubscription is *reported* into it (the guarded engine's
-    /// invariant-violation channel) instead: fault injection, corrupt
-    /// traces and disordered event streams can legitimately hand the
-    /// backfill pass more running nodes than the machine has, and the
-    /// wrong free-node profile that results must be visible, not silent.
+    /// the oversubscription is *reported* into it instead: a disordered
+    /// event stream can legitimately hand the online wait forecast more
+    /// running nodes than the machine has (serve counts these as
+    /// `serve.oversubscribed`), and the wrong free-node profile that
+    /// results must be visible, not silent.
     pub fn new(
         machine_nodes: u32,
         now: Time,

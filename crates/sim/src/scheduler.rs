@@ -116,9 +116,10 @@ impl QueueEntry {
 /// * `running` — running jobs (only backfill reads it).
 /// * `queue` — queued jobs in any order; `seq` defines arrival order.
 /// * `violations` — when provided, an oversubscribed running set
-///   (possible under fault injection, a corrupt trace or a disordered
-///   event stream) is reported through it instead of tripping a debug
-///   assertion, so a silently-wrong backfill profile cannot hide.
+///   (possible in an online forecast over a disordered event stream) is
+///   reported through it instead of tripping a debug assertion, so a
+///   silently-wrong backfill profile cannot hide. The engine passes
+///   `None`: its running set is exact, so both checks stay assertions.
 ///
 /// Returns indices into `queue` of the jobs to start, in the order they
 /// should start. The function is pure: callers apply the starts.
@@ -309,10 +310,10 @@ mod tests {
 
     #[test]
     fn oversubscribed_running_set_is_reported_not_asserted() {
-        // Fault injection: a corrupted snapshot claims 12 running nodes
-        // on an 8-node machine. With a violation sink the pass must
-        // survive (no debug_assert) and report the oversubscription
-        // through the profile's guarded path.
+        // A disordered event stream claims 12 running nodes on an 8-node
+        // machine. With a violation sink the pass must survive (no
+        // debug_assert) and report the oversubscription through the
+        // profile.
         let queue = [qe(0, 2, 100)];
         let running = [rv(8, 100), rv(4, 150)];
         let mut violations = Vec::new();

@@ -3,8 +3,8 @@
 //!
 //! A [`Timeline`] holds the `(start, finish, nodes)` interval of every
 //! job plus the machine's piecewise-constant node occupancy. It backs
-//! schedule validation (no instant may exceed the machine), fragmentation
-//! diagnostics, and CSV export for external plotting.
+//! schedule validation (no instant may exceed the machine) and CSV export
+//! of the job intervals for external plotting.
 
 use qpredict_workload::{JobId, Time, Workload};
 
@@ -50,15 +50,6 @@ impl Timeline {
         }
     }
 
-    /// Nodes in use at instant `t` (0 before the first event).
-    pub fn used_at(&self, t: Time) -> u32 {
-        match self.steps.binary_search_by_key(&t, |&(st, _)| st) {
-            Ok(i) => self.steps[i].1,
-            Err(0) => 0,
-            Err(i) => self.steps[i - 1].1,
-        }
-    }
-
     /// The highest occupancy reached.
     pub fn peak(&self) -> u32 {
         self.steps.iter().map(|&(_, u)| u).max().unwrap_or(0)
@@ -70,34 +61,6 @@ impl Timeline {
         self.peak() <= self.machine_nodes
     }
 
-    /// Total idle node-seconds over `[from, to)` — the fragmentation a
-    /// better packing could in principle recover.
-    pub fn idle_node_seconds(&self, from: Time, to: Time) -> f64 {
-        if to <= from {
-            return 0.0;
-        }
-        let mut idle = 0.0;
-        let mut cursor = from;
-        let mut used = self.used_at(from);
-        for &(t, u) in self.steps.iter().filter(|&&(t, _)| t > from && t < to) {
-            idle += (self.machine_nodes.saturating_sub(used)) as f64 * (t - cursor).as_secs_f64();
-            cursor = t;
-            used = u;
-        }
-        idle += (self.machine_nodes.saturating_sub(used)) as f64 * (to - cursor).as_secs_f64();
-        idle
-    }
-
-    /// Mean occupancy (nodes) over `[from, to)`.
-    pub fn mean_occupancy(&self, from: Time, to: Time) -> f64 {
-        let span = (to - from).as_secs_f64();
-        if span <= 0.0 {
-            return 0.0;
-        }
-        let idle = self.idle_node_seconds(from, to);
-        self.machine_nodes as f64 - idle / span
-    }
-
     /// Export the job intervals as CSV (`job,start,finish,nodes`), for
     /// Gantt plotting with external tools.
     pub fn jobs_csv(&self) -> String {
@@ -107,21 +70,6 @@ impl Timeline {
             out.push_str(&format!("{},{},{},{}\n", id.0, s.seconds(), f.seconds(), n));
         }
         out
-    }
-
-    /// Export the occupancy steps as CSV (`time,nodes_in_use`).
-    pub fn occupancy_csv(&self) -> String {
-        let mut out = String::with_capacity(self.steps.len() * 16 + 24);
-        out.push_str("time,nodes_in_use\n");
-        for &(t, u) in &self.steps {
-            out.push_str(&format!("{},{}\n", t.seconds(), u));
-        }
-        out
-    }
-
-    /// Number of occupancy breakpoints.
-    pub fn step_count(&self) -> usize {
-        self.steps.len()
     }
 }
 
@@ -172,23 +120,12 @@ mod tests {
     fn occupancy_steps() {
         let w = wl(&[(4, 100), (3, 50)]);
         let t = Timeline::build(&w, &[outcome(0, 0, 100), outcome(1, 0, 50)]);
-        assert_eq!(t.used_at(Time(0)), 7);
-        assert_eq!(t.used_at(Time(49)), 7);
-        assert_eq!(t.used_at(Time(50)), 4);
-        assert_eq!(t.used_at(Time(100)), 0);
         assert_eq!(t.peak(), 7);
         assert!(t.is_feasible());
-    }
-
-    #[test]
-    fn idle_and_mean_occupancy() {
-        let w = wl(&[(10, 100)]);
-        let t = Timeline::build(&w, &[outcome(0, 0, 100)]);
-        // Fully busy for [0,100): zero idle.
-        assert_eq!(t.idle_node_seconds(Time(0), Time(100)), 0.0);
-        // [0, 200): 100 s of a 10-node machine idle.
-        assert_eq!(t.idle_node_seconds(Time(0), Time(200)), 1000.0);
-        assert!((t.mean_occupancy(Time(0), Time(200)) - 5.0).abs() < 1e-12);
+        // A departure frees its nodes before an arrival at the same
+        // instant takes them.
+        let t = Timeline::build(&w, &[outcome(0, 0, 100), outcome(1, 100, 150)]);
+        assert_eq!(t.peak(), 4);
     }
 
     #[test]
@@ -198,9 +135,6 @@ mod tests {
         let jobs = t.jobs_csv();
         assert!(jobs.starts_with("job,start,finish,nodes\n"));
         assert!(jobs.contains("0,5,105,4\n"));
-        let occ = t.occupancy_csv();
-        assert!(occ.contains("5,4\n"));
-        assert!(occ.contains("105,0\n"));
     }
 
     #[test]
@@ -210,16 +144,6 @@ mod tests {
             let r = Simulation::run(&w, alg, &mut OraclePredictor);
             let t = Timeline::build(&w, &r.outcomes);
             assert!(t.is_feasible(), "{alg} oversubscribed: peak {}", t.peak());
-            // Mean occupancy over the makespan must equal utilization x
-            // machine.
-            let first = r.outcomes.iter().map(|o| o.submit).min().unwrap();
-            let last = r.outcomes.iter().map(|o| o.finish).max().unwrap();
-            let occ = t.mean_occupancy(first, last);
-            let expect = r.metrics.utilization * w.machine_nodes as f64;
-            assert!(
-                (occ - expect).abs() < 0.05 * w.machine_nodes as f64,
-                "{alg}: occupancy {occ:.2} vs util-derived {expect:.2}"
-            );
         }
     }
 
@@ -229,7 +153,7 @@ mod tests {
         let (t, r) = timeline_of(&w, Algorithm::Backfill, &mut OraclePredictor);
         assert_eq!(r.outcomes.len(), 100);
         assert!(t.is_feasible());
-        assert!(t.step_count() > 0);
+        assert!(t.peak() > 0);
     }
 
     #[test]
@@ -238,6 +162,5 @@ mod tests {
         let t = Timeline::build(&w, &[]);
         assert_eq!(t.peak(), 0);
         assert!(t.is_feasible());
-        assert_eq!(t.used_at(Time(100)), 0);
     }
 }

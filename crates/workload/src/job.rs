@@ -153,12 +153,6 @@ impl Job {
     pub fn work(&self) -> f64 {
         self.nodes as f64 * self.runtime.seconds() as f64
     }
-
-    /// The job's wall-clock limit or, if none, an unbounded sentinel.
-    #[inline]
-    pub fn limit_or_max(&self) -> Dur {
-        self.max_runtime.unwrap_or(Dur::MAX)
-    }
 }
 
 /// Builder for [`Job`] used by trace parsers and synthetic generators.
@@ -301,13 +295,5 @@ mod tests {
         for (i, c) in CHARACTERISTICS.iter().enumerate() {
             assert_eq!(c.index(), i);
         }
-    }
-
-    #[test]
-    fn limit_or_max() {
-        let j = JobBuilder::new().build(JobId(0));
-        assert_eq!(j.limit_or_max(), Dur::MAX);
-        let j = JobBuilder::new().max_runtime(Dur(60)).build(JobId(0));
-        assert_eq!(j.limit_or_max(), Dur(60));
     }
 }

@@ -149,12 +149,6 @@ impl SiteSpec {
         self.n_jobs = n;
         self
     }
-
-    /// Copy of the spec with a different seed.
-    pub fn with_seed(mut self, seed: u64) -> SiteSpec {
-        self.seed = seed;
-        self
-    }
 }
 
 /// One application in a user's repertoire.
@@ -664,7 +658,10 @@ mod tests {
     #[test]
     fn seed_changes_output() {
         let a = generate(&quick_spec());
-        let b = generate(&quick_spec().with_seed(7));
+        let b = generate(&SiteSpec {
+            seed: 7,
+            ..quick_spec()
+        });
         assert_ne!(a.jobs, b.jobs);
     }
 

@@ -143,12 +143,6 @@ impl Dur {
         self.0 as f64 / 60.0
     }
 
-    /// The span in fractional hours.
-    #[inline]
-    pub fn hours_f64(self) -> f64 {
-        self.0 as f64 / 3600.0
-    }
-
     /// Absolute value.
     #[inline]
     pub fn abs(self) -> Dur {
@@ -315,7 +309,6 @@ mod tests {
     #[test]
     fn dur_units() {
         assert!((Dur(90).minutes() - 1.5).abs() < 1e-12);
-        assert!((Dur(5400).hours_f64() - 1.5).abs() < 1e-12);
         assert_eq!(Dur(-5).abs(), Dur(5));
         assert_eq!(-Dur(5), Dur(-5));
     }

@@ -144,27 +144,6 @@ impl Workload {
         map
     }
 
-    /// Apply the derived per-queue maxima to every job that lacks a
-    /// user-supplied maximum run time. Returns how many jobs were filled.
-    ///
-    /// This is how SDSC-style workloads (which record no explicit limits)
-    /// obtain the "maximum run time" predictor input used in Tables 5
-    /// and 11.
-    pub fn fill_max_runtimes_from_queues(&mut self) -> usize {
-        let maxima = self.derive_queue_max_runtimes();
-        let global = maxima[&None];
-        let mut filled = 0;
-        for j in &mut self.jobs {
-            if j.max_runtime.is_none() {
-                let q = j.chars[Characteristic::Queue.index()];
-                let m = maxima.get(&q).copied().unwrap_or(global);
-                j.max_runtime = Some(m);
-                filled += 1;
-            }
-        }
-        filled
-    }
-
     /// A copy of this workload truncated to its first `n` jobs (by
     /// submission order). Useful for fast tests and benchmarks.
     pub fn truncated(&self, n: usize) -> Workload {
@@ -262,23 +241,6 @@ mod tests {
         assert_eq!(m[&Some(q1)], Dur(500));
         assert_eq!(m[&Some(q2)], Dur(50));
         assert_eq!(m[&None], Dur(500));
-
-        let filled = w.fill_max_runtimes_from_queues();
-        assert_eq!(filled, 3);
-        assert_eq!(w.jobs[0].max_runtime, Some(Dur(500)));
-        assert_eq!(w.jobs[2].max_runtime, Some(Dur(50)));
-    }
-
-    #[test]
-    fn fill_respects_existing_limits() {
-        let mut w = Workload::new("test", 64);
-        w.jobs = vec![JobBuilder::new()
-            .runtime(Dur(100))
-            .max_runtime(Dur(200))
-            .build(JobId(0))];
-        w.finalize();
-        assert_eq!(w.fill_max_runtimes_from_queues(), 0);
-        assert_eq!(w.jobs[0].max_runtime, Some(Dur(200)));
     }
 
     #[test]

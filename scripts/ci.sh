@@ -140,4 +140,10 @@ echo "==> cargo test --release -q --test observability recording_off_costs_under
 cargo test --release -q --test observability \
     recording_off_costs_under_two_percent_of_a_warm_predict -- --include-ignored
 
+# The engine's capacity and node-accounting checks are debug assertions,
+# while the benchmark runs release builds: show the bit-identity locks and
+# the faulted-trace schedule invariants in a release build too.
+echo "==> cargo test --release -q --test estimation_lock --test robustness"
+cargo test --release -q --test estimation_lock --test robustness
+
 echo "CI green."

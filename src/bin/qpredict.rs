@@ -1,27 +1,15 @@
 //! `qpredict` — command-line front end to the library.
 //!
-//! ```text
-//! qpredict generate <ANL|CTC|SDSC95|SDSC96|toy> [--jobs N] [--out FILE]
-//! qpredict analyze  <trace.swf|site> [--nodes N]
-//! qpredict simulate <trace.swf|site> [--nodes N] [--alg A] [--predictor P]
-//! qpredict waitpred <trace.swf|site> [--nodes N] [--alg A] [--predictor P]
-//! qpredict gantt    <trace.swf|site> [--nodes N] [--alg A] [--out FILE]
-//! qpredict search   <trace.swf|site> [--generations N] [--population N]
-//!                   [--checkpoint-dir DIR] [--resume] [--max-retries N]
-//!                   [--eval-budget N] [--fault-eval P]
-//! qpredict events   <trace.swf|site> [--jobs N] [--query-every K]
-//!                   [--shuffle W] [--seed N] [--out FILE]
-//! qpredict serve    <events.log|-> [--state-dir DIR] [--resume]
-//!                   [--predictor P] [--nodes N] [--horizon N]
-//!                   [--snapshot-every N] [--fsync always|batch[=N]|never]
-//!                   [--max-jobs N] [--max-done N] [--max-history N]
-//!                   [--throttle-us N] [--out FILE]
-//! ```
+//! `qpredict --help` prints every subcommand with the flags it reads
+//! (the `SUBCOMMANDS` table): `generate`, `analyze`, `simulate`,
+//! `waitpred`, `gantt`, `search`, `events`, `serve` and `check-report`.
 //!
 //! Common flags: `--ingest lenient|strict` controls SWF parsing
 //! (lenient skips and reports malformed lines), and `--fault-seed N` /
 //! `--fault-pred-noise P` drive the deterministic fault-injection
-//! harness during `simulate`.
+//! harness during `simulate`. A flag the chosen subcommand does not read
+//! exits 2 rather than being ignored; `--report-out FILE|-` applies to
+//! every subcommand.
 //!
 //! `search` runs the supervised GA template search: `--checkpoint-dir`
 //! snapshots every generation so a killed run can continue with
@@ -87,19 +75,14 @@ struct Opts {
 }
 
 fn usage() -> ! {
+    eprintln!("usage:");
+    for (cmd, source, flags) in SUBCOMMANDS {
+        let flags: String = flags.iter().map(|f| format!(" [{f}]")).collect();
+        eprintln!("  qpredict {cmd} {source}{flags}");
+    }
     eprintln!(
-        "usage: qpredict <generate|analyze|simulate|waitpred|gantt|search> <trace.swf|site> \
-         [--nodes N] [--jobs N] [--alg fcfs|lwf|backfill|easy] \
-         [--predictor actual|maxrt|smith|gibbons|downey-avg|downey-med|fallback] \
-         [--ingest strict|lenient] [--fault-seed N] [--fault-pred-noise P] [--out FILE] \
-         [--generations N] [--population N] [--seed N] [--checkpoint-dir DIR] [--resume] \
-         [--max-retries N] [--eval-budget N] [--fault-eval P] [--report-out FILE|-]\n\
-         \x20      qpredict events <trace.swf|site> [--jobs N] [--query-every K] [--shuffle W] \
-         [--seed N] [--out FILE]\n\
-         \x20      qpredict serve <events.log|-> [--state-dir DIR] [--resume] [--predictor P] \
-         [--nodes N] [--horizon N] [--snapshot-every N] [--fsync always|batch[=N]|never] \
-         [--max-jobs N] [--max-done N] [--max-history N] [--throttle-us N] [--out FILE]\n\
-         \x20      qpredict check-report <report.json>"
+        "every subcommand also takes [--report-out FILE|-]; \
+         PRED is actual|maxrt|smith|gibbons|downey-avg|downey-med|fallback"
     );
     exit(2)
 }
@@ -151,6 +134,113 @@ where
     })
 }
 
+/// Each subcommand with its source argument and the flags it reads,
+/// value placeholders included. Any other flag exits 2, except
+/// `--report-out` and `--help`, which apply to every subcommand.
+const SUBCOMMANDS: &[(&str, &str, &[&str])] = &[
+    (
+        "generate",
+        "<ANL|CTC|SDSC95|SDSC96|toy>",
+        &[
+            "--nodes N",
+            "--jobs N",
+            "--ingest strict|lenient",
+            "--out FILE",
+        ],
+    ),
+    (
+        "analyze",
+        "<trace.swf|site>",
+        &["--nodes N", "--jobs N", "--ingest strict|lenient"],
+    ),
+    (
+        "simulate",
+        "<trace.swf|site>",
+        &[
+            "--nodes N",
+            "--jobs N",
+            "--ingest strict|lenient",
+            "--alg fcfs|lwf|backfill|easy",
+            "--predictor PRED",
+            "--fault-seed N",
+            "--fault-pred-noise P",
+        ],
+    ),
+    (
+        "waitpred",
+        "<trace.swf|site>",
+        &[
+            "--nodes N",
+            "--jobs N",
+            "--ingest strict|lenient",
+            "--alg fcfs|lwf|backfill|easy",
+            "--predictor PRED",
+        ],
+    ),
+    (
+        "gantt",
+        "<trace.swf|site>",
+        &[
+            "--nodes N",
+            "--jobs N",
+            "--ingest strict|lenient",
+            "--alg fcfs|lwf|backfill|easy",
+            "--out FILE",
+        ],
+    ),
+    (
+        "search",
+        "<trace.swf|site>",
+        &[
+            "--nodes N",
+            "--jobs N",
+            "--ingest strict|lenient",
+            "--alg fcfs|lwf|backfill|easy",
+            "--generations N",
+            "--population N",
+            "--seed N",
+            "--checkpoint-dir DIR",
+            "--resume",
+            "--max-retries N",
+            "--eval-budget N",
+            "--fault-eval P",
+            "--fault-seed N",
+        ],
+    ),
+    (
+        "events",
+        "<trace.swf|site>",
+        &[
+            "--nodes N",
+            "--jobs N",
+            "--ingest strict|lenient",
+            "--query-every K",
+            "--shuffle W",
+            "--seed N",
+            "--out FILE",
+        ],
+    ),
+    (
+        "serve",
+        "<events.log|->",
+        &[
+            "--nodes N",
+            "--predictor PRED",
+            "--state-dir DIR",
+            "--resume",
+            "--horizon N",
+            "--snapshot-every N",
+            "--fsync always|batch[=N]|never",
+            "--max-jobs N",
+            "--max-done N",
+            "--max-history N",
+            "--throttle-us N",
+            "--out FILE",
+        ],
+    ),
+    ("check-report", "<report.json>", &[]),
+];
+
 fn parse_opts(args: &[String]) -> Opts {
     let mut o = Opts {
         positional: Vec::new(),
@@ -182,8 +272,12 @@ fn parse_opts(args: &[String]) -> Opts {
         query_every: None,
         shuffle: None,
     };
+    let mut flags: Vec<String> = Vec::new();
     let mut it = args.iter().cloned();
     while let Some(a) = it.next() {
+        if a.starts_with("--") {
+            flags.push(a.clone());
+        }
         match a.as_str() {
             "--nodes" => o.nodes = parse_value(&mut it, "--nodes", "a node count"),
             "--jobs" => o.jobs = Some(parse_value(&mut it, "--jobs", "a job count")),
@@ -314,6 +408,14 @@ fn parse_opts(args: &[String]) -> Opts {
     }
     if o.positional.len() < 2 {
         usage();
+    }
+    // A flag the subcommand never reads would be silently ignored.
+    let cmd = o.positional[0].as_str();
+    if let Some((_, _, read)) = SUBCOMMANDS.iter().find(|(c, ..)| *c == cmd) {
+        let reads = |f: &str| read.iter().any(|r| r.split(' ').next() == Some(f));
+        if let Some(f) = flags.iter().find(|f| *f != "--report-out" && !reads(f)) {
+            flag_error(format!("{f} does not apply to {cmd} (see --help)"))
+        }
     }
     o
 }

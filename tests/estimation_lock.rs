@@ -2,15 +2,21 @@
 //! wait-time experiment outputs must stay **bit-identical** to the
 //! pre-refactor implementation for fixed seeds.
 //!
-//! The expected fingerprints were captured at the pre-refactor commit by
-//! `examples/lock_capture.rs` (FNV-1a over `f64::to_bits` of every
-//! metric and error statistic, so equality holds to the last ulp). The
-//! locked template set deliberately exercises every estimator path:
-//! all three regression transform spaces, relative (ratio) values,
-//! capped history (the eviction path), and elapsed-time conditioning.
+//! The expected fingerprints were captured at the pre-refactor commit
+//! (FNV-1a over `f64::to_bits` of every metric and error statistic, so
+//! equality holds to the last ulp). The locked template set deliberately
+//! exercises every estimator path: all three regression transform
+//! spaces, relative (ratio) values, capped history (the eviction path),
+//! and elapsed-time conditioning.
 //!
 //! If one of these assertions ever fails, the change was NOT
-//! behavior-preserving: either fix it or consciously re-capture.
+//! behavior-preserving: either fix it or consciously re-capture. The
+//! ignored `print_lock_tables` test recomputes every table from the same
+//! cell functions the assertions use and prints it ready to paste:
+//!
+//! ```text
+//! cargo test --release --test estimation_lock print_lock_tables -- --ignored --nocapture
+//! ```
 //!
 //! The site-model cells (`SITE_LOCK`) add a 2,000-job SDSC96 workload
 //! whose large `(Queue)` categories, duplicated GA template and capped
@@ -299,6 +305,32 @@ const ROBUSTNESS_LOCK: [(&str, u64, u64, u64); 5] = [
     ),
 ];
 
+/// One [`SCHEDULING_LOCK`] cell over `wl`: (metrics fp, runtime-error fp).
+fn scheduling_cell(wl: &Workload, alg: &str, kind: &str) -> (u64, u64) {
+    let out = run_scheduling(wl, alg_for(alg), kind_for(kind));
+    (fp_metrics(&out.metrics), fp_stats(&out.runtime_errors))
+}
+
+/// One [`WAITTIME_LOCK`] cell over `wl`: (metrics fp, wait-error fp,
+/// runtime-error fp).
+fn wait_cell(wl: &Workload, alg: &str, kind: &str) -> (u64, u64, u64) {
+    let out = run_wait_prediction(wl, alg_for(alg), kind_for(kind));
+    (
+        fp_metrics(&out.metrics),
+        fp_stats(&out.wait_errors),
+        fp_stats(&out.runtime_errors),
+    )
+}
+
+/// One [`SITE_LOCK`] cell over `wl`: the [`SCHEDULING_LOCK`] pair of a
+/// Backfill scheduling run followed by the [`WAITTIME_LOCK`] triple of a
+/// Backfill wait study.
+fn site_cell(wl: &Workload, kind: &str) -> (u64, u64, u64, u64, u64) {
+    let (sm, sr) = scheduling_cell(wl, "Backfill", kind);
+    let (m, w, r) = wait_cell(wl, "Backfill", kind);
+    (sm, sr, m, w, r)
+}
+
 /// Run one [`ROBUSTNESS_LOCK`] cell, returning its three fingerprints.
 fn robustness_cell(label: &str) -> (u64, u64, u64) {
     let (alg, kind, plan) = match label {
@@ -362,15 +394,13 @@ fn robustness_outputs_are_bit_identical_to_pre_rewiring() {
 fn scheduling_outputs_are_bit_identical_to_pre_refactor() {
     let wl = toy(300, 32, 41);
     for (alg, kind, metrics_fp, rt_fp) in SCHEDULING_LOCK {
-        let out = run_scheduling(&wl, alg_for(alg), kind_for(kind));
+        let (m, r) = scheduling_cell(&wl, alg, kind);
         assert_eq!(
-            fp_metrics(&out.metrics),
-            metrics_fp,
+            m, metrics_fp,
             "{alg} + {kind}: schedule metrics drifted from pre-refactor capture"
         );
         assert_eq!(
-            fp_stats(&out.runtime_errors),
-            rt_fp,
+            r, rt_fp,
             "{alg} + {kind}: runtime-error stats drifted from pre-refactor capture"
         );
     }
@@ -385,35 +415,18 @@ fn recording_does_not_perturb_locked_outputs() {
     qpredict_obs::set_recording(true);
     let wl = toy(300, 32, 41);
     for (alg, kind, metrics_fp, rt_fp) in SCHEDULING_LOCK {
-        let out = run_scheduling(&wl, alg_for(alg), kind_for(kind));
         assert_eq!(
-            fp_metrics(&out.metrics),
-            metrics_fp,
-            "{alg} + {kind}: recording perturbed schedule metrics"
-        );
-        assert_eq!(
-            fp_stats(&out.runtime_errors),
-            rt_fp,
-            "{alg} + {kind}: recording perturbed runtime-error stats"
+            scheduling_cell(&wl, alg, kind),
+            (metrics_fp, rt_fp),
+            "{alg} + {kind}: recording perturbed a scheduling cell"
         );
     }
     let wl = toy(220, 32, 42);
     for (alg, kind, metrics_fp, wait_fp, rt_fp) in WAITTIME_LOCK {
-        let out = run_wait_prediction(&wl, alg_for(alg), kind_for(kind));
         assert_eq!(
-            fp_metrics(&out.metrics),
-            metrics_fp,
-            "{alg} + {kind}: recording perturbed outer-schedule metrics"
-        );
-        assert_eq!(
-            fp_stats(&out.wait_errors),
-            wait_fp,
-            "{alg} + {kind}: recording perturbed wait-error stats"
-        );
-        assert_eq!(
-            fp_stats(&out.runtime_errors),
-            rt_fp,
-            "{alg} + {kind}: recording perturbed runtime-error stats"
+            wait_cell(&wl, alg, kind),
+            (metrics_fp, wait_fp, rt_fp),
+            "{alg} + {kind}: recording perturbed a wait-prediction cell"
         );
     }
     for (cell, metrics_fp, rt_fp, third_fp) in ROBUSTNESS_LOCK {
@@ -430,22 +443,13 @@ fn recording_does_not_perturb_locked_outputs() {
 fn wait_prediction_outputs_are_bit_identical_to_pre_refactor() {
     let wl = toy(220, 32, 42);
     for (alg, kind, metrics_fp, wait_fp, rt_fp) in WAITTIME_LOCK {
-        let out = run_wait_prediction(&wl, alg_for(alg), kind_for(kind));
+        let (m, w, r) = wait_cell(&wl, alg, kind);
         assert_eq!(
-            fp_metrics(&out.metrics),
-            metrics_fp,
+            m, metrics_fp,
             "{alg} + {kind}: outer-schedule metrics drifted"
         );
-        assert_eq!(
-            fp_stats(&out.wait_errors),
-            wait_fp,
-            "{alg} + {kind}: wait-error stats drifted"
-        );
-        assert_eq!(
-            fp_stats(&out.runtime_errors),
-            rt_fp,
-            "{alg} + {kind}: runtime-error stats drifted"
-        );
+        assert_eq!(w, wait_fp, "{alg} + {kind}: wait-error stats drifted");
+        assert_eq!(r, rt_fp, "{alg} + {kind}: runtime-error stats drifted");
     }
 }
 
@@ -453,32 +457,75 @@ fn wait_prediction_outputs_are_bit_identical_to_pre_refactor() {
 fn site_model_outputs_are_bit_identical_to_pre_index() {
     let wl = sdsc96_2k();
     for (kind, sched_fp, sched_rt_fp, metrics_fp, wait_fp, rt_fp) in SITE_LOCK {
-        let sched = run_scheduling(&wl, Algorithm::Backfill, kind_for(kind));
+        let (sm, sr, m, w, r) = site_cell(&wl, kind);
+        assert_eq!(sm, sched_fp, "{kind}: schedule metrics drifted");
         assert_eq!(
-            fp_metrics(&sched.metrics),
-            sched_fp,
-            "{kind}: schedule metrics drifted"
-        );
-        assert_eq!(
-            fp_stats(&sched.runtime_errors),
-            sched_rt_fp,
+            sr, sched_rt_fp,
             "{kind}: scheduling runtime-error stats drifted"
         );
-        let out = run_wait_prediction(&wl, Algorithm::Backfill, kind_for(kind));
-        assert_eq!(
-            fp_metrics(&out.metrics),
-            metrics_fp,
-            "{kind}: outer-schedule metrics drifted"
-        );
-        assert_eq!(
-            fp_stats(&out.wait_errors),
-            wait_fp,
-            "{kind}: wait-error stats drifted"
-        );
-        assert_eq!(
-            fp_stats(&out.runtime_errors),
-            rt_fp,
-            "{kind}: runtime-error stats drifted"
-        );
+        assert_eq!(m, metrics_fp, "{kind}: outer-schedule metrics drifted");
+        assert_eq!(w, wait_fp, "{kind}: wait-error stats drifted");
+        assert_eq!(r, rt_fp, "{kind}: runtime-error stats drifted");
     }
+}
+
+/// Recompute every lock table, keyed by the rows already locked, and
+/// print it ready to paste over the constant (see the module docs).
+#[test]
+#[ignore = "re-capture tool: prints the lock tables, asserts nothing"]
+fn print_lock_tables() {
+    fn table(name: &str, shape: &str, rows: Vec<String>) {
+        println!("const {name}: [{shape}; {}] = [", rows.len());
+        for row in rows {
+            println!("    ({row}),");
+        }
+        println!("];");
+    }
+    let wl = toy(300, 32, 41);
+    table(
+        "SCHEDULING_LOCK",
+        "(&str, &str, u64, u64)",
+        SCHEDULING_LOCK
+            .iter()
+            .map(|&(alg, kind, ..)| {
+                let (m, r) = scheduling_cell(&wl, alg, kind);
+                format!("{alg:?}, {kind:?}, {m:#018x}, {r:#018x}")
+            })
+            .collect(),
+    );
+    let wl = toy(220, 32, 42);
+    table(
+        "WAITTIME_LOCK",
+        "(&str, &str, u64, u64, u64)",
+        WAITTIME_LOCK
+            .iter()
+            .map(|&(alg, kind, ..)| {
+                let (m, w, r) = wait_cell(&wl, alg, kind);
+                format!("{alg:?}, {kind:?}, {m:#018x}, {w:#018x}, {r:#018x}")
+            })
+            .collect(),
+    );
+    let wl = sdsc96_2k();
+    table(
+        "SITE_LOCK",
+        "(&str, u64, u64, u64, u64, u64)",
+        SITE_LOCK
+            .iter()
+            .map(|&(kind, ..)| {
+                let (sm, sr, m, w, r) = site_cell(&wl, kind);
+                format!("{kind:?}, {sm:#018x}, {sr:#018x}, {m:#018x}, {w:#018x}, {r:#018x}")
+            })
+            .collect(),
+    );
+    table(
+        "ROBUSTNESS_LOCK",
+        "(&str, u64, u64, u64)",
+        ROBUSTNESS_LOCK
+            .iter()
+            .map(|&(cell, ..)| {
+                let (m, r, t) = robustness_cell(cell);
+                format!("{cell:?}, {m:#018x}, {r:#018x}, {t:#018x}")
+            })
+            .collect(),
+    );
 }

@@ -1,12 +1,12 @@
 //! End-to-end robustness tests: lenient SWF recovery over a corpus of
-//! malformed traces, deterministic fault injection, the engine watchdog,
-//! and the CLI's diagnostic exit codes.
+//! malformed traces, deterministic fault injection, schedule invariants
+//! under trace faults, and the CLI's diagnostic exit codes.
 
 use std::process::Command;
 
 use qpredict::predict::OraclePredictor;
-use qpredict::sim::{Algorithm, FaultPlan, SimError, SimLimits, Simulation};
-use qpredict::workload::{swf, Dur, IngestPolicy, JobBuilder, JobId, SkipCategory, Time, Workload};
+use qpredict::sim::{Algorithm, FaultPlan, Simulation, Timeline};
+use qpredict::workload::{swf, IngestPolicy, SkipCategory};
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_qpredict"))
@@ -76,37 +76,6 @@ fn strict_ingestion_stops_at_the_first_malformed_line() {
     );
     assert!(msg.contains("field 4"), "field index missing in {msg:?}");
     assert!(msg.contains("run time"), "field name missing in {msg:?}");
-}
-
-#[test]
-fn watchdog_converts_a_stalled_schedule_into_an_error() {
-    // A 16-node job on an 8-node machine can never start: without the
-    // guard this deadlocks the queue silently; with it, the simulation
-    // reports a stall.
-    let mut wl = Workload::new("stall", 8);
-    wl.jobs = vec![
-        JobBuilder::new()
-            .submit(Time(0))
-            .nodes(4)
-            .runtime(Dur(30))
-            .build(JobId(0)),
-        JobBuilder::new()
-            .submit(Time(5))
-            .nodes(16)
-            .runtime(Dur(30))
-            .build(JobId(1)),
-    ];
-    let err = Simulation::run_guarded(
-        &wl,
-        Algorithm::Fcfs,
-        &mut OraclePredictor,
-        SimLimits::default(),
-    )
-    .expect_err("oversized job must stall the queue");
-    match err {
-        SimError::Stalled { queued, .. } => assert_eq!(queued, 1),
-        other => panic!("expected a stall, got {other}"),
-    }
 }
 
 #[test]
@@ -213,6 +182,37 @@ fn cli_flag_errors_exit_two_with_pointed_messages() {
             &["simulate", "toy", "--frobnicate"],
             "unknown flag \"--frobnicate\"",
         ),
+        (
+            &[
+                "waitpred",
+                "toy",
+                "--jobs",
+                "50",
+                "--fault-seed",
+                "3",
+                "--fsync",
+                "always",
+                "--state-dir",
+                "/nonexistent",
+            ],
+            "--fault-seed does not apply to waitpred",
+        ),
+        (
+            &["gantt", "toy", "--predictor", "smith"],
+            "--predictor does not apply to gantt",
+        ),
+        (
+            &["analyze", "toy", "--out", "stats.txt"],
+            "--out does not apply to analyze",
+        ),
+        (
+            &["serve", "-", "--jobs", "10"],
+            "--jobs does not apply to serve",
+        ),
+        (
+            &["check-report", "report.json", "--nodes", "4"],
+            "--nodes does not apply to check-report",
+        ),
     ];
     for (args, needle) in cases {
         let out = bin().args(*args).output().expect("binary runs");
@@ -224,8 +224,10 @@ fn cli_flag_errors_exit_two_with_pointed_messages() {
 
 #[test]
 fn library_fault_plans_survive_a_guarded_run() {
-    // Trace faults plus the guard: the mutated trace must still complete
-    // under the watchdog with no invariant violations.
+    // Trace faults under the run's guards, the engine's debug assertions
+    // (capacity, node accounting) plus the checks below: the mutated
+    // trace must complete with a feasible schedule in which no job
+    // starts before it is submitted.
     let wl = qpredict::workload::synthetic::toy(300, 16, 7);
     let plan = FaultPlan {
         cancel_prob: 0.1,
@@ -235,13 +237,8 @@ fn library_fault_plans_survive_a_guarded_run() {
     };
     let (faulted, report) = plan.apply_to_workload(&wl);
     assert!(report.total() > 0);
-    let run = Simulation::run_guarded(
-        &faulted,
-        Algorithm::EasyBackfill,
-        &mut OraclePredictor,
-        SimLimits::default(),
-    )
-    .expect("faulted trace still completes");
-    assert!(run.violations.is_empty(), "{:?}", run.violations);
-    assert_eq!(run.result.metrics.n_jobs, 300);
+    let run = Simulation::run(&faulted, Algorithm::EasyBackfill, &mut OraclePredictor);
+    assert!(Timeline::build(&faulted, &run.outcomes).is_feasible());
+    assert!(run.outcomes.iter().all(|o| o.start >= o.submit));
+    assert_eq!(run.metrics.n_jobs, 300);
 }
