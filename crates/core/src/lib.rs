@@ -17,19 +17,16 @@
 //!   paper compares (actual, maximum run times, Smith, Gibbons, Downey
 //!   x2), re-exported from `qpredict-predict` with its [`searched`]
 //!   template sets;
-//! * [`template_search`] — the supervised, resumable GA template search
-//!   (checkpoint/restore, panic-isolated retrying evaluation) packaged
-//!   as a harness step;
-//! * [`paper`] — one function per paper table, with the published values
-//!   embedded for side-by-side comparison; its grids
-//!   (workload x algorithm x predictor) run on `qpredict_obs::par_map`.
+//! * [`paper`] — one function per paper table and extension experiment
+//!   (served by `qpredict paper`), with the published values embedded
+//!   for side-by-side comparison; its grids (workload x algorithm x
+//!   predictor) run on `qpredict_obs::par_map`.
 
 pub mod adapter;
 pub mod paper;
 pub mod scheduling;
 pub mod statewait;
 pub mod tables;
-pub mod template_search;
 pub mod waittime;
 
 pub use adapter::PredictorEstimator;
@@ -38,5 +35,4 @@ pub use qpredict_sim::forecast_start;
 pub use scheduling::{run_scheduling, run_scheduling_with, FaultSummary, SchedulingOutcome};
 pub use statewait::{run_state_wait_prediction, StateWaitPredictor};
 pub use tables::Table;
-pub use template_search::{run_template_search, TemplateSearchOutcome, TemplateSearchSpec};
 pub use waittime::{run_wait_prediction, run_wait_prediction_warm, WaitPredictionOutcome};

@@ -1,49 +1,93 @@
 //! Regeneration of the paper's tables.
 //!
 //! One function per quantitative table (4–15), plus the descriptive
-//! Tables 1–3 and the in-text "compressed SDSC" experiment of Section 4.
-//! Each quantitative table carries the paper's published values alongside
-//! the measured ones; since our traces are synthetic stand-ins, the
-//! comparison is about *shape* (who wins, by roughly what factor), not
-//! absolute numbers — see EXPERIMENTS.md.
+//! Tables 1–3, the in-text "compressed SDSC" experiment of Section 4 and
+//! the extension experiments (the state-based wait predictor the paper
+//! leaves to future work, a warm-start study, an EASY-backfill ablation
+//! and the template-search experiments). [`run`] runs one by name; `qpredict
+//! paper` is its command line. Each quantitative table carries the
+//! paper's published values alongside the measured ones; since our
+//! traces are synthetic stand-ins, the comparison is about *shape* (who
+//! wins, by roughly what factor), not absolute numbers — see
+//! EXPERIMENTS.md.
 
 use qpredict_obs::par_map;
+use qpredict_predict::{EstimatorKind, TemplateSet};
+use qpredict_search::{
+    greedy_search, search_supervised, GaConfig, GreedyConfig, PredictionWorkload, SupervisorConfig,
+    Target,
+};
 use qpredict_sim::Algorithm;
 use qpredict_workload::{compress_interarrivals, synthetic, Workload, WorkloadStats};
 
 use crate::scheduling::run_scheduling;
+use crate::searched::{curated_seed_for, set_for};
+use crate::statewait::run_state_wait_prediction;
 use crate::tables::Table;
-use crate::waittime::run_wait_prediction;
+use crate::waittime::{run_wait_prediction, run_wait_prediction_warm};
 use crate::PredictorKind;
 
-/// How much of each trace to simulate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Scale {
-    /// The paper's full trace sizes (Table 1).
-    Full,
-    /// Truncate every trace to its first `n` jobs (fast smoke runs).
-    Jobs(usize),
+/// What `all` runs, in order: every table, then the extension
+/// experiments. The template-search experiments are left out (they take
+/// minutes at full size).
+pub const ALL: [&str; 19] = [
+    "table1",
+    "table2",
+    "table3",
+    "table4",
+    "table5",
+    "table6",
+    "table7",
+    "table8",
+    "table9",
+    "table10",
+    "table11",
+    "table12",
+    "table13",
+    "table14",
+    "table15",
+    "compress2x",
+    "statewait",
+    "easy-ablation",
+    "warmup",
+];
+
+/// Whether [`run`] knows the experiment `what`.
+pub fn is_experiment(what: &str) -> bool {
+    ALL.contains(&what) || matches!(what, "ga-ablation" | "ga-search")
 }
 
-/// Generate the four paper workloads at the given scale, in the paper's
-/// order (ANL, CTC, SDSC95, SDSC96).
-pub fn workloads(scale: Scale) -> Vec<Workload> {
-    match scale {
-        Scale::Full => synthetic::ALL_SITES
-            .iter()
-            .map(|n| synthetic::by_name(n).expect("known site"))
-            .collect(),
-        Scale::Jobs(n) => synthetic::ALL_SITES
-            .iter()
-            .map(|name| {
-                let mut spec = synthetic::sites::spec_by_name(name).expect("known site");
-                spec.n_jobs = n.max(1);
-                // Fewer users at small scale so history still accumulates.
-                spec.n_users = spec.n_users.min((n / 20).max(4));
-                synthetic::generate(&spec)
-            })
-            .collect(),
+/// Run the experiment named `what` over `wls`, on `threads` workers.
+///
+/// # Panics
+/// Panics if `what` is not an experiment ([`is_experiment`]).
+pub fn run(what: &str, wls: &[Workload], threads: usize) -> Table {
+    match what {
+        "table1" => table1(wls),
+        "table2" => table2(wls),
+        "table3" => table3(),
+        "compress2x" => compress2x(wls, threads),
+        "statewait" => statewait(wls, threads),
+        "easy-ablation" => easy_ablation(wls, threads),
+        "warmup" => warmup(wls, threads),
+        "ga-ablation" => ga_ablation(wls, threads),
+        "ga-search" => ga_search(wls, threads),
+        _ => match what.strip_prefix("table").and_then(|n| n.parse().ok()) {
+            Some(n @ 4..=9) => wait_table(n, wls, threads),
+            Some(n @ 10..=15) => sched_table(n, wls, threads),
+            _ => panic!("unknown experiment {what:?}"),
+        },
     }
+}
+
+/// Generate the four paper workloads, in the paper's order (ANL, CTC,
+/// SDSC95, SDSC96): at their full Table 1 sizes, or with `jobs` jobs
+/// each ([`synthetic::by_name`]).
+pub fn workloads(jobs: Option<usize>) -> Vec<Workload> {
+    synthetic::ALL_SITES
+        .iter()
+        .map(|name| synthetic::by_name(name, jobs).expect("known site"))
+        .collect()
 }
 
 /// The predictor each paper table studies.
@@ -551,13 +595,286 @@ pub fn compress2x(wls: &[Workload], threads: usize) -> Table {
     t
 }
 
+// ---------------------------------------------------------------------
+// Extension experiments.
+// ---------------------------------------------------------------------
+
+/// The paper's stated future work: the state-based wait-time predictor
+/// vs the simulation-based technique, on the algorithm where the paper
+/// hoped it would help — LWF, whose simulation-based predictions carry a
+/// large built-in error — and on backfill.
+pub fn statewait(wls: &[Workload], threads: usize) -> Table {
+    let algs = [Algorithm::Lwf, Algorithm::Backfill];
+    let cells = wls
+        .iter()
+        .flat_map(|w| algs.iter().map(move |&alg| (w, alg)));
+    let outcomes = par_map(cells.collect(), threads, |_, (w, alg)| {
+        let sim = run_wait_prediction(w, alg, PredictorKind::Smith);
+        let state = run_state_wait_prediction(w, alg, PredictorKind::Smith);
+        (sim, state)
+    });
+    let mut t = Table::new(
+        "statewait",
+        "Future-work extension: state-based vs simulation-based wait prediction (MAE min / % of mean wait)",
+        &[
+            "Workload",
+            "Algorithm",
+            "Simulation MAE",
+            "Sim %",
+            "State MAE",
+            "State %",
+        ],
+    );
+    for (sim, state) in outcomes {
+        t.push_row(vec![
+            sim.workload.clone(),
+            sim.algorithm.name().to_string(),
+            format!("{:.2}", sim.wait_errors.mean_abs_error_min()),
+            format!("{:.0}", sim.wait_errors.pct_of_mean_actual()),
+            format!("{:.2}", state.wait_errors.mean_abs_error_min()),
+            format!("{:.0}", state.wait_errors.pct_of_mean_actual()),
+        ]);
+    }
+    t
+}
+
+/// The paper's suggested training-set fix for the cold-start ramp-up:
+/// the Smith predictor under backfill on each trace's second half, cold
+/// vs pre-trained on the first half.
+pub fn warmup(wls: &[Workload], threads: usize) -> Table {
+    let outcomes = par_map(wls.iter().collect(), threads, |_, w| {
+        let half = w.len() / 2;
+        let eval = w.suffix(half);
+        let cold = run_wait_prediction(&eval, Algorithm::Backfill, PredictorKind::Smith);
+        let warm = run_wait_prediction_warm(w, Algorithm::Backfill, PredictorKind::Smith, half);
+        (cold, warm)
+    });
+    let mut t = Table::new(
+        "warmup",
+        "Cold start vs training-set initialization (Smith, backfill, second half of each trace)",
+        &[
+            "Workload",
+            "Cold RT MAE",
+            "Warm RT MAE",
+            "Cold wait MAE",
+            "Warm wait MAE",
+        ],
+    );
+    for (w, (cold, warm)) in wls.iter().zip(outcomes) {
+        t.push_row(vec![
+            w.name.clone(),
+            format!("{:.2}", cold.runtime_errors.mean_abs_error_min()),
+            format!("{:.2}", warm.runtime_errors.mean_abs_error_min()),
+            format!("{:.2}", cold.wait_errors.mean_abs_error_min()),
+            format!("{:.2}", warm.wait_errors.mean_abs_error_min()),
+        ]);
+    }
+    t
+}
+
+/// The paper's conservative backfill vs EASY backfill, under maximum run
+/// times and under the Smith predictor.
+pub fn easy_ablation(wls: &[Workload], threads: usize) -> Table {
+    let kinds = [PredictorKind::MaxRuntime, PredictorKind::Smith];
+    let algs = [Algorithm::Backfill, Algorithm::EasyBackfill];
+    let mut cells = Vec::new();
+    for w in wls {
+        for kind in &kinds {
+            for &alg in &algs {
+                cells.push((w, kind, alg));
+            }
+        }
+    }
+    let outcomes = par_map(cells, threads, |_, (w, kind, alg)| {
+        run_scheduling(w, alg, kind.clone())
+    });
+    let mut t = Table::new(
+        "easy-ablation",
+        "Backfill flavour ablation: conservative (paper) vs EASY mean waits (min)",
+        &["Workload", "Predictor", "Conservative", "EASY"],
+    );
+    let mut it = outcomes.into_iter();
+    for w in wls {
+        for kind in &kinds {
+            let cons = it.next().expect("grid shape");
+            let easy = it.next().expect("grid shape");
+            t.push_row(vec![
+                w.name.clone(),
+                kind.name().to_string(),
+                format!("{:.2}", cons.metrics.mean_wait.minutes()),
+                format!("{:.2}", easy.metrics.mean_wait.minutes()),
+            ]);
+        }
+    }
+    t
+}
+
+/// Search-strategy ablation (DESIGN.md `ga-ablation`): the curated and
+/// shipped template sets vs greedy search vs the GA, scored on the ANL
+/// wait-prediction stream.
+pub fn ga_ablation(wls: &[Workload], threads: usize) -> Table {
+    let wl = &wls[0]; // ANL
+    let pw = PredictionWorkload::build_capped(wl, Target::WaitPrediction(Algorithm::Lwf), 30_000);
+    let mut t = Table::new(
+        "ga-ablation",
+        format!(
+            "Template-search ablation on {} ({} predictions): run-time MAE",
+            wl.name, pw.n_predictions
+        ),
+        &["Strategy", "RT MAE (min)", "Templates", "Evaluations"],
+    );
+
+    let curated = curated_seed_for(wl);
+    let shipped = set_for(wl);
+    for (strategy, set) in [("curated seed", &curated), ("shipped GA set", &shipped)] {
+        let e = qpredict_search::evaluate(set, wl, &pw);
+        t.push_row(vec![
+            strategy.into(),
+            format!("{:.2}", e.mean_abs_error_min()),
+            set.len().to_string(),
+            "1".into(),
+        ]);
+    }
+
+    let (greedy_set, _, evaluations) = greedy_search(
+        wl,
+        &pw,
+        &GreedyConfig {
+            max_templates: 6,
+            threads,
+        },
+    );
+    let e = qpredict_search::evaluate(&greedy_set, wl, &pw);
+    t.push_row(vec![
+        "greedy".into(),
+        format!("{:.2}", e.mean_abs_error_min()),
+        greedy_set.len().to_string(),
+        evaluations.to_string(),
+    ]);
+
+    let cfg = GaConfig {
+        population: 24,
+        generations: 12,
+        seeds: vec![curated],
+        ..GaConfig::default()
+    };
+    let sup = SupervisorConfig {
+        threads,
+        ..SupervisorConfig::default()
+    };
+    let ga = search_supervised(wl, &pw, &cfg, &sup, None)
+        .expect("unfaulted search is clean")
+        .result;
+    t.push_row(vec![
+        "genetic algorithm".into(),
+        format!("{:.2}", ga.best_error_min),
+        ga.best.len().to_string(),
+        ga.evaluations.to_string(),
+    ]);
+    t
+}
+
+/// Run the GA per workload and validate the winner against the curated
+/// set on a held-out stream. Each winning set also goes to stderr as
+/// paste-ready Rust for `qpredict-predict/src/searched.rs`.
+pub fn ga_search(wls: &[Workload], threads: usize) -> Table {
+    let mut t = Table::new(
+        "ga-search",
+        "Genetic template search per workload (train/validate on wait-prediction streams)",
+        &[
+            "Workload",
+            "Curated val MAE",
+            "GA val MAE",
+            "Winner",
+            "Health",
+        ],
+    );
+    for wl in wls {
+        let train =
+            PredictionWorkload::build_capped(wl, Target::WaitPrediction(Algorithm::Lwf), 30_000);
+        // Held-out validation: the stream a *backfill* scheduler demands
+        // (different instants, includes running jobs).
+        let val = PredictionWorkload::build_capped(
+            wl,
+            Target::WaitPrediction(Algorithm::Backfill),
+            30_000,
+        );
+        let curated = curated_seed_for(wl);
+        let cfg = GaConfig {
+            population: 28,
+            generations: 20,
+            seeds: vec![curated.clone()],
+            ..GaConfig::default()
+        };
+        let sup = SupervisorConfig {
+            threads,
+            ..SupervisorConfig::default()
+        };
+        let supervised =
+            search_supervised(wl, &train, &cfg, &sup, None).expect("unfaulted search is clean");
+        let (r, health) = (supervised.result, supervised.health);
+        let curated_val = qpredict_search::evaluate(&curated, wl, &val).mean_abs_error_min();
+        let ga_val = qpredict_search::evaluate(&r.best, wl, &val).mean_abs_error_min();
+        let ga_wins = ga_val < curated_val;
+        t.push_row(vec![
+            wl.name.clone(),
+            format!("{curated_val:.2}"),
+            format!("{ga_val:.2}"),
+            if ga_wins { "GA" } else { "curated" }.to_string(),
+            format!(
+                "{} attempts, {} retries, {} quarantined",
+                health.attempts, health.retries, health.quarantined
+            ),
+        ]);
+        if ga_wins {
+            eprintln!(
+                "// {}: GA set (val MAE {ga_val:.2} min vs curated {curated_val:.2})",
+                wl.name
+            );
+            eprintln!("{}", set_to_rust(&r.best));
+        }
+    }
+    t
+}
+
+/// Render a template set as paste-ready Rust for `searched.rs`.
+fn set_to_rust(set: &TemplateSet) -> String {
+    use std::fmt::Write;
+    let mut out = String::from("TemplateSet::new(vec![\n");
+    for t in set.templates() {
+        let chars: Vec<String> = t.chars.iter().map(|c| format!("C::{c:?}")).collect();
+        let _ = write!(out, "    Template::mean_over(&[{}])", chars.join(", "));
+        match t.estimator {
+            EstimatorKind::Mean => {}
+            other => {
+                let _ = write!(out, ".with_estimator(EstimatorKind::{other:?})");
+            }
+        }
+        if let Some(k) = t.node_range_log2 {
+            let _ = write!(out, ".with_node_range({k})");
+        }
+        if let Some(h) = t.max_history {
+            let _ = write!(out, ".with_max_history({h})");
+        }
+        if t.relative {
+            let _ = write!(out, ".relative()");
+        }
+        if t.use_rtime {
+            let _ = write!(out, ".with_rtime()");
+        }
+        let _ = writeln!(out, ",");
+    }
+    out.push_str("])");
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn workloads_scale_control() {
-        let small = workloads(Scale::Jobs(100));
+        let small = workloads(Some(100));
         assert_eq!(small.len(), 4);
         for w in &small {
             assert_eq!(w.len(), 100);
@@ -569,7 +886,7 @@ mod tests {
 
     #[test]
     fn descriptive_tables_render() {
-        let wls = workloads(Scale::Jobs(200));
+        let wls = workloads(Some(200));
         let t1 = table1(&wls);
         assert_eq!(t1.rows.len(), 4);
         let t2 = table2(&wls);
@@ -582,7 +899,7 @@ mod tests {
 
     #[test]
     fn table2_matches_paper_recording_matrix() {
-        let wls = workloads(Scale::Jobs(300));
+        let wls = workloads(Some(300));
         let t2 = table2(&wls);
         let row = |name: &str| {
             t2.rows
@@ -625,7 +942,7 @@ mod tests {
 
     #[test]
     fn small_scale_sched_table_runs() {
-        let wls = workloads(Scale::Jobs(150));
+        let wls = workloads(Some(150));
         let t = sched_table(10, &wls, 4);
         assert_eq!(t.rows.len(), 8);
         // Every measured cell parses as a number.
@@ -637,7 +954,7 @@ mod tests {
 
     #[test]
     fn small_scale_wait_table_runs() {
-        let wls = workloads(Scale::Jobs(120));
+        let wls = workloads(Some(120));
         let t = wait_table(4, &wls, 4);
         assert_eq!(t.rows.len(), 8); // no FCFS rows in table 4
         let t5 = wait_table(5, &wls, 4);
@@ -646,7 +963,7 @@ mod tests {
 
     #[test]
     fn compress_table_shape() {
-        let wls = workloads(Scale::Jobs(120));
+        let wls = workloads(Some(120));
         let t = compress2x(&wls, 4);
         assert_eq!(t.rows.len(), 4); // 2 workloads x 2 algorithms
         assert_eq!(t.columns.len(), 8);

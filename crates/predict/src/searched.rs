@@ -4,7 +4,7 @@
 //! genetic algorithm. Searches are expensive, so — like the paper's
 //! authors, who ran them offline — we ship the sets found by
 //! `qpredict-search` for the four synthetic workloads. They were produced
-//! by `cargo run -p qpredict-bench --release --bin paper -- ga-search`
+//! by `cargo run --release --bin qpredict -- paper ga-search`
 //! (population 28, 20 generations, seeded with the curated defaults
 //! below) and validated on a held-out backfill wait-prediction stream,
 //! where each beat its curated seed by 23–36%:
@@ -264,7 +264,7 @@ mod tests {
     #[test]
     fn known_sites_have_searched_sets() {
         for name in ["ANL", "CTC", "SDSC95", "SDSC96"] {
-            let wl = synthetic::by_name(name).unwrap().truncated(10);
+            let wl = synthetic::by_name(name, None).unwrap().truncated(10);
             let set = set_for(&wl);
             assert!(set.len() >= 5, "{name} set too small");
             let seed = curated_seed_for(&wl);
@@ -279,7 +279,7 @@ mod tests {
         // never records); what matters is that enough templates actually
         // match jobs.
         for name in ["ANL", "CTC", "SDSC95", "SDSC96"] {
-            let wl = synthetic::by_name(name).unwrap().truncated(500);
+            let wl = synthetic::by_name(name, None).unwrap().truncated(500);
             let set = set_for(&wl);
             let live = set
                 .templates()
@@ -295,7 +295,7 @@ mod tests {
         use crate::{RunTimePredictor, SmithPredictor};
         use qpredict_workload::Dur;
         for name in ["ANL", "CTC", "SDSC95", "SDSC96"] {
-            let wl = synthetic::by_name(name).unwrap().truncated(600);
+            let wl = synthetic::by_name(name, None).unwrap().truncated(600);
             let mut p = SmithPredictor::new(set_for(&wl));
             for j in wl.jobs.iter().take(400) {
                 p.on_complete(j);

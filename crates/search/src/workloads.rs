@@ -72,8 +72,7 @@ pub struct PredictionWorkload {
     pub n_predictions: usize,
 }
 
-struct Recorder<'w> {
-    wl: &'w Workload,
+struct Recorder {
     target: Target,
     stride: usize,
     trigger: usize,
@@ -81,7 +80,7 @@ struct Recorder<'w> {
     n_predictions: usize,
 }
 
-impl<'w> Recorder<'w> {
+impl Recorder {
     fn record_batch(&mut self, snap: &Snapshot, include_running: bool) {
         self.trigger += 1;
         if !(self.trigger - 1).is_multiple_of(self.stride) {
@@ -103,11 +102,10 @@ impl<'w> Recorder<'w> {
             });
             self.n_predictions += 1;
         }
-        let _ = self.wl;
     }
 }
 
-impl SimHooks for Recorder<'_> {
+impl SimHooks for Recorder {
     fn after_submit(&mut self, snap: &Snapshot, _job: &Job) {
         if let Target::WaitPrediction(_) = self.target {
             // All running and queued jobs (the arrival is last in
@@ -144,7 +142,6 @@ impl PredictionWorkload {
             Target::WaitPrediction(a) | Target::Scheduling(a) => a,
         };
         let mut recorder = Recorder {
-            wl,
             target,
             stride: stride.max(1),
             trigger: 0,

@@ -733,8 +733,12 @@ impl ServiceState {
                 let p = self.predict(&r.job(Dur::SECOND), Dur::ZERO);
                 queue.push((entry(&r, p.estimate), p.estimate));
                 // Disordered streams can legitimately claim more running
-                // nodes than the machine has; observe, don't assert.
-                let mut violations = Vec::new();
+                // nodes than the machine has. The profile clamps them;
+                // count the answer rather than assert.
+                let in_use: u64 = running.iter().map(|(v, _)| u64::from(v.nodes)).sum();
+                if in_use > u64::from(machine) {
+                    counter_add("serve.oversubscribed", 1);
+                }
                 let start = forecast_replay(
                     Algorithm::Backfill,
                     machine,
@@ -742,11 +746,7 @@ impl ServiceState {
                     running,
                     queue,
                     JobId(r.internal),
-                    Some(&mut violations),
                 );
-                if !violations.is_empty() {
-                    counter_add("serve.oversubscribed", 1);
-                }
                 let wait = start.since(now).max(Dur::ZERO);
                 format!(
                     "t={} id={id} wait={} runtime={} ci={:016X} fallback={}",
@@ -994,6 +994,40 @@ mod tests {
         assert!(out[0].line.contains("wait="), "{}", out[0].line);
         assert_eq!(s.counters().completions, 1);
         assert_eq!(s.counters().responses, 1);
+    }
+
+    #[test]
+    fn oversubscribed_running_set_is_counted_and_clamped() {
+        // The stream starts 12 nodes on an 8-node machine. The forecast
+        // must still answer (from a profile clamped to the machine) and
+        // count the answer as oversubscribed.
+        let mut s = ServiceState::new(ServeConfig {
+            machine_nodes: 8,
+            ..small_cfg()
+        });
+        qpredict_obs::set_recording(true);
+        qpredict_obs::reset();
+        let mut out = feed(
+            &mut s,
+            &[
+                "submit 1 100 nodes=8 limit=600",
+                "submit 2 100 nodes=4 limit=900",
+                "start 1 110",
+                "start 2 110",
+                "submit 3 120 nodes=2 limit=300",
+                "query 3 130",
+            ],
+        );
+        s.drain(&mut out);
+        let oversubscribed = qpredict_obs::snapshot().counter("serve.oversubscribed");
+        qpredict_obs::set_recording(false);
+        assert_eq!(out.len(), 1);
+        // Nothing is free until job 1's limit runs out at t=710.
+        assert_eq!(
+            out[0].line,
+            "t=130 id=3 wait=580 runtime=300 ci=7FF0000000000000 fallback=1"
+        );
+        assert_eq!(oversubscribed, 1);
     }
 
     #[test]

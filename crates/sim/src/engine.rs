@@ -284,7 +284,6 @@ impl<'w> Simulation<'w> {
             self.free_nodes,
             &running_views,
             &entries,
-            None,
         );
         if start_idxs.is_empty() {
             return;

@@ -99,15 +99,7 @@ pub fn forecast_start(
             (entry, pred.max(Dur::SECOND))
         })
         .collect();
-    forecast_replay(
-        alg,
-        wl.machine_nodes,
-        snap.now,
-        running,
-        queue,
-        target,
-        None,
-    )
+    forecast_replay(alg, wl.machine_nodes, snap.now, running, queue, target)
 }
 
 /// Replay the scheduler from `now` on resolved durations until `target`
@@ -116,9 +108,9 @@ pub fn forecast_start(
 /// Each running job pairs its [`RunningView`] (`pred_end` is the believed
 /// completion) with the instant it frees its nodes in the forecast; each
 /// queued job pairs its [`QueueEntry`] (`pred_runtime` is the believed
-/// duration) with the duration it runs once started. `violations` goes to
-/// every [`schedule_pass`]. Takes the first-pass stop (module docs) when
-/// `alg` is conservative backfill and every belief equals its prediction.
+/// duration) with the duration it runs once started. Takes the
+/// first-pass stop (module docs) when `alg` is conservative backfill and
+/// every belief equals its prediction.
 ///
 /// # Panics
 /// Panics if `target` is not in `queue`.
@@ -129,18 +121,17 @@ pub fn forecast_replay(
     running: Vec<(RunningView, Time)>,
     queue: Vec<(QueueEntry, Dur)>,
     target: JobId,
-    violations: Option<&mut Vec<String>>,
 ) -> Time {
     assert!(
         queue.iter().any(|(e, _)| e.id == target),
         "forecast target must be in the queue"
     );
     if !beliefs_are_exact(alg, &running, &queue) {
-        return replay_passes(alg, machine_nodes, now, running, queue, target, violations);
+        return replay_passes(alg, machine_nodes, now, running, queue, target);
     }
     let views: Vec<RunningView> = running.iter().map(|&(v, _)| v).collect();
     let entries: Vec<QueueEntry> = queue.iter().map(|&(e, _)| e).collect();
-    backfill_pass(now, machine_nodes, &views, &entries, false, violations)
+    backfill_pass(now, machine_nodes, &views, &entries, false)
         .into_iter()
         .find(|&(i, _)| entries[i].id == target)
         .map(|(_, at)| at)
@@ -168,7 +159,6 @@ fn replay_passes(
     mut running: Vec<(RunningView, Time)>,
     mut queue: Vec<(QueueEntry, Dur)>,
     target: JobId,
-    mut violations: Option<&mut Vec<String>>,
 ) -> Time {
     loop {
         // A job running past its believed end is re-believed to finish
@@ -177,15 +167,7 @@ fn replay_passes(
         let views: Vec<RunningView> = running.iter().map(|&(v, _)| v).collect();
         let free = machine_nodes.saturating_sub(views.iter().map(|v| v.nodes).sum());
         let entries: Vec<QueueEntry> = queue.iter().map(|&(e, _)| e).collect();
-        let mut started = schedule_pass(
-            alg,
-            now,
-            machine_nodes,
-            free,
-            &views,
-            &entries,
-            violations.as_deref_mut(),
-        );
+        let mut started = schedule_pass(alg, now, machine_nodes, free, &views, &entries);
         started.sort_unstable();
         for &i in started.iter().rev() {
             let (entry, dur) = queue.remove(i);
@@ -456,26 +438,10 @@ mod tests {
             for &(entry, _) in &queue {
                 let target = entry.id;
                 let full = |alg, running: &Running, queue: &Queue| {
-                    replay_passes(
-                        alg,
-                        machine,
-                        now,
-                        running.clone(),
-                        queue.clone(),
-                        target,
-                        None,
-                    )
+                    replay_passes(alg, machine, now, running.clone(), queue.clone(), target)
                 };
                 let replay = |alg, running: &Running, queue: &Queue| {
-                    forecast_replay(
-                        alg,
-                        machine,
-                        now,
-                        running.clone(),
-                        queue.clone(),
-                        target,
-                        None,
-                    )
+                    forecast_replay(alg, machine, now, running.clone(), queue.clone(), target)
                 };
                 assert!(beliefs_are_exact(Algorithm::Backfill, &running, &queue));
                 assert_eq!(
@@ -552,7 +518,7 @@ mod tests {
                         (e, job.runtime)
                     })
                     .collect();
-                replay_passes(Algorithm::Backfill, 8, s.now, running, queue, target, None)
+                replay_passes(Algorithm::Backfill, 8, s.now, running, queue, target)
             };
             assert_eq!(exact, full, "{target:?}");
         }

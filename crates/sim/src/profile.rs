@@ -31,41 +31,18 @@ impl Profile {
     /// (the job is demonstrably still running).
     ///
     /// An oversubscribed `running` set (more nodes in use than the
-    /// machine has) trips a debug assertion when `violations` is `None`;
-    /// release builds clamp and continue. When `violations` is provided
-    /// the oversubscription is *reported* into it instead: a disordered
-    /// event stream can legitimately hand the online wait forecast more
-    /// running nodes than the machine has (serve counts these as
-    /// `serve.oversubscribed`), and the wrong free-node profile that
-    /// results must be visible, not silent.
-    pub fn new(
-        machine_nodes: u32,
-        now: Time,
-        running: &[(u32, Time)],
-        violations: Option<&mut Vec<String>>,
-    ) -> Profile {
+    /// machine has) is clamped: the profile starts with no free nodes and
+    /// never promises more than the machine. Only an online forecast over
+    /// a disordered event stream builds one; serve counts those as
+    /// `serve.oversubscribed`, and the engine's `schedule_pass` asserts
+    /// its own node accounting.
+    pub fn new(machine_nodes: u32, now: Time, running: &[(u32, Time)]) -> Profile {
         let mut events: Vec<(Time, u32)> = running
             .iter()
             .map(|&(nodes, end)| (end.max(now + Dur::SECOND), nodes))
             .collect();
         events.sort_unstable_by_key(|&(t, _)| t);
         let used_now: u64 = running.iter().map(|&(n, _)| n as u64).sum();
-        if used_now > machine_nodes as u64 {
-            match violations {
-                Some(v) => {
-                    qpredict_obs::counter_add("sim.profile_oversubscribed", 1);
-                    v.push(format!(
-                        "profile oversubscribed at t={}: running jobs use {used_now} of \
-                         {machine_nodes} nodes; free-node profile clamped to zero",
-                        now.seconds()
-                    ));
-                }
-                None => debug_assert!(
-                    false,
-                    "running jobs use {used_now} of {machine_nodes} nodes"
-                ),
-            }
-        }
         let mut segments = Vec::with_capacity(events.len() + 1);
         let mut free = machine_nodes.saturating_sub(used_now.min(u32::MAX as u64) as u32);
         segments.push(Segment { start: now, free });
@@ -214,7 +191,7 @@ mod tests {
 
     #[test]
     fn empty_machine_is_fully_free() {
-        let p = Profile::new(64, t(0), &[], None);
+        let p = Profile::new(64, t(0), &[]);
         assert_eq!(p.free_at(t(0)), 64);
         assert_eq!(p.free_at(t(1_000_000)), 64);
         assert_eq!(p.earliest_fit(64, Dur(100)), t(0));
@@ -223,7 +200,7 @@ mod tests {
 
     #[test]
     fn running_jobs_occupy_until_pred_end() {
-        let p = Profile::new(10, t(0), &[(4, t(100)), (3, t(50))], None);
+        let p = Profile::new(10, t(0), &[(4, t(100)), (3, t(50))]);
         assert_eq!(p.free_at(t(0)), 3);
         assert_eq!(p.free_at(t(49)), 3);
         assert_eq!(p.free_at(t(50)), 6);
@@ -235,14 +212,14 @@ mod tests {
     fn late_pred_end_clamped_to_future() {
         // A running job whose predicted end has already passed still holds
         // its nodes for one more second.
-        let p = Profile::new(10, t(100), &[(4, t(50))], None);
+        let p = Profile::new(10, t(100), &[(4, t(50))]);
         assert_eq!(p.free_at(t(100)), 6);
         assert_eq!(p.free_at(t(101)), 10);
     }
 
     #[test]
     fn earliest_fit_waits_for_capacity() {
-        let p = Profile::new(10, t(0), &[(8, t(100))], None);
+        let p = Profile::new(10, t(0), &[(8, t(100))]);
         // 2 nodes fit immediately; 5 must wait for the running job.
         assert_eq!(p.earliest_fit(2, Dur(50)), t(0));
         assert_eq!(p.earliest_fit(5, Dur(50)), t(100));
@@ -250,7 +227,7 @@ mod tests {
 
     #[test]
     fn earliest_fit_requires_window_not_instant() {
-        let mut p = Profile::new(10, t(0), &[], None);
+        let mut p = Profile::new(10, t(0), &[]);
         // Block [50, 150) with 9 nodes: 5-node jobs cannot overlap it.
         p.reserve(t(50), Dur(100), 9);
         // A 5-node 40s job fits at 0 (window [0,40) clear).
@@ -262,7 +239,7 @@ mod tests {
 
     #[test]
     fn reserve_subtracts_and_restores() {
-        let mut p = Profile::new(10, t(0), &[], None);
+        let mut p = Profile::new(10, t(0), &[]);
         p.reserve(t(20), Dur(30), 7);
         assert_eq!(p.free_at(t(19)), 10);
         assert_eq!(p.free_at(t(20)), 3);
@@ -273,7 +250,7 @@ mod tests {
 
     #[test]
     fn stacked_reservations() {
-        let mut p = Profile::new(10, t(0), &[], None);
+        let mut p = Profile::new(10, t(0), &[]);
         p.reserve(t(0), Dur(100), 4);
         p.reserve(t(50), Dur(100), 4);
         assert_eq!(p.free_at(t(0)), 6);
@@ -290,32 +267,18 @@ mod tests {
     #[test]
     #[should_panic(expected = "exceeds machine")]
     fn oversized_request_panics() {
-        Profile::new(10, t(0), &[], None).earliest_fit(11, Dur(1));
+        Profile::new(10, t(0), &[]).earliest_fit(11, Dur(1));
     }
 
     #[test]
     fn oversubscription_is_reported_not_hidden() {
-        // 12 running nodes on a 10-node machine: the reporting
-        // constructor must surface the violation and build a profile
-        // that promises nothing until jobs end — and never more than
-        // the machine.
-        let mut violations = Vec::new();
-        let p = Profile::new(10, t(0), &[(8, t(100)), (4, t(50))], Some(&mut violations));
-        assert_eq!(violations.len(), 1, "{violations:?}");
-        assert!(violations[0].contains("oversubscribed"), "{violations:?}");
-        assert!(violations[0].contains("12 of 10"), "{violations:?}");
+        // 12 running nodes on a 10-node machine: the profile promises
+        // nothing until jobs end, and never more than the machine.
+        let p = Profile::new(10, t(0), &[(8, t(100)), (4, t(50))]);
         assert_eq!(p.free_at(t(0)), 0);
         assert_eq!(p.free_at(t(50)), 4);
         assert_eq!(p.free_at(t(100)), 10, "free capped at machine size");
         p.check().unwrap();
-    }
-
-    #[test]
-    fn healthy_profile_reports_nothing() {
-        let mut violations = Vec::new();
-        let p = Profile::new(10, t(0), &[(4, t(100))], Some(&mut violations));
-        assert!(violations.is_empty());
-        assert_eq!(p.free_at(t(0)), 6);
     }
 
     #[test]
@@ -325,7 +288,7 @@ mod tests {
         use qpredict_workload::Rng64;
         let mut rng = Rng64::seed_from_u64(9);
         for _ in 0..50 {
-            let mut p = Profile::new(32, t(0), &[(10, t(40)), (6, t(90))], None);
+            let mut p = Profile::new(32, t(0), &[(10, t(40)), (6, t(90))]);
             for _ in 0..40 {
                 let nodes = 1 + rng.gen_index(32) as u32;
                 let dur = Dur(rng.gen_range_i64(1, 200));

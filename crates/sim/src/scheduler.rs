@@ -115,11 +115,9 @@ impl QueueEntry {
 /// * `free_nodes` — nodes not occupied by running jobs.
 /// * `running` — running jobs (only backfill reads it).
 /// * `queue` — queued jobs in any order; `seq` defines arrival order.
-/// * `violations` — when provided, an oversubscribed running set
-///   (possible in an online forecast over a disordered event stream) is
-///   reported through it instead of tripping a debug assertion, so a
-///   silently-wrong backfill profile cannot hide. The engine passes
-///   `None`: its running set is exact, so both checks stay assertions.
+///
+/// `running` and `free_nodes` must account for exactly the machine's
+/// nodes (a debug assertion).
 ///
 /// Returns indices into `queue` of the jobs to start, in the order they
 /// should start. The function is pure: callers apply the starts.
@@ -130,12 +128,10 @@ pub fn schedule_pass(
     free_nodes: u32,
     running: &[RunningView],
     queue: &[QueueEntry],
-    violations: Option<&mut Vec<String>>,
 ) -> Vec<usize> {
     debug_assert!(
-        violations.is_some()
-            || running.iter().map(|r| r.nodes as u64).sum::<u64>() + free_nodes as u64
-                == machine_nodes as u64,
+        running.iter().map(|r| r.nodes as u64).sum::<u64>() + free_nodes as u64
+            == machine_nodes as u64,
         "free-node accounting is inconsistent"
     );
     match alg {
@@ -163,7 +159,6 @@ pub fn schedule_pass(
             running,
             queue,
             alg == Algorithm::EasyBackfill,
-            violations,
         )
         .into_iter()
         .filter(|&(_, at)| at == now)
@@ -221,10 +216,9 @@ pub(crate) fn backfill_pass(
     running: &[RunningView],
     queue: &[QueueEntry],
     easy: bool,
-    violations: Option<&mut Vec<String>>,
 ) -> Vec<(usize, Time)> {
     let running_pairs: Vec<(u32, Time)> = running.iter().map(|r| (r.nodes, r.pred_end)).collect();
-    let mut profile = Profile::new(machine_nodes, now, &running_pairs, violations);
+    let mut profile = Profile::new(machine_nodes, now, &running_pairs);
 
     let mut order: Vec<usize> = (0..queue.len()).collect();
     order.sort_by_key(|&i| queue[i].seq);
@@ -265,14 +259,14 @@ mod tests {
         // Head needs 8 nodes, only 4 free; the 1-node job behind it must
         // NOT start (no backfilling in FCFS).
         let queue = [qe(0, 8, 100), qe(1, 1, 100)];
-        let starts = schedule_pass(Algorithm::Fcfs, Time(0), 8, 4, &[rv(4, 50)], &queue, None);
+        let starts = schedule_pass(Algorithm::Fcfs, Time(0), 8, 4, &[rv(4, 50)], &queue);
         assert!(starts.is_empty());
     }
 
     #[test]
     fn fcfs_starts_in_arrival_order() {
         let queue = [qe(1, 2, 100), qe(0, 2, 100)];
-        let starts = schedule_pass(Algorithm::Fcfs, Time(0), 8, 8, &[], &queue, None);
+        let starts = schedule_pass(Algorithm::Fcfs, Time(0), 8, 8, &[], &queue);
         assert_eq!(starts, vec![1, 0]); // seq 0 first
     }
 
@@ -280,7 +274,7 @@ mod tests {
     fn lwf_orders_by_work() {
         // seq0: 4 nodes x 100 s = 400 work; seq1: 1 node x 100 s = 100.
         let queue = [qe(0, 4, 100), qe(1, 1, 100)];
-        let starts = schedule_pass(Algorithm::Lwf, Time(0), 8, 8, &[], &queue, None);
+        let starts = schedule_pass(Algorithm::Lwf, Time(0), 8, 8, &[], &queue);
         assert_eq!(starts, vec![1, 0]);
     }
 
@@ -290,14 +284,14 @@ mod tests {
         // 1-node job (work 200) fits and starts — LWF does not idle the
         // machine behind a wide head.
         let queue = [qe(0, 8, 10), qe(1, 1, 200)];
-        let starts = schedule_pass(Algorithm::Lwf, Time(0), 8, 4, &[rv(4, 50)], &queue, None);
+        let starts = schedule_pass(Algorithm::Lwf, Time(0), 8, 4, &[rv(4, 50)], &queue);
         assert_eq!(starts, vec![1]);
     }
 
     #[test]
     fn lwf_ties_break_by_arrival() {
         let queue = [qe(1, 2, 100), qe(0, 2, 100)];
-        let starts = schedule_pass(Algorithm::Lwf, Time(0), 2, 2, &[], &queue, None);
+        let starts = schedule_pass(Algorithm::Lwf, Time(0), 2, 2, &[], &queue);
         assert_eq!(starts, vec![1]); // same work, seq 0 wins, then blocked
     }
 
@@ -309,46 +303,13 @@ mod tests {
     }
 
     #[test]
-    fn oversubscribed_running_set_is_reported_not_asserted() {
-        // A disordered event stream claims 12 running nodes on an 8-node
-        // machine. With a violation sink the pass must survive (no
-        // debug_assert) and report the oversubscription through the
-        // profile.
-        let queue = [qe(0, 2, 100)];
-        let running = [rv(8, 100), rv(4, 150)];
-        let mut violations = Vec::new();
-        let starts = schedule_pass(
-            Algorithm::Backfill,
-            Time(0),
-            8,
-            0,
-            &running,
-            &queue,
-            Some(&mut violations),
-        );
-        assert!(starts.is_empty(), "no free nodes, nothing may start");
-        assert!(
-            violations.iter().any(|v| v.contains("oversubscribed")),
-            "oversubscription must be reported: {violations:?}"
-        );
-    }
-
-    #[test]
     fn backfill_starts_small_job_behind_blocked_head() {
         // 4 nodes free until t=100 (4-node job running to 100).
         // Head wants 8 nodes -> reserved at t=100.
         // Second job: 4 nodes, 50 s: fits now and ends at t=50 <= 100, so
         // it cannot delay the reservation -> backfilled.
         let queue = [qe(0, 8, 100), qe(1, 4, 50)];
-        let starts = schedule_pass(
-            Algorithm::Backfill,
-            Time(0),
-            8,
-            4,
-            &[rv(4, 100)],
-            &queue,
-            None,
-        );
+        let starts = schedule_pass(Algorithm::Backfill, Time(0), 8, 4, &[rv(4, 100)], &queue);
         assert_eq!(starts, vec![1]);
     }
 
@@ -357,15 +318,7 @@ mod tests {
         // Same as above but the small job runs 150 s: it would hold 4
         // nodes past t=100 and delay the 8-node reservation.
         let queue = [qe(0, 8, 100), qe(1, 4, 150)];
-        let starts = schedule_pass(
-            Algorithm::Backfill,
-            Time(0),
-            8,
-            4,
-            &[rv(4, 100)],
-            &queue,
-            None,
-        );
+        let starts = schedule_pass(Algorithm::Backfill, Time(0), 8, 4, &[rv(4, 100)], &queue);
         assert!(starts.is_empty());
     }
 
@@ -380,22 +333,14 @@ mod tests {
         // q2: 4 nodes 250 s: starting now would run to 250, overlapping
         // [100,300) where 8 nodes are reserved -> must not start.
         let queue = [qe(0, 8, 100), qe(1, 8, 100), qe(2, 4, 250)];
-        let starts = schedule_pass(
-            Algorithm::Backfill,
-            Time(0),
-            8,
-            4,
-            &[rv(4, 100)],
-            &queue,
-            None,
-        );
+        let starts = schedule_pass(Algorithm::Backfill, Time(0), 8, 4, &[rv(4, 100)], &queue);
         assert!(starts.is_empty());
     }
 
     #[test]
     fn backfill_without_contention_starts_everything_that_fits() {
         let queue = [qe(0, 2, 100), qe(1, 2, 100), qe(2, 2, 100)];
-        let starts = schedule_pass(Algorithm::Backfill, Time(0), 8, 8, &[], &queue, None);
+        let starts = schedule_pass(Algorithm::Backfill, Time(0), 8, 8, &[], &queue);
         assert_eq!(starts, vec![0, 1, 2]);
     }
 
@@ -430,17 +375,8 @@ mod tests {
         //     alongside q0 but not alongside q1 (8 nodes at [200, ...)).
         let queue = [qe(0, 6, 100), qe(1, 8, 100), qe(2, 2, 250)];
         let running = [rv(4, 100)];
-        let conservative =
-            schedule_pass(Algorithm::Backfill, Time(0), 8, 4, &running, &queue, None);
-        let easy = schedule_pass(
-            Algorithm::EasyBackfill,
-            Time(0),
-            8,
-            4,
-            &running,
-            &queue,
-            None,
-        );
+        let conservative = schedule_pass(Algorithm::Backfill, Time(0), 8, 4, &running, &queue);
+        let easy = schedule_pass(Algorithm::EasyBackfill, Time(0), 8, 4, &running, &queue);
         // Conservative: q0 reserved at 100 (6 nodes), q1 reserved at 200,
         // q2 (2 nodes, 250 s) would overlap q1's [200, 300) full-machine
         // reservation -> refused.

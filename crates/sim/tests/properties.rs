@@ -52,7 +52,7 @@ fn passes_respect_capacity() {
             Algorithm::Backfill,
             Algorithm::EasyBackfill,
         ] {
-            let starts = schedule_pass(alg, Time(0), machine, free, &running, &queue, None);
+            let starts = schedule_pass(alg, Time(0), machine, free, &running, &queue);
             let total: u32 = starts.iter().map(|&i| queue[i].nodes).sum();
             assert!(
                 total <= free,
@@ -72,15 +72,7 @@ fn fcfs_starts_are_a_prefix() {
     for seed in 0u64..128 {
         let mut rng = Rng64::seed_from_u64(seed);
         let (machine, free, running, queue) = random_pass_input(&mut rng);
-        let starts = schedule_pass(
-            Algorithm::Fcfs,
-            Time(0),
-            machine,
-            free,
-            &running,
-            &queue,
-            None,
-        );
+        let starts = schedule_pass(Algorithm::Fcfs, Time(0), machine, free, &running, &queue);
         let mut by_seq: Vec<u64> = starts.iter().map(|&i| queue[i].seq).collect();
         by_seq.sort_unstable();
         for (k, s) in by_seq.iter().enumerate() {
@@ -106,7 +98,6 @@ fn backfill_flavours_agree_on_queue_head() {
             free,
             &running,
             &queue,
-            None,
         );
         let easy = schedule_pass(
             Algorithm::EasyBackfill,
@@ -115,7 +106,6 @@ fn backfill_flavours_agree_on_queue_head() {
             free,
             &running,
             &queue,
-            None,
         );
         let head = queue
             .iter()
@@ -157,7 +147,7 @@ fn empty_machine_always_starts_head() {
             Algorithm::Backfill,
             Algorithm::EasyBackfill,
         ] {
-            let starts = schedule_pass(alg, Time(5), 32, 32, &[], &queue, None);
+            let starts = schedule_pass(alg, Time(5), 32, 32, &[], &queue);
             assert_eq!(
                 &starts,
                 &vec![0usize],

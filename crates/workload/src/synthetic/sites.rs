@@ -155,9 +155,16 @@ pub fn spec_by_name(name: &str) -> Option<SiteSpec> {
 }
 
 /// Generate a workload by site name (`"ANL"`, `"CTC"`, `"SDSC95"`,
-/// `"SDSC96"`).
-pub fn by_name(name: &str) -> Option<Workload> {
-    spec_by_name(name).map(|s| generate(&s))
+/// `"SDSC96"`): at the site's full Table 1 size, or with `jobs` jobs.
+/// A cut-down site keeps at most `max(jobs / 20, 4)` users, so per-user
+/// history still accumulates at small sizes.
+pub fn by_name(name: &str, jobs: Option<usize>) -> Option<Workload> {
+    let mut spec = spec_by_name(name)?;
+    if let Some(n) = jobs {
+        spec.n_jobs = n;
+        spec.n_users = spec.n_users.min((n / 20).max(4));
+    }
+    Some(generate(&spec))
 }
 
 /// A small, fast workload for tests and examples: `n_jobs` jobs on a
@@ -184,7 +191,7 @@ mod tests {
     use crate::stats::WorkloadStats;
 
     /// Shrunken copies of the real specs so the calibration tests stay
-    /// fast; the full-size figures are exercised by the `paper` binary.
+    /// fast; the full-size figures are exercised by `qpredict paper`.
     fn small(mut s: SiteSpec) -> Workload {
         s.n_jobs = 2000;
         generate(&s)
@@ -242,7 +249,7 @@ mod tests {
     #[test]
     fn full_job_counts_match_table1() {
         // Only check the specs (generation at full size is exercised by
-        // integration tests and the paper binary).
+        // integration tests and `qpredict paper`).
         assert_eq!(anl_spec().n_jobs, 7994);
         assert_eq!(ctc_spec().n_jobs, 13_217);
         assert_eq!(sdsc95_spec().n_jobs, 22_885);

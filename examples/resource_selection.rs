@@ -81,16 +81,13 @@ fn main() {
         let next_seq = snap2.queued.iter().map(|&(_, s)| s + 1).max().unwrap_or(0);
         snap2.queued.push((probe_id, next_seq));
 
+        // The scheduler believes user limits.
+        let mut limits = MaxRuntimeEstimator::from_workload(&wl2);
         let start = forecast_start(
             &wl2,
             Algorithm::Backfill,
             &snap2,
-            |j, e| {
-                // The scheduler believes user limits.
-                MaxRuntimeEstimator::from_workload(&wl2)
-                    .predict(j, e)
-                    .estimate
-            },
+            |j, e| limits.predict(j, e).estimate,
             |j, e| predictor.predict(j, e).estimate,
             probe_id,
         );

@@ -15,14 +15,21 @@ cargo build --release --workspace
 
 # Thread-invariance smoke: the paper harness's grids run on a parallel
 # fan-out, and one worker or three must print the same tables.
-echo "==> paper --jobs 400 tables with --threads 1 vs --threads 3"
+echo "==> qpredict paper --jobs 400 tables with --threads 1 vs --threads 3"
 PAPER_TMP="$(mktemp -d)"
 PAPER_LIST=(table6 table12 compress2x statewait easy-ablation warmup)
-./target/release/paper --jobs 400 --threads 1 "${PAPER_LIST[@]}" \
+./target/release/qpredict paper --jobs 400 --threads 1 "${PAPER_LIST[@]}" \
     >"$PAPER_TMP/one.txt" 2>/dev/null
-./target/release/paper --jobs 400 --threads 3 "${PAPER_LIST[@]}" \
+./target/release/qpredict paper --jobs 400 --threads 3 "${PAPER_LIST[@]}" \
     >"$PAPER_TMP/three.txt" 2>/dev/null
 cmp "$PAPER_TMP/one.txt" "$PAPER_TMP/three.txt"
+
+# Paper run-report smoke: with one thread the experiment grid runs inline
+# on the main thread, so its spans land in the report.
+echo "==> report schema smoke (paper --threads 1 --report-out + check-report)"
+./target/release/qpredict paper --jobs 200 --threads 1 table6 \
+    --report-out "$PAPER_TMP/report.json" >/dev/null 2>&1
+./target/release/qpredict check-report "$PAPER_TMP/report.json"
 rm -rf "$PAPER_TMP"
 
 # The end-to-end benchmark is a package of its own that calls the crates'

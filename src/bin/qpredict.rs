@@ -2,7 +2,8 @@
 //!
 //! `qpredict --help` prints every subcommand with the flags it reads
 //! (the `SUBCOMMANDS` table): `generate`, `analyze`, `simulate`,
-//! `waitpred`, `gantt`, `search`, `events`, `serve` and `check-report`.
+//! `waitpred`, `gantt`, `search`, `events`, `serve`, `paper` and
+//! `check-report`.
 //!
 //! Common flags: `--ingest lenient|strict` controls SWF parsing
 //! (lenient skips and reports malformed lines), and `--fault-seed N` /
@@ -26,20 +27,29 @@
 //! snapshotted, so a killed run restarted with `--resume` reproduces the
 //! uninterrupted run bit for bit.
 //!
+//! `paper` regenerates the paper's tables and the extension experiments
+//! (`qpredict_core::paper`) over the four site models: tables go to
+//! stdout, `--out FILE` also writes them as a markdown report (the
+//! committed `experiments_data.md` is one), and `all` runs Tables 1–15
+//! and the extensions but not the template-search experiments.
+//!
 //! Sites are generated synthetically (full Table 1 size unless `--jobs`);
 //! `.swf` paths are parsed as Standard Workload Format traces.
 
+use std::fmt::Write as _;
 use std::process::exit;
+use std::time::Instant;
 
-use qpredict::core::{
-    run_scheduling_with, run_template_search, run_wait_prediction, PredictorKind,
-    TemplateSearchSpec,
-};
+use qpredict::core::searched::curated_seed_for;
+use qpredict::core::{paper, run_scheduling_with, run_wait_prediction, PredictorKind};
 use qpredict::obs::json::Json;
 use qpredict::obs::report::RunReport;
 use qpredict::predict::OraclePredictor;
 use qpredict::prelude::*;
-use qpredict::search::{CheckpointPolicy, GaConfig, InjectedPanic, SearchError, SupervisorConfig};
+use qpredict::search::{
+    resume_supervised, search_supervised, CheckpointPolicy, GaConfig, InjectedPanic,
+    PredictionWorkload, SearchError, SupervisorConfig, Target,
+};
 use qpredict::sim::{timeline_of, FaultPlan};
 use qpredict::workload::{analysis, swf, synthetic, IngestPolicy};
 
@@ -72,6 +82,7 @@ struct Opts {
     throttle_us: Option<u64>,
     query_every: Option<usize>,
     shuffle: Option<usize>,
+    threads: Option<usize>,
 }
 
 fn usage() -> ! {
@@ -82,7 +93,9 @@ fn usage() -> ! {
     }
     eprintln!(
         "every subcommand also takes [--report-out FILE|-]; \
-         PRED is actual|maxrt|smith|gibbons|downey-avg|downey-med|fallback"
+         PRED is actual|maxrt|smith|gibbons|downey-avg|downey-med|fallback; \
+         EXPERIMENT is table1..table15|compress2x|statewait|easy-ablation|warmup|\
+         ga-ablation|ga-search|all"
     );
     exit(2)
 }
@@ -238,6 +251,11 @@ const SUBCOMMANDS: &[(&str, &str, &[&str])] = &[
             "--out FILE",
         ],
     ),
+    (
+        "paper",
+        "<EXPERIMENT>...",
+        &["--jobs N", "--threads N", "--out FILE"],
+    ),
     ("check-report", "<report.json>", &[]),
 ];
 
@@ -271,6 +289,7 @@ fn parse_opts(args: &[String]) -> Opts {
         throttle_us: None,
         query_every: None,
         shuffle: None,
+        threads: None,
     };
     let mut flags: Vec<String> = Vec::new();
     let mut it = args.iter().cloned();
@@ -280,7 +299,16 @@ fn parse_opts(args: &[String]) -> Opts {
         }
         match a.as_str() {
             "--nodes" => o.nodes = parse_value(&mut it, "--nodes", "a node count"),
-            "--jobs" => o.jobs = Some(parse_value(&mut it, "--jobs", "a job count")),
+            "--jobs" => {
+                let n: usize = parse_value(&mut it, "--jobs", "a positive job count");
+                if n == 0 {
+                    flag_error(
+                        "invalid value \"0\" for --jobs (expected a positive job count)"
+                            .to_string(),
+                    );
+                }
+                o.jobs = Some(n);
+            }
             "--alg" => {
                 let v = flag_value(&mut it, "--alg");
                 o.alg = Algorithm::parse(&v).unwrap_or_else(|| {
@@ -397,6 +425,7 @@ fn parse_opts(args: &[String]) -> Opts {
                 o.query_every = Some(parse_value(&mut it, "--query-every", "a job interval"))
             }
             "--shuffle" => o.shuffle = Some(parse_value(&mut it, "--shuffle", "a shuffle window")),
+            "--threads" => o.threads = Some(parse_value(&mut it, "--threads", "a thread count")),
             "--help" | "-h" => usage(),
             // A bare "-" is the conventional stdin positional (serve).
             "-" => o.positional.push("-".to_string()),
@@ -459,17 +488,12 @@ fn load(source: &str, opts: &Opts) -> Workload {
     } else if source.eq_ignore_ascii_case("toy") {
         synthetic::toy(opts.jobs.unwrap_or(2000), opts.nodes.min(128), 42)
     } else {
-        let mut spec = synthetic::sites::spec_by_name(source).unwrap_or_else(|| {
+        synthetic::by_name(source, opts.jobs).unwrap_or_else(|| {
             eprintln!(
                 "unknown site {source:?} (use ANL, CTC, SDSC95, SDSC96, toy, or a .swf path)"
             );
             exit(1)
-        });
-        if let Some(n) = opts.jobs {
-            spec.n_jobs = n;
-            spec.n_users = spec.n_users.min((n / 20).max(4));
-        }
-        synthetic::generate(&spec)
+        })
     }
 }
 
@@ -695,46 +719,48 @@ fn main() {
                     }
                 }));
             }
-            let spec = TemplateSearchSpec {
-                algorithm: opts.alg,
-                depth: 4,
-                supervisor: SupervisorConfig {
-                    max_retries: opts.max_retries.unwrap_or(3),
-                    eval_budget: opts.eval_budget,
-                    faults,
-                    ..SupervisorConfig::default()
-                },
-                ga,
-                checkpoint: opts
-                    .checkpoint_dir
-                    .as_ref()
-                    .map(CheckpointPolicy::every_generation),
-                resume: opts.resume,
+            ga.seeds = vec![curated_seed_for(&wl)];
+            let supervisor = SupervisorConfig {
+                max_retries: opts.max_retries.unwrap_or(3),
+                eval_budget: opts.eval_budget,
+                faults,
+                ..SupervisorConfig::default()
             };
-            let out = run_template_search(&wl, &spec).unwrap_or_else(|e| match e {
+            let checkpoint = opts
+                .checkpoint_dir
+                .as_ref()
+                .map(CheckpointPolicy::every_generation);
+            let pw = PredictionWorkload::build(&wl, Target::WaitPrediction(opts.alg), 4);
+            let run = match &checkpoint {
+                Some(policy) if opts.resume => {
+                    resume_supervised(&wl, &pw, &ga, &supervisor, policy)
+                }
+                _ => search_supervised(&wl, &pw, &ga, &supervisor, checkpoint.as_ref()),
+            };
+            let out = run.unwrap_or_else(|e| match e {
                 SearchError::Checkpoint(_) => flag_error(format!("cannot resume search: {e}")),
                 SearchError::GenerationLost { .. } => {
                     eprintln!("qpredict: {e}");
                     exit(1)
                 }
             });
-            metric("best_error_min", out.best_error_min);
-            metric("evaluations", out.evaluations as f64);
-            metric("generations", spec.ga.generations as f64);
+            let r = &out.result;
+            metric("best_error_min", r.best_error_min);
+            metric("evaluations", r.evaluations as f64);
+            metric("generations", ga.generations as f64);
             println!(
                 "template search on {} under {} ({} generations x {} individuals):",
-                out.workload,
-                out.algorithm.name(),
-                spec.ga.generations,
-                spec.ga.population
+                wl.name,
+                opts.alg.name(),
+                ga.generations,
+                ga.population
             );
-            println!("  best MAE     {:.2} min", out.best_error_min);
-            if let (Some(first), Some(last)) = (out.error_history.first(), out.error_history.last())
-            {
+            println!("  best MAE     {:.2} min", r.best_error_min);
+            if let (Some(first), Some(last)) = (r.error_history.first(), r.error_history.last()) {
                 println!("  convergence  {first:.2} -> {last:.2} min");
             }
-            println!("  evaluations  {}", out.evaluations);
-            println!("  best set     {}", out.best);
+            println!("  evaluations  {}", r.evaluations);
+            println!("  best set     {}", r.best);
             for (i, line) in out.health.summary().lines().enumerate() {
                 if i == 0 {
                     println!("  health       {line}");
@@ -745,7 +771,7 @@ fn main() {
             if let Some(g) = out.resumed_from {
                 println!("  resumed from generation {g}");
             }
-            if let Some(p) = &spec.checkpoint {
+            if let Some(p) = &checkpoint {
                 println!("  checkpoint   {}", p.file().display());
             }
         }
@@ -903,6 +929,49 @@ fn main() {
                 svc.state().fingerprint()
             );
         }
+        "paper" => {
+            let experiments = &opts.positional[1..];
+            if let Some(w) = experiments
+                .iter()
+                .find(|w| *w != "all" && !paper::is_experiment(w))
+            {
+                flag_error(format!("unknown experiment {w:?} (see --help)"));
+            }
+            let what: Vec<&str> = if experiments.iter().any(|w| w == "all") {
+                paper::ALL.to_vec()
+            } else {
+                experiments.iter().map(String::as_str).collect()
+            };
+            let threads = opts.threads.unwrap_or_else(qpredict::obs::default_threads);
+            let scale = opts
+                .jobs
+                .map_or("Full".to_string(), |n| format!("Jobs({n})"));
+            let t0 = Instant::now();
+            eprintln!("generating workloads ({scale}, {threads} threads)...");
+            let wls = paper::workloads(opts.jobs);
+            eprintln!("[workloads: {}]", human_secs(t0.elapsed().as_secs_f64()));
+            let mut report = format!(
+                "# qpredict experiment data\n\nScale: {scale}; threads: {threads}.\n\n\
+                 Predictors: {}.\n\n",
+                PredictorKind::ALL.map(|k| k.name()).join(", ")
+            );
+            for w in &what {
+                let started = Instant::now();
+                let table = paper::run(w, &wls, threads);
+                println!("{table}");
+                let _ = writeln!(report, "{}", table.to_markdown());
+                eprintln!("[{w}: {}]", human_secs(started.elapsed().as_secs_f64()));
+            }
+            metric("experiments", what.len() as f64);
+            if let Some(path) = &opts.out {
+                std::fs::write(path, &report).unwrap_or_else(|e| {
+                    eprintln!("cannot write {path}: {e}");
+                    exit(1)
+                });
+                eprintln!("report written to {path}");
+            }
+            eprintln!("[total: {}]", human_secs(t0.elapsed().as_secs_f64()));
+        }
         _ => usage(),
     }
 
@@ -923,5 +992,25 @@ fn main() {
             });
             eprintln!("run report written to {dest}");
         }
+    }
+}
+
+/// Render a duration in seconds for the `paper` progress lines.
+fn human_secs(s: f64) -> String {
+    if s >= 60.0 {
+        format!("{:.1} min", s / 60.0)
+    } else {
+        format!("{s:.1} s")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn human_times() {
+        assert_eq!(human_secs(5.0), "5.0 s");
+        assert_eq!(human_secs(120.0), "2.0 min");
     }
 }

@@ -1,13 +1,14 @@
-//! The `paper` binary's usage errors: each exits 2 with a one-line
+//! `qpredict paper`'s usage errors: each exits 2 with a one-line
 //! diagnostic, and none of them generates a workload first.
 
 use std::process::{Command, Output};
 
 fn paper(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_paper"))
+    Command::new(env!("CARGO_BIN_EXE_qpredict"))
+        .arg("paper")
         .args(args)
         .output()
-        .expect("the paper binary runs")
+        .expect("the qpredict binary runs")
 }
 
 /// Exit code 2, and stderr is exactly one line naming `needle`.
@@ -16,15 +17,21 @@ fn assert_usage_error(args: &[&str], needle: &str) {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
     assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
-    assert!(stderr.starts_with("paper: "), "{args:?}: {stderr}");
+    assert!(stderr.starts_with("qpredict: "), "{args:?}: {stderr}");
     assert!(stderr.contains(needle), "{args:?}: {stderr}");
     assert!(out.stdout.is_empty(), "{args:?} printed a table");
 }
 
 #[test]
 fn invalid_flag_values_exit_two() {
-    assert_usage_error(&["--threads", "abc", "table3"], "--threads");
-    assert_usage_error(&["--jobs", "lots", "table3"], "--jobs");
+    assert_usage_error(
+        &["--threads", "abc", "table3"],
+        "invalid value \"abc\" for --threads",
+    );
+    assert_usage_error(
+        &["--jobs", "lots", "table3"],
+        "invalid value \"lots\" for --jobs",
+    );
 }
 
 #[test]
@@ -36,10 +43,10 @@ fn missing_flag_values_exit_two() {
 
 #[test]
 fn unknown_experiments_are_rejected_before_any_work() {
-    // At full scale, generating the workloads alone would take seconds
+    // No --jobs: generating the full-size sites first would take seconds
     // and announce itself on stderr.
-    assert_usage_error(&["--jobs", "full", "table3", "table16"], "\"table16\"");
-    assert_usage_error(&["--jobs", "full", "tables"], "unknown experiment");
+    assert_usage_error(&["table3", "table16"], "unknown experiment \"table16\"");
+    assert_usage_error(&["tables"], "unknown experiment \"tables\"");
 }
 
 #[test]

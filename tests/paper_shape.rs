@@ -151,8 +151,8 @@ fn sdsc_derived_limits_overestimate() {
 /// must not depend on how many workers ran them.
 #[test]
 fn paper_tables_do_not_depend_on_the_thread_count() {
-    use qpredict::core::paper::{compress2x, sched_table, wait_table, workloads, Scale};
-    let wls = workloads(Scale::Jobs(400));
+    use qpredict::core::paper::{compress2x, sched_table, wait_table, workloads};
+    let wls = workloads(Some(400));
     let render = |threads: usize| {
         [
             wait_table(6, &wls, threads),

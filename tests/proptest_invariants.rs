@@ -137,7 +137,7 @@ fn profile_fit_reserve_invariant() {
                 }
             })
             .collect();
-        let mut p = Profile::new(machine, Time(0), &running, None);
+        let mut p = Profile::new(machine, Time(0), &running);
         for _ in 0..(1 + rng.gen_index(19)) {
             let nodes = (1 + rng.gen_index(32) as u32).min(machine);
             let d = Dur(rng.gen_range_i64(1, 299));
@@ -248,7 +248,7 @@ fn profile_matches_per_second_oracle() {
                 }
             })
             .collect();
-        let mut p = Profile::new(machine, Time(now), &running, None);
+        let mut p = Profile::new(machine, Time(now), &running);
         // The oracle: free nodes for every second of [now, now+HORIZON);
         // everything is free past the horizon.
         let mut free = vec![machine; HORIZON as usize];

@@ -213,12 +213,27 @@ fn cli_flag_errors_exit_two_with_pointed_messages() {
             &["check-report", "report.json", "--nodes", "4"],
             "--nodes does not apply to check-report",
         ),
+        (
+            &["simulate", "ANL", "--jobs", "0"],
+            "invalid value \"0\" for --jobs",
+        ),
+        (
+            &["waitpred", "toy", "--jobs", "0"],
+            "invalid value \"0\" for --jobs",
+        ),
+        (
+            &["paper", "table3", "--jobs", "0"],
+            "invalid value \"0\" for --jobs",
+        ),
     ];
     for (args, needle) in cases {
         let out = bin().args(*args).output().expect("binary runs");
         assert_eq!(out.status.code(), Some(2), "args {args:?}");
         let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(err.lines().count(), 1, "args {args:?}: {err}");
+        assert!(err.starts_with("qpredict: "), "args {args:?}: {err}");
         assert!(err.contains(needle), "args {args:?}: {err}");
+        assert!(out.stdout.is_empty(), "args {args:?} printed output");
     }
 }
 

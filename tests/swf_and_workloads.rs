@@ -52,7 +52,7 @@ fn site_models_hit_table1_targets_at_full_size() {
         ("SDSC95", 22_885, 108.21, 0.425),
         ("SDSC96", 22_337, 166.98, 0.48),
     ] {
-        let wl = synthetic::by_name(name).unwrap();
+        let wl = synthetic::by_name(name, None).unwrap();
         wl.validate().unwrap();
         let s = WorkloadStats::of(&wl);
         assert_eq!(s.requests, requests, "{name}");
