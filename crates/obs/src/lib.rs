@@ -39,10 +39,11 @@
 //!
 //! [`par_map`] is the workspace's one parallel fan-out: the paper's
 //! experiment grids and the GA's fitness evaluations all run through
-//! it. Its workers do not publish to the caller's registry; results
-//! (e.g. the GA's health deltas) come back to the calling thread, which
-//! mirrors them into its own. With one thread `par_map` runs inline, so
-//! everything its items record lands in the caller's registry.
+//! it. While recording is on, each worker's spans and counters are
+//! merged into the caller's registry when the workers join, nested
+//! under the spans the caller has open; with one thread `par_map` runs
+//! inline and its items record there directly. Either way a report
+//! reads the same whatever the thread count.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -99,6 +100,16 @@ impl Default for SpanStats {
 }
 
 impl SpanStats {
+    /// Fold in `other`'s spans.
+    fn merge(&mut self, other: &SpanStats) {
+        self.count += other.count;
+        self.total_ns = self.total_ns.saturating_add(other.total_ns);
+        self.max_ns = self.max_ns.max(other.max_ns);
+        for (b, o) in self.buckets.iter_mut().zip(&other.buckets) {
+            *b += o;
+        }
+    }
+
     fn record(&mut self, ns: u64) {
         self.count += 1;
         self.total_ns = self.total_ns.saturating_add(ns);
@@ -132,6 +143,32 @@ struct Registry {
 
 thread_local! {
     static REGISTRY: RefCell<Registry> = RefCell::new(Registry::default());
+}
+
+/// Move the calling thread's aggregates out of its registry.
+fn take_registry() -> Registry {
+    REGISTRY.with(|r| std::mem::take(&mut *r.borrow_mut()))
+}
+
+/// Fold `other`, recorded on another thread, into the calling thread's
+/// registry: its span paths nested under the spans open here, its
+/// counters added.
+fn absorb(other: Registry) {
+    REGISTRY.with(|r| {
+        let mut reg = r.borrow_mut();
+        let prefix = reg.stack.join("/");
+        for (path, stats) in other.spans {
+            let path = if prefix.is_empty() {
+                path
+            } else {
+                format!("{prefix}/{path}")
+            };
+            reg.spans.entry(path).or_default().merge(&stats);
+        }
+        for (name, value) in other.counters {
+            *reg.counters.entry(name).or_insert(0) += value;
+        }
+    });
 }
 
 /// A scoped span guard: created by [`span()`], records on drop.

@@ -15,7 +15,9 @@ use std::sync::Mutex;
 /// dynamically. A panic in `f` propagates to the caller with its
 /// original payload. With `threads <= 1` or at most one item everything
 /// runs inline on the caller's thread, so spans and counters recorded by
-/// `f` land in the caller's registry.
+/// `f` land in the caller's registry. With more threads, while recording
+/// is on, each worker's registry is merged into the caller's when it
+/// joins, under the caller's open spans: the same report either way.
 pub fn par_map<T, R, F>(items: Vec<T>, threads: usize, f: F) -> Vec<R>
 where
     T: Send,
@@ -30,6 +32,7 @@ where
             .map(|(i, t)| f(i, t))
             .collect();
     }
+    let recording = crate::recording();
     let cursor = Mutex::new(items.into_iter().enumerate());
     // Only `next` runs under the lock, and it cannot panic.
     let next = || cursor.lock().expect("cursor lock is never poisoned").next();
@@ -41,14 +44,19 @@ where
                     while let Some((i, item)) = next() {
                         out.push((i, f(i, item)));
                     }
-                    out
+                    (out, recording.then(crate::take_registry))
                 })
             })
             .collect();
-        workers
-            .into_iter()
-            .flat_map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-            .collect()
+        let mut results = Vec::new();
+        for w in workers {
+            let (out, registry) = w.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
+            results.extend(out);
+            if let Some(registry) = registry {
+                crate::absorb(registry);
+            }
+        }
+        results
     });
     done.sort_unstable_by_key(|&(i, _)| i);
     done.into_iter().map(|(_, r)| r).collect()
@@ -113,6 +121,27 @@ mod tests {
             caught.downcast_ref::<String>().map(String::as_str),
             Some("item 7 failed")
         );
+    }
+
+    #[test]
+    fn workers_merge_into_the_callers_registry_only_while_recording() {
+        let _g = crate::tests::locked();
+        let run = || {
+            crate::reset();
+            let _outer = crate::span("outer");
+            par_map(vec![(); 6], 3, |_, ()| {
+                let _s = crate::span("par.worker");
+                crate::counter_add("par.items", 1);
+            });
+        };
+        crate::set_recording(true);
+        run();
+        crate::set_recording(false);
+        let snap = crate::snapshot();
+        assert_eq!(snap.span("outer/par.worker").map(|s| s.count), Some(6));
+        assert_eq!(snap.counter("par.items"), 6);
+        run();
+        assert_eq!(crate::snapshot(), crate::ObsSnapshot::default());
     }
 
     #[test]

@@ -25,7 +25,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
-use qpredict_durable::{codec_struct, Codec, CodecError, Delta, Reader, Writer};
+use qpredict_durable::{codec_struct, Codec, CodecError, Reader, Writer};
 use qpredict_workload::Job;
 
 use crate::estimators::RegressionKind;
@@ -263,19 +263,12 @@ pub struct History {
     /// [`INDEX_MIN_POINTS`]. Derived from `points`; never encoded. Boxed:
     /// most categories never grow an index and pay one pointer.
     index: Option<Box<RuntimeIndex>>,
-    /// Points ever pushed. With `mark` it tells a delta which points are
-    /// new and how many old ones were evicted; bookkeeping, never
-    /// encoded.
-    inserted: u64,
-    /// `(inserted, len())` when the store was last marked.
-    mark: (u64, usize),
 }
 
 impl History {
     /// Append a point, evicting the oldest when the template's history
     /// cap is reached, and maintain every running aggregate.
     pub fn push(&mut self, p: Point, t: &Template) {
-        self.inserted += 1;
         let mut evicted = false;
         if let Some(cap) = t.max_history {
             while self.points.len() >= cap.max(1) as usize {
@@ -379,66 +372,6 @@ impl History {
     pub fn ratio_moments(&self) -> Moments {
         self.ratio
     }
-
-    /// The change since the last mark, or `None` when nothing was pushed.
-    /// Evictions only happen on a push, and they take the oldest points,
-    /// so the points still held split into old ones kept and the newest
-    /// `appended` ones.
-    fn delta(&self) -> Option<HistoryDelta> {
-        let appended = self.inserted - self.mark.0;
-        if appended == 0 {
-            return None;
-        }
-        let fresh = self.points.len().min(appended as usize);
-        Some(HistoryDelta {
-            evicted: self.mark.1 - (self.points.len() - fresh),
-            abs: self.abs,
-            ratio: self.ratio,
-            reg: self.reg,
-            appended: self
-                .points
-                .range(self.points.len() - fresh..)
-                .copied()
-                .collect(),
-        })
-    }
-
-    /// Bring the history forward by `d`; the caller rebuilds the index.
-    fn apply(&mut self, d: HistoryDelta) -> Result<(), String> {
-        if d.evicted > self.points.len() {
-            return Err(format!(
-                "delta evicts {} of {} points",
-                d.evicted,
-                self.points.len()
-            ));
-        }
-        self.points.drain(..d.evicted);
-        self.points.extend(d.appended);
-        self.abs = d.abs;
-        self.ratio = d.ratio;
-        self.reg = d.reg;
-        self.index = None;
-        if self.abs.n != self.points.len() {
-            return Err(format!(
-                "abs moments count {} disagrees with {} points after the delta",
-                self.abs.n,
-                self.points.len()
-            ));
-        }
-        Ok(())
-    }
-}
-
-/// What one history gained and lost since the store was last marked:
-/// the old points evicted, the new points still held, and the aggregates
-/// bitwise. Never the whole history.
-#[derive(Debug)]
-struct HistoryDelta {
-    evicted: usize,
-    abs: Moments,
-    ratio: Moments,
-    reg: Option<(RegressionKind, bool, RegMoments)>,
-    appended: Vec<Point>,
 }
 
 /// All categories of one template set.
@@ -448,8 +381,8 @@ struct HistoryDelta {
 /// them: it maps a job's signature to the slot of each distinct
 /// template, or to none when the template does not apply. A slot is
 /// created empty when a signature first resolves to it, so a later
-/// completion lands in it. Empty slots are invisible: the category count,
-/// the codec and deltas see only slots holding points. The table is
+/// completion lands in it. Empty slots are invisible: the category count
+/// and the codec see only slots holding points. The table is
 /// never encoded; clearing drops it and it refills lazily.
 #[derive(Debug, Clone)]
 pub struct CategoryStore {
@@ -469,9 +402,6 @@ pub struct CategoryStore {
     resolved: Vec<u32>,
     /// Category keys built to resolve signatures (diagnostics).
     resolutions: u64,
-    /// Set by [`CategoryStore::clear`] until the next mark, so a delta
-    /// also says that every category went away.
-    cleared: bool,
 }
 
 impl CategoryStore {
@@ -493,7 +423,6 @@ impl CategoryStore {
             table: HashMap::default(),
             resolved: Vec::new(),
             resolutions: 0,
-            cleared: false,
         }
     }
 
@@ -623,12 +552,6 @@ impl CategoryStore {
 
     /// Discard everything.
     pub fn clear(&mut self) {
-        self.drop_categories();
-        self.cleared = true;
-    }
-
-    /// Drop every category and the resolution table built over them.
-    fn drop_categories(&mut self) {
         self.slots.clear();
         self.stamps.clear();
         self.pushes = 0;
@@ -644,15 +567,6 @@ impl CategoryStore {
             self.stamps.push(0);
             u32::try_from(self.slots.len() - 1).expect("category slot overflow")
         })
-    }
-
-    /// The history of `key`'s slot, created if it has none, stamped as
-    /// changed: the caller is about to rewrite it.
-    fn slot_mut(&mut self, key: CategoryKey) -> &mut History {
-        let slot = self.slot_of(key) as usize;
-        self.pushes += 1;
-        self.stamps[slot] = self.pushes;
-        &mut self.slots[slot]
     }
 
     /// The non-empty categories with their keys, in no particular order.
@@ -712,14 +626,6 @@ codec_struct!(Point {
     nodes
 });
 
-codec_struct!(HistoryDelta {
-    evicted,
-    abs,
-    ratio,
-    reg,
-    appended
-});
-
 impl Codec for History {
     fn encode(&self, w: &mut Writer) {
         w.put(&self.abs)
@@ -728,14 +634,13 @@ impl Codec for History {
             .put(&self.points);
     }
     fn decode(r: &mut Reader<'_>, _: &()) -> Result<History, CodecError> {
-        let mut h = History {
+        let h = History {
             abs: r.get()?,
             ratio: r.get()?,
             reg: r.get()?,
             points: r.get()?,
             ..History::default()
         };
-        h.mark.1 = h.points.len();
         if h.abs.n != h.points.len() {
             return Err(r.error(format!(
                 "abs moments count {} disagrees with {} stored points",
@@ -780,44 +685,6 @@ fn not_distinct(r: &Reader<'_>, key: &CategoryKey) -> CodecError {
         "category of template {}, which is not a distinct template of the set",
         key.template
     ))
-}
-
-/// A `catclear` record (whether the store was cleared since the mark),
-/// then one `catd` record per category pushed to since the mark, in key
-/// order: the histories' appended points and eviction counts, not their
-/// whole contents. Indexes of the categories a delta touches are rebuilt.
-impl Delta<TemplateSet> for CategoryStore {
-    fn encode_delta(&self, w: &mut Writer) {
-        w.record("catclear").put(&self.cleared);
-        let changed: Vec<(&CategoryKey, HistoryDelta)> = self
-            .live()
-            .filter_map(|(k, h)| Some((k, h.delta()?)))
-            .collect();
-        w.map_records("catd", changed.iter().map(|(k, d)| (*k, d)));
-    }
-
-    fn apply_delta(&mut self, r: &mut Reader<'_>, _: &TemplateSet) -> Result<(), CodecError> {
-        if r.record("catclear")?.get()? {
-            self.drop_categories();
-        }
-        let changed: Vec<(CategoryKey, HistoryDelta)> = r.map_records("catd", &(), &())?;
-        for (key, d) in changed {
-            let Some(&t) = template_of(&self.templates, &key) else {
-                return Err(not_distinct(r, &key));
-            };
-            let h = self.slot_mut(key);
-            h.apply(d).map_err(|e| r.error(e))?;
-            h.build_index(&t);
-        }
-        Ok(())
-    }
-
-    fn mark(&mut self) {
-        self.cleared = false;
-        for h in &mut self.slots {
-            h.mark = (h.inserted, h.points.len());
-        }
-    }
 }
 
 #[cfg(test)]
@@ -976,65 +843,6 @@ mod tests {
         assert!((p.ratio - 0.25).abs() < 1e-12);
         let j2 = JobBuilder::new().runtime(Dur(50)).build(JobId(1));
         assert!(Point::from_job(&j2).ratio.is_nan());
-    }
-
-    /// A store delta, applied to a decoded copy of the marked store,
-    /// reproduces the live store exactly: across new categories, pushes
-    /// that evict old points, pushes that evict points appended since the
-    /// mark, untouched categories and a clear.
-    #[test]
-    fn store_delta_reproduces_pushes_evictions_and_clears() {
-        use qpredict_durable::codec::{decode, encode};
-        let mut syms = SymbolTable::new();
-        let users: Vec<_> = ["a", "b", "c"].iter().map(|u| syms.intern(u)).collect();
-        let set = TemplateSet::new(vec![
-            Template::mean_over(&[Characteristic::User]).with_max_history(3),
-            Template::mean_over(&[])
-                .with_estimator(EstimatorKind::LinearRegression)
-                .with_max_history(4),
-        ]);
-        let job = |i: u32, u: usize| {
-            JobBuilder::new()
-                .with(Characteristic::User, users[u])
-                .nodes(1 + i % 5)
-                .runtime(Dur(10 + i64::from(i) * 7))
-                .build(JobId(i))
-        };
-        let mut live = CategoryStore::new(&set);
-        let mut i = 0;
-        // Pushes per window per user: user c is untouched in the second
-        // window, user a pushes past the cap in the third.
-        for window in [[2, 1, 1], [1, 2, 0], [5, 0, 1], [0, 0, 0]] {
-            let marked: CategoryStore = decode(&encode(&live), &set).unwrap();
-            live.mark();
-            for (u, &n) in window.iter().enumerate() {
-                for _ in 0..n {
-                    live.insert(&job(i, u));
-                    i += 1;
-                }
-            }
-            let mut w = Writer::default();
-            live.encode_delta(&mut w);
-            let delta = w.finish();
-            let mut applied = marked;
-            let mut r = Reader::new(&delta);
-            applied.apply_delta(&mut r, &set).unwrap();
-            r.finish().unwrap();
-            assert_eq!(encode(&applied), encode(&live), "after window {window:?}");
-        }
-        // A clear since the mark says so.
-        let marked: CategoryStore = decode(&encode(&live), &set).unwrap();
-        live.mark();
-        live.clear();
-        live.insert(&job(i, 1));
-        let mut w = Writer::default();
-        live.encode_delta(&mut w);
-        let mut applied = marked;
-        applied
-            .apply_delta(&mut Reader::new(&w.finish()), &set)
-            .unwrap();
-        assert_eq!(encode(&applied), encode(&live));
-        assert_eq!(applied.category_count(), 2);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 
 use std::collections::HashMap;
 
-use qpredict_durable::{Codec, CodecError, Delta, Reader, Writer};
+use qpredict_durable::{Codec, CodecError, Reader, Writer};
 use qpredict_workload::{Characteristic, Dur, Job, Sym, SymbolTable, Workload};
 
 use crate::{Prediction, RunTimePredictor};
@@ -251,9 +251,6 @@ impl Codec<SymbolTable> for DowneyPredictor {
         })
     }
 }
-
-/// Written whole in every incremental snapshot: correct, not incremental.
-impl Delta<SymbolTable> for DowneyPredictor {}
 
 impl RunTimePredictor for DowneyPredictor {
     fn name(&self) -> &'static str {

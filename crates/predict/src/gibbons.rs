@@ -33,7 +33,7 @@
 
 use std::collections::HashMap;
 
-use qpredict_durable::{Codec, CodecError, Delta, Reader, Writer};
+use qpredict_durable::{Codec, CodecError, Reader, Writer};
 use qpredict_workload::{Characteristic, Dur, Job, Sym, SymbolTable};
 
 use crate::category::INDEX_MIN_POINTS;
@@ -255,9 +255,6 @@ impl Codec<SymbolTable> for GibbonsPredictor {
         })
     }
 }
-
-/// Written whole in every incremental snapshot: correct, not incremental.
-impl Delta<SymbolTable> for GibbonsPredictor {}
 
 impl RunTimePredictor for GibbonsPredictor {
     fn name(&self) -> &'static str {

@@ -27,7 +27,7 @@
 //! the templates without elapsed-time conditioning, and reuses it until a
 //! push into one of those categories stamps it stale (DESIGN.md §11).
 
-use qpredict_durable::{codec_struct, Codec, CodecError, Delta, Reader, Writer};
+use qpredict_durable::{codec_struct, Codec, CodecError, Reader, Writer};
 use qpredict_workload::{Dur, Job};
 
 use crate::category::{CategoryStore, History, Point, RegMoments, Resolved};
@@ -88,7 +88,7 @@ struct MemoEntry {
 
 /// Per resolved signature, the selection over the categories whose
 /// estimates do not depend on the elapsed time. Derived state: never
-/// encoded, dropped on `reset`, decode and `apply_delta`.
+/// encoded, dropped on `reset` and decode.
 #[derive(Debug, Clone, Default)]
 struct Memo {
     /// Positions in the store's distinct templates of those without
@@ -237,6 +237,13 @@ impl SmithPredictor {
     /// Scan-vs-moments accounting over every estimate so far.
     pub fn estimate_ops(&self) -> EstimateOps {
         self.ops
+    }
+
+    /// Overwrite the estimate accounting. Predictions change it and are
+    /// not replayed, so a copy brought forward by replaying completions
+    /// takes the original's accounting whole.
+    pub fn set_estimate_ops(&mut self, ops: EstimateOps) {
+        self.ops = ops;
     }
 
     /// Estimate from one template's category for `job`, if valid.
@@ -512,35 +519,6 @@ impl Codec<TemplateSet> for SmithPredictor {
             generation,
             ops,
         })
-    }
-}
-
-/// The global aggregates and counters whole, then the category store's
-/// delta: appended points and eviction counts per touched category.
-impl Delta<TemplateSet> for SmithPredictor {
-    fn encode_delta(&self, w: &mut Writer) {
-        w.record("smith-delta")
-            .put(&self.global_sum)
-            .put(&self.global_n)
-            .put(&self.max_seen)
-            .put(&self.generation);
-        w.record("ops").put(&self.ops);
-        self.store.encode_delta(w);
-    }
-
-    fn apply_delta(&mut self, r: &mut Reader<'_>, set: &TemplateSet) -> Result<(), CodecError> {
-        r.record("smith-delta")?;
-        self.global_sum = r.get()?;
-        self.global_n = r.get()?;
-        self.max_seen = r.get()?;
-        self.generation = r.get()?;
-        self.ops = r.record("ops")?.get()?;
-        self.memo.clear();
-        self.store.apply_delta(r, set)
-    }
-
-    fn mark(&mut self) {
-        self.store.mark();
     }
 }
 

@@ -12,7 +12,6 @@
 //! the predictor just before the call, which starts with an empty memo.
 
 use qpredict_durable::codec::{decode, encode};
-use qpredict_durable::{Delta, Reader, Writer};
 use qpredict_predict::{
     searched, EstimateOps, EstimatorKind, Prediction, RunTimePredictor, SmithPredictor, Template,
     TemplateSet,
@@ -278,21 +277,21 @@ fn rand_job(rng: &mut Rng64, syms: &mut SymbolTable, id: u32) -> Job {
     b.build(JobId(id))
 }
 
-fn delta_of(p: &SmithPredictor) -> String {
-    let mut w = Writer::default();
-    p.encode_delta(&mut w);
-    w.finish()
+/// Bring `base`, a copy decoded at a mark, forward the way a serve
+/// delta does: replay the completions logged since the mark, then take
+/// `live`'s estimate accounting whole (predictions change it and are
+/// not replayed). The copy must then encode exactly as `live` does.
+fn catch_up(base: &mut SmithPredictor, log: &mut Vec<Job>, live: &SmithPredictor, what: &str) {
+    for j in log.drain(..) {
+        base.on_complete(&j);
+    }
+    base.set_estimate_ops(live.estimate_ops());
+    assert_eq!(encode(base), encode(live), "{what}");
 }
 
-fn apply(p: &mut SmithPredictor, delta: &str, set: &TemplateSet) {
-    let mut r = Reader::new(delta);
-    p.apply_delta(&mut r, set).expect("delta applies");
-    r.finish().expect("delta read whole");
-}
-
-/// A reset, a decode and two deltas (one of them clearing) in
-/// mid-stream drop the memo; capped histories evict under it. Every
-/// copy keeps answering exactly like the live predictor.
+/// A reset, a decode and a completion-log delta in mid-stream drop the
+/// memo; capped histories evict under it. Every copy keeps answering
+/// exactly like the live predictor.
 #[test]
 fn reset_decode_and_delta_mid_stream() {
     let set = capped_set();
@@ -302,35 +301,35 @@ fn reset_decode_and_delta_mid_stream() {
     let mut live = SmithPredictor::new(set.clone());
     let mut decoded: Option<SmithPredictor> = None;
     let mut base: Option<SmithPredictor> = None;
+    let mut log = Vec::new();
     for (i, j) in jobs.iter().enumerate() {
         match i {
             90 => live.reset(),
+            // Decode a copy, and mark a base that lags until job 210.
             150 => {
                 decoded = Some(decode(&encode(&live), &set).expect("decodes"));
                 base = Some(decode(&encode(&live), &set).expect("decodes"));
-                live.mark();
             }
             210 => {
                 let b = base.as_mut().expect("marked");
-                apply(b, &delta_of(&live), &set);
-                assert_eq!(encode(b), encode(&live), "delta at job {i}");
-                live.mark();
+                catch_up(b, &mut log, &live, &format!("delta at job {i}"));
             }
             280 => {
-                let b = base.as_mut().expect("marked");
                 for p in [&mut live, decoded.as_mut().expect("decoded")] {
                     p.reset();
                 }
-                apply(b, &delta_of(&live), &set);
+                let b = base.as_mut().expect("marked");
+                b.reset();
                 assert_eq!(b.category_count(), 0);
-                live.mark();
             }
             _ => {}
         }
         live.on_complete(j);
         decoded.iter_mut().for_each(|d| d.on_complete(j));
-        if let Some(b) = base.as_mut().filter(|_| i >= 210) {
-            b.on_complete(j);
+        match base.as_mut() {
+            Some(b) if i >= 210 => b.on_complete(j),
+            Some(_) => log.push(j.clone()),
+            None => {}
         }
         let twins = [
             Some(memoless(&live, &set)),

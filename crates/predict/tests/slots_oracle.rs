@@ -11,7 +11,6 @@
 //! resolved anything it did not learn from.
 
 use qpredict_durable::codec::{decode, encode};
-use qpredict_durable::{Delta, Reader, Writer};
 use qpredict_predict::{
     searched, EstimateOps, EstimatorKind, Prediction, RunTimePredictor, SmithPredictor, Template,
     TemplateSet,
@@ -234,21 +233,21 @@ fn evictions_and_reset() {
     assert_eq!(veteran.resident_points(), fresh.resident_points());
 }
 
-fn delta_of(p: &SmithPredictor) -> String {
-    let mut w = Writer::default();
-    p.encode_delta(&mut w);
-    w.finish()
+/// Bring `base`, a copy decoded at a mark, forward the way a serve
+/// delta does: replay the completions logged since the mark, then take
+/// `live`'s estimate accounting whole (predictions change it and are
+/// not replayed). The copy must then encode exactly as `live` does.
+fn catch_up(base: &mut SmithPredictor, log: &mut Vec<Job>, live: &SmithPredictor, what: &str) {
+    for j in log.drain(..) {
+        base.on_complete(&j);
+    }
+    base.set_estimate_ops(live.estimate_ops());
+    assert_eq!(encode(base), encode(live), "{what}");
 }
 
-fn apply(p: &mut SmithPredictor, delta: &str, set: &TemplateSet) {
-    let mut r = Reader::new(delta);
-    p.apply_delta(&mut r, set).expect("delta applies");
-    r.finish().expect("delta read whole");
-}
-
-/// A predictor decoded mid-stream and one brought forward by a delta
-/// (including a delta that clears) start with no resolution table; they
-/// refill it and keep predicting exactly like the live predictor.
+/// A predictor decoded mid-stream and one brought forward by replaying
+/// the completions logged since a mark start with no resolution table;
+/// they refill it and keep predicting exactly like the live predictor.
 #[test]
 fn codec_round_trip_and_delta_mid_stream() {
     let set = capped_set();
@@ -257,37 +256,36 @@ fn codec_round_trip_and_delta_mid_stream() {
     let mut live = SmithPredictor::new(set.clone());
     let mut decoded: Option<SmithPredictor> = None;
     let mut base: Option<SmithPredictor> = None;
+    let mut log = Vec::new();
     for (i, j) in jobs.iter().enumerate() {
         match i {
             // Decode a copy, and mark a base for the next delta.
             140 => {
                 decoded = Some(decode(&encode(&live), &set).expect("decodes"));
                 base = Some(decode(&encode(&live), &set).expect("decodes"));
-                live.mark();
             }
             // Bring the base forward over 80 completions and probes.
             220 => {
                 let b = base.as_mut().expect("marked");
-                apply(b, &delta_of(&live), &set);
-                assert_eq!(encode(b), encode(&live), "delta at job {i}");
-                live.mark();
+                catch_up(b, &mut log, &live, &format!("delta at job {i}"));
             }
-            // A delta that says the store was cleared.
+            // Every copy cleared at once.
             300 => {
-                let b = base.as_mut().expect("marked");
                 for p in [&mut live, decoded.as_mut().expect("decoded")] {
                     p.reset();
                 }
-                apply(b, &delta_of(&live), &set);
+                let b = base.as_mut().expect("marked");
+                b.reset();
                 assert_eq!(b.category_count(), 0);
-                live.mark();
             }
             _ => {}
         }
         live.on_complete(j);
         decoded.iter_mut().for_each(|d| d.on_complete(j));
-        if let Some(b) = base.as_mut().filter(|_| i >= 220) {
-            b.on_complete(j);
+        match base.as_mut() {
+            Some(b) if i >= 220 => b.on_complete(j),
+            Some(_) => log.push(j.clone()),
+            None => {}
         }
         let probe = &jobs[rng.gen_index(jobs.len())];
         for elapsed in elapsed_for(&mut rng, probe) {

@@ -305,8 +305,8 @@ pub fn evaluate_generation(
     pw: &PredictionWorkload,
     cfg: &SupervisorConfig,
 ) -> GenerationReport {
-    // Parallel workers record into their own thread-local registries;
-    // this span and the health mirror below run on the caller's thread.
+    // Workers' spans land under this one when `par_map` joins them; the
+    // health counters are mirrored from the outcomes below.
     let _span = qpredict_obs::span("ga.eval");
     let evaluated = qpredict_obs::par_map(sets.iter().collect(), cfg.threads, |i, set| {
         evaluate_one(generation, i, set, wl, pw, cfg)

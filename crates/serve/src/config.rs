@@ -5,13 +5,19 @@ use qpredict_predict::{PredictorKind, Template, TemplateSet};
 use qpredict_workload::Characteristic;
 
 /// When the write-ahead log is flushed to stable storage.
+///
+/// Independently of the policy, WAL records are written in groups: a
+/// record reaches the file before any response or segment that depends
+/// on it, so a killed process loses only input whose effects nobody has
+/// seen, and re-feeding the input recovers it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
-    /// `fsync` after every appended record: no acknowledged event is ever
+    /// Write and `fsync` every appended record: no fed event is ever
     /// lost, at the cost of one disk round-trip per event.
     Always,
-    /// `fsync` every N records (and at snapshots / shutdown). A crash can
-    /// lose up to N−1 tail events; re-feeding the input recovers them.
+    /// Write and `fsync` every N records (and at snapshots / shutdown).
+    /// A crash can lose up to N−1 tail events; re-feeding the input
+    /// recovers them.
     Batch(u32),
     /// Never `fsync` explicitly; durability is whatever the OS provides.
     Never,

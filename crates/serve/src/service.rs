@@ -3,10 +3,17 @@
 //!
 //! # Durability protocol
 //!
-//! Every input line is appended to the WAL *before* it touches state
-//! (write-ahead), then ingested, then any responses are appended to the
-//! output log. The WAL is never truncated (only a torn tail is cut), so
-//! it stays the source of truth; snapshots only bound how much of it a
+//! Every input line is appended to the WAL, then ingested, then any
+//! responses are appended to the output log. The write-ahead rule: a
+//! line is in the WAL *before any effect of it is visible* — a response,
+//! written to the output log or returned to the caller, or a segment.
+//! Records collect in memory (group commit) and reach the file in one
+//! `write` before a response or segment leaves the service, at
+//! [`Service::finish`], when a sync is due, and once they pass 64 KiB.
+//! A kill loses at most the unwritten tail, whose effects nobody has
+//! seen; the caller re-feeds the input, so recovery ingests those lines
+//! again. The WAL is never truncated (only a torn tail is cut), so it
+//! stays the source of truth; snapshots only bound how much of it a
 //! recovery replays.
 //!
 //! Every `snapshot_every` lines the service writes one **segment**,
@@ -14,10 +21,11 @@
 //! `snap-<seq>.snap`, where `<seq>` counts segments. A segment is either
 //! a **base**, the whole state, or a **delta**: only what changed since
 //! the previous segment (see [`Delta`]), naming that segment's sequence
-//! number and checksum as its parent. The first segment a process writes
-//! is a base; after that a delta, until the deltas written since the
-//! base add up to more bytes than the base itself, when the next segment
-//! is a new base. A base is paid for by at least as many delta bytes,
+//! number and checksum as its parent. A delta's predictor part is the
+//! log of completions the predictor learned from, which applying it
+//! replays. The first segment a process writes is a base; after that a
+//! delta, until the deltas written since the base add up to more bytes
+//! than the base itself, when the next segment is a new base. A base is paid for by at least as many delta bytes,
 //! so snapshot bytes stay proportional to the change in the stream:
 //! amortized O(1) per event, where whole-state snapshots cost O(state).
 //!
@@ -26,9 +34,10 @@
 //! tracked in memory; the directory is listed only when the service
 //! opens.
 //!
-//! Syncs follow [`FsyncPolicy`]. Under `Always` and `Batch` a snapshot
-//! first syncs the WAL (so a segment never claims more than the log can
-//! prove), then syncs the segment before its rename — and so before any
+//! Syncs follow [`FsyncPolicy`]: `Always` writes and syncs every
+//! record, `Batch(n)` every `n`th. Under both a snapshot first syncs
+//! the WAL (so a segment never claims more than the log can prove),
+//! then syncs the segment before its rename — and so before any
 //! predecessor is pruned — and `finish` syncs the output log. Under
 //! `Never` none of these syncs run: durability is what the OS provides.
 //!
@@ -47,6 +56,7 @@
 //! uninterrupted run bit for bit; the caller then re-feeds the original
 //! input and the service skips every line it has already ingested.
 
+use std::fmt::Write as _;
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
@@ -119,35 +129,59 @@ pub struct RecoveryReport {
     pub responses_reemitted: u64,
 }
 
+/// Buffered WAL bytes past which an append writes them out.
+const WAL_BUFFER_BYTES: usize = 64 * 1024;
+
+/// The WAL's group commit: records collect in `buf` and reach the file
+/// in one `write` when something they caused is about to become visible
+/// (see [`WalWriter::flush`]), when a sync is due, or once the buffer
+/// passes [`WAL_BUFFER_BYTES`]. A plain `Vec`, not a `BufWriter`: a
+/// writer dropped without a flush loses its tail, as a kill does.
 #[derive(Debug)]
 struct WalWriter {
     file: File,
     path: PathBuf,
     policy: FsyncPolicy,
     since_sync: u32,
+    buf: Vec<u8>,
 }
 
 impl WalWriter {
     fn append(&mut self, seq: u64, raw: &str) -> Result<(), ServeError> {
-        let rec = wal::record(seq, raw);
-        self.file
-            .write_all(rec.as_bytes())
-            .map_err(|e| io_op(format!("append {}", self.path.display()), e))?;
+        wal::push_record(&mut self.buf, seq, raw);
         counter_add("serve.wal_records", 1);
-        match self.policy {
-            FsyncPolicy::Always => self.sync()?,
+        let sync_due = match self.policy {
+            FsyncPolicy::Always => true,
             FsyncPolicy::Batch(n) => {
                 self.since_sync += 1;
-                if self.since_sync >= n {
-                    self.sync()?;
-                }
+                self.since_sync >= n
             }
-            FsyncPolicy::Never => {}
+            FsyncPolicy::Never => false,
+        };
+        if sync_due {
+            self.sync()
+        } else if self.buf.len() >= WAL_BUFFER_BYTES {
+            self.flush()
+        } else {
+            Ok(())
+        }
+    }
+
+    /// Write the buffered records with one `write`. Runs before a
+    /// response leaves the service and before a segment is written, so
+    /// every visible effect of an input line has that line in the file.
+    fn flush(&mut self) -> Result<(), ServeError> {
+        if !self.buf.is_empty() {
+            self.file
+                .write_all(&self.buf)
+                .map_err(|e| io_op(format!("append {}", self.path.display()), e))?;
+            self.buf.clear();
         }
         Ok(())
     }
 
     fn sync(&mut self) -> Result<(), ServeError> {
+        self.flush()?;
         self.since_sync = 0;
         self.file
             .sync_all()
@@ -286,6 +320,7 @@ impl Service {
                 path: wal_path,
                 policy: svc.cfg.fsync,
                 since_sync: 0,
+                buf: Vec::new(),
             };
             if fresh {
                 let hdr = wal::header(svc.cfg.fingerprint());
@@ -345,8 +380,8 @@ impl Service {
     }
 
     /// End of stream: drain the reorder buffer, write a final segment
-    /// (when durable) and, unless the fsync policy is `Never`, sync the
-    /// output log.
+    /// (when durable, which writes out the WAL first) and, unless the
+    /// fsync policy is `Never`, sync the output log.
     pub fn finish(&mut self) -> Result<Vec<Response>, ServeError> {
         let mut out = Vec::new();
         self.state.drain(&mut out);
@@ -368,16 +403,20 @@ impl Service {
 
     /// Write a snapshot segment now: a delta on this process's newest
     /// segment, or a base when there is none yet or the chain has
-    /// outgrown its base. Unless the fsync policy is `Never`, the WAL is
-    /// synced first, so a segment never claims more than the log can
-    /// prove, and the segment before its rename.
+    /// outgrown its base. The WAL is written out first and, unless the
+    /// fsync policy is `Never`, synced, so a segment never claims more
+    /// than the log can prove; so is the segment, before its rename.
     pub fn snapshot_now(&mut self) -> Result<(), ServeError> {
         let Some(dir) = self.state_dir.clone() else {
             return Ok(());
         };
         let sync = self.cfg.fsync != FsyncPolicy::Never;
-        if let Some(w) = self.wal.as_mut().filter(|_| sync) {
-            w.sync()?;
+        if let Some(w) = self.wal.as_mut() {
+            if sync {
+                w.sync()?;
+            } else {
+                w.flush()?;
+            }
         }
         let segs = &mut self.segments;
         let seq = segs.next;
@@ -418,22 +457,27 @@ impl Service {
         Ok(())
     }
 
-    fn emit(&mut self, responses: Vec<Response>) -> Result<Vec<Response>, ServeError> {
-        let mut fresh = Vec::new();
-        for r in responses {
-            if r.ordinal <= self.last_out_ordinal {
-                continue;
-            }
-            self.last_out_ordinal = r.ordinal;
-            if let Some(o) = &mut self.out {
-                let line = format!("resp {} {}\n", r.ordinal, r.line);
-                o.file
-                    .write_all(line.as_bytes())
-                    .map_err(|e| io_op(format!("append {}", o.path.display()), e))?;
-            }
-            fresh.push(r);
+    /// Make the responses not yet emitted visible: flush the WAL, then
+    /// append them to the output log with one `write`, and return them.
+    fn emit(&mut self, mut responses: Vec<Response>) -> Result<Vec<Response>, ServeError> {
+        responses.retain(|r| r.ordinal > self.last_out_ordinal);
+        let Some(last) = responses.last() else {
+            return Ok(responses);
+        };
+        self.last_out_ordinal = last.ordinal;
+        if let Some(w) = &mut self.wal {
+            w.flush()?;
         }
-        Ok(fresh)
+        if let Some(o) = &mut self.out {
+            let mut text = String::new();
+            for r in &responses {
+                let _ = writeln!(text, "resp {} {}", r.ordinal, r.line);
+            }
+            o.file
+                .write_all(text.as_bytes())
+                .map_err(|e| io_op(format!("append {}", o.path.display()), e))?;
+        }
+        Ok(responses)
     }
 
     /// Rebuild state from `dir`: newest intact base and its chain, then
@@ -821,6 +865,37 @@ mod tests {
             fs::read_to_string(&out).unwrap(),
             want_out,
             "output log must match"
+        );
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// The write-ahead rule under group commit: whenever a call makes a
+    /// response or a segment visible, the WAL file already holds every
+    /// line fed so far; between those points records may wait in memory.
+    #[test]
+    fn visible_effects_follow_their_lines_into_the_wal() {
+        let root = tmp_dir("writeahead");
+        let state_dir = root.join("state");
+        let mut s = Service::open(cfg(), Some(&state_dir), Some(&root.join("out")), false).unwrap();
+        let (mut buffered, mut visible) = (false, 0);
+        for (fed, l) in (1..).zip(lines()) {
+            let segments = s.snapshots_written();
+            let answered = !s.feed_line(&l).unwrap().is_empty();
+            let text = fs::read_to_string(state_dir.join("events.wal")).unwrap();
+            let on_disk = wal::scan(&text).unwrap().records.len();
+            if answered || s.snapshots_written() > segments {
+                assert_eq!(
+                    on_disk, fed,
+                    "a visible effect of line {fed} ran ahead of the WAL"
+                );
+                visible += 1;
+            } else {
+                buffered |= on_disk < fed;
+            }
+        }
+        assert!(
+            visible > 0 && buffered,
+            "{visible} visible effects, buffered {buffered}"
         );
         let _ = fs::remove_dir_all(&root);
     }

@@ -271,18 +271,23 @@ impl Codec<(&ServeConfig, &SymbolTable)> for ServePredictor {
     }
 }
 
-/// The same `pred` record, then the hosted predictor's delta.
-impl Delta<(&ServeConfig, &SymbolTable)> for ServePredictor {
-    fn encode_delta(&self, w: &mut Writer) {
+/// A delta's predictor part: the `pred` record, then whole any encoded
+/// field that predictions change (Smith's estimate accounting), then the
+/// completions since the last mark, in order. Applying it replays each
+/// completion through `on_complete`, the path WAL replay takes.
+impl ServePredictor {
+    fn encode_delta(&self, w: &mut Writer, learned: &[(JobRecord, Dur)]) {
         w.record("pred").word(self.name());
-        each!(self, p => p.encode_delta(w));
+        if let ServePredictor::Smith(p) = self {
+            w.record("ops").put(&p.estimate_ops());
+        }
+        w.record("learned").put(&learned.len());
+        for (rec, runtime) in learned {
+            w.record("learn").put(rec).put(runtime);
+        }
     }
 
-    fn apply_delta(
-        &mut self,
-        r: &mut Reader<'_>,
-        &(cfg, syms): &(&ServeConfig, &SymbolTable),
-    ) -> Result<(), CodecError> {
+    fn apply_delta(&mut self, r: &mut Reader<'_>, syms: &SymbolTable) -> Result<(), CodecError> {
         let name = r.record("pred")?.word()?;
         if name != self.name() {
             return Err(r.error(format!(
@@ -290,15 +295,17 @@ impl Delta<(&ServeConfig, &SymbolTable)> for ServePredictor {
                 self.name()
             )));
         }
-        match self {
-            ServePredictor::Smith(p) => p.apply_delta(r, &cfg.template_set()),
-            ServePredictor::Gibbons(p) => p.apply_delta(r, syms),
-            ServePredictor::Downey(p) => p.apply_delta(r, syms),
+        // Learning leaves the accounting alone, so it can be set first.
+        if let ServePredictor::Smith(p) = self {
+            p.set_estimate_ops(r.record("ops")?.get()?);
         }
-    }
-
-    fn mark(&mut self) {
-        each!(self, p => p.mark())
+        let n: usize = r.record("learned")?.get()?;
+        for _ in 0..n {
+            let rec: JobRecord = r.record("learn")?.get_in(syms)?;
+            let runtime: Dur = r.get()?;
+            self.on_complete(&rec.job(runtime));
+        }
+        Ok(())
     }
 }
 
@@ -324,7 +331,7 @@ impl RunTimePredictor for ServePredictor {
 pub const STATE_MAGIC: &str = "qpredict-serve-state v3";
 
 /// Magic first line of an encoded state delta.
-pub const DELTA_MAGIC: &str = "qpredict-serve-delta v3";
+pub const DELTA_MAGIC: &str = "qpredict-serve-delta v4";
 
 /// What changed since the last mark: the part of an incremental snapshot
 /// that is not read off the state itself. Only a marked state keeps one
@@ -340,6 +347,9 @@ struct Journal {
     fifo_pops: usize,
     /// Symbols interned at the mark.
     syms: usize,
+    /// Completions fed to the predictor since the mark, in order: each
+    /// job's record and the run time it was learned with.
+    learned: Vec<(JobRecord, Dur)>,
 }
 
 /// The in-memory service state. See the module docs for the model.
@@ -406,7 +416,9 @@ impl ServiceState {
     /// Record that job `id` was inserted, changed or removed. A journal
     /// that grows past several job tables' worth of ids is dropped
     /// instead: the next snapshot must then be whole, and memory stays
-    /// bounded however long the service goes between snapshots.
+    /// bounded however long the service goes between snapshots. Every
+    /// completion also touches its job, so the cap bounds the completion
+    /// log too.
     fn touch(&mut self, id: u64) {
         let cap = 4 * (self.cfg.max_jobs + self.cfg.max_done).max(1024);
         if let Some(j) = &mut self.journal {
@@ -619,8 +631,11 @@ impl ServiceState {
 
     /// Feed a completion to the predictor and retire the record.
     fn complete(&mut self, id: u64, r: JobRecord, runtime: Dur) {
-        let job = r.job(runtime.max(Dur::SECOND));
-        self.predictor.on_complete(&job);
+        let runtime = runtime.max(Dur::SECOND);
+        self.predictor.on_complete(&r.job(runtime));
+        if let Some(j) = &mut self.journal {
+            j.learned.push((r, runtime));
+        }
         if let Some(rec) = self.jobs.get_mut(&id) {
             rec.phase = Phase::Done;
         }
@@ -854,7 +869,7 @@ impl ServiceState {
 /// The change since the last mark. The bounded parts — cursor, counters,
 /// reorder buffer — are written whole; the rest only as change: symbols
 /// interned, job records inserted, changed or removed (`-`), done-FIFO
-/// pops and pushes, and the predictor's own delta.
+/// pops and pushes, and the completions the predictor learned from.
 ///
 /// # Panics
 /// [`Delta::encode_delta`] panics on a state that keeps no journal: one
@@ -888,7 +903,7 @@ impl Delta<ServeConfig> for ServiceState {
         let pushed: Vec<u64> = self.done_fifo.range(j.fifo_len - pops..).copied().collect();
         w.record("donefifo").put(&pops).put(&pushed);
         w.record("rb").put(&self.buffer);
-        self.predictor.encode_delta(w);
+        self.predictor.encode_delta(w, &j.learned);
     }
 
     fn apply_delta(&mut self, r: &mut Reader<'_>, _: &ServeConfig) -> Result<(), CodecError> {
@@ -936,19 +951,24 @@ impl Delta<ServeConfig> for ServiceState {
         let pushed: Vec<u64> = r.get()?;
         self.done_fifo.extend(pushed);
         self.read_buffer(r)?;
-        self.predictor.apply_delta(r, &(&self.cfg, &self.syms))
+        self.predictor.apply_delta(r, &self.syms)
     }
 
     fn mark(&mut self) {
-        let mut jobs = self.journal.take().map(|j| j.jobs).unwrap_or_default();
+        let (mut jobs, mut learned) = self
+            .journal
+            .take()
+            .map(|j| (j.jobs, j.learned))
+            .unwrap_or_default();
         jobs.clear();
+        learned.clear();
         self.journal = Some(Journal {
             jobs,
             fifo_len: self.done_fifo.len(),
             fifo_pops: 0,
             syms: self.syms.len(),
+            learned,
         });
-        self.predictor.mark();
     }
 }
 

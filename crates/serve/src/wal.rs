@@ -16,6 +16,8 @@
 //! sequence number does not increase, or whose final newline is missing
 //! ends the valid prefix — everything before it is trusted, nothing after.
 
+use std::io::Write as _;
+
 use qpredict_durable::fnv1a;
 
 /// First line of every WAL file (before the `fp=` field).
@@ -26,10 +28,17 @@ pub fn header(fp: u64) -> String {
     format!("{WAL_MAGIC} fp={fp:016X}\n")
 }
 
-/// Render one record (with trailing newline).
-pub fn record(seq: u64, raw: &str) -> String {
-    let body = format!("{seq} {raw}");
-    format!("{:016X} {body}\n", fnv1a(body.as_bytes()))
+/// Append one record (with trailing newline) to `buf`: the body is
+/// written in place, then its checksum filled in ahead of it.
+pub fn push_record(buf: &mut Vec<u8>, seq: u64, raw: &str) {
+    let sum_at = buf.len();
+    buf.extend_from_slice(b"0000000000000000 ");
+    let body_at = buf.len();
+    write!(buf, "{seq} {raw}").expect("writing to a Vec cannot fail");
+    let sum = fnv1a(&buf[body_at..]);
+    let mut slot = &mut buf[sum_at..body_at - 1];
+    write!(slot, "{sum:016X}").expect("16 hex digits fill the slot");
+    buf.push(b'\n');
 }
 
 /// Result of scanning a WAL file.
@@ -106,6 +115,19 @@ fn parse_record(line: &str, last_seq: u64) -> Option<(u64, String)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn record(seq: u64, raw: &str) -> String {
+        let mut buf = Vec::new();
+        push_record(&mut buf, seq, raw);
+        String::from_utf8(buf).unwrap()
+    }
+
+    #[test]
+    fn records_are_the_checksum_then_the_body() {
+        let body = "7 submit 1 100 nodes=4";
+        let want = format!("{:016X} {body}\n", fnv1a(body.as_bytes()));
+        assert_eq!(record(7, "submit 1 100 nodes=4"), want);
+    }
 
     fn sample() -> String {
         let mut s = header(0xABCD);

@@ -32,7 +32,8 @@ fn cfg(predictor: PredictorKind) -> ServeConfig {
         max_jobs: 5,
         max_done: 10,
         snapshot_every: 6,
-        // Same-process aborts never lose page-cache writes.
+        // A same-process abort loses only the WAL records still
+        // buffered in the service; fsync changes nothing here.
         fsync: FsyncPolicy::Never,
     }
 }

@@ -24,10 +24,10 @@ PAPER_LIST=(table6 table12 compress2x statewait easy-ablation warmup)
     >"$PAPER_TMP/three.txt" 2>/dev/null
 cmp "$PAPER_TMP/one.txt" "$PAPER_TMP/three.txt"
 
-# Paper run-report smoke: with one thread the experiment grid runs inline
-# on the main thread, so its spans land in the report.
-echo "==> report schema smoke (paper --threads 1 --report-out + check-report)"
-./target/release/qpredict paper --jobs 200 --threads 1 table6 \
+# Paper run-report smoke: the experiment grid runs on two workers, whose
+# spans and counters must be merged into the report.
+echo "==> report schema smoke (paper --threads 2 --report-out + check-report)"
+./target/release/qpredict paper --jobs 200 --threads 2 table6 \
     --report-out "$PAPER_TMP/report.json" >/dev/null 2>&1
 ./target/release/qpredict check-report "$PAPER_TMP/report.json"
 rm -rf "$PAPER_TMP"
@@ -89,27 +89,31 @@ trap 'rm -rf "$REPORT_TMP"' EXIT
 
 # Kill-and-recover smoke: SIGKILL the serve subcommand mid-stream (the
 # throttle guarantees the kill lands before the stream ends), resume,
-# and require byte-identical output to an uninterrupted run.
+# and require byte-identical output to an uninterrupted run. One pass
+# per predictor family: Smith's deltas carry its estimate accounting,
+# Gibbons' only the completions it replays.
 echo "==> serve kill-and-recover smoke (SIGKILL + --resume)"
 SERVE_TMP="$(mktemp -d)"
 trap 'rm -rf "$REPORT_TMP" "$SERVE_TMP"' EXIT
 ./target/release/qpredict events toy --jobs 60 --query-every 5 \
     --out "$SERVE_TMP/events.log" 2>/dev/null
-./target/release/qpredict serve "$SERVE_TMP/events.log" \
-    --state-dir "$SERVE_TMP/ref-state" --snapshot-every 16 \
-    --out "$SERVE_TMP/ref.out" 2>/dev/null
-./target/release/qpredict serve "$SERVE_TMP/events.log" \
-    --state-dir "$SERVE_TMP/state" --snapshot-every 16 --fsync always \
-    --throttle-us 3000 --out "$SERVE_TMP/run.out" 2>/dev/null &
-SERVE_PID=$!
-sleep 0.25
-kill -KILL "$SERVE_PID" 2>/dev/null
-wait "$SERVE_PID" 2>/dev/null || true
-./target/release/qpredict serve "$SERVE_TMP/events.log" \
-    --state-dir "$SERVE_TMP/state" --resume --snapshot-every 16 \
-    --out "$SERVE_TMP/run.out" 2>/dev/null
-cmp "$SERVE_TMP/ref.out" "$SERVE_TMP/run.out"
-echo "    serve recovered bit-identically after SIGKILL"
+for PRED in smith gibbons; do
+    ./target/release/qpredict serve "$SERVE_TMP/events.log" --predictor "$PRED" \
+        --state-dir "$SERVE_TMP/ref-$PRED" --snapshot-every 16 \
+        --out "$SERVE_TMP/ref-$PRED.out" 2>/dev/null
+    ./target/release/qpredict serve "$SERVE_TMP/events.log" --predictor "$PRED" \
+        --state-dir "$SERVE_TMP/state-$PRED" --snapshot-every 16 --fsync always \
+        --throttle-us 3000 --out "$SERVE_TMP/run-$PRED.out" 2>/dev/null &
+    SERVE_PID=$!
+    sleep 0.25
+    kill -KILL "$SERVE_PID" 2>/dev/null
+    wait "$SERVE_PID" 2>/dev/null || true
+    ./target/release/qpredict serve "$SERVE_TMP/events.log" --predictor "$PRED" \
+        --state-dir "$SERVE_TMP/state-$PRED" --resume --snapshot-every 16 \
+        --out "$SERVE_TMP/run-$PRED.out" 2>/dev/null
+    cmp "$SERVE_TMP/ref-$PRED.out" "$SERVE_TMP/run-$PRED.out"
+    echo "    serve --predictor $PRED recovered bit-identically after SIGKILL"
+done
 
 # Second kill, mid-chain: no fsync at all and a segment every 4 lines on
 # a longer stream, so by the kill the service has compacted its delta

@@ -55,3 +55,58 @@ fn known_experiments_still_run() {
     assert_eq!(out.status.code(), Some(0));
     assert!(String::from_utf8_lossy(&out.stdout).contains("table3"));
 }
+
+/// The counters of a `paper --jobs 200 table6` report written with
+/// `threads` workers, and the report's path.
+fn table6_report(dir: &std::path::Path, threads: &str) -> (Vec<(String, f64)>, String) {
+    let path = dir.join(format!("report-{threads}.json"));
+    let path = path.to_str().expect("utf-8 temp path").to_string();
+    let out = paper(&[
+        "--jobs",
+        "200",
+        "--threads",
+        threads,
+        "table6",
+        "--report-out",
+        &path,
+    ]);
+    assert_eq!(out.status.code(), Some(0), "--threads {threads}");
+    let text = std::fs::read_to_string(&path).expect("the report was written");
+    let report = qpredict::obs::json::Json::parse(&text).expect("the report parses");
+    let counters = report
+        .get("counters")
+        .and_then(|c| c.as_arr())
+        .expect("a counters array")
+        .iter()
+        .map(|c| {
+            let name = c.get("name").and_then(|n| n.as_str()).expect("a name");
+            let value = c.get("value").and_then(|v| v.as_f64()).expect("a value");
+            (name.to_string(), value)
+        })
+        .collect();
+    (counters, path)
+}
+
+/// The grid's workers record into the report as the inline run does:
+/// two threads report the same counters as one, and `check-report`
+/// accepts the threaded report.
+#[test]
+fn threaded_reports_carry_the_workers_counters() {
+    let dir = std::env::temp_dir().join(format!("qpredict-paper-report-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (one, _) = table6_report(&dir, "1");
+    let (two, two_path) = table6_report(&dir, "2");
+    assert!(!one.is_empty(), "the inline run recorded no counters");
+    assert_eq!(two, one);
+    let check = Command::new(env!("CARGO_BIN_EXE_qpredict"))
+        .args(["check-report", &two_path])
+        .output()
+        .expect("the qpredict binary runs");
+    assert_eq!(
+        check.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&check.stderr)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

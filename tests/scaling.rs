@@ -143,7 +143,9 @@ fn snapshot_bytes(jobs: usize) -> u64 {
 /// 4x the stream at the same `snapshot_every` must write at most 5x the
 /// snapshot bytes. Measured: whole-state snapshots wrote 13.1x (7.25 MB
 /// -> 95.2 MB, summing the size of every snapshot file written); delta
-/// segments over a compacted base write 4.29x (1.42 MB -> 6.08 MB).
+/// segments over a compacted base write 4.25x (0.65 MB -> 2.78 MB with
+/// completion-log deltas; 1.42 MB -> 6.08 MB when each delta copied
+/// every new point into each category it joined).
 #[test]
 fn serve_snapshot_bytes_grow_linearly_with_the_stream() {
     let _turn = RECORDING.lock().unwrap_or_else(|e| e.into_inner());
