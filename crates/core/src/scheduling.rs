@@ -70,10 +70,21 @@ pub fn run_scheduling_with(
     let wl_run = faulted.as_ref().unwrap_or(wl);
     let predictor = kind.build(wl_run);
     let predictor_name = predictor.name();
-    let inner = PredictorEstimator::new(predictor);
-    let mut est = FaultyEstimator::new(inner, faults.cloned().unwrap_or_else(|| FaultPlan::new(0)));
-    let result = Simulation::run(wl_run, alg, &mut est);
-    let (inner, est_counts) = est.into_parts();
+    let mut inner = PredictorEstimator::new(predictor);
+    // Only a plan wraps the predictor: without one, the wrapper's clamp is
+    // the one the engine already applies.
+    let (result, inner, est_counts) = match faults {
+        Some(plan) => {
+            let mut est = FaultyEstimator::new(inner, plan.clone());
+            let result = Simulation::run(wl_run, alg, &mut est);
+            let (inner, counts) = est.into_parts();
+            (result, inner, counts)
+        }
+        None => {
+            let result = Simulation::run(wl_run, alg, &mut inner);
+            (result, inner, FaultCounts::default())
+        }
+    };
     let mut metrics = result.metrics;
     metrics.estimate_cache = Some(inner.cache_stats());
     SchedulingOutcome {

@@ -26,7 +26,7 @@
 //! finished-job dedupe records by `max_done` (FIFO eviction), and the
 //! reorder buffer by `horizon`.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use qpredict_durable::codec;
 use qpredict_durable::{codec_struct, Codec, CodecError, Delta, Reader, Writer};
@@ -370,7 +370,10 @@ pub struct ServiceState {
     /// Pending events, kept sorted by `(sort_key, seq)`.
     buffer: Vec<(JobEvent, u64)>,
     watermark: Option<Time>,
-    live: usize,
+    /// The queued and running jobs, internal id → external id: admission
+    /// order, so answers and shedding walk only live jobs. Derived from
+    /// `jobs`, not encoded, and rebuilt on decode.
+    live: BTreeMap<u32, u64>,
     next_internal: u32,
     applied_seq: u64,
     counters: Counters,
@@ -399,7 +402,7 @@ impl ServiceState {
             done_fifo: VecDeque::new(),
             buffer: Vec::new(),
             watermark: None,
-            live: 0,
+            live: BTreeMap::new(),
             next_internal: 0,
             applied_seq: 0,
             counters: Counters::default(),
@@ -441,7 +444,7 @@ impl ServiceState {
 
     /// Jobs currently queued or running.
     pub fn live_jobs(&self) -> usize {
-        self.live
+        self.live.len()
     }
 
     /// Completed data points resident in the predictor's history (Smith
@@ -560,7 +563,7 @@ impl ServiceState {
                         phase: Phase::Queued,
                     },
                 );
-                self.live += 1;
+                self.live.insert(internal, ev.id);
                 self.touch(ev.id);
                 self.shed_overload();
             }
@@ -598,8 +601,9 @@ impl ServiceState {
                 Some(r) => match r.phase {
                     Phase::Queued | Phase::Running { .. } => {
                         r.phase = Phase::Done;
+                        let internal = r.internal;
                         self.touch(ev.id);
-                        self.live -= 1;
+                        self.live.remove(&internal);
                         self.counters.cancelled += 1;
                         counter_add("serve.cancelled", 1);
                         self.retire(ev.id);
@@ -640,7 +644,7 @@ impl ServiceState {
             rec.phase = Phase::Done;
         }
         self.touch(id);
-        self.live -= 1;
+        self.live.remove(&r.internal);
         self.counters.completions += 1;
         counter_add("serve.completions", 1);
         self.retire(id);
@@ -665,17 +669,10 @@ impl ServiceState {
     /// live, remove the one with the smallest internal id (the oldest
     /// admission). Subsequent events for a shed job count as orphans.
     fn shed_overload(&mut self) {
-        while self.live > self.cfg.max_jobs.max(1) {
-            let oldest = self
-                .jobs
-                .iter()
-                .filter(|(_, r)| r.phase != Phase::Done)
-                .min_by_key(|(_, r)| r.internal)
-                .map(|(id, _)| *id)
-                .expect("live > 0 implies a live job exists");
+        while self.live.len() > self.cfg.max_jobs.max(1) {
+            let (_, oldest) = self.live.pop_first().expect("more live jobs than the cap");
             self.jobs.remove(&oldest);
             self.touch(oldest);
-            self.live -= 1;
             self.counters.shed += 1;
             counter_add("serve.shed", 1);
         }
@@ -710,20 +707,7 @@ impl ServiceState {
             }
             Phase::Queued => {
                 let machine = self.cfg.machine_nodes.max(1);
-                let mut ahead: Vec<JobRecord> = self
-                    .jobs
-                    .values()
-                    .filter(|rec| match rec.phase {
-                        Phase::Running { .. } => true,
-                        Phase::Queued => rec.internal < r.internal,
-                        Phase::Done => false,
-                    })
-                    .copied()
-                    .collect();
-                // Predict running jobs first, then the queue, each in
-                // admission order: the predictor's state depends on the
-                // call sequence, and snapshots record it.
-                ahead.sort_by_key(|rec| (rec.phase == Phase::Queued, rec.internal));
+                let ahead = self.ahead_of(r.internal);
                 let (mut running, mut queue) = (Vec::new(), Vec::new());
                 let entry = |rec: &JobRecord, pred_runtime: Dur| QueueEntry {
                     id: JobId(rec.internal),
@@ -773,6 +757,21 @@ impl ServiceState {
                 )
             }
         }
+    }
+
+    /// The jobs a queued answer about `target` (an internal id) forecasts
+    /// over, in the order it predicts them: every running job, then the
+    /// jobs queued ahead of the target, each in admission order. The
+    /// predictor's state depends on the call sequence, and snapshots
+    /// record it.
+    fn ahead_of(&self, target: u32) -> Vec<JobRecord> {
+        let record = |id: &u64| *self.jobs.get(id).expect("live jobs are tracked");
+        let running = self.live.values().map(record);
+        let queued = self.live.range(..target).map(|(_, id)| record(id));
+        running
+            .filter(|rec| matches!(rec.phase, Phase::Running { .. }))
+            .chain(queued.filter(|rec| rec.phase == Phase::Queued))
+            .collect()
     }
 
     /// FNV-1a fingerprint of the encoded state — the bit-identity probe
@@ -834,7 +833,7 @@ impl Codec<ServeConfig> for ServiceState {
         state.counters = r.record("counters")?.get()?;
         state.syms = r.record("syms")?.get()?;
         state.jobs = r.map_records("job", &(), &state.syms)?;
-        state.count_live();
+        state.index_live();
         state.done_fifo = r.record("donefifo")?.get()?;
         state.read_buffer(r)?;
         state.predictor = r.get_in(&(&state.cfg, &state.syms))?;
@@ -843,12 +842,14 @@ impl Codec<ServeConfig> for ServiceState {
 }
 
 impl ServiceState {
-    fn count_live(&mut self) {
+    /// Rebuild the live index from the job table.
+    fn index_live(&mut self) {
         self.live = self
             .jobs
-            .values()
-            .filter(|j| j.phase != Phase::Done)
-            .count();
+            .iter()
+            .filter(|(_, j)| j.phase != Phase::Done)
+            .map(|(&id, j)| (j.internal, id))
+            .collect();
     }
 
     /// Read the `rb` record. The buffer must come back in its sorted
@@ -939,7 +940,7 @@ impl Delta<ServeConfig> for ServiceState {
                 None => self.jobs.remove(&id),
             };
         }
-        self.count_live();
+        self.index_live();
         let pops: usize = r.record("donefifo")?.get()?;
         if pops > self.done_fifo.len() {
             return Err(r.error(format!(
@@ -1215,16 +1216,14 @@ mod tests {
         qpredict_sim::forecast_start(&wl, Algorithm::Backfill, &snap, p, p, target)
     }
 
-    /// Online = offline: on an in-order stream, every queued job's wait
-    /// answer equals the nested backfill forecast over the same state with
-    /// belief = prediction.
-    #[test]
-    fn queued_answers_equal_the_nested_backfill_forecast() {
+    /// An in-order stream of `wl`'s schedule under backfill on the users'
+    /// limits: each job's submit, start and finish, and a query at its
+    /// submit instant.
+    fn realized_events(wl: &qpredict_workload::Workload) -> Vec<JobEvent> {
         use qpredict_sim::{MaxRuntimeEstimator, Simulation};
-        let wl = qpredict_workload::synthetic::toy(600, 32, 11);
-        let mut belief = MaxRuntimeEstimator::from_workload(&wl);
-        let schedule = Simulation::run(&wl, Algorithm::Backfill, &mut belief);
-        let mut events: Vec<JobEvent> = qpredict_workload::synthesize_events(&wl, 0)
+        let mut belief = MaxRuntimeEstimator::from_workload(wl);
+        let schedule = Simulation::run(wl, Algorithm::Backfill, &mut belief);
+        let mut events: Vec<JobEvent> = qpredict_workload::synthesize_events(wl, 0)
             .into_iter()
             .filter(|e| matches!(e.kind, EventKind::Submit(_)))
             .collect();
@@ -1239,7 +1238,16 @@ mod tests {
             }
         }
         events.sort_by_key(JobEvent::sort_key);
+        events
+    }
 
+    /// Online = offline: on an in-order stream, every queued job's wait
+    /// answer equals the nested backfill forecast over the same state with
+    /// belief = prediction.
+    #[test]
+    fn queued_answers_equal_the_nested_backfill_forecast() {
+        let wl = qpredict_workload::synthetic::toy(600, 32, 11);
+        let events = realized_events(&wl);
         let mut s = ServiceState::new(ServeConfig {
             machine_nodes: wl.machine_nodes,
             ..ServeConfig::default()
@@ -1301,5 +1309,116 @@ mod tests {
         assert!(s.jobs.len() <= 8 + 8, "table {}", s.jobs.len());
         assert!(s.counters().shed > 0, "{:?}", s.counters());
         assert!(s.counters().evicted > 0, "{:?}", s.counters());
+    }
+
+    /// What a queued answer forecasts over, by a scan of the whole job
+    /// table: the selection `ahead_of` makes from the live index.
+    fn full_scan_ahead(state: &ServiceState, target: u32) -> Vec<u32> {
+        let mut ahead: Vec<JobRecord> = state
+            .jobs
+            .values()
+            .filter(|rec| match rec.phase {
+                Phase::Running { .. } => true,
+                Phase::Queued => rec.internal < target,
+                Phase::Done => false,
+            })
+            .copied()
+            .collect();
+        ahead.sort_by_key(|rec| (rec.phase == Phase::Queued, rec.internal));
+        ahead.iter().map(|rec| rec.internal).collect()
+    }
+
+    /// The live index against a scan of the whole job table, on a stream
+    /// that leaves thousands of done records (default caps) and on one
+    /// that sheds and evicts (6 live jobs, 100 done records). At every
+    /// query the index selects what the scan selects. A state resumed
+    /// from a snapshot a third of the way in, and one rebuilt from that
+    /// snapshot plus a delta every 200 lines up to two thirds, answer
+    /// every later line exactly as the uninterrupted state does.
+    #[test]
+    fn live_index_answers_as_a_full_scan_does() {
+        use qpredict_durable::{Delta, Reader, Writer};
+        let wl = qpredict_workload::synthetic::toy(2_500, 32, 11);
+        let events = realized_events(&wl);
+        let (third, two_thirds) = (events.len() / 3, 2 * events.len() / 3);
+        let defaults = ServeConfig::default();
+        for (max_jobs, max_done) in [(defaults.max_jobs, defaults.max_done), (6, 100)] {
+            let cfg = ServeConfig {
+                machine_nodes: wl.machine_nodes,
+                max_jobs,
+                max_done,
+                ..ServeConfig::default()
+            };
+            let mut s = ServiceState::new(cfg.clone());
+            let (mut resumed, mut rebuilt) = (None, None);
+            let mut compared = 0;
+            for (seq, (i, ev)) in (1u64..).zip(events.iter().enumerate()) {
+                if i == third {
+                    let body = codec::encode(&s);
+                    resumed = Some(codec::decode::<_, ServiceState>(&body, &cfg).expect("resume"));
+                    rebuilt = Some(codec::decode::<_, ServiceState>(&body, &cfg).expect("base"));
+                    s.mark();
+                }
+                if i > third && i <= two_thirds && (i % 200 == 0 || i == two_thirds) {
+                    let mut w = Writer::default();
+                    s.encode_delta(&mut w);
+                    let text = w.finish();
+                    let state = rebuilt.as_mut().expect("based a third of the way in");
+                    let mut r = Reader::new(&text);
+                    state.apply_delta(&mut r, &cfg).expect("apply delta");
+                    r.finish().expect("whole delta read");
+                    assert_eq!(state.fingerprint(), s.fingerprint(), "line {i}");
+                    assert_eq!(state.live, s.live, "line {i}");
+                    s.mark();
+                }
+                // Queries reach the state only once the reorder buffer
+                // releases them, so compare at every query line for the
+                // oldest and the newest job queued now.
+                if ev.kind == EventKind::Query {
+                    let queued: Vec<u32> = s
+                        .live
+                        .iter()
+                        .filter(|(_, id)| s.jobs[*id].phase == Phase::Queued)
+                        .map(|(&internal, _)| internal)
+                        .collect();
+                    for &internal in [queued.first(), queued.last()].into_iter().flatten() {
+                        let index: Vec<u32> =
+                            s.ahead_of(internal).iter().map(|r| r.internal).collect();
+                        assert_eq!(index, full_scan_ahead(&s, internal), "line {i}");
+                        compared += 1;
+                    }
+                }
+                let line = ev.encode();
+                let mut out = Vec::new();
+                s.ingest_line(seq, &line, &mut out);
+                let peers = [
+                    resumed.as_mut(),
+                    rebuilt.as_mut().filter(|_| i >= two_thirds),
+                ];
+                for peer in peers.into_iter().flatten() {
+                    let mut theirs = Vec::new();
+                    peer.ingest_line(seq, &line, &mut theirs);
+                    assert_eq!(theirs, out, "line {i}");
+                }
+            }
+            let done = s.jobs.len() - s.live_jobs();
+            if max_done == defaults.max_done {
+                assert!(done >= 2_000, "only {done} done records");
+            } else {
+                assert!(
+                    s.counters().shed > 0 && s.counters().evicted > 0,
+                    "{:?}",
+                    s.counters()
+                );
+            }
+            assert!(
+                compared >= 200,
+                "only {compared} queued selections compared"
+            );
+            for peer in [&resumed, &rebuilt] {
+                let peer = peer.as_ref().expect("resumed");
+                assert_eq!(peer.fingerprint(), s.fingerprint());
+            }
+        }
     }
 }

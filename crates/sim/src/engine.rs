@@ -6,7 +6,10 @@
 //! jobs at every scheduling attempt, backfill re-estimates all running and
 //! waiting jobs at every scheduling attempt, FCFS never estimates. The
 //! engine reads `predict(job, elapsed).estimate` and reports each
-//! completion through `on_complete(job)`.
+//! completion through `on_complete(job)`. Backfill estimates every job
+//! even on the passes that start only jobs fitting in the free nodes and
+//! so build no availability profile ([`crate::scheduler::backfill_pass`]),
+//! which keeps the predictor's call sequence independent of that shortcut.
 //!
 //! A [`SimHooks`] implementation can observe submissions (receiving a
 //! [`Snapshot`] of the system state — this is how `qpredict-core` runs its

@@ -207,28 +207,62 @@ fn in_order_pass(
 /// (EASY semantics); otherwise every blocked job does (conservative, the
 /// paper's flavour).
 ///
+/// The pass plans only once a job must wait. It starts the queue's
+/// arrival-order prefix of jobs that fit in the nodes free now, and
+/// builds the availability [`Profile`] (counted as
+/// `sim.backfill_profiles`) at the first job that does not, replaying a
+/// reservation at `now` for each job already started. The placements
+/// are those of building the profile first: while every reservation
+/// starts at `now`, the profile is the running set's releases, which
+/// never lower it, minus reservations that all cover `now`. So it never
+/// drops below its value at `now`, the nodes free now less the prefix's,
+/// and a job fits at `now` exactly when it fits in those. The profile
+/// built at the first waiting job then holds the segments the eager
+/// construction held at that point. An oversubscribed running set
+/// leaves 0 nodes free now, as `Profile::new` does.
+///
 /// Returns `(index into queue, placement)` for every job that starts
 /// (placed at `now`) or receives a reservation, in arrival order. The
 /// forecast's first-pass stop reads a target's reservation from here.
-pub(crate) fn backfill_pass(
+pub fn backfill_pass(
     now: Time,
     machine_nodes: u32,
     running: &[RunningView],
     queue: &[QueueEntry],
     easy: bool,
 ) -> Vec<(usize, Time)> {
-    let running_pairs: Vec<(u32, Time)> = running.iter().map(|r| (r.nodes, r.pred_end)).collect();
-    let mut profile = Profile::new(machine_nodes, now, &running_pairs);
-
     let mut order: Vec<usize> = (0..queue.len()).collect();
     order.sort_by_key(|&i| queue[i].seq);
-
-    let mut placed = Vec::new();
-    let mut reserved = false;
-    for i in order {
+    let request = |i: usize| {
         let e = &queue[i];
-        let nodes = e.nodes.min(machine_nodes);
-        let dur = e.pred_runtime.max(Dur::SECOND);
+        (e.nodes.min(machine_nodes), e.pred_runtime.max(Dur::SECOND))
+    };
+
+    let used: u64 = running.iter().map(|r| r.nodes as u64).sum();
+    let mut free = machine_nodes.saturating_sub(used.min(u32::MAX as u64) as u32);
+    let mut placed = Vec::new();
+    for &i in &order {
+        let (nodes, _) = request(i);
+        if nodes > free {
+            break;
+        }
+        free -= nodes;
+        placed.push((i, now));
+    }
+    if placed.len() == order.len() {
+        return placed;
+    }
+
+    qpredict_obs::counter_add("sim.backfill_profiles", 1);
+    let running_pairs: Vec<(u32, Time)> = running.iter().map(|r| (r.nodes, r.pred_end)).collect();
+    let mut profile = Profile::new(machine_nodes, now, &running_pairs);
+    for &(i, _) in &placed {
+        let (nodes, dur) = request(i);
+        profile.reserve(now, dur, nodes);
+    }
+    let mut reserved = false;
+    for &i in &order[placed.len()..] {
+        let (nodes, dur) = request(i);
         let at = profile.earliest_fit(nodes, dur);
         // Under EASY, blocked jobs beyond the first reserve nothing and
         // simply wait.

@@ -152,9 +152,12 @@ cargo test --release -q --test observability \
     recording_off_costs_under_two_percent_of_a_warm_predict -- --include-ignored
 
 # The engine's capacity and node-accounting checks are debug assertions,
-# while the benchmark runs release builds: show the bit-identity locks and
-# the faulted-trace schedule invariants in a release build too.
-echo "==> cargo test --release -q --test estimation_lock --test robustness"
-cargo test --release -q --test estimation_lock --test robustness
+# while the benchmark runs release builds: show the bit-identity locks, the
+# paper drift fixture and the faulted-trace schedule invariants in a
+# release build too, and hold the lazy backfill pass to the eager one.
+echo "==> cargo test --release -q --test estimation_lock --test robustness --test paper_drift"
+cargo test --release -q --test estimation_lock --test robustness --test paper_drift
+echo "==> cargo test --release -q -p qpredict-sim --test backfill_oracle"
+cargo test --release -q -p qpredict-sim --test backfill_oracle
 
 echo "CI green."

@@ -25,10 +25,14 @@
 //! stream must read at most half the points a scan of every category
 //! would.
 //!
+//! A backfill pass needs an availability profile only once a job must
+//! wait, and on a lightly loaded site most passes start jobs that fit in
+//! the nodes free now.
+//!
 //! The guards count work (points traversed, snapshot bytes, keys built,
-//! memo hits)
-//! rather than timing anything, so they are deterministic. The recording
-//! flag is process-global, so the guards that read it take turns.
+//! memo hits, profiles built) rather than timing anything, so they are
+//! deterministic. The recording flag is process-global, so the guards
+//! that read it take turns.
 
 use std::collections::HashSet;
 use std::sync::Mutex;
@@ -232,4 +236,41 @@ fn memo_serves_most_scheduling_predictions() {
         100.0 * served,
         hits + misses
     );
+}
+
+/// Availability profiles built, and scheduling passes run, while Smith
+/// drives backfill on the CTC site model cut to `jobs` jobs.
+fn backfill_profiles(jobs: usize) -> (u64, u64) {
+    let wl = site(sites::ctc_spec(), jobs);
+    let mut est = PredictorEstimator::new(SmithPredictor::new(searched::set_for(&wl)));
+    qpredict_obs::reset();
+    let result = Simulation::run(&wl, Algorithm::Backfill, &mut est);
+    assert_eq!(result.metrics.n_jobs, jobs);
+    let obs = qpredict_obs::snapshot();
+    let passes = obs.span("sim.run/sim.schedule").map_or(0, |s| s.count);
+    (obs.counter("sim.backfill_profiles"), passes)
+}
+
+/// A backfill pass plans (builds a profile) only once a job must wait;
+/// most CTC passes start a job that fits in the nodes free now. At most
+/// a fifth of the passes may build a profile. Measured: 149 of 2,082
+/// passes (7.2%) at 2,000 jobs, 1,062 of 8,520 (12.5%) at 8,000 and
+/// 1,917 of 17,006 (11.3%) at 16,000; the eager pass built one on every
+/// pass.
+#[test]
+fn backfill_builds_profiles_only_when_a_job_must_wait() {
+    let _turn = RECORDING.lock().unwrap_or_else(|e| e.into_inner());
+    qpredict_obs::set_recording(true);
+    let cells = [2_000, 8_000].map(|jobs| (jobs, backfill_profiles(jobs)));
+    qpredict_obs::set_recording(false);
+    for (jobs, (profiles, passes)) in cells {
+        assert!(
+            passes >= jobs as u64 / 2,
+            "{jobs} jobs: only {passes} passes"
+        );
+        assert!(
+            profiles * 5 <= passes,
+            "{jobs} jobs: {profiles} of {passes} backfill passes built a profile"
+        );
+    }
 }
