@@ -23,7 +23,7 @@
 //! clearing or decoding a store starts them over.
 
 use std::collections::{HashMap, VecDeque};
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::{Hash, Hasher};
 
 use qpredict_durable::{codec_struct, Codec, CodecError, Reader, Writer};
 use qpredict_workload::Job;
@@ -31,10 +31,12 @@ use qpredict_workload::Job;
 use crate::estimators::RegressionKind;
 use crate::rtindex::RuntimeIndex;
 use crate::template::{EstimatorKind, Template, TemplateSet};
+use crate::wordhash::WordBuildHasher;
 
 /// Histories of indexed templates build their runtime index at this
-/// many points; below it a scan costs about what the index would.
-pub const INDEX_MIN_POINTS: usize = 64;
+/// many points, one index stride: a shorter history is scanned, so no
+/// elapsed-conditioned estimate reads more than 15 points.
+pub const INDEX_MIN_POINTS: usize = 16;
 
 /// One completed job's contribution to a category.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -125,32 +127,6 @@ impl Hash for Signature {
         for w in self.0 {
             state.write_u64(w);
         }
-    }
-}
-
-/// A multiplicative word hasher (the rotate-xor-multiply step of FxHash)
-/// for [`Signature`]s: a handful of cycles per word where std's SipHash
-/// costs tens of nanoseconds per key. The table it serves holds job
-/// signatures, not attacker-chosen input, so flooding resistance buys
-/// nothing here.
-#[derive(Debug, Clone, Copy, Default)]
-struct WordHasher(u64);
-
-impl Hasher for WordHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, w: u64) {
-        self.0 = (self.0.rotate_left(5) ^ w).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-
-    fn finish(&self) -> u64 {
-        // The table indexes buckets by the low bits, which a multiply
-        // mixes least; rotate the well-mixed middle bits down.
-        self.0.rotate_left(26)
     }
 }
 
@@ -396,7 +372,7 @@ pub struct CategoryStore {
     pushes: u64,
     index: HashMap<CategoryKey, u32>,
     /// Each resolved signature's ordinal.
-    table: HashMap<Signature, u32, BuildHasherDefault<WordHasher>>,
+    table: HashMap<Signature, u32, WordBuildHasher>,
     /// Per resolved signature, by ordinal, the slot of each distinct
     /// template (or `NO_SLOT`), in template order.
     resolved: Vec<u32>,

@@ -24,10 +24,11 @@
 //! degradation accounting) return `None` from `generation()` and are
 //! passed through uncached.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 
 use qpredict_workload::{Dur, Job, JobId};
 
+use crate::wordhash::WordBuildHasher;
 use crate::{DegradationCounts, PredictError, Prediction, RunTimePredictor};
 
 /// Hit/miss/invalidation counters of a [`CachingPredictor`].
@@ -83,7 +84,7 @@ impl std::fmt::Display for CacheStats {
 #[derive(Debug, Clone)]
 pub struct CachingPredictor<P> {
     inner: P,
-    cache: HashMap<(JobId, Dur), Prediction>,
+    cache: HashMap<(JobId, Dur), Prediction, WordBuildHasher>,
     /// Generation the cached entries were computed at.
     cached_gen: Option<u64>,
     stats: CacheStats,
@@ -94,7 +95,7 @@ impl<P: RunTimePredictor> CachingPredictor<P> {
     pub fn new(inner: P) -> CachingPredictor<P> {
         CachingPredictor {
             inner,
-            cache: HashMap::new(),
+            cache: HashMap::default(),
             cached_gen: None,
             stats: CacheStats::default(),
         }
@@ -143,16 +144,18 @@ impl<P: RunTimePredictor> RunTimePredictor for CachingPredictor<P> {
             return self.inner.predict(job, elapsed);
         };
         self.sync_generation(gen);
-        if let Some(p) = self.cache.get(&(job.id, elapsed)) {
-            self.stats.hits += 1;
-            qpredict_obs::counter_add("cache.hits", 1);
-            return *p;
+        match self.cache.entry((job.id, elapsed)) {
+            Entry::Occupied(hit) => {
+                self.stats.hits += 1;
+                qpredict_obs::counter_add("cache.hits", 1);
+                *hit.get()
+            }
+            Entry::Vacant(slot) => {
+                self.stats.misses += 1;
+                qpredict_obs::counter_add("cache.misses", 1);
+                *slot.insert(self.inner.predict(job, elapsed))
+            }
         }
-        let p = self.inner.predict(job, elapsed);
-        self.stats.misses += 1;
-        qpredict_obs::counter_add("cache.misses", 1);
-        self.cache.insert((job.id, elapsed), p);
-        p
     }
 
     fn try_predict(&mut self, job: &Job, elapsed: Dur) -> Result<Prediction, PredictError> {

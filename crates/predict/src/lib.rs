@@ -39,6 +39,7 @@ mod rtindex;
 pub mod searched;
 pub mod smith;
 pub mod template;
+mod wordhash;
 
 pub use baseline::{MaxRuntimePredictor, OraclePredictor};
 pub use downey::{DowneyPredictor, DowneyVariant};

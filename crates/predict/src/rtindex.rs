@@ -3,11 +3,13 @@
 //! The `rtime` option predicts a running job only from the history
 //! points whose run time exceeds its elapsed time. A scan reads every
 //! point of the category on every such estimate. This index keeps the
-//! points sorted by run time in blocks of 64 consecutive ranks, with the
-//! exact integer sums of every block prefix, so the sums over the points
-//! above any elapsed time cost one binary search and a partial pass over
-//! one block. An insert or removal shifts one entry across each later
-//! block boundary and updates the later prefix sums.
+//! points in one vector sorted by run time, with the exact integer sums
+//! of every prefix whose length is a multiple of 16 and of the whole
+//! vector, so the sums over the points above any elapsed time cost one
+//! binary search and a pass over the at most 15 entries between the
+//! split and the stride boundary below it. An insert or removal is one
+//! `Vec::insert`/`remove`, and fixes each later stride sum by the one
+//! entry that crosses its boundary.
 //!
 //! The layout depends only on the indexed values, not on the order they
 //! arrived in: an index rebuilt from a decoded history is the index the
@@ -15,25 +17,27 @@
 //!
 //! **Exactness.** The index holds only points whose run time and node
 //! count are non-negative integers that fit in `u32` (every point built
-//! from a job, whose durations are whole seconds), and sums them in
-//! `u128`, which cannot overflow. When every total of the selected points
-//! is below 2^53, every partial sum a scan over the same points forms is
-//! an integer below 2^53 too (all terms are non-negative), so each f64
-//! addition and product of the scan is exact and its result equals the
-//! integer total in any order. The estimator then receives the same sums
-//! and its shared post-sum arithmetic yields a bit-identical estimate.
-//! While any point is not representable, or a total reaches 2^53,
+//! from a job, whose durations are whole seconds). It sums them in
+//! wrapping `u64` arithmetic, exact modulo 2^64, and keeps Σ(g² + y²)
+//! exactly in `u128`: that total bounds every other (g ≤ g², y ≤ y²,
+//! 2gy ≤ g² + y²), so while it is below 2^64 no sum has wrapped and
+//! every sum the index forms is the true integer. When every total of the
+//! selected points is below 2^53, every partial sum a scan over the same
+//! points forms is an integer below 2^53 too (all terms are
+//! non-negative), so each f64 addition and product of the scan is exact
+//! and its result equals the integer total in any order. The estimator
+//! then receives the same sums and its shared post-sum arithmetic yields
+//! a bit-identical estimate. While any point is not representable,
+//! Σ(g² + y²) reaches 2^64, or a selected total reaches 2^53,
 //! [`RuntimeIndex::above`] answers `None` and the caller scans.
-
-use std::collections::VecDeque;
 
 use crate::category::RegMoments;
 
-/// Entries per block; every block but the last is full.
-const BLOCK: usize = 64;
+/// Ranks between two stored prefix sums.
+const STRIDE: usize = 16;
 
 /// Integers below this convert to f64 and add in f64 exactly.
-const EXACT: u128 = 1 << 53;
+const EXACT: u64 = 1 << 53;
 
 /// One indexed point: `(run time, nodes)`, ordered by run time first.
 type Entry = (u32, u32);
@@ -45,67 +49,61 @@ fn entry(runtime: f64, nodes: f64) -> Option<Entry> {
     Some((exact(runtime)?, exact(nodes)?))
 }
 
-/// Exact sums over entries, with `y` the run time and `g` the node count:
-/// what [`RegMoments`] holds, in integers.
+/// An entry's exact share of Σ(g² + y²).
+fn weight((y, g): Entry) -> u128 {
+    let (y, g) = (u128::from(y), u128::from(g));
+    g * g + y * y
+}
+
+/// Sums over entries, with `y` the run time and `g` the node count: what
+/// [`RegMoments`] holds, in integers modulo 2^64.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Sums {
     n: u64,
-    g: u128,
-    y: u128,
-    gg: u128,
-    gy: u128,
-    yy: u128,
+    g: u64,
+    y: u64,
+    gg: u64,
+    gy: u64,
+    yy: u64,
 }
 
 impl Sums {
-    fn of<'a>(entries: impl IntoIterator<Item = &'a Entry>) -> Sums {
-        let mut s = Sums::default();
-        for &e in entries {
-            s.add(e);
+    /// One entry's terms; each product of two `u32` fits in `u64`.
+    fn term((y, g): Entry) -> Sums {
+        let (y, g) = (u64::from(y), u64::from(g));
+        Sums {
+            n: 1,
+            g,
+            y,
+            gg: g * g,
+            gy: g * y,
+            yy: y * y,
         }
-        s
     }
 
-    fn add(&mut self, (y, g): Entry) {
-        let (y, g) = (u128::from(y), u128::from(g));
-        self.n += 1;
-        self.g += g;
-        self.y += y;
-        self.gg += g * g;
-        self.gy += g * y;
-        self.yy += y * y;
+    fn of(entries: &[Entry]) -> Sums {
+        entries
+            .iter()
+            .fold(Sums::default(), |s, &e| s.plus(Sums::term(e)))
     }
 
-    fn sub(&mut self, (y, g): Entry) {
-        let (y, g) = (u128::from(y), u128::from(g));
-        self.n -= 1;
-        self.g -= g;
-        self.y -= y;
-        self.gg -= g * g;
-        self.gy -= g * y;
-        self.yy -= y * y;
+    fn zip(self, o: Sums, f: impl Fn(u64, u64) -> u64) -> Sums {
+        Sums {
+            n: f(self.n, o.n),
+            g: f(self.g, o.g),
+            y: f(self.y, o.y),
+            gg: f(self.gg, o.gg),
+            gy: f(self.gy, o.gy),
+            yy: f(self.yy, o.yy),
+        }
     }
 
     fn plus(self, o: Sums) -> Sums {
-        Sums {
-            n: self.n + o.n,
-            g: self.g + o.g,
-            y: self.y + o.y,
-            gg: self.gg + o.gg,
-            gy: self.gy + o.gy,
-            yy: self.yy + o.yy,
-        }
+        self.zip(o, u64::wrapping_add)
     }
 
     fn minus(self, o: Sums) -> Sums {
-        Sums {
-            n: self.n - o.n,
-            g: self.g - o.g,
-            y: self.y - o.y,
-            gg: self.gg - o.gg,
-            gy: self.gy - o.gy,
-            yy: self.yy - o.yy,
-        }
+        self.zip(o, u64::wrapping_sub)
     }
 
     /// The sums as f64 moments, when every one converts and adds exactly.
@@ -124,28 +122,20 @@ impl Sums {
     }
 }
 
-/// A block holding `entries`, with room for the one entry over a full
-/// block that an insert holds until it carries its last entry on.
-fn block(entries: &[Entry]) -> VecDeque<Entry> {
-    let mut b = VecDeque::with_capacity(BLOCK + 1);
-    b.extend(entries);
-    b
-}
-
-fn last(block: &VecDeque<Entry>) -> Entry {
-    *block.back().expect("blocks are never empty")
-}
-
-/// Points of one history sorted by run time, with exact cumulative sums
-/// per block. Derived state: built from the points it indexes, never
-/// encoded.
-#[derive(Debug, Clone, Default)]
+/// Points of one history sorted by run time, with exact sums at every
+/// stride boundary. Derived state: built from the points it indexes,
+/// never encoded.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct RuntimeIndex {
-    /// Entries in sorted order: block `j` holds ranks `j * BLOCK ..
-    /// (j + 1) * BLOCK`. No block is empty.
-    blocks: Vec<VecDeque<Entry>>,
-    /// `prefix[j]` sums blocks `0..=j`; the last is the total.
-    prefix: Vec<Sums>,
+    /// The entries in sorted order.
+    entries: Vec<Entry>,
+    /// `strides[j]` sums `entries[..STRIDE * (j + 1)]`: one per complete
+    /// stride.
+    strides: Vec<Sums>,
+    /// Sums of every entry.
+    total: Sums,
+    /// Exact Σ(g² + y²) over the entries.
+    weight: u128,
     /// Points of the history the index could not hold; while any is
     /// present the index answers nothing.
     unindexed: usize,
@@ -154,32 +144,22 @@ pub(crate) struct RuntimeIndex {
 impl RuntimeIndex {
     /// Index `(runtime, nodes)` points.
     pub(crate) fn build(points: impl Iterator<Item = (f64, f64)>) -> RuntimeIndex {
-        let mut entries = Vec::new();
-        let mut unindexed = 0;
+        let mut ix = RuntimeIndex::default();
         for (runtime, nodes) in points {
             match entry(runtime, nodes) {
-                Some(e) => entries.push(e),
-                None => unindexed += 1,
+                Some(e) => ix.entries.push(e),
+                None => ix.unindexed += 1,
             }
         }
-        entries.sort_unstable();
-        let blocks: Vec<VecDeque<Entry>> = entries.chunks(BLOCK).map(block).collect();
-        let prefix = blocks
-            .iter()
-            .scan(Sums::default(), |acc, b| {
-                *acc = acc.plus(Sums::of(b));
-                Some(*acc)
-            })
-            .collect();
-        RuntimeIndex {
-            blocks,
-            prefix,
-            unindexed,
+        ix.entries.sort_unstable();
+        for stride in ix.entries.chunks(STRIDE) {
+            ix.total = ix.total.plus(Sums::of(stride));
+            if stride.len() == STRIDE {
+                ix.strides.push(ix.total);
+            }
         }
-    }
-
-    fn total(&self) -> Sums {
-        self.prefix.last().copied().unwrap_or_default()
+        ix.weight = ix.entries.iter().map(|&e| weight(e)).sum();
+        ix
     }
 
     /// Add a point.
@@ -188,37 +168,18 @@ impl RuntimeIndex {
             self.unindexed += 1;
             return;
         };
-        if self.blocks.is_empty() {
-            self.blocks.push(block(&[e]));
-            self.prefix.push(Sums::of(&[e]));
-            return;
+        let k = self.entries.partition_point(|&x| x < e);
+        self.entries.insert(k, e);
+        // Each boundary past `k` gains `e` and loses the entry that `e`
+        // pushed across it.
+        let t = Sums::term(e);
+        for (j, s) in self.strides.iter_mut().enumerate().skip(k / STRIDE) {
+            *s = s.plus(t).minus(Sums::term(self.entries[STRIDE * (j + 1)]));
         }
-        // The first block whose last entry is not below `e`, else the
-        // last block: every earlier entry is below `e`.
-        let k = self
-            .blocks
-            .partition_point(|b| last(b) < e)
-            .min(self.blocks.len() - 1);
-        let b = &mut self.blocks[k];
-        b.insert(b.partition_point(|&x| x < e), e);
-        for p in &mut self.prefix[k..] {
-            p.add(e);
-        }
-        // Carry each overfull block's last entry into the next block.
-        for j in k..self.blocks.len() {
-            if self.blocks[j].len() <= BLOCK {
-                break;
-            }
-            let moved = self.blocks[j].pop_back().expect("overfull");
-            self.prefix[j].sub(moved);
-            match self.blocks.get_mut(j + 1) {
-                Some(next) => next.push_front(moved),
-                None => {
-                    self.blocks.push(block(&[moved]));
-                    let total = self.prefix[j].plus(Sums::of(&[moved]));
-                    self.prefix.push(total);
-                }
-            }
+        self.total = self.total.plus(t);
+        self.weight += weight(e);
+        if self.entries.len().is_multiple_of(STRIDE) {
+            self.strides.push(self.total);
         }
     }
 
@@ -228,67 +189,52 @@ impl RuntimeIndex {
             self.unindexed -= 1;
             return;
         };
-        // The first block whose last entry is not below `e` holds `e`.
-        let k = self.blocks.partition_point(|b| last(b) < e);
-        let b = &mut self.blocks[k];
-        let i = b.binary_search(&e).expect("a removed point was inserted");
-        b.remove(i);
-        for p in &mut self.prefix[k..] {
-            p.sub(e);
+        let k = self
+            .entries
+            .binary_search(&e)
+            .expect("a removed point was inserted");
+        if self.entries.len().is_multiple_of(STRIDE) {
+            self.strides.pop();
         }
-        // Refill each short block from the front of the next one.
-        for j in k + 1..self.blocks.len() {
-            let moved = self.blocks[j].pop_front().expect("non-empty");
-            self.blocks[j - 1].push_back(moved);
-            self.prefix[j - 1].add(moved);
+        self.entries.remove(k);
+        // Each boundary past `k` loses `e` and gains the entry that moved
+        // down across it.
+        let t = Sums::term(e);
+        for (j, s) in self.strides.iter_mut().enumerate().skip(k / STRIDE) {
+            *s = s
+                .minus(t)
+                .plus(Sums::term(self.entries[STRIDE * (j + 1) - 1]));
         }
-        if self.blocks.last().is_some_and(|b| b.is_empty()) {
-            self.blocks.pop();
-            self.prefix.pop();
-        }
+        self.total = self.total.minus(t);
+        self.weight -= weight(e);
     }
 
     /// Exact moments of the points whose run time exceeds `elapsed_s`
     /// (`sg`, `sgg`, `sgy` over node counts), with the number of entries
     /// read to form them. `None` when the index cannot answer exactly:
-    /// some point is not indexed, a total reaches 2^53, or `elapsed_s`
-    /// is NaN.
+    /// some point is not indexed, Σ(g² + y²) reaches 2^64, a selected
+    /// total reaches 2^53, or `elapsed_s` is NaN.
     pub(crate) fn above(&self, elapsed_s: f64) -> Option<(RegMoments, usize)> {
-        if self.unindexed > 0 || elapsed_s.is_nan() {
+        if self.unindexed > 0 || self.weight >> 64 != 0 || elapsed_s.is_nan() {
             return None;
         }
-        let (sums, read) = if elapsed_s < 0.0 {
-            (self.total(), 0)
-        } else if elapsed_s >= u32::MAX as f64 {
-            (Sums::default(), 0)
+        // For an integral run time `r`, `r <= e` iff `r <= floor(e)`; the
+        // cast floors and saturates. Entries from rank `i` on lie above.
+        let t = elapsed_s as u32;
+        let i = if elapsed_s < 0.0 {
+            0
         } else {
-            // For an integral run time `r`, `r > e` iff `r > floor(e)`.
-            self.sums_above(elapsed_s as u32)
+            self.entries.partition_point(|&(r, _)| r <= t)
         };
-        Some((sums.moments()?, read))
-    }
-
-    /// Sums of the entries with run time above `t`, and entries read.
-    fn sums_above(&self, t: u32) -> (Sums, usize) {
-        let k = self.blocks.partition_point(|b| last(b).0 <= t);
-        let Some(b) = self.blocks.get(k) else {
-            return (Sums::default(), 0);
+        // The entries below `i` are those below its stride's boundary
+        // `lo` and the at most 15 from `lo` to `i`.
+        let lo = i - i % STRIDE;
+        let below = match lo / STRIDE {
+            0 => Sums::default(),
+            j => self.strides[j - 1],
         };
-        // Inside block `k`, read whichever side of the split is shorter.
-        let i = b.partition_point(|&(r, _)| r <= t);
-        let tail = b.len() - i;
-        if i < tail {
-            let before = if k > 0 {
-                self.prefix[k - 1]
-            } else {
-                Sums::default()
-            };
-            let below = before.plus(Sums::of(b.range(..i)));
-            (self.total().minus(below), i)
-        } else {
-            let after = self.total().minus(self.prefix[k]);
-            (after.plus(Sums::of(b.range(i..))), tail)
-        }
+        let sums = self.total.minus(below.plus(Sums::of(&self.entries[lo..i])));
+        Some((sums.moments()?, i - lo))
     }
 }
 
@@ -307,21 +253,36 @@ mod tests {
         Sums::of(&sel)
     }
 
-    /// Sorted entries, full blocks but the last, exact prefix sums, and
-    /// the same layout as a fresh build over the same values.
+    /// Sorted entries, exact stride and total sums, and the same layout
+    /// as a fresh build over the same values.
     fn check_invariants(ix: &RuntimeIndex) {
-        let all: Vec<Entry> = ix.blocks.iter().flatten().copied().collect();
+        let all = &ix.entries;
         assert!(all.windows(2).all(|w| w[0] <= w[1]), "entries out of order");
-        assert_eq!(ix.prefix.len(), ix.blocks.len());
-        for (j, b) in ix.blocks.iter().enumerate() {
-            let full = j + 1 < ix.blocks.len();
-            assert!(!b.is_empty() && b.len() <= BLOCK);
-            assert!(!full || b.len() == BLOCK, "block {j} not full");
-            assert_eq!(ix.prefix[j], Sums::of(ix.blocks[..=j].iter().flatten()));
+        assert_eq!(ix.strides.len(), all.len() / STRIDE);
+        for (j, s) in ix.strides.iter().enumerate() {
+            assert_eq!(*s, Sums::of(&all[..STRIDE * (j + 1)]), "stride {j}");
         }
+        assert_eq!(ix.total, Sums::of(all));
         let fresh = RuntimeIndex::build(all.iter().map(|&(r, g)| (r as f64, g as f64)));
-        assert_eq!(fresh.blocks, ix.blocks, "layout depends on arrival order");
-        assert_eq!(fresh.prefix, ix.prefix);
+        assert_eq!(&fresh, ix, "layout depends on arrival order");
+    }
+
+    /// Every query that can tell two splits apart: at, just below and
+    /// just above each distinct run time, and past both ends.
+    fn probes(points: &[(f64, f64)]) -> Vec<f64> {
+        let mut probes = vec![-1.0, f64::MAX];
+        for &(r, _) in points {
+            probes.extend([r - 1.0, r - 0.5, r, r + 0.5, r + 1.0]);
+        }
+        probes
+    }
+
+    fn check_queries(ix: &RuntimeIndex, points: &[(f64, f64)], what: &str) {
+        for e in probes(points) {
+            let (m, read) = ix.above(e).expect("integral points index exactly");
+            assert_eq!(Some(m), brute(points, e).moments(), "{what}: elapsed {e}");
+            assert!(read < STRIDE, "{what}: read {read} entries");
+        }
     }
 
     #[test]
@@ -360,6 +321,52 @@ mod tests {
         }
     }
 
+    /// Grow past five stride boundaries, churn, then shrink to nothing,
+    /// removing the oldest point first (and, in odd cases, a random
+    /// one): the layout and every distinguishing query hold at each step.
+    #[test]
+    fn every_stride_boundary_crossed_both_ways() {
+        let mut rng = Rng64::seed_from_u64(0x57_21DE);
+        for case in 0..12 {
+            let span = [3, 40, 5_000][case % 3];
+            let mut points: Vec<(f64, f64)> = Vec::new();
+            let mut ix = RuntimeIndex::default();
+            let step = |ix: &RuntimeIndex, points: &[(f64, f64)], what: &str| {
+                check_invariants(ix);
+                check_queries(ix, points, what);
+            };
+            for i in 0..5 * STRIDE + 3 {
+                let p = (rng.gen_range_i64(0, span) as f64, rng.gen_index(9) as f64);
+                points.push(p);
+                ix.insert(p.0, p.1);
+                step(&ix, &points, &format!("case {case} grow {i}"));
+            }
+            for i in 0..3 * STRIDE {
+                let (r, g) = points.remove(0);
+                ix.remove(r, g);
+                let p = (rng.gen_range_i64(0, span) as f64, rng.gen_index(9) as f64);
+                points.push(p);
+                ix.insert(p.0, p.1);
+                step(&ix, &points, &format!("case {case} churn {i}"));
+            }
+            while !points.is_empty() {
+                let at = if case % 2 == 1 {
+                    rng.gen_index(points.len())
+                } else {
+                    0
+                };
+                let (r, g) = points.remove(at);
+                ix.remove(r, g);
+                step(
+                    &ix,
+                    &points,
+                    &format!("case {case} shrink to {}", points.len()),
+                );
+            }
+            assert_eq!(ix, RuntimeIndex::default());
+        }
+    }
+
     #[test]
     fn unrepresentable_points_and_large_sums_decline() {
         let mut ix = RuntimeIndex::build([(10.0, 1.0), (20.0, 2.0)].into_iter());
@@ -385,5 +392,28 @@ mod tests {
         ix.remove((1u64 << 27) as f64, 1.0);
         let (all, read) = ix.above(-1.0).unwrap();
         assert_eq!((all.n, read), (2, 0));
+    }
+
+    /// A Σy² past 2^64 whose wrapped `u64` value is small: the index must
+    /// decline every query while it is resident, not answer from the
+    /// wrapped sums, and answer exactly again once it has left.
+    #[test]
+    fn sums_past_two_to_the_64_decline() {
+        let small: Vec<(f64, f64)> = (0..2 * STRIDE).map(|i| (100.0 + i as f64, 1.0)).collect();
+        let mut ix = RuntimeIndex::build(small.iter().copied());
+        // (2^32 - 1)^2 + 92,682^2 = 2^64 + 18,533.
+        let big = [(u32::MAX as f64, 1.0), (92_682.0, 1.0)];
+        for (r, g) in big {
+            ix.insert(r, g);
+        }
+        assert!(ix.total.yy < EXACT, "the wrapped Σy² looks exact");
+        for e in [-1.0, 0.0, 99.0, 150.0, 92_682.0, 1e9, f64::MAX] {
+            assert!(ix.above(e).is_none(), "elapsed {e}: Σy² is past 2^64");
+        }
+        ix.remove(u32::MAX as f64, 1.0);
+        let mut points = small.clone();
+        points.push(big[1]);
+        check_invariants(&ix);
+        check_queries(&ix, &points, "after the eviction");
     }
 }

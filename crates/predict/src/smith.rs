@@ -42,8 +42,8 @@ use crate::{Prediction, RunTimePredictor};
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EstimateOps {
     /// History points actually traversed: every point of a scanned
-    /// category, and the entries of the one block an indexed estimate
-    /// reads.
+    /// category, and the at most 15 entries an indexed estimate sums
+    /// past its stride boundary.
     pub scanned_points: u64,
     /// History points covered by estimates without being traversed.
     pub moment_points: u64,

@@ -132,6 +132,76 @@ fn indexed_rtime_estimates_match_scan() {
     assert!(answered > 50_000, "index answered only {answered} probes");
 }
 
+/// Capped histories on both sides of the index threshold and of the
+/// first stride boundaries, under FIFO churn: at, just below and just
+/// above every resident run time, the estimate matches the scan bit for
+/// bit, and the index answers exactly when the history has reached the
+/// threshold.
+#[test]
+fn histories_through_the_threshold_and_every_stride_boundary() {
+    let mut rng = Rng64::seed_from_u64(0x16);
+    let mut answered = 0u64;
+    for cap in [1, 2, 15, 16, 17, 31, 32, 33, 47, 48, 49, 64, 65] {
+        for linear in [false, true] {
+            let mut t = Template::mean_over(&[]).with_rtime().with_max_history(cap);
+            if linear {
+                t = t.with_estimator(EstimatorKind::LinearRegression);
+            }
+            let kind = t.estimator.regression();
+            let mut h = History::default();
+            for i in 0..2 * cap + 40 {
+                let p = point(
+                    rng.gen_range_i64(0, 40) as f64,
+                    (1 + rng.gen_index(16)) as f64,
+                );
+                h.push(p, &t);
+                let mut probes: Vec<f64> = h
+                    .iter()
+                    .flat_map(|p| [p.runtime - 1.0, p.runtime, p.runtime + 1.0])
+                    .filter(|&e| e > 0.0)
+                    .collect();
+                probes.sort_by(f64::total_cmp);
+                probes.dedup();
+                for e in probes {
+                    let x0 = (1 + rng.gen_index(16)) as f64;
+                    let what = format!("cap {cap} point {i} elapsed {e} (linear={linear})");
+                    let fast = indexed(&h, kind, e, x0);
+                    assert_eq!(fast.is_some(), h.len() >= INDEX_MIN_POINTS, "{what}");
+                    if let Some(fast) = fast {
+                        answered += 1;
+                        assert_bit_identical(fast, scan(&h, kind, e, x0), &what);
+                    }
+                }
+            }
+        }
+    }
+    assert!(answered > 10_000, "index answered only {answered} probes");
+}
+
+/// The prediction `p`, whose longest run time seen is `max_seen`, makes
+/// for `probe` at each elapsed time equals the one a scan of `h`, its
+/// only category, gives.
+fn predicts_as_the_scan(
+    p: &mut SmithPredictor,
+    h: &History,
+    max_seen: f64,
+    probe: &Job,
+    elapsed: &[i64],
+) {
+    for &e in elapsed {
+        let got = p.predict(probe, Dur(e));
+        let want = scan(h, None, e as f64, probe.nodes as f64).expect("points above");
+        assert_eq!(got.ci_halfwidth.to_bits(), want.ci.to_bits(), "elapsed {e}");
+        let expected = Prediction {
+            estimate: Dur::from_secs_f64(want.value.clamp(1.0, (max_seen * 2.0).max(3600.0))),
+            ci_halfwidth: want.ci,
+            fallback: false,
+        }
+        .clamped(Dur(e));
+        assert_eq!(got, expected, "elapsed {e}");
+    }
+}
+
 /// Sums past 2^53 and non-integral points make the index decline; the
 /// scan then serves the estimate, and the predictor still matches it.
 #[test]
@@ -185,18 +255,67 @@ fn unrepresentable_histories_fall_back_to_the_scan() {
         .with(Characteristic::Queue, q)
         .nodes(3)
         .build(JobId(999));
-    for e in [1, 100, 4_999, 5_000, 95_000_000] {
-        let got = p.predict(&probe, Dur(e));
-        let want = scan(&h, None, e as f64, 3.0).expect("points above");
-        assert_eq!(got.ci_halfwidth.to_bits(), want.ci.to_bits(), "elapsed {e}");
-        let expected = Prediction {
-            estimate: Dur::from_secs_f64(want.value.clamp(1.0, (max_seen * 2.0).max(3600.0))),
-            ci_halfwidth: want.ci,
-            fallback: false,
-        }
-        .clamped(Dur(e));
-        assert_eq!(got, expected, "elapsed {e}");
+    predicts_as_the_scan(
+        &mut p,
+        &h,
+        max_seen,
+        &probe,
+        &[1, 100, 4_999, 5_000, 95_000_000],
+    );
+}
+
+/// A history whose true Σy² passes 2^64, with run times chosen so that
+/// the sum wrapped to 64 bits is small: (2^32 - 1)^2 + 92,682^2 = 2^64 +
+/// 18,533. The index must decline every query while both points are
+/// resident, however plausible its wrapped sums look, the predictor must
+/// scan, and once the largest point is evicted the index must answer
+/// exactly again.
+#[test]
+fn sums_past_two_to_the_64_decline_and_scan() {
+    let mut syms = SymbolTable::new();
+    let q = syms.intern("batch");
+    let set = TemplateSet::new(vec![Template::mean_over(&[Characteristic::Queue])
+        .with_rtime()
+        .with_max_history(24)]);
+    let t = set.templates()[0];
+    let mut p = SmithPredictor::new(set);
+    let mut h = History::default();
+    let complete = |id: u32, rt: i64, p: &mut SmithPredictor, h: &mut History| {
+        let job = JobBuilder::new()
+            .with(Characteristic::Queue, q)
+            .nodes(1)
+            .runtime(Dur(rt))
+            .build(JobId(id));
+        p.on_complete(&job);
+        h.push(Point::from_job(&job), &t);
+    };
+    complete(0, i64::from(u32::MAX), &mut p, &mut h);
+    complete(1, 92_682, &mut p, &mut h);
+    for i in 2..22 {
+        complete(i, 100 + i64::from(i), &mut p, &mut h);
     }
+    let probe = JobBuilder::new()
+        .with(Characteristic::Queue, q)
+        .nodes(1)
+        .build(JobId(999));
+    let elapsed = [1, 100, 110, 121, 122, 92_681, 92_682, 100_000];
+    for &e in &elapsed {
+        assert!(
+            h.rtime_moments(e as f64).is_none(),
+            "elapsed {e}: Σy² ≥ 2^64"
+        );
+    }
+    predicts_as_the_scan(&mut p, &h, f64::from(u32::MAX), &probe, &elapsed);
+    // Three more points evict the first: Σy² falls below 2^53.
+    for i in 22..25 {
+        complete(i, 100 + i64::from(i), &mut p, &mut h);
+    }
+    assert!(h.iter().all(|q| q.runtime < 1e6), "evicted");
+    for &e in &elapsed {
+        let fast = indexed(&h, None, e as f64, 1.0).expect("exact again");
+        assert_bit_identical(fast, scan(&h, None, e as f64, 1.0), &format!("elapsed {e}"));
+    }
+    predicts_as_the_scan(&mut p, &h, f64::from(u32::MAX), &probe, &elapsed[..6]);
 }
 
 fn rtime_set() -> TemplateSet {

@@ -1216,38 +1216,13 @@ mod tests {
         qpredict_sim::forecast_start(&wl, Algorithm::Backfill, &snap, p, p, target)
     }
 
-    /// An in-order stream of `wl`'s schedule under backfill on the users'
-    /// limits: each job's submit, start and finish, and a query at its
-    /// submit instant.
-    fn realized_events(wl: &qpredict_workload::Workload) -> Vec<JobEvent> {
-        use qpredict_sim::{MaxRuntimeEstimator, Simulation};
-        let mut belief = MaxRuntimeEstimator::from_workload(wl);
-        let schedule = Simulation::run(wl, Algorithm::Backfill, &mut belief);
-        let mut events: Vec<JobEvent> = qpredict_workload::synthesize_events(wl, 0)
-            .into_iter()
-            .filter(|e| matches!(e.kind, EventKind::Submit(_)))
-            .collect();
-        for o in &schedule.outcomes {
-            let id = o.id.0 as u64 + 1;
-            for (time, kind) in [
-                (o.start, EventKind::Start),
-                (o.finish, EventKind::Finish { runtime: None }),
-                (o.submit, EventKind::Query),
-            ] {
-                events.push(JobEvent { id, time, kind });
-            }
-        }
-        events.sort_by_key(JobEvent::sort_key);
-        events
-    }
-
     /// Online = offline: on an in-order stream, every queued job's wait
     /// answer equals the nested backfill forecast over the same state with
     /// belief = prediction.
     #[test]
     fn queued_answers_equal_the_nested_backfill_forecast() {
         let wl = qpredict_workload::synthetic::toy(600, 32, 11);
-        let events = realized_events(&wl);
+        let events = qpredict_sim::realized_events(&wl, 1);
         let mut s = ServiceState::new(ServeConfig {
             machine_nodes: wl.machine_nodes,
             ..ServeConfig::default()
@@ -1339,7 +1314,7 @@ mod tests {
     fn live_index_answers_as_a_full_scan_does() {
         use qpredict_durable::{Delta, Reader, Writer};
         let wl = qpredict_workload::synthetic::toy(2_500, 32, 11);
-        let events = realized_events(&wl);
+        let events = qpredict_sim::realized_events(&wl, 1);
         let (third, two_thirds) = (events.len() / 3, 2 * events.len() / 3);
         let defaults = ServeConfig::default();
         for (max_jobs, max_done) in [(defaults.max_jobs, defaults.max_done), (6, 100)] {

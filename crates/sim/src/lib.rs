@@ -49,4 +49,4 @@ pub use metrics::{JobOutcome, Metrics};
 pub use profile::Profile;
 pub use qpredict_predict::CacheStats;
 pub use scheduler::{schedule_pass, Algorithm, QueueEntry, RunningView};
-pub use timeline::{timeline_of, Timeline};
+pub use timeline::{realized_events, timeline_of, Timeline};

@@ -4,11 +4,43 @@
 //! A [`Timeline`] holds the `(start, finish, nodes)` interval of every
 //! job plus the machine's piecewise-constant node occupancy. It backs
 //! schedule validation (no instant may exceed the machine) and CSV export
-//! of the job intervals for external plotting.
+//! of the job intervals for external plotting. [`realized_events`]
+//! turns a workload's schedule into the event stream a site would emit.
 
-use qpredict_workload::{JobId, Time, Workload};
+use qpredict_workload::{submit_event, EventKind, JobEvent, JobId, Time, Workload};
 
+use crate::engine::Simulation;
+use crate::estimators::MaxRuntimeEstimator;
 use crate::metrics::JobOutcome;
+use crate::scheduler::Algorithm;
+
+/// The event stream of the schedule a site running `w` realizes:
+/// conservative backfill on the users' limits, as the paper's sites
+/// scheduled. Each job submits at its trace instant and starts and
+/// finishes at the schedule's instants, and every `query_every`-th job
+/// (none when 0) gets a wait query at its submit instant. Events come
+/// back in canonical [`JobEvent::sort_key`] order, and the running set
+/// never exceeds the machine.
+pub fn realized_events(w: &Workload, query_every: usize) -> Vec<JobEvent> {
+    let mut belief = MaxRuntimeEstimator::from_workload(w);
+    let schedule = Simulation::run(w, Algorithm::Backfill, &mut belief);
+    let mut events = Vec::with_capacity(w.jobs.len() * 3 + w.jobs.len() / query_every.max(1));
+    for (i, o) in schedule.outcomes.iter().enumerate() {
+        events.push(submit_event(w, w.job(o.id)));
+        let id = o.id.0 as u64 + 1;
+        let query =
+            (query_every > 0 && i % query_every == 0).then_some((o.submit, EventKind::Query));
+        let lifecycle = [
+            (o.start, EventKind::Start),
+            (o.finish, EventKind::Finish { runtime: None }),
+        ];
+        for (time, kind) in lifecycle.into_iter().chain(query) {
+            events.push(JobEvent { id, time, kind });
+        }
+    }
+    events.sort_by_key(JobEvent::sort_key);
+    events
+}
 
 /// Node occupancy over time for one completed schedule.
 #[derive(Debug, Clone)]
@@ -86,8 +118,6 @@ pub fn timeline_of(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Simulation;
-    use crate::scheduler::Algorithm;
     use qpredict_predict::OraclePredictor;
     use qpredict_workload::{synthetic, Dur, JobBuilder};
 
@@ -154,6 +184,46 @@ mod tests {
         assert_eq!(r.outcomes.len(), 100);
         assert!(t.is_feasible());
         assert!(t.peak() > 0);
+    }
+
+    /// Every job submits, starts and finishes once, in that order; the
+    /// nodes running at each instant never exceed the machine; every
+    /// seventh job is queried at its submission.
+    #[test]
+    fn realized_events_replay_a_feasible_schedule() {
+        let w = synthetic::toy(300, 32, 79);
+        let events = realized_events(&w, 7);
+        assert!(events
+            .windows(2)
+            .all(|p| p[0].sort_key() <= p[1].sort_key()));
+        let (mut running, mut queries) = (0i64, 0);
+        let mut seen = vec![0u8; w.len()];
+        for (i, e) in events.iter().enumerate() {
+            let job = w.job(JobId(e.id as u32 - 1));
+            let step = &mut seen[job.id.index()];
+            match e.kind {
+                EventKind::Submit(_) => assert_eq!((*step, e.time), (0, job.submit)),
+                EventKind::Start => assert_eq!(*step, 1),
+                EventKind::Finish { .. } => assert_eq!(*step, 2),
+                EventKind::Query => {
+                    assert_eq!((job.id.index() % 7, e.time), (0, job.submit));
+                    queries += 1;
+                    continue;
+                }
+                EventKind::Cancel => unreachable!("no cancels"),
+            }
+            *step += 1;
+            running += match e.kind {
+                EventKind::Start => i64::from(job.nodes),
+                EventKind::Finish { .. } => -i64::from(job.nodes),
+                _ => 0,
+            };
+            if events.get(i + 1).is_none_or(|n| n.time > e.time) {
+                assert!(running <= i64::from(w.machine_nodes), "at {:?}", e.time);
+            }
+        }
+        assert!(seen.iter().all(|&s| s == 3));
+        assert_eq!(queries, 300usize.div_ceil(7));
     }
 
     #[test]

@@ -29,7 +29,7 @@ use std::fmt::Write as _;
 
 use qpredict_durable::{Codec, CodecError, Reader, Writer};
 
-use crate::job::{Characteristic, CHARACTERISTICS};
+use crate::job::{Characteristic, Job, CHARACTERISTICS};
 use crate::time::{Dur, Time};
 use crate::workload::Workload;
 
@@ -238,32 +238,38 @@ impl JobEvent {
     }
 }
 
+/// The submission of `job`, a job of `w`, at its trace submit time, with
+/// external id `job.id + 1` and its characteristics spelled as `serve`
+/// parses them.
+pub fn submit_event(w: &Workload, job: &Job) -> JobEvent {
+    let chars = CHARACTERISTICS
+        .into_iter()
+        .filter_map(|c| Some((c, w.symbols.resolve(job.chars[c.index()]?).to_string())))
+        .collect();
+    JobEvent {
+        id: job.id.0 as u64 + 1,
+        time: job.submit,
+        kind: EventKind::Submit(SubmitSpec {
+            nodes: job.nodes,
+            limit: job.max_runtime,
+            chars,
+        }),
+    }
+}
+
 /// Derive a deterministic event stream from a batch workload, for
 /// fixtures and benches: each job submits at its trace submit time,
 /// starts after a small deterministic queue delay, and finishes after
 /// its recorded run time; every `query_every`-th job gets a wait-time
 /// query one second after submission. Events come back in canonical
 /// [`JobEvent::sort_key`] order. This is *not* a valid schedule for any
-/// particular machine — it exercises the service, not the scheduler.
+/// particular machine — it exercises the service, not the scheduler;
+/// `qpredict_sim::realized_events` builds the stream of a real schedule.
 pub fn synthesize_events(w: &Workload, query_every: usize) -> Vec<JobEvent> {
     let mut events = Vec::with_capacity(w.jobs.len() * 3 + w.jobs.len() / query_every.max(1));
     for (i, job) in w.jobs.iter().enumerate() {
         let id = job.id.0 as u64 + 1;
-        let mut chars = Vec::new();
-        for c in CHARACTERISTICS {
-            if let Some(sym) = job.chars[c.index()] {
-                chars.push((c, w.symbols.resolve(sym).to_string()));
-            }
-        }
-        events.push(JobEvent {
-            id,
-            time: job.submit,
-            kind: EventKind::Submit(SubmitSpec {
-                nodes: job.nodes,
-                limit: job.max_runtime,
-                chars,
-            }),
-        });
+        events.push(submit_event(w, job));
         if query_every > 0 && i % query_every == 0 {
             events.push(JobEvent {
                 id,

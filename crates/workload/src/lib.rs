@@ -35,7 +35,7 @@ pub mod time;
 pub mod workload;
 
 pub use compress::compress_interarrivals;
-pub use event::{synthesize_events, EventKind, JobEvent, SubmitSpec};
+pub use event::{submit_event, synthesize_events, EventKind, JobEvent, SubmitSpec};
 pub use job::{Characteristic, Job, JobBuilder, JobId, CHARACTERISTICS};
 pub use rng::Rng64;
 pub use stats::WorkloadStats;

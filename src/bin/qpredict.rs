@@ -19,8 +19,10 @@
 //! injects evaluator chaos (panics/hangs/errors) at the given rate,
 //! seeded by `--fault-seed`.
 //!
-//! `events` derives a job-event stream (submissions, starts, finishes,
-//! periodic wait-time queries) from a workload, optionally block-shuffled
+//! `events` derives a job-event stream from a workload: the submissions
+//! at their trace instants, the starts and finishes of the schedule
+//! conservative backfill on the users' limits realizes, and a wait-time
+//! query at every `--query-every`-th submission, optionally block-shuffled
 //! (`--shuffle W`) to exercise reorder handling. `serve` runs the
 //! crash-safe online predictor service over such a stream: with
 //! `--state-dir` every input line is write-ahead logged and state is
@@ -777,8 +779,7 @@ fn main() {
         }
         "events" => {
             let wl = load(source, &opts);
-            let mut events =
-                qpredict::workload::synthesize_events(&wl, opts.query_every.unwrap_or(10));
+            let mut events = qpredict::sim::realized_events(&wl, opts.query_every.unwrap_or(10));
             // Optional deterministic disorder: shuffle within blocks of
             // `--shuffle` events, bounding every event's displacement
             // below the window so a serve --horizon >= W recovers the

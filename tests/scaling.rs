@@ -55,23 +55,36 @@ fn site(mut spec: SiteSpec, jobs: usize) -> qpredict_workload::Workload {
     generate(&spec)
 }
 
-/// History points the Smith predictor traversed while predicting waits
-/// on the SDSC96 site model cut to `jobs` jobs (sized as the CLI's
-/// `waitpred sdsc96 --jobs N` sizes it), under backfill.
-fn scanned_points(jobs: usize) -> u64 {
+/// History points the Smith predictor traversed, and the
+/// elapsed-conditioned estimates it made, while predicting waits on the
+/// SDSC96 site model cut to `jobs` jobs (sized as the CLI's `waitpred
+/// sdsc96 --jobs N` sizes it), under backfill.
+fn scanned_points(jobs: usize) -> (u64, u64) {
     let wl = site(sites::sdsc96_spec(), jobs);
     qpredict_obs::reset();
     let out = run_wait_prediction(&wl, Algorithm::Backfill, PredictorKind::Smith);
     assert_eq!(out.wait_errors.count(), jobs as u64, "every job forecast");
-    qpredict_obs::snapshot().counter("smith.scanned_points")
+    let obs = qpredict_obs::snapshot();
+    (
+        obs.counter("smith.scanned_points"),
+        obs.counter("smith.scan_estimates"),
+    )
 }
 
+/// Quadrupling the jobs must at most sextuple the points read, and no
+/// elapsed-conditioned estimate may read more than one index stride (15
+/// points): a history below the index threshold is scanned whole, an
+/// indexed one reads the entries between the split and the stride
+/// boundary below it. Measured at 500 -> 2,000 jobs: 212,709 -> 666,319
+/// points (3.1x), 6.1 per estimate over 108,488 estimates; 64-entry
+/// blocks indexed from 64 points read 581,922 -> 1,761,909 (3.0x), 16.2
+/// per estimate.
 #[test]
 fn elapsed_conditioned_prediction_reads_near_linearly_many_points() {
     let _turn = RECORDING.lock().unwrap_or_else(|e| e.into_inner());
     qpredict_obs::set_recording(true);
-    let small = scanned_points(500);
-    let large = scanned_points(2000);
+    let (small, _) = scanned_points(500);
+    let (large, estimates) = scanned_points(2000);
     qpredict_obs::set_recording(false);
     assert!(small > 0, "the SDSC96 set conditions on elapsed time");
     let ratio = large as f64 / small as f64;
@@ -79,6 +92,11 @@ fn elapsed_conditioned_prediction_reads_near_linearly_many_points() {
         ratio <= 6.0,
         "4x the jobs read {ratio:.1}x the points ({small} -> {large}): \
          elapsed-time conditioning has gone quadratic"
+    );
+    assert!(
+        large <= 15 * estimates,
+        "{estimates} elapsed-conditioned estimates read {large} points, \
+         more than 15 each"
     );
 }
 
