@@ -14,8 +14,7 @@
 use qpredict_obs::par_map;
 use qpredict_predict::{EstimatorKind, TemplateSet};
 use qpredict_search::{
-    greedy_search, search_supervised, GaConfig, GreedyConfig, PredictionWorkload, SupervisorConfig,
-    Target,
+    greedy_search, replay, search, GaConfig, GreedyConfig, PredictionWorkload, Target,
 };
 use qpredict_sim::Algorithm;
 use qpredict_workload::{compress_interarrivals, synthetic, Workload, WorkloadStats};
@@ -727,7 +726,7 @@ pub fn ga_ablation(wls: &[Workload], threads: usize) -> Table {
     let curated = curated_seed_for(wl);
     let shipped = set_for(wl);
     for (strategy, set) in [("curated seed", &curated), ("shipped GA set", &shipped)] {
-        let e = qpredict_search::evaluate(set, wl, &pw);
+        let e = replay(set, wl, &pw);
         t.push_row(vec![
             strategy.into(),
             format!("{:.2}", e.mean_abs_error_min()),
@@ -744,7 +743,7 @@ pub fn ga_ablation(wls: &[Workload], threads: usize) -> Table {
             threads,
         },
     );
-    let e = qpredict_search::evaluate(&greedy_set, wl, &pw);
+    let e = replay(&greedy_set, wl, &pw);
     t.push_row(vec![
         "greedy".into(),
         format!("{:.2}", e.mean_abs_error_min()),
@@ -758,13 +757,7 @@ pub fn ga_ablation(wls: &[Workload], threads: usize) -> Table {
         seeds: vec![curated],
         ..GaConfig::default()
     };
-    let sup = SupervisorConfig {
-        threads,
-        ..SupervisorConfig::default()
-    };
-    let ga = search_supervised(wl, &pw, &cfg, &sup, None)
-        .expect("unfaulted search is clean")
-        .result;
+    let ga = search(wl, &pw, &cfg, threads, None).expect("no checkpoint to write");
     t.push_row(vec![
         "genetic algorithm".into(),
         format!("{:.2}", ga.best_error_min),
@@ -775,8 +768,10 @@ pub fn ga_ablation(wls: &[Workload], threads: usize) -> Table {
 }
 
 /// Run the GA per workload and validate the winner against the curated
-/// set on a held-out stream. Each winning set also goes to stderr as
-/// paste-ready Rust for `qpredict-predict/src/searched.rs`.
+/// set on a held-out stream, beside the shipped set
+/// ([`set_for`], what `PredictorKind::Smith` runs) on the same stream.
+/// Each winning set also goes to stderr as paste-ready Rust for
+/// `qpredict-predict/src/searched.rs`.
 pub fn ga_search(wls: &[Workload], threads: usize) -> Table {
     let mut t = Table::new(
         "ga-search",
@@ -786,7 +781,7 @@ pub fn ga_search(wls: &[Workload], threads: usize) -> Table {
             "Curated val MAE",
             "GA val MAE",
             "Winner",
-            "Health",
+            "Shipped val MAE",
         ],
     );
     for wl in wls {
@@ -806,25 +801,17 @@ pub fn ga_search(wls: &[Workload], threads: usize) -> Table {
             seeds: vec![curated.clone()],
             ..GaConfig::default()
         };
-        let sup = SupervisorConfig {
-            threads,
-            ..SupervisorConfig::default()
-        };
-        let supervised =
-            search_supervised(wl, &train, &cfg, &sup, None).expect("unfaulted search is clean");
-        let (r, health) = (supervised.result, supervised.health);
-        let curated_val = qpredict_search::evaluate(&curated, wl, &val).mean_abs_error_min();
-        let ga_val = qpredict_search::evaluate(&r.best, wl, &val).mean_abs_error_min();
+        let r = search(wl, &train, &cfg, threads, None).expect("no checkpoint to write");
+        let curated_val = replay(&curated, wl, &val).mean_abs_error_min();
+        let ga_val = replay(&r.best, wl, &val).mean_abs_error_min();
+        let shipped_val = replay(&set_for(wl), wl, &val).mean_abs_error_min();
         let ga_wins = ga_val < curated_val;
         t.push_row(vec![
             wl.name.clone(),
             format!("{curated_val:.2}"),
             format!("{ga_val:.2}"),
             if ga_wins { "GA" } else { "curated" }.to_string(),
-            format!(
-                "{} attempts, {} retries, {} quarantined",
-                health.attempts, health.retries, health.quarantined
-            ),
+            format!("{shipped_val:.2}"),
         ]);
         if ga_wins {
             eprintln!(

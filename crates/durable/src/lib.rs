@@ -140,13 +140,18 @@ pub fn check_frame(text: &str) -> Result<&str, FrameError> {
         None => return Err(FrameError::MissingChecksum { lines: lines() }),
     };
     let (body, sum_line) = text.split_at(body_end);
-    // Exactly `sum <16 hex digits>`, newline optional: nothing else may
-    // follow the seal.
+    // Exactly `sum <16 upper-case hex digits>`, as `seal` writes it,
+    // newline optional: nothing else may follow the seal, and a flipped
+    // case bit is a damaged seal, not the same checksum.
     let hex = sum_line
         .strip_suffix('\n')
         .unwrap_or(sum_line)
         .strip_prefix("sum ")
-        .filter(|h| h.len() == 16 && h.bytes().all(|b| b.is_ascii_hexdigit()));
+        .filter(|h| {
+            h.len() == 16
+                && h.bytes()
+                    .all(|b| b.is_ascii_digit() || (b'A'..=b'F').contains(&b))
+        });
     let stored = hex
         .and_then(|h| u64::from_str_radix(h, 16).ok())
         .ok_or(FrameError::UnreadableChecksum { lines: lines() })?;
@@ -277,6 +282,13 @@ mod tests {
         assert!(matches!(
             check_frame("body\nsum 0000000000000000\n"),
             Err(FrameError::Mismatch { .. })
+        ));
+        let sealed = seal("body\n".to_string());
+        let lower = format!("body\n{}", sealed["body\n".len()..].to_ascii_lowercase());
+        assert_ne!(lower, sealed, "the checksum has a letter digit");
+        assert!(matches!(
+            check_frame(&lower),
+            Err(FrameError::UnreadableChecksum { .. })
         ));
     }
 

@@ -2,19 +2,19 @@
 //!
 //! A [`Checkpoint`] snapshots everything the search needs to continue
 //! bit-identically: the population, the RNG state, the generation
-//! counter, the best-so-far individual, the fitness trace, and the
-//! accumulated [`SearchHealth`]. The codec is a line-oriented, std-only
-//! text format:
+//! counter, the best-so-far individual, the fitness trace, and how often
+//! the run was resumed. The codec is a line-oriented, std-only text
+//! format:
 //!
 //! ```text
-//! qpredict-ga-checkpoint v3
+//! qpredict-ga-checkpoint v4
 //! config <population> <elitism> <mutation rate> <f_min> <seed> <seeds hash>
 //! rng <s0> <s1> <s2> <s3>
 //! gen <n>
 //! evals <n>
 //! best <error> <chromosome as a 0/1 string>
 //! hist <count> <error>...
-//! health <attempts> <retries> <panics> <budget> <errors> <quarantined> <injected> <resumes> <cache hits> <cache misses>
+//! resumes <n>
 //! pop <count>
 //! pop <chromosome as a 0/1 string>      (one record per individual)
 //! sum <FNV-1a 64 of everything above, hex>
@@ -33,8 +33,9 @@
 //!
 //! The checksum framing and atomic replace also live in
 //! [`qpredict_durable`]; this module keeps the GA-specific record schema,
-//! its cross-field checks and the error taxonomy. v3 moved the body onto
-//! the shared codec; v2 files are refused as [`CheckpointError::BadMagic`].
+//! its cross-field checks and the error taxonomy. v4 replaced v3's
+//! per-cause `health` line with the resume count; v3 and older files are
+//! refused as [`CheckpointError::BadMagic`].
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -46,21 +47,21 @@ use qpredict_workload::Rng64;
 
 use crate::encoding::{Chromosome, BITS_PER_TEMPLATE};
 use crate::ga::GaConfig;
-use crate::supervisor::SearchHealth;
 
 /// First line of every checkpoint file; bump the version on breaking
 /// changes (v2 added the estimate-cache counters to the health line, v3
-/// moved the body onto the shared state codec).
-pub const CHECKPOINT_MAGIC: &str = "qpredict-ga-checkpoint v3";
+/// moved the body onto the shared state codec, v4 replaced the health
+/// line with the resume count).
+pub const CHECKPOINT_MAGIC: &str = "qpredict-ga-checkpoint v4";
 
 /// Default checkpoint file name inside a `--checkpoint-dir`.
 pub const CHECKPOINT_FILE: &str = "ga.ckpt";
 
 /// The GA-configuration facets that must match for a resume to be
 /// bit-identical to the original run. `generations` is deliberately
-/// excluded so a finished run may be extended. The worker count lives in
-/// `SupervisorConfig`, outside the fingerprint, because evaluation
-/// outcomes are thread-count-invariant.
+/// excluded so a finished run may be extended. The worker count is a
+/// driver argument, outside the fingerprint, because fitness is
+/// thread-count-invariant.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConfigFingerprint {
     /// Individuals per generation.
@@ -157,8 +158,9 @@ pub struct Checkpoint {
     pub best: Chromosome,
     /// Best error per completed generation.
     pub error_history: Vec<f64>,
-    /// Accumulated supervision health.
-    pub health: SearchHealth,
+    /// Times the search was resumed from a checkpoint before this one
+    /// was written.
+    pub resumes: u64,
     /// The population the next generation starts from.
     pub population: Vec<Chromosome>,
 }
@@ -356,19 +358,6 @@ codec_struct!(ConfigFingerprint {
     seeds_hash
 });
 
-codec_struct!(SearchHealth {
-    attempts,
-    retries,
-    panics,
-    budget_exhausted,
-    eval_errors,
-    quarantined,
-    injected_faults,
-    resumes,
-    cache_hits,
-    cache_misses
-});
-
 /// A chromosome is one token, its bits as `0`/`1` characters.
 fn write_chromosome(w: &mut Writer, bits: &[bool]) {
     let word: String = bits.iter().map(|&b| if b { '1' } else { '0' }).collect();
@@ -413,7 +402,7 @@ impl Codec for Checkpoint {
         w.record("best").put(&self.best_error);
         write_chromosome(w, &self.best);
         w.record("hist").put(&self.error_history);
-        w.record("health").put(&self.health);
+        w.record("resumes").put(&self.resumes);
         w.record("pop").put(&self.population.len());
         for c in &self.population {
             write_chromosome(w.record("pop"), c);
@@ -428,7 +417,7 @@ impl Codec for Checkpoint {
         let best_error = r.record("best")?.get()?;
         let best = read_chromosome(r)?;
         let error_history = r.record("hist")?.get()?;
-        let health = r.record("health")?.get()?;
+        let resumes = r.record("resumes")?.get()?;
         let n: usize = r.record("pop")?.get()?;
         let population = (0..n)
             .map(|_| read_chromosome(r.record("pop")?))
@@ -441,7 +430,7 @@ impl Codec for Checkpoint {
             best_error,
             best,
             error_history,
-            health,
+            resumes,
             population,
         })
     }
@@ -475,18 +464,7 @@ mod tests {
             best_error: 12.5 + gen as f64,
             best: population[0].clone(),
             error_history: (0..gen).map(|g| 20.0 - g as f64 * 0.25).collect(),
-            health: SearchHealth {
-                attempts: (gen * pop) as u64,
-                retries: 3,
-                panics: 2,
-                budget_exhausted: 1,
-                eval_errors: 0,
-                quarantined: 1,
-                injected_faults: 3,
-                resumes: 1,
-                cache_hits: (gen * pop * 10) as u64,
-                cache_misses: (gen * pop) as u64,
-            },
+            resumes: gen as u64 % 3,
             population,
         }
     }
@@ -559,6 +537,30 @@ mod tests {
         assert!(matches!(err, CheckpointError::BadMagic { .. }), "{err}");
         let err = Checkpoint::decode("").unwrap_err();
         assert!(matches!(err, CheckpointError::BadMagic { .. }), "{err}");
+        // A checkpoint a v3 build wrote (`qpredict search toy --jobs 60
+        // --nodes 32 --generations 1 --population 4 --seed 3`): its
+        // checksum verifies, and its magic line refuses it.
+        let v3 = "qpredict-ga-checkpoint v3
+config 4 2 3F847AE147AE147B 3FF0000000000000 3 6926972435584903807
+rng 126364088271606891 13939889295554753703 8982626495152763545 852753059676640241
+gen 1
+evals 4
+best 4047AACBC4021195 0000110010101111000111
+hist 1 4047AACBC4021195
+health 4 0 0 0 0 0 0 0 0 396
+pop 4
+pop 0000110110101111010110
+pop 0000110000011110001101
+pop 0000110010101111000111
+pop 0000110000011110001100
+sum A61D4BF15F35DF49
+";
+        assert!(check_frame(v3).is_ok(), "the v3 literal is intact");
+        let err = Checkpoint::decode(v3).unwrap_err();
+        assert!(
+            matches!(&err, CheckpointError::BadMagic { found } if found == "qpredict-ga-checkpoint v3"),
+            "{err}"
+        );
     }
 
     #[test]

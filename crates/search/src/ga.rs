@@ -16,14 +16,15 @@
 //!   (elitism).
 //!
 //! The search is the longest-running computation in this reproduction,
-//! so it runs under supervision: [`GaRunner`] advances one generation at
-//! a time through the panic-isolated, retrying evaluator of
-//! [`crate::supervisor`], snapshots its complete state into
-//! [`Checkpoint`]s, and [`resume_supervised`] continues a killed run
+//! so it is checkpointed: [`GaRunner`] advances one generation at a
+//! time, scoring the population with [`crate::fitness::replay`] on
+//! [`qpredict_obs::par_map`], snapshots its complete state into
+//! [`Checkpoint`]s, and [`resume`] continues a killed run
 //! **bit-identically** — same best template set, same fitness trace —
 //! because every random decision flows from the checkpointed [`Rng64`]
-//! state or from per-`(generation, individual, attempt)` derived
-//! streams.
+//! state and fitness is a deterministic function of the individual. A
+//! panicking evaluation is a bug: `par_map` hands it to the caller with
+//! its payload, and the search stops.
 
 use std::path::PathBuf;
 
@@ -32,7 +33,7 @@ use qpredict_workload::{Rng64, Workload};
 
 use crate::checkpoint::{Checkpoint, CheckpointError, ConfigFingerprint};
 use crate::encoding::{decode, encode, Chromosome, BITS_PER_TEMPLATE};
-use crate::supervisor::{evaluate_generation, EvalOutcome, SearchHealth, SupervisorConfig};
+use crate::fitness::replay;
 use crate::workloads::PredictionWorkload;
 
 /// Tunables for [`search`].
@@ -83,7 +84,7 @@ impl GaConfig {
 }
 
 /// Outcome of a GA run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GaResult {
     /// Best template set found across all generations.
     pub best: TemplateSet,
@@ -93,61 +94,13 @@ pub struct GaResult {
     pub error_history: Vec<f64>,
     /// Total fitness evaluations performed.
     pub evaluations: usize,
-}
-
-/// Outcome of a supervised (and possibly resumed) GA run.
-#[derive(Debug, Clone)]
-pub struct SupervisedResult {
-    /// The search result proper.
-    pub result: GaResult,
-    /// Supervision accounting: retries, quarantines, resumes.
-    pub health: SearchHealth,
-    /// Generation the run was resumed from, if it was.
+    /// Times the search was resumed from a checkpoint.
+    pub resumes: u64,
+    /// Generation the run was last resumed from, if it was.
     pub resumed_from: Option<usize>,
 }
 
-/// Why a supervised search could not produce a result.
-#[derive(Debug)]
-pub enum SearchError {
-    /// Loading or saving a checkpoint failed.
-    Checkpoint(CheckpointError),
-    /// Every individual of a generation was quarantined; there is no
-    /// fitness signal left to select on.
-    GenerationLost {
-        /// The generation that produced no successful evaluation.
-        generation: usize,
-    },
-}
-
-impl std::fmt::Display for SearchError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SearchError::Checkpoint(e) => write!(f, "{e}"),
-            SearchError::GenerationLost { generation } => write!(
-                f,
-                "generation {generation} lost: every fitness evaluation failed \
-                 after retries (raise --max-retries or lower the fault rate)"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for SearchError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            SearchError::Checkpoint(e) => Some(e),
-            SearchError::GenerationLost { .. } => None,
-        }
-    }
-}
-
-impl From<CheckpointError> for SearchError {
-    fn from(e: CheckpointError) -> SearchError {
-        SearchError::Checkpoint(e)
-    }
-}
-
-/// Where and how often to checkpoint a supervised search.
+/// Where and how often to checkpoint a search.
 #[derive(Debug, Clone)]
 pub struct CheckpointPolicy {
     /// Directory holding the checkpoint file
@@ -178,8 +131,7 @@ impl CheckpointPolicy {
 /// All state lives here: construct with [`GaRunner::new`], advance with
 /// [`GaRunner::step`], snapshot with [`GaRunner::checkpoint`], and
 /// rebuild bit-identically with [`GaRunner::from_checkpoint`]. The
-/// convenience drivers [`search`], [`search_supervised`], and
-/// [`resume_supervised`] wrap this loop.
+/// drivers [`search`] and [`resume`] wrap this loop.
 #[derive(Debug, Clone)]
 pub struct GaRunner {
     cfg: GaConfig,
@@ -189,7 +141,7 @@ pub struct GaRunner {
     best: Option<(f64, Chromosome)>,
     error_history: Vec<f64>,
     evaluations: usize,
-    health: SearchHealth,
+    resumes: u64,
     resumed_from: Option<usize>,
 }
 
@@ -214,7 +166,7 @@ impl GaRunner {
             best: None,
             error_history: Vec::with_capacity(cfg.generations),
             evaluations: 0,
-            health: SearchHealth::default(),
+            resumes: 0,
             resumed_from: None,
         }
     }
@@ -232,8 +184,6 @@ impl GaRunner {
                 current: now,
             });
         }
-        let mut health = ckpt.health;
-        health.resumes += 1;
         Ok(GaRunner {
             cfg: cfg.clone(),
             rng: ckpt.rng(),
@@ -242,7 +192,7 @@ impl GaRunner {
             best: Some((ckpt.best_error, ckpt.best)),
             error_history: ckpt.error_history,
             evaluations: ckpt.evaluations,
-            health,
+            resumes: ckpt.resumes + 1,
             resumed_from: Some(ckpt.generation),
         })
     }
@@ -257,67 +207,38 @@ impl GaRunner {
         self.generation >= self.cfg.generations
     }
 
-    /// Supervision accounting so far.
-    pub fn health(&self) -> &SearchHealth {
-        &self.health
-    }
-
-    /// Run one generation: supervised evaluation, fitness scaling,
-    /// elitism, selection, crossover, mutation.
-    ///
-    /// Quarantined individuals (every attempt failed) take part in
-    /// selection with the worst fitness of their generation (`f_min`)
-    /// and are excluded from best-tracking and fitness scaling —
-    /// graceful degradation instead of a lost run. A generation with
-    /// *no* surviving evaluation is unrecoverable and reported as
-    /// [`SearchError::GenerationLost`].
-    pub fn step(
-        &mut self,
-        wl: &Workload,
-        pw: &PredictionWorkload,
-        sup: &SupervisorConfig,
-    ) -> Result<(), SearchError> {
+    /// Run one generation: fitness evaluation on `threads` workers,
+    /// fitness scaling, elitism, selection, crossover, mutation.
+    pub fn step(&mut self, wl: &Workload, pw: &PredictionWorkload, threads: usize) {
         let _span = qpredict_obs::span("ga.generation");
         qpredict_obs::counter_add("ga.generations", 1);
         let sets: Vec<TemplateSet> = self.population.iter().map(|c| decode(c)).collect();
-        let report = evaluate_generation(self.generation as u64, &sets, wl, pw, sup);
-        self.health.absorb(&report.health);
         self.evaluations += sets.len();
-
-        // Quarantined individuals carry +inf error: never the best,
-        // ranked last for elitism, excluded from the scaling bounds.
-        let errors: Vec<f64> = report
-            .outcomes
-            .iter()
-            .map(|o| match o {
-                EvalOutcome::Ok(stats) => stats.mean_abs_error_min(),
-                EvalOutcome::Quarantined(_) => f64::INFINITY,
+        let errors: Vec<f64> = {
+            // Workers' spans land under this one when `par_map` joins them.
+            let _span = qpredict_obs::span("ga.eval");
+            qpredict_obs::par_map(sets, threads, |_, set| {
+                replay(&set, wl, pw).mean_abs_error_min()
             })
-            .collect();
-        if errors.iter().all(|e| !e.is_finite()) {
-            return Err(SearchError::GenerationLost {
-                generation: self.generation,
-            });
-        }
+        };
 
         // Track the all-time best.
         for (c, &e) in self.population.iter().zip(&errors) {
-            if e.is_finite() && self.best.as_ref().is_none_or(|(be, _)| e < *be) {
+            if self.best.as_ref().is_none_or(|(be, _)| e < *be) {
                 self.best = Some((e, c.clone()));
             }
         }
         self.error_history
-            .push(self.best.as_ref().expect("some evaluation survived").0);
+            .push(self.best.as_ref().expect("a generation was evaluated").0);
 
-        // Fitness scaling (paper formula) over the surviving errors.
-        let finite = errors.iter().cloned().filter(|e| e.is_finite());
-        let e_min = finite.clone().fold(f64::INFINITY, f64::min);
-        let e_max = finite.fold(f64::NEG_INFINITY, f64::max);
+        // Fitness scaling (paper formula).
+        let e_min = errors.iter().cloned().fold(f64::INFINITY, f64::min);
+        let e_max = errors.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         let f_max = 4.0 * self.cfg.f_min;
         let fitness: Vec<f64> = errors
             .iter()
             .map(|&e| {
-                if !e.is_finite() || (e_max - e_min).abs() < 1e-12 {
+                if (e_max - e_min).abs() < 1e-12 {
                     self.cfg.f_min
                 } else {
                     self.cfg.f_min + (e_max - e) / (e_max - e_min) * (f_max - self.cfg.f_min)
@@ -350,7 +271,6 @@ impl GaRunner {
         next.extend(elites);
         self.population = next;
         self.generation += 1;
-        Ok(())
     }
 
     /// Snapshot the complete state at the current generation boundary.
@@ -371,7 +291,7 @@ impl GaRunner {
             best_error,
             best,
             error_history: self.error_history.clone(),
-            health: self.health,
+            resumes: self.resumes,
             population: self.population.clone(),
         }
     }
@@ -380,16 +300,14 @@ impl GaRunner {
     ///
     /// # Panics
     /// Panics before the first [`GaRunner::step`].
-    pub fn into_result(self) -> SupervisedResult {
+    pub fn into_result(self) -> GaResult {
         let (best_error_min, best_bits) = self.best.expect("at least one generation ran");
-        SupervisedResult {
-            result: GaResult {
-                best: decode(&best_bits),
-                best_error_min,
-                error_history: self.error_history,
-                evaluations: self.evaluations,
-            },
-            health: self.health,
+        GaResult {
+            best: decode(&best_bits),
+            best_error_min,
+            error_history: self.error_history,
+            evaluations: self.evaluations,
+            resumes: self.resumes,
             resumed_from: self.resumed_from,
         }
     }
@@ -400,12 +318,12 @@ fn drive(
     mut runner: GaRunner,
     wl: &Workload,
     pw: &PredictionWorkload,
-    sup: &SupervisorConfig,
+    threads: usize,
     policy: Option<&CheckpointPolicy>,
-) -> Result<SupervisedResult, SearchError> {
+) -> Result<GaResult, CheckpointError> {
     let total = runner.cfg.generations;
     while runner.generation() < total {
-        runner.step(wl, pw, sup)?;
+        runner.step(wl, pw, threads);
         if let Some(p) = policy {
             let every = p.every.max(1);
             let gen = runner.generation();
@@ -417,45 +335,35 @@ fn drive(
     Ok(runner.into_result())
 }
 
-/// Run the genetic search for a good template set over `pw`.
-///
-/// This is the plain entry point: supervised evaluation with the default
-/// [`SupervisorConfig`] (machine parallelism, default retry policy, no
-/// fault injection) and no checkpointing. See [`search_supervised`] for
-/// the full supervision surface.
-pub fn search(wl: &Workload, pw: &PredictionWorkload, cfg: &GaConfig) -> GaResult {
-    search_supervised(wl, pw, cfg, &SupervisorConfig::default(), None)
-        .expect("search without faults or checkpoints cannot fail")
-        .result
-}
-
-/// Run the genetic search under full supervision: panic-isolated,
-/// retrying fitness evaluation (`sup`), optional fault injection
-/// (`sup.faults`), and optional periodic checkpointing (`policy`).
-pub fn search_supervised(
+/// Run the genetic search for a good template set over `pw`, scoring
+/// each generation on `threads` workers and checkpointing per `policy`.
+/// Only a checkpoint write can fail, so with no policy the result is
+/// always `Ok`.
+pub fn search(
     wl: &Workload,
     pw: &PredictionWorkload,
     cfg: &GaConfig,
-    sup: &SupervisorConfig,
+    threads: usize,
     policy: Option<&CheckpointPolicy>,
-) -> Result<SupervisedResult, SearchError> {
-    drive(GaRunner::new(cfg), wl, pw, sup, policy)
+) -> Result<GaResult, CheckpointError> {
+    drive(GaRunner::new(cfg), wl, pw, threads, policy)
 }
 
 /// Resume a killed search from `policy`'s checkpoint and run it to
-/// completion. The combined interrupted-plus-resumed run produces a
-/// best template set and fitness trace *byte*-identical to an
-/// uninterrupted [`search_supervised`] with the same configuration.
-pub fn resume_supervised(
+/// completion, checkpointing as it goes. The combined
+/// interrupted-plus-resumed run produces a best template set and
+/// fitness trace *byte*-identical to an uninterrupted [`search`] with
+/// the same configuration.
+pub fn resume(
     wl: &Workload,
     pw: &PredictionWorkload,
     cfg: &GaConfig,
-    sup: &SupervisorConfig,
+    threads: usize,
     policy: &CheckpointPolicy,
-) -> Result<SupervisedResult, SearchError> {
+) -> Result<GaResult, CheckpointError> {
     let ckpt = Checkpoint::load(&policy.file())?;
     let runner = GaRunner::from_checkpoint(cfg, ckpt)?;
-    drive(runner, wl, pw, sup, Some(policy))
+    drive(runner, wl, pw, threads, Some(policy))
 }
 
 /// A random chromosome of 1–4 templates with characteristic bits set
@@ -542,7 +450,7 @@ fn mutate(c: &mut Chromosome, rate: f64, rng: &mut Rng64) {
 mod tests {
     use super::*;
     use crate::workloads::Target;
-    use qpredict_sim::{Algorithm, FaultPlan};
+    use qpredict_sim::Algorithm;
     use qpredict_workload::synthetic::toy;
 
     #[test]
@@ -596,7 +504,7 @@ mod tests {
             seed: 99,
             ..GaConfig::default()
         };
-        let result = search(&wl, &pw, &cfg);
+        let result = search(&wl, &pw, &cfg, 2, None).expect("no checkpoint");
         assert_eq!(result.error_history.len(), 6);
         // The running best is monotone non-increasing.
         for w in result.error_history.windows(2) {
@@ -612,8 +520,8 @@ mod tests {
         let wl = toy(150, 32, 13);
         let pw = PredictionWorkload::build(&wl, Target::WaitPrediction(Algorithm::Fcfs), 4);
         let cfg = GaConfig::quick(7);
-        let a = search(&wl, &pw, &cfg);
-        let b = search(&wl, &pw, &cfg);
+        let a = search(&wl, &pw, &cfg, 2, None).expect("no checkpoint");
+        let b = search(&wl, &pw, &cfg, 2, None).expect("no checkpoint");
         assert_eq!(a.best, b.best);
         assert_eq!(a.error_history, b.error_history);
     }
@@ -639,16 +547,14 @@ mod tests {
         let wl = toy(150, 32, 14);
         let pw = PredictionWorkload::build(&wl, Target::WaitPrediction(Algorithm::Fcfs), 4);
         let cfg = GaConfig::quick(11);
-        let sup = SupervisorConfig::default();
         let mut runner = GaRunner::new(&cfg);
         while !runner.is_done() {
-            runner.step(&wl, &pw, &sup).expect("clean run");
+            runner.step(&wl, &pw, 2);
         }
         let stepped = runner.into_result();
-        let direct = search(&wl, &pw, &cfg);
-        assert_eq!(stepped.result.best, direct.best);
-        assert_eq!(stepped.result.error_history, direct.error_history);
-        assert_eq!(stepped.health.failures(), 0);
+        let direct = search(&wl, &pw, &cfg, 2, None).expect("no checkpoint");
+        assert_eq!(stepped, direct);
+        assert_eq!(stepped.resumes, 0);
         assert!(stepped.resumed_from.is_none());
     }
 
@@ -657,28 +563,24 @@ mod tests {
         let wl = toy(120, 32, 15);
         let pw = PredictionWorkload::build(&wl, Target::WaitPrediction(Algorithm::Fcfs), 4);
         let cfg = GaConfig::quick(23);
-        let sup = SupervisorConfig {
-            threads: 1,
-            ..SupervisorConfig::default()
-        };
         let mut a = GaRunner::new(&cfg);
-        a.step(&wl, &pw, &sup).unwrap();
-        a.step(&wl, &pw, &sup).unwrap();
+        a.step(&wl, &pw, 1);
+        a.step(&wl, &pw, 1);
         let ckpt = a.checkpoint();
         let decoded = Checkpoint::decode(&ckpt.encode()).expect("codec identity");
         let mut b = GaRunner::from_checkpoint(&cfg, decoded).expect("fingerprint matches");
-        assert_eq!(b.health().resumes, 1);
+        assert_eq!(b.checkpoint().resumes, 1);
         while !a.is_done() {
-            a.step(&wl, &pw, &sup).unwrap();
+            a.step(&wl, &pw, 1);
         }
         while !b.is_done() {
-            b.step(&wl, &pw, &sup).unwrap();
+            b.step(&wl, &pw, 1);
         }
         let ra = a.into_result();
         let rb = b.into_result();
-        assert_eq!(ra.result.best, rb.result.best);
-        assert_eq!(ra.result.error_history, rb.result.error_history);
-        assert_eq!(ra.result.evaluations, rb.result.evaluations);
+        assert_eq!(ra.best, rb.best);
+        assert_eq!(ra.error_history, rb.error_history);
+        assert_eq!(ra.evaluations, rb.evaluations);
     }
 
     #[test]
@@ -686,9 +588,8 @@ mod tests {
         let wl = toy(100, 32, 16);
         let pw = PredictionWorkload::build(&wl, Target::WaitPrediction(Algorithm::Fcfs), 4);
         let cfg = GaConfig::quick(31);
-        let sup = SupervisorConfig::default();
         let mut runner = GaRunner::new(&cfg);
-        runner.step(&wl, &pw, &sup).unwrap();
+        runner.step(&wl, &pw, 2);
         let ckpt = runner.checkpoint();
         let other = GaConfig {
             seed: cfg.seed + 1,
@@ -699,27 +600,5 @@ mod tests {
             matches!(err, CheckpointError::ConfigMismatch { field: "seed", .. }),
             "{err}"
         );
-    }
-
-    #[test]
-    fn all_quarantined_generation_is_reported() {
-        let wl = toy(100, 32, 17);
-        let pw = PredictionWorkload::build(&wl, Target::WaitPrediction(Algorithm::Fcfs), 4);
-        let cfg = GaConfig::quick(37);
-        let sup = SupervisorConfig {
-            threads: 2,
-            max_retries: 0,
-            faults: Some(FaultPlan {
-                eval_error_prob: 1.0,
-                ..FaultPlan::new(1)
-            }),
-            ..SupervisorConfig::default()
-        };
-        let err = search_supervised(&wl, &pw, &cfg, &sup, None).unwrap_err();
-        assert!(
-            matches!(err, SearchError::GenerationLost { generation: 0 }),
-            "{err}"
-        );
-        assert!(err.to_string().contains("generation 0 lost"));
     }
 }

@@ -10,7 +10,7 @@
 use qpredict_predict::{Template, TemplateSet};
 use qpredict_workload::{Characteristic, Workload, CHARACTERISTICS};
 
-use crate::fitness::evaluate;
+use crate::fitness::replay;
 use crate::workloads::PredictionWorkload;
 
 /// Tunables for [`greedy_search`].
@@ -99,7 +99,7 @@ pub fn greedy_search(
         }
         let sets: Vec<&TemplateSet> = candidates.iter().map(|(_, s)| s).collect();
         evaluations += sets.len();
-        let errors = qpredict_obs::par_map(sets, cfg.threads, |_, s| evaluate(s, wl, pw));
+        let errors = qpredict_obs::par_map(sets, cfg.threads, |_, s| replay(s, wl, pw));
         let (best_i, err) = errors
             .iter()
             .enumerate()

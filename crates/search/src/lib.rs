@@ -14,17 +14,16 @@
 //!   predict/insert events a given scheduler generates over a trace
 //!   (Section 2.1, "Run-Time Prediction Experiments"), used as the
 //!   fitness inputs;
-//! * [`fitness`] — replaying a prediction workload through a
+//! * [`fitness`] — replaying a prediction workload through a bare
 //!   [`qpredict_predict::SmithPredictor`] to score a template set by its
 //!   mean absolute run-time prediction error;
 //! * [`ga`] — the genetic algorithm (fitness scaling with
 //!   `F_max = 4 F_min`, stochastic sampling with replacement,
 //!   variable-length template/bit crossover, mutation at 0.01 per bit,
-//!   two-individual elitism);
+//!   two-individual elitism), evaluated a generation at a time on
+//!   [`qpredict_obs::par_map`] workers;
 //! * [`greedy`] — the greedy search baseline the paper's earlier work
 //!   compared against (used here for the ablation bench);
-//! * [`supervisor`] — panic-isolated, budgeted, retrying fitness
-//!   evaluation with per-cause failure accounting ([`SearchHealth`]);
 //! * [`checkpoint`] — the versioned, checksummed on-disk snapshot format
 //!   that makes a killed search resumable bit-identically. The generic
 //!   codec (checksum framing, atomic replace, bit-exact floats) lives in
@@ -39,16 +38,11 @@ pub mod encoding;
 pub mod fitness;
 pub mod ga;
 pub mod greedy;
-pub mod supervisor;
 pub mod workloads;
 
 pub use checkpoint::{Checkpoint, CheckpointError, ConfigFingerprint};
 pub use encoding::{decode, encode, Chromosome, BITS_PER_TEMPLATE};
-pub use fitness::{evaluate, replay};
-pub use ga::{
-    resume_supervised, search, search_supervised, CheckpointPolicy, GaConfig, GaResult, GaRunner,
-    SearchError, SupervisedResult,
-};
+pub use fitness::replay;
+pub use ga::{resume, search, CheckpointPolicy, GaConfig, GaResult, GaRunner};
 pub use greedy::{greedy_search, GreedyConfig};
-pub use supervisor::{EvalOutcome, FailureCause, InjectedPanic, SearchHealth, SupervisorConfig};
 pub use workloads::{PredEvent, PredictionWorkload, Target};

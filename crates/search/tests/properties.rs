@@ -77,7 +77,7 @@ fn decode_is_total_and_stable() {
 
 mod checkpoint_codec {
     use qpredict_search::checkpoint::{Checkpoint, CheckpointError, ConfigFingerprint};
-    use qpredict_search::{GaConfig, SearchHealth};
+    use qpredict_search::GaConfig;
 
     use super::*;
 
@@ -114,18 +114,7 @@ mod checkpoint_codec {
             best_error: f64::from_bits(rng.next_u64()).abs().min(1e300) + 0.1,
             best: chromo(rng),
             error_history: (0..generation).map(|_| rng.gen_f64() * 500.0).collect(),
-            health: SearchHealth {
-                attempts: rng.next_u64() % 10_000,
-                retries: rng.next_u64() % 100,
-                panics: rng.next_u64() % 100,
-                budget_exhausted: rng.next_u64() % 100,
-                eval_errors: rng.next_u64() % 100,
-                quarantined: rng.next_u64() % 100,
-                injected_faults: rng.next_u64() % 300,
-                resumes: rng.next_u64() % 10,
-                cache_hits: rng.next_u64() % 1_000_000,
-                cache_misses: rng.next_u64() % 100_000,
-            },
+            resumes: rng.next_u64() % 10,
             population: (0..population).map(|_| chromo(rng)).collect(),
         }
     }
@@ -194,7 +183,7 @@ mod checkpoint_codec {
 }
 
 mod search_behaviour {
-    use qpredict_search::{evaluate, PredictionWorkload, Target};
+    use qpredict_search::{replay, PredictionWorkload, Target};
     use qpredict_sim::Algorithm;
     use qpredict_workload::synthetic::toy;
     use qpredict_workload::Characteristic;
@@ -220,8 +209,8 @@ mod search_behaviour {
             Template::mean_over(&[Characteristic::Queue]), // toy has no queues
         ]);
         assert_eq!(
-            evaluate(&base, &wl, &pw),
-            evaluate(&with_dead, &wl, &pw),
+            replay(&base, &wl, &pw),
+            replay(&with_dead, &wl, &pw),
             "a never-matching template changed predictions"
         );
     }
@@ -241,7 +230,7 @@ mod search_behaviour {
         .relative()
         .with_rtime()
         .with_max_history(4)]);
-        let stats = evaluate(&set, &wl, &pw);
+        let stats = replay(&set, &wl, &pw);
         assert!(stats.mean_abs_error_min().is_finite());
         assert_eq!(stats.count(), pw.n_predictions as u64);
     }

@@ -11,10 +11,6 @@
 //!   and vice versa), or drop it entirely (a static default takes its
 //!   place) — the events a live scheduler sees when its predictor
 //!   misbehaves.
-//! * **Evaluator faults** (consumed by the search supervisor in
-//!   `qpredict-search`): a fitness evaluation panics, hangs (burning its
-//!   step budget), or returns a typed error — the events a long GA run
-//!   sees when an evaluation worker dies under it.
 //!
 //! Everything is driven by [`Rng64`] seeded from [`FaultPlan::seed`]:
 //! identical plans over identical workloads produce byte-identical
@@ -53,15 +49,6 @@ pub struct FaultPlan {
     pub delay_prob: f64,
     /// Maximum submission delay.
     pub delay_max: Dur,
-    /// Probability a fitness evaluation panics (evaluator fault; drawn
-    /// per attempt by the search supervisor).
-    pub eval_panic_prob: f64,
-    /// Probability a fitness evaluation hangs — modelled as burning its
-    /// step budget, so the supervisor's watchdog cuts it off.
-    pub eval_hang_prob: f64,
-    /// Probability a fitness evaluation returns a typed error (a
-    /// deterministic failure, not worth retrying).
-    pub eval_error_prob: f64,
 }
 
 impl FaultPlan {
@@ -78,9 +65,6 @@ impl FaultPlan {
             fail_prob: 0.0,
             delay_prob: 0.0,
             delay_max: Dur::HOUR,
-            eval_panic_prob: 0.0,
-            eval_hang_prob: 0.0,
-            eval_error_prob: 0.0,
         }
     }
 
@@ -96,28 +80,9 @@ impl FaultPlan {
         }
     }
 
-    /// Convenience: evaluator chaos at intensity `p` (panic with
-    /// probability `p`, hang with `p/2`, typed error with `p/4`), no
-    /// trace or prediction faults. This is what the CLI's `--fault-eval`
-    /// builds.
-    pub fn eval_chaos(seed: u64, p: f64) -> FaultPlan {
-        FaultPlan {
-            eval_panic_prob: p,
-            eval_hang_prob: p / 2.0,
-            eval_error_prob: p / 4.0,
-            ..FaultPlan::new(seed)
-        }
-    }
-
     /// True when the plan mutates the trace itself.
     pub fn has_trace_faults(&self) -> bool {
         self.cancel_prob > 0.0 || self.fail_prob > 0.0 || self.delay_prob > 0.0
-    }
-
-    /// True when the plan injects fitness-evaluator faults (consumed by
-    /// the search supervisor, a no-op for the simulator itself).
-    pub fn has_eval_faults(&self) -> bool {
-        self.eval_panic_prob > 0.0 || self.eval_hang_prob > 0.0 || self.eval_error_prob > 0.0
     }
 
     /// Apply the trace faults, returning the mutated workload (re-sorted
@@ -375,23 +340,6 @@ mod tests {
         assert!(ca.total() > 0);
         assert_eq!(ma.mean_wait, mb.mean_wait);
         assert_eq!(ma.utilization, mb.utilization);
-    }
-
-    #[test]
-    fn eval_chaos_sets_only_eval_faults() {
-        let plan = FaultPlan::eval_chaos(3, 0.2);
-        assert!(plan.has_eval_faults());
-        assert!(!plan.has_trace_faults());
-        assert_eq!(
-            plan.pred_scale_prob + plan.pred_invert_prob + plan.pred_drop_prob,
-            0.0
-        );
-        assert!(!FaultPlan::new(3).has_eval_faults());
-        // Eval faults are invisible to the trace/prediction machinery.
-        let wl = toy(60, 16, 45);
-        let (faulted, report) = plan.apply_to_workload(&wl);
-        assert_eq!(report.total(), 0);
-        assert_eq!(faulted.jobs.len(), wl.jobs.len());
     }
 
     #[test]

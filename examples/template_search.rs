@@ -8,7 +8,7 @@
 
 use qpredict::predict::{Template, TemplateSet};
 use qpredict::search::{
-    evaluate, greedy_search, search, GaConfig, GreedyConfig, PredictionWorkload, Target,
+    greedy_search, replay, search, GaConfig, GreedyConfig, PredictionWorkload, Target,
 };
 use qpredict::sim::Algorithm;
 use qpredict::workload::synthetic;
@@ -31,7 +31,7 @@ fn main() {
 
     // Baseline: the single most obvious template (mean over the user).
     let naive = TemplateSet::new(vec![Template::mean_over(&[Characteristic::User])]);
-    let e = evaluate(&naive, &wl, &pw);
+    let e = replay(&naive, &wl, &pw);
     println!(
         "naive (u)-mean:        MAE {:.2} min",
         e.mean_abs_error_min()
@@ -39,7 +39,7 @@ fn main() {
 
     // Greedy search over a candidate pool.
     let (greedy_set, _, _) = greedy_search(&wl, &pw, &GreedyConfig::default());
-    let e = evaluate(&greedy_set, &wl, &pw);
+    let e = replay(&greedy_set, &wl, &pw);
     println!(
         "greedy search:         MAE {:.2} min   {greedy_set}",
         e.mean_abs_error_min()
@@ -51,7 +51,8 @@ fn main() {
         generations: 10,
         ..GaConfig::default()
     };
-    let result = search(&wl, &pw, &cfg);
+    let threads = qpredict::obs::default_threads();
+    let result = search(&wl, &pw, &cfg, threads, None).expect("no checkpoint to write");
     println!(
         "genetic algorithm:     MAE {:.2} min   ({} evaluations)",
         result.best_error_min, result.evaluations

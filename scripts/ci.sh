@@ -24,6 +24,15 @@ PAPER_LIST=(table6 table12 compress2x statewait easy-ablation warmup)
     >"$PAPER_TMP/three.txt" 2>/dev/null
 cmp "$PAPER_TMP/one.txt" "$PAPER_TMP/three.txt"
 
+# The template-search experiments score each GA generation on the same
+# fan-out, so their winners and tables must not depend on it either.
+echo "==> qpredict paper --jobs 300 ga-search ga-ablation with --threads 1 vs --threads 3"
+./target/release/qpredict paper --jobs 300 --threads 1 ga-search ga-ablation \
+    >"$PAPER_TMP/ga-one.txt" 2>/dev/null
+./target/release/qpredict paper --jobs 300 --threads 3 ga-search ga-ablation \
+    >"$PAPER_TMP/ga-three.txt" 2>/dev/null
+cmp "$PAPER_TMP/ga-one.txt" "$PAPER_TMP/ga-three.txt"
+
 # Paper run-report smoke: the experiment grid runs on two workers, whose
 # spans and counters must be merged into the report.
 echo "==> report schema smoke (paper --threads 2 --report-out + check-report)"

@@ -12,12 +12,10 @@
 //! exits 2 rather than being ignored; `--report-out FILE|-` applies to
 //! every subcommand.
 //!
-//! `search` runs the supervised GA template search: `--checkpoint-dir`
-//! snapshots every generation so a killed run can continue with
-//! `--resume` (bit-identical to an uninterrupted run), `--max-retries` /
-//! `--eval-budget` tune the evaluation supervisor, and `--fault-eval`
-//! injects evaluator chaos (panics/hangs/errors) at the given rate,
-//! seeded by `--fault-seed`.
+//! `search` runs the GA template search, scoring each generation on the
+//! machine's cores: `--checkpoint-dir` snapshots every generation so a
+//! killed run can continue with `--resume` (bit-identical to an
+//! uninterrupted run).
 //!
 //! `events` derives a job-event stream from a workload: the submissions
 //! at their trace instants, the starts and finishes of the schedule
@@ -48,10 +46,7 @@ use qpredict::obs::json::Json;
 use qpredict::obs::report::RunReport;
 use qpredict::predict::OraclePredictor;
 use qpredict::prelude::*;
-use qpredict::search::{
-    resume_supervised, search_supervised, CheckpointPolicy, GaConfig, InjectedPanic,
-    PredictionWorkload, SearchError, SupervisorConfig, Target,
-};
+use qpredict::search::{resume, search, CheckpointPolicy, GaConfig, PredictionWorkload, Target};
 use qpredict::sim::{timeline_of, FaultPlan};
 use qpredict::workload::{analysis, swf, synthetic, IngestPolicy};
 
@@ -65,14 +60,11 @@ struct Opts {
     ingest: IngestPolicy,
     fault_seed: Option<u64>,
     fault_pred_noise: Option<f64>,
-    fault_eval: Option<f64>,
     generations: Option<usize>,
     population: Option<usize>,
     seed: Option<u64>,
     checkpoint_dir: Option<String>,
     resume: bool,
-    max_retries: Option<u32>,
-    eval_budget: Option<u64>,
     report_out: Option<String>,
     state_dir: Option<String>,
     horizon: Option<usize>,
@@ -216,10 +208,6 @@ const SUBCOMMANDS: &[(&str, &str, &[&str])] = &[
             "--seed N",
             "--checkpoint-dir DIR",
             "--resume",
-            "--max-retries N",
-            "--eval-budget N",
-            "--fault-eval P",
-            "--fault-seed N",
         ],
     ),
     (
@@ -272,14 +260,11 @@ fn parse_opts(args: &[String]) -> Opts {
         ingest: IngestPolicy::Strict,
         fault_seed: None,
         fault_pred_noise: None,
-        fault_eval: None,
         generations: None,
         population: None,
         seed: None,
         checkpoint_dir: None,
         resume: false,
-        max_retries: None,
-        eval_budget: None,
         report_out: None,
         state_dir: None,
         horizon: None,
@@ -349,15 +334,6 @@ fn parse_opts(args: &[String]) -> Opts {
                 }
                 o.fault_pred_noise = Some(p);
             }
-            "--fault-eval" => {
-                let p: f64 = parse_value(&mut it, "--fault-eval", "a probability in [0, 1]");
-                if !(0.0..=1.0).contains(&p) {
-                    flag_error(format!(
-                        "invalid value \"{p}\" for --fault-eval (expected a probability in [0, 1])"
-                    ));
-                }
-                o.fault_eval = Some(p);
-            }
             "--generations" => {
                 o.generations = Some(parse_value(&mut it, "--generations", "a generation count"))
             }
@@ -374,12 +350,6 @@ fn parse_opts(args: &[String]) -> Opts {
             "--seed" => o.seed = Some(parse_value(&mut it, "--seed", "an integer seed")),
             "--checkpoint-dir" => o.checkpoint_dir = Some(flag_value(&mut it, "--checkpoint-dir")),
             "--resume" => o.resume = true,
-            "--max-retries" => {
-                o.max_retries = Some(parse_value(&mut it, "--max-retries", "a retry count"))
-            }
-            "--eval-budget" => {
-                o.eval_budget = Some(parse_value(&mut it, "--eval-budget", "a step count"))
-            }
             "--out" => o.out = Some(flag_value(&mut it, "--out")),
             "--report-out" => o.report_out = Some(flag_value(&mut it, "--report-out")),
             "--state-dir" => o.state_dir = Some(flag_value(&mut it, "--state-dir")),
@@ -708,45 +678,18 @@ fn main() {
             if let Some(s) = opts.seed {
                 ga.seed = s;
             }
-            let faults = opts
-                .fault_eval
-                .map(|p| FaultPlan::eval_chaos(opts.fault_seed.unwrap_or(0), p));
-            if faults.is_some() {
-                // Injected panics are supervised and expected; keep the
-                // default hook's backtraces for *real* panics only.
-                let default_hook = std::panic::take_hook();
-                std::panic::set_hook(Box::new(move |info| {
-                    if !info.payload().is::<InjectedPanic>() {
-                        default_hook(info);
-                    }
-                }));
-            }
             ga.seeds = vec![curated_seed_for(&wl)];
-            let supervisor = SupervisorConfig {
-                max_retries: opts.max_retries.unwrap_or(3),
-                eval_budget: opts.eval_budget,
-                faults,
-                ..SupervisorConfig::default()
-            };
+            let threads = qpredict::obs::default_threads();
             let checkpoint = opts
                 .checkpoint_dir
                 .as_ref()
                 .map(CheckpointPolicy::every_generation);
             let pw = PredictionWorkload::build(&wl, Target::WaitPrediction(opts.alg), 4);
             let run = match &checkpoint {
-                Some(policy) if opts.resume => {
-                    resume_supervised(&wl, &pw, &ga, &supervisor, policy)
-                }
-                _ => search_supervised(&wl, &pw, &ga, &supervisor, checkpoint.as_ref()),
+                Some(policy) if opts.resume => resume(&wl, &pw, &ga, threads, policy),
+                _ => search(&wl, &pw, &ga, threads, checkpoint.as_ref()),
             };
-            let out = run.unwrap_or_else(|e| match e {
-                SearchError::Checkpoint(_) => flag_error(format!("cannot resume search: {e}")),
-                SearchError::GenerationLost { .. } => {
-                    eprintln!("qpredict: {e}");
-                    exit(1)
-                }
-            });
-            let r = &out.result;
+            let r = run.unwrap_or_else(|e| flag_error(format!("cannot resume search: {e}")));
             metric("best_error_min", r.best_error_min);
             metric("evaluations", r.evaluations as f64);
             metric("generations", ga.generations as f64);
@@ -763,14 +706,8 @@ fn main() {
             }
             println!("  evaluations  {}", r.evaluations);
             println!("  best set     {}", r.best);
-            for (i, line) in out.health.summary().lines().enumerate() {
-                if i == 0 {
-                    println!("  health       {line}");
-                } else {
-                    println!("               {line}");
-                }
-            }
-            if let Some(g) = out.resumed_from {
+            println!("  resumes      {}", r.resumes);
+            if let Some(g) = r.resumed_from {
                 println!("  resumed from generation {g}");
             }
             if let Some(p) = &checkpoint {

@@ -225,6 +225,14 @@ fn cli_flag_errors_exit_two_with_pointed_messages() {
             &["paper", "table3", "--jobs", "0"],
             "invalid value \"0\" for --jobs",
         ),
+        (
+            &["search", "toy", "--jobs", "50", "--fault-eval", "0.1"],
+            "unknown flag \"--fault-eval\"",
+        ),
+        (
+            &["search", "toy", "--jobs", "50", "--fault-seed", "3"],
+            "--fault-seed does not apply to search",
+        ),
     ];
     for (args, needle) in cases {
         let out = bin().args(*args).output().expect("binary runs");
