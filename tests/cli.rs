@@ -227,6 +227,20 @@ fn search_resume_with_corrupt_checkpoint_exits_2() {
 }
 
 #[test]
+fn search_rejects_bad_fault_eval_rate() {
+    // search no longer injects evaluator faults, so --fault-eval is refused
+    // as an unknown flag whatever its rate.
+    let out = bin()
+        .args(["search", "toy", "--jobs", "50", "--fault-eval", "1.5"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--fault-eval"), "stderr names the bad flag: {err}");
+    assert!(err.contains("unknown flag"), "{err}");
+}
+
+#[test]
 fn bad_arguments_fail_cleanly() {
     let out = bin().args(["simulate"]).output().expect("binary runs");
     assert!(!out.status.success());
