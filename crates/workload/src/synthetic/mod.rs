@@ -21,6 +21,7 @@
 //!
 //! Generation is fully deterministic given the [`SiteSpec`] seed.
 
+pub mod arrivals;
 pub mod dist;
 pub mod model;
 pub mod sites;

@@ -9,6 +9,7 @@ use crate::symbols::Sym;
 use crate::time::{Dur, Time};
 use crate::workload::Workload;
 
+use super::arrivals::DailyCycle;
 use super::dist;
 use crate::rng::Rng64;
 
@@ -178,12 +179,21 @@ struct User {
     current_arg: usize,
 }
 
-/// Generate a workload from a site spec. Deterministic given the spec.
+/// Generate a workload from a site spec. Deterministic given the spec:
+/// the RNG draws come in a fixed order, one `gen_f64` per job for its
+/// arrival, and arrivals are the bisection's integers whether or not
+/// the certified fast path produced them (see [`super::arrivals`]).
 ///
 /// # Panics
 /// Panics if the spec is degenerate (`n_jobs == 0`, `n_users == 0`,
 /// non-positive load or mean run time).
 pub fn generate(spec: &SiteSpec) -> Workload {
+    generate_counting_fallbacks(spec).0
+}
+
+/// [`generate`], also returning how many arrivals fell back from the
+/// certified Newton path to the bisection.
+pub(crate) fn generate_counting_fallbacks(spec: &SiteSpec) -> (Workload, usize) {
     assert!(spec.n_jobs > 0, "n_jobs must be positive");
     assert!(spec.n_users > 0, "n_users must be positive");
     assert!(spec.offered_load > 0.0, "offered load must be positive");
@@ -288,14 +298,19 @@ pub fn generate(spec: &SiteSpec) -> Workload {
     // limits carry identity-level information only; encoding per-job run
     // times in them would hand the max-run-time baseline an oracle-grade
     // short-job signal no real scheduler has.
+    // The map draws each key's factor at its first draft, in draft order;
+    // `habit[i]` is then draft `i`'s factor, looked up once.
     use std::collections::HashMap;
-    let mut habit: HashMap<(usize, usize, usize), f64> = HashMap::new();
-    for d in &drafts {
-        habit.entry((d.user, d.app, d.arg)).or_insert_with(|| {
-            users[d.user].overestimate
-                * dist::lognormal_with_mean(&mut rng, 1.0, spec.overestimate_sigma * 0.4)
-        });
-    }
+    let mut habit_of: HashMap<(usize, usize, usize), f64> = HashMap::new();
+    let habit: Vec<f64> = drafts
+        .iter()
+        .map(|d| {
+            *habit_of.entry((d.user, d.app, d.arg)).or_insert_with(|| {
+                users[d.user].overestimate
+                    * dist::lognormal_with_mean(&mut rng, 1.0, spec.overestimate_sigma * 0.4)
+            })
+        })
+        .collect();
     // Relative typical run time of each draft's (app, variant).
     let typical_rel = |d: &Draft| -> f64 {
         let app = &users[d.user].apps[d.app];
@@ -316,20 +331,21 @@ pub fn generate(spec: &SiteSpec) -> Workload {
         let mean_rel: f64 = drafts.iter().map(|d| d.rt_rel).sum::<f64>() / drafts.len() as f64;
         target_mean_s / mean_rel
     };
-    let limit_for = |d: &Draft, scale: f64| -> i64 {
-        let intent = typical_rel(d) * scale * habit[&(d.user, d.app, d.arg)];
+    let limit_for = |d: &Draft, h: f64, scale: f64| -> i64 {
+        let intent = typical_rel(d) * scale * h;
         dist::round_to_familiar_limit(intent.min(max_rt_s * 2.0))
     };
     let mut runtimes: Vec<i64> = Vec::new();
     for _ in 0..6 {
         runtimes = drafts
             .iter()
-            .map(|d| {
+            .zip(&habit)
+            .map(|(d, &h)| {
                 let mut rt = (d.rt_rel * scale).round().clamp(1.0, max_rt_s) as i64;
                 if spec.records_max_runtime {
                     // Jobs hitting their wall-clock limit are killed, as
                     // on the real systems.
-                    rt = rt.min(limit_for(d, scale)).max(1);
+                    rt = rt.min(limit_for(d, h, scale)).max(1);
                 }
                 rt
             })
@@ -349,15 +365,16 @@ pub fn generate(spec: &SiteSpec) -> Workload {
         .map(|(d, &rt)| d.nodes as f64 * rt as f64)
         .sum();
     let span_s = total_work / (spec.machine_nodes as f64 * spec.offered_load);
-    let arrivals = draw_arrivals(&mut rng, spec.n_jobs, span_s, spec.daily_amplitude);
+    let (arrivals, fallbacks) = draw_arrivals(&mut rng, spec.n_jobs, span_s, spec.daily_amplitude);
 
     // --- Materialize jobs.
     let queue_syms = spec
         .queue_scheme
         .as_ref()
         .map(|qs| intern_queues(&mut w, qs));
-    for (i, (draft, (&rt, &arrival))) in drafts
+    for (i, ((draft, &h), (&rt, &arrival))) in drafts
         .iter()
+        .zip(&habit)
         .zip(runtimes.iter().zip(arrivals.iter()))
         .enumerate()
     {
@@ -409,9 +426,9 @@ pub fn generate(spec: &SiteSpec) -> Workload {
         }
         // The habitual per-(user, app, variant) intent drives both the
         // wall-clock limit and (for queued sites) the queue choice.
-        let intent_s = typical_rel(draft) * scale * habit[&(draft.user, draft.app, draft.arg)];
+        let intent_s = typical_rel(draft) * scale * h;
         if spec.records_max_runtime {
-            let lim = limit_for(draft, scale).max(rt);
+            let lim = limit_for(draft, h, scale).max(rt);
             b = b.max_runtime(Dur(lim));
         }
         if let (Some(scheme), Some(qsyms)) = (spec.queue_scheme.as_ref(), queue_syms.as_ref()) {
@@ -422,7 +439,7 @@ pub fn generate(spec: &SiteSpec) -> Workload {
     }
     w.finalize();
     debug_assert!(w.validate().is_ok(), "{:?}", w.validate());
-    w
+    (w, fallbacks)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -523,33 +540,25 @@ fn build_users(
 }
 
 /// Draw `n` sorted arrival times (seconds) over `[0, span_s]` from a
-/// process whose rate has a sinusoidal daily cycle of amplitude `a`.
-fn draw_arrivals(rng: &mut Rng64, n: usize, span_s: f64, a: f64) -> Vec<i64> {
-    const DAY: f64 = 86_400.0;
-    let a = a.clamp(0.0, 0.95);
-    // Cumulative rate Lambda(t) = t + (a*DAY/2pi) * (1 - cos(2pi t / DAY)).
-    let lambda = |t: f64| {
-        t + a * DAY / std::f64::consts::TAU * (1.0 - (std::f64::consts::TAU * t / DAY).cos())
-    };
-    let total = lambda(span_s);
+/// process whose rate has a sinusoidal daily cycle of amplitude `a`: one
+/// `gen_f64` per job picks a target under the cumulative rate, inverted
+/// by [`DailyCycle::certified_arrival`] or, where it declines, by the
+/// bisection. Also returns how many jobs fell back to the bisection.
+fn draw_arrivals(rng: &mut Rng64, n: usize, span_s: f64, a: f64) -> (Vec<i64>, usize) {
+    let cycle = DailyCycle::new(span_s, a);
+    let total = cycle.total();
+    let mut fallbacks = 0;
     let mut arrivals: Vec<i64> = (0..n)
         .map(|_| {
             let target = rng.gen_f64() * total;
-            // Invert Lambda by bisection; Lambda is strictly increasing.
-            let (mut lo, mut hi) = (0.0, span_s);
-            for _ in 0..50 {
-                let mid = 0.5 * (lo + hi);
-                if lambda(mid) < target {
-                    lo = mid;
-                } else {
-                    hi = mid;
-                }
-            }
-            (0.5 * (lo + hi)).round() as i64
+            cycle.certified_arrival(target).unwrap_or_else(|| {
+                fallbacks += 1;
+                cycle.arrival_by_bisection(target)
+            })
         })
         .collect();
     arrivals.sort_unstable();
-    arrivals
+    (arrivals, fallbacks)
 }
 
 /// Intern the queue-name vocabulary for a queue scheme. Layout:
@@ -750,7 +759,7 @@ mod tests {
     #[test]
     fn arrivals_are_sorted_and_span_solves_load() {
         let mut r = Rng64::seed_from_u64(1);
-        let arr = draw_arrivals(&mut r, 500, 1_000_000.0, 0.5);
+        let (arr, _) = draw_arrivals(&mut r, 500, 1_000_000.0, 0.5);
         assert_eq!(arr.len(), 500);
         assert!(arr.windows(2).all(|w| w[0] <= w[1]));
         assert!(*arr.last().unwrap() <= 1_000_000);

@@ -159,18 +159,28 @@ pub fn spec_by_name(name: &str) -> Option<SiteSpec> {
 /// A cut-down site keeps at most `max(jobs / 20, 4)` users, so per-user
 /// history still accumulates at small sizes.
 pub fn by_name(name: &str, jobs: Option<usize>) -> Option<Workload> {
+    Some(generate(&sized_spec_by_name(name, jobs)?))
+}
+
+/// The spec [`by_name`] generates.
+pub(crate) fn sized_spec_by_name(name: &str, jobs: Option<usize>) -> Option<SiteSpec> {
     let mut spec = spec_by_name(name)?;
     if let Some(n) = jobs {
         spec.n_jobs = n;
         spec.n_users = spec.n_users.min((n / 20).max(4));
     }
-    Some(generate(&spec))
+    Some(spec)
 }
 
 /// A small, fast workload for tests and examples: `n_jobs` jobs on a
 /// `machine_nodes`-node machine at moderate load, with users, executables,
 /// arguments, and max run times recorded.
 pub fn toy(n_jobs: usize, machine_nodes: u32, seed: u64) -> Workload {
+    generate(&toy_spec(n_jobs, machine_nodes, seed))
+}
+
+/// The spec [`toy`] generates.
+pub(crate) fn toy_spec(n_jobs: usize, machine_nodes: u32, seed: u64) -> SiteSpec {
     let mut s = SiteSpec::base("toy");
     s.machine_nodes = machine_nodes;
     s.n_jobs = n_jobs;
@@ -181,7 +191,7 @@ pub fn toy(n_jobs: usize, machine_nodes: u32, seed: u64) -> Workload {
     s.records_executable = true;
     s.records_arguments = true;
     s.records_max_runtime = true;
-    generate(&s)
+    s
 }
 
 #[cfg(test)]
@@ -242,6 +252,30 @@ mod tests {
                 st.queues >= 10,
                 "SDSC should have many queues: {}",
                 st.queues
+            );
+        }
+    }
+
+    /// Work-count guard on the certified arrival path: on every site model
+    /// at its full size and at 16,000 jobs, and on `toy`, fewer than 1% of
+    /// arrivals may fall back to the 50-step bisection.
+    #[test]
+    fn arrivals_rarely_fall_back_to_bisection() {
+        let mut specs: Vec<SiteSpec> = Vec::new();
+        for name in ALL_SITES {
+            for jobs in [None, Some(16_000)] {
+                specs.push(sized_spec_by_name(name, jobs).expect("known site"));
+            }
+        }
+        specs.push(toy_spec(2000, 64, 42));
+        specs.push(toy_spec(300, 32, 41));
+        for spec in &specs {
+            let (w, fallbacks) = super::super::model::generate_counting_fallbacks(spec);
+            assert!(
+                fallbacks * 100 < w.len(),
+                "{} at {} jobs: {fallbacks} arrivals fell back",
+                spec.name,
+                w.len()
             );
         }
     }

@@ -172,4 +172,13 @@ cargo test --release -q -p qpredict-sim --test backfill_oracle
 echo "==> cargo test --release -q -p qpredict-predict --test rtindex_oracle"
 cargo test --release -q -p qpredict-predict --test rtindex_oracle
 
+# Synthesis is bit-identical to the bisection it replaced: the arrival
+# oracle runs its full million-target case count only in optimized code,
+# and the synthesis lock holds every site model to its captured
+# fingerprints in the build the benchmark runs.
+echo "==> cargo test --release -q -p qpredict-workload --test arrival_oracle"
+cargo test --release -q -p qpredict-workload --test arrival_oracle
+echo "==> cargo test --release -q --test synthesis_lock"
+cargo test --release -q --test synthesis_lock
+
 echo "CI green."

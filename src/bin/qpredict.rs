@@ -689,7 +689,15 @@ fn main() {
                 Some(policy) if opts.resume => resume(&wl, &pw, &ga, threads, policy),
                 _ => search(&wl, &pw, &ga, threads, checkpoint.as_ref()),
             };
-            let r = run.unwrap_or_else(|e| flag_error(format!("cannot resume search: {e}")));
+            // A checkpoint that cannot be resumed is a usage error; a fresh
+            // run that cannot write one failed at run time, like `serve_fail`.
+            let r = run.unwrap_or_else(|e| {
+                if opts.resume {
+                    flag_error(format!("cannot resume search: {e}"))
+                }
+                eprintln!("qpredict: cannot write search checkpoint: {e}");
+                exit(1)
+            });
             metric("best_error_min", r.best_error_min);
             metric("evaluations", r.evaluations as f64);
             metric("generations", ga.generations as f64);

@@ -227,6 +227,40 @@ fn search_resume_with_corrupt_checkpoint_exits_2() {
 }
 
 #[test]
+fn search_that_cannot_write_its_checkpoint_exits_1() {
+    // A fresh run whose checkpoint directory sits under a regular file
+    // fails at run time; nothing is being resumed.
+    let dir = std::env::temp_dir().join("qpredict_cli_ckpt_under_file");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("F");
+    std::fs::write(&file, "not a directory\n").unwrap();
+    let out = bin()
+        .args([
+            "search",
+            "toy",
+            "--jobs",
+            "50",
+            "--generations",
+            "1",
+            "--population",
+            "4",
+            "--checkpoint-dir",
+            file.join("sub").to_str().unwrap(),
+        ])
+        .output()
+        .expect("binary runs");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(
+        err.contains("qpredict: cannot write search checkpoint: "),
+        "{err}"
+    );
+    assert!(!err.contains("resume"), "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn search_rejects_bad_fault_eval_rate() {
     // search no longer injects evaluator faults, so --fault-eval is refused
     // as an unknown flag whatever its rate.
@@ -236,7 +270,10 @@ fn search_rejects_bad_fault_eval_rate() {
         .expect("binary runs");
     assert_eq!(out.status.code(), Some(2));
     let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("--fault-eval"), "stderr names the bad flag: {err}");
+    assert!(
+        err.contains("--fault-eval"),
+        "stderr names the bad flag: {err}"
+    );
     assert!(err.contains("unknown flag"), "{err}");
 }
 
