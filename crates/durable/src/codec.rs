@@ -31,7 +31,9 @@
 //! A type whose state changes a little at a time can also implement
 //! [`Delta`]: the same records, but only for what changed since a mark.
 //!
-//! The encoder writes every token straight into one `String`.
+//! The encoder writes every token straight into one byte buffer, checked
+//! to be UTF-8 once when it is finished; integers and hex words are
+//! rendered through digit-pair tables and appended as one run of bytes.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -133,18 +135,21 @@ macro_rules! codec_struct {
 }
 
 /// Token sink. Obtain the text with [`Writer::finish`].
+///
+/// Tokens are appended as bytes, all of them copied from `&str`s or
+/// ASCII, so the text is checked to be UTF-8 once, at the end.
 #[derive(Debug, Default)]
 pub struct Writer {
-    out: String,
+    out: Vec<u8>,
 }
 
 impl Writer {
     /// Start a record: end the previous line, if any, and write `tag`.
     pub fn record(&mut self, tag: &str) -> &mut Self {
         if !self.out.is_empty() {
-            self.out.push('\n');
+            self.out.push(b'\n');
         }
-        self.out.push_str(tag);
+        self.out.extend_from_slice(tag.as_bytes());
         self
     }
 
@@ -161,22 +166,22 @@ impl Writer {
             !word.is_empty() && !word.contains([' ', '\n', '\r']),
             "not a word: {word:?}"
         );
-        self.out.push(' ');
-        self.out.push_str(word);
+        self.out.push(b' ');
+        self.out.extend_from_slice(word.as_bytes());
         self
     }
 
     /// Append a string token of any content.
     pub fn str(&mut self, s: &str) -> &mut Self {
-        self.out.push_str(" '");
-        for c in s.chars() {
-            if c == ' ' || c == '%' || c.is_ascii_control() {
-                let b = c as u8;
-                self.out.push('%');
-                self.out.push(HEX[(b >> 4) as usize] as char);
-                self.out.push(HEX[(b & 0xF) as usize] as char);
+        self.out.extend_from_slice(b" '");
+        // Bytes of multi-byte characters are never ASCII, so they pass
+        // through whole.
+        for &b in s.as_bytes() {
+            if b == b' ' || b == b'%' || b.is_ascii_control() {
+                self.out.push(b'%');
+                self.out.extend_from_slice(&HEX_PAIRS[b as usize]);
             } else {
-                self.out.push(c);
+                self.out.push(b);
             }
         }
         self
@@ -205,37 +210,87 @@ impl Writer {
     /// The encoded text: every record ended by a newline.
     pub fn finish(mut self) -> String {
         if !self.out.is_empty() {
-            self.out.push('\n');
+            self.out.push(b'\n');
         }
-        self.out
+        String::from_utf8(self.out).expect("every token is UTF-8")
     }
 
-    fn int(&mut self, negative: bool, mut v: u64) {
+    fn int(&mut self, negative: bool, v: u64) {
         let mut buf = [0u8; 20];
-        let mut i = buf.len();
-        loop {
-            i -= 1;
-            buf[i] = b'0' + (v % 10) as u8;
-            v /= 10;
-            if v == 0 {
-                break;
-            }
-        }
-        self.out.push_str(if negative { " -" } else { " " });
-        // Digits are ASCII.
-        self.out.extend(buf[i..].iter().map(|&b| b as char));
+        self.out
+            .extend_from_slice(if negative { b" -" } else { b" " });
+        self.out.extend_from_slice(decimal_digits(v, &mut buf));
     }
 
     fn hex16(&mut self, v: u64) {
-        self.out.push(' ');
-        for shift in (0..16).rev() {
-            self.out
-                .push(HEX[((v >> (shift * 4)) & 0xF) as usize] as char);
-        }
+        self.out.push(b' ');
+        self.out.extend_from_slice(&hex_digits(v));
     }
 }
 
 const HEX: &[u8; 16] = b"0123456789ABCDEF";
+
+/// The two decimal digits of every value below 100.
+const DIGIT_PAIRS: [[u8; 2]; 100] = {
+    let mut t = [[0u8; 2]; 100];
+    let mut i = 0;
+    while i < 100 {
+        t[i] = [b'0' + (i / 10) as u8, b'0' + (i % 10) as u8];
+        i += 1;
+    }
+    t
+};
+
+/// The two upper-case hex digits of every byte.
+const HEX_PAIRS: [[u8; 2]; 256] = {
+    let mut t = [[0u8; 2]; 256];
+    let mut i = 0;
+    while i < 256 {
+        t[i] = [HEX[i >> 4], HEX[i & 0xF]];
+        i += 1;
+    }
+    t
+};
+
+/// The decimal digits of `v` (no sign, no leading zeros), written two at
+/// a time from the end of `buf`; returns the digits. Equal to the bytes
+/// of `format!("{v}")`.
+pub fn decimal_digits(mut v: u64, buf: &mut [u8; 20]) -> &[u8] {
+    let mut i = buf.len();
+    while v >= 100 {
+        i -= 2;
+        buf[i..i + 2].copy_from_slice(&DIGIT_PAIRS[(v % 100) as usize]);
+        v /= 100;
+    }
+    if v >= 10 {
+        i -= 2;
+        buf[i..i + 2].copy_from_slice(&DIGIT_PAIRS[v as usize]);
+    } else {
+        i -= 1;
+        buf[i] = b'0' + v as u8;
+    }
+    &buf[i..]
+}
+
+/// The 16 upper-case hex digits of `v`, most significant first, one
+/// table lookup per byte. Equal to the bytes of `format!("{v:016X}")`.
+pub fn hex_digits(v: u64) -> [u8; 16] {
+    let mut out = [0u8; 16];
+    for (pair, byte) in out.chunks_exact_mut(2).zip(v.to_be_bytes()) {
+        pair.copy_from_slice(&HEX_PAIRS[byte as usize]);
+    }
+    out
+}
+
+/// Read back [`hex_digits`]: exactly 16 upper-case hex digits, else
+/// `None` (a lower-case digit is a flipped bit, not the same value).
+pub fn parse_hex16(word: &str) -> Option<u64> {
+    if word.len() != 16 {
+        return None;
+    }
+    word.bytes()
+        .try_fold(0u64, |acc, b| Some(acc << 4 | hex_digit(b)? as u64))
+}
 
 /// Token source over an encoded body.
 #[derive(Debug)]
@@ -432,12 +487,7 @@ impl Codec for f64 {
     }
     fn decode(r: &mut Reader<'_>, _: &()) -> Result<Self, CodecError> {
         let word = r.word()?;
-        let bits = (word.len() == 16)
-            .then(|| {
-                word.bytes()
-                    .try_fold(0u64, |acc, b| Some(acc << 4 | hex_digit(b)? as u64))
-            })
-            .flatten()
+        let bits = parse_hex16(word)
             .ok_or_else(|| r.error(format!("expected 16 hex digits, found {word:?}")))?;
         Ok(f64::from_bits(bits))
     }

@@ -10,19 +10,19 @@
 //!   Each stateful type implements [`Codec`] once, listing its fields in
 //!   both directions; a type that can also write only what changed since
 //!   its last mark implements [`Delta`].
+//! * **One checksum** — [`checksum`] reads its input eight bytes at a
+//!   time, so seals, WAL records, state fingerprints and config
+//!   fingerprints cost a fraction of a nanosecond per byte.
 //! * **Checksum framing** — a file body is "sealed" by appending a
-//!   trailing `sum <FNV-1a 64 hex>` line covering every byte above it
-//!   ([`seal`]); [`check_frame`] verifies the checksum *before* any
-//!   field is interpreted and returns the body, so a truncated or
-//!   bit-flipped file is rejected with a typed [`FrameError`], never a
-//!   panic or silent garbage.
+//!   trailing `sum <16 hex digits of its checksum>` line covering every
+//!   byte above it ([`seal`]); [`check_frame`] verifies the checksum
+//!   *before* any field is interpreted and returns the body, so a
+//!   truncated or bit-flipped file is rejected with a typed
+//!   [`FrameError`], never a panic or silent garbage.
 //! * **Atomic replace** — [`write_atomic`] serializes to a sibling
 //!   temporary file, fsyncs, then renames into place: a kill at any
 //!   instant leaves either the old or the new file intact, never a torn
 //!   one.
-//!
-//! The FNV-1a constants match the estimation-lock fingerprints and the
-//! run-report config fingerprints.
 
 pub mod codec;
 
@@ -31,20 +31,71 @@ pub use codec::{Codec, CodecError, Delta, Reader, Writer};
 use std::fmt;
 use std::path::Path;
 
-/// FNV-1a 64 offset basis.
-pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64 prime.
-pub const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+/// Odd multiplier of the checksum's rounds (2⁶⁴ divided by the golden
+/// ratio, rounded to odd).
+const MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+/// Starting states of the checksum's two lanes (hex digits of π).
+const LANE_SEEDS: [u64; 2] = [0x243F_6A88_85A3_08D3, 0x1319_8A2E_0370_7344];
 
-/// Fold one byte into an FNV-1a 64 hash.
-#[inline]
-pub fn fnv1a_byte(hash: u64, byte: u8) -> u64 {
-    (hash ^ byte as u64).wrapping_mul(FNV_PRIME)
+/// One round: fold word `w` into lane state `h`. For a fixed `w` it is
+/// a bijection of `h` (xor, then an odd multiply and a rotation, each
+/// invertible), and for a fixed `h` it is injective in `w`.
+#[inline(always)]
+fn round(h: u64, w: u64) -> u64 {
+    (h ^ w).wrapping_mul(MUL).rotate_left(29)
 }
 
-/// FNV-1a 64 over a byte slice.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(FNV_OFFSET, |h, &b| fnv1a_byte(h, b))
+/// The little-endian word of an 8-byte chunk.
+#[inline(always)]
+fn word(chunk: &[u8]) -> u64 {
+    u64::from_le_bytes(chunk.try_into().expect("an 8-byte chunk"))
+}
+
+/// The durable layer's one 64-bit checksum: seals, WAL records, state
+/// and configuration fingerprints.
+///
+/// The input is read as 8-byte little-endian words, then a final word
+/// holding the 0–7 byte tail zero-padded; word `i` is folded into lane
+/// `i mod 2` by the round `h = rotl((h ^ w) · K, 29)` with `K` odd, so
+/// the two lanes' multiply chains run side by side. The lanes are
+/// combined by `a ^ rotl(b, 32)`, the byte length is xored in and the
+/// result goes through the MurmurHash3 64-bit finalizer (a bijection)
+/// for avalanche.
+///
+/// Every step after a word is read is a bijection of the state, and a
+/// word enters injectively, so two inputs of one length that differ
+/// only inside one 8-byte word (any bit flips within it, the tail
+/// included) always get different checksums. A truncation changes the
+/// length that is folded in; like any other change, it goes undetected
+/// only by a 64-bit coincidence.
+pub fn checksum(bytes: &[u8]) -> u64 {
+    let mut lanes = LANE_SEEDS;
+    let mut pairs = bytes.chunks_exact(16);
+    for pair in &mut pairs {
+        lanes[0] = round(lanes[0], word(&pair[..8]));
+        lanes[1] = round(lanes[1], word(&pair[8..]));
+    }
+    let rest = pairs.remainder();
+    let (full, tail) = rest.split_at(rest.len() & 8);
+    let mut lane = 0;
+    if !full.is_empty() {
+        lanes[0] = round(lanes[0], word(full));
+        lane = 1;
+    }
+    let mut last = [0u8; 8];
+    last[..tail.len()].copy_from_slice(tail);
+    lanes[lane] = round(lanes[lane], u64::from_le_bytes(last));
+    avalanche(lanes[0] ^ lanes[1].rotate_left(32) ^ bytes.len() as u64)
+}
+
+/// The MurmurHash3 `fmix64` finalizer: every input bit flips about half
+/// of the output bits.
+fn avalanche(mut h: u64) -> u64 {
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+    h ^ (h >> 33)
 }
 
 /// A filesystem failure with the attempted operation spelled out, e.g.
@@ -125,15 +176,17 @@ pub fn seal(body: String) -> String {
 /// can name this one as its predecessor.
 pub fn seal_sum(mut body: String) -> (String, u64) {
     use std::fmt::Write as _;
-    let sum = fnv1a(body.as_bytes());
+    let sum = checksum(body.as_bytes());
     let _ = writeln!(body, "sum {sum:016X}");
     (body, sum)
 }
 
 /// Verify the trailing checksum of a sealed frame and return the body
 /// (checksum line stripped, trailing newline kept — exactly the bytes
-/// that were hashed). Nothing in the body is interpreted.
-pub fn check_frame(text: &str) -> Result<&str, FrameError> {
+/// that were hashed) with the checksum it verified, so a caller that
+/// needs the checksum does not hash the body again. Nothing in the body
+/// is interpreted.
+pub fn check_frame(text: &str) -> Result<(&str, u64), FrameError> {
     let lines = || text.lines().count().max(1);
     let body_end = match text.rfind("\nsum ") {
         Some(i) => i + 1, // keep the newline in the checksummed body
@@ -143,23 +196,17 @@ pub fn check_frame(text: &str) -> Result<&str, FrameError> {
     // Exactly `sum <16 upper-case hex digits>`, as `seal` writes it,
     // newline optional: nothing else may follow the seal, and a flipped
     // case bit is a damaged seal, not the same checksum.
-    let hex = sum_line
+    let stored = sum_line
         .strip_suffix('\n')
         .unwrap_or(sum_line)
         .strip_prefix("sum ")
-        .filter(|h| {
-            h.len() == 16
-                && h.bytes()
-                    .all(|b| b.is_ascii_digit() || (b'A'..=b'F').contains(&b))
-        });
-    let stored = hex
-        .and_then(|h| u64::from_str_radix(h, 16).ok())
+        .and_then(codec::parse_hex16)
         .ok_or(FrameError::UnreadableChecksum { lines: lines() })?;
-    let computed = fnv1a(body.as_bytes());
+    let computed = checksum(body.as_bytes());
     if stored != computed {
         return Err(FrameError::Mismatch { stored, computed });
     }
-    Ok(body)
+    Ok((body, stored))
 }
 
 /// Write `text` to `path` atomically: create the parent directory if
@@ -224,9 +271,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fnv1a_matches_reference_vector() {
-        assert_eq!(fnv1a(b"a"), 0xaf63dc4c8601ec8c);
-        assert_eq!(fnv1a(b""), FNV_OFFSET);
+    fn checksum_matches_reference_vector() {
+        assert_eq!(checksum(b"a"), 0x0850_3AB9_3DD9_605A);
+        assert_eq!(checksum(b""), 0xA510_6751_FBCA_3AD2);
     }
 
     #[test]
@@ -234,6 +281,7 @@ mod tests {
         let (sealed, sum) = seal_sum("magic v1\n".to_string());
         assert_eq!(sealed, seal("magic v1\n".to_string()));
         assert!(sealed.ends_with(&format!("sum {sum:016X}\n")));
+        assert_eq!(check_frame(&sealed).expect("verifies").1, sum);
     }
 
     #[test]
@@ -242,7 +290,7 @@ mod tests {
         let sealed = seal(body.clone());
         assert!(sealed.starts_with(&body));
         assert!(sealed.ends_with('\n'));
-        assert_eq!(check_frame(&sealed).expect("verifies"), body);
+        assert_eq!(check_frame(&sealed).expect("verifies").0, body);
     }
 
     #[test]
@@ -256,14 +304,14 @@ mod tests {
         // A bit flip anywhere must never yield a *different* body: either
         // the frame is rejected, or only framing whitespace was hit and
         // the body comes back byte-identical.
-        let original = check_frame(&sealed).unwrap().to_string();
+        let original = check_frame(&sealed).unwrap().0.to_string();
         for i in 0..sealed.len() {
             let mut bytes = sealed.as_bytes().to_vec();
             bytes[i] ^= 0x01;
             let Ok(mutated) = String::from_utf8(bytes) else {
                 continue;
             };
-            if let Ok(body) = check_frame(&mutated) {
+            if let Ok((body, _)) = check_frame(&mutated) {
                 assert_eq!(body, original, "flip at byte {i} corrupted the body");
             }
         }

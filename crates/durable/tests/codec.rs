@@ -4,7 +4,7 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use qpredict_durable::codec::{decode, encode};
+use qpredict_durable::codec::{decimal_digits, decode, encode, hex_digits, parse_hex16};
 use qpredict_durable::{Codec, CodecError, Reader, Writer};
 
 /// SplitMix64: enough randomness for the properties, no dependencies.
@@ -315,4 +315,52 @@ fn malformed_tokens_are_rejected() {
     assert!(decode::<_, Sample>(&floats, &()).is_err(), "lower-case hex");
     let short = ok.replace("lists 0 0 0", "lists 1 3FF000000000000 0 0");
     assert!(decode::<_, Sample>(&short, &()).is_err(), "15 hex digits");
+}
+
+#[test]
+fn table_tokens_equal_the_formatter() {
+    // `Writer` renders integers and hex words through digit-pair
+    // tables; every token must be the bytes `format!` writes.
+    let mut rng = Rng(0x7AB1E);
+    let mut values = vec![0u64, 9, 10, 99, 100, 999, 1000, u64::MAX - 1, u64::MAX];
+    values.extend((1..20).map(|k| 10u64.pow(k)));
+    values.extend((1..20).map(|k| 10u64.pow(k) - 1));
+    for _ in 0..5000 {
+        let v = rng.next();
+        values.push(v);
+        values.push(v >> rng.below(64));
+    }
+    let mut signed = vec![i64::MIN, i64::MIN + 1, -100, -99, -10, -9, -1, i64::MAX];
+    for &v in &values {
+        assert_eq!(decimal_digits(v, &mut [0; 20]), format!("{v}").as_bytes());
+        assert_eq!(&hex_digits(v), format!("{v:016X}").as_bytes());
+        assert_eq!(parse_hex16(&format!("{v:016X}")), Some(v));
+        signed.push(v as i64);
+    }
+    let mut w = Writer::default();
+    let mut want = String::new();
+    for (i, &v) in values.iter().enumerate() {
+        w.record("u").put(&v).put(&f64::from_bits(v));
+        want.push_str(&format!("u {v} {v:016X}\n"));
+        let s = signed[i % signed.len()];
+        w.record("i").put(&s).put(&(v as u32)).put(&(v as u16));
+        want.push_str(&format!("i {s} {} {}\n", v as u32, v as u16));
+    }
+    assert_eq!(w.finish(), want);
+}
+
+#[test]
+fn parse_hex16_takes_only_what_hex_digits_writes() {
+    assert_eq!(parse_hex16("0123456789ABCDEF"), Some(0x0123_4567_89AB_CDEF));
+    for bad in [
+        "",
+        "0",
+        "0123456789ABCDE",
+        "0123456789ABCDEF0",
+        "0123456789abcdef",
+        "0123456789ABCDEG",
+        "+123456789ABCDEF",
+    ] {
+        assert_eq!(parse_hex16(bad), None, "{bad:?}");
+    }
 }

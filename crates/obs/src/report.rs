@@ -1,7 +1,7 @@
 //! The machine-readable run report.
 //!
 //! One JSON object per run: schema version, the command and its
-//! arguments (with an FNV-1a config fingerprint so reports from
+//! arguments (with a config fingerprint so reports from
 //! identical invocations are trivially groupable), per-command metrics,
 //! and the thread's span/counter aggregates. Callers write it with
 //! `qpredict_durable::write_atomic` (tmp file, sync, rename), the writer
@@ -52,15 +52,15 @@ impl RunReport {
         self.metrics.push((key.to_string(), value));
     }
 
-    /// The config fingerprint: FNV-1a over the NUL-joined argument
-    /// vector, as a 16-digit hex string.
+    /// The config fingerprint: [`qpredict_durable::checksum`] of the
+    /// NUL-joined argument vector, as a 16-digit hex string.
     pub fn fingerprint(&self) -> String {
         let bytes: Vec<u8> = self
             .args
             .iter()
             .flat_map(|a| a.bytes().chain([0]))
             .collect();
-        format!("{:016x}", qpredict_durable::fnv1a(&bytes))
+        format!("{:016x}", qpredict_durable::checksum(&bytes))
     }
 
     /// Assemble the report around a registry snapshot (usually

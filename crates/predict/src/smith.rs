@@ -473,8 +473,9 @@ codec_struct!(EstimateOps {
     scan_estimates
 });
 
-/// Magic first record of an encoded Smith state.
-const SMITH_MAGIC: &str = "smith-state v3";
+/// Magic first record of an encoded Smith state (v4: the template-set
+/// fingerprint is [`qpredict_durable::checksum`], no longer FNV-1a).
+const SMITH_MAGIC: &str = "smith-state v4";
 
 /// The complete mutable state: aggregates bitwise, points, counters and
 /// generation, with one category set per distinct template. The template
@@ -522,10 +523,10 @@ impl Codec<TemplateSet> for SmithPredictor {
     }
 }
 
-/// FNV-1a 64 over a template set's canonical rendering — detects a
-/// restore against the wrong configuration.
+/// [`qpredict_durable::checksum`] of a template set's canonical
+/// rendering — detects a restore against the wrong configuration.
 fn set_fingerprint(set: &TemplateSet) -> u64 {
-    qpredict_durable::fnv1a(set.to_string().as_bytes())
+    qpredict_durable::checksum(set.to_string().as_bytes())
 }
 
 impl RunTimePredictor for SmithPredictor {

@@ -7,7 +7,7 @@
 //! format:
 //!
 //! ```text
-//! qpredict-ga-checkpoint v4
+//! qpredict-ga-checkpoint v5
 //! config <population> <elitism> <mutation rate> <f_min> <seed> <seeds hash>
 //! rng <s0> <s1> <s2> <s3>
 //! gen <n>
@@ -17,7 +17,7 @@
 //! resumes <n>
 //! pop <count>
 //! pop <chromosome as a 0/1 string>      (one record per individual)
-//! sum <FNV-1a 64 of everything above, hex>
+//! sum <checksum of everything above, 16 hex digits>
 //! ```
 //!
 //! The body is written and read by the workspace's one state codec,
@@ -34,14 +34,16 @@
 //! The checksum framing and atomic replace also live in
 //! [`qpredict_durable`]; this module keeps the GA-specific record schema,
 //! its cross-field checks and the error taxonomy. v4 replaced v3's
-//! per-cause `health` line with the resume count; v3 and older files are
-//! refused as [`CheckpointError::BadMagic`].
+//! per-cause `health` line with the resume count; v5 seals the file and
+//! hashes the warm-start seeds with [`qpredict_durable::checksum`] where
+//! v4 used FNV-1a. v4 and older files are refused as
+//! [`CheckpointError::BadMagic`], whether or not their seal verifies.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
 
 use qpredict_durable::codec;
-use qpredict_durable::{check_frame, fnv1a_byte, seal, FrameError, FNV_OFFSET};
+use qpredict_durable::{check_frame, checksum, seal, FrameError};
 use qpredict_durable::{codec_struct, Codec, CodecError, Reader, Writer};
 use qpredict_workload::Rng64;
 
@@ -51,8 +53,9 @@ use crate::ga::GaConfig;
 /// First line of every checkpoint file; bump the version on breaking
 /// changes (v2 added the estimate-cache counters to the health line, v3
 /// moved the body onto the shared state codec, v4 replaced the health
-/// line with the resume count).
-pub const CHECKPOINT_MAGIC: &str = "qpredict-ga-checkpoint v4";
+/// line with the resume count, v5 replaced FNV-1a with the durable
+/// layer's word-at-a-time checksum).
+pub const CHECKPOINT_MAGIC: &str = "qpredict-ga-checkpoint v5";
 
 /// Default checkpoint file name inside a `--checkpoint-dir`.
 pub const CHECKPOINT_FILE: &str = "ga.ckpt";
@@ -74,19 +77,22 @@ pub struct ConfigFingerprint {
     pub f_min: f64,
     /// RNG seed.
     pub seed: u64,
-    /// FNV-1a 64 hash over the encoded warm-start seed sets.
+    /// [`qpredict_durable::checksum`] of the encoded warm-start seed
+    /// sets: each set's bits as `0`/`1` characters, then `;`.
     pub seeds_hash: u64,
 }
 
 impl ConfigFingerprint {
     /// The fingerprint of a [`GaConfig`].
     pub fn of(cfg: &GaConfig) -> ConfigFingerprint {
-        let mut hash = FNV_OFFSET;
+        let mut seeds = Vec::new();
         for set in &cfg.seeds {
-            for bit in crate::encoding::encode(set) {
-                hash = fnv1a_byte(hash, bit as u8 + b'0');
-            }
-            hash = fnv1a_byte(hash, b';');
+            seeds.extend(
+                crate::encoding::encode(set)
+                    .into_iter()
+                    .map(|bit| bit as u8 + b'0'),
+            );
+            seeds.push(b';');
         }
         ConfigFingerprint {
             population: cfg.population,
@@ -94,7 +100,7 @@ impl ConfigFingerprint {
             mutation_rate: cfg.mutation_rate,
             f_min: cfg.f_min,
             seed: cfg.seed,
-            seeds_hash: hash,
+            seeds_hash: checksum(&seeds),
         }
     }
 
@@ -260,7 +266,8 @@ impl Checkpoint {
         let bad_magic = |found: &str| CheckpointError::BadMagic {
             found: found.chars().take(60).collect(),
         };
-        let body = check_frame(text).map_err(|e| match e {
+        let magic = text.lines().next().unwrap_or("");
+        let (body, _) = check_frame(text).map_err(|e| match e {
             // No checksum line at all: distinguish "not a checkpoint"
             // from "truncated checkpoint".
             FrameError::MissingChecksum { lines } => {
@@ -277,11 +284,17 @@ impl Checkpoint {
                 line: lines,
                 reason: "unreadable checksum line".into(),
             },
+            // Another format version's file, sealed by that version's
+            // checksum: name the version rather than call it corrupt.
+            FrameError::Mismatch { .. }
+                if magic != CHECKPOINT_MAGIC && magic.starts_with("qpredict-ga-checkpoint ") =>
+            {
+                bad_magic(magic)
+            }
             FrameError::Mismatch { stored, computed } => {
                 CheckpointError::ChecksumMismatch { stored, computed }
             }
         })?;
-        let magic = body.lines().next().unwrap_or("");
         if magic != CHECKPOINT_MAGIC {
             return Err(bad_magic(magic));
         }
@@ -537,9 +550,10 @@ mod tests {
         assert!(matches!(err, CheckpointError::BadMagic { .. }), "{err}");
         let err = Checkpoint::decode("").unwrap_err();
         assert!(matches!(err, CheckpointError::BadMagic { .. }), "{err}");
-        // A checkpoint a v3 build wrote (`qpredict search toy --jobs 60
-        // --nodes 32 --generations 1 --population 4 --seed 3`): its
-        // checksum verifies, and its magic line refuses it.
+        // The body of a checkpoint a v3 build wrote (`qpredict search toy
+        // --jobs 60 --nodes 32 --generations 1 --population 4 --seed 3`),
+        // sealed with the current checksum: its seal verifies, and its
+        // magic line refuses it.
         let v3 = "qpredict-ga-checkpoint v3
 config 4 2 3F847AE147AE147B 3FF0000000000000 3 6926972435584903807
 rng 126364088271606891 13939889295554753703 8982626495152763545 852753059676640241
@@ -553,7 +567,7 @@ pop 0000110110101111010110
 pop 0000110000011110001101
 pop 0000110010101111000111
 pop 0000110000011110001100
-sum A61D4BF15F35DF49
+sum 71EAF42961CB6212
 ";
         assert!(check_frame(v3).is_ok(), "the v3 literal is intact");
         let err = Checkpoint::decode(v3).unwrap_err();
@@ -561,6 +575,46 @@ sum A61D4BF15F35DF49
             matches!(&err, CheckpointError::BadMagic { found } if found == "qpredict-ga-checkpoint v3"),
             "{err}"
         );
+    }
+
+    #[test]
+    fn fnv_sealed_v4_checkpoint_is_refused_by_its_version() {
+        // What a v4 build wrote for the same command: sealed with FNV-1a,
+        // so the seal does not verify under the current checksum, and
+        // the refusal names the version instead of calling it corrupt.
+        let v4 = "qpredict-ga-checkpoint v4
+config 4 2 3F847AE147AE147B 3FF0000000000000 3 6926972435584903807
+rng 126364088271606891 13939889295554753703 8982626495152763545 852753059676640241
+gen 1
+evals 4
+best 4047AACBC4021195 0000110010101111000111
+hist 1 4047AACBC4021195
+resumes 0
+pop 4
+pop 0000110110101111010110
+pop 0000110000011110001101
+pop 0000110010101111000111
+pop 0000110000011110001100
+sum A5CAB7B58DBAEB20
+";
+        assert!(matches!(
+            check_frame(v4),
+            Err(FrameError::Mismatch {
+                stored: 0xA5CA_B7B5_8DBA_EB20,
+                ..
+            })
+        ));
+        let err = Checkpoint::decode(v4).unwrap_err();
+        assert!(
+            matches!(&err, CheckpointError::BadMagic { found } if found == "qpredict-ga-checkpoint v4"),
+            "{err}"
+        );
+        // The same body under the current magic and seal is a checkpoint
+        // again (its seeds hash is v4's, which no configuration checks
+        // here): only the version and the seal changed.
+        let body = &v4[..v4.find("sum ").unwrap()];
+        let v5 = seal(body.replacen(" v4\n", " v5\n", 1));
+        Checkpoint::decode(&v5).expect("a v5 body decodes");
     }
 
     #[test]

@@ -134,11 +134,11 @@ impl ServeConfig {
         )
     }
 
-    /// FNV-1a fingerprint of [`ServeConfig::canon`], stamped into WAL
-    /// headers and snapshots so state is never resumed under a different
-    /// configuration.
+    /// [`qpredict_durable::checksum`] of [`ServeConfig::canon`], stamped
+    /// into WAL headers and snapshots so state is never resumed under a
+    /// different configuration.
     pub fn fingerprint(&self) -> u64 {
-        qpredict_durable::fnv1a(self.canon().as_bytes())
+        qpredict_durable::checksum(self.canon().as_bytes())
     }
 }
 

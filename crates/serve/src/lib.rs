@@ -28,7 +28,7 @@
 //!   floating-point aggregate in the predictor.
 //!
 //! Event-log syntax lives in [`qpredict_workload::event`]; durability
-//! primitives (FNV-1a framing, atomic writes) in [`qpredict_durable`].
+//! primitives (checksum framing, atomic writes) in [`qpredict_durable`].
 
 pub mod config;
 pub mod service;

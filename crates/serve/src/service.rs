@@ -62,8 +62,7 @@ use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 
 use qpredict_durable::{
-    check_frame, fnv1a, seal_sum, write_atomic_with, Codec, CodecError, Delta, IoOpError, Reader,
-    Writer,
+    check_frame, seal_sum, write_atomic_with, Codec, CodecError, Delta, IoOpError, Reader, Writer,
 };
 use qpredict_obs::counter_add;
 
@@ -685,10 +684,9 @@ fn read_segments(dir: &Path) -> Result<Vec<ReadSegment>, ServeError> {
         let parsed = qpredict_durable::read_to_string(&path)
             .ok()
             .and_then(|mut text| {
-                let body = check_frame(&text).ok()?;
+                let (body, sum) = check_frame(&text).ok()?;
                 let (_, named, kind) = segment_header(body).ok()?;
-                let (sum, len) = (fnv1a(body.as_bytes()), body.len());
-                text.truncate(len);
+                text.truncate(body.len());
                 (named == seq).then_some((kind, sum, text))
             });
         segs.push(ReadSegment { seq, parsed });

@@ -327,11 +327,14 @@ impl RunTimePredictor for ServePredictor {
     }
 }
 
-/// Magic first line of an encoded state body.
-pub const STATE_MAGIC: &str = "qpredict-serve-state v3";
+/// Magic first line of an encoded state body (v4: segments, and the
+/// config and template-set fingerprints inside them, moved from FNV-1a
+/// to [`qpredict_durable::checksum`]).
+pub const STATE_MAGIC: &str = "qpredict-serve-state v4";
 
-/// Magic first line of an encoded state delta.
-pub const DELTA_MAGIC: &str = "qpredict-serve-delta v4";
+/// Magic first line of an encoded state delta (v5: as for
+/// [`STATE_MAGIC`] v4).
+pub const DELTA_MAGIC: &str = "qpredict-serve-delta v5";
 
 /// What changed since the last mark: the part of an incremental snapshot
 /// that is not read off the state itself. Only a marked state keeps one
@@ -774,10 +777,10 @@ impl ServiceState {
             .collect()
     }
 
-    /// FNV-1a fingerprint of the encoded state — the bit-identity probe
-    /// used by the chaos tests.
+    /// [`qpredict_durable::checksum`] of the encoded state — the
+    /// bit-identity probe used by the chaos tests.
     pub fn fingerprint(&self) -> u64 {
-        qpredict_durable::fnv1a(codec::encode(self).as_bytes())
+        qpredict_durable::checksum(codec::encode(self).as_bytes())
     }
 
     /// Like [`ServiceState::fingerprint`], but ignoring the anomaly
@@ -791,7 +794,7 @@ impl ServiceState {
             .lines()
             .filter(|l| !l.starts_with("counters "))
             .collect();
-        qpredict_durable::fnv1a(body.join("\n").as_bytes())
+        qpredict_durable::checksum(body.join("\n").as_bytes())
     }
 }
 

@@ -382,3 +382,67 @@ fn long_stream_memory_stays_bounded() {
     assert!(c.shed > 0, "overload shedding never triggered");
     assert!(svc.state().live_jobs() <= cfg.max_jobs);
 }
+
+/// A state directory a build before the word-at-a-time checksum wrote
+/// (`qpredict events toy --jobs 6 --query-every 2`, served with
+/// `--snapshot-every 8`): a v1 WAL with FNV-1a record checksums and a
+/// base segment sealed with FNV-1a.
+const FNV_WAL: &str = include_str!("fixtures/fnv-sealed/events.wal");
+const FNV_BASE: &str = include_str!("fixtures/fnv-sealed/snap-000000000001.snap");
+
+/// The raw input lines the legacy WAL recorded.
+fn fnv_wal_lines() -> Vec<String> {
+    FNV_WAL
+        .lines()
+        .skip(1)
+        .map(|rec| rec.splitn(3, ' ').nth(2).unwrap().to_string())
+        .collect()
+}
+
+#[test]
+fn fnv_sealed_state_dir_is_refused_on_resume() {
+    let dir = tmp_dir("fnv-dir");
+    fs::write(dir.join("events.wal"), FNV_WAL).unwrap();
+    fs::write(dir.join("snap-000000000001.snap"), FNV_BASE).unwrap();
+    let err = Service::open(cfg(), Some(&dir), None, true).unwrap_err();
+    match &err {
+        qpredict_serve::ServeError::Config(msg) => {
+            assert!(msg.contains("\"qpredict-wal v1\" is not"), "{msg}");
+        }
+        other => panic!("expected a config refusal, got {other}"),
+    }
+    // Refused before anything was written: the legacy files are intact.
+    assert_eq!(fs::read_to_string(dir.join("events.wal")).unwrap(), FNV_WAL);
+    assert_eq!(
+        fs::read_to_string(dir.join("snap-000000000001.snap")).unwrap(),
+        FNV_BASE
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn fnv_sealed_segment_is_never_decoded() {
+    assert!(matches!(
+        qpredict_durable::check_frame(FNV_BASE),
+        Err(qpredict_durable::FrameError::Mismatch { .. })
+    ));
+    // Alone in a state directory, the legacy base fails its seal and
+    // recovery starts from nothing; re-fed, the stream ends on the state
+    // an uninterrupted run reaches.
+    let root = tmp_dir("fnv-seg");
+    let lines = fnv_wal_lines();
+    let (want_fp, _) = reference_run(&cfg(), &root, &lines);
+    let dir = root.join("state");
+    fs::create_dir_all(&dir).unwrap();
+    fs::write(dir.join("snap-000000000001.snap"), FNV_BASE).unwrap();
+    let mut svc = Service::open(cfg(), Some(&dir), None, true).unwrap();
+    assert_eq!(svc.recovery.snapshot_seq, 0);
+    assert_eq!(svc.recovery.snapshot_fallbacks, 1);
+    assert_eq!(svc.state().applied_seq(), 0);
+    for l in &lines {
+        svc.feed_line(l).unwrap();
+    }
+    svc.finish().unwrap();
+    assert_eq!(svc.state().fingerprint(), want_fp);
+    let _ = fs::remove_dir_all(&root);
+}

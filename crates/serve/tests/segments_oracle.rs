@@ -229,7 +229,7 @@ fn corrupt_middle_delta_ends_the_chain() {
             "flip" => flip_middle_byte(&chain[bad]),
             "reseal" => {
                 let text = fs::read_to_string(&chain[bad]).unwrap();
-                let body = qpredict_durable::check_frame(&text).unwrap();
+                let (body, _) = qpredict_durable::check_frame(&text).unwrap();
                 let broken = body.replacen("\nrb ", "\nrb x", 1);
                 assert_ne!(broken, body);
                 fs::write(&chain[bad], qpredict_durable::seal(broken)).unwrap();

@@ -181,4 +181,10 @@ cargo test --release -q -p qpredict-workload --test arrival_oracle
 echo "==> cargo test --release -q --test synthesis_lock"
 cargo test --release -q --test synthesis_lock
 
+# The durable layer's checksum is wrapping 64-bit arithmetic, and serve's
+# recovery and segment oracles lean on it: run its oracle and theirs in
+# the optimized code the service ships as.
+echo "==> cargo test --release -q -p qpredict-durable -p qpredict-serve"
+cargo test --release -q -p qpredict-durable -p qpredict-serve
+
 echo "CI green."
