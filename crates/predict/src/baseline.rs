@@ -1,8 +1,6 @@
 //! Baseline predictors: user-supplied maximum run times and the oracle.
 
-use std::collections::HashMap;
-
-use qpredict_workload::{Characteristic, Dur, Job, Sym, Workload};
+use qpredict_workload::{Characteristic, Dur, Job, Workload};
 
 use crate::{Prediction, RunTimePredictor};
 
@@ -11,17 +9,29 @@ use crate::{Prediction, RunTimePredictor};
 /// maxima are derived from the trace — *"we determine the longest running
 /// job in each queue and use that as the maximum run time for all jobs in
 /// that queue"*.
+///
+/// The maxima live in a table indexed by the queue symbol's
+/// [`qpredict_workload::Sym::index`]: a belief is one bounds-checked
+/// load, with no hashing. A job with no queue, or with a queue the
+/// workload never ran, gets the global maximum.
 #[derive(Debug, Clone)]
 pub struct MaxRuntimePredictor {
-    queue_max: HashMap<Option<Sym>, Dur>,
+    queue_max: Vec<Dur>,
     global_max: Dur,
 }
 
 impl MaxRuntimePredictor {
     /// Derive the per-queue maxima from `w`.
     pub fn from_workload(w: &Workload) -> MaxRuntimePredictor {
-        let queue_max = w.derive_queue_max_runtimes();
-        let global_max = queue_max.get(&None).copied().unwrap_or(Dur::HOUR);
+        let derived = w.derive_queue_max_runtimes();
+        let global_max = derived.get(&None).copied().unwrap_or(Dur::HOUR);
+        let len = derived.keys().flatten().map(|q| q.index() + 1).max();
+        let mut queue_max = vec![global_max; len.unwrap_or(0)];
+        for (q, max) in derived {
+            if let Some(q) = q {
+                queue_max[q.index()] = max;
+            }
+        }
         MaxRuntimePredictor {
             queue_max,
             global_max,
@@ -33,8 +43,10 @@ impl MaxRuntimePredictor {
         if let Some(m) = job.max_runtime {
             return m;
         }
-        let q = job.characteristic(Characteristic::Queue);
-        self.queue_max.get(&q).copied().unwrap_or(self.global_max)
+        job.characteristic(Characteristic::Queue)
+            .and_then(|q| self.queue_max.get(q.index()))
+            .copied()
+            .unwrap_or(self.global_max)
     }
 }
 

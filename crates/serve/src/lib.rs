@@ -16,7 +16,8 @@
 //!   input, late-completion backfill, bounded-memory job tables and
 //!   predictor history, and wait-time query answering (the offline
 //!   studies' nested forecast, `qpredict_sim::forecast_replay`, run as
-//!   conservative backfill over predicted run times).
+//!   conservative backfill over predicted run times through the same
+//!   `qpredict_sim::Planner` the engine schedules with).
 //! * [`wal`] — checksummed write-ahead log of raw input lines; torn or
 //!   bit-flipped tails bound the damage to the unacknowledged suffix.
 //! * [`Service`] — ties them together with atomic, checksummed snapshot

@@ -6,10 +6,16 @@
 //! jobs at every scheduling attempt, backfill re-estimates all running and
 //! waiting jobs at every scheduling attempt, FCFS never estimates. The
 //! engine reads `predict(job, elapsed).estimate` and reports each
-//! completion through `on_complete(job)`. Backfill estimates every job
-//! even on the passes that start only jobs fitting in the free nodes and
-//! so build no availability profile ([`crate::scheduler::backfill_pass`]),
-//! which keeps the predictor's call sequence independent of that shortcut.
+//! completion through `on_complete(job)`.
+//!
+//! The engine plans every pass through one [`Planner`], which keeps its
+//! buffers and availability profile for the whole run. Under
+//! conservative backfill the planner carries its plan across a pass that
+//! follows no completion and places only the new arrivals (DESIGN.md
+//! §14). Backfill still estimates every running and queued job on every
+//! pass, in the same order, whether the pass builds a profile, carries
+//! one or needs none, so the predictor's call sequence is independent of
+//! those shortcuts.
 //!
 //! A [`SimHooks`] implementation can observe submissions (receiving a
 //! [`Snapshot`] of the system state — this is how `qpredict-core` runs its
@@ -22,7 +28,7 @@ use qpredict_predict::RunTimePredictor;
 use qpredict_workload::{Dur, Job, JobId, Time, Workload};
 
 use crate::metrics::{JobOutcome, Metrics};
-use crate::scheduler::{schedule_pass, Algorithm, QueueEntry, RunningView};
+use crate::scheduler::{Algorithm, Planner, QueueEntry, RunningView};
 
 /// A point-in-time view of the simulated system, captured after a
 /// submission is enqueued and before the scheduler reacts to it.
@@ -107,6 +113,11 @@ pub struct Simulation<'w> {
     starts: Vec<Option<Time>>,
     finishes: Vec<Option<Time>>,
     finished: usize,
+    planner: Planner,
+    /// Scratch of a pass: the jobs it starts, in start order, and which
+    /// queue slots they leave.
+    started: Vec<JobId>,
+    chosen: Vec<bool>,
 }
 
 impl<'w> Simulation<'w> {
@@ -141,6 +152,9 @@ impl<'w> Simulation<'w> {
             starts: vec![None; wl.len()],
             finishes: vec![None; wl.len()],
             finished: 0,
+            planner: Planner::new(alg, wl.machine_nodes),
+            started: Vec::new(),
+            chosen: Vec::new(),
         }
     }
 
@@ -240,32 +254,25 @@ impl<'w> Simulation<'w> {
         }
         // Re-estimate exactly the sets the paper says each algorithm
         // consults at every scheduling attempt.
-        let mut running_views: Vec<RunningView> = Vec::with_capacity(self.running.len());
-        if self.alg.uses_running_estimates() {
-            for i in 0..self.running.len() {
-                let (id, start, nodes) = {
-                    let r = &self.running[i];
-                    (r.id, r.start, r.nodes)
-                };
-                let elapsed = self.now - start;
+        let planner = &mut self.planner;
+        planner.begin(self.now);
+        for r in &self.running {
+            let pred_end = if self.alg.uses_running_estimates() {
+                let elapsed = self.now - r.start;
                 let pred = est
-                    .predict(self.wl.job(id), elapsed)
+                    .predict(self.wl.job(r.id), elapsed)
                     .estimate
                     .max(elapsed + Dur::SECOND);
-                running_views.push(RunningView {
-                    nodes,
-                    pred_end: start + pred,
-                });
-            }
-        } else {
-            running_views.extend(self.running.iter().map(|r| RunningView {
+                r.start + pred
+            } else {
+                self.now + Dur::SECOND
+            };
+            planner.push_running(RunningView {
                 nodes: r.nodes,
-                pred_end: self.now + Dur::SECOND,
-            }));
+                pred_end,
+            });
         }
-        let mut entries: Vec<QueueEntry> = Vec::with_capacity(self.queue.len());
-        for i in 0..self.queue.len() {
-            let (id, seq) = self.queue[i];
+        for &(id, seq) in &self.queue {
             let pred = if self.alg.uses_queue_estimates() {
                 est.predict(self.wl.job(id), Dur::ZERO)
                     .estimate
@@ -273,38 +280,39 @@ impl<'w> Simulation<'w> {
             } else {
                 Dur::SECOND
             };
-            entries.push(QueueEntry {
+            planner.push_queued(QueueEntry {
                 id,
                 seq,
                 nodes: self.wl.job(id).nodes,
                 pred_runtime: pred,
             });
         }
-        let start_idxs = schedule_pass(
-            self.alg,
-            self.now,
-            self.wl.machine_nodes,
-            self.free_nodes,
-            &running_views,
-            &entries,
+        debug_assert_eq!(
+            self.running.iter().map(|r| r.nodes as u64).sum::<u64>() + self.free_nodes as u64,
+            self.wl.machine_nodes as u64,
+            "free-node accounting is inconsistent"
         );
-        if start_idxs.is_empty() {
+        self.started.clear();
+        self.chosen.clear();
+        self.chosen.resize(self.queue.len(), false);
+        for &(i, at) in planner.plan() {
+            if at == self.now {
+                self.started.push(self.queue[i].0);
+                self.chosen[i] = true;
+            }
+        }
+        if self.started.is_empty() {
             return;
         }
-        // Start the chosen jobs; remove from the queue afterwards so the
-        // indices stay valid.
-        let chosen_jobs: Vec<JobId> = start_idxs.iter().map(|&i| entries[i].id).collect();
-        let mut chosen = vec![false; self.queue.len()];
-        for &i in &start_idxs {
-            chosen[i] = true;
-        }
-        let mut keep_idx = 0;
+        // Start the chosen jobs in the planner's order; drop them from
+        // the queue first.
+        let mut slot = 0;
+        let chosen = &self.chosen;
         self.queue.retain(|_| {
-            let k = !chosen[keep_idx];
-            keep_idx += 1;
-            k
+            slot += 1;
+            !chosen[slot - 1]
         });
-        for id in chosen_jobs {
+        for &id in &self.started {
             let job = self.wl.job(id);
             debug_assert!(job.nodes <= self.free_nodes, "scheduler oversubscribed");
             qpredict_obs::counter_add("sim.jobs_started", 1);

@@ -6,13 +6,13 @@
 //! when applications will begin to execute."*
 //!
 //! [`forecast_start`] takes a [`Snapshot`] of the live system and replays
-//! the scheduling algorithm — through literally the same
-//! [`schedule_pass`] the real engine uses — until the target job starts.
+//! the scheduling algorithm — through literally the same [`Planner`] the
+//! real engine uses — until the target job starts.
 //! Two estimates drive the replay:
 //!
 //! * the **belief** durations are what the real scheduler uses for its
 //!   decisions (in the paper's systems: the user-supplied maximum run
-//!   times). The forecast feeds these to `schedule_pass` so the simulated
+//!   times). The forecast feeds these to the planner so the simulated
 //!   *decisions* track the real scheduler's;
 //! * the **predicted** durations are the run-time predictions under
 //!   study. The forecast advances simulated time with these: they decide
@@ -39,11 +39,16 @@
 //! online service and the wait studies' maxrt rows. (An oversubscribed
 //! running set, which only a disordered event stream produces, is clamped
 //! by the profile; the stop then keeps the first pass's answer.)
+//!
+//! One [`Planner`] serves all of a replay's passes, so its buffers and
+//! profile are allocated once per forecast. A replay pass always follows
+//! a predicted completion, so the planner never carries a plan here; it
+//! plans each pass from scratch.
 
 use qpredict_workload::{Dur, Job, JobId, Time, Workload};
 
 use crate::engine::Snapshot;
-use crate::scheduler::{backfill_pass, schedule_pass, Algorithm, QueueEntry, RunningView};
+use crate::scheduler::{Algorithm, Planner, QueueEntry, RunningView};
 
 /// Simulate the scheduler forward from `snap` and return the predicted
 /// start time of `target`.
@@ -129,13 +134,27 @@ pub fn forecast_replay(
     if !beliefs_are_exact(alg, &running, &queue) {
         return replay_passes(alg, machine_nodes, now, running, queue, target);
     }
-    let views: Vec<RunningView> = running.iter().map(|&(v, _)| v).collect();
-    let entries: Vec<QueueEntry> = queue.iter().map(|&(e, _)| e).collect();
-    backfill_pass(now, machine_nodes, &views, &entries, false)
-        .into_iter()
-        .find(|&(i, _)| entries[i].id == target)
-        .map(|(_, at)| at)
+    let mut planner = Planner::new(alg, machine_nodes);
+    begin_pass(&mut planner, now, &running, &queue);
+    planner
+        .plan()
+        .iter()
+        .find(|&&(i, _)| queue[i].0.id == target)
+        .map(|&(_, at)| at)
         .expect("conservative backfill places every queued job")
+}
+
+/// Begin a pass of `planner` at `now` on the beliefs of `running` and
+/// `queue`.
+fn begin_pass(
+    planner: &mut Planner,
+    now: Time,
+    running: &[(RunningView, Time)],
+    queue: &[(QueueEntry, Dur)],
+) {
+    planner.begin(now);
+    running.iter().for_each(|&(v, _)| planner.push_running(v));
+    queue.iter().for_each(|&(e, _)| planner.push_queued(e));
 }
 
 /// Whether the replay may stop after its first pass: conservative
@@ -160,14 +179,21 @@ fn replay_passes(
     mut queue: Vec<(QueueEntry, Dur)>,
     target: JobId,
 ) -> Time {
+    let mut planner = Planner::new(alg, machine_nodes);
+    let mut started = Vec::new();
     loop {
         // A job running past its believed end is re-believed to finish
         // imminently: the backfill profile clamps such ends to `now + 1`,
         // as the real engine's elapsed clamp does.
-        let views: Vec<RunningView> = running.iter().map(|&(v, _)| v).collect();
-        let free = machine_nodes.saturating_sub(views.iter().map(|v| v.nodes).sum());
-        let entries: Vec<QueueEntry> = queue.iter().map(|&(e, _)| e).collect();
-        let mut started = schedule_pass(alg, now, machine_nodes, free, &views, &entries);
+        begin_pass(&mut planner, now, &running, &queue);
+        started.clear();
+        started.extend(
+            planner
+                .plan()
+                .iter()
+                .filter(|&&(_, at)| at == now)
+                .map(|&(i, _)| i),
+        );
         started.sort_unstable();
         for &i in started.iter().rev() {
             let (entry, dur) = queue.remove(i);

@@ -28,8 +28,12 @@
 //! schedules. All decisions that could tie are broken by arrival sequence
 //! numbers.
 //!
-//! [`forecast_start`] replays the same passes on predicted run times to
-//! forecast when a queued job starts (Section 3's wait prediction).
+//! Every scheduling pass goes through one [`Planner`], which keeps its
+//! buffers and availability [`Profile`] across passes and, under
+//! conservative backfill, carries its plan across a pass that follows no
+//! completion. [`forecast_start`] replays the same passes on predicted
+//! run times to forecast when a queued job starts (Section 3's wait
+//! prediction).
 
 pub mod engine;
 pub mod estimators;
@@ -48,5 +52,5 @@ pub use forecast::{forecast_replay, forecast_start};
 pub use metrics::{JobOutcome, Metrics};
 pub use profile::Profile;
 pub use qpredict_predict::CacheStats;
-pub use scheduler::{schedule_pass, Algorithm, QueueEntry, RunningView};
+pub use scheduler::{Algorithm, Planner, QueueEntry, RunningView};
 pub use timeline::{realized_events, timeline_of, Timeline};

@@ -5,6 +5,14 @@
 //! reservations already granted to queued jobs. It answers the two
 //! questions backfill asks: *what is the earliest time a `(nodes, dur)`
 //! request fits?* and *commit that reservation*.
+//!
+//! The planner ([`crate::scheduler::Planner`]) keeps one profile for its
+//! whole life: the crate-internal `rebuild` refills its segments in place
+//! at each pass that plans from scratch, and `advance` re-anchors a
+//! carried profile at a later instant. [`Profile::reserve`] touches only
+//! the segments inside its window. The crate-internal `fit` and
+//! `reserve_counted` also return how many segments they visited, which
+//! the planner reports as `sim.profile_segments`.
 
 use qpredict_workload::{Dur, Time};
 
@@ -34,32 +42,60 @@ impl Profile {
     /// machine has) is clamped: the profile starts with no free nodes and
     /// never promises more than the machine. Only an online forecast over
     /// a disordered event stream builds one; serve counts those as
-    /// `serve.oversubscribed`, and the engine's `schedule_pass` asserts
-    /// its own node accounting.
+    /// `serve.oversubscribed`, and the engine asserts its own node
+    /// accounting.
     pub fn new(machine_nodes: u32, now: Time, running: &[(u32, Time)]) -> Profile {
-        let mut events: Vec<(Time, u32)> = running
-            .iter()
-            .map(|&(nodes, end)| (end.max(now + Dur::SECOND), nodes))
-            .collect();
+        let mut profile = Profile {
+            machine_nodes,
+            segments: Vec::with_capacity(running.len() + 1),
+        };
+        profile.rebuild(machine_nodes, now, running.iter().copied(), &mut Vec::new());
+        profile
+    }
+
+    /// Refill this profile in place as [`Profile::new`] builds it, with
+    /// `events` as scratch for the sorted releases. Both buffers keep
+    /// their capacity, so a planner that rebuilds every pass allocates
+    /// only while the running set grows.
+    pub(crate) fn rebuild(
+        &mut self,
+        machine_nodes: u32,
+        now: Time,
+        running: impl Iterator<Item = (u32, Time)>,
+        events: &mut Vec<(Time, u32)>,
+    ) {
+        events.clear();
+        let mut used_now = 0u64;
+        for (nodes, end) in running {
+            used_now += nodes as u64;
+            events.push((end.max(now + Dur::SECOND), nodes));
+        }
         events.sort_unstable_by_key(|&(t, _)| t);
-        let used_now: u64 = running.iter().map(|&(n, _)| n as u64).sum();
-        let mut segments = Vec::with_capacity(events.len() + 1);
+        self.machine_nodes = machine_nodes;
+        self.segments.clear();
         let mut free = machine_nodes.saturating_sub(used_now.min(u32::MAX as u64) as u32);
-        segments.push(Segment { start: now, free });
-        for (t, nodes) in events {
+        self.segments.push(Segment { start: now, free });
+        for &(t, nodes) in events.iter() {
             // The `min` only matters after an oversubscribed (clamped)
             // start: completions then release more nodes than the
             // machine has, and the profile must not promise them.
             free = free.saturating_add(nodes).min(machine_nodes);
-            match segments.last_mut() {
+            match self.segments.last_mut() {
                 Some(s) if s.start == t => s.free = free,
-                _ => segments.push(Segment { start: t, free }),
+                _ => self.segments.push(Segment { start: t, free }),
             }
         }
-        Profile {
-            machine_nodes,
-            segments,
+    }
+
+    /// Re-anchor the profile at `now`, a later instant: the capacity
+    /// before `now` is dropped, and the segment covering `now` starts
+    /// there.
+    pub(crate) fn advance(&mut self, now: Time) {
+        let covering = self.segments.partition_point(|s| s.start <= now);
+        if covering > 1 {
+            self.segments.drain(..covering - 1);
         }
+        self.segments[0].start = self.segments[0].start.max(now);
     }
 
     /// Free nodes at instant `t` (which must be at or after the profile's
@@ -82,6 +118,12 @@ impl Profile {
     /// Panics if `nodes` exceeds the machine size or `dur` is not
     /// positive.
     pub fn earliest_fit(&self, nodes: u32, dur: Dur) -> Time {
+        self.fit(nodes, dur).0
+    }
+
+    /// [`Profile::earliest_fit`], and the number of segments the scan
+    /// visited.
+    pub(crate) fn fit(&self, nodes: u32, dur: Dur) -> (Time, usize) {
         assert!(
             nodes <= self.machine_nodes,
             "request for {nodes} nodes exceeds machine of {}",
@@ -89,8 +131,10 @@ impl Profile {
         );
         assert!(dur.is_positive(), "duration must be positive");
         let n = self.segments.len();
+        let mut visited = 0;
         let mut i = 0;
         while i < n {
+            visited += 1;
             if self.segments[i].free < nodes {
                 i += 1;
                 continue;
@@ -99,8 +143,9 @@ impl Profile {
             let anchor = self.segments[i].start;
             let end = anchor + dur;
             let mut ok = true;
-            let mut j = i;
+            let mut j = i + 1;
             while j < n && self.segments[j].start < end {
+                visited += 1;
                 if self.segments[j].free < nodes {
                     ok = false;
                     // Restart the scan after the blocking segment.
@@ -110,13 +155,13 @@ impl Profile {
                 j += 1;
             }
             if ok {
-                return anchor;
+                return (anchor, visited);
             }
             i += 1;
         }
         // The last segment always has full capacity free in a well-formed
         // profile (every job ends); fall back to its start.
-        self.segments[n - 1].start
+        (self.segments[n - 1].start, visited)
     }
 
     /// Subtract `nodes` from the free capacity over `[t, t + dur)`.
@@ -126,31 +171,40 @@ impl Profile {
     /// affected segment — callers must only reserve windows returned by
     /// [`Profile::earliest_fit`].
     pub fn reserve(&mut self, t: Time, dur: Dur, nodes: u32) {
-        assert!(dur.is_positive(), "duration must be positive");
-        let end = t + dur;
-        self.split_at(t);
-        self.split_at(end);
-        for s in &mut self.segments {
-            if s.start >= t && s.start < end {
-                debug_assert!(
-                    s.free >= nodes,
-                    "reservation of {nodes} nodes oversubscribes segment with {} free",
-                    s.free
-                );
-                s.free = s.free.saturating_sub(nodes);
-            }
-        }
+        self.reserve_counted(t, dur, nodes);
     }
 
-    /// Ensure a segment boundary exists at `t` (no-op if `t` precedes the
-    /// profile start or a boundary already exists).
-    fn split_at(&mut self, t: Time) {
-        match self.segments.binary_search_by_key(&t, |s| s.start) {
-            Ok(_) => {}
-            Err(0) => {}
+    /// [`Profile::reserve`], returning the number of segments it
+    /// changed: only those inside the window, found from the indices
+    /// the two splits return.
+    pub(crate) fn reserve_counted(&mut self, t: Time, dur: Dur, nodes: u32) -> usize {
+        assert!(dur.is_positive(), "duration must be positive");
+        let first = self.split_at(t, 0);
+        let end = self.split_at(t + dur, first);
+        for s in &mut self.segments[first..end] {
+            debug_assert!(
+                s.free >= nodes,
+                "reservation of {nodes} nodes oversubscribes segment with {} free",
+                s.free
+            );
+            s.free = s.free.saturating_sub(nodes);
+        }
+        end - first
+    }
+
+    /// Ensure a segment boundary exists at `t`, searching from segment
+    /// `from` on, and return the index of the first segment starting at
+    /// or after `t` (0 when `t` precedes the profile start: no boundary
+    /// is added there).
+    fn split_at(&mut self, t: Time, from: usize) -> usize {
+        match self.segments[from..].binary_search_by_key(&t, |s| s.start) {
+            Ok(i) => from + i,
+            Err(0) => from,
             Err(i) => {
+                let i = from + i;
                 let free = self.segments[i - 1].free;
                 self.segments.insert(i, Segment { start: t, free });
+                i
             }
         }
     }

@@ -1,10 +1,14 @@
-//! The three scheduling algorithms of the paper, as a pure decision
-//! function over a view of the system state.
+//! The scheduling algorithms of the paper, as one [`Planner`] that
+//! decides which queued jobs start *now*.
 //!
-//! Both the outer simulation engine ([`crate::engine`]) and the nested
-//! wait-time forecast ([`crate::forecast`]) call [`schedule_pass`], so
-//! predicted and real scheduler behaviour come from literally the same
-//! code.
+//! The outer simulation engine ([`crate::engine`]), the nested wait-time
+//! forecast ([`crate::forecast`]) and the online service's answers all
+//! plan through a [`Planner`], so predicted and real scheduler behaviour
+//! come from literally the same code. A planner keeps its running views,
+//! queue entries, placement list, event scratch and availability
+//! [`Profile`] across passes, so a pass allocates only while the system
+//! grows. Under conservative backfill it also carries its plan across a
+//! pass that follows no completion (DESIGN.md §14).
 
 use qpredict_workload::{Dur, JobId, Time};
 
@@ -78,7 +82,7 @@ impl std::fmt::Display for Algorithm {
 }
 
 /// What the scheduler knows about one running job.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunningView {
     /// Nodes the job occupies.
     pub nodes: u32,
@@ -87,7 +91,7 @@ pub struct RunningView {
 }
 
 /// What the scheduler knows about one queued job.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueueEntry {
     /// Which job this is.
     pub id: JobId,
@@ -108,176 +112,343 @@ impl QueueEntry {
     }
 }
 
-/// Decide which queued jobs start *now*.
+/// The scheduler's decision procedure, with the buffers it plans in.
 ///
-/// * `now` — current instant.
-/// * `machine_nodes` — machine size.
-/// * `free_nodes` — nodes not occupied by running jobs.
-/// * `running` — running jobs (only backfill reads it).
-/// * `queue` — queued jobs in any order; `seq` defines arrival order.
+/// A pass is [`Planner::begin`], one [`Planner::push_running`] per
+/// running job, one [`Planner::push_queued`] per queued job in arrival
+/// order (increasing `seq`, asserted), then [`Planner::plan`]. The plan
+/// lists `(index into the queue, placement)` pairs; a job placed at the
+/// pass's `now` starts now. Callers apply the starts.
 ///
-/// `running` and `free_nodes` must account for exactly the machine's
-/// nodes (a debug assertion).
+/// * FCFS starts the arrival-order prefix that fits in the free nodes.
+/// * LWF orders the queue by estimated work (ties by arrival) and starts
+///   every job that fits in what is still free.
+/// * Backfill places every queued job in arrival order at its earliest
+///   fit in the availability [`Profile`]; EASY reserves only for the
+///   first job that must wait, and lists no placement for later blocked
+///   jobs.
 ///
-/// Returns indices into `queue` of the jobs to start, in the order they
-/// should start. The function is pure: callers apply the starts.
-pub fn schedule_pass(
+/// The free nodes are the machine less the running views' nodes
+/// (saturating: an oversubscribed running set leaves none).
+#[derive(Debug, Clone)]
+pub struct Planner {
     alg: Algorithm,
-    now: Time,
     machine_nodes: u32,
-    free_nodes: u32,
-    running: &[RunningView],
-    queue: &[QueueEntry],
-) -> Vec<usize> {
-    debug_assert!(
-        running.iter().map(|r| r.nodes as u64).sum::<u64>() + free_nodes as u64
-            == machine_nodes as u64,
-        "free-node accounting is inconsistent"
-    );
-    match alg {
-        Algorithm::Fcfs => in_order_pass(
-            free_nodes,
-            queue,
-            |a, b| queue[a].seq.cmp(&queue[b].seq),
-            true,
-        ),
-        Algorithm::Lwf => in_order_pass(
-            free_nodes,
-            queue,
-            |a, b| {
+    now: Time,
+    running: Vec<RunningView>,
+    queue: Vec<QueueEntry>,
+    placed: Vec<(usize, Time)>,
+    /// LWF's work order.
+    order: Vec<usize>,
+    /// The profile's release events, sorted in place on each rebuild.
+    events: Vec<(Time, u32)>,
+    profile: Profile,
+    /// The previous pass's views and entries: [`Planner::begin`] swaps
+    /// them with the current ones, so the carry check compares without
+    /// copying.
+    prev_running: Vec<RunningView>,
+    prev_queue: Vec<QueueEntry>,
+    prev_now: Time,
+    /// A pass is begun and not yet planned.
+    pass_open: bool,
+    /// The previous pass was conservative backfill on a running set that
+    /// fits the machine, and left `profile` holding its plan.
+    plan_held: bool,
+    carried: bool,
+}
+
+/// Work one plan did, flushed to the obs counters once per plan.
+#[derive(Default)]
+struct Work {
+    segments: usize,
+    reservations: usize,
+}
+
+impl Planner {
+    /// A planner for `alg` on a machine of `machine_nodes` nodes, with
+    /// empty buffers.
+    pub fn new(alg: Algorithm, machine_nodes: u32) -> Planner {
+        Planner {
+            alg,
+            machine_nodes,
+            now: Time::ZERO,
+            running: Vec::new(),
+            queue: Vec::new(),
+            placed: Vec::new(),
+            order: Vec::new(),
+            events: Vec::new(),
+            profile: Profile::new(machine_nodes, Time::ZERO, &[]),
+            prev_running: Vec::new(),
+            prev_queue: Vec::new(),
+            prev_now: Time::ZERO,
+            pass_open: false,
+            plan_held: false,
+            carried: false,
+        }
+    }
+
+    /// Start a pass at `now`: the running views and queue entries are
+    /// emptied (and kept as the previous pass's).
+    pub fn begin(&mut self, now: Time) {
+        // A pass begun and never planned leaves no plan to carry.
+        self.plan_held &= !self.pass_open;
+        self.pass_open = true;
+        std::mem::swap(&mut self.running, &mut self.prev_running);
+        std::mem::swap(&mut self.queue, &mut self.prev_queue);
+        self.prev_now = self.now;
+        self.running.clear();
+        self.queue.clear();
+        self.now = now;
+    }
+
+    /// Add a running job to this pass.
+    pub fn push_running(&mut self, view: RunningView) {
+        self.running.push(view);
+    }
+
+    /// Add the next queued job to this pass.
+    ///
+    /// # Panics
+    /// Panics unless `entry.seq` is greater than the previous entry's:
+    /// the queue is given in arrival order.
+    pub fn push_queued(&mut self, entry: QueueEntry) {
+        if let Some(last) = self.queue.last() {
+            assert!(
+                last.seq < entry.seq,
+                "queue must be in arrival order: seq {} after {}",
+                entry.seq,
+                last.seq
+            );
+        }
+        self.queue.push(entry);
+    }
+
+    /// Whether the last [`Planner::plan`] carried the previous plan
+    /// forward instead of planning from scratch.
+    pub fn carried(&self) -> bool {
+        self.carried
+    }
+
+    /// Plan the pass: `(index into the queue, placement)` for every job
+    /// that starts now or (under backfill) receives a reservation. FCFS
+    /// and LWF list starts in start order; backfill lists placements in
+    /// arrival order.
+    pub fn plan(&mut self) -> &[(usize, Time)] {
+        let mut work = Work::default();
+        self.carried = self.alg == Algorithm::Backfill && self.pass_open && self.can_carry();
+        self.pass_open = false;
+        if self.carried {
+            self.carry_forward(&mut work);
+            qpredict_obs::counter_add("sim.plans_carried", 1);
+        } else {
+            self.placed.clear();
+            self.plan_held = false;
+            match self.alg {
+                Algorithm::Fcfs => self.in_order(true),
+                Algorithm::Lwf => self.in_order(false),
+                Algorithm::Backfill => self.backfill(false, &mut work),
+                Algorithm::EasyBackfill => self.backfill(true, &mut work),
+            }
+        }
+        if work.reservations > 0 {
+            qpredict_obs::counter_add("sim.profile_segments", work.segments as u64);
+            qpredict_obs::counter_add("sim.reservations", work.reservations as u64);
+        }
+        &self.placed
+    }
+
+    /// Nodes the running views occupy.
+    fn used_nodes(&self) -> u64 {
+        self.running.iter().map(|r| r.nodes as u64).sum()
+    }
+
+    /// Nodes not occupied by the running views, out of `used`.
+    fn free_of(&self, used: u64) -> u32 {
+        self.machine_nodes
+            .saturating_sub(used.min(u32::MAX as u64) as u32)
+    }
+
+    /// Ordered scheduling: start jobs from the front of the arrival order
+    /// (FCFS) or the work order (LWF) while they fit.
+    ///
+    /// With `head_blocking` (FCFS — "the application at the head of the
+    /// queue runs whenever enough nodes become free"), the pass stops at
+    /// the first job that does not fit. Without it (LWF), non-fitting
+    /// jobs are skipped and any later, smaller-work job that fits is
+    /// started: a least-work job asking for most of the machine must not
+    /// idle the rest of it, or LWF could never produce the paper's
+    /// Table 10 mean waits (consistently below backfill's).
+    fn in_order(&mut self, head_blocking: bool) {
+        let queue = &self.queue;
+        self.order.clear();
+        self.order.extend(0..queue.len());
+        if !head_blocking {
+            self.order.sort_by(|&a, &b| {
                 queue[a]
                     .est_work()
                     .partial_cmp(&queue[b].est_work())
                     .expect("work is finite")
                     .then(queue[a].seq.cmp(&queue[b].seq))
-            },
-            false,
-        ),
-        Algorithm::Backfill | Algorithm::EasyBackfill => backfill_pass(
-            now,
-            machine_nodes,
-            running,
-            queue,
-            alg == Algorithm::EasyBackfill,
+            });
+        }
+        let mut free = self.free_of(self.used_nodes());
+        for &i in &self.order {
+            if queue[i].nodes <= free {
+                free -= queue[i].nodes;
+                self.placed.push((i, self.now));
+            } else if head_blocking {
+                break;
+            }
+        }
+    }
+
+    /// The `(nodes, duration)` a queued job reserves.
+    fn request(&self, e: &QueueEntry) -> (u32, Dur) {
+        (
+            e.nodes.min(self.machine_nodes),
+            e.pred_runtime.max(Dur::SECOND),
         )
-        .into_iter()
-        .filter(|&(_, at)| at == now)
-        .map(|(i, _)| i)
-        .collect(),
     }
-}
 
-/// Ordered scheduling: sort the queue by `cmp` and start jobs from the
-/// front while they fit.
-///
-/// With `head_blocking` (FCFS — "the application at the head of the
-/// queue runs whenever enough nodes become free"), the pass stops at the
-/// first job that does not fit. Without it (LWF), non-fitting jobs are
-/// skipped and any later, smaller-work job that fits is started: a
-/// least-work job asking for most of the machine must not idle the rest
-/// of it, or LWF could never produce the paper's Table 10 mean waits
-/// (consistently below backfill's).
-fn in_order_pass(
-    free_nodes: u32,
-    queue: &[QueueEntry],
-    cmp: impl Fn(usize, usize) -> std::cmp::Ordering,
-    head_blocking: bool,
-) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..queue.len()).collect();
-    order.sort_by(|&a, &b| cmp(a, b));
-    let mut free = free_nodes;
-    let mut starts = Vec::new();
-    for i in order {
-        if queue[i].nodes <= free {
-            free -= queue[i].nodes;
-            starts.push(i);
-        } else if head_blocking {
-            break;
+    /// Backfill from scratch. With `easy` set, only the first blocked job
+    /// receives a reservation (EASY semantics); otherwise every blocked
+    /// job does (conservative, the paper's flavour: *"If an application
+    /// cannot run, nodes are reserved for it at the earliest possible
+    /// time."*).
+    ///
+    /// The pass builds a profile only once a job must wait. It starts the
+    /// queue's arrival-order prefix of jobs that fit in the nodes free
+    /// now, and rebuilds the [`Profile`] (counted as
+    /// `sim.backfill_profiles`) at the first job that does not, replaying
+    /// a reservation at `now` for each job already started. The
+    /// placements are those of building the profile first (DESIGN.md
+    /// §14).
+    fn backfill(&mut self, easy: bool, work: &mut Work) {
+        let used = self.used_nodes();
+        let mut free = self.free_of(used);
+        for (i, e) in self.queue.iter().enumerate() {
+            let nodes = e.nodes.min(self.machine_nodes);
+            if nodes > free {
+                break;
+            }
+            free -= nodes;
+            self.placed.push((i, self.now));
+        }
+        if self.placed.len() == self.queue.len() {
+            return;
+        }
+
+        qpredict_obs::counter_add("sim.backfill_profiles", 1);
+        let now = self.now;
+        self.profile.rebuild(
+            self.machine_nodes,
+            now,
+            self.running.iter().map(|r| (r.nodes, r.pred_end)),
+            &mut self.events,
+        );
+        for k in 0..self.placed.len() {
+            let (nodes, dur) = self.request(&self.queue[k]);
+            work.segments += self.profile.reserve_counted(now, dur, nodes);
+            work.reservations += 1;
+        }
+        let mut reserved = false;
+        for i in self.placed.len()..self.queue.len() {
+            let (nodes, dur) = self.request(&self.queue[i]);
+            let (at, visited) = self.profile.fit(nodes, dur);
+            work.segments += visited;
+            // Under EASY, blocked jobs beyond the first reserve nothing and
+            // simply wait.
+            if at == now || !easy || !reserved {
+                work.segments += self.profile.reserve_counted(at, dur, nodes);
+                work.reservations += 1;
+                reserved |= at != now;
+                self.placed.push((i, at));
+            }
+        }
+        self.plan_held = !easy && used <= self.machine_nodes as u64;
+    }
+
+    /// Whether this pass may reuse the previous conservative plan
+    /// (DESIGN.md §14): that plan is held; the running views are the
+    /// previous pass's followed by the jobs it started, each reserved
+    /// as `(nodes, start + duration)`; every view ends after `now`; and
+    /// the queue begins with the previous pass's unstarted entries,
+    /// unchanged. Whatever follows them arrived since.
+    fn can_carry(&self) -> bool {
+        if !self.plan_held || self.now < self.prev_now {
+            return false;
+        }
+        let (prev_now, prev_len) = (self.prev_now, self.prev_running.len());
+        let started = self.placed.iter().filter(|&&(_, at)| at == prev_now);
+        let unstarted = self.placed.iter().filter(|&&(_, at)| at != prev_now);
+        let n_started = started.clone().count();
+        self.running.len() == prev_len + n_started
+            && self.queue.len() >= self.placed.len() - n_started
+            && self.running[..prev_len] == self.prev_running[..]
+            && self.running[prev_len..]
+                .iter()
+                .zip(started)
+                .all(|(view, &(i, _))| {
+                    let (nodes, dur) = self.request(&self.prev_queue[i]);
+                    *view
+                        == RunningView {
+                            nodes,
+                            pred_end: prev_now + dur,
+                        }
+                })
+            && self
+                .queue
+                .iter()
+                .zip(unstarted)
+                .all(|(e, &(i, _))| *e == self.prev_queue[i])
+            && self.running.iter().all(|v| v.pred_end > self.now)
+    }
+
+    /// Keep the previous reservations of the unstarted jobs, re-anchor
+    /// the profile at `now`, and place only the arrivals.
+    fn carry_forward(&mut self, work: &mut Work) {
+        let prev_now = self.prev_now;
+        self.placed.retain(|&(_, at)| at != prev_now);
+        for (k, p) in self.placed.iter_mut().enumerate() {
+            p.0 = k;
+        }
+        self.profile.advance(self.now);
+        for i in self.placed.len()..self.queue.len() {
+            let (nodes, dur) = self.request(&self.queue[i]);
+            let (at, visited) = self.profile.fit(nodes, dur);
+            work.segments += visited + self.profile.reserve_counted(at, dur, nodes);
+            work.reservations += 1;
+            self.placed.push((i, at));
         }
     }
-    starts
-}
-
-/// Backfill. Reservations are recomputed from scratch each pass (arrival
-/// order makes the recomputation deterministic), which is the standard
-/// formulation of the paper's description: *"If an application cannot
-/// run, nodes are reserved for it at the earliest possible time."*
-///
-/// With `easy` set, only the first blocked job receives a reservation
-/// (EASY semantics); otherwise every blocked job does (conservative, the
-/// paper's flavour).
-///
-/// The pass plans only once a job must wait. It starts the queue's
-/// arrival-order prefix of jobs that fit in the nodes free now, and
-/// builds the availability [`Profile`] (counted as
-/// `sim.backfill_profiles`) at the first job that does not, replaying a
-/// reservation at `now` for each job already started. The placements
-/// are those of building the profile first: while every reservation
-/// starts at `now`, the profile is the running set's releases, which
-/// never lower it, minus reservations that all cover `now`. So it never
-/// drops below its value at `now`, the nodes free now less the prefix's,
-/// and a job fits at `now` exactly when it fits in those. The profile
-/// built at the first waiting job then holds the segments the eager
-/// construction held at that point. An oversubscribed running set
-/// leaves 0 nodes free now, as `Profile::new` does.
-///
-/// Returns `(index into queue, placement)` for every job that starts
-/// (placed at `now`) or receives a reservation, in arrival order. The
-/// forecast's first-pass stop reads a target's reservation from here.
-pub fn backfill_pass(
-    now: Time,
-    machine_nodes: u32,
-    running: &[RunningView],
-    queue: &[QueueEntry],
-    easy: bool,
-) -> Vec<(usize, Time)> {
-    let mut order: Vec<usize> = (0..queue.len()).collect();
-    order.sort_by_key(|&i| queue[i].seq);
-    let request = |i: usize| {
-        let e = &queue[i];
-        (e.nodes.min(machine_nodes), e.pred_runtime.max(Dur::SECOND))
-    };
-
-    let used: u64 = running.iter().map(|r| r.nodes as u64).sum();
-    let mut free = machine_nodes.saturating_sub(used.min(u32::MAX as u64) as u32);
-    let mut placed = Vec::new();
-    for &i in &order {
-        let (nodes, _) = request(i);
-        if nodes > free {
-            break;
-        }
-        free -= nodes;
-        placed.push((i, now));
-    }
-    if placed.len() == order.len() {
-        return placed;
-    }
-
-    qpredict_obs::counter_add("sim.backfill_profiles", 1);
-    let running_pairs: Vec<(u32, Time)> = running.iter().map(|r| (r.nodes, r.pred_end)).collect();
-    let mut profile = Profile::new(machine_nodes, now, &running_pairs);
-    for &(i, _) in &placed {
-        let (nodes, dur) = request(i);
-        profile.reserve(now, dur, nodes);
-    }
-    let mut reserved = false;
-    for &i in &order[placed.len()..] {
-        let (nodes, dur) = request(i);
-        let at = profile.earliest_fit(nodes, dur);
-        // Under EASY, blocked jobs beyond the first reserve nothing and
-        // simply wait.
-        if at == now || !easy || !reserved {
-            profile.reserve(at, dur, nodes);
-            reserved |= at != now;
-            placed.push((i, at));
-        }
-    }
-    placed
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One pass on a fresh planner: the indices of the jobs it starts.
+    fn schedule_pass(
+        alg: Algorithm,
+        now: Time,
+        machine_nodes: u32,
+        free_nodes: u32,
+        running: &[RunningView],
+        queue: &[QueueEntry],
+    ) -> Vec<usize> {
+        let used: u32 = running.iter().map(|r| r.nodes).sum();
+        assert_eq!(used + free_nodes, machine_nodes, "test view is consistent");
+        let mut planner = Planner::new(alg, machine_nodes);
+        planner.begin(now);
+        running.iter().for_each(|&r| planner.push_running(r));
+        queue.iter().for_each(|&e| planner.push_queued(e));
+        planner
+            .plan()
+            .iter()
+            .filter(|&&(_, at)| at == now)
+            .map(|&(i, _)| i)
+            .collect()
+    }
 
     fn qe(seq: u64, nodes: u32, rt: i64) -> QueueEntry {
         QueueEntry {
@@ -299,9 +470,16 @@ mod tests {
 
     #[test]
     fn fcfs_starts_in_arrival_order() {
-        let queue = [qe(1, 2, 100), qe(0, 2, 100)];
+        let queue = [qe(0, 2, 100), qe(1, 8, 100), qe(2, 2, 100)];
         let starts = schedule_pass(Algorithm::Fcfs, Time(0), 8, 8, &[], &queue);
-        assert_eq!(starts, vec![1, 0]); // seq 0 first
+        assert_eq!(starts, vec![0]); // seq 1 blocks seq 2
+    }
+
+    #[test]
+    #[should_panic(expected = "queue must be in arrival order")]
+    fn a_queue_out_of_arrival_order_is_refused() {
+        let queue = [qe(1, 2, 100), qe(0, 2, 100)];
+        schedule_pass(Algorithm::Fcfs, Time(0), 8, 8, &[], &queue);
     }
 
     #[test]
@@ -324,9 +502,9 @@ mod tests {
 
     #[test]
     fn lwf_ties_break_by_arrival() {
-        let queue = [qe(1, 2, 100), qe(0, 2, 100)];
+        let queue = [qe(0, 2, 100), qe(1, 2, 100)];
         let starts = schedule_pass(Algorithm::Lwf, Time(0), 2, 2, &[], &queue);
-        assert_eq!(starts, vec![1]); // same work, seq 0 wins, then blocked
+        assert_eq!(starts, vec![0]); // same work, seq 0 wins, then blocked
     }
 
     fn rv(nodes: u32, end: i64) -> RunningView {

@@ -5,8 +5,32 @@
 
 use qpredict_predict::OraclePredictor;
 use qpredict_sim::tests_support::workload_from_triples;
-use qpredict_sim::{schedule_pass, Algorithm, QueueEntry, RunningView, Simulation, Timeline};
+use qpredict_sim::{Algorithm, Planner, QueueEntry, RunningView, Simulation, Timeline};
 use qpredict_workload::{Dur, JobId, Rng64, Time};
+
+/// One pass on a fresh planner, over a view whose `free` nodes are the
+/// machine less the running jobs': the indices of the jobs it starts.
+fn schedule_pass(
+    alg: Algorithm,
+    now: Time,
+    machine: u32,
+    free: u32,
+    running: &[RunningView],
+    queue: &[QueueEntry],
+) -> Vec<usize> {
+    let used: u32 = running.iter().map(|r| r.nodes).sum();
+    assert_eq!(used + free, machine, "the view is consistent");
+    let mut planner = Planner::new(alg, machine);
+    planner.begin(now);
+    running.iter().for_each(|&r| planner.push_running(r));
+    queue.iter().for_each(|&e| planner.push_queued(e));
+    planner
+        .plan()
+        .iter()
+        .filter(|&&(_, at)| at == now)
+        .map(|&(i, _)| i)
+        .collect()
+}
 
 /// A consistent `(machine, free, running, queue)` scheduler view.
 fn random_pass_input(rng: &mut Rng64) -> (u32, u32, Vec<RunningView>, Vec<QueueEntry>) {

@@ -25,8 +25,7 @@
 //! `query` asks the service for the predicted queue wait of job `<id>`
 //! at time `<t>`.
 
-use std::fmt::Write as _;
-
+use qpredict_durable::codec::decimal_digits;
 use qpredict_durable::{Codec, CodecError, Reader, Writer};
 
 use crate::job::{Characteristic, Job, CHARACTERISTICS};
@@ -122,25 +121,54 @@ impl JobEvent {
         (self.time.0, self.id, self.kind.rank())
     }
 
-    /// Serialize to one codec line (no trailing newline).
+    /// Serialize to one codec line (no trailing newline). Integers are
+    /// rendered through [`decimal_digits`] into one buffer allocated at
+    /// the line's exact length; the bytes are those of the `format!`
+    /// rendering.
     pub fn encode(&self) -> String {
-        let mut s = format!("{} {} {}", self.kind.keyword(), self.id, self.time.0);
+        let mut len = self.kind.keyword().len() + 2 + u64_len(self.id) + i64_len(self.time.0);
         match &self.kind {
             EventKind::Submit(spec) => {
-                let _ = write!(s, " nodes={}", spec.nodes);
+                len += " nodes=".len() + u64_len(spec.nodes.into());
+                len += spec.limit.map_or(0, |l| " limit=".len() + i64_len(l.0));
+                len += spec
+                    .chars
+                    .iter()
+                    .map(|(c, v)| 2 + c.abbrev().len() + v.len())
+                    .sum::<usize>();
+            }
+            EventKind::Finish { runtime: Some(rt) } => len += " rt=".len() + i64_len(rt.0),
+            _ => {}
+        }
+        let mut line = Vec::with_capacity(len);
+        line.extend_from_slice(self.kind.keyword().as_bytes());
+        line.push(b' ');
+        push_u64(&mut line, self.id);
+        line.push(b' ');
+        push_i64(&mut line, self.time.0);
+        match &self.kind {
+            EventKind::Submit(spec) => {
+                line.extend_from_slice(b" nodes=");
+                push_u64(&mut line, spec.nodes.into());
                 if let Some(limit) = spec.limit {
-                    let _ = write!(s, " limit={}", limit.0);
+                    line.extend_from_slice(b" limit=");
+                    push_i64(&mut line, limit.0);
                 }
                 for (c, v) in &spec.chars {
-                    let _ = write!(s, " {}={}", c.abbrev(), v);
+                    line.push(b' ');
+                    line.extend_from_slice(c.abbrev().as_bytes());
+                    line.push(b'=');
+                    line.extend_from_slice(v.as_bytes());
                 }
             }
             EventKind::Finish { runtime: Some(rt) } => {
-                let _ = write!(s, " rt={}", rt.0);
+                line.extend_from_slice(b" rt=");
+                push_i64(&mut line, rt.0);
             }
             _ => {}
         }
-        s
+        debug_assert_eq!(line.len(), len, "the line's length is counted exactly");
+        String::from_utf8(line).expect("an event line is keywords, digits and UTF-8 values")
     }
 
     /// Parse one codec line. Returns a one-line reason on failure; never
@@ -160,13 +188,12 @@ impl JobEvent {
                 .parse::<i64>()
                 .map_err(|e| format!("bad timestamp: {e}"))?,
         );
-        let rest: Vec<&str> = words.collect();
         let kind = match keyword {
             "submit" => {
                 let mut nodes = None;
                 let mut limit = None;
                 let mut chars = Vec::new();
-                for word in &rest {
+                for word in words {
                     let (key, value) = word
                         .split_once('=')
                         .ok_or_else(|| format!("expected key=value, found {word:?}"))?;
@@ -210,7 +237,7 @@ impl JobEvent {
                     chars,
                 })
             }
-            "start" | "cancel" | "query" if !rest.is_empty() => {
+            "start" | "cancel" | "query" if words.next().is_some() => {
                 return Err(format!("{keyword} takes no extra fields"));
             }
             "start" => EventKind::Start,
@@ -218,7 +245,7 @@ impl JobEvent {
             "query" => EventKind::Query,
             "finish" => {
                 let mut runtime = None;
-                for word in &rest {
+                for word in words {
                     let value = word
                         .strip_prefix("rt=")
                         .ok_or_else(|| format!("unknown finish field {word:?}"))?;
@@ -236,6 +263,29 @@ impl JobEvent {
         };
         Ok(JobEvent { id, time, kind })
     }
+}
+
+/// The number of decimal digits of `v`.
+fn u64_len(v: u64) -> usize {
+    v.checked_ilog10().map_or(1, |d| d as usize + 1)
+}
+
+/// The length of `v` in decimal, sign included.
+fn i64_len(v: i64) -> usize {
+    usize::from(v < 0) + u64_len(v.unsigned_abs())
+}
+
+/// Append the decimal digits of `v`.
+fn push_u64(line: &mut Vec<u8>, v: u64) {
+    line.extend_from_slice(decimal_digits(v, &mut [0; 20]));
+}
+
+/// Append `v` in decimal, with a leading `-` when negative.
+fn push_i64(line: &mut Vec<u8>, v: i64) {
+    if v < 0 {
+        line.push(b'-');
+    }
+    push_u64(line, v.unsigned_abs());
 }
 
 /// The submission of `job`, a job of `w`, at its trace submit time, with

@@ -163,12 +163,16 @@ cargo test --release -q --test observability \
 # The engine's capacity and node-accounting checks are debug assertions,
 # while the benchmark runs release builds: show the bit-identity locks, the
 # paper drift fixture and the faulted-trace schedule invariants in a
-# release build too, hold the lazy backfill pass to the eager one, and
-# check the runtime index's integer arithmetic in optimized code.
+# release build too, hold the planner's passes (carried plans included) to
+# from-scratch backfill passes, hold the event codec to the formatter
+# rendering it replaced, and check the runtime index's integer arithmetic
+# in optimized code.
 echo "==> cargo test --release -q --test estimation_lock --test robustness --test paper_drift"
 cargo test --release -q --test estimation_lock --test robustness --test paper_drift
 echo "==> cargo test --release -q -p qpredict-sim --test backfill_oracle"
 cargo test --release -q -p qpredict-sim --test backfill_oracle
+echo "==> cargo test --release -q -p qpredict-workload --test event_codec"
+cargo test --release -q -p qpredict-workload --test event_codec
 echo "==> cargo test --release -q -p qpredict-predict --test rtindex_oracle"
 cargo test --release -q -p qpredict-predict --test rtindex_oracle
 
