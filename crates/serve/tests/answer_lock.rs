@@ -1,0 +1,118 @@
+//! Serve's wait answers, locked bit for bit.
+//!
+//! Every response line the service emits, and the state it ends in, are
+//! held to checksums captured while serve still resolved its wait
+//! questions by hand, before it shared `qpredict_sim::forecast`'s
+//! resolution; sharing it must not move a byte. Three toy streams, each
+//! served by Smith and by Gibbons:
+//!
+//! * `realized_events` in order: the schedule a site on the users'
+//!   limits realizes, so no running set exceeds the machine;
+//! * the same stream block-shuffled wider than the reorder horizon, so
+//!   late queries are applied after starts that come later in time and
+//!   see running jobs that started after the query instant;
+//! * `synthesize_events`, which is no schedule, served on half the
+//!   machine it was drawn for: its running sets exceed the machine and
+//!   some of its jobs are wider than it, which exercises the node clamp
+//!   and the `serve.oversubscribed` count.
+//!
+//! A change that moves any of these constants changes what serve
+//! answers; it must say why, not recapture them.
+
+use qpredict_serve::{PredictorKind, ServeConfig, ServiceState};
+use qpredict_workload::{synthesize_events, JobEvent, Rng64};
+
+const HORIZON: usize = 8;
+
+/// One stream served ephemerally: the checksum of every response line,
+/// the number of responses and of wait answers, the state's fingerprint,
+/// the late-event count and the `serve.oversubscribed` count.
+fn serve(predictor: PredictorKind, machine: u32, lines: &[String]) -> [u64; 6] {
+    qpredict_obs::reset();
+    let mut state = ServiceState::new(ServeConfig {
+        predictor,
+        machine_nodes: machine,
+        horizon: HORIZON,
+        ..ServeConfig::default()
+    });
+    let mut out = Vec::new();
+    for (seq, line) in (1u64..).zip(lines) {
+        state.ingest_line(seq, line, &mut out);
+    }
+    state.drain(&mut out);
+    let text: String = out
+        .iter()
+        .map(|r| format!("resp {} {}\n", r.ordinal, r.line))
+        .collect();
+    let waits = out.iter().filter(|r| r.line.contains(" wait=")).count();
+    [
+        qpredict_durable::checksum(text.as_bytes()),
+        out.len() as u64,
+        waits as u64,
+        state.fingerprint(),
+        state.counters().late,
+        qpredict_obs::snapshot().counter("serve.oversubscribed"),
+    ]
+}
+
+fn encode(events: &[JobEvent]) -> Vec<String> {
+    events.iter().map(JobEvent::encode).collect()
+}
+
+/// Shuffle disjoint blocks of `block` lines, each by Fisher–Yates.
+fn block_shuffle(lines: &mut [String], block: usize, seed: u64) {
+    let mut rng = Rng64::seed_from_u64(seed);
+    for chunk in lines.chunks_mut(block) {
+        for i in (1..chunk.len()).rev() {
+            chunk.swap(i, rng.gen_index(i + 1));
+        }
+    }
+}
+
+#[test]
+fn wait_answers_are_locked_bit_for_bit() {
+    qpredict_obs::set_recording(true);
+    let wl = qpredict_workload::synthetic::toy(600, 16, 5);
+    let in_order = encode(&qpredict_sim::realized_events(&wl, 3));
+    let mut shuffled = in_order.clone();
+    block_shuffle(&mut shuffled, 3 * HORIZON, 7);
+    let synthesized = encode(&synthesize_events(&wl, 3));
+    // Served on half the machine, the synthesized stream also holds jobs
+    // wider than the machine, which the forecast clamps to it.
+    let half = wl.machine_nodes / 2;
+    assert!(wl.jobs.iter().any(|j| j.nodes > half));
+    let streams = [
+        ("realized", &in_order, wl.machine_nodes),
+        ("shuffled", &shuffled, wl.machine_nodes),
+        ("synthesized", &synthesized, half),
+    ];
+    let want: [[[u64; 6]; 3]; 2] = [
+        [
+            [0x1B01185DAF414C88, 200, 86, 0x85CC503D5603A0CD, 0, 0],
+            [0x079FE3E0EE545899, 200, 83, 0xA9DA2E7AEB9F77A7, 508, 36],
+            [0x927F98342F752164, 200, 200, 0x73B253FD88478F65, 0, 97],
+        ],
+        [
+            [0x4017E04458F011AF, 200, 86, 0x0FF82E56D1BCDD05, 0, 0],
+            [0x9DAA4358CC57783B, 200, 83, 0xBC1F3E6EDFFB7FA6, 508, 36],
+            [0x75A7D00D4182BE66, 200, 200, 0x5D45975834D7496D, 0, 97],
+        ],
+    ];
+    for (predictor, want) in [PredictorKind::Smith, PredictorKind::Gibbons]
+        .into_iter()
+        .zip(want)
+    {
+        for ((stream, lines, machine), want) in streams.iter().zip(want) {
+            let row = serve(predictor.clone(), *machine, lines);
+            let [_, _, waits, _, late, oversubscribed] = row;
+            let name = predictor.name();
+            assert!(waits >= 60, "{name} {stream}: {waits} wait answers");
+            match *stream {
+                "realized" => assert_eq!((late, oversubscribed), (0, 0), "{name} {stream}"),
+                "shuffled" => assert!(late > 0, "{name} {stream}: no late events"),
+                _ => assert!(oversubscribed > 0, "{name} {stream}: never oversubscribed"),
+            }
+            assert_eq!(row, want, "{name} {stream}");
+        }
+    }
+}
