@@ -18,8 +18,7 @@
 //! which serves about 97% of the CTC cell's predictions.
 //! [`qpredict_predict::CachingPredictor`] stays where whole
 //! `(job, elapsed)` repeats are common: the nested forecasts of the
-//! wait-time studies and the GA's fitness replays. There it sits above
-//! the Smith memo.
+//! wait-time studies. There it sits above the Smith memo.
 
 use qpredict_predict::{CacheStats, DegradationCounts, ErrorStats, Prediction, RunTimePredictor};
 use qpredict_workload::{Dur, Job};
@@ -98,10 +97,6 @@ impl<P: RunTimePredictor> RunTimePredictor for PredictorEstimator<P> {
 
     fn on_complete(&mut self, job: &Job) {
         self.predictor.on_complete(job);
-    }
-
-    fn reset(&mut self) {
-        self.predictor.reset();
     }
 
     fn degradations(&self) -> Option<DegradationCounts> {

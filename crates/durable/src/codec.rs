@@ -28,9 +28,6 @@
 //! learned under. A type names it as the trait's parameter `C` and
 //! receives it as an argument.
 //!
-//! A type whose state changes a little at a time can also implement
-//! [`Delta`]: the same records, but only for what changed since a mark.
-//!
 //! The encoder writes every token straight into one byte buffer, checked
 //! to be UTF-8 once when it is finished; integers and hex words are
 //! rendered through digit-pair tables and appended as one run of bytes.
@@ -63,31 +60,6 @@ pub trait Codec<C: ?Sized = ()>: Sized {
     fn encode(&self, w: &mut Writer);
     /// Read back what [`Codec::encode`] wrote.
     fn decode(r: &mut Reader<'_>, cx: &C) -> Result<Self, CodecError>;
-}
-
-/// A value that can also be written as what changed since its last
-/// [`Delta::mark`], and brought forward by such a change: the records
-/// of one incremental snapshot.
-///
-/// The contract: take a value `v`, mark it, mutate it any number of
-/// times into `v'`, and write `v'.encode_delta`. Applying that delta to
-/// a value equal to `v` (as decoded, not necessarily the same object)
-/// must yield a value that encodes exactly as `v'` does.
-///
-/// The defaults write and read the whole value, which is correct for
-/// any [`Codec`], just not incremental.
-pub trait Delta<C: ?Sized = ()>: Codec<C> {
-    /// Append the change since the last mark to `w`.
-    fn encode_delta(&self, w: &mut Writer) {
-        self.encode(w);
-    }
-    /// Read a change written by [`Delta::encode_delta`] and apply it.
-    fn apply_delta(&mut self, r: &mut Reader<'_>, cx: &C) -> Result<(), CodecError> {
-        *self = Self::decode(r, cx)?;
-        Ok(())
-    }
-    /// Start a new change: later deltas describe change since now.
-    fn mark(&mut self) {}
 }
 
 /// Encode `value` as a complete body.

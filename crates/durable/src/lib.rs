@@ -8,8 +8,7 @@
 //!   positional tokens, `f64`s as the hex of their IEEE-754 bits so
 //!   decode∘encode is the identity (NaN payloads and `-0.0` included).
 //!   Each stateful type implements [`Codec`] once, listing its fields in
-//!   both directions; a type that can also write only what changed since
-//!   its last mark implements [`Delta`].
+//!   both directions.
 //! * **One checksum** — [`checksum`] reads its input eight bytes at a
 //!   time, so seals, WAL records, state fingerprints and config
 //!   fingerprints cost a fraction of a nanosecond per byte.
@@ -26,7 +25,7 @@
 
 pub mod codec;
 
-pub use codec::{Codec, CodecError, Delta, Reader, Writer};
+pub use codec::{Codec, CodecError, Reader, Writer};
 
 use std::fmt;
 use std::path::Path;

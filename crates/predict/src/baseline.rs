@@ -66,8 +66,6 @@ impl RunTimePredictor for MaxRuntimePredictor {
 
     fn on_complete(&mut self, _job: &Job) {}
 
-    fn reset(&mut self) {}
-
     fn generation(&self) -> Option<u64> {
         Some(0) // limits are fixed at construction: stateless
     }
@@ -93,8 +91,6 @@ impl RunTimePredictor for OraclePredictor {
     }
 
     fn on_complete(&mut self, _job: &Job) {}
-
-    fn reset(&mut self) {}
 
     fn generation(&self) -> Option<u64> {
         Some(0) // pure function of the job: stateless

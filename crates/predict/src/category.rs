@@ -526,16 +526,6 @@ impl CategoryStore {
         self.resolutions
     }
 
-    /// Discard everything.
-    pub fn clear(&mut self) {
-        self.slots.clear();
-        self.stamps.clear();
-        self.pushes = 0;
-        self.index.clear();
-        self.table.clear();
-        self.resolved.clear();
-    }
-
     /// The slot of `key`, created empty if it has none.
     fn slot_of(&mut self, key: CategoryKey) -> u32 {
         *self.index.entry(key).or_insert_with(|| {
@@ -819,18 +809,5 @@ mod tests {
         assert!((p.ratio - 0.25).abs() < 1e-12);
         let j2 = JobBuilder::new().runtime(Dur(50)).build(JobId(1));
         assert!(Point::from_job(&j2).ratio.is_nan());
-    }
-
-    #[test]
-    fn clear_empties_store() {
-        let (mut syms, set) = setup();
-        let u = syms.intern("alice");
-        let mut store = CategoryStore::new(&set);
-        let j = JobBuilder::new()
-            .with(Characteristic::User, u)
-            .build(JobId(0));
-        store.insert(&j);
-        store.clear();
-        assert_eq!(store.category_count(), 0);
     }
 }

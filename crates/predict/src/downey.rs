@@ -304,14 +304,6 @@ impl RunTimePredictor for DowneyPredictor {
         self.generation += 1;
     }
 
-    fn reset(&mut self) {
-        self.categories.clear();
-        self.global = Category::default();
-        self.total_sum = 0.0;
-        self.total_n = 0;
-        self.generation += 1;
-    }
-
     fn generation(&self) -> Option<u64> {
         Some(self.generation)
     }
@@ -479,13 +471,6 @@ mod tests {
         let (mut syms, mut p) = trained(DowneyVariant::ConditionalAverage);
         let pred = p.predict(&qjob(&mut syms, "batch", 1), Dur(100_000));
         assert!(pred.estimate >= Dur(100_001));
-    }
-
-    #[test]
-    fn reset_clears() {
-        let (mut syms, mut p) = trained(DowneyVariant::ConditionalMedian);
-        p.reset();
-        assert!(p.predict(&qjob(&mut syms, "batch", 1), Dur::ZERO).fallback);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! history. [`CachingPredictor`] exploits that: it memoizes
 //! `(job, elapsed) → Prediction` and trusts a cached entry exactly as
 //! long as the inner predictor's [`RunTimePredictor::generation`]
-//! counter is unchanged. A completion (or reset) bumps the generation,
+//! counter is unchanged. A completion bumps the generation,
 //! which invalidates the whole cache — precisely the moments at which
 //! any cached estimate could have changed.
 //!
@@ -176,10 +176,6 @@ impl<P: RunTimePredictor> RunTimePredictor for CachingPredictor<P> {
         // don't bump on every completion (e.g. stateless baselines).
     }
 
-    fn reset(&mut self) {
-        self.inner.reset();
-    }
-
     fn degradations(&self) -> Option<DegradationCounts> {
         self.inner.degradations()
     }
@@ -323,7 +319,6 @@ mod tests {
                 Prediction::fallback(Dur(self.0 as i64))
             }
             fn on_complete(&mut self, _job: &Job) {}
-            fn reset(&mut self) {}
             // generation(): default None — predictions vary per call.
         }
         let mut syms = SymbolTable::new();
@@ -347,20 +342,6 @@ mod tests {
         let before = c.stats().hits;
         assert!(c.try_predict(&q, Dur::ZERO).is_ok());
         assert_eq!(c.stats().hits, before + 1);
-    }
-
-    #[test]
-    fn reset_invalidates_via_generation() {
-        let mut syms = SymbolTable::new();
-        let mut c = CachingPredictor::new(smith());
-        c.on_complete(&job(&mut syms, "alice", 100, 0));
-        let q = job(&mut syms, "alice", 1, 1);
-        assert!(!c.predict(&q, Dur::ZERO).fallback);
-        c.reset();
-        assert!(
-            c.predict(&q, Dur::ZERO).fallback,
-            "reset must not serve stale history"
-        );
     }
 
     #[test]

@@ -145,17 +145,6 @@ impl RunTimePredictor for FallbackPredictor {
         }
     }
 
-    fn reset(&mut self) {
-        for tier in &mut self.tiers {
-            tier.reset();
-        }
-        let served = self.tiers.iter().map(|t| (t.name(), 0)).collect();
-        self.counts = DegradationCounts {
-            served,
-            ..DegradationCounts::default()
-        };
-    }
-
     fn generation(&self) -> Option<u64> {
         // Deliberately uncacheable: every predict() mutates the
         // degradation accounting, so serving a memoized prediction would
@@ -237,19 +226,6 @@ mod tests {
         let c = p.counts();
         assert_eq!(c.served[0], ("smith", 1));
         assert_eq!(c.user_limit + c.static_default, 0);
-    }
-
-    #[test]
-    fn reset_clears_history_and_counts() {
-        let w = Workload::new("t", 8);
-        let mut p = chain(&w);
-        let mut syms = SymbolTable::new();
-        p.on_complete(&user_job(&mut syms, "alice", 300));
-        p.predict(&user_job(&mut syms, "alice", 1), Dur::ZERO);
-        p.reset();
-        assert_eq!(p.counts().total_served(), 0);
-        let pred = p.predict(&user_job(&mut syms, "alice", 1), Dur::ZERO);
-        assert!(pred.fallback, "history must be gone after reset");
     }
 
     #[test]

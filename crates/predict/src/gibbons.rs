@@ -330,16 +330,6 @@ impl RunTimePredictor for GibbonsPredictor {
         self.generation += 1;
     }
 
-    fn reset(&mut self) {
-        // Keep the generation monotone across the wipe so stale cached
-        // predictions can never alias a post-reset state.
-        let generation = self.generation + 1;
-        *self = GibbonsPredictor {
-            generation,
-            ..GibbonsPredictor::default()
-        };
-    }
-
     fn generation(&self) -> Option<u64> {
         Some(self.generation)
     }
@@ -485,18 +475,6 @@ mod tests {
         let j = JobBuilder::new().nodes(2).build(JobId(0));
         let pred = p.predict(&j, Dur(9999));
         assert!(pred.estimate >= Dur(10_000));
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut syms = SymbolTable::new();
-        let mut p = GibbonsPredictor::new();
-        p.on_complete(&job(&mut syms, "a", "x", 4, 100));
-        p.reset();
-        assert!(
-            p.predict(&job(&mut syms, "a", "x", 4, 1), Dur::ZERO)
-                .fallback
-        );
     }
 
     #[test]

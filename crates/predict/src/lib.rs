@@ -140,8 +140,10 @@ pub trait RunTimePredictor {
     /// Incorporate a completed job into the predictor's history.
     fn on_complete(&mut self, job: &Job);
 
-    /// Discard all accumulated history.
-    fn reset(&mut self);
+    /// Does nothing: no predictor discards its history. The method
+    /// remains only because the end-to-end benchmark's timing wrapper
+    /// forwards it, and goes with that benchmark's next change.
+    fn reset(&mut self) {}
 
     /// Degradation accounting, for predictors that chain multiple
     /// sources ([`FallbackPredictor`]). `None` for simple predictors.
@@ -151,7 +153,7 @@ pub trait RunTimePredictor {
 
     /// A monotone counter identifying the predictor's learned state:
     /// implementations bump it on **every** state mutation
-    /// (`on_complete`, `reset`), so two `predict` calls for the same
+    /// (`on_complete`), so two `predict` calls for the same
     /// `(job, elapsed)` at the same generation are guaranteed to return
     /// the identical [`Prediction`]. Stateless predictors return a
     /// constant. The default `None` declares the state unobservable (or
@@ -181,10 +183,6 @@ impl<P: RunTimePredictor + ?Sized> RunTimePredictor for Box<P> {
 
     fn on_complete(&mut self, job: &Job) {
         (**self).on_complete(job)
-    }
-
-    fn reset(&mut self) {
-        (**self).reset()
     }
 
     fn degradations(&self) -> Option<DegradationCounts> {

@@ -88,7 +88,7 @@ struct MemoEntry {
 
 /// Per resolved signature, the selection over the categories whose
 /// estimates do not depend on the elapsed time. Derived state: never
-/// encoded, dropped on `reset` and decode.
+/// encoded, dropped on decode.
 #[derive(Debug, Clone, Default)]
 struct Memo {
     /// Positions in the store's distinct templates of those without
@@ -114,12 +114,6 @@ impl Memo {
             rtime,
             ..Memo::default()
         })
-    }
-
-    /// Drop every entry; the counts are kept.
-    fn clear(&mut self) {
-        self.entries.clear();
-        self.checks.clear();
     }
 
     /// The memoized selection for `job`'s resolved signature, if it was
@@ -562,16 +556,6 @@ impl RunTimePredictor for SmithPredictor {
         self.generation += 1;
     }
 
-    fn reset(&mut self) {
-        self.store.clear();
-        self.memo.clear();
-        self.global_sum = 0.0;
-        self.global_n = 0;
-        self.max_seen = 0.0;
-        self.generation += 1;
-        self.ops = EstimateOps::default();
-    }
-
     fn generation(&self) -> Option<u64> {
         Some(self.generation)
     }
@@ -761,17 +745,6 @@ mod tests {
         let j = JobBuilder::new().nodes(1024).build(JobId(1));
         let pred = p.predict(&j, Dur::ZERO);
         assert!(pred.estimate <= Dur(4800), "got {:?}", pred.estimate);
-    }
-
-    #[test]
-    fn reset_clears_history() {
-        let mut syms = SymbolTable::new();
-        let mut p = SmithPredictor::new(user_set());
-        p.on_complete(&job(&mut syms, "alice", 100));
-        assert!(p.category_count() > 0);
-        p.reset();
-        assert_eq!(p.category_count(), 0);
-        assert!(p.predict(&job(&mut syms, "alice", 1), Dur::ZERO).fallback);
     }
 
     #[test]

@@ -10,9 +10,7 @@
 
 use qpredict_predict::category::{History, Point};
 use qpredict_predict::estimators::{mean, regression, regression_from_moments, Estimate};
-use qpredict_predict::{
-    EstimatorKind, Prediction, RunTimePredictor, SmithPredictor, Template, TemplateSet,
-};
+use qpredict_predict::{EstimatorKind, RunTimePredictor, SmithPredictor, Template, TemplateSet};
 use qpredict_workload::rng::Rng64;
 use qpredict_workload::{Characteristic, Dur, Job, JobBuilder, JobId, SymbolTable};
 
@@ -183,45 +181,6 @@ fn spicy_set() -> TemplateSet {
     ])
 }
 
-/// End-to-end: a predictor that lived through `reset()` must predict
-/// exactly like a fresh predictor replaying only the post-reset history
-/// — reset leaves no residue in any incremental aggregate.
-#[test]
-fn predictor_after_reset_matches_fresh_replay() {
-    let mut rng = Rng64::seed_from_u64(0xBEEF);
-    let mut syms = SymbolTable::new();
-    let mut veteran = SmithPredictor::new(spicy_set());
-    let mut id = 0u32;
-    // Pre-reset life: learn, predict, then wipe.
-    for _ in 0..60 {
-        let j = rand_job(&mut rng, &mut syms, id);
-        id += 1;
-        veteran.on_complete(&j);
-        let _ = veteran.predict(&j, Dur::ZERO);
-    }
-    veteran.reset();
-    // Post-reset: replay an identical stream into a fresh predictor and
-    // compare every prediction bit-for-bit.
-    let mut fresh = SmithPredictor::new(spicy_set());
-    let mut history: Vec<Job> = Vec::new();
-    for round in 0..80 {
-        let j = rand_job(&mut rng, &mut syms, id);
-        id += 1;
-        veteran.on_complete(&j);
-        fresh.on_complete(&j);
-        history.push(j);
-        let probe = &history[rng.gen_index(history.len())];
-        for elapsed in [Dur::ZERO, Dur(rng.gen_range_i64(1, 5_000))] {
-            let a: Prediction = veteran.predict(probe, elapsed);
-            let b: Prediction = fresh.predict(probe, elapsed);
-            assert_eq!(
-                a, b,
-                "round {round}: veteran-after-reset diverged from fresh replay"
-            );
-        }
-    }
-}
-
 /// Generations are monotone and bump exactly on state mutations.
 #[test]
 fn generation_contract() {
@@ -238,6 +197,4 @@ fn generation_contract() {
         assert!(now > last, "on_complete must bump");
         last = now;
     }
-    p.reset();
-    assert!(p.generation().expect("cacheable") > last, "reset must bump");
 }

@@ -206,31 +206,22 @@ fn capped_set() -> TemplateSet {
     ])
 }
 
-/// Capped histories evict through the slots as through the keys, and a
-/// predictor reset mid-stream (table and all) predicts like a fresh one
-/// fed only what came after.
+/// Capped histories evict through the slots as through the keys. (The
+/// name predates the removal of `reset`, whose mid-stream step this test
+/// also took.)
 #[test]
 fn evictions_and_reset() {
     let jobs = rand_jobs(0xCA9, 500);
     let mut rng = Rng64::seed_from_u64(0xCA9);
-    let mut veteran = SmithPredictor::new(capped_set());
-    let mut fresh = SmithPredictor::new(capped_set());
+    let mut p = SmithPredictor::new(capped_set());
     for (i, j) in jobs.iter().enumerate() {
-        if i == 250 {
-            veteran.reset();
-            fresh = SmithPredictor::new(capped_set());
-        }
-        veteran.on_complete(j);
-        fresh.on_complete(j);
+        p.on_complete(j);
         let probe = &jobs[rng.gen_index(jobs.len())];
         for elapsed in elapsed_for(&mut rng, probe) {
             let what = format!("job {i} elapsed {elapsed:?}");
-            let v = checked(&mut veteran, probe, elapsed, &what);
-            assert_same(v, fresh.predict(probe, elapsed), &what);
+            checked(&mut p, probe, elapsed, &what);
         }
     }
-    assert_eq!(veteran.category_count(), fresh.category_count());
-    assert_eq!(veteran.resident_points(), fresh.resident_points());
 }
 
 /// Bring `base`, a copy decoded at a mark, forward the way a serve
@@ -268,15 +259,6 @@ fn codec_round_trip_and_delta_mid_stream() {
             220 => {
                 let b = base.as_mut().expect("marked");
                 catch_up(b, &mut log, &live, &format!("delta at job {i}"));
-            }
-            // Every copy cleared at once.
-            300 => {
-                for p in [&mut live, decoded.as_mut().expect("decoded")] {
-                    p.reset();
-                }
-                let b = base.as_mut().expect("marked");
-                b.reset();
-                assert_eq!(b.category_count(), 0);
             }
             _ => {}
         }

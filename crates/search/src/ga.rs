@@ -100,24 +100,18 @@ pub struct GaResult {
     pub resumed_from: Option<usize>,
 }
 
-/// Where and how often to checkpoint a search.
+/// Where to checkpoint a search, which snapshots after every generation.
 #[derive(Debug, Clone)]
 pub struct CheckpointPolicy {
     /// Directory holding the checkpoint file
     /// ([`Checkpoint::path_in`]).
     pub dir: PathBuf,
-    /// Snapshot every `every` generations (the final generation is
-    /// always snapshotted). Clamped to at least 1.
-    pub every: usize,
 }
 
 impl CheckpointPolicy {
     /// Checkpoint into `dir` after every generation.
     pub fn every_generation(dir: impl Into<PathBuf>) -> CheckpointPolicy {
-        CheckpointPolicy {
-            dir: dir.into(),
-            every: 1,
-        }
+        CheckpointPolicy { dir: dir.into() }
     }
 
     /// The checkpoint file this policy reads and writes.
@@ -325,11 +319,7 @@ fn drive(
     while runner.generation() < total {
         runner.step(wl, pw, threads);
         if let Some(p) = policy {
-            let every = p.every.max(1);
-            let gen = runner.generation();
-            if gen.is_multiple_of(every) || gen == total {
-                runner.checkpoint().save_atomic(&p.file())?;
-            }
+            runner.checkpoint().save_atomic(&p.file())?;
         }
     }
     Ok(runner.into_result())

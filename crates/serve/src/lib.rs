@@ -15,7 +15,7 @@
 //!   machine, bounded reorder buffer with a watermark for disordered
 //!   input, late-completion backfill, bounded-memory job tables and
 //!   predictor history, and wait-time query answering (the offline
-//!   studies' nested forecast, `qpredict_sim::forecast_replay`, run as
+//!   studies' nested forecast, `qpredict_sim::forecast_jobs`, run as
 //!   conservative backfill over predicted run times through the same
 //!   `qpredict_sim::Planner` the engine schedules with).
 //! * [`wal`] — checksummed write-ahead log of raw input lines; torn or

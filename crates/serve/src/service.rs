@@ -20,8 +20,8 @@
 //! sealed (checksummed) and renamed into place atomically as
 //! `snap-<seq>.snap`, where `<seq>` counts segments. A segment is either
 //! a **base**, the whole state, or a **delta**: only what changed since
-//! the previous segment (see [`Delta`]), naming that segment's sequence
-//! number and checksum as its parent. A delta's predictor part is the
+//! the previous segment (`ServiceState::encode_delta`), naming that
+//! segment's sequence number and checksum as its parent. A delta's predictor part is the
 //! log of completions the predictor learned from, which applying it
 //! replays. The first segment a process writes is a base; after that a
 //! delta, until the deltas written since the base add up to more bytes
@@ -62,7 +62,7 @@ use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 
 use qpredict_durable::{
-    check_frame, seal_sum, write_atomic_with, Codec, CodecError, Delta, IoOpError, Reader, Writer,
+    check_frame, seal_sum, write_atomic_with, Codec, CodecError, IoOpError, Reader, Writer,
 };
 use qpredict_obs::counter_add;
 
@@ -715,7 +715,7 @@ fn load_chain(cfg: &ServeConfig, segs: &[ReadSegment]) -> Result<Loaded, ServeEr
     };
     let apply = |state: &mut ServiceState, body: &str| -> Result<(), CodecError> {
         let (mut r, _, _) = segment_header(body)?;
-        state.apply_delta(&mut r, cfg)?;
+        state.apply_delta(&mut r)?;
         r.finish()
     };
     for (bi, base) in segs.iter().enumerate().rev() {

@@ -29,13 +29,13 @@
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use qpredict_durable::codec;
-use qpredict_durable::{codec_struct, Codec, CodecError, Delta, Reader, Writer};
+use qpredict_durable::{codec_struct, Codec, CodecError, Reader, Writer};
 use qpredict_obs::counter_add;
 use qpredict_predict::{
     CacheStats, DowneyPredictor, DowneyVariant, GibbonsPredictor, Prediction, PredictorKind,
     RunTimePredictor, SmithPredictor,
 };
-use qpredict_sim::{forecast_replay, Algorithm, QueueEntry, RunningView};
+use qpredict_sim::{forecast_jobs, Algorithm};
 use qpredict_workload::{
     Characteristic, Dur, EventKind, Job, JobBuilder, JobEvent, JobId, Sym, SymbolTable, Time,
     CHARACTERISTICS,
@@ -320,10 +320,6 @@ impl RunTimePredictor for ServePredictor {
 
     fn on_complete(&mut self, job: &Job) {
         each!(self, p => p.on_complete(job))
-    }
-
-    fn reset(&mut self) {
-        each!(self, p => p.reset())
     }
 }
 
@@ -684,12 +680,13 @@ impl ServiceState {
     /// Answer a wait-time query about `id` at time `now`.
     ///
     /// For a queued job the answer is the paper's estimated queue wait:
-    /// the nested conservative-backfill forecast with the scheduler's
-    /// belief = prediction ([`forecast_replay`]), over the running jobs
-    /// and the jobs queued ahead of the target. Each is predicted once, in
-    /// admission order, running jobs first; with exact beliefs the
-    /// forecast takes its first-pass stop, so the wait is the target's
-    /// earliest fit after everything ahead has been reserved.
+    /// the nested conservative-backfill forecast ([`forecast_jobs`]) with
+    /// the scheduler's belief = prediction, over the running jobs and the
+    /// jobs queued ahead of the target. Each is predicted once, in
+    /// admission order, running jobs first and the target last; with
+    /// exact beliefs the forecast takes its first-pass stop, so the wait
+    /// is the target's earliest fit after everything ahead has been
+    /// reserved.
     fn answer(&mut self, id: u64, now: Time) -> String {
         let Some(r) = self.jobs.get(&id).copied() else {
             return format!("t={} id={id} unknown", now.0);
@@ -709,47 +706,39 @@ impl ServiceState {
                 )
             }
             Phase::Queued => {
-                let machine = self.cfg.machine_nodes.max(1);
                 let ahead = self.ahead_of(r.internal);
-                let (mut running, mut queue) = (Vec::new(), Vec::new());
-                let entry = |rec: &JobRecord, pred_runtime: Dur| QueueEntry {
-                    id: JobId(rec.internal),
-                    seq: rec.internal as u64,
-                    nodes: rec.nodes.min(machine),
-                    pred_runtime,
-                };
-                for rec in &ahead {
-                    if let Phase::Running { started } = rec.phase {
-                        let elapsed = now.since(started).max(Dur::ZERO);
-                        let end = started + self.predict(&rec.job(Dur::SECOND), elapsed).estimate;
-                        let view = RunningView {
-                            nodes: rec.nodes.min(machine),
-                            pred_end: end,
-                        };
-                        running.push((view, end));
-                    } else {
-                        let dur = self.predict(&rec.job(Dur::SECOND), Dur::ZERO).estimate;
-                        queue.push((entry(rec, dur), dur));
-                    }
-                }
-                let p = self.predict(&r.job(Dur::SECOND), Dur::ZERO);
-                queue.push((entry(&r, p.estimate), p.estimate));
-                // Disordered streams can legitimately claim more running
-                // nodes than the machine has. The profile clamps them;
-                // count the answer rather than assert.
-                let in_use: u64 = running.iter().map(|(v, _)| u64::from(v.nodes)).sum();
-                if in_use > u64::from(machine) {
-                    counter_add("serve.oversubscribed", 1);
-                }
-                let start = forecast_replay(
+                let running = ahead.iter().filter_map(|rec| match rec.phase {
+                    Phase::Running { started } => Some((rec.job(Dur::SECOND), started)),
+                    _ => None,
+                });
+                let queued = ahead
+                    .iter()
+                    .filter(|rec| rec.phase == Phase::Queued)
+                    .chain([&r])
+                    .map(|rec| (rec.job(Dur::SECOND), u64::from(rec.internal)));
+                let mut last = None;
+                let forecast = forecast_jobs(
                     Algorithm::Backfill,
-                    machine,
+                    self.cfg.machine_nodes.max(1),
                     now,
                     running,
-                    queue,
+                    queued,
+                    |job, elapsed| {
+                        let p = self.predict(job, elapsed);
+                        last = Some(p);
+                        p.estimate
+                    },
+                    |_, _, predicted| predicted,
                     JobId(r.internal),
                 );
-                let wait = start.since(now).max(Dur::ZERO);
+                // Disordered streams can legitimately claim more running
+                // nodes than the machine has. The forecast clamps them;
+                // count the answer rather than assert.
+                if forecast.oversubscribed {
+                    counter_add("serve.oversubscribed", 1);
+                }
+                let p = last.expect("the target is queued, so predicted, last");
+                let wait = forecast.start.since(now).max(Dur::ZERO);
                 format!(
                     "t={} id={id} wait={} runtime={} ci={:016X} fallback={}",
                     now.0,
@@ -870,17 +859,22 @@ impl ServiceState {
     }
 }
 
-/// The change since the last mark. The bounded parts — cursor, counters,
-/// reorder buffer — are written whole; the rest only as change: symbols
-/// interned, job records inserted, changed or removed (`-`), done-FIFO
-/// pops and pushes, and the completions the predictor learned from.
-///
-/// # Panics
-/// [`Delta::encode_delta`] panics on a state that keeps no journal: one
-/// never marked, or whose journal outgrew its cap since the last mark.
-/// The service writes a base then.
-impl Delta<ServeConfig> for ServiceState {
-    fn encode_delta(&self, w: &mut Writer) {
+/// Incremental snapshots: a state marked, then changed any number of
+/// times, writes a delta that brings a state equal to the marked one (as
+/// decoded, not necessarily the same object) to one that encodes exactly
+/// as the changed state does.
+impl ServiceState {
+    /// Append the change since the last mark to `w`. The bounded parts —
+    /// cursor, counters, reorder buffer — are written whole; the rest
+    /// only as change: symbols interned, job records inserted, changed or
+    /// removed (`-`), done-FIFO pops and pushes, and the completions the
+    /// predictor learned from.
+    ///
+    /// # Panics
+    /// On a state that keeps no journal: one never marked, or whose
+    /// journal outgrew its cap since the last mark. The service writes a
+    /// base then.
+    pub(crate) fn encode_delta(&self, w: &mut Writer) {
         let j = self.journal.as_ref().expect("delta of an unmarked state");
         w.record(DELTA_MAGIC);
         w.record("config").put(&self.cfg.fingerprint());
@@ -910,7 +904,9 @@ impl Delta<ServeConfig> for ServiceState {
         self.predictor.encode_delta(w, &j.learned);
     }
 
-    fn apply_delta(&mut self, r: &mut Reader<'_>, _: &ServeConfig) -> Result<(), CodecError> {
+    /// Read a change written by [`ServiceState::encode_delta`] and apply
+    /// it.
+    pub(crate) fn apply_delta(&mut self, r: &mut Reader<'_>) -> Result<(), CodecError> {
         let fp: u64 = r.record(DELTA_MAGIC)?.record("config")?.get()?;
         if fp != self.cfg.fingerprint() {
             return Err(r.error(format!(
@@ -958,7 +954,8 @@ impl Delta<ServeConfig> for ServiceState {
         self.predictor.apply_delta(r, &self.syms)
     }
 
-    fn mark(&mut self) {
+    /// Start a new change: later deltas describe the change since now.
+    pub(crate) fn mark(&mut self) {
         let (mut jobs, mut learned) = self
             .journal
             .take()
@@ -1315,7 +1312,6 @@ mod tests {
     /// every later line exactly as the uninterrupted state does.
     #[test]
     fn live_index_answers_as_a_full_scan_does() {
-        use qpredict_durable::{Delta, Reader, Writer};
         let wl = qpredict_workload::synthetic::toy(2_500, 32, 11);
         let events = qpredict_sim::realized_events(&wl, 1);
         let (third, two_thirds) = (events.len() / 3, 2 * events.len() / 3);
@@ -1343,7 +1339,7 @@ mod tests {
                     let text = w.finish();
                     let state = rebuilt.as_mut().expect("based a third of the way in");
                     let mut r = Reader::new(&text);
-                    state.apply_delta(&mut r, &cfg).expect("apply delta");
+                    state.apply_delta(&mut r).expect("apply delta");
                     r.finish().expect("whole delta read");
                     assert_eq!(state.fingerprint(), s.fingerprint(), "line {i}");
                     assert_eq!(state.live, s.live, "line {i}");

@@ -531,7 +531,6 @@ mod tests {
             fn on_complete(&mut self, _job: &Job) {
                 self.0 += 1;
             }
-            fn reset(&mut self) {}
         }
         let w = wl(&[(0, 2, 10, 10), (0, 2, 10, 10), (5, 2, 10, 10)]);
         let mut est = Count(0);

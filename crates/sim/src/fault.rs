@@ -225,10 +225,6 @@ impl<E: RunTimePredictor> RunTimePredictor for FaultyEstimator<E> {
         self.inner.on_complete(job);
     }
 
-    fn reset(&mut self) {
-        self.inner.reset();
-    }
-
     fn degradations(&self) -> Option<DegradationCounts> {
         self.inner.degradations()
     }

@@ -5,10 +5,13 @@
 //! algorithms to simulate the actions made by a scheduler and determine
 //! when applications will begin to execute."*
 //!
-//! [`forecast_start`] takes a [`Snapshot`] of the live system and replays
-//! the scheduling algorithm — through literally the same [`Planner`] the
-//! real engine uses — until the target job starts.
-//! Two estimates drive the replay:
+//! [`forecast_jobs`] takes the running and queued jobs of the live
+//! system and replays the scheduling algorithm — through literally the
+//! same [`Planner`] the real engine uses — until the target job starts.
+//! It is the one resolution of a wait question: [`forecast_start`] asks
+//! it about a [`Snapshot`] and the online service about its live jobs, so
+//! the wait serve answers is the one the offline studies score. Two
+//! estimates drive the replay, each asked for once per job:
 //!
 //! * the **belief** durations are what the real scheduler uses for its
 //!   decisions (in the paper's systems: the user-supplied maximum run
@@ -25,12 +28,6 @@
 //! arrivals jump the queue). No future arrivals are modeled: they are
 //! unknown at prediction time.
 //!
-//! Each job's belief and prediction are asked for once per forecast,
-//! running jobs first, then the queue in arrival order, and
-//! [`forecast_replay`] replays on those resolved durations. The online
-//! service resolves its own and calls [`forecast_replay`] directly, so
-//! the wait it answers is the one the offline studies score.
-//!
 //! **The first-pass stop.** Under conservative backfill with every
 //! belief equal to its prediction, no job finishes earlier than its
 //! reservation assumed: rebuilding the profile at each completion gives
@@ -45,13 +42,16 @@
 //! a predicted completion, so the planner never carries a plan here; it
 //! plans each pass from scratch.
 
+use std::borrow::Borrow;
+
 use qpredict_workload::{Dur, Job, JobId, Time, Workload};
 
 use crate::engine::Snapshot;
 use crate::scheduler::{Algorithm, Planner, QueueEntry, RunningView};
 
 /// Simulate the scheduler forward from `snap` and return the predicted
-/// start time of `target`.
+/// start time of `target`: [`forecast_jobs`] over the snapshot's
+/// running and queued jobs.
 ///
 /// `belief(job, elapsed)` supplies the duration the *scheduler* assumes
 /// (e.g. the maximum run time); `predict(job, elapsed)` supplies the
@@ -67,44 +67,102 @@ pub fn forecast_start(
     alg: Algorithm,
     snap: &Snapshot,
     mut belief: impl FnMut(&Job, Dur) -> Dur,
-    mut predict: impl FnMut(&Job, Dur) -> Dur,
+    predict: impl FnMut(&Job, Dur) -> Dur,
     target: JobId,
 ) -> Time {
     let _span = qpredict_obs::span("forecast");
     qpredict_obs::counter_add("forecast.calls", 1);
-    let running = snap
-        .running
-        .iter()
-        .map(|&(id, start)| {
-            let job = wl.job(id);
-            let elapsed = snap.now - start;
-            let pred = predict(job, elapsed);
-            let believed = belief(job, elapsed);
+    let running = snap.running.iter().map(|&(id, start)| (wl.job(id), start));
+    let queued = snap.queued.iter().map(|&(id, seq)| (wl.job(id), seq));
+    let belief = |job: &Job, elapsed, _| belief(job, elapsed);
+    forecast_jobs(
+        alg,
+        wl.machine_nodes,
+        snap.now,
+        running,
+        queued,
+        predict,
+        belief,
+        target,
+    )
+    .start
+}
+
+/// The answer to a wait question.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Forecast {
+    /// The instant the target starts in the forecast.
+    pub start: Time,
+    /// Whether the running jobs hold more nodes than the machine has,
+    /// which only a disordered event stream produces; the forecast then
+    /// plans on the machine's nodes.
+    pub oversubscribed: bool,
+}
+
+/// Resolve a wait question at `now` on a machine of `machine_nodes` and
+/// replay the scheduler until `target` starts.
+///
+/// `running` gives each running job with its start, `queued` each
+/// queued job with its arrival sequence number, in arrival order. Each
+/// job is asked `predict(job, elapsed)` for the duration it runs in the
+/// forecast, then `belief(job, elapsed, predicted)` for the duration the
+/// scheduler assumes, running jobs first; `elapsed` is zero for queued
+/// jobs and for running jobs started after `now`. A job is held for at
+/// least one second past `now`, and for no more nodes than the machine
+/// has. The replay takes the first-pass stop (module docs) when `alg` is
+/// conservative backfill and every belief equals its prediction.
+///
+/// # Panics
+/// Panics if `target` is not in `queued`.
+#[allow(clippy::too_many_arguments)]
+pub fn forecast_jobs<J: Borrow<Job>>(
+    alg: Algorithm,
+    machine_nodes: u32,
+    now: Time,
+    running: impl IntoIterator<Item = (J, Time)>,
+    queued: impl IntoIterator<Item = (J, u64)>,
+    mut predict: impl FnMut(&Job, Dur) -> Dur,
+    mut belief: impl FnMut(&Job, Dur, Dur) -> Dur,
+    target: JobId,
+) -> Forecast {
+    let mut resolve = |job: &Job, elapsed| {
+        let predicted = predict(job, elapsed);
+        (predicted, belief(job, elapsed, predicted))
+    };
+    let nodes = |job: &Job| job.nodes.min(machine_nodes);
+    let running: Vec<_> = running
+        .into_iter()
+        .map(|(job, start)| {
+            let job = job.borrow();
+            let elapsed = now.since(start).max(Dur::ZERO);
+            let (predicted, believed) = resolve(job, elapsed);
             let floor = elapsed + Dur::SECOND;
             let view = RunningView {
-                nodes: job.nodes,
+                nodes: nodes(job),
                 pred_end: start + believed.max(floor),
             };
-            (view, start + pred.max(floor))
+            (view, start + predicted.max(floor))
         })
         .collect();
-    let queue = snap
-        .queued
-        .iter()
-        .map(|&(id, seq)| {
-            let job = wl.job(id);
-            let pred = predict(job, Dur::ZERO);
-            let believed = belief(job, Dur::ZERO);
+    let queue = queued
+        .into_iter()
+        .map(|(job, seq)| {
+            let job = job.borrow();
+            let (predicted, believed) = resolve(job, Dur::ZERO);
             let entry = QueueEntry {
-                id,
+                id: job.id,
                 seq,
-                nodes: job.nodes,
+                nodes: nodes(job),
                 pred_runtime: believed.max(Dur::SECOND),
             };
-            (entry, pred.max(Dur::SECOND))
+            (entry, predicted.max(Dur::SECOND))
         })
         .collect();
-    forecast_replay(alg, wl.machine_nodes, snap.now, running, queue, target)
+    let in_use: u64 = running.iter().map(|(v, _)| u64::from(v.nodes)).sum();
+    Forecast {
+        start: forecast_replay(alg, machine_nodes, now, running, queue, target),
+        oversubscribed: in_use > u64::from(machine_nodes),
+    }
 }
 
 /// Replay the scheduler from `now` on resolved durations until `target`
@@ -113,13 +171,8 @@ pub fn forecast_start(
 /// Each running job pairs its [`RunningView`] (`pred_end` is the believed
 /// completion) with the instant it frees its nodes in the forecast; each
 /// queued job pairs its [`QueueEntry`] (`pred_runtime` is the believed
-/// duration) with the duration it runs once started. Takes the
-/// first-pass stop (module docs) when `alg` is conservative backfill and
-/// every belief equals its prediction.
-///
-/// # Panics
-/// Panics if `target` is not in `queue`.
-pub fn forecast_replay(
+/// duration) with the duration it runs once started.
+fn forecast_replay(
     alg: Algorithm,
     machine_nodes: u32,
     now: Time,

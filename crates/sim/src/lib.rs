@@ -31,9 +31,11 @@
 //! Every scheduling pass goes through one [`Planner`], which keeps its
 //! buffers and availability [`Profile`] across passes and, under
 //! conservative backfill, carries its plan across a pass that follows no
-//! completion. [`forecast_start`] replays the same passes on predicted
+//! completion. [`forecast_jobs`] replays the same passes on predicted
 //! run times to forecast when a queued job starts (Section 3's wait
-//! prediction).
+//! prediction): it resolves each running and queued job's prediction and
+//! belief once, for [`forecast_start`]'s snapshots and for the online
+//! service alike.
 
 pub mod engine;
 pub mod estimators;
@@ -48,7 +50,7 @@ pub mod timeline;
 pub use engine::{NoHooks, SimHooks, SimResult, Simulation, Snapshot};
 pub use estimators::{MaxRuntimeEstimator, RuntimeEstimator};
 pub use fault::{FaultCounts, FaultPlan, FaultReport, FaultyEstimator};
-pub use forecast::{forecast_replay, forecast_start};
+pub use forecast::{forecast_jobs, forecast_start, Forecast};
 pub use metrics::{JobOutcome, Metrics};
 pub use profile::Profile;
 pub use qpredict_predict::CacheStats;

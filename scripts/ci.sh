@@ -81,8 +81,10 @@ BENCH_JSON="$("${CARGO_TARGET_DIR:-e2ebench/target}/release/qpredict-e2ebench" \
 echo "$BENCH_JSON" | grep -q '"correct": true' \
     || { echo "e2ebench traced serve-anl is not correct: $BENCH_JSON" >&2; exit 1; }
 
-echo "==> cargo doc --no-deps (rustdoc warnings are errors)"
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
+# Doc lint: a deleted or moved item must not leave an intra-doc link
+# dangling.
+echo "==> cargo doc --workspace --no-deps --offline (rustdoc warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --quiet
 
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q

@@ -9,8 +9,10 @@
 //! (lenient skips and reports malformed lines), and `--fault-seed N` /
 //! `--fault-pred-noise P` drive the deterministic fault-injection
 //! harness during `simulate`. A flag the chosen subcommand does not read
-//! exits 2 rather than being ignored; `--report-out FILE|-` applies to
-//! every subcommand.
+//! exits 2 rather than being ignored, and so does one its source does
+//! not read (`--jobs` for a `.swf` trace, `--nodes` for a site model,
+//! `--ingest` for anything but a `.swf` trace); `--report-out FILE|-`
+//! applies to every subcommand.
 //!
 //! `search` runs the GA template search, scoring each generation on the
 //! machine's cores: `--checkpoint-dir` snapshots every generation so a
@@ -52,12 +54,12 @@ use qpredict::workload::{analysis, swf, synthetic, IngestPolicy};
 
 struct Opts {
     positional: Vec<String>,
-    nodes: u32,
+    nodes: Option<u32>,
     jobs: Option<usize>,
     alg: Algorithm,
     predictor: PredictorKind,
     out: Option<String>,
-    ingest: IngestPolicy,
+    ingest: Option<IngestPolicy>,
     fault_seed: Option<u64>,
     fault_pred_noise: Option<f64>,
     generations: Option<usize>,
@@ -252,12 +254,12 @@ const SUBCOMMANDS: &[(&str, &str, &[&str])] = &[
 fn parse_opts(args: &[String]) -> Opts {
     let mut o = Opts {
         positional: Vec::new(),
-        nodes: 128,
+        nodes: None,
         jobs: None,
         alg: Algorithm::Backfill,
         predictor: PredictorKind::Smith,
         out: None,
-        ingest: IngestPolicy::Strict,
+        ingest: None,
         fault_seed: None,
         fault_pred_noise: None,
         generations: None,
@@ -285,7 +287,7 @@ fn parse_opts(args: &[String]) -> Opts {
             flags.push(a.clone());
         }
         match a.as_str() {
-            "--nodes" => o.nodes = parse_value(&mut it, "--nodes", "a node count"),
+            "--nodes" => o.nodes = Some(parse_value(&mut it, "--nodes", "a node count")),
             "--jobs" => {
                 let n: usize = parse_value(&mut it, "--jobs", "a positive job count");
                 if n == 0 {
@@ -315,11 +317,11 @@ fn parse_opts(args: &[String]) -> Opts {
             }
             "--ingest" => {
                 let v = flag_value(&mut it, "--ingest");
-                o.ingest = IngestPolicy::parse(&v).unwrap_or_else(|| {
+                o.ingest = Some(IngestPolicy::parse(&v).unwrap_or_else(|| {
                     flag_error(format!(
                         "invalid value {v:?} for --ingest (expected strict|lenient)"
                     ))
-                });
+                }));
             }
             "--fault-seed" => {
                 o.fault_seed = Some(parse_value(&mut it, "--fault-seed", "an integer seed"))
@@ -433,19 +435,35 @@ fn fault_plan(opts: &Opts) -> Option<FaultPlan> {
     ))
 }
 
+/// The machine size without `--nodes`.
+const DEFAULT_NODES: u32 = 128;
+
+/// The workload `source` names: a `.swf` trace, `toy`, or a site model.
+/// A flag the source does not read exits 2.
 fn load(source: &str, opts: &Opts) -> Workload {
-    if source.ends_with(".swf") {
+    let swf = source.ends_with(".swf");
+    let site = synthetic::ALL_SITES
+        .iter()
+        .any(|s| s.eq_ignore_ascii_case(source));
+    let unread = [
+        ("--jobs", swf && opts.jobs.is_some()),
+        ("--nodes", site && opts.nodes.is_some()),
+        ("--ingest", !swf && opts.ingest.is_some()),
+    ];
+    if let Some((flag, _)) = unread.iter().find(|(_, given)| *given) {
+        flag_error(format!("{flag} does not apply to {source}"))
+    }
+    let nodes = opts.nodes.unwrap_or(DEFAULT_NODES);
+    if swf {
         let text = std::fs::read_to_string(source).unwrap_or_else(|e| {
             eprintln!("cannot read {source}: {e}");
             exit(1)
         });
-        match swf::parse_with(source, opts.nodes, &text, opts.ingest) {
+        let ingest = opts.ingest.unwrap_or(IngestPolicy::Strict);
+        match swf::parse_with(source, nodes, &text, ingest) {
             Ok((w, report)) => {
                 if !report.is_clean() {
-                    eprintln!(
-                        "{source}: recovered under {} ingestion:",
-                        opts.ingest.name()
-                    );
+                    eprintln!("{source}: recovered under {} ingestion:", ingest.name());
                     for line in report.summary().lines() {
                         eprintln!("  {line}");
                     }
@@ -458,7 +476,7 @@ fn load(source: &str, opts: &Opts) -> Workload {
             }
         }
     } else if source.eq_ignore_ascii_case("toy") {
-        synthetic::toy(opts.jobs.unwrap_or(2000), opts.nodes.min(128), 42)
+        synthetic::toy(opts.jobs.unwrap_or(2000), nodes.min(128), 42)
     } else {
         synthetic::by_name(source, opts.jobs).unwrap_or_else(|| {
             eprintln!(
@@ -764,7 +782,7 @@ fn main() {
             let defaults = qpredict::serve::ServeConfig::default();
             let cfg = qpredict::serve::ServeConfig {
                 predictor: opts.predictor.clone(),
-                machine_nodes: opts.nodes,
+                machine_nodes: opts.nodes.unwrap_or(DEFAULT_NODES),
                 horizon: opts.horizon.unwrap_or(defaults.horizon),
                 max_history: opts.max_history.unwrap_or(defaults.max_history),
                 max_jobs: opts.max_jobs.unwrap_or(defaults.max_jobs),

@@ -233,6 +233,18 @@ fn cli_flag_errors_exit_two_with_pointed_messages() {
             &["search", "toy", "--jobs", "50", "--fault-seed", "3"],
             "--fault-seed does not apply to search",
         ),
+        (
+            &["simulate", "trace.swf", "--jobs", "50"],
+            "--jobs does not apply to trace.swf",
+        ),
+        (
+            &["simulate", "ANL", "--jobs", "50", "--nodes", "64"],
+            "--nodes does not apply to ANL",
+        ),
+        (
+            &["analyze", "toy", "--ingest", "lenient"],
+            "--ingest does not apply to toy",
+        ),
     ];
     for (args, needle) in cases {
         let out = bin().args(*args).output().expect("binary runs");
