@@ -13,6 +13,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 
+# Closed-stdout smoke: a reader that goes away early is not an error, so
+# under pipefail these pipelines must exit 0 rather than panic.
+echo "==> closed-stdout smoke (qpredict paper / simulate | true)"
+./target/release/qpredict paper --jobs 60 --threads 1 table1 2>/dev/null | true
+./target/release/qpredict simulate toy --jobs 60 --nodes 16 | true
+
 # Thread-invariance smoke: the paper harness's grids run on a parallel
 # fan-out, and one worker or three must print the same tables.
 echo "==> qpredict paper --jobs 400 tables with --threads 1 vs --threads 3"

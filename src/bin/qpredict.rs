@@ -1,18 +1,23 @@
 //! `qpredict` — command-line front end to the library.
 //!
-//! `qpredict --help` prints every subcommand with the flags it reads
-//! (the `SUBCOMMANDS` table): `generate`, `analyze`, `simulate`,
-//! `waitpred`, `gantt`, `search`, `events`, `serve`, `paper` and
-//! `check-report`.
+//! Every flag is declared once, in the `FLAGS` table: its name, the value
+//! placeholder `--help` shows, and how its value is checked (type or
+//! choice, minimum or range, and the "expected …" text of its
+//! diagnostic). `parse_opts` checks each value as it reads it and exits 2
+//! on the first bad one. The `SUBCOMMANDS` table names each subcommand
+//! (`generate`, `analyze`, `simulate`, `waitpred`, `gantt`, `search`,
+//! `events`, `serve`, `paper` and `check-report`), its source argument and
+//! the flags it reads, by name only; `qpredict --help` renders it. A flag
+//! the chosen subcommand does not read exits 2 rather than being ignored,
+//! and so does one its source does not read (`--jobs` for a `.swf` trace,
+//! `--nodes` for a site model, `--ingest` for anything but a `.swf`
+//! trace); `--report-out FILE|-` applies to every subcommand. Every byte
+//! of stdout goes through `emit`, which exits 0 when the reader has gone
+//! (`qpredict … | head` does not panic).
 //!
-//! Common flags: `--ingest lenient|strict` controls SWF parsing
-//! (lenient skips and reports malformed lines), and `--fault-seed N` /
-//! `--fault-pred-noise P` drive the deterministic fault-injection
-//! harness during `simulate`. A flag the chosen subcommand does not read
-//! exits 2 rather than being ignored, and so does one its source does
-//! not read (`--jobs` for a `.swf` trace, `--nodes` for a site model,
-//! `--ingest` for anything but a `.swf` trace); `--report-out FILE|-`
-//! applies to every subcommand.
+//! `--ingest lenient|strict` controls SWF parsing (lenient skips and
+//! reports malformed lines), and `--fault-seed N` / `--fault-pred-noise P`
+//! drive the deterministic fault-injection harness during `simulate`.
 //!
 //! `search` runs the GA template search, scoring each generation on the
 //! machine's cores: `--checkpoint-dir` snapshots every generation so a
@@ -38,7 +43,9 @@
 //! Sites are generated synthetically (full Table 1 size unless `--jobs`);
 //! `.swf` paths are parsed as Standard Workload Format traces.
 
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
+use std::fs;
+use std::io::Write as _;
 use std::process::exit;
 use std::time::Instant;
 
@@ -49,49 +56,120 @@ use qpredict::obs::report::RunReport;
 use qpredict::predict::OraclePredictor;
 use qpredict::prelude::*;
 use qpredict::search::{resume, search, CheckpointPolicy, GaConfig, PredictionWorkload, Target};
+use qpredict::serve::{FsyncPolicy, Response, ServeConfig, ServeError, Service};
 use qpredict::sim::{timeline_of, FaultPlan};
 use qpredict::workload::{analysis, swf, synthetic, IngestPolicy};
+use Check::*;
 
-struct Opts {
-    positional: Vec<String>,
-    nodes: Option<u32>,
-    jobs: Option<usize>,
-    alg: Algorithm,
-    predictor: PredictorKind,
-    out: Option<String>,
-    ingest: Option<IngestPolicy>,
-    fault_seed: Option<u64>,
-    fault_pred_noise: Option<f64>,
-    generations: Option<usize>,
-    population: Option<usize>,
-    seed: Option<u64>,
-    checkpoint_dir: Option<String>,
-    resume: bool,
-    report_out: Option<String>,
-    state_dir: Option<String>,
-    horizon: Option<usize>,
-    snapshot_every: Option<u64>,
-    fsync: Option<qpredict::serve::FsyncPolicy>,
-    max_jobs: Option<usize>,
-    max_done: Option<usize>,
-    max_history: Option<u32>,
-    throttle_us: Option<u64>,
-    query_every: Option<usize>,
-    shuffle: Option<usize>,
-    threads: Option<usize>,
+/// How a flag's value is checked.
+enum Check {
+    /// A switch: the flag takes no value.
+    Switch,
+    /// Any text: a path, or `-` for stdout.
+    Text,
+    /// An integer in `min..=max`: `Int(expected, min, max, below)`, where
+    /// `expected` describes it and `below` says why a value under `min` is
+    /// refused.
+    Int(&'static str, u64, u64, &'static str),
+    /// A probability in [0, 1].
+    Prob,
+    /// A choice, checked by its type's own parser; `Err` says why not.
+    Choice(fn(&str) -> Result<(), String>),
+}
+
+const U32: u64 = u32::MAX as u64;
+const USIZE: u64 = usize::MAX as u64;
+const ALGS: &str = "fcfs|lwf|backfill|easy";
+const INGESTS: &str = "strict|lenient";
+const PREDS: &str = "actual|maxrt|smith|gibbons|downey-avg|downey-med|fallback";
+
+/// `Ok` when `parsed` is `Some`, else why not.
+fn one_of<T>(parsed: Option<T>, choices: &str) -> Result<(), String> {
+    parsed
+        .map(drop)
+        .ok_or_else(|| format!("expected {choices}"))
+}
+
+/// Every flag: its name, the value placeholder `--help` shows (empty for a
+/// switch), and how its value is checked.
+#[rustfmt::skip]
+const FLAGS: &[(&str, &str, Check)] = &[
+    ("--nodes", "N", Int("a node count", 1, U32, "expected a positive node count")),
+    ("--jobs", "N", Int("a positive job count", 1, USIZE, "expected a positive job count")),
+    ("--ingest", INGESTS, Choice(|v| one_of(IngestPolicy::parse(v), INGESTS))),
+    ("--out", "FILE", Text),
+    ("--alg", ALGS, Choice(|v| one_of(Algorithm::parse(v), ALGS))),
+    ("--predictor", "PRED", Choice(|v| one_of(PredictorKind::parse(v), PREDS))),
+    ("--fault-seed", "N", Int("an integer seed", 0, u64::MAX, "")),
+    ("--fault-pred-noise", "P", Prob),
+    ("--generations", "N", Int("a generation count", 1, USIZE,
+        "expected a positive generation count")),
+    ("--population", "N", Int("a population size (>= 4)", 4, USIZE,
+        "the GA needs at least 4 individuals for parents and elites")),
+    ("--seed", "N", Int("an integer seed", 0, u64::MAX, "")),
+    ("--checkpoint-dir", "DIR", Text),
+    ("--resume", "", Switch),
+    ("--query-every", "K", Int("a job interval", 0, USIZE, "")),
+    ("--shuffle", "W", Int("a shuffle window", 0, USIZE, "")),
+    ("--state-dir", "DIR", Text),
+    ("--horizon", "N", Int("a reorder-buffer size", 0, USIZE, "")),
+    ("--snapshot-every", "N", Int("a line interval", 0, u64::MAX, "")),
+    ("--fsync", "always|batch[=N]|never", Choice(|v| FsyncPolicy::parse(v).map(drop))),
+    ("--max-jobs", "N", Int("a live-job cap (>= 1)", 1, USIZE,
+        "the cap must admit at least one job")),
+    ("--max-done", "N", Int("a done-record cap", 0, USIZE, "")),
+    ("--max-history", "N", Int("a per-category cap (>= 1)", 1, U32,
+        "a predictor with no history cannot predict")),
+    ("--throttle-us", "N", Int("microseconds", 0, u64::MAX, "")),
+    ("--threads", "N", Int("a thread count", 0, USIZE, "")),
+    ("--report-out", "FILE|-", Text),
+];
+
+/// Each subcommand with its source argument and the flags it reads. Any
+/// other flag exits 2, except `--report-out` and `--help`, which apply to
+/// every subcommand.
+#[rustfmt::skip]
+const SUBCOMMANDS: &[(&str, &str, &[&str])] = &[
+    ("generate", "<ANL|CTC|SDSC95|SDSC96|toy>", &["--nodes", "--jobs", "--ingest", "--out"]),
+    ("analyze", "<trace.swf|site>", &["--nodes", "--jobs", "--ingest"]),
+    ("simulate", "<trace.swf|site>", &["--nodes", "--jobs", "--ingest", "--alg", "--predictor",
+        "--fault-seed", "--fault-pred-noise"]),
+    ("waitpred", "<trace.swf|site>", &["--nodes", "--jobs", "--ingest", "--alg", "--predictor"]),
+    ("gantt", "<trace.swf|site>", &["--nodes", "--jobs", "--ingest", "--alg", "--out"]),
+    ("search", "<trace.swf|site>", &["--nodes", "--jobs", "--ingest", "--alg", "--generations",
+        "--population", "--seed", "--checkpoint-dir", "--resume"]),
+    ("events", "<trace.swf|site>", &["--nodes", "--jobs", "--ingest", "--query-every", "--shuffle",
+        "--seed", "--out"]),
+    ("serve", "<events.log|->", &["--nodes", "--predictor", "--state-dir", "--resume", "--horizon",
+        "--snapshot-every", "--fsync", "--max-jobs", "--max-done", "--max-history", "--throttle-us",
+        "--out"]),
+    ("paper", "<EXPERIMENT>...", &["--jobs", "--threads", "--out"]),
+    ("check-report", "<report.json>", &[]),
+];
+
+/// The `FLAGS` entry of `name`.
+fn flag(name: &str) -> &'static (&'static str, &'static str, Check) {
+    FLAGS
+        .iter()
+        .find(|(n, ..)| *n == name)
+        .unwrap_or_else(|| panic!("{name} is not in FLAGS"))
 }
 
 fn usage() -> ! {
+    let shown = |name: &str| match flag(name) {
+        (_, "", _) => format!("[{name}]"),
+        (_, arg, _) => format!("[{name} {arg}]"),
+    };
     eprintln!("usage:");
-    for (cmd, source, flags) in SUBCOMMANDS {
-        let flags: String = flags.iter().map(|f| format!(" [{f}]")).collect();
+    for (cmd, source, reads) in SUBCOMMANDS {
+        let flags: String = reads.iter().map(|f| format!(" {}", shown(f))).collect();
         eprintln!("  qpredict {cmd} {source}{flags}");
     }
     eprintln!(
-        "every subcommand also takes [--report-out FILE|-]; \
-         PRED is actual|maxrt|smith|gibbons|downey-avg|downey-med|fallback; \
+        "every subcommand also takes {}; PRED is {PREDS}; \
          EXPERIMENT is table1..table15|compress2x|statewait|easy-ablation|warmup|\
-         ga-ablation|ga-search|all"
+         ga-ablation|ga-search|all",
+        shown("--report-out")
     );
     exit(2)
 }
@@ -103,12 +181,30 @@ fn flag_error(msg: String) -> ! {
     exit(2)
 }
 
+/// `r`'s value, or exit 1 with `<what>: <error>`.
+fn or_exit<T, E: Display>(r: Result<T, E>, what: impl Display) -> T {
+    r.unwrap_or_else(|e| {
+        eprintln!("{what}: {e}");
+        exit(1)
+    })
+}
+
+/// The text of the file at `path`, or exit 1.
+fn read_file(path: &str) -> String {
+    or_exit(fs::read_to_string(path), format_args!("cannot read {path}"))
+}
+
+/// Write `text` to the file at `path`, or exit 1.
+fn write_file(path: &str, text: &str) {
+    or_exit(fs::write(path, text), format_args!("cannot write {path}"))
+}
+
 /// Serve-layer failures: configuration contradictions (stale state dir,
 /// fingerprint mismatch) are usage errors (exit 2); disk failures are
 /// runtime errors (exit 1).
-fn serve_fail(e: qpredict::serve::ServeError) -> ! {
+fn serve_fail(e: ServeError) -> ! {
     match e {
-        qpredict::serve::ServeError::Config(msg) => flag_error(msg),
+        ServeError::Config(msg) => flag_error(msg),
         other => {
             eprintln!("qpredict: {other}");
             exit(1)
@@ -116,297 +212,139 @@ fn serve_fail(e: qpredict::serve::ServeError) -> ! {
     }
 }
 
-/// Print one response line, tolerating a closed pipe.
-fn print_resp(r: &qpredict::serve::Response) {
-    use std::io::Write;
-    let stdout = std::io::stdout();
-    let mut lock = stdout.lock();
-    if writeln!(lock, "resp {} {}", r.ordinal, r.line).is_err() {
-        exit(0);
+/// Write `text` to stdout, the one way this program does; exit 0 when the
+/// reader has gone, since there is no one left to tell.
+fn emit(text: &str) {
+    let mut stdout = std::io::stdout().lock();
+    if stdout.write_all(text.as_bytes()).is_err() || stdout.flush().is_err() {
+        exit(0)
     }
 }
 
-fn flag_value(it: &mut impl Iterator<Item = String>, flag: &str) -> String {
-    it.next()
-        .unwrap_or_else(|| flag_error(format!("missing value for {flag}")))
+/// `println!` through `emit`.
+macro_rules! emitln {
+    ($($arg:tt)*) => { emit(&format!("{}\n", format_args!($($arg)*))) };
 }
 
-fn parse_value<T>(it: &mut impl Iterator<Item = String>, flag: &str, expected: &str) -> T
-where
-    T: std::str::FromStr,
-{
-    let v = flag_value(it, flag);
-    v.parse().unwrap_or_else(|_| {
-        flag_error(format!(
-            "invalid value {v:?} for {flag} (expected {expected})"
-        ))
-    })
+/// Exit 2 with `invalid value <shown> for <flag> (<why>)`.
+fn refuse(shown: impl Display, flag: &str, why: impl Display) -> ! {
+    flag_error(format!("invalid value {shown} for {flag} ({why})"))
 }
 
-/// Each subcommand with its source argument and the flags it reads,
-/// value placeholders included. Any other flag exits 2, except
-/// `--report-out` and `--help`, which apply to every subcommand.
-const SUBCOMMANDS: &[(&str, &str, &[&str])] = &[
-    (
-        "generate",
-        "<ANL|CTC|SDSC95|SDSC96|toy>",
-        &[
-            "--nodes N",
-            "--jobs N",
-            "--ingest strict|lenient",
-            "--out FILE",
-        ],
-    ),
-    (
-        "analyze",
-        "<trace.swf|site>",
-        &["--nodes N", "--jobs N", "--ingest strict|lenient"],
-    ),
-    (
-        "simulate",
-        "<trace.swf|site>",
-        &[
-            "--nodes N",
-            "--jobs N",
-            "--ingest strict|lenient",
-            "--alg fcfs|lwf|backfill|easy",
-            "--predictor PRED",
-            "--fault-seed N",
-            "--fault-pred-noise P",
-        ],
-    ),
-    (
-        "waitpred",
-        "<trace.swf|site>",
-        &[
-            "--nodes N",
-            "--jobs N",
-            "--ingest strict|lenient",
-            "--alg fcfs|lwf|backfill|easy",
-            "--predictor PRED",
-        ],
-    ),
-    (
-        "gantt",
-        "<trace.swf|site>",
-        &[
-            "--nodes N",
-            "--jobs N",
-            "--ingest strict|lenient",
-            "--alg fcfs|lwf|backfill|easy",
-            "--out FILE",
-        ],
-    ),
-    (
-        "search",
-        "<trace.swf|site>",
-        &[
-            "--nodes N",
-            "--jobs N",
-            "--ingest strict|lenient",
-            "--alg fcfs|lwf|backfill|easy",
-            "--generations N",
-            "--population N",
-            "--seed N",
-            "--checkpoint-dir DIR",
-            "--resume",
-        ],
-    ),
-    (
-        "events",
-        "<trace.swf|site>",
-        &[
-            "--nodes N",
-            "--jobs N",
-            "--ingest strict|lenient",
-            "--query-every K",
-            "--shuffle W",
-            "--seed N",
-            "--out FILE",
-        ],
-    ),
-    (
-        "serve",
-        "<events.log|->",
-        &[
-            "--nodes N",
-            "--predictor PRED",
-            "--state-dir DIR",
-            "--resume",
-            "--horizon N",
-            "--snapshot-every N",
-            "--fsync always|batch[=N]|never",
-            "--max-jobs N",
-            "--max-done N",
-            "--max-history N",
-            "--throttle-us N",
-            "--out FILE",
-        ],
-    ),
-    (
-        "paper",
-        "<EXPERIMENT>...",
-        &["--jobs N", "--threads N", "--out FILE"],
-    ),
-    ("check-report", "<report.json>", &[]),
-];
+/// Exit 2 unless `v` passes `check` as the value of `flag`. A value out of
+/// range is shown as parsed, one that does not parse as given.
+fn check_value(flag: &str, check: &Check, v: &str) {
+    match check {
+        Switch | Text => {}
+        Int(expected, min, max, below) => match v.parse::<u64>() {
+            Ok(n) if n < *min => refuse(format!("\"{n}\""), flag, below),
+            Ok(n) if n <= *max => {}
+            _ => refuse(format!("{v:?}"), flag, format!("expected {expected}")),
+        },
+        Prob => {
+            let why = "expected a probability in [0, 1]";
+            match v.parse::<f64>() {
+                Ok(p) if (0.0..=1.0).contains(&p) => {}
+                Ok(p) => refuse(format!("\"{p}\""), flag, why),
+                Err(_) => refuse(format!("{v:?}"), flag, why),
+            }
+        }
+        Choice(parse) => {
+            if let Err(why) = parse(v) {
+                refuse(format!("{v:?}"), flag, why)
+            }
+        }
+    }
+}
+
+/// The command line: positional arguments, then every flag given, in
+/// order, with its checked value (empty for a switch).
+#[derive(Default)]
+struct Opts {
+    positional: Vec<String>,
+    given: Vec<(&'static str, String)>,
+}
+
+impl Opts {
+    /// The last value given for `name`.
+    fn text(&self, name: &str) -> Option<&str> {
+        let name = flag(name).0; // a name not in FLAGS is a bug
+        let last = self.given.iter().rev().find(|(n, _)| *n == name);
+        last.map(|(_, v)| v.as_str())
+    }
+
+    fn has(&self, name: &str) -> bool {
+        self.text(name).is_some()
+    }
+
+    /// The last value given for `name`, read by `parse` (it was checked
+    /// when given, so it parses).
+    fn get<T>(&self, name: &str, parse: impl Fn(&str) -> Option<T>) -> Option<T> {
+        self.text(name)
+            .map(|v| parse(v).unwrap_or_else(|| panic!("{name} {v:?} was checked")))
+    }
+
+    fn num<T: std::str::FromStr>(&self, name: &str) -> Option<T> {
+        self.get(name, |v| v.parse().ok())
+    }
+
+    fn alg(&self) -> Algorithm {
+        self.get("--alg", Algorithm::parse)
+            .unwrap_or(Algorithm::Backfill)
+    }
+
+    fn predictor(&self) -> PredictorKind {
+        self.get("--predictor", PredictorKind::parse)
+            .unwrap_or(PredictorKind::Smith)
+    }
+
+    /// Whether `--resume` was given; exits 2 if it was without `dir`,
+    /// which holds the `what` to resume from.
+    fn resuming(&self, dir: &str, what: &str) -> bool {
+        let resuming = self.has("--resume");
+        if resuming && !self.has(dir) {
+            flag_error(format!(
+                "--resume requires {dir} (there is no {what} to resume from)"
+            ))
+        }
+        resuming
+    }
+
+    /// Write `text` to `--out`, saying on stderr what `written` says of
+    /// the path, or to stdout without `--out`.
+    fn deliver(&self, text: &str, written: impl FnOnce(&str) -> String) {
+        match self.text("--out") {
+            Some(path) => {
+                write_file(path, text);
+                eprintln!("{}", written(path));
+            }
+            None => emit(text),
+        }
+    }
+}
 
 fn parse_opts(args: &[String]) -> Opts {
-    let mut o = Opts {
-        positional: Vec::new(),
-        nodes: None,
-        jobs: None,
-        alg: Algorithm::Backfill,
-        predictor: PredictorKind::Smith,
-        out: None,
-        ingest: None,
-        fault_seed: None,
-        fault_pred_noise: None,
-        generations: None,
-        population: None,
-        seed: None,
-        checkpoint_dir: None,
-        resume: false,
-        report_out: None,
-        state_dir: None,
-        horizon: None,
-        snapshot_every: None,
-        fsync: None,
-        max_jobs: None,
-        max_done: None,
-        max_history: None,
-        throttle_us: None,
-        query_every: None,
-        shuffle: None,
-        threads: None,
-    };
-    let mut flags: Vec<String> = Vec::new();
-    let mut it = args.iter().cloned();
+    let mut o = Opts::default();
+    let mut it = args.iter();
     while let Some(a) = it.next() {
-        if a.starts_with("--") {
-            flags.push(a.clone());
-        }
         match a.as_str() {
-            "--nodes" => o.nodes = Some(parse_value(&mut it, "--nodes", "a node count")),
-            "--jobs" => {
-                let n: usize = parse_value(&mut it, "--jobs", "a positive job count");
-                if n == 0 {
-                    flag_error(
-                        "invalid value \"0\" for --jobs (expected a positive job count)"
-                            .to_string(),
-                    );
-                }
-                o.jobs = Some(n);
-            }
-            "--alg" => {
-                let v = flag_value(&mut it, "--alg");
-                o.alg = Algorithm::parse(&v).unwrap_or_else(|| {
-                    flag_error(format!(
-                        "invalid value {v:?} for --alg (expected fcfs|lwf|backfill|easy)"
-                    ))
-                });
-            }
-            "--predictor" => {
-                let v = flag_value(&mut it, "--predictor");
-                o.predictor = PredictorKind::parse(&v).unwrap_or_else(|| {
-                    flag_error(format!(
-                        "invalid value {v:?} for --predictor (expected actual|maxrt|smith|\
-                         gibbons|downey-avg|downey-med|fallback)"
-                    ))
-                });
-            }
-            "--ingest" => {
-                let v = flag_value(&mut it, "--ingest");
-                o.ingest = Some(IngestPolicy::parse(&v).unwrap_or_else(|| {
-                    flag_error(format!(
-                        "invalid value {v:?} for --ingest (expected strict|lenient)"
-                    ))
-                }));
-            }
-            "--fault-seed" => {
-                o.fault_seed = Some(parse_value(&mut it, "--fault-seed", "an integer seed"))
-            }
-            "--fault-pred-noise" => {
-                let p: f64 = parse_value(&mut it, "--fault-pred-noise", "a probability in [0, 1]");
-                if !(0.0..=1.0).contains(&p) {
-                    flag_error(format!(
-                        "invalid value \"{p}\" for --fault-pred-noise (expected a probability \
-                         in [0, 1])"
-                    ));
-                }
-                o.fault_pred_noise = Some(p);
-            }
-            "--generations" => {
-                o.generations = Some(parse_value(&mut it, "--generations", "a generation count"))
-            }
-            "--population" => {
-                let n: usize = parse_value(&mut it, "--population", "a population size (>= 4)");
-                if n < 4 {
-                    flag_error(format!(
-                        "invalid value \"{n}\" for --population (the GA needs at least 4 \
-                         individuals for parents and elites)"
-                    ));
-                }
-                o.population = Some(n);
-            }
-            "--seed" => o.seed = Some(parse_value(&mut it, "--seed", "an integer seed")),
-            "--checkpoint-dir" => o.checkpoint_dir = Some(flag_value(&mut it, "--checkpoint-dir")),
-            "--resume" => o.resume = true,
-            "--out" => o.out = Some(flag_value(&mut it, "--out")),
-            "--report-out" => o.report_out = Some(flag_value(&mut it, "--report-out")),
-            "--state-dir" => o.state_dir = Some(flag_value(&mut it, "--state-dir")),
-            "--horizon" => {
-                o.horizon = Some(parse_value(&mut it, "--horizon", "a reorder-buffer size"))
-            }
-            "--snapshot-every" => {
-                o.snapshot_every = Some(parse_value(&mut it, "--snapshot-every", "a line interval"))
-            }
-            "--fsync" => {
-                let v = flag_value(&mut it, "--fsync");
-                o.fsync = Some(qpredict::serve::FsyncPolicy::parse(&v).unwrap_or_else(|e| {
-                    flag_error(format!("invalid value {v:?} for --fsync ({e})"))
-                }));
-            }
-            "--max-jobs" => {
-                let n: usize = parse_value(&mut it, "--max-jobs", "a live-job cap (>= 1)");
-                if n == 0 {
-                    flag_error(
-                        "invalid value \"0\" for --max-jobs (the cap must admit at \
-                                least one job)"
-                            .to_string(),
-                    );
-                }
-                o.max_jobs = Some(n);
-            }
-            "--max-done" => {
-                o.max_done = Some(parse_value(&mut it, "--max-done", "a done-record cap"))
-            }
-            "--max-history" => {
-                let n: u32 = parse_value(&mut it, "--max-history", "a per-category cap (>= 1)");
-                if n == 0 {
-                    flag_error(
-                        "invalid value \"0\" for --max-history (a predictor with no \
-                                history cannot predict)"
-                            .to_string(),
-                    );
-                }
-                o.max_history = Some(n);
-            }
-            "--throttle-us" => {
-                o.throttle_us = Some(parse_value(&mut it, "--throttle-us", "microseconds"))
-            }
-            "--query-every" => {
-                o.query_every = Some(parse_value(&mut it, "--query-every", "a job interval"))
-            }
-            "--shuffle" => o.shuffle = Some(parse_value(&mut it, "--shuffle", "a shuffle window")),
-            "--threads" => o.threads = Some(parse_value(&mut it, "--threads", "a thread count")),
             "--help" | "-h" => usage(),
             // A bare "-" is the conventional stdin positional (serve).
-            "-" => o.positional.push("-".to_string()),
-            other if other.starts_with('-') => {
-                flag_error(format!("unknown flag {other:?} (see --help)"))
+            a if a == "-" || !a.starts_with('-') => o.positional.push(a.to_string()),
+            a => {
+                let Some((name, _, check)) = FLAGS.iter().find(|(n, ..)| *n == a) else {
+                    flag_error(format!("unknown flag {a:?} (see --help)"))
+                };
+                let value = match check {
+                    Switch => String::new(),
+                    _ => it
+                        .next()
+                        .unwrap_or_else(|| flag_error(format!("missing value for {name}")))
+                        .clone(),
+                };
+                check_value(name, check, &value);
+                o.given.push((*name, value));
             }
-            other => o.positional.push(other.to_string()),
         }
     }
     if o.positional.len() < 2 {
@@ -414,9 +352,9 @@ fn parse_opts(args: &[String]) -> Opts {
     }
     // A flag the subcommand never reads would be silently ignored.
     let cmd = o.positional[0].as_str();
-    if let Some((_, _, read)) = SUBCOMMANDS.iter().find(|(c, ..)| *c == cmd) {
-        let reads = |f: &str| read.iter().any(|r| r.split(' ').next() == Some(f));
-        if let Some(f) = flags.iter().find(|f| *f != "--report-out" && !reads(f)) {
+    if let Some((_, _, reads)) = SUBCOMMANDS.iter().find(|(c, ..)| *c == cmd) {
+        let unread = |f: &&str| *f != "--report-out" && !reads.contains(f);
+        if let Some((f, _)) = o.given.iter().find(|(f, _)| unread(f)) {
             flag_error(format!("{f} does not apply to {cmd} (see --help)"))
         }
     }
@@ -426,13 +364,10 @@ fn parse_opts(args: &[String]) -> Opts {
 /// The fault plan implied by `--fault-seed` / `--fault-pred-noise`, or
 /// `None` when neither flag was given.
 fn fault_plan(opts: &Opts) -> Option<FaultPlan> {
-    if opts.fault_seed.is_none() && opts.fault_pred_noise.is_none() {
-        return None;
-    }
-    Some(FaultPlan::pred_noise(
-        opts.fault_seed.unwrap_or(0),
-        opts.fault_pred_noise.unwrap_or(0.0),
-    ))
+    let seed = opts.num("--fault-seed");
+    let noise = opts.num("--fault-pred-noise");
+    (seed.is_some() || noise.is_some())
+        .then(|| FaultPlan::pred_noise(seed.unwrap_or(0), noise.unwrap_or(0.0)))
 }
 
 /// The machine size without `--nodes`.
@@ -446,39 +381,35 @@ fn load(source: &str, opts: &Opts) -> Workload {
         .iter()
         .any(|s| s.eq_ignore_ascii_case(source));
     let unread = [
-        ("--jobs", swf && opts.jobs.is_some()),
-        ("--nodes", site && opts.nodes.is_some()),
-        ("--ingest", !swf && opts.ingest.is_some()),
+        ("--jobs", swf && opts.has("--jobs")),
+        ("--nodes", site && opts.has("--nodes")),
+        ("--ingest", !swf && opts.has("--ingest")),
     ];
     if let Some((flag, _)) = unread.iter().find(|(_, given)| *given) {
         flag_error(format!("{flag} does not apply to {source}"))
     }
-    let nodes = opts.nodes.unwrap_or(DEFAULT_NODES);
+    let nodes = opts.num("--nodes").unwrap_or(DEFAULT_NODES);
+    let jobs = opts.num("--jobs");
     if swf {
-        let text = std::fs::read_to_string(source).unwrap_or_else(|e| {
-            eprintln!("cannot read {source}: {e}");
+        let text = read_file(source);
+        let ingest = opts
+            .get("--ingest", IngestPolicy::parse)
+            .unwrap_or(IngestPolicy::Strict);
+        let (w, report) = swf::parse_with(source, nodes, &text, ingest).unwrap_or_else(|e| {
+            eprintln!("{e}");
             exit(1)
         });
-        let ingest = opts.ingest.unwrap_or(IngestPolicy::Strict);
-        match swf::parse_with(source, nodes, &text, ingest) {
-            Ok((w, report)) => {
-                if !report.is_clean() {
-                    eprintln!("{source}: recovered under {} ingestion:", ingest.name());
-                    for line in report.summary().lines() {
-                        eprintln!("  {line}");
-                    }
-                }
-                w
-            }
-            Err(e) => {
-                eprintln!("{e}");
-                exit(1)
+        if !report.is_clean() {
+            eprintln!("{source}: recovered under {} ingestion:", ingest.name());
+            for line in report.summary().lines() {
+                eprintln!("  {line}");
             }
         }
+        w
     } else if source.eq_ignore_ascii_case("toy") {
-        synthetic::toy(opts.jobs.unwrap_or(2000), nodes.min(128), 42)
+        synthetic::toy(jobs.unwrap_or(2000), nodes, 42)
     } else {
-        synthetic::by_name(source, opts.jobs).unwrap_or_else(|| {
+        synthetic::by_name(source, jobs).unwrap_or_else(|| {
             eprintln!(
                 "unknown site {source:?} (use ANL, CTC, SDSC95, SDSC96, toy, or a .swf path)"
             );
@@ -487,45 +418,21 @@ fn load(source: &str, opts: &Opts) -> Workload {
     }
 }
 
-/// Bulk output to stdout, tolerating a closed pipe (`qpredict gantt … |
-/// head` must not panic).
-fn emit_stdout(text: &str) {
-    use std::io::Write;
-    let stdout = std::io::stdout();
-    let mut lock = stdout.lock();
-    if lock.write_all(text.as_bytes()).is_err() {
-        exit(0); // downstream closed the pipe; nothing left to do
-    }
-    let _ = lock.flush();
-}
-
 /// Validate a run report written by `--report-out`; exits 1 on a
 /// malformed or inactive report.
 fn check_report(path: &str) {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
-        exit(1)
-    });
-    let report = Json::parse(&text).unwrap_or_else(|e| {
-        eprintln!("qpredict: {path} is not JSON: {e}");
-        exit(1)
-    });
-    if let Err(e) = qpredict::obs::report::validate(&report, true) {
-        eprintln!("qpredict: invalid report {path}: {e}");
-        exit(1)
-    }
-    let count = |key: &str| {
-        report
-            .get(key)
-            .and_then(Json::as_arr)
-            .map(|a| a.len())
-            .unwrap_or(0)
-    };
-    println!(
-        "report ok: {} spans, {} counters",
-        count("spans"),
-        count("counters")
+    let text = read_file(path);
+    let report = or_exit(
+        Json::parse(&text),
+        format_args!("qpredict: {path} is not JSON"),
     );
+    or_exit(
+        qpredict::obs::report::validate(&report, true),
+        format_args!("qpredict: invalid report {path}"),
+    );
+    let count = |key| report.get(key).and_then(Json::as_arr).map_or(0, <[_]>::len);
+    let (spans, counters) = (count("spans"), count("counters"));
+    emitln!("report ok: {spans} spans, {counters} counters");
 }
 
 fn main() {
@@ -538,7 +445,8 @@ fn main() {
         check_report(source);
         return;
     }
-    if opts.report_out.is_some() {
+    let report_out = opts.text("--report-out");
+    if report_out.is_some() {
         qpredict::obs::set_recording(true);
         qpredict::obs::reset();
     }
@@ -549,82 +457,69 @@ fn main() {
         "generate" => {
             let wl = load(source, &opts);
             metric("n_jobs", wl.len() as f64);
-            let text = swf::write(&wl);
-            match &opts.out {
-                Some(path) => {
-                    std::fs::write(path, &text).unwrap_or_else(|e| {
-                        eprintln!("cannot write {path}: {e}");
-                        exit(1)
-                    });
-                    eprintln!("{} jobs written to {path}", wl.len());
-                }
-                None => emit_stdout(&text),
-            }
+            opts.deliver(&swf::write(&wl), |path| {
+                format!("{} jobs written to {path}", wl.len())
+            });
         }
         "analyze" => {
             let wl = load(source, &opts);
             metric("n_jobs", wl.len() as f64);
-            println!("=== {} ===", wl.name);
-            println!("{}\n", WorkloadStats::of(&wl));
-            println!("{}", analysis::analyze(&wl));
+            emitln!(
+                "=== {} ===\n{}\n\n{}",
+                wl.name,
+                WorkloadStats::of(&wl),
+                analysis::analyze(&wl)
+            );
         }
         "simulate" => {
             let wl = load(source, &opts);
             let plan = fault_plan(&opts);
-            let out = run_scheduling_with(&wl, opts.alg, opts.predictor.clone(), plan.as_ref());
-            metric("n_jobs", out.metrics.n_jobs as f64);
-            metric("utilization_window", out.metrics.utilization_window);
-            metric("mean_wait_min", out.metrics.mean_wait.minutes());
-            metric("median_wait_min", out.metrics.median_wait.minutes());
-            metric("mean_bounded_slowdown", out.metrics.mean_bounded_slowdown);
-            if out.runtime_errors.count() > 0 {
-                metric("runtime_mae_min", out.runtime_errors.mean_abs_error_min());
+            let (alg, predictor) = (opts.alg(), opts.predictor());
+            let run = run_scheduling_with(&wl, alg, predictor.clone(), plan.as_ref());
+            let (m, errors) = (&run.metrics, &run.runtime_errors);
+            metric("n_jobs", m.n_jobs as f64);
+            metric("utilization_window", m.utilization_window);
+            metric("mean_wait_min", m.mean_wait.minutes());
+            metric("median_wait_min", m.median_wait.minutes());
+            metric("mean_bounded_slowdown", m.mean_bounded_slowdown);
+            if errors.count() > 0 {
+                metric("runtime_mae_min", errors.mean_abs_error_min());
             }
-            println!(
-                "{} jobs under {} + {}:",
-                out.metrics.n_jobs,
-                opts.alg.name(),
-                opts.predictor.name()
+            emitln!(
+                "{} jobs under {} + {}:\n  \
+                 utilization     {:.2}% (arrival window)\n  \
+                 mean wait       {:.2} min\n  \
+                 median wait     {:.2} min\n  \
+                 max wait        {:.2} min\n  \
+                 bounded slowdown {:.2}",
+                m.n_jobs,
+                alg.name(),
+                predictor.name(),
+                100.0 * m.utilization_window,
+                m.mean_wait.minutes(),
+                m.median_wait.minutes(),
+                m.max_wait.minutes(),
+                m.mean_bounded_slowdown
             );
-            println!(
-                "  utilization     {:.2}% (arrival window)",
-                100.0 * out.metrics.utilization_window
-            );
-            println!(
-                "  mean wait       {:.2} min",
-                out.metrics.mean_wait.minutes()
-            );
-            println!(
-                "  median wait     {:.2} min",
-                out.metrics.median_wait.minutes()
-            );
-            println!(
-                "  max wait        {:.2} min",
-                out.metrics.max_wait.minutes()
-            );
-            println!(
-                "  bounded slowdown {:.2}",
-                out.metrics.mean_bounded_slowdown
-            );
-            if out.runtime_errors.count() > 0 {
-                println!(
+            if errors.count() > 0 {
+                emitln!(
                     "  run-time predictions: {} made, MAE {:.2} min ({:.0}% of mean run time)",
-                    out.runtime_errors.count(),
-                    out.runtime_errors.mean_abs_error_min(),
-                    out.runtime_errors.pct_of_mean_actual()
+                    errors.count(),
+                    errors.mean_abs_error_min(),
+                    errors.pct_of_mean_actual()
                 );
             }
-            if let Some(d) = &out.degradations {
-                println!("  predictor degradation:");
+            if let Some(d) = &run.degradations {
+                emitln!("  predictor degradation:");
                 for line in d.summary().lines() {
-                    println!("    {line}");
+                    emitln!("    {line}");
                 }
             }
-            if let Some(f) = &out.faults {
-                println!(
+            if let Some(f) = &run.faults {
+                emitln!(
                     "  faults injected (seed {}): {} cancelled, {} failed, {} delayed; \
                      estimates: {} scaled, {} inverted, {} dropped",
-                    plan.as_ref().map(|p| p.seed).unwrap_or(0),
+                    plan.as_ref().map_or(0, |p| p.seed),
                     f.trace.cancelled,
                     f.trace.failed,
                     f.trace.delayed,
@@ -636,119 +531,101 @@ fn main() {
         }
         "waitpred" => {
             let wl = load(source, &opts);
-            let out = run_wait_prediction(&wl, opts.alg, opts.predictor.clone());
+            let (alg, predictor) = (opts.alg(), opts.predictor());
+            let run = run_wait_prediction(&wl, alg, predictor.clone());
+            let (waits, runtimes) = (&run.wait_errors, &run.runtime_errors);
             metric("n_jobs", wl.len() as f64);
-            metric("wait_mae_min", out.wait_errors.mean_abs_error_min());
-            metric("runtime_mae_min", out.runtime_errors.mean_abs_error_min());
-            println!(
-                "wait-time prediction on {} under {} + {}:",
+            metric("wait_mae_min", waits.mean_abs_error_min());
+            metric("runtime_mae_min", runtimes.mean_abs_error_min());
+            emitln!(
+                "wait-time prediction on {} under {} + {}:\n  \
+                 wait MAE     {:.2} min ({:.0}% of mean wait {:.2} min)\n  \
+                 run-time MAE {:.2} min ({:.0}% of mean run time)",
                 wl.name,
-                opts.alg.name(),
-                opts.predictor.name()
-            );
-            println!(
-                "  wait MAE     {:.2} min ({:.0}% of mean wait {:.2} min)",
-                out.wait_errors.mean_abs_error_min(),
-                out.wait_errors.pct_of_mean_actual(),
-                out.wait_errors.mean_actual_min()
-            );
-            println!(
-                "  run-time MAE {:.2} min ({:.0}% of mean run time)",
-                out.runtime_errors.mean_abs_error_min(),
-                out.runtime_errors.pct_of_mean_actual()
+                alg.name(),
+                predictor.name(),
+                waits.mean_abs_error_min(),
+                waits.pct_of_mean_actual(),
+                waits.mean_actual_min(),
+                runtimes.mean_abs_error_min(),
+                runtimes.pct_of_mean_actual()
             );
         }
         "gantt" => {
             let wl = load(source, &opts);
-            let (timeline, result) = timeline_of(&wl, opts.alg, &mut OraclePredictor);
-            metric("n_jobs", result.outcomes.len() as f64);
-            let csv = timeline.jobs_csv();
-            match &opts.out {
-                Some(path) => {
-                    std::fs::write(path, &csv).unwrap_or_else(|e| {
-                        eprintln!("cannot write {path}: {e}");
-                        exit(1)
-                    });
-                    eprintln!(
-                        "{} intervals written to {path} ({})",
-                        result.outcomes.len(),
-                        result.metrics
-                    );
-                }
-                None => emit_stdout(&csv),
-            }
+            let (timeline, result) = timeline_of(&wl, opts.alg(), &mut OraclePredictor);
+            let n = result.outcomes.len();
+            metric("n_jobs", n as f64);
+            opts.deliver(&timeline.jobs_csv(), |path| {
+                format!("{n} intervals written to {path} ({})", result.metrics)
+            });
         }
         "search" => {
-            if opts.resume && opts.checkpoint_dir.is_none() {
-                flag_error(
-                    "--resume requires --checkpoint-dir (there is no checkpoint to resume from)"
-                        .to_string(),
-                );
-            }
+            let resuming = opts.resuming("--checkpoint-dir", "checkpoint");
             let wl = load(source, &opts);
-            let mut ga = GaConfig::default();
-            if let Some(g) = opts.generations {
-                ga.generations = g;
-            }
-            if let Some(p) = opts.population {
-                ga.population = p;
-            }
-            if let Some(s) = opts.seed {
-                ga.seed = s;
-            }
-            ga.seeds = vec![curated_seed_for(&wl)];
+            let defaults = GaConfig::default();
+            let ga = GaConfig {
+                generations: opts.num("--generations").unwrap_or(defaults.generations),
+                population: opts.num("--population").unwrap_or(defaults.population),
+                seed: opts.num("--seed").unwrap_or(defaults.seed),
+                seeds: vec![curated_seed_for(&wl)],
+                ..defaults
+            };
             let threads = qpredict::obs::default_threads();
             let checkpoint = opts
-                .checkpoint_dir
-                .as_ref()
+                .text("--checkpoint-dir")
                 .map(CheckpointPolicy::every_generation);
-            let pw = PredictionWorkload::build(&wl, Target::WaitPrediction(opts.alg), 4);
+            let alg = opts.alg();
+            let pw = PredictionWorkload::build(&wl, Target::WaitPrediction(alg), 4);
             let run = match &checkpoint {
-                Some(policy) if opts.resume => resume(&wl, &pw, &ga, threads, policy),
+                Some(policy) if resuming => resume(&wl, &pw, &ga, threads, policy),
                 _ => search(&wl, &pw, &ga, threads, checkpoint.as_ref()),
             };
             // A checkpoint that cannot be resumed is a usage error; a fresh
             // run that cannot write one failed at run time, like `serve_fail`.
-            let r = run.unwrap_or_else(|e| {
-                if opts.resume {
-                    flag_error(format!("cannot resume search: {e}"))
-                }
-                eprintln!("qpredict: cannot write search checkpoint: {e}");
-                exit(1)
-            });
+            let r = match run {
+                Err(e) if resuming => flag_error(format!("cannot resume search: {e}")),
+                run => or_exit(run, "qpredict: cannot write search checkpoint"),
+            };
             metric("best_error_min", r.best_error_min);
             metric("evaluations", r.evaluations as f64);
             metric("generations", ga.generations as f64);
-            println!(
-                "template search on {} under {} ({} generations x {} individuals):",
+            emitln!(
+                "template search on {} under {} ({} generations x {} individuals):\n  \
+                 best MAE     {:.2} min",
                 wl.name,
-                opts.alg.name(),
+                alg.name(),
                 ga.generations,
-                ga.population
+                ga.population,
+                r.best_error_min
             );
-            println!("  best MAE     {:.2} min", r.best_error_min);
             if let (Some(first), Some(last)) = (r.error_history.first(), r.error_history.last()) {
-                println!("  convergence  {first:.2} -> {last:.2} min");
+                emitln!("  convergence  {first:.2} -> {last:.2} min");
             }
-            println!("  evaluations  {}", r.evaluations);
-            println!("  best set     {}", r.best);
-            println!("  resumes      {}", r.resumes);
+            emitln!(
+                "  evaluations  {}\n  best set     {}\n  resumes      {}",
+                r.evaluations,
+                r.best,
+                r.resumes
+            );
             if let Some(g) = r.resumed_from {
-                println!("  resumed from generation {g}");
+                emitln!("  resumed from generation {g}");
             }
             if let Some(p) = &checkpoint {
-                println!("  checkpoint   {}", p.file().display());
+                emitln!("  checkpoint   {}", p.file().display());
             }
         }
         "events" => {
             let wl = load(source, &opts);
-            let mut events = qpredict::sim::realized_events(&wl, opts.query_every.unwrap_or(10));
+            let query_every = opts.num("--query-every").unwrap_or(10);
+            let mut events = qpredict::sim::realized_events(&wl, query_every);
             // Optional deterministic disorder: shuffle within blocks of
             // `--shuffle` events, bounding every event's displacement
             // below the window so a serve --horizon >= W recovers the
             // canonical order exactly.
-            if let Some(w) = opts.shuffle.filter(|w| *w > 1) {
-                let mut rng = qpredict::workload::Rng64::seed_from_u64(opts.seed.unwrap_or(42));
+            if let Some(w) = opts.num("--shuffle").filter(|w: &usize| *w > 1) {
+                let seed = opts.num("--seed").unwrap_or(42);
+                let mut rng = qpredict::workload::Rng64::seed_from_u64(seed);
                 for chunk in events.chunks_mut(w) {
                     for i in (1..chunk.len()).rev() {
                         chunk.swap(i, rng.gen_index(i + 1));
@@ -761,44 +638,29 @@ fn main() {
                 text.push_str(&e.encode());
                 text.push('\n');
             }
-            match &opts.out {
-                Some(path) => {
-                    std::fs::write(path, &text).unwrap_or_else(|e| {
-                        eprintln!("cannot write {path}: {e}");
-                        exit(1)
-                    });
-                    eprintln!("{} events written to {path}", events.len());
-                }
-                None => emit_stdout(&text),
-            }
+            opts.deliver(&text, |path| {
+                format!("{} events written to {path}", events.len())
+            });
         }
         "serve" => {
-            if opts.resume && opts.state_dir.is_none() {
-                flag_error(
-                    "--resume requires --state-dir (there is no durable state to resume from)"
-                        .to_string(),
-                );
-            }
-            let defaults = qpredict::serve::ServeConfig::default();
-            let cfg = qpredict::serve::ServeConfig {
-                predictor: opts.predictor.clone(),
-                machine_nodes: opts.nodes.unwrap_or(DEFAULT_NODES),
-                horizon: opts.horizon.unwrap_or(defaults.horizon),
-                max_history: opts.max_history.unwrap_or(defaults.max_history),
-                max_jobs: opts.max_jobs.unwrap_or(defaults.max_jobs),
-                max_done: opts.max_done.unwrap_or(defaults.max_done),
-                snapshot_every: opts.snapshot_every.unwrap_or(defaults.snapshot_every),
-                fsync: opts.fsync.unwrap_or(defaults.fsync),
+            let resuming = opts.resuming("--state-dir", "durable state");
+            let d = ServeConfig::default();
+            let cfg = ServeConfig {
+                predictor: opts.predictor(),
+                machine_nodes: opts.num("--nodes").unwrap_or(DEFAULT_NODES),
+                horizon: opts.num("--horizon").unwrap_or(d.horizon),
+                max_history: opts.num("--max-history").unwrap_or(d.max_history),
+                max_jobs: opts.num("--max-jobs").unwrap_or(d.max_jobs),
+                max_done: opts.num("--max-done").unwrap_or(d.max_done),
+                snapshot_every: opts.num("--snapshot-every").unwrap_or(d.snapshot_every),
+                fsync: opts
+                    .get("--fsync", |v| FsyncPolicy::parse(v).ok())
+                    .unwrap_or(d.fsync),
             };
-            let state_dir = opts.state_dir.as_ref().map(std::path::PathBuf::from);
-            let out_path = opts.out.as_ref().map(std::path::PathBuf::from);
-            let mut svc = qpredict::serve::Service::open(
-                cfg,
-                state_dir.as_deref(),
-                out_path.as_deref(),
-                opts.resume,
-            )
-            .unwrap_or_else(|e| serve_fail(e));
+            let state_dir = opts.text("--state-dir").map(std::path::Path::new);
+            let out_path = opts.text("--out").map(std::path::Path::new);
+            let mut svc =
+                Service::open(cfg, state_dir, out_path, resuming).unwrap_or_else(|e| serve_fail(e));
             if svc.recovery.resumed {
                 let r = svc.recovery;
                 eprintln!(
@@ -812,47 +674,37 @@ fn main() {
                     r.responses_reemitted
                 );
             }
-            let run = |svc: &mut qpredict::serve::Service, reader: &mut dyn std::io::BufRead| {
-                let mut line = String::new();
-                loop {
-                    line.clear();
-                    match reader.read_line(&mut line) {
-                        Ok(0) => break,
-                        Ok(_) => {}
-                        Err(e) => {
-                            eprintln!("qpredict: cannot read event stream: {e}");
-                            exit(1)
-                        }
-                    }
-                    if let Some(us) = opts.throttle_us.filter(|us| *us > 0) {
-                        std::thread::sleep(std::time::Duration::from_micros(us));
-                    }
-                    let fresh = svc
-                        .feed_line(line.trim_end_matches(['\n', '\r']))
-                        .unwrap_or_else(|e| serve_fail(e));
-                    if opts.out.is_none() {
-                        for r in &fresh {
-                            print_resp(r);
-                        }
+            // Without --out, responses go to stdout as they are made.
+            let respond = |fresh: Vec<Response>| {
+                if out_path.is_none() {
+                    for r in &fresh {
+                        emitln!("resp {} {}", r.ordinal, r.line);
                     }
                 }
             };
+            let throttle = opts.num("--throttle-us").filter(|us: &u64| *us > 0);
+            let run = |svc: &mut Service, reader: &mut dyn std::io::BufRead| {
+                let mut line = String::new();
+                loop {
+                    line.clear();
+                    let read = reader.read_line(&mut line);
+                    if or_exit(read, "qpredict: cannot read event stream") == 0 {
+                        break;
+                    }
+                    if let Some(us) = throttle {
+                        std::thread::sleep(std::time::Duration::from_micros(us));
+                    }
+                    let fed = svc.feed_line(line.trim_end_matches(['\n', '\r']));
+                    respond(fed.unwrap_or_else(|e| serve_fail(e)));
+                }
+            };
             if source == "-" {
-                let stdin = std::io::stdin();
-                run(&mut svc, &mut stdin.lock());
+                run(&mut svc, &mut std::io::stdin().lock());
             } else {
-                let file = std::fs::File::open(source).unwrap_or_else(|e| {
-                    eprintln!("cannot read {source}: {e}");
-                    exit(1)
-                });
+                let file = or_exit(fs::File::open(source), format_args!("cannot read {source}"));
                 run(&mut svc, &mut std::io::BufReader::new(file));
             }
-            let fresh = svc.finish().unwrap_or_else(|e| serve_fail(e));
-            if opts.out.is_none() {
-                for r in &fresh {
-                    print_resp(r);
-                }
-            }
+            respond(svc.finish().unwrap_or_else(|e| serve_fail(e)));
             let c = *svc.state().counters();
             metric("events", c.events as f64);
             metric("responses", c.responses as f64);
@@ -906,13 +758,14 @@ fn main() {
             } else {
                 experiments.iter().map(String::as_str).collect()
             };
-            let threads = opts.threads.unwrap_or_else(qpredict::obs::default_threads);
-            let scale = opts
-                .jobs
-                .map_or("Full".to_string(), |n| format!("Jobs({n})"));
+            let threads = opts
+                .num("--threads")
+                .unwrap_or_else(qpredict::obs::default_threads);
+            let jobs = opts.num("--jobs");
+            let scale = jobs.map_or("Full".to_string(), |n| format!("Jobs({n})"));
             let t0 = Instant::now();
             eprintln!("generating workloads ({scale}, {threads} threads)...");
-            let wls = paper::workloads(opts.jobs);
+            let wls = paper::workloads(jobs);
             eprintln!("[workloads: {}]", human_secs(t0.elapsed().as_secs_f64()));
             let mut report = format!(
                 "# qpredict experiment data\n\nScale: {scale}; threads: {threads}.\n\n\
@@ -922,16 +775,13 @@ fn main() {
             for w in &what {
                 let started = Instant::now();
                 let table = paper::run(w, &wls, threads);
-                println!("{table}");
+                emitln!("{table}");
                 let _ = writeln!(report, "{}", table.to_markdown());
                 eprintln!("[{w}: {}]", human_secs(started.elapsed().as_secs_f64()));
             }
             metric("experiments", what.len() as f64);
-            if let Some(path) = &opts.out {
-                std::fs::write(path, &report).unwrap_or_else(|e| {
-                    eprintln!("cannot write {path}: {e}");
-                    exit(1)
-                });
+            if let Some(path) = opts.text("--out") {
+                write_file(path, &report);
                 eprintln!("report written to {path}");
             }
             eprintln!("[total: {}]", human_secs(t0.elapsed().as_secs_f64()));
@@ -939,7 +789,7 @@ fn main() {
         _ => usage(),
     }
 
-    if let Some(dest) = &opts.report_out {
+    if let Some(dest) = report_out {
         let mut report = RunReport::new(cmd, &argv);
         for (k, v) in report_metrics {
             report.metric(&k, v);
@@ -947,13 +797,11 @@ fn main() {
         let text = report.to_json(&qpredict::obs::snapshot()).to_pretty();
         qpredict::obs::set_recording(false);
         if dest == "-" {
-            emit_stdout(&text);
+            emit(&text);
         } else {
             let path = std::path::Path::new(dest);
-            qpredict::durable::write_atomic(path, &text, "report.tmp").unwrap_or_else(|e| {
-                eprintln!("cannot write report {dest}: {e}");
-                exit(1)
-            });
+            let written = qpredict::durable::write_atomic(path, &text, "report.tmp");
+            or_exit(written, format_args!("cannot write report {dest}"));
             eprintln!("run report written to {dest}");
         }
     }

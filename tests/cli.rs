@@ -1,6 +1,6 @@
 //! End-to-end tests of the `qpredict` command-line binary.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_qpredict"))
@@ -466,5 +466,100 @@ fn serve_fresh_open_on_existing_wal_exits_2() {
         "stderr tells the operator to pass --resume"
     );
     assert!(run(&["--resume"]).status.success());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn toy_honours_nodes_above_128() {
+    let out = bin()
+        .args(["generate", "toy", "--jobs", "5", "--nodes", "256"])
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success());
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("; MaxNodes: 256\n"), "{text}");
+}
+
+#[test]
+fn every_subcommand_exits_zero_when_stdout_closes() {
+    let dir = std::env::temp_dir().join(format!("qpredict_cli_closed_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let events = dir.join("events.log");
+    let report = dir.join("report.json");
+    let (events, report) = (events.to_str().unwrap(), report.to_str().unwrap());
+    let made = bin()
+        .args([
+            "events",
+            "toy",
+            "--jobs",
+            "60",
+            "--query-every",
+            "5",
+            "--out",
+            events,
+        ])
+        .output()
+        .expect("binary runs");
+    assert!(made.status.success());
+    let made = bin()
+        .args([
+            "simulate",
+            "toy",
+            "--jobs",
+            "60",
+            "--nodes",
+            "16",
+            "--report-out",
+            report,
+        ])
+        .output()
+        .expect("binary runs");
+    assert!(made.status.success());
+    let runs: &[&[&str]] = &[
+        &["generate", "toy", "--jobs", "60"],
+        &["analyze", "toy", "--jobs", "60"],
+        &["simulate", "toy", "--jobs", "60", "--nodes", "16"],
+        &["waitpred", "toy", "--jobs", "60"],
+        &["gantt", "toy", "--jobs", "60"],
+        &[
+            "search",
+            "toy",
+            "--jobs",
+            "60",
+            "--generations",
+            "2",
+            "--population",
+            "4",
+        ],
+        &["events", "toy", "--jobs", "60"],
+        &["serve", events],
+        &["paper", "--jobs", "60", "--threads", "1", "table1"],
+        &["check-report", report],
+        &[
+            "generate",
+            "toy",
+            "--jobs",
+            "60",
+            "--out",
+            "/dev/null",
+            "--report-out",
+            "-",
+        ],
+    ];
+    for args in runs {
+        // The reading end is gone before the child has written a byte.
+        let mut child = bin()
+            .args(*args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("binary runs");
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("binary exits");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "args {args:?}: {err}");
+        assert!(!err.contains("panicked"), "args {args:?}: {err}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

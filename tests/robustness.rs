@@ -245,6 +245,14 @@ fn cli_flag_errors_exit_two_with_pointed_messages() {
             &["analyze", "toy", "--ingest", "lenient"],
             "--ingest does not apply to toy",
         ),
+        (
+            &["simulate", "toy", "--nodes", "0"],
+            "invalid value \"0\" for --nodes (expected a positive node count)",
+        ),
+        (
+            &["search", "toy", "--generations", "0"],
+            "invalid value \"0\" for --generations (expected a positive generation count)",
+        ),
     ];
     for (args, needle) in cases {
         let out = bin().args(*args).output().expect("binary runs");
