@@ -30,11 +30,19 @@
 //!
 //! The encoder writes every token straight into one byte buffer, checked
 //! to be UTF-8 once when it is finished; integers and hex words are
-//! rendered through digit-pair tables and appended as one run of bytes.
+//! rendered, leading space and sign included, through digit-pair tables
+//! into one stack buffer and appended with one copy. A streaming writer
+//! ([`crate::write_sealed`], [`encoded_checksum`]) drains that buffer
+//! into a running checksum, and the file being written, once it passes
+//! 64 KiB, so a body of any size is encoded in bounded memory.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
+use std::fs::File;
 use std::hash::Hash;
+use std::io::{self, Write as _};
+
+use crate::Checksum;
 
 /// Why a body failed to decode: the 1-based line and what was wrong.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -67,6 +75,15 @@ pub fn encode<C: ?Sized, T: Codec<C>>(value: &T) -> String {
     let mut w = Writer::default();
     value.encode(&mut w);
     w.finish()
+}
+
+/// [`crate::checksum`] of [`encode`]`(value)`, hashed as it is encoded:
+/// the body is never held whole.
+pub fn encoded_checksum<C: ?Sized, T: Codec<C>>(value: &T) -> u64 {
+    let mut w = Writer::streaming(None);
+    value.encode(&mut w);
+    let (_, sealed) = w.seal();
+    sealed.expect("hashing does not fail").sum
 }
 
 /// Decode a complete body produced by [`encode`]; anything left over is
@@ -106,19 +123,80 @@ macro_rules! codec_struct {
     };
 }
 
+/// Bytes a streaming writer holds before it hands them on: at the first
+/// record boundary past this, every whole 16-byte block of the buffer
+/// goes to its sink.
+const FLUSH_BYTES: usize = 64 * 1024;
+
+/// Room a streaming writer's buffer has past [`FLUSH_BYTES`], so the
+/// record that crosses the threshold does not grow it unless the record
+/// is longer than this.
+const RECORD_ROOM: usize = 4 * 1024;
+
 /// Token sink. Obtain the text with [`Writer::finish`].
 ///
 /// Tokens are appended as bytes, all of them copied from `&str`s or
 /// ASCII, so the text is checked to be UTF-8 once, at the end.
+///
+/// A writer made by [`crate::write_sealed`] or [`encoded_checksum`]
+/// instead streams: once its buffer passes 64 KiB, the next record
+/// boundary drains it into a running [`Checksum`] (and the file being
+/// written), so it never holds much more than 64 KiB plus one record.
 #[derive(Debug, Default)]
 pub struct Writer {
     out: Vec<u8>,
+    sink: Option<Sink>,
+}
+
+/// Where a streaming writer's drained bytes go.
+#[derive(Debug)]
+struct Sink {
+    sum: Checksum,
+    /// Bytes drained so far.
+    drained: u64,
+    /// The file the body streams into, if any.
+    file: Option<File>,
+    /// The first failed write; later bytes are only hashed.
+    error: Option<io::Error>,
+}
+
+impl Sink {
+    /// Hand every whole 16-byte block of `out` on, keeping the rest.
+    fn drain(&mut self, out: &mut Vec<u8>) {
+        let n = out.len() & !15;
+        self.sum.update(&out[..n]);
+        self.write(&out[..n]);
+        self.drained += n as u64;
+        out.drain(..n);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        if let (Some(file), None) = (&mut self.file, &self.error) {
+            if let Err(e) = file.write_all(bytes) {
+                self.error = Some(e);
+            }
+        }
+    }
+}
+
+/// What [`crate::write_sealed`] wrote.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Sealed {
+    /// Checksum of the body, as its `sum` line records it.
+    pub sum: u64,
+    /// Bytes of the file, the `sum` line included.
+    pub bytes: u64,
 }
 
 impl Writer {
     /// Start a record: end the previous line, if any, and write `tag`.
     pub fn record(&mut self, tag: &str) -> &mut Self {
+        // A drain empties the buffer only here, just before the newline,
+        // so an empty buffer always means an empty body.
         if !self.out.is_empty() {
+            if let Some(sink) = self.sink.as_mut().filter(|_| self.out.len() >= FLUSH_BYTES) {
+                sink.drain(&mut self.out);
+            }
             self.out.push(b'\n');
         }
         self.out.extend_from_slice(tag.as_bytes());
@@ -181,22 +259,74 @@ impl Writer {
 
     /// The encoded text: every record ended by a newline.
     pub fn finish(mut self) -> String {
-        if !self.out.is_empty() {
-            self.out.push(b'\n');
-        }
+        debug_assert!(
+            self.sink.is_none(),
+            "a streaming writer is sealed, not finished"
+        );
+        self.end();
         String::from_utf8(self.out).expect("every token is UTF-8")
     }
 
-    fn int(&mut self, negative: bool, v: u64) {
-        let mut buf = [0u8; 20];
-        self.out
-            .extend_from_slice(if negative { b" -" } else { b" " });
-        self.out.extend_from_slice(decimal_digits(v, &mut buf));
+    /// A writer that streams into `file` (or, with `None`, only into the
+    /// running checksum).
+    pub(crate) fn streaming(file: Option<File>) -> Writer {
+        Writer {
+            out: Vec::with_capacity(FLUSH_BYTES + RECORD_ROOM),
+            sink: Some(Sink {
+                sum: Checksum::new(),
+                drained: 0,
+                file,
+                error: None,
+            }),
+        }
     }
 
+    /// End a streaming writer's body and return its checksum, with its
+    /// byte count and its file, having appended the `sum` line to the
+    /// file if there is one. The error is the first failed write.
+    pub(crate) fn seal(mut self) -> (Option<File>, io::Result<Sealed>) {
+        self.end();
+        let mut sink = self.sink.take().expect("a streaming writer");
+        let sum = sink.sum.finish(&self.out);
+        if sink.file.is_some() {
+            self.out.extend_from_slice(b"sum ");
+            self.out.extend_from_slice(&hex_digits(sum));
+            self.out.push(b'\n');
+            sink.write(&self.out);
+        }
+        let bytes = sink.drained + self.out.len() as u64;
+        let result = match sink.error {
+            Some(e) => Err(e),
+            None => Ok(Sealed { sum, bytes }),
+        };
+        (sink.file, result)
+    }
+
+    /// End the last record with its newline.
+    fn end(&mut self) {
+        if !self.out.is_empty() {
+            self.out.push(b'\n');
+        }
+    }
+
+    /// One token: a space, the sign when `negative`, the digits of `v`,
+    /// rendered into one stack buffer and appended with one copy.
+    fn int(&mut self, negative: bool, v: u64) {
+        let mut buf = [0u8; 22];
+        let mut i = render_decimal(v, &mut buf);
+        if negative {
+            i -= 1;
+            buf[i] = b'-';
+        }
+        buf[i - 1] = b' ';
+        self.out.extend_from_slice(&buf[i - 1..]);
+    }
+
+    /// One token: a space and the 16 hex digits of `v`.
     fn hex16(&mut self, v: u64) {
-        self.out.push(b' ');
-        self.out.extend_from_slice(&hex_digits(v));
+        let mut token = [b' '; 17];
+        token[1..].copy_from_slice(&hex_digits(v));
+        self.out.extend_from_slice(&token);
     }
 }
 
@@ -227,8 +357,15 @@ const HEX_PAIRS: [[u8; 2]; 256] = {
 /// The decimal digits of `v` (no sign, no leading zeros), written two at
 /// a time from the end of `buf`; returns the digits. Equal to the bytes
 /// of `format!("{v}")`.
-pub fn decimal_digits(mut v: u64, buf: &mut [u8; 20]) -> &[u8] {
-    let mut i = buf.len();
+pub fn decimal_digits(v: u64, buf: &mut [u8; 20]) -> &[u8] {
+    let start = render_decimal(v, buf);
+    &buf[start..]
+}
+
+/// Write the decimal digits of `v` at the end of `buf`, two at a time,
+/// and return where they start. `buf` must hold at least 20 bytes.
+fn render_decimal<const N: usize>(mut v: u64, buf: &mut [u8; N]) -> usize {
+    let mut i = N;
     while v >= 100 {
         i -= 2;
         buf[i..i + 2].copy_from_slice(&DIGIT_PAIRS[(v % 100) as usize]);
@@ -241,7 +378,7 @@ pub fn decimal_digits(mut v: u64, buf: &mut [u8; 20]) -> &[u8] {
         i -= 1;
         buf[i] = b'0' + v as u8;
     }
-    &buf[i..]
+    i
 }
 
 /// The 16 upper-case hex digits of `v`, most significant first, one

@@ -17,17 +17,24 @@
 //!   byte above it ([`seal`]); [`check_frame`] verifies the checksum
 //!   *before* any field is interpreted and returns the body, so a
 //!   truncated or bit-flipped file is rejected with a typed
-//!   [`FrameError`], never a panic or silent garbage.
-//! * **Atomic replace** — [`write_atomic`] serializes to a sibling
-//!   temporary file, fsyncs, then renames into place: a kill at any
-//!   instant leaves either the old or the new file intact, never a torn
-//!   one.
+//!   [`FrameError`], never a panic or silent garbage. The seal is
+//!   streamed: [`Checksum`] is the checksum fed in 16-byte blocks, so a
+//!   writer hashes the body 64 KiB at a time as it writes it, and
+//!   appends the `sum` line at the end — no body is ever held whole
+//!   ([`codec::encoded_checksum`] fingerprints a state the same way).
+//! * **Atomic replace** — [`write_sealed`] streams an encoded body and
+//!   its seal into a sibling temporary file, [`write_atomic`] writes a
+//!   plain text there; either fsyncs, then renames into place: a kill at
+//!   any instant leaves either the old or the new file intact, never a
+//!   torn one. Both go through one replace routine.
 
 pub mod codec;
 
-pub use codec::{Codec, CodecError, Reader, Writer};
+pub use codec::{Codec, CodecError, Reader, Sealed, Writer};
 
 use std::fmt;
+use std::fs::File;
+use std::io::Write as _;
 use std::path::Path;
 
 /// Odd multiplier of the checksum's rounds (2⁶⁴ divided by the golden
@@ -68,23 +75,70 @@ fn word(chunk: &[u8]) -> u64 {
 /// length that is folded in; like any other change, it goes undetected
 /// only by a 64-bit coincidence.
 pub fn checksum(bytes: &[u8]) -> u64 {
-    let mut lanes = LANE_SEEDS;
-    let mut pairs = bytes.chunks_exact(16);
-    for pair in &mut pairs {
-        lanes[0] = round(lanes[0], word(&pair[..8]));
-        lanes[1] = round(lanes[1], word(&pair[8..]));
+    Checksum::new().finish(bytes)
+}
+
+/// [`checksum`] of a body fed in pieces: [`Checksum::update`] takes
+/// blocks whose length is a multiple of 16 bytes (one word per lane),
+/// [`Checksum::finish`] the rest, of any length. Any split of a body
+/// gives the one-shot checksum of the whole.
+#[derive(Debug, Clone, Copy)]
+pub struct Checksum {
+    lanes: [u64; 2],
+    len: u64,
+}
+
+impl Default for Checksum {
+    fn default() -> Checksum {
+        Checksum::new()
     }
-    let rest = pairs.remainder();
-    let (full, tail) = rest.split_at(rest.len() & 8);
-    let mut lane = 0;
-    if !full.is_empty() {
-        lanes[0] = round(lanes[0], word(full));
-        lane = 1;
+}
+
+impl Checksum {
+    /// The state before any byte.
+    pub const fn new() -> Checksum {
+        Checksum {
+            lanes: LANE_SEEDS,
+            len: 0,
+        }
     }
-    let mut last = [0u8; 8];
-    last[..tail.len()].copy_from_slice(tail);
-    lanes[lane] = round(lanes[lane], u64::from_le_bytes(last));
-    avalanche(lanes[0] ^ lanes[1].rotate_left(32) ^ bytes.len() as u64)
+
+    /// Fold `blocks` in.
+    ///
+    /// # Panics
+    /// If `blocks.len()` is not a multiple of 16.
+    #[inline]
+    pub fn update(&mut self, blocks: &[u8]) {
+        assert!(
+            blocks.len().is_multiple_of(16),
+            "checksum blocks come in 16 bytes"
+        );
+        for pair in blocks.chunks_exact(16) {
+            self.lanes[0] = round(self.lanes[0], word(&pair[..8]));
+            self.lanes[1] = round(self.lanes[1], word(&pair[8..]));
+        }
+        self.len += blocks.len() as u64;
+    }
+
+    /// Fold in the last bytes, `tail`, and return the checksum of
+    /// everything fed.
+    #[inline]
+    pub fn finish(mut self, tail: &[u8]) -> u64 {
+        let (blocks, rest) = tail.split_at(tail.len() & !15);
+        self.update(blocks);
+        let (full, tail) = rest.split_at(rest.len() & 8);
+        let mut lanes = self.lanes;
+        let mut lane = 0;
+        if !full.is_empty() {
+            lanes[0] = round(lanes[0], word(full));
+            lane = 1;
+        }
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        lanes[lane] = round(lanes[lane], u64::from_le_bytes(last));
+        let len = self.len + rest.len() as u64;
+        avalanche(lanes[0] ^ lanes[1].rotate_left(32) ^ len)
+    }
 }
 
 /// The MurmurHash3 `fmix64` finalizer: every input bit flips about half
@@ -167,17 +221,12 @@ impl std::error::Error for FrameError {}
 
 /// Append the trailing `sum <hex>` line covering every byte of `body`
 /// (which must end with a newline, as line-oriented encoders produce).
-pub fn seal(body: String) -> String {
-    seal_sum(body).0
-}
-
-/// [`seal`], also returning the checksum it appended, so a later file
-/// can name this one as its predecessor.
-pub fn seal_sum(mut body: String) -> (String, u64) {
+/// [`write_sealed`] writes the same bytes without holding them.
+pub fn seal(mut body: String) -> String {
     use std::fmt::Write as _;
     let sum = checksum(body.as_bytes());
     let _ = writeln!(body, "sum {sum:016X}");
-    (body, sum)
+    body
 }
 
 /// Verify the trailing checksum of a sealed frame and return the body
@@ -213,36 +262,69 @@ pub fn check_frame(text: &str) -> Result<(&str, u64), FrameError> {
 /// replaced by `tmp_extension`), fsync, rename over `path`, then fsync
 /// the directory so the rename itself survives a crash.
 pub fn write_atomic(path: &Path, text: &str, tmp_extension: &str) -> Result<(), IoOpError> {
-    write_atomic_with(path, text, tmp_extension, true)
+    replace_atomically(path, tmp_extension, true, |mut file| {
+        let written = file.write_all(text.as_bytes());
+        (file, written)
+    })
 }
 
-/// [`write_atomic`], with its two fsyncs only when `sync`. Without them
-/// the rename is still atomic against a killed process, but an OS crash
-/// may lose the file or leave it empty or torn — callers that skip the
-/// syncs must verify what they read back (a sealed frame does).
-pub fn write_atomic_with(
+/// Write the sealed body that `body` encodes to `path` atomically, as
+/// [`write_atomic`] does `seal(`[`codec::encode`]`(..))`, byte for byte,
+/// but streamed: the writer hands the body to the temp file and to a
+/// running [`Checksum`] 64 KiB at a time, then appends the `sum` line.
+/// Returns the checksum and the file's byte count.
+///
+/// The two fsyncs run only when `sync`. Without them the rename is still
+/// atomic against a killed process, but an OS crash may lose the file or
+/// leave it empty or torn — callers that skip the syncs must verify what
+/// they read back (a sealed frame does). A failed write, its error naming
+/// the temp file, removes the temp file and renames nothing.
+pub fn write_sealed(
     path: &Path,
-    text: &str,
     tmp_extension: &str,
     sync: bool,
-) -> Result<(), IoOpError> {
+    body: impl FnOnce(&mut Writer),
+) -> Result<Sealed, IoOpError> {
+    replace_atomically(path, tmp_extension, sync, |file| {
+        let mut w = Writer::streaming(Some(file));
+        body(&mut w);
+        let (file, sealed) = w.seal();
+        (file.expect("a file sink"), sealed)
+    })
+}
+
+/// The one atomic replace: create `path`'s directory, let `fill` write
+/// the sibling temp file, sync it when `sync`, rename it over `path` and
+/// sync the directory when `sync`. A failure before the rename removes
+/// the temp file.
+fn replace_atomically<T>(
+    path: &Path,
+    tmp_extension: &str,
+    sync: bool,
+    fill: impl FnOnce(File) -> (File, std::io::Result<T>),
+) -> Result<T, IoOpError> {
     let io_err = |op: String| move |source: std::io::Error| IoOpError { op, source };
     let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
     if let Some(dir) = dir {
         std::fs::create_dir_all(dir).map_err(io_err(format!("create {}", dir.display())))?;
     }
     let tmp = path.with_extension(tmp_extension);
-    {
-        use std::io::Write as _;
-        let mut f =
-            std::fs::File::create(&tmp).map_err(io_err(format!("create {}", tmp.display())))?;
-        f.write_all(text.as_bytes())
-            .map_err(io_err(format!("write {}", tmp.display())))?;
-        if sync {
-            f.sync_all()
-                .map_err(io_err(format!("sync {}", tmp.display())))?;
-        }
+    let file = File::create(&tmp).map_err(io_err(format!("create {}", tmp.display())))?;
+    let (file, filled) = fill(file);
+    let done = filled
+        .map_err(io_err(format!("write {}", tmp.display())))
+        .and_then(|value| {
+            if sync {
+                file.sync_all()
+                    .map_err(io_err(format!("sync {}", tmp.display())))?;
+            }
+            Ok(value)
+        });
+    drop(file);
+    if done.is_err() {
+        let _ = std::fs::remove_file(&tmp);
     }
+    let value = done?;
     std::fs::rename(&tmp, path).map_err(io_err(format!(
         "rename {} -> {}",
         tmp.display(),
@@ -250,11 +332,11 @@ pub fn write_atomic_with(
     )))?;
     if sync {
         let dir = dir.unwrap_or(Path::new("."));
-        std::fs::File::open(dir)
+        File::open(dir)
             .and_then(|d| d.sync_all())
             .map_err(io_err(format!("sync {}", dir.display())))?;
     }
-    Ok(())
+    Ok(value)
 }
 
 /// Read `path` to a string, tagging failures with the operation.
@@ -273,14 +355,6 @@ mod tests {
     fn checksum_matches_reference_vector() {
         assert_eq!(checksum(b"a"), 0x0850_3AB9_3DD9_605A);
         assert_eq!(checksum(b""), 0xA510_6751_FBCA_3AD2);
-    }
-
-    #[test]
-    fn seal_sum_names_the_appended_checksum() {
-        let (sealed, sum) = seal_sum("magic v1\n".to_string());
-        assert_eq!(sealed, seal("magic v1\n".to_string()));
-        assert!(sealed.ends_with(&format!("sum {sum:016X}\n")));
-        assert_eq!(check_frame(&sealed).expect("verifies").1, sum);
     }
 
     #[test]
@@ -349,9 +423,25 @@ mod tests {
         assert_eq!(read_to_string(&path).expect("read"), "hello\n");
         write_atomic(&path, "world\n", "snap.tmp").expect("overwrite");
         assert_eq!(read_to_string(&path).expect("reread"), "world\n");
-        write_atomic_with(&path, "again\n", "snap.tmp", false).expect("unsynced");
-        assert!(!path.with_extension("snap.tmp").exists());
-        assert_eq!(read_to_string(&path).expect("reread"), "again\n");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn write_sealed_names_the_appended_checksum() {
+        let dir = std::env::temp_dir().join("qpredict_durable_unit_sealed");
+        let path = dir.join("state.snap");
+        for sync in [true, false] {
+            let sealed = write_sealed(&path, "snap.tmp", sync, |w| {
+                w.record("magic").word("v1");
+            })
+            .expect("write");
+            assert!(!path.with_extension("snap.tmp").exists());
+            let text = read_to_string(&path).expect("read");
+            assert_eq!(text, seal("magic v1\n".to_string()));
+            assert!(text.ends_with(&format!("sum {:016X}\n", sealed.sum)));
+            assert_eq!(check_frame(&text).expect("verifies").1, sealed.sum);
+            assert_eq!(sealed.bytes, text.len() as u64);
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

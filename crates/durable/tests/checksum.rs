@@ -1,10 +1,11 @@
 //! Oracle for the durable layer's checksum: pinned vectors keep the
-//! format from drifting, and on every body of 0–40 bytes (so every word
-//! and tail boundary, in both lanes) every single-bit flip and every
-//! truncation changes the checksum — also once the body is a sealed
-//! frame.
+//! format from drifting, the streaming form equals the one-shot function
+//! however a body is split, and on every body of 0–40 bytes (so every
+//! word and tail boundary, in both lanes) every single-bit flip and
+//! every truncation changes the checksum — also once the body is a
+//! sealed frame.
 
-use qpredict_durable::{check_frame, checksum, seal};
+use qpredict_durable::{check_frame, checksum, seal, Checksum};
 
 /// SplitMix64, for reproducible bodies without dependencies.
 struct Rng(u64);
@@ -34,21 +35,22 @@ fn bodies() -> Vec<Vec<u8>> {
     out
 }
 
+const PINNED: [(&[u8], u64); 7] = [
+    (b"", 0xA510_6751_FBCA_3AD2),
+    (b"a", 0x0850_3AB9_3DD9_605A),
+    (b"abcdefgh", 0xA7AE_A50F_DEF4_7B45),
+    (b"abcdefghi", 0x81DD_A209_22E8_ABD6),
+    (b"0123456789abcdef", 0x45E0_601E_E4CC_DA0C),
+    (b"0123456789abcdefg", 0x7D12_2C3A_874F_FA3B),
+    (
+        b"The quick brown fox jumps over the lazy dog",
+        0xA8AB_BC43_FE48_2C78,
+    ),
+];
+
 #[test]
 fn pinned_vectors() {
-    let vectors: [(&[u8], u64); 7] = [
-        (b"", 0xA510_6751_FBCA_3AD2),
-        (b"a", 0x0850_3AB9_3DD9_605A),
-        (b"abcdefgh", 0xA7AE_A50F_DEF4_7B45),
-        (b"abcdefghi", 0x81DD_A209_22E8_ABD6),
-        (b"0123456789abcdef", 0x45E0_601E_E4CC_DA0C),
-        (b"0123456789abcdefg", 0x7D12_2C3A_874F_FA3B),
-        (
-            b"The quick brown fox jumps over the lazy dog",
-            0xA8AB_BC43_FE48_2C78,
-        ),
-    ];
-    for (bytes, want) in vectors {
+    for (bytes, want) in PINNED {
         assert_eq!(
             checksum(bytes),
             want,
@@ -56,6 +58,44 @@ fn pinned_vectors() {
             String::from_utf8_lossy(bytes)
         );
     }
+}
+
+/// `body` fed to a [`Checksum`] in pieces: the whole 16-byte blocks
+/// below `a`, then those below `b`, then the rest as the tail.
+fn streamed(body: &[u8], a: usize, b: usize) -> u64 {
+    let (a, b) = (a & !15, b & !15);
+    let mut sum = Checksum::new();
+    sum.update(&body[..a]);
+    sum.update(&body[a..b]);
+    sum.finish(&body[b..])
+}
+
+#[test]
+fn streaming_equals_one_shot_at_every_split() {
+    let mut rng = Rng(0x57EA);
+    for n in 0..=300 {
+        let body: Vec<u8> = (0..n).map(|_| rng.next() as u8).collect();
+        let want = checksum(&body);
+        for split in 0..=n {
+            assert_eq!(streamed(&body, split, split), want, "len {n} at {split}");
+        }
+        for a in (0..=n).step_by(16) {
+            for b in (a..=n).step_by(16) {
+                assert_eq!(streamed(&body, a, b), want, "len {n} at {a}, {b}");
+            }
+        }
+    }
+    for (bytes, want) in PINNED {
+        for split in 0..=bytes.len() {
+            assert_eq!(streamed(bytes, split, split), want, "{bytes:?} at {split}");
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "16 bytes")]
+fn streaming_refuses_a_partial_block_before_the_tail() {
+    Checksum::new().update(&[0; 15]);
 }
 
 #[test]

@@ -333,17 +333,20 @@ impl Checkpoint {
         dir.join(CHECKPOINT_FILE)
     }
 
-    /// Write atomically: serialize to `<path>.tmp`, flush, then rename
-    /// over `path`. A kill at any instant leaves either the old or the
-    /// new checkpoint intact, never a torn one.
+    /// Write atomically: stream [`Checkpoint::encode`]'s bytes into a
+    /// sibling temp file, sync, then rename over `path`. A kill at any
+    /// instant leaves either the old or the new checkpoint intact, never
+    /// a torn one.
     pub fn save_atomic(&self, path: &Path) -> Result<(), CheckpointError> {
         let _span = qpredict_obs::span("ga.checkpoint");
         qpredict_obs::counter_add("ga.checkpoints", 1);
-        qpredict_durable::write_atomic(path, &self.encode(), "ckpt.tmp").map_err(|e| {
-            CheckpointError::Io {
-                op: e.op,
-                source: e.source,
-            }
+        qpredict_durable::write_sealed(path, "ckpt.tmp", true, |w| {
+            w.put(self);
+        })
+        .map(|_| ())
+        .map_err(|e| CheckpointError::Io {
+            op: e.op,
+            source: e.source,
         })
     }
 
@@ -503,6 +506,14 @@ mod tests {
         let ck2 = sample(4, 6);
         ck2.save_atomic(&path).expect("save over");
         assert_eq!(Checkpoint::load(&path).expect("reload"), ck2);
+        // The streamed file is `encode`'s text byte for byte, also past
+        // the writer's 64 KiB drains.
+        for ck in [ck2, sample(2, 3000)] {
+            ck.save_atomic(&path).expect("save");
+            let text = std::fs::read_to_string(&path).expect("read");
+            assert!(text == ck.encode(), "{} bytes", text.len());
+        }
+        assert!(std::fs::metadata(&path).unwrap().len() > 128 * 1024);
         std::fs::remove_dir_all(&dir).ok();
     }
 

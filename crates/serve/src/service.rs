@@ -62,7 +62,7 @@ use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 
 use qpredict_durable::{
-    check_frame, seal_sum, write_atomic_with, Codec, CodecError, IoOpError, Reader, Writer,
+    check_frame, write_sealed, Codec, CodecError, IoOpError, Reader, Sealed, Writer,
 };
 use qpredict_obs::counter_add;
 
@@ -417,27 +417,13 @@ impl Service {
                 w.flush()?;
             }
         }
+        let (seq, parent) = self.next_segment();
+        let Sealed { sum, bytes } =
+            write_sealed(&segment_path(&dir, seq), "snap.tmp", sync, |w| {
+                self.encode_segment(seq, parent, w)
+            })?;
         let segs = &mut self.segments;
-        let seq = segs.next;
-        let parent = segs
-            .tip
-            .filter(|_| segs.chain_bytes <= segs.base_bytes && self.state.journaled());
-        let mut w = Writer::default();
-        w.record("segment").put(&seq);
-        match parent {
-            Some((parent_seq, parent_sum)) => {
-                w.word("delta").put(&parent_seq).put(&parent_sum);
-                self.state.encode_delta(&mut w);
-            }
-            None => {
-                w.word("base");
-                self.state.encode(&mut w);
-            }
-        }
-        let (text, sum) = seal_sum(w.finish());
-        write_atomic_with(&segment_path(&dir, seq), &text, "snap.tmp", sync)?;
         self.state.mark();
-        let bytes = text.len() as u64;
         segs.next += 1;
         segs.tip = Some((seq, sum));
         segs.live.push((seq, parent.is_none()));
@@ -454,6 +440,31 @@ impl Service {
         counter_add("serve.snapshots", 1);
         counter_add("serve.snapshot_bytes", bytes);
         Ok(())
+    }
+
+    /// The next segment's sequence number, and the `(seq, checksum)` of
+    /// its parent when it is a delta.
+    fn next_segment(&self) -> (u64, Option<(u64, u64)>) {
+        let segs = &self.segments;
+        let parent = segs
+            .tip
+            .filter(|_| segs.chain_bytes <= segs.base_bytes && self.state.journaled());
+        (segs.next, parent)
+    }
+
+    /// Write the body of segment `seq`: a delta on `parent`, or a base.
+    fn encode_segment(&self, seq: u64, parent: Option<(u64, u64)>, w: &mut Writer) {
+        w.record("segment").put(&seq);
+        match parent {
+            Some((parent_seq, parent_sum)) => {
+                w.word("delta").put(&parent_seq).put(&parent_sum);
+                self.state.encode_delta(w);
+            }
+            None => {
+                w.word("base");
+                self.state.encode(w);
+            }
+        }
     }
 
     /// Make the responses not yet emitted visible: flush the WAL, then
@@ -895,6 +906,118 @@ mod tests {
             visible > 0 && buffered,
             "{visible} visible effects, buffered {buffered}"
         );
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// The three event streams `tests/answer_lock.rs` serves: a realized
+    /// schedule in order, the same block-shuffled past the horizon, and a
+    /// synthesized stream on half its machine, each with its config.
+    fn answer_lock_streams() -> Vec<(ServeConfig, Vec<String>)> {
+        let wl = qpredict_workload::synthetic::toy(600, 16, 5);
+        let encode = |events: &[qpredict_workload::JobEvent]| -> Vec<String> {
+            events.iter().map(|e| e.encode()).collect()
+        };
+        let in_order = encode(&qpredict_sim::realized_events(&wl, 3));
+        let mut shuffled = in_order.clone();
+        let mut rng = qpredict_workload::Rng64::seed_from_u64(7);
+        for chunk in shuffled.chunks_mut(24) {
+            for i in (1..chunk.len()).rev() {
+                chunk.swap(i, rng.gen_index(i + 1));
+            }
+        }
+        let cfg = |machine_nodes| ServeConfig {
+            machine_nodes,
+            horizon: 8,
+            snapshot_every: 0,
+            fsync: FsyncPolicy::Never,
+            ..ServeConfig::default()
+        };
+        vec![
+            (cfg(wl.machine_nodes), in_order),
+            (cfg(wl.machine_nodes), shuffled),
+            (
+                cfg(wl.machine_nodes / 2),
+                encode(&qpredict_workload::synthesize_events(&wl, 3)),
+            ),
+        ]
+    }
+
+    /// A segment after every line of each stream: every streamed file is
+    /// byte for byte `seal` of its body encoded in memory, and the checksum
+    /// and byte count the next delta and the compaction rule use are that
+    /// file's.
+    #[test]
+    fn streamed_segments_equal_their_bodies_sealed_in_memory() {
+        let root = tmp_dir("streamed");
+        let (mut bases, mut deltas, mut largest) = (0, 0, 0);
+        for (i, (cfg, lines)) in answer_lock_streams().into_iter().enumerate() {
+            let dir = root.join(format!("s{i}"));
+            let mut svc = Service::open(cfg, Some(&dir), None, false).unwrap();
+            for l in &lines {
+                svc.feed_line(l).unwrap();
+                let (seq, parent) = svc.next_segment();
+                let mut w = Writer::default();
+                svc.encode_segment(seq, parent, &mut w);
+                let want = qpredict_durable::seal(w.finish());
+                let chain_bytes = svc.segments.chain_bytes;
+                svc.snapshot_now().unwrap();
+                let got = fs::read_to_string(segment_path(&dir, seq)).unwrap();
+                assert!(got == want, "stream {i} segment {seq} differs");
+                let sum = check_frame(&want).unwrap().1;
+                assert_eq!(svc.segments.tip, Some((seq, sum)));
+                let bytes = want.len() as u64;
+                if parent.is_some() {
+                    deltas += 1;
+                    assert_eq!(svc.segments.chain_bytes, chain_bytes + bytes);
+                } else {
+                    bases += 1;
+                    assert_eq!(svc.segments.base_bytes, bytes);
+                }
+                largest = largest.max(want.len());
+            }
+        }
+        // Bases large enough to drain the writer's buffer mid-body.
+        assert!(
+            bases >= 3 && deltas > 1000,
+            "{bases} bases, {deltas} deltas"
+        );
+        assert!(largest > 2 * 64 * 1024, "largest segment {largest} bytes");
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// A segment write that fails mid-body is a typed error naming the
+    /// temp file; nothing is renamed into place, and the next snapshot
+    /// writes the same segment.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn failed_segment_write_renames_nothing_and_the_next_succeeds() {
+        let root = tmp_dir("fullwrite");
+        let dir = root.join("state");
+        let (cfg, lines) = answer_lock_streams().swap_remove(0);
+        let mut svc = Service::open(cfg.clone(), Some(&dir), None, false).unwrap();
+        for l in &lines {
+            svc.feed_line(l).unwrap();
+        }
+        let want_fp = svc.state().fingerprint();
+        let (seq, _) = svc.next_segment();
+        let path = segment_path(&dir, seq);
+        let tmp = path.with_extension("snap.tmp");
+        // Every write to the temp file fails: the first at the first
+        // drain, 64 KiB into the body.
+        std::os::unix::fs::symlink("/dev/full", &tmp).unwrap();
+        match svc.snapshot_now() {
+            Err(ServeError::Io(e)) => {
+                assert_eq!(e.op, format!("write {}", tmp.display()));
+                assert_eq!(e.source.raw_os_error(), Some(28), "{e}"); // ENOSPC
+            }
+            other => panic!("expected an I/O error, got {other:?}"),
+        }
+        assert!(!path.exists() && fs::symlink_metadata(&tmp).is_err());
+        assert_eq!(svc.snapshots_written(), 0);
+        svc.snapshot_now().unwrap();
+        assert!(fs::metadata(&path).unwrap().len() > 64 * 1024);
+        let loaded = load_segments(&cfg, &dir).unwrap().expect("a base");
+        assert_eq!(loaded.fingerprint(), want_fp);
         let _ = fs::remove_dir_all(&root);
     }
 

@@ -767,9 +767,10 @@ impl ServiceState {
     }
 
     /// [`qpredict_durable::checksum`] of the encoded state — the
-    /// bit-identity probe used by the chaos tests.
+    /// bit-identity probe used by the chaos tests — hashed as it is
+    /// encoded, in bounded memory.
     pub fn fingerprint(&self) -> u64 {
-        qpredict_durable::checksum(codec::encode(self).as_bytes())
+        codec::encoded_checksum(self)
     }
 
     /// Like [`ServiceState::fingerprint`], but ignoring the anomaly

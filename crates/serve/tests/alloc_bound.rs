@@ -1,0 +1,103 @@
+//! Durable writes take bounded memory: on the end state of an ANL
+//! stream of 8,000 jobs (about 1.6 MB encoded), a state fingerprint and a
+//! base snapshot each grow the heap by at most 256 KiB — the streaming
+//! writer's 64 KiB buffer plus its largest record, plus the sort of the
+//! job table's entry references — where building the encoded state
+//! whole took 2.5–3 MB.
+//!
+//! The test binary counts every allocation, so it holds this one test
+//! alone: another test running beside it would count too.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use qpredict_serve::{FsyncPolicy, ServeConfig, Service};
+
+/// Heap growth bound of one fingerprint or one base snapshot.
+const BOUND: usize = 256 * 1024;
+
+/// The system allocator, counting the bytes live and their peak.
+struct Counting;
+
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let p = System.alloc(layout);
+        if !p.is_null() {
+            grew(layout.size());
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
+        System.dealloc(p, layout);
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+    }
+
+    unsafe fn realloc(&self, p: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let q = System.realloc(p, layout, new_size);
+        if !q.is_null() {
+            // Old and new blocks may both be live during the move.
+            grew(new_size);
+            LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        }
+        q
+    }
+}
+
+fn grew(bytes: usize) {
+    let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+/// The most the heap grew, above what was live before, while `f` ran.
+fn growth<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let before = LIVE.load(Ordering::Relaxed);
+    PEAK.store(before, Ordering::Relaxed);
+    let value = f();
+    (value, PEAK.load(Ordering::Relaxed) - before)
+}
+
+#[test]
+fn fingerprint_and_base_snapshot_grow_the_heap_by_at_most_256_kib() {
+    let wl = qpredict_workload::synthetic::sites::by_name("ANL", Some(8000)).expect("a site");
+    let lines: Vec<String> = qpredict_sim::realized_events(&wl, 5)
+        .iter()
+        .map(|e| e.encode())
+        .collect();
+    let dir = std::env::temp_dir().join(format!("qpredict-serve-alloc-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = ServeConfig {
+        machine_nodes: wl.machine_nodes,
+        snapshot_every: 0,
+        fsync: FsyncPolicy::Never,
+        ..ServeConfig::default()
+    };
+    let mut svc = Service::open(cfg, Some(&dir), None, false).unwrap();
+    for l in &lines {
+        svc.feed_line(l).unwrap();
+    }
+    let encoded = qpredict_durable::codec::encode(svc.state()).len();
+    assert!(encoded > 1_000_000, "end state of {encoded} bytes");
+
+    let (_, fingerprint) = growth(|| svc.state().fingerprint());
+    // The process's first segment is a base: the whole state.
+    let (written, snapshot) = growth(|| svc.snapshot_now());
+    written.unwrap();
+    assert_eq!(svc.snapshots_written(), 1);
+    eprintln!("heap growth: fingerprint {fingerprint} B, base snapshot {snapshot} B");
+    assert!(
+        fingerprint <= BOUND,
+        "fingerprint grew the heap {fingerprint} B"
+    );
+    assert!(
+        snapshot <= BOUND,
+        "base snapshot grew the heap {snapshot} B"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

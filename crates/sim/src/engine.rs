@@ -32,7 +32,7 @@ use crate::scheduler::{Algorithm, Planner, QueueEntry, RunningView};
 
 /// A point-in-time view of the simulated system, captured after a
 /// submission is enqueued and before the scheduler reacts to it.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Snapshot {
     /// Capture instant.
     pub now: Time,
@@ -43,6 +43,24 @@ pub struct Snapshot {
     /// Queued jobs as `(id, arrival_seq)`, in arrival order. Includes the
     /// job whose submission triggered the capture (always last).
     pub queued: Vec<(JobId, u64)>,
+}
+
+impl Snapshot {
+    /// Overwrite with the given state, reusing the buffers.
+    fn refill(
+        &mut self,
+        now: Time,
+        free_nodes: u32,
+        running: &[RunningJob],
+        queued: &[(JobId, u64)],
+    ) {
+        self.now = now;
+        self.free_nodes = free_nodes;
+        self.running.clear();
+        self.running.extend(running.iter().map(|r| (r.id, r.start)));
+        self.queued.clear();
+        self.queued.extend_from_slice(queued);
+    }
 }
 
 /// Observer of simulation events. All methods default to no-ops.
@@ -118,6 +136,8 @@ pub struct Simulation<'w> {
     /// queue slots they leave.
     started: Vec<JobId>,
     chosen: Vec<bool>,
+    /// The snapshot lent to hooks, refilled in place at each capture.
+    snap: Snapshot,
 }
 
 impl<'w> Simulation<'w> {
@@ -155,6 +175,7 @@ impl<'w> Simulation<'w> {
             planner: Planner::new(alg, wl.machine_nodes),
             started: Vec::new(),
             chosen: Vec::new(),
+            snap: Snapshot::default(),
         }
     }
 
@@ -239,8 +260,8 @@ impl<'w> Simulation<'w> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.queue.push((id, seq));
-        let snap = self.snapshot();
-        hooks.after_submit(&snap, self.wl.job(id));
+        let job = self.wl.job(id);
+        hooks.after_submit(self.refresh_snapshot(), job);
     }
 
     fn schedule(&mut self, est: &mut dyn RunTimePredictor, hooks: &mut dyn SimHooks) {
@@ -249,8 +270,7 @@ impl<'w> Simulation<'w> {
         }
         let _span = qpredict_obs::span("sim.schedule");
         if hooks.wants_schedule_snapshots() {
-            let snap = self.snapshot();
-            hooks.before_schedule(&snap);
+            hooks.before_schedule(self.refresh_snapshot());
         }
         // Re-estimate exactly the sets the paper says each algorithm
         // consults at every scheduling attempt.
@@ -335,12 +355,17 @@ impl<'w> Simulation<'w> {
 
     /// Capture the current system state.
     pub fn snapshot(&self) -> Snapshot {
-        Snapshot {
-            now: self.now,
-            free_nodes: self.free_nodes,
-            running: self.running.iter().map(|r| (r.id, r.start)).collect(),
-            queued: self.queue.clone(),
-        }
+        let mut snap = Snapshot::default();
+        snap.refill(self.now, self.free_nodes, &self.running, &self.queue);
+        snap
+    }
+
+    /// [`Simulation::snapshot`] into the buffer the simulation owns, so
+    /// a capture allocates nothing once the buffer has grown.
+    fn refresh_snapshot(&mut self) -> &Snapshot {
+        self.snap
+            .refill(self.now, self.free_nodes, &self.running, &self.queue);
+        &self.snap
     }
 }
 

@@ -14,10 +14,15 @@ echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 
 # Closed-stdout smoke: a reader that goes away early is not an error, so
-# under pipefail these pipelines must exit 0 rather than panic.
+# under pipefail these pipelines must exit 0 rather than panic, and the
+# run still writes its file outputs.
 echo "==> closed-stdout smoke (qpredict paper / simulate | true)"
+CLOSED_TMP="$(mktemp -d)"
 ./target/release/qpredict paper --jobs 60 --threads 1 table1 2>/dev/null | true
-./target/release/qpredict simulate toy --jobs 60 --nodes 16 | true
+./target/release/qpredict simulate toy --jobs 60 --nodes 16 \
+    --report-out "$CLOSED_TMP/report.json" 2>/dev/null | true
+./target/release/qpredict check-report "$CLOSED_TMP/report.json"
+rm -rf "$CLOSED_TMP"
 
 # Thread-invariance smoke: the paper harness's grids run on a parallel
 # fan-out, and one worker or three must print the same tables.

@@ -12,8 +12,9 @@
 //! and so does one its source does not read (`--jobs` for a `.swf` trace,
 //! `--nodes` for a site model, `--ingest` for anything but a `.swf`
 //! trace); `--report-out FILE|-` applies to every subcommand. Every byte
-//! of stdout goes through `emit`, which exits 0 when the reader has gone
-//! (`qpredict … | head` does not panic).
+//! of stdout goes through `emit`, which stops writing when the reader has
+//! gone and lets the run finish, so `qpredict … | head` does not panic,
+//! still writes its `--out` and `--report-out` files and exits 0.
 //!
 //! `--ingest lenient|strict` controls SWF parsing (lenient skips and
 //! reports malformed lines), and `--fault-seed N` / `--fault-pred-noise P`
@@ -47,6 +48,7 @@ use std::fmt::{Display, Write as _};
 use std::fs;
 use std::io::Write as _;
 use std::process::exit;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 use qpredict::core::searched::curated_seed_for;
@@ -212,12 +214,20 @@ fn serve_fail(e: ServeError) -> ! {
     }
 }
 
-/// Write `text` to stdout, the one way this program does; exit 0 when the
-/// reader has gone, since there is no one left to tell.
+/// Set once a write to stdout has failed: its reader has gone.
+static STDOUT_GONE: AtomicBool = AtomicBool::new(false);
+
+/// Write `text` to stdout, the one way this program does. Once the reader
+/// has gone there is no one left to tell, so stdout is left alone from
+/// then on, but the run goes on: its file outputs are still written, and
+/// it exits 0.
 fn emit(text: &str) {
+    if STDOUT_GONE.load(Ordering::Relaxed) {
+        return;
+    }
     let mut stdout = std::io::stdout().lock();
     if stdout.write_all(text.as_bytes()).is_err() || stdout.flush().is_err() {
-        exit(0)
+        STDOUT_GONE.store(true, Ordering::Relaxed);
     }
 }
 

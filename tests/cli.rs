@@ -563,3 +563,61 @@ fn every_subcommand_exits_zero_when_stdout_closes() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn file_outputs_survive_a_closed_stdout() {
+    let dir =
+        std::env::temp_dir().join(format!("qpredict_cli_closed_files_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let report = dir.join("r.json");
+    let tables = dir.join("f.md");
+    let (report, tables) = (report.to_str().unwrap(), tables.to_str().unwrap());
+    let runs: &[&[&str]] = &[
+        &[
+            "simulate",
+            "toy",
+            "--jobs",
+            "60",
+            "--nodes",
+            "16",
+            "--report-out",
+            report,
+        ],
+        &[
+            "paper",
+            "--jobs",
+            "60",
+            "--threads",
+            "1",
+            "table1",
+            "--out",
+            tables,
+        ],
+    ];
+    for args in runs {
+        // The reading end is gone before the child has written a byte.
+        let mut child = bin()
+            .args(*args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("binary runs");
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("binary exits");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "args {args:?}: {err}");
+    }
+    let md = std::fs::read_to_string(tables).expect("--out written");
+    assert!(md.starts_with("# qpredict experiment data"), "{md}");
+    let check = bin()
+        .args(["check-report", report])
+        .output()
+        .expect("binary runs");
+    assert!(
+        check.status.success(),
+        "{}",
+        String::from_utf8_lossy(&check.stderr)
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
