@@ -592,19 +592,28 @@ codec_struct!(Point {
     nodes
 });
 
+/// The aggregates and the point count, then one `pt` record per point,
+/// oldest first: no record grows with the history.
 impl Codec for History {
     fn encode(&self, w: &mut Writer) {
         w.put(&self.abs)
             .put(&self.ratio)
             .put(&self.reg)
-            .put(&self.points);
+            .put(&self.points.len());
+        for p in &self.points {
+            w.record("pt").put(p);
+        }
     }
     fn decode(r: &mut Reader<'_>, _: &()) -> Result<History, CodecError> {
+        let (abs, ratio, reg) = (r.get()?, r.get()?, r.get()?);
+        let n: usize = r.get()?;
         let h = History {
-            abs: r.get()?,
-            ratio: r.get()?,
-            reg: r.get()?,
-            points: r.get()?,
+            abs,
+            ratio,
+            reg,
+            points: (0..n)
+                .map(|_| r.record("pt")?.get())
+                .collect::<Result<_, _>>()?,
             ..History::default()
         };
         if h.abs.n != h.points.len() {
@@ -618,7 +627,8 @@ impl Codec for History {
     }
 }
 
-/// One `cat` record per category, in key order. Decoding under the
+/// One `cat` record per category, in key order, each followed by its
+/// points (see [`History`]'s codec). Decoding under the
 /// set the store was recorded with rebuilds each runtime index, and
 /// refuses a category of a template the store does not keep.
 impl Codec<TemplateSet> for CategoryStore {

@@ -132,9 +132,6 @@ pub struct DowneyPredictor {
     global: Category,
     total_sum: f64,
     total_n: u64,
-    /// Bumps on every state mutation; see
-    /// [`RunTimePredictor::generation`].
-    generation: u64,
 }
 
 impl DowneyPredictor {
@@ -148,7 +145,6 @@ impl DowneyPredictor {
             global: Category::default(),
             total_sum: 0.0,
             total_n: 0,
-            generation: 0,
         }
     }
 
@@ -218,25 +214,23 @@ impl Codec for DowneyVariant {
     }
 }
 
-/// The complete mutable state. `Sym` keys are stored as interning
+/// The complete mutable state (v3: the generation is `total_n`, not a
+/// field). `Sym` keys are stored as interning
 /// indices and decoded against the restorer's symbol table, which must
 /// have the same interning order as the one the state was recorded
 /// under.
 impl Codec<SymbolTable> for DowneyPredictor {
     fn encode(&self, w: &mut Writer) {
-        w.record("downey-state v2");
+        w.record("downey-state v3");
         w.record("config")
             .put(&self.variant)
             .put(&self.category_char);
-        w.record("totals")
-            .put(&self.total_sum)
-            .put(&self.total_n)
-            .put(&self.generation);
+        w.record("totals").put(&self.total_sum).put(&self.total_n);
         w.map_records("cat", &self.categories);
         w.record("glob").put(&self.global);
     }
     fn decode(r: &mut Reader<'_>, syms: &SymbolTable) -> Result<DowneyPredictor, CodecError> {
-        r.record("downey-state v2")?.record("config")?;
+        r.record("downey-state v3")?.record("config")?;
         let variant = r.get()?;
         let category_char = r.get()?;
         r.record("totals")?;
@@ -245,7 +239,6 @@ impl Codec<SymbolTable> for DowneyPredictor {
             category_char,
             total_sum: r.get()?,
             total_n: r.get()?,
-            generation: r.get()?,
             categories: r.map_records("cat", syms, &())?,
             global: r.record("glob")?.get()?,
         })
@@ -301,11 +294,11 @@ impl RunTimePredictor for DowneyPredictor {
         self.global.insert(rt);
         self.total_sum += rt;
         self.total_n += 1;
-        self.generation += 1;
     }
 
+    /// The completions learned from.
     fn generation(&self) -> Option<u64> {
-        Some(self.generation)
+        Some(self.total_n)
     }
 }
 
@@ -505,8 +498,8 @@ mod tests {
         let syms = SymbolTable::new();
         let restore = |text: &str| decode::<_, DowneyPredictor>(text, &syms);
         assert!(restore("").is_err());
-        assert!(restore("downey-state v2\n").is_err());
-        let no_config = "downey-state v2\ntotals 0000000000000000 0 0\n";
+        assert!(restore("downey-state v3\n").is_err());
+        let no_config = "downey-state v3\ntotals 0000000000000000 0\n";
         assert!(restore(no_config).is_err());
     }
 }

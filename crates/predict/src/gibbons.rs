@@ -143,9 +143,6 @@ pub struct GibbonsPredictor {
     /// extrapolate wildly at unseen node counts, so predictions are
     /// clamped to twice this (floor: one hour).
     max_seen: f64,
-    /// Bumps on every state mutation; see
-    /// [`RunTimePredictor::generation`].
-    generation: u64,
 }
 
 /// Minimum points for a valid mean at levels 1/3/5.
@@ -226,29 +223,28 @@ impl Codec for SubCategory {
     }
 }
 
-/// The complete mutable state. `Sym` keys are stored as interning
+/// The complete mutable state (v3: the generation is `total_n`, not a
+/// field). `Sym` keys are stored as interning
 /// indices and decoded against the restorer's symbol table, which must
 /// have the same interning order as the one the state was recorded
 /// under.
 impl Codec<SymbolTable> for GibbonsPredictor {
     fn encode(&self, w: &mut Writer) {
-        w.record("gibbons-state v2");
+        w.record("gibbons-state v3");
         w.record("totals")
             .put(&self.total_sum)
             .put(&self.total_n)
-            .put(&self.max_seen)
-            .put(&self.generation);
+            .put(&self.max_seen);
         w.map_records("ue", &self.by_user_exe);
         w.map_records("exe", &self.by_exe);
         w.record("glob").put(&self.global);
     }
     fn decode(r: &mut Reader<'_>, syms: &SymbolTable) -> Result<GibbonsPredictor, CodecError> {
-        r.record("gibbons-state v2")?.record("totals")?;
+        r.record("gibbons-state v3")?.record("totals")?;
         Ok(GibbonsPredictor {
             total_sum: r.get()?,
             total_n: r.get()?,
             max_seen: r.get()?,
-            generation: r.get()?,
             by_user_exe: r.map_records("ue", syms, &())?,
             by_exe: r.map_records("exe", syms, &())?,
             global: r.record("glob")?.get()?,
@@ -327,11 +323,11 @@ impl RunTimePredictor for GibbonsPredictor {
         self.total_sum += rt;
         self.total_n += 1;
         self.max_seen = self.max_seen.max(rt);
-        self.generation += 1;
     }
 
+    /// The completions learned from.
     fn generation(&self) -> Option<u64> {
-        Some(self.generation)
+        Some(self.total_n)
     }
 }
 
@@ -533,8 +529,8 @@ mod tests {
         assert!(restore("").is_err());
         assert!(restore("nonsense\n").is_err());
         // A symbol index beyond the table is a configuration mismatch.
-        let bad = "gibbons-state v2\n\
-                   totals 0000000000000000 0 0000000000000000 0\n\
+        let bad = "gibbons-state v3\n\
+                   totals 0000000000000000 0 0000000000000000\n\
                    ue 0\n\
                    exe 1\n\
                    exe 7 1 0 1 4059000000000000 1 3FF0000000000000\n\

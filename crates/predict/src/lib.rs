@@ -155,7 +155,10 @@ pub trait RunTimePredictor {
     /// implementations bump it on **every** state mutation
     /// (`on_complete`), so two `predict` calls for the same
     /// `(job, elapsed)` at the same generation are guaranteed to return
-    /// the identical [`Prediction`]. Stateless predictors return a
+    /// the identical [`Prediction`]. The learning predictors (Smith,
+    /// Gibbons, Downey) learn only from completions, so theirs is the
+    /// number of completions learned from, read off their own totals.
+    /// Stateless predictors return a
     /// constant. The default `None` declares the state unobservable (or
     /// `predict` side-effecting, as in [`FallbackPredictor`]'s
     /// degradation accounting), which disables

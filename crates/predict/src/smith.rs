@@ -27,7 +27,7 @@
 //! the templates without elapsed-time conditioning, and reuses it until a
 //! push into one of those categories stamps it stale (DESIGN.md §11).
 
-use qpredict_durable::{codec_struct, Codec, CodecError, Reader, Writer};
+use qpredict_durable::{Codec, CodecError, Reader, Writer};
 use qpredict_workload::{Dur, Job};
 
 use crate::category::{CategoryStore, History, Point, RegMoments, Resolved};
@@ -189,9 +189,7 @@ pub struct SmithPredictor {
     /// extrapolate wildly at unseen node counts, so predictions are
     /// clamped to twice this (floor: one hour).
     max_seen: f64,
-    /// Bumps on every history mutation; see
-    /// [`RunTimePredictor::generation`].
-    generation: u64,
+    /// Work of the estimates made since build or decode. Never encoded.
     ops: EstimateOps,
 }
 
@@ -206,7 +204,6 @@ impl SmithPredictor {
             global_sum: 0.0,
             global_n: 0,
             max_seen: 0.0,
-            generation: 0,
             ops: EstimateOps::default(),
         }
     }
@@ -228,16 +225,11 @@ impl SmithPredictor {
         self.store.total_points()
     }
 
-    /// Scan-vs-moments accounting over every estimate so far.
+    /// Scan-vs-moments accounting over the estimates made since this
+    /// predictor was built or decoded. It is a diagnostic count, never
+    /// encoded: a decoded predictor starts it at zero.
     pub fn estimate_ops(&self) -> EstimateOps {
         self.ops
-    }
-
-    /// Overwrite the estimate accounting. Predictions change it and are
-    /// not replayed, so a copy brought forward by replaying completions
-    /// takes the original's accounting whole.
-    pub fn set_estimate_ops(&mut self, ops: EstimateOps) {
-        self.ops = ops;
     }
 
     /// Estimate from one template's category for `job`, if valid.
@@ -460,24 +452,20 @@ impl SmithPredictor {
     }
 }
 
-codec_struct!(EstimateOps {
-    scanned_points,
-    moment_points,
-    moment_estimates,
-    scan_estimates
-});
+/// Magic first record of an encoded Smith state (v5: no generation,
+/// which is the completion count, and no estimate accounting, which is a
+/// diagnostic of the process; each category's points are one record
+/// apiece).
+const SMITH_MAGIC: &str = "smith-state v5";
 
-/// Magic first record of an encoded Smith state (v4: the template-set
-/// fingerprint is [`qpredict_durable::checksum`], no longer FNV-1a).
-const SMITH_MAGIC: &str = "smith-state v4";
-
-/// The complete mutable state: aggregates bitwise, points, counters and
-/// generation, with one category set per distinct template. The template
-/// set is *not* stored — the restorer passes the set from its own
-/// configuration as context — but its rendering is fingerprinted, so a
-/// restore under a different set is refused instead of silently mixing
-/// histories. Runtime indexes are rebuilt from the decoded points. A restored predictor is state-identical
-/// to the original: every later prediction is bit-identical.
+/// The learned state: aggregates bitwise and points, with one category
+/// set per distinct template. The template set is *not* stored — the
+/// restorer passes the set from its own configuration as context — but
+/// its rendering is fingerprinted, so a restore under a different set is
+/// refused instead of silently mixing histories. Runtime indexes are
+/// rebuilt from the decoded points. A restored predictor is
+/// state-identical to the original: every later prediction is
+/// bit-identical.
 impl Codec<TemplateSet> for SmithPredictor {
     fn encode(&self, w: &mut Writer) {
         w.record(SMITH_MAGIC);
@@ -485,9 +473,7 @@ impl Codec<TemplateSet> for SmithPredictor {
         w.record("global")
             .put(&self.global_sum)
             .put(&self.global_n)
-            .put(&self.max_seen)
-            .put(&self.generation);
-        w.record("ops").put(&self.ops);
+            .put(&self.max_seen);
         w.put(&self.store);
     }
     fn decode(r: &mut Reader<'_>, set: &TemplateSet) -> Result<SmithPredictor, CodecError> {
@@ -501,8 +487,7 @@ impl Codec<TemplateSet> for SmithPredictor {
             )));
         }
         r.record("global")?;
-        let (global_sum, global_n, max_seen, generation) = (r.get()?, r.get()?, r.get()?, r.get()?);
-        let ops = r.record("ops")?.get()?;
+        let (global_sum, global_n, max_seen) = (r.get()?, r.get()?, r.get()?);
         let store: CategoryStore = r.get_in(set)?;
         Ok(SmithPredictor {
             set: set.clone(),
@@ -511,8 +496,7 @@ impl Codec<TemplateSet> for SmithPredictor {
             global_sum,
             global_n,
             max_seen,
-            generation,
-            ops,
+            ops: EstimateOps::default(),
         })
     }
 }
@@ -553,11 +537,11 @@ impl RunTimePredictor for SmithPredictor {
         self.global_sum += job.runtime.as_secs_f64();
         self.global_n += 1;
         self.max_seen = self.max_seen.max(job.runtime.as_secs_f64());
-        self.generation += 1;
     }
 
+    /// The completions learned from.
     fn generation(&self) -> Option<u64> {
-        Some(self.generation)
+        Some(self.global_n)
     }
 }
 
@@ -767,14 +751,14 @@ mod tests {
                 .max_runtime(Dur(4000))
                 .build(JobId(i as u32));
             p.on_complete(&j);
-            // Interleave predictions so ops counters are nonzero.
+            // Interleave predictions, which the state must not record.
             let _ = p.predict(&j, Dur::ZERO);
         }
         let state = encode(&p);
         let back: SmithPredictor = decode(&state, &set).expect("decodes");
         assert_eq!(encode(&back), state, "re-encode must be identical");
-        assert_eq!(back.generation(), p.generation());
-        assert_eq!(back.estimate_ops(), p.estimate_ops());
+        assert_eq!(back.generation(), Some(25));
+        assert_eq!(back.estimate_ops(), EstimateOps::default());
         let mut back = back;
         for i in 0..12i64 {
             let u = syms.intern(if i % 2 == 0 { "alice" } else { "carol" });

@@ -278,14 +278,13 @@ fn rand_job(rng: &mut Rng64, syms: &mut SymbolTable, id: u32) -> Job {
 }
 
 /// Bring `base`, a copy decoded at a mark, forward the way a serve
-/// delta does: replay the completions logged since the mark, then take
-/// `live`'s estimate accounting whole (predictions change it and are
-/// not replayed). The copy must then encode exactly as `live` does.
+/// delta does: replay the completions logged since the mark. The state
+/// records no prediction, so the copy must then encode exactly as
+/// `live` does.
 fn catch_up(base: &mut SmithPredictor, log: &mut Vec<Job>, live: &SmithPredictor, what: &str) {
     for j in log.drain(..) {
         base.on_complete(&j);
     }
-    base.set_estimate_ops(live.estimate_ops());
     assert_eq!(encode(base), encode(live), "{what}");
 }
 

@@ -10,7 +10,10 @@
 
 use qpredict_predict::category::{History, Point};
 use qpredict_predict::estimators::{mean, regression, regression_from_moments, Estimate};
-use qpredict_predict::{EstimatorKind, RunTimePredictor, SmithPredictor, Template, TemplateSet};
+use qpredict_predict::{
+    DowneyPredictor, DowneyVariant, EstimatorKind, GibbonsPredictor, RunTimePredictor,
+    SmithPredictor, Template, TemplateSet,
+};
 use qpredict_workload::rng::Rng64;
 use qpredict_workload::{Characteristic, Dur, Job, JobBuilder, JobId, SymbolTable};
 
@@ -181,20 +184,40 @@ fn spicy_set() -> TemplateSet {
     ])
 }
 
-/// Generations are monotone and bump exactly on state mutations.
+/// Generations bump exactly on state mutations: for each learning
+/// predictor the generation is the number of completions fed, and no
+/// prediction, queued or running, moves it.
 #[test]
 fn generation_contract() {
-    let mut rng = Rng64::seed_from_u64(7);
-    let mut syms = SymbolTable::new();
-    let mut p = SmithPredictor::new(spicy_set());
-    let mut last = p.generation().expect("smith is cacheable");
-    for i in 0..30 {
-        let j = rand_job(&mut rng, &mut syms, i);
-        let _ = p.predict(&j, Dur::ZERO);
-        assert_eq!(p.generation(), Some(last), "predict must not bump");
-        p.on_complete(&j);
-        let now = p.generation().expect("smith is cacheable");
-        assert!(now > last, "on_complete must bump");
-        last = now;
+    let predictors: Vec<Box<dyn RunTimePredictor>> = vec![
+        Box::new(SmithPredictor::new(spicy_set())),
+        Box::new(GibbonsPredictor::new()),
+        Box::new(DowneyPredictor::new(
+            DowneyVariant::ConditionalAverage,
+            Some(Characteristic::User),
+        )),
+        Box::new(DowneyPredictor::new(DowneyVariant::ConditionalMedian, None)),
+    ];
+    for mut p in predictors {
+        let name = p.name();
+        let mut rng = Rng64::seed_from_u64(7);
+        let mut syms = SymbolTable::new();
+        for i in 0..30 {
+            let j = rand_job(&mut rng, &mut syms, i);
+            for elapsed in [Dur::ZERO, Dur(rng.gen_range_i64(1, 20_000))] {
+                let _ = p.predict(&j, elapsed);
+                assert_eq!(
+                    p.generation(),
+                    Some(i.into()),
+                    "{name}: predict must not bump"
+                );
+            }
+            p.on_complete(&j);
+            assert_eq!(
+                p.generation(),
+                Some(u64::from(i) + 1),
+                "{name}: on_complete"
+            );
+        }
     }
 }

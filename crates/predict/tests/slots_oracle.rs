@@ -47,18 +47,12 @@ fn elapsed_for(rng: &mut Rng64, job: &Job) -> [Dur; 2] {
     [Dur::ZERO, Dur(1 + rng.gen_range_i64(0, 2 * job.runtime.0))]
 }
 
-/// The encoded state without the estimate accounting, which only
-/// predictions move.
-fn learned(p: &SmithPredictor) -> String {
-    let state = encode(p);
-    state.lines().filter(|l| !l.starts_with("ops ")).collect()
-}
-
 /// Replay `jobs` in order into a predictor over `set`: after each
 /// completion, probe three seeded jobs of the whole trace (learned from
 /// or not) at both elapsed times. A twin learns the same completions but
 /// never predicts, so it resolves only the signatures it learned; the
-/// two must encode the same learned state throughout. Returns the
+/// two must encode the same state throughout, which records no
+/// prediction. Returns the
 /// predictor's estimate accounting.
 fn replay(set: &TemplateSet, jobs: &[Job], seed: u64) -> EstimateOps {
     let mut rng = Rng64::seed_from_u64(seed);
@@ -79,7 +73,7 @@ fn replay(set: &TemplateSet, jobs: &[Job], seed: u64) -> EstimateOps {
             }
         }
         if i % 200 == 199 {
-            assert_eq!(learned(&p), learned(&twin), "after job {i}");
+            assert_eq!(encode(&p), encode(&twin), "after job {i}");
             assert_eq!(p.category_count(), twin.category_count());
         }
     }
@@ -225,14 +219,13 @@ fn evictions_and_reset() {
 }
 
 /// Bring `base`, a copy decoded at a mark, forward the way a serve
-/// delta does: replay the completions logged since the mark, then take
-/// `live`'s estimate accounting whole (predictions change it and are
-/// not replayed). The copy must then encode exactly as `live` does.
+/// delta does: replay the completions logged since the mark. The state
+/// records no prediction, so the copy must then encode exactly as
+/// `live` does.
 fn catch_up(base: &mut SmithPredictor, log: &mut Vec<Job>, live: &SmithPredictor, what: &str) {
     for j in log.drain(..) {
         base.on_complete(&j);
     }
-    base.set_estimate_ops(live.estimate_ops());
     assert_eq!(encode(base), encode(live), "{what}");
 }
 

@@ -76,7 +76,8 @@ pub struct ServeConfig {
     /// admission control for overload.
     pub max_jobs: usize,
     /// Cap on retained finished-job records (kept only to recognise
-    /// duplicate lifecycle events). Evicted FIFO beyond the cap.
+    /// duplicate lifecycle events). Evicted oldest retirement first
+    /// beyond the cap.
     pub max_done: usize,
     /// Write a snapshot segment (a base or a delta) every this many
     /// input lines; recovery from an intact chain replays at most this

@@ -23,8 +23,8 @@
 //!
 //! Memory is bounded everywhere: per-category predictor history by
 //! `max_history`, live jobs by `max_jobs` (drop-oldest load shedding),
-//! finished-job dedupe records by `max_done` (FIFO eviction), and the
-//! reorder buffer by `horizon`.
+//! finished-job dedupe records by `max_done` (evicted in retirement
+//! order), and the reorder buffer by `horizon`.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
@@ -36,10 +36,7 @@ use qpredict_predict::{
     RunTimePredictor, SmithPredictor,
 };
 use qpredict_sim::{forecast_jobs, Algorithm};
-use qpredict_workload::{
-    Characteristic, Dur, EventKind, Job, JobBuilder, JobEvent, JobId, Sym, SymbolTable, Time,
-    CHARACTERISTICS,
-};
+use qpredict_workload::{Characteristic, Dur, EventKind, Job, JobEvent, JobId, SymbolTable, Time};
 
 use crate::config::ServeConfig;
 
@@ -79,7 +76,8 @@ pub struct Counters {
     pub orphan: u64,
     /// Live jobs dropped by overload shedding (`max_jobs`).
     pub shed: u64,
-    /// Finished-job dedupe records evicted by the `max_done` FIFO.
+    /// Finished-job dedupe records evicted beyond `max_done`, oldest
+    /// retirement first.
     pub evicted: u64,
     /// Jobs whose completion reached the predictor.
     pub completions: u64,
@@ -103,44 +101,25 @@ codec_struct!(Counters {
     responses
 });
 
-/// Lifecycle phase of a tracked job.
+/// Lifecycle phase of a tracked job. A done job was the `retired`th to
+/// complete or be cancelled, counting both from 1; done records are
+/// evicted in that order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
     Queued,
     Running { started: Time },
-    Done,
+    Done { retired: u64 },
 }
 
-/// Everything the service remembers about one job. `Copy` on purpose:
-/// records are small and fixed-size, which is what keeps the job table's
-/// memory proportional to its entry caps.
-#[derive(Debug, Clone, Copy)]
+/// Everything the service remembers about one job: the [`Job`] the
+/// predictor reads, its internal id as the job id and a one-second
+/// placeholder run time (no predictor reads it on the predict path; a
+/// completion is learned from a copy holding the actual run time), and
+/// its lifecycle phase.
+#[derive(Debug, Clone)]
 struct JobRecord {
-    internal: u32,
-    nodes: u32,
-    limit: Option<Dur>,
-    chars: [Option<Sym>; 8],
-    submit: Time,
+    job: Job,
     phase: Phase,
-}
-
-impl JobRecord {
-    /// Materialise a [`Job`] for the predictor. `runtime` is the actual
-    /// run time for completions and a placeholder for predictions (no
-    /// predictor reads it on the predict path).
-    fn job(&self, runtime: Dur) -> Job {
-        let mut b = JobBuilder::new()
-            .nodes(self.nodes)
-            .submit(self.submit)
-            .runtime(runtime);
-        if let Some(l) = self.limit {
-            b = b.max_runtime(l);
-        }
-        for (i, s) in self.chars.iter().enumerate() {
-            b = b.with_opt(CHARACTERISTICS[i], *s);
-        }
-        b.build(JobId(self.internal))
-    }
 }
 
 impl Codec for Phase {
@@ -148,35 +127,49 @@ impl Codec for Phase {
         match self {
             Phase::Queued => w.word("q"),
             Phase::Running { started } => w.word("r").put(started),
-            Phase::Done => w.word("d"),
+            Phase::Done { retired } => w.word("d").put(retired),
         };
     }
     fn decode(r: &mut Reader<'_>, _: &()) -> Result<Phase, CodecError> {
         match r.word()? {
             "q" => Ok(Phase::Queued),
             "r" => Ok(Phase::Running { started: r.get()? }),
-            "d" => Ok(Phase::Done),
+            "d" => Ok(Phase::Done { retired: r.get()? }),
             other => Err(r.error(format!("bad phase {other:?}"))),
         }
     }
 }
 
+/// A job's tokens: internal id, nodes, limit, characteristics and
+/// submit instant. Its run time is not among them.
+fn put_job(w: &mut Writer, job: &Job) {
+    w.put(&job.id.0)
+        .put(&job.nodes)
+        .put(&job.max_runtime)
+        .put(&job.chars)
+        .put(&job.submit);
+}
+
+/// Read back [`put_job`]'s tokens, with the placeholder run time.
+fn get_job(r: &mut Reader<'_>, syms: &SymbolTable) -> Result<Job, CodecError> {
+    Ok(Job {
+        id: JobId(r.get()?),
+        nodes: r.get()?,
+        max_runtime: r.get()?,
+        chars: r.get_in(syms)?,
+        submit: r.get()?,
+        runtime: Dur::SECOND,
+    })
+}
+
 impl Codec<SymbolTable> for JobRecord {
     fn encode(&self, w: &mut Writer) {
-        w.put(&self.internal)
-            .put(&self.nodes)
-            .put(&self.limit)
-            .put(&self.chars)
-            .put(&self.submit)
-            .put(&self.phase);
+        put_job(w, &self.job);
+        w.put(&self.phase);
     }
     fn decode(r: &mut Reader<'_>, syms: &SymbolTable) -> Result<JobRecord, CodecError> {
         Ok(JobRecord {
-            internal: r.get()?,
-            nodes: r.get()?,
-            limit: r.get()?,
-            chars: r.get_in(syms)?,
-            submit: r.get()?,
+            job: get_job(r, syms)?,
             phase: r.get()?,
         })
     }
@@ -226,15 +219,11 @@ impl ServePredictor {
         })
     }
 
-    /// Completed data points held, for memory-bound checks. Smith reports
-    /// its category store; the baselines report their history vectors'
-    /// total length.
+    /// Completed data points in Smith's category store, for memory-bound
+    /// checks; the baselines report 0.
     fn resident_points(&self) -> usize {
         match self {
             ServePredictor::Smith(p) => p.resident_points(),
-            // The baselines keep per-category runtime vectors; their
-            // encoded state is proportional to the resident points, which
-            // is good enough for diagnostics.
             ServePredictor::Gibbons(_) | ServePredictor::Downey(_) => 0,
         }
     }
@@ -253,13 +242,7 @@ impl Codec<(&ServeConfig, &SymbolTable)> for ServePredictor {
         r: &mut Reader<'_>,
         &(cfg, syms): &(&ServeConfig, &SymbolTable),
     ) -> Result<ServePredictor, CodecError> {
-        let name = r.record("pred")?.word()?;
-        if name != cfg.predictor.name() {
-            return Err(r.error(format!(
-                "state hosts predictor {name:?}, config wants {:?}",
-                cfg.predictor.name()
-            )));
-        }
+        read_pred(r, cfg.predictor.name())?;
         Ok(match &cfg.predictor {
             PredictorKind::Smith => ServePredictor::Smith(r.get_in(&cfg.template_set())?),
             PredictorKind::Gibbons => ServePredictor::Gibbons(r.get_in(syms)?),
@@ -271,42 +254,15 @@ impl Codec<(&ServeConfig, &SymbolTable)> for ServePredictor {
     }
 }
 
-/// A delta's predictor part: the `pred` record, then whole any encoded
-/// field that predictions change (Smith's estimate accounting), then the
-/// completions since the last mark, in order. Applying it replays each
-/// completion through `on_complete`, the path WAL replay takes.
-impl ServePredictor {
-    fn encode_delta(&self, w: &mut Writer, learned: &[(JobRecord, Dur)]) {
-        w.record("pred").word(self.name());
-        if let ServePredictor::Smith(p) = self {
-            w.record("ops").put(&p.estimate_ops());
-        }
-        w.record("learned").put(&learned.len());
-        for (rec, runtime) in learned {
-            w.record("learn").put(rec).put(runtime);
-        }
+/// Read a `pred` record, which must name the `hosted` predictor.
+fn read_pred(r: &mut Reader<'_>, hosted: &str) -> Result<(), CodecError> {
+    let name = r.record("pred")?.word()?;
+    if name != hosted {
+        return Err(r.error(format!(
+            "body of predictor {name:?}, service hosts {hosted:?}"
+        )));
     }
-
-    fn apply_delta(&mut self, r: &mut Reader<'_>, syms: &SymbolTable) -> Result<(), CodecError> {
-        let name = r.record("pred")?.word()?;
-        if name != self.name() {
-            return Err(r.error(format!(
-                "delta for predictor {name:?}, state hosts {:?}",
-                self.name()
-            )));
-        }
-        // Learning leaves the accounting alone, so it can be set first.
-        if let ServePredictor::Smith(p) = self {
-            p.set_estimate_ops(r.record("ops")?.get()?);
-        }
-        let n: usize = r.record("learned")?.get()?;
-        for _ in 0..n {
-            let rec: JobRecord = r.record("learn")?.get_in(syms)?;
-            let runtime: Dur = r.get()?;
-            self.on_complete(&rec.job(runtime));
-        }
-        Ok(())
-    }
+    Ok(())
 }
 
 impl RunTimePredictor for ServePredictor {
@@ -323,14 +279,16 @@ impl RunTimePredictor for ServePredictor {
     }
 }
 
-/// Magic first line of an encoded state body (v4: segments, and the
-/// config and template-set fingerprints inside them, moved from FNV-1a
-/// to [`qpredict_durable::checksum`]).
-pub const STATE_MAGIC: &str = "qpredict-serve-state v4";
+/// Magic first line of an encoded state body (v5: each fact once. Done
+/// records carry their retirement ordinal instead of a done list, the
+/// predictor state holds neither generation nor work counters, and
+/// Smith writes one record per category point).
+pub const STATE_MAGIC: &str = "qpredict-serve-state v5";
 
-/// Magic first line of an encoded state delta (v5: as for
-/// [`STATE_MAGIC`] v4).
-pub const DELTA_MAGIC: &str = "qpredict-serve-delta v5";
+/// Magic first line of an encoded state delta (v6: as for
+/// [`STATE_MAGIC`] v5; its predictor part is `pred <name>` and the
+/// completion log, for every predictor).
+pub const DELTA_MAGIC: &str = "qpredict-serve-delta v6";
 
 /// What changed since the last mark: the part of an incremental snapshot
 /// that is not read off the state itself. Only a marked state keeps one
@@ -340,15 +298,11 @@ pub const DELTA_MAGIC: &str = "qpredict-serve-delta v5";
 struct Journal {
     /// Ids of jobs inserted, changed or removed, with repeats.
     jobs: Vec<u64>,
-    /// Done-FIFO length at the mark.
-    fifo_len: usize,
-    /// Done-FIFO pops since the mark.
-    fifo_pops: usize,
     /// Symbols interned at the mark.
     syms: usize,
-    /// Completions fed to the predictor since the mark, in order: each
-    /// job's record and the run time it was learned with.
-    learned: Vec<(JobRecord, Dur)>,
+    /// Completions fed to the predictor since the mark, in order, each
+    /// job with the run time it was learned with.
+    learned: Vec<Job>,
 }
 
 /// The in-memory service state. See the module docs for the model.
@@ -356,16 +310,14 @@ struct Journal {
 pub struct ServiceState {
     cfg: ServeConfig,
     syms: SymbolTable,
-    /// Consulted directly on every answer: an estimate cache above it
-    /// would start cold after a resume, so a resumed run would reach
-    /// the predictor for answers an uninterrupted run served from the
-    /// cache, and the predictor's encoded work counters would differ.
+    /// Consulted directly on every answer, with no estimate cache above
+    /// it: the encoded state is what the predictor learned from
+    /// completions, and nothing that predictions change.
     predictor: ServePredictor,
     /// Predictions made since this state was built or restored. Not
     /// encoded: it feeds [`ServiceState::cache_stats`] only.
     predictions: u64,
     jobs: HashMap<u64, JobRecord>,
-    done_fifo: VecDeque<u64>,
     /// Pending events, kept sorted by `(sort_key, seq)`.
     buffer: Vec<(JobEvent, u64)>,
     watermark: Option<Time>,
@@ -373,6 +325,9 @@ pub struct ServiceState {
     /// order, so answers and shedding walk only live jobs. Derived from
     /// `jobs`, not encoded, and rebuilt on decode.
     live: BTreeMap<u32, u64>,
+    /// The done jobs' external ids in retirement order: eviction order.
+    /// Derived from `jobs` like `live`.
+    done: VecDeque<u64>,
     next_internal: u32,
     applied_seq: u64,
     counters: Counters,
@@ -398,10 +353,10 @@ impl ServiceState {
             cfg,
             syms: SymbolTable::new(),
             jobs: HashMap::new(),
-            done_fifo: VecDeque::new(),
             buffer: Vec::new(),
             watermark: None,
             live: BTreeMap::new(),
+            done: VecDeque::new(),
             next_internal: 0,
             applied_seq: 0,
             counters: Counters::default(),
@@ -466,13 +421,6 @@ impl ServiceState {
             misses: self.predictions,
             ..CacheStats::default()
         }
-    }
-
-    /// The hosted predictor's estimate for `job`, clamped to run past
-    /// `elapsed`.
-    fn predict(&mut self, job: &Job, elapsed: Dur) -> Prediction {
-        self.predictions += 1;
-        self.predictor.predict(job, elapsed).clamped(elapsed)
     }
 
     /// Ingest one raw input line. `seq` must exceed every previously
@@ -547,18 +495,21 @@ impl ServiceState {
                 }
                 let internal = self.next_internal;
                 self.next_internal += 1;
-                let mut chars = [None; 8];
+                let mut job = Job {
+                    id: JobId(internal),
+                    chars: [None; 8],
+                    nodes: spec.nodes.max(1),
+                    submit: ev.time,
+                    runtime: Dur::SECOND,
+                    max_runtime: spec.limit,
+                };
                 for (c, v) in &spec.chars {
-                    chars[c.index()] = Some(self.syms.intern(v));
+                    job.chars[c.index()] = Some(self.syms.intern(v));
                 }
                 self.jobs.insert(
                     ev.id,
                     JobRecord {
-                        internal,
-                        nodes: spec.nodes.max(1),
-                        limit: spec.limit,
-                        chars,
-                        submit: ev.time,
+                        job,
                         phase: Phase::Queued,
                     },
                 );
@@ -573,42 +524,33 @@ impl ServiceState {
                         r.phase = Phase::Running { started: ev.time };
                         self.touch(ev.id);
                     }
-                    Phase::Running { .. } | Phase::Done => self.duplicate(),
+                    Phase::Running { .. } | Phase::Done { .. } => self.duplicate(),
                 },
             },
-            EventKind::Finish { runtime } => match self.jobs.get(&ev.id).copied() {
+            EventKind::Finish { runtime } => match self.jobs.get(&ev.id).map(|r| r.phase) {
                 None => self.orphan(),
-                Some(r) => match r.phase {
-                    Phase::Running { started } => {
-                        let rt = runtime.unwrap_or_else(|| ev.time.since(started));
-                        self.complete(ev.id, r, rt);
-                    }
-                    Phase::Queued => {
-                        // Finish observed before any start: reconcile
-                        // with what we have rather than losing the
-                        // completion.
-                        self.counters.out_of_order += 1;
-                        counter_add("serve.out_of_order", 1);
-                        let rt = runtime.unwrap_or_else(|| ev.time.since(r.submit));
-                        self.complete(ev.id, r, rt);
-                    }
-                    Phase::Done => self.duplicate(),
-                },
+                Some(Phase::Running { started }) => {
+                    let rt = runtime.unwrap_or_else(|| ev.time.since(started));
+                    self.complete(ev.id, rt);
+                }
+                Some(Phase::Queued) => {
+                    // Finish observed before any start: reconcile with
+                    // what we have rather than losing the completion.
+                    self.counters.out_of_order += 1;
+                    counter_add("serve.out_of_order", 1);
+                    let submit = self.jobs[&ev.id].job.submit;
+                    self.complete(ev.id, runtime.unwrap_or_else(|| ev.time.since(submit)));
+                }
+                Some(Phase::Done { .. }) => self.duplicate(),
             },
-            EventKind::Cancel => match self.jobs.get_mut(&ev.id) {
+            EventKind::Cancel => match self.jobs.get(&ev.id).map(|r| r.phase) {
                 None => self.orphan(),
-                Some(r) => match r.phase {
-                    Phase::Queued | Phase::Running { .. } => {
-                        r.phase = Phase::Done;
-                        let internal = r.internal;
-                        self.touch(ev.id);
-                        self.live.remove(&internal);
-                        self.counters.cancelled += 1;
-                        counter_add("serve.cancelled", 1);
-                        self.retire(ev.id);
-                    }
-                    Phase::Done => self.duplicate(),
-                },
+                Some(Phase::Queued | Phase::Running { .. }) => {
+                    self.counters.cancelled += 1;
+                    counter_add("serve.cancelled", 1);
+                    self.retire(ev.id);
+                }
+                Some(Phase::Done { .. }) => self.duplicate(),
             },
             EventKind::Query => {
                 let line = self.answer(ev.id, ev.time);
@@ -632,31 +574,36 @@ impl ServiceState {
         counter_add("serve.orphan", 1);
     }
 
-    /// Feed a completion to the predictor and retire the record.
-    fn complete(&mut self, id: u64, r: JobRecord, runtime: Dur) {
-        let runtime = runtime.max(Dur::SECOND);
-        self.predictor.on_complete(&r.job(runtime));
+    /// Feed live job `id`'s completion to the predictor and retire it.
+    fn complete(&mut self, id: u64, runtime: Dur) {
+        let job = Job {
+            runtime: runtime.max(Dur::SECOND),
+            ..self.jobs[&id].job.clone()
+        };
+        self.predictor.on_complete(&job);
         if let Some(j) = &mut self.journal {
-            j.learned.push((r, runtime));
+            j.learned.push(job);
         }
-        if let Some(rec) = self.jobs.get_mut(&id) {
-            rec.phase = Phase::Done;
-        }
-        self.touch(id);
-        self.live.remove(&r.internal);
         self.counters.completions += 1;
         counter_add("serve.completions", 1);
         self.retire(id);
     }
 
-    /// Move a job into the bounded done-FIFO, evicting beyond `max_done`.
+    /// Retire live job `id`, just counted as completed or cancelled: mark
+    /// it done with its retirement ordinal, and evict the oldest done
+    /// records beyond `max_done`.
     fn retire(&mut self, id: u64) {
-        self.done_fifo.push_back(id);
-        while self.done_fifo.len() > self.cfg.max_done.max(1) {
-            let old = self.done_fifo.pop_front().expect("non-empty fifo");
-            if let Some(j) = &mut self.journal {
-                j.fifo_pops += 1;
-            }
+        let retired = self.counters.completions + self.counters.cancelled;
+        let rec = self.jobs.get_mut(&id).expect("retiring a tracked job");
+        rec.phase = Phase::Done { retired };
+        self.live.remove(&rec.job.id.0);
+        self.done.push_back(id);
+        self.touch(id);
+        while self.done.len() > self.cfg.max_done.max(1) {
+            let old = self
+                .done
+                .pop_front()
+                .expect("more done records than the cap");
             self.jobs.remove(&old);
             self.touch(old);
             self.counters.evicted += 1;
@@ -688,14 +635,27 @@ impl ServiceState {
     /// is the target's earliest fit after everything ahead has been
     /// reserved.
     fn answer(&mut self, id: u64, now: Time) -> String {
-        let Some(r) = self.jobs.get(&id).copied() else {
+        let ServiceState {
+            cfg,
+            predictor,
+            predictions,
+            jobs,
+            live,
+            ..
+        } = self;
+        // The hosted predictor's estimate, clamped to run past `elapsed`.
+        let mut predict = |job: &Job, elapsed: Dur| {
+            *predictions += 1;
+            predictor.predict(job, elapsed).clamped(elapsed)
+        };
+        let Some(r) = jobs.get(&id) else {
             return format!("t={} id={id} unknown", now.0);
         };
         match r.phase {
-            Phase::Done => format!("t={} id={id} done", now.0),
+            Phase::Done { .. } => format!("t={} id={id} done", now.0),
             Phase::Running { started } => {
                 let elapsed = now.since(started).max(Dur::ZERO);
-                let p = self.predict(&r.job(Dur::SECOND), elapsed);
+                let p = predict(&r.job, elapsed);
                 let rem = p.estimate - elapsed;
                 format!(
                     "t={} id={id} running rem={} ci={:016X} fallback={}",
@@ -706,30 +666,31 @@ impl ServiceState {
                 )
             }
             Phase::Queued => {
-                let ahead = self.ahead_of(r.internal);
+                let ahead = ahead_of(jobs, live, r.job.id.0);
                 let running = ahead.iter().filter_map(|rec| match rec.phase {
-                    Phase::Running { started } => Some((rec.job(Dur::SECOND), started)),
+                    Phase::Running { started } => Some((&rec.job, started)),
                     _ => None,
                 });
                 let queued = ahead
                     .iter()
+                    .copied()
                     .filter(|rec| rec.phase == Phase::Queued)
-                    .chain([&r])
-                    .map(|rec| (rec.job(Dur::SECOND), u64::from(rec.internal)));
+                    .chain([r])
+                    .map(|rec| (&rec.job, u64::from(rec.job.id.0)));
                 let mut last = None;
                 let forecast = forecast_jobs(
                     Algorithm::Backfill,
-                    self.cfg.machine_nodes.max(1),
+                    cfg.machine_nodes.max(1),
                     now,
                     running,
                     queued,
                     |job, elapsed| {
-                        let p = self.predict(job, elapsed);
+                        let p = predict(job, elapsed);
                         last = Some(p);
                         p.estimate
                     },
                     |_, _, predicted| predicted,
-                    JobId(r.internal),
+                    r.job.id,
                 );
                 // Disordered streams can legitimately claim more running
                 // nodes than the machine has. The forecast clamps them;
@@ -751,21 +712,6 @@ impl ServiceState {
         }
     }
 
-    /// The jobs a queued answer about `target` (an internal id) forecasts
-    /// over, in the order it predicts them: every running job, then the
-    /// jobs queued ahead of the target, each in admission order. The
-    /// predictor's state depends on the call sequence, and snapshots
-    /// record it.
-    fn ahead_of(&self, target: u32) -> Vec<JobRecord> {
-        let record = |id: &u64| *self.jobs.get(id).expect("live jobs are tracked");
-        let running = self.live.values().map(record);
-        let queued = self.live.range(..target).map(|(_, id)| record(id));
-        running
-            .filter(|rec| matches!(rec.phase, Phase::Running { .. }))
-            .chain(queued.filter(|rec| rec.phase == Phase::Queued))
-            .collect()
-    }
-
     /// [`qpredict_durable::checksum`] of the encoded state — the
     /// bit-identity probe used by the chaos tests — hashed as it is
     /// encoded, in bounded memory.
@@ -773,19 +719,44 @@ impl ServiceState {
         codec::encoded_checksum(self)
     }
 
-    /// Like [`ServiceState::fingerprint`], but ignoring the anomaly
-    /// counters. Equivalence tests use this: two arrival orders of the
-    /// same events legitimately observe different `out_of_order`/`late`
-    /// tallies yet must converge to the same learned state, job table,
-    /// and pending buffer.
+    /// Like [`ServiceState::fingerprint`], but of the state encoded
+    /// without its `counters` record, hashed the same way. Equivalence
+    /// tests use this: two arrival orders of the same events legitimately
+    /// observe different `out_of_order`/`late` tallies yet must converge
+    /// to the same learned state, job table, and pending buffer.
     pub fn core_fingerprint(&self) -> u64 {
-        let full = codec::encode(self);
-        let body: Vec<&str> = full
-            .lines()
-            .filter(|l| !l.starts_with("counters "))
-            .collect();
-        qpredict_durable::checksum(body.join("\n").as_bytes())
+        codec::encoded_checksum(&Core(self))
     }
+}
+
+/// A state as [`ServiceState::core_fingerprint`] hashes it: encoded
+/// without its counters. Never decoded.
+struct Core<'s>(&'s ServiceState);
+
+impl Codec for Core<'_> {
+    fn encode(&self, w: &mut Writer) {
+        self.0.encode_records(w, false);
+    }
+    fn decode(r: &mut Reader<'_>, _: &()) -> Result<Self, CodecError> {
+        Err(r.error("a core fingerprint's body is never decoded"))
+    }
+}
+
+/// The jobs a queued answer about `target` (an internal id) forecasts
+/// over, in the order it predicts them: every running job, then the jobs
+/// queued ahead of the target, each in admission order.
+fn ahead_of<'a>(
+    jobs: &'a HashMap<u64, JobRecord>,
+    live: &BTreeMap<u32, u64>,
+    target: u32,
+) -> Vec<&'a JobRecord> {
+    let record = |id: &u64| jobs.get(id).expect("live jobs are tracked");
+    let running = live.values().map(record);
+    let queued = live.range(..target).map(|(_, id)| record(id));
+    running
+        .filter(|rec| matches!(rec.phase, Phase::Running { .. }))
+        .chain(queued.filter(|rec| rec.phase == Phase::Queued))
+        .collect()
 }
 
 /// The full state as a snapshot body (the durability layer seals it).
@@ -795,39 +766,15 @@ impl ServiceState {
 /// which must fingerprint-match the one the state was recorded under.
 impl Codec<ServeConfig> for ServiceState {
     fn encode(&self, w: &mut Writer) {
-        w.record(STATE_MAGIC);
-        w.record("config").put(&self.cfg.fingerprint());
-        w.record("cursor")
-            .put(&self.applied_seq)
-            .put(&self.next_internal)
-            .put(&self.watermark);
-        w.record("counters").put(&self.counters);
-        w.record("syms").put(&self.syms);
-        w.map_records("job", &self.jobs);
-        w.record("donefifo").put(&self.done_fifo);
-        w.record("rb").put(&self.buffer);
-        w.put(&self.predictor);
+        self.encode_records(w, true);
     }
 
     fn decode(r: &mut Reader<'_>, cfg: &ServeConfig) -> Result<ServiceState, CodecError> {
-        let fp: u64 = r.record(STATE_MAGIC)?.record("config")?.get()?;
-        if fp != cfg.fingerprint() {
-            return Err(r.error(format!(
-                "state recorded under a different configuration \
-                 (fp {fp:016X}, ours {:016X})",
-                cfg.fingerprint()
-            )));
-        }
         let mut state = ServiceState::hosting(cfg.clone()).map_err(|e| r.error(e))?;
-        r.record("cursor")?;
-        state.applied_seq = r.get()?;
-        state.next_internal = r.get()?;
-        state.watermark = r.get()?;
-        state.counters = r.record("counters")?.get()?;
+        state.read_head(r, STATE_MAGIC)?;
         state.syms = r.record("syms")?.get()?;
         state.jobs = r.map_records("job", &(), &state.syms)?;
-        state.index_live();
-        state.done_fifo = r.record("donefifo")?.get()?;
+        state.index(r)?;
         state.read_buffer(r)?;
         state.predictor = r.get_in(&(&state.cfg, &state.syms))?;
         Ok(state)
@@ -835,14 +782,70 @@ impl Codec<ServeConfig> for ServiceState {
 }
 
 impl ServiceState {
-    /// Rebuild the live index from the job table.
-    fn index_live(&mut self) {
-        self.live = self
-            .jobs
-            .iter()
-            .filter(|(_, j)| j.phase != Phase::Done)
-            .map(|(&id, j)| (j.internal, id))
-            .collect();
+    /// The snapshot body, with the `counters` record or without it.
+    fn encode_records(&self, w: &mut Writer, counters: bool) {
+        self.put_head(w, STATE_MAGIC, counters);
+        w.record("syms").put(&self.syms);
+        w.map_records("job", &self.jobs);
+        w.record("rb").put(&self.buffer);
+        w.put(&self.predictor);
+    }
+
+    /// The records a base and a delta open with: `magic`, the
+    /// configuration fingerprint, the cursor and, unless left out, the
+    /// counters.
+    fn put_head(&self, w: &mut Writer, magic: &str, counters: bool) {
+        w.record(magic)
+            .record("config")
+            .put(&self.cfg.fingerprint());
+        w.record("cursor")
+            .put(&self.applied_seq)
+            .put(&self.next_internal)
+            .put(&self.watermark);
+        if counters {
+            w.record("counters").put(&self.counters);
+        }
+    }
+
+    /// Read what [`ServiceState::put_head`] wrote, counters included,
+    /// refusing a body recorded under another configuration.
+    fn read_head(&mut self, r: &mut Reader<'_>, magic: &str) -> Result<(), CodecError> {
+        let fp: u64 = r.record(magic)?.record("config")?.get()?;
+        let ours = self.cfg.fingerprint();
+        if fp != ours {
+            return Err(r.error(format!(
+                "{magic} recorded under a different configuration (fp {fp:016X}, ours {ours:016X})"
+            )));
+        }
+        r.record("cursor")?;
+        self.applied_seq = r.get()?;
+        self.next_internal = r.get()?;
+        self.watermark = r.get()?;
+        self.counters = r.record("counters")?.get()?;
+        Ok(())
+    }
+
+    /// Rebuild the live and done indexes from the job table. Internal
+    /// ids and retirement ordinals must be unique; verify rather than
+    /// trust.
+    fn index(&mut self, r: &Reader<'_>) -> Result<(), CodecError> {
+        self.live.clear();
+        let mut done = Vec::new();
+        for (&id, rec) in &self.jobs {
+            match rec.phase {
+                Phase::Done { retired } => done.push((retired, id)),
+                _ => {
+                    self.live.insert(rec.job.id.0, id);
+                }
+            }
+        }
+        done.sort_unstable();
+        let unique = done.windows(2).all(|w| w[0].0 < w[1].0);
+        if !unique || self.live.len() + done.len() != self.jobs.len() {
+            return Err(r.error("job records share an internal id or a retirement ordinal"));
+        }
+        self.done = done.into_iter().map(|(_, id)| id).collect();
+        Ok(())
     }
 
     /// Read the `rb` record. The buffer must come back in its sorted
@@ -868,8 +871,11 @@ impl ServiceState {
     /// Append the change since the last mark to `w`. The bounded parts —
     /// cursor, counters, reorder buffer — are written whole; the rest
     /// only as change: symbols interned, job records inserted, changed or
-    /// removed (`-`), done-FIFO pops and pushes, and the completions the
-    /// predictor learned from.
+    /// removed (`-`), and, after the `pred` record naming the predictor,
+    /// the completions it learned from, in order. The live and done
+    /// indexes are rebuilt from the job table, and the predictor's
+    /// change by replaying each completion through `on_complete`, the
+    /// path WAL replay takes.
     ///
     /// # Panics
     /// On a state that keeps no journal: one never marked, or whose
@@ -877,13 +883,7 @@ impl ServiceState {
     /// base then.
     pub(crate) fn encode_delta(&self, w: &mut Writer) {
         let j = self.journal.as_ref().expect("delta of an unmarked state");
-        w.record(DELTA_MAGIC);
-        w.record("config").put(&self.cfg.fingerprint());
-        w.record("cursor")
-            .put(&self.applied_seq)
-            .put(&self.next_internal)
-            .put(&self.watermark);
-        w.record("counters").put(&self.counters);
+        self.put_head(w, DELTA_MAGIC, true);
         w.record("symsadd")
             .put(&j.syms)
             .put(&(self.syms.len() - j.syms));
@@ -895,30 +895,22 @@ impl ServiceState {
         ids.dedup();
         let changed: Vec<(u64, Option<JobRecord>)> = ids
             .into_iter()
-            .map(|id| (id, self.jobs.get(&id).copied()))
+            .map(|id| (id, self.jobs.get(&id).cloned()))
             .collect();
         w.map_records("job", changed.iter().map(|(id, rec)| (id, rec)));
-        let pops = j.fifo_pops.min(j.fifo_len);
-        let pushed: Vec<u64> = self.done_fifo.range(j.fifo_len - pops..).copied().collect();
-        w.record("donefifo").put(&pops).put(&pushed);
         w.record("rb").put(&self.buffer);
-        self.predictor.encode_delta(w, &j.learned);
+        w.record("pred").word(self.predictor.name());
+        w.record("learned").put(&j.learned.len());
+        for job in &j.learned {
+            put_job(w.record("learn"), job);
+            w.put(&job.runtime);
+        }
     }
 
     /// Read a change written by [`ServiceState::encode_delta`] and apply
     /// it.
     pub(crate) fn apply_delta(&mut self, r: &mut Reader<'_>) -> Result<(), CodecError> {
-        let fp: u64 = r.record(DELTA_MAGIC)?.record("config")?.get()?;
-        if fp != self.cfg.fingerprint() {
-            return Err(r.error(format!(
-                "delta recorded under a different configuration (fp {fp:016X})"
-            )));
-        }
-        r.record("cursor")?;
-        self.applied_seq = r.get()?;
-        self.next_internal = r.get()?;
-        self.watermark = r.get()?;
-        self.counters = r.record("counters")?.get()?;
+        self.read_head(r, DELTA_MAGIC)?;
         let from: usize = r.record("symsadd")?.get()?;
         if from != self.syms.len() {
             return Err(r.error(format!(
@@ -940,19 +932,16 @@ impl ServiceState {
                 None => self.jobs.remove(&id),
             };
         }
-        self.index_live();
-        let pops: usize = r.record("donefifo")?.get()?;
-        if pops > self.done_fifo.len() {
-            return Err(r.error(format!(
-                "delta pops {pops} of {} done records",
-                self.done_fifo.len()
-            )));
-        }
-        self.done_fifo.drain(..pops);
-        let pushed: Vec<u64> = r.get()?;
-        self.done_fifo.extend(pushed);
+        self.index(r)?;
         self.read_buffer(r)?;
-        self.predictor.apply_delta(r, &self.syms)
+        read_pred(r, self.predictor.name())?;
+        let n: usize = r.record("learned")?.get()?;
+        for _ in 0..n {
+            let mut job = get_job(r.record("learn")?, &self.syms)?;
+            job.runtime = r.get()?;
+            self.predictor.on_complete(&job);
+        }
+        Ok(())
     }
 
     /// Start a new change: later deltas describe the change since now.
@@ -966,8 +955,6 @@ impl ServiceState {
         learned.clear();
         self.journal = Some(Journal {
             jobs,
-            fifo_len: self.done_fifo.len(),
-            fifo_pops: 0,
             syms: self.syms.len(),
             learned,
         });
@@ -1187,10 +1174,10 @@ mod tests {
         let machine = state.cfg.machine_nodes;
         let mut wl = qpredict_workload::Workload::new("serve", machine);
         wl.jobs = (0..state.next_internal)
-            .map(|i| JobBuilder::new().build(JobId(i)))
+            .map(|i| qpredict_workload::JobBuilder::new().build(JobId(i)))
             .collect();
-        let mut records: Vec<JobRecord> = state.jobs.values().copied().collect();
-        records.sort_by_key(|r| r.internal);
+        let mut records: Vec<&JobRecord> = state.jobs.values().collect();
+        records.sort_by_key(|r| r.job.id);
         let mut snap = Snapshot {
             now,
             free_nodes: machine,
@@ -1198,17 +1185,17 @@ mod tests {
             queued: Vec::new(),
         };
         for r in &records {
-            wl.jobs[r.internal as usize] = r.job(Dur::SECOND);
+            wl.jobs[r.job.id.index()] = r.job.clone();
             match r.phase {
                 Phase::Running { started } => {
-                    snap.free_nodes -= r.nodes;
-                    snap.running.push((JobId(r.internal), started));
+                    snap.free_nodes -= r.job.nodes;
+                    snap.running.push((r.job.id, started));
                 }
-                Phase::Queued => snap.queued.push((JobId(r.internal), r.internal as u64)),
-                Phase::Done => {}
+                Phase::Queued => snap.queued.push((r.job.id, u64::from(r.job.id.0))),
+                Phase::Done { .. } => {}
             }
         }
-        let target = JobId(state.jobs[&id].internal);
+        let target = state.jobs[&id].job.id;
         let predictor = std::cell::RefCell::new(&mut state.predictor);
         let p = |job: &Job, elapsed: Dur| {
             let mut pred = predictor.borrow_mut();
@@ -1290,18 +1277,17 @@ mod tests {
     /// What a queued answer forecasts over, by a scan of the whole job
     /// table: the selection `ahead_of` makes from the live index.
     fn full_scan_ahead(state: &ServiceState, target: u32) -> Vec<u32> {
-        let mut ahead: Vec<JobRecord> = state
+        let mut ahead: Vec<&JobRecord> = state
             .jobs
             .values()
             .filter(|rec| match rec.phase {
                 Phase::Running { .. } => true,
-                Phase::Queued => rec.internal < target,
-                Phase::Done => false,
+                Phase::Queued => rec.job.id.0 < target,
+                Phase::Done { .. } => false,
             })
-            .copied()
             .collect();
-        ahead.sort_by_key(|rec| (rec.phase == Phase::Queued, rec.internal));
-        ahead.iter().map(|rec| rec.internal).collect()
+        ahead.sort_by_key(|rec| (rec.phase == Phase::Queued, rec.job.id));
+        ahead.iter().map(|rec| rec.job.id.0).collect()
     }
 
     /// The live index against a scan of the whole job table, on a stream
@@ -1344,6 +1330,7 @@ mod tests {
                     r.finish().expect("whole delta read");
                     assert_eq!(state.fingerprint(), s.fingerprint(), "line {i}");
                     assert_eq!(state.live, s.live, "line {i}");
+                    assert_eq!(state.done, s.done, "line {i}");
                     s.mark();
                 }
                 // Queries reach the state only once the reorder buffer
@@ -1357,8 +1344,10 @@ mod tests {
                         .map(|(&internal, _)| internal)
                         .collect();
                     for &internal in [queued.first(), queued.last()].into_iter().flatten() {
-                        let index: Vec<u32> =
-                            s.ahead_of(internal).iter().map(|r| r.internal).collect();
+                        let index: Vec<u32> = ahead_of(&s.jobs, &s.live, internal)
+                            .iter()
+                            .map(|r| r.job.id.0)
+                            .collect();
                         assert_eq!(index, full_scan_ahead(&s, internal), "line {i}");
                         compared += 1;
                     }

@@ -390,10 +390,9 @@ fn long_stream_memory_stays_bounded() {
 const FNV_WAL: &str = include_str!("fixtures/fnv-sealed/events.wal");
 const FNV_BASE: &str = include_str!("fixtures/fnv-sealed/snap-000000000001.snap");
 
-/// The raw input lines the legacy WAL recorded.
-fn fnv_wal_lines() -> Vec<String> {
-    FNV_WAL
-        .lines()
+/// The raw input lines a WAL recorded.
+fn wal_lines(wal: &str) -> Vec<String> {
+    wal.lines()
         .skip(1)
         .map(|rec| rec.splitn(3, ' ').nth(2).unwrap().to_string())
         .collect()
@@ -430,7 +429,7 @@ fn fnv_sealed_segment_is_never_decoded() {
     // recovery starts from nothing; re-fed, the stream ends on the state
     // an uninterrupted run reaches.
     let root = tmp_dir("fnv-seg");
-    let lines = fnv_wal_lines();
+    let lines = wal_lines(FNV_WAL);
     let (want_fp, _) = reference_run(&cfg(), &root, &lines);
     let dir = root.join("state");
     fs::create_dir_all(&dir).unwrap();
@@ -444,5 +443,48 @@ fn fnv_sealed_segment_is_never_decoded() {
     }
     svc.finish().unwrap();
     assert_eq!(svc.state().fingerprint(), want_fp);
+    let _ = fs::remove_dir_all(&root);
+}
+
+/// A state directory the build before serve's state held each fact once
+/// wrote (`qpredict events toy --jobs 6 --query-every 2`, served with
+/// `--nodes 64 --horizon 8 --snapshot-every 16 --fsync never`): a WAL v2,
+/// a `qpredict-serve-state v4` base and a `qpredict-serve-delta v5`
+/// delta on it.
+const V4_DIR: [(&str, &str); 3] = [
+    ("events.wal", include_str!("fixtures/state-v4/events.wal")),
+    (
+        "snap-000000000001.snap",
+        include_str!("fixtures/state-v4/snap-000000000001.snap"),
+    ),
+    (
+        "snap-000000000002.snap",
+        include_str!("fixtures/state-v4/snap-000000000002.snap"),
+    ),
+];
+
+#[test]
+fn v4_segments_are_skipped_and_the_wal_replays() {
+    let root = tmp_dir("v4-dir");
+    let lines = wal_lines(V4_DIR[0].1);
+    let (want_fp, want_out) = reference_run(&cfg(), &root, &lines);
+    let dir = root.join("state");
+    fs::create_dir_all(&dir).unwrap();
+    for (name, text) in V4_DIR {
+        fs::write(dir.join(name), text).unwrap();
+    }
+    // Both segments pass their seals: only their format refuses them.
+    let (base, _) = qpredict_durable::check_frame(V4_DIR[1].1).unwrap();
+    let (delta, _) = qpredict_durable::check_frame(V4_DIR[2].1).unwrap();
+    assert!(base.contains("\nqpredict-serve-state v4\n"));
+    assert!(delta.contains("\nqpredict-serve-delta v5\n"));
+    let out = root.join("run.out");
+    let svc = resumed_full_run(&cfg(), &dir, &out, &lines);
+    let r = svc.recovery;
+    assert_eq!(r.snapshot_seq, 0, "{r:?}");
+    assert_eq!((r.deltas_applied, r.snapshot_fallbacks), (0, 2), "{r:?}");
+    assert_eq!(r.wal_replayed, lines.len() as u64, "{r:?}");
+    assert_eq!(svc.state().fingerprint(), want_fp);
+    assert_eq!(fs::read_to_string(&out).unwrap(), want_out);
     let _ = fs::remove_dir_all(&root);
 }

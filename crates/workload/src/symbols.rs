@@ -6,19 +6,31 @@
 //! hash and compare.
 
 use std::collections::HashMap;
+use std::num::NonZeroU32;
 
 use qpredict_durable::{Codec, CodecError, Reader, Writer};
 
 /// An interned string handle. Only meaningful relative to the
 /// [`SymbolTable`] that produced it.
+///
+/// Held as its index plus one, so `Option<Sym>` takes four bytes, as
+/// `Sym` does: a job's eight characteristics take 32 bytes, not 64.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Sym(u32);
+pub struct Sym(NonZeroU32);
 
 impl Sym {
+    /// The handle of the symbol at `index` in its table.
+    fn at(index: usize) -> Sym {
+        let held = u32::try_from(index)
+            .ok()
+            .and_then(|i| NonZeroU32::MIN.checked_add(i));
+        Sym(held.expect("symbol table overflow"))
+    }
+
     /// The raw index of this symbol in its table.
     #[inline]
     pub fn index(self) -> usize {
-        self.0 as usize
+        self.0.get() as usize - 1
     }
 }
 
@@ -41,7 +53,7 @@ impl SymbolTable {
         if let Some(&sym) = self.map.get(name) {
             return sym;
         }
-        let sym = Sym(u32::try_from(self.names.len()).expect("symbol table overflow"));
+        let sym = Sym::at(self.names.len());
         let boxed: Box<str> = name.into();
         self.names.push(boxed.clone());
         self.map.insert(boxed, sym);
@@ -74,7 +86,7 @@ impl SymbolTable {
 
     /// The handle at position `index` in interning order, if interned.
     pub fn sym_at(&self, index: usize) -> Option<Sym> {
-        (index < self.names.len()).then_some(Sym(index as u32))
+        (index < self.names.len()).then(|| Sym::at(index))
     }
 
     /// Iterate over `(Sym, &str)` pairs in interning order.
@@ -82,7 +94,7 @@ impl SymbolTable {
         self.names
             .iter()
             .enumerate()
-            .map(|(i, n)| (Sym(i as u32), n.as_ref()))
+            .map(|(i, n)| (Sym::at(i), n.as_ref()))
     }
 }
 
@@ -91,7 +103,7 @@ impl SymbolTable {
 /// [`SymbolTable`] codec).
 impl Codec<SymbolTable> for Sym {
     fn encode(&self, w: &mut Writer) {
-        w.put(&self.0);
+        w.put(&self.index());
     }
     fn decode(r: &mut Reader<'_>, syms: &SymbolTable) -> Result<Sym, CodecError> {
         let i: usize = r.get()?;

@@ -112,14 +112,15 @@ trap 'rm -rf "$REPORT_TMP"' EXIT
 # Kill-and-recover smoke: SIGKILL the serve subcommand mid-stream (the
 # throttle guarantees the kill lands before the stream ends), resume,
 # and require byte-identical output to an uninterrupted run. One pass
-# per predictor family: Smith's deltas carry its estimate accounting,
-# Gibbons' only the completions it replays.
+# per predictor family: each encodes its own learned state in a base,
+# and every delta carries the same completion log, which recovery
+# replays.
 echo "==> serve kill-and-recover smoke (SIGKILL + --resume)"
 SERVE_TMP="$(mktemp -d)"
 trap 'rm -rf "$REPORT_TMP" "$SERVE_TMP"' EXIT
 ./target/release/qpredict events toy --jobs 60 --query-every 5 \
     --out "$SERVE_TMP/events.log" 2>/dev/null
-for PRED in smith gibbons; do
+for PRED in smith gibbons downey-avg; do
     ./target/release/qpredict serve "$SERVE_TMP/events.log" --predictor "$PRED" \
         --state-dir "$SERVE_TMP/ref-$PRED" --snapshot-every 16 \
         --out "$SERVE_TMP/ref-$PRED.out" 2>/dev/null
