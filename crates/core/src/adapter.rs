@@ -3,27 +3,29 @@
 //! paper reports alongside each experiment.
 //!
 //! The engine consults any predictor directly; [`PredictorEstimator`]
-//! sits between it and the predictor under study only to score each
-//! estimate into an [`ErrorStats`] and count fallbacks.
+//! sits between it and the predictor under study to serve repeated
+//! estimates from the estimate cache, score each estimate into an
+//! [`ErrorStats`] and count fallbacks.
 //!
-//! It does not memoize. A scheduling pass re-estimates every queued and
-//! running job, but a completion between passes changes the predictor's
-//! state and a running job's elapsed time changes with the clock, so a
-//! `(job, elapsed)` cache hit 0.2% of these calls on the CTC backfill
-//! cell (about a quarter on ANL's), and its hash insert on every miss
-//! cost more than the Smith predictions it saved. The memoization that
-//! pays here lives inside [`qpredict_predict::SmithPredictor`]: it keeps
-//! each job signature's selection over the templates that ignore
-//! elapsed time until a completion lands in one of their categories,
-//! which serves about 97% of the CTC cell's predictions.
-//! [`qpredict_predict::CachingPredictor`] stays where whole
-//! `(job, elapsed)` repeats are common: the nested forecasts of the
-//! wait-time studies. There it sits above the Smith memo.
+//! A scheduling pass re-estimates every queued and running job, while
+//! the predictor learns only at completions. Between two completions a
+//! running job's elapsed time moves with the clock, but a prediction
+//! carries the elapsed window in which it holds
+//! ([`qpredict_predict::Prediction::holds_below`]), so the cache, keyed
+//! by job alone, serves the repeats: about half the estimates on the CTC
+//! backfill cell. Below the cache, Smith's own per-signature memo keeps
+//! each signature's selection over the templates that ignore elapsed
+//! time until a completion lands in one of their categories.
+//!
+//! Every estimate is scored, served from the cache or not, so the error
+//! stream is the one an uncached run records.
 
-use qpredict_predict::{CacheStats, DegradationCounts, ErrorStats, Prediction, RunTimePredictor};
+use qpredict_predict::{
+    CacheStats, CachingPredictor, DegradationCounts, ErrorStats, Prediction, RunTimePredictor,
+};
 use qpredict_workload::{Dur, Job};
 
-/// Adapter: a predictor that scores what it predicts.
+/// Adapter: a cached predictor that scores what it predicts.
 ///
 /// Every estimate is scored against the job's actual run time into an
 /// [`ErrorStats`] (the simulator only asks for estimates at the instants
@@ -31,7 +33,7 @@ use qpredict_workload::{Dur, Job};
 /// run-time prediction workloads). Completions feed the predictor's
 /// history.
 pub struct PredictorEstimator<P> {
-    predictor: P,
+    predictor: CachingPredictor<P>,
     errors: ErrorStats,
     /// Count of estimates served from the predictor's fallback path.
     fallbacks: u64,
@@ -41,7 +43,7 @@ impl<P: RunTimePredictor> PredictorEstimator<P> {
     /// Wrap a predictor.
     pub fn new(predictor: P) -> PredictorEstimator<P> {
         PredictorEstimator {
-            predictor,
+            predictor: CachingPredictor::new(predictor),
             errors: ErrorStats::new(),
             fallbacks: 0,
         }
@@ -58,27 +60,24 @@ impl<P: RunTimePredictor> PredictorEstimator<P> {
         self.fallbacks
     }
 
-    /// Estimate-cache counters of an uncached pass-through: every
-    /// estimate reached the predictor and counts as a miss.
+    /// The estimate cache's counters: a miss is an estimate that
+    /// reached the predictor.
     pub fn cache_stats(&self) -> CacheStats {
-        CacheStats {
-            misses: self.errors.count(),
-            ..CacheStats::default()
-        }
+        self.predictor.stats()
     }
 
     /// Access the wrapped predictor.
     pub fn predictor(&self) -> &P {
-        &self.predictor
+        self.predictor.inner()
     }
 
     /// Consume the adapter, returning the predictor and the error stats.
     pub fn into_parts(self) -> (P, ErrorStats) {
-        (self.predictor, self.errors)
+        (self.predictor.into_inner(), self.errors)
     }
 }
 
-/// Predictions pass through unchanged after scoring, and `degradations`
+/// Predictions come from the cache and are scored, and `degradations`
 /// is the wrapped predictor's. `generation` stays `None`: every
 /// prediction is recorded, so none may be served from a cache above.
 impl<P: RunTimePredictor> RunTimePredictor for PredictorEstimator<P> {
@@ -127,11 +126,12 @@ mod tests {
         for _ in 0..5 {
             a.predict(&j, Dur::ZERO);
         }
+        // Every estimate is scored, and only the first reached the
+        // predictor.
         assert_eq!(a.errors().count(), 5);
-        // Nothing is memoized: every call reached the predictor.
         let c = a.cache_stats();
-        assert_eq!(c.misses, 5);
-        assert_eq!(c.hits, 0);
+        assert_eq!(c.misses, 1);
+        assert_eq!(c.hits, 4);
     }
 
     #[test]

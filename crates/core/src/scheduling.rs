@@ -221,20 +221,37 @@ mod tests {
         assert_ne!(clean.metrics.mean_wait, a.metrics.mean_wait);
     }
 
-    /// Scheduling estimates are not memoized: the cache counters report
-    /// a pass-through, every estimate a miss, for a cacheable predictor
-    /// (Smith) and an uncacheable one (the fallback chain) alike.
+    /// Scheduling estimates go through the estimate cache: its hits and
+    /// misses add up to the estimates scored, and the run's metrics are
+    /// those of the bare predictor driving the same schedule. For a
+    /// cacheable predictor (Smith) repeats are served and completions
+    /// move the generation; an uncacheable one (the fallback chain)
+    /// passes through, every estimate a miss.
     #[test]
-    fn estimate_cache_counters_report_a_pass_through() {
+    fn estimate_cache_counters_add_up_to_the_estimates() {
         let wl = toy(200, 16, 38);
         for kind in [PredictorKind::Smith, PredictorKind::Fallback] {
-            let out = run_scheduling(&wl, Algorithm::Lwf, kind);
+            let out = run_scheduling(&wl, Algorithm::Lwf, kind.clone());
             let who = out.predictor;
             let c = out.metrics.estimate_cache.expect("counters reported");
-            assert!(out.runtime_errors.count() > 0, "{who}: LWF estimates");
-            assert_eq!(c.hits, 0, "{who}: nothing is served from a cache");
-            assert_eq!(c.misses, out.runtime_errors.count(), "{who}");
-            assert_eq!(c.invalidations, 0, "{who}");
+            let estimates = out.runtime_errors.count();
+            assert!(estimates > 0, "{who}: LWF estimates");
+            assert_eq!(c.hits + c.misses, estimates, "{who}");
+            if who == "fallback" {
+                assert_eq!((c.hits, c.invalidations), (0, 0), "{who}: a pass-through");
+            } else {
+                assert!(c.hits > 0 && c.misses > 0, "{who}: {c}");
+                assert!(
+                    c.invalidations > 0,
+                    "{who}: completions move the generation"
+                );
+            }
+            let bare = Simulation::run(&wl, Algorithm::Lwf, &mut kind.build(&wl));
+            let cached = Metrics {
+                estimate_cache: None,
+                ..out.metrics
+            };
+            assert_eq!(cached, bare.metrics, "{who}: the schedule moved");
         }
     }
 

@@ -165,6 +165,8 @@ struct StateStudy<'w, P> {
     wl: &'w Workload,
     /// Cached: the backlog feature re-predicts every queued job at each
     /// submission, and between completions those estimates are frozen.
+    /// Only the job's own prediction is scored, so this study holds the
+    /// cache without [`crate::PredictorEstimator`]'s scoring.
     runtime_predictor: CachingPredictor<P>,
     state: StateWaitPredictor,
     /// Per job: the state key captured at submission and the predicted

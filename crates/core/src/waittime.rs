@@ -12,23 +12,25 @@
 //! happen, so early arrivals are predicted with little history (the
 //! paper's "initial ramp-up").
 //!
-//! The predictor under study is wrapped in a [`CachingPredictor`]: a
-//! nested forecast re-requests the same `(job, elapsed)` estimates that
-//! earlier forecasts already computed, and between two completions the
-//! predictor's generation — and therefore every estimate — is frozen, so
-//! the repeats are served from the cache. Error stats are still recorded
-//! per call, keeping the measured error stream bit-identical to an
-//! uncached run. A miss reaches the Smith predictor's own per-signature
-//! memo, which recomputes only the estimates that depend on the elapsed
-//! time or on a category a completion has touched since.
+//! The predictor under study sits behind a [`PredictorEstimator`], whose
+//! estimate cache is keyed by job: each forecast re-estimates the jobs
+//! running at the submission at the elapsed times its replay reaches,
+//! and earlier forecasts at the same generation made most of those
+//! predictions already, so the cache serves the repeats that fall
+//! inside a prediction's elapsed window
+//! ([`qpredict_predict::Prediction::holds_below`]). Error stats are still
+//! recorded per call, keeping the measured error stream bit-identical to
+//! an uncached run. A miss reaches the Smith predictor's own
+//! per-signature memo, which recomputes only the estimates that depend
+//! on the elapsed time or on a category a completion has touched since.
 
-use qpredict_predict::{CachingPredictor, ErrorStats, RunTimePredictor};
+use qpredict_predict::{ErrorStats, RunTimePredictor};
 use qpredict_sim::{
     forecast_start, Algorithm, MaxRuntimeEstimator, Metrics, SimHooks, Simulation, Snapshot,
 };
 use qpredict_workload::{Dur, Job, Time, Workload};
 
-use crate::PredictorKind;
+use crate::{PredictorEstimator, PredictorKind};
 
 /// Results of a wait-time prediction run.
 #[derive(Debug, Clone)]
@@ -53,11 +55,11 @@ pub struct WaitPredictionOutcome {
 struct WaitStudy<'w, P> {
     wl: &'w Workload,
     alg: Algorithm,
-    predictor: CachingPredictor<P>,
+    /// Scores every prediction made inside the forecasts.
+    predictor: PredictorEstimator<P>,
     /// The outer scheduler's own estimator (maximum run times); the
     /// forecast mirrors its decisions with these beliefs.
     belief: MaxRuntimeEstimator,
-    runtime_errors: ErrorStats,
     predicted_wait: Vec<Option<Dur>>,
 }
 
@@ -65,17 +67,12 @@ impl<P: RunTimePredictor> SimHooks for WaitStudy<'_, P> {
     fn after_submit(&mut self, snap: &Snapshot, job: &Job) {
         let predictor = &mut self.predictor;
         let belief = &mut self.belief;
-        let errors = &mut self.runtime_errors;
         let start = forecast_start(
             self.wl,
             self.alg,
             snap,
             |j: &Job, elapsed: Dur| belief.predict(j, elapsed).estimate,
-            |j: &Job, elapsed: Dur| {
-                let pred = predictor.predict(j, elapsed);
-                errors.record(pred.estimate, j.runtime);
-                pred.estimate
-            },
+            |j: &Job, elapsed: Dur| predictor.predict(j, elapsed).estimate,
             job.id,
         );
         self.predicted_wait[job.id.index()] = Some(start - snap.now);
@@ -127,9 +124,8 @@ fn run_wait_prediction_with(
     let mut study = WaitStudy {
         wl,
         alg,
-        predictor: CachingPredictor::new(predictor),
+        predictor: PredictorEstimator::new(predictor),
         belief: MaxRuntimeEstimator::from_workload(wl),
-        runtime_errors: ErrorStats::new(),
         predicted_wait: vec![None; wl.len()],
     };
     // The outer system schedules with maximum run times, as the paper's
@@ -145,13 +141,13 @@ fn run_wait_prediction_with(
         wait_errors.record(predicted, outcome.wait());
     }
     let mut metrics = result.metrics;
-    metrics.estimate_cache = Some(study.predictor.stats());
+    metrics.estimate_cache = Some(study.predictor.cache_stats());
     WaitPredictionOutcome {
         workload: wl.name.clone(),
         algorithm: alg,
         predictor: predictor_name,
         wait_errors,
-        runtime_errors: study.runtime_errors,
+        runtime_errors: *study.predictor.errors(),
         metrics,
     }
 }

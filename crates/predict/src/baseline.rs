@@ -56,10 +56,13 @@ impl RunTimePredictor for MaxRuntimePredictor {
     }
 
     fn predict(&mut self, job: &Job, elapsed: Dur) -> Prediction {
+        // The limit does not depend on the elapsed time: it holds
+        // wherever the clamp lets it.
         Prediction {
             estimate: self.limit_for(job),
             ci_halfwidth: f64::INFINITY,
             fallback: false,
+            holds_below: Dur::MAX,
         }
         .clamped(elapsed)
     }
@@ -86,6 +89,7 @@ impl RunTimePredictor for OraclePredictor {
             estimate: job.runtime,
             ci_halfwidth: 0.0,
             fallback: false,
+            holds_below: Dur::MAX,
         }
         .clamped(elapsed)
     }

@@ -284,11 +284,12 @@ impl History {
 
     /// Exact moments of the points whose run time exceeds `elapsed_s`
     /// (`y` = run time, `g` = node count), read from the runtime index,
-    /// with the number of points read to form them. `None` when the
-    /// history has no index or the index cannot answer exactly; the
-    /// caller then scans. Equal, bit for bit, to the sums a scan of the
-    /// same points forms (see DESIGN.md §11).
-    pub fn rtime_moments(&self, elapsed_s: f64) -> Option<(RegMoments, usize)> {
+    /// with the number of points read to form them and the smallest run
+    /// time among those points, if any. `None` when the history has no
+    /// index or the index cannot answer exactly; the caller then scans.
+    /// Equal, bit for bit, to the sums a scan of the same points forms
+    /// (see DESIGN.md §11).
+    pub fn rtime_moments(&self, elapsed_s: f64) -> Option<(RegMoments, usize, Option<u32>)> {
         self.index.as_ref()?.above(elapsed_s)
     }
 

@@ -148,6 +148,13 @@ impl DowneyPredictor {
         }
     }
 
+    /// Completed run times held: one per completion learned, since the
+    /// history is never bounded. Each is also filed under its category;
+    /// this counts it once.
+    pub fn resident_points(&self) -> usize {
+        self.global.runtimes.len()
+    }
+
     /// Choose the categorization for a workload the way the paper's
     /// comparison requires: queues when recorded (SDSC), else job type
     /// (ANL), else class, else a single global category.
@@ -271,6 +278,7 @@ impl RunTimePredictor for DowneyPredictor {
                     estimate: Dur::from_secs_f64(v.max(1.0)),
                     ci_halfwidth: half,
                     fallback: false,
+                    holds_below: Dur::ZERO,
                 }
                 .clamped(elapsed)
             }

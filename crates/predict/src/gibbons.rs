@@ -83,7 +83,7 @@ impl SubCategory {
             elapsed_s
         };
         match self.index.as_ref().and_then(|ix| ix.above(bound)) {
-            Some((m, _)) => mean_from_moments(m.n, m.sy, m.syy),
+            Some((m, _, _)) => mean_from_moments(m.n, m.sy, m.syy),
             None => mean(
                 self.runtimes
                     .iter()
@@ -152,6 +152,13 @@ impl GibbonsPredictor {
     /// An empty predictor.
     pub fn new() -> GibbonsPredictor {
         GibbonsPredictor::default()
+    }
+
+    /// Completed run times held: one per completion learned, since the
+    /// history is never bounded. Each is also filed under its user and
+    /// executable levels; this counts it once.
+    pub fn resident_points(&self) -> usize {
+        self.global.values().map(|s| s.runtimes.len()).sum()
     }
 
     /// One characteristic key's pair of levels: the bucket mean (1/3/5),
@@ -285,6 +292,7 @@ impl RunTimePredictor for GibbonsPredictor {
                 estimate: Dur::from_secs_f64(est.value.clamp(1.0, cap)),
                 ci_halfwidth: est.ci,
                 fallback: false,
+                holds_below: Dur::ZERO,
             }
             .clamped(elapsed),
             _ => {

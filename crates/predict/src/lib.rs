@@ -65,15 +65,25 @@ pub struct Prediction {
     /// True when no category could predict and a fallback (global mean,
     /// user limit, or constant) was used.
     pub fallback: bool,
+    /// The elapsed time below which the prediction holds while the
+    /// predictor's [generation](RunTimePredictor::generation) is
+    /// unchanged: made at elapsed `e`, `predict(job, e2)` equals
+    /// `self.clamped(e2)` for every `e2` in `[e, holds_below)`.
+    /// [`Dur::MAX`] when that holds at every later elapsed time;
+    /// [`Dur::ZERO`] when it holds only at `e` itself. [`CachingPredictor`]
+    /// serves repeated estimates from this window.
+    pub holds_below: Dur,
 }
 
 impl Prediction {
-    /// A prediction from a fallback source.
+    /// A prediction from a fallback source, holding only at the elapsed
+    /// time it was made at.
     pub fn fallback(estimate: Dur) -> Prediction {
         Prediction {
             estimate,
             ci_halfwidth: f64::INFINITY,
             fallback: true,
+            holds_below: Dur::ZERO,
         }
     }
 
@@ -155,7 +165,9 @@ pub trait RunTimePredictor {
     /// implementations bump it on **every** state mutation
     /// (`on_complete`), so two `predict` calls for the same
     /// `(job, elapsed)` at the same generation are guaranteed to return
-    /// the identical [`Prediction`]. The learning predictors (Smith,
+    /// the identical [`Prediction`], and a prediction's
+    /// [`holds_below`](Prediction::holds_below) window stays true until
+    /// the generation moves. The learning predictors (Smith,
     /// Gibbons, Downey) learn only from completions, so theirs is the
     /// number of completions learned from, read off their own totals.
     /// Stateless predictors return a
@@ -207,6 +219,7 @@ mod tests {
             estimate: Dur(10),
             ci_halfwidth: 1.0,
             fallback: false,
+            holds_below: Dur::MAX,
         };
         assert_eq!(p.clamped(Dur(100)).estimate, Dur(101));
         assert_eq!(p.clamped(Dur::ZERO).estimate, Dur(10));

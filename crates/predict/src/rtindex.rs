@@ -211,10 +211,11 @@ impl RuntimeIndex {
 
     /// Exact moments of the points whose run time exceeds `elapsed_s`
     /// (`sg`, `sgg`, `sgy` over node counts), with the number of entries
-    /// read to form them. `None` when the index cannot answer exactly:
-    /// some point is not indexed, Σ(g² + y²) reaches 2^64, a selected
-    /// total reaches 2^53, or `elapsed_s` is NaN.
-    pub(crate) fn above(&self, elapsed_s: f64) -> Option<(RegMoments, usize)> {
+    /// read to form them and the smallest run time among those points,
+    /// if any: the entry at the split. `None` when the index cannot
+    /// answer exactly: some point is not indexed, Σ(g² + y²) reaches
+    /// 2^64, a selected total reaches 2^53, or `elapsed_s` is NaN.
+    pub(crate) fn above(&self, elapsed_s: f64) -> Option<(RegMoments, usize, Option<u32>)> {
         if self.unindexed > 0 || self.weight >> 64 != 0 || elapsed_s.is_nan() {
             return None;
         }
@@ -234,7 +235,8 @@ impl RuntimeIndex {
             j => self.strides[j - 1],
         };
         let sums = self.total.minus(below.plus(Sums::of(&self.entries[lo..i])));
-        Some((sums.moments()?, i - lo))
+        let next = self.entries.get(i).map(|&(r, _)| r);
+        Some((sums.moments()?, i - lo, next))
     }
 }
 
@@ -279,9 +281,15 @@ mod tests {
 
     fn check_queries(ix: &RuntimeIndex, points: &[(f64, f64)], what: &str) {
         for e in probes(points) {
-            let (m, read) = ix.above(e).expect("integral points index exactly");
+            let (m, read, next) = ix.above(e).expect("integral points index exactly");
             assert_eq!(Some(m), brute(points, e).moments(), "{what}: elapsed {e}");
             assert!(read < STRIDE, "{what}: read {read} entries");
+            let smallest = points
+                .iter()
+                .map(|p| p.0)
+                .filter(|&r| r > e)
+                .reduce(f64::min);
+            assert_eq!(next.map(f64::from), smallest, "{what}: elapsed {e}");
         }
     }
 
@@ -309,7 +317,7 @@ mod tests {
                 }
                 let pts: Vec<(f64, f64)> = points.iter().copied().collect();
                 let e = rng.gen_range_i64(-1, span + 2) as f64;
-                let (m, _) = ix.above(e).expect("integral points index exactly");
+                let (m, _, _) = ix.above(e).expect("integral points index exactly");
                 assert_eq!(Some(m), brute(&pts, e).moments(), "case {case} step {step}");
             }
             check_invariants(&ix);
@@ -387,11 +395,11 @@ mod tests {
             "suffix excludes it"
         );
         // Above everything and below everything.
-        let (none, _) = ix.above(u32::MAX as f64 * 2.0).unwrap();
-        assert_eq!(none.n, 0);
+        let (none, _, next) = ix.above(u32::MAX as f64 * 2.0).unwrap();
+        assert_eq!((none.n, next), (0, None));
         ix.remove((1u64 << 27) as f64, 1.0);
-        let (all, read) = ix.above(-1.0).unwrap();
-        assert_eq!((all.n, read), (2, 0));
+        let (all, read, next) = ix.above(-1.0).unwrap();
+        assert_eq!((all.n, read, next), (2, 0, Some(10)));
     }
 
     /// A Σy² past 2^64 whose wrapped `u64` value is small: the index must

@@ -26,6 +26,12 @@
 //! The predictor memoizes, per resolved job signature, the selection over
 //! the templates without elapsed-time conditioning, and reuses it until a
 //! push into one of those categories stamps it stale (DESIGN.md §11).
+//! Each prediction also states the elapsed time below which it holds
+//! ([`Prediction::holds_below`]): the smallest run time above the
+//! elapsed time among the job's `rtime` categories, which is where their
+//! selections next change.
+
+use std::cell::Cell;
 
 use qpredict_durable::{Codec, CodecError, Reader, Writer};
 use qpredict_workload::{Dur, Job};
@@ -232,13 +238,21 @@ impl SmithPredictor {
         self.ops
     }
 
-    /// Estimate from one template's category for `job`, if valid.
+    /// Estimate from one template's category for `job`, if valid, and
+    /// narrow `holds_below` to the elapsed time from which the estimate
+    /// could differ ([`Prediction::holds_below`]). Only elapsed-time
+    /// conditioning narrows it. At elapsed zero the estimate reads the
+    /// running sums, which need not equal a selection's bitwise, so it
+    /// holds only there. Past zero it reads the points above the elapsed
+    /// time, the same ones until the elapsed time reaches the smallest of
+    /// their run times.
     fn category_estimate(
         t: &Template,
         job: &Job,
         elapsed: Dur,
         history: &History,
         ops: &mut EstimateOps,
+        holds_below: &mut Dur,
     ) -> Option<Estimate> {
         let elapsed_s = elapsed.as_secs_f64();
         // Only elapsed-time conditioning selects points per estimate;
@@ -250,6 +264,8 @@ impl SmithPredictor {
         // Value extraction: absolute seconds, or ratio-to-limit scaled
         // back to seconds by this job's limit.
         let limit_s = job.max_runtime.map(|m| m.as_secs_f64().max(1.0));
+        // The smallest run time the scan selects.
+        let next = Cell::new(f64::INFINITY);
         let filter = |p: &&Point| -> bool {
             if scans && p.runtime <= elapsed_s {
                 return false;
@@ -257,6 +273,7 @@ impl SmithPredictor {
             if t.relative && !p.ratio.is_finite() {
                 return false;
             }
+            next.set(next.get().min(p.runtime));
             true
         };
         let value_of = |p: &Point| -> f64 {
@@ -295,11 +312,14 @@ impl SmithPredictor {
         } else {
             // Only histories of templates the index serves have one.
             let indexed = history.rtime_moments(elapsed_s);
-            let read = indexed.map_or(len, |(_, read)| read as u64);
+            let read = indexed.map_or(len, |(_, read, _)| read as u64);
             ops.scan_estimates += 1;
             ops.scanned_points += read;
             ops.moment_points += len - read;
-            indexed.map(|(m, _)| m)
+            indexed.map(|(m, _, above)| {
+                next.set(above.map_or(f64::INFINITY, f64::from));
+                m
+            })
         };
         let est = match (sums, t.estimator.regression()) {
             (Some(m), None) => mean_from_moments(m.n, m.sy, m.syy),
@@ -315,7 +335,18 @@ impl SmithPredictor {
                     .map(|p| (p.nodes, value_of(p))),
                 x0,
             ),
-        }?;
+        };
+        if t.use_rtime {
+            // An integral elapsed time is below a run time `r` exactly
+            // when it is below `ceil(r)`; the cast saturates.
+            let bound = if scans {
+                Dur(next.get().ceil() as i64)
+            } else {
+                Dur::ZERO
+            };
+            *holds_below = (*holds_below).min(bound);
+        }
+        let est = est?;
         // Scale relative estimates back to seconds.
         let est = if t.relative {
             let l = limit_s?; // applies_to guarantees Some, but stay safe
@@ -343,16 +374,21 @@ impl SmithPredictor {
     /// higher template specificity, then template order. No interval is
     /// NaN and template indexes are unique, so this is a strict total
     /// order: the winner does not depend on the order the categories are
-    /// folded in, or on how they are split between calls.
+    /// folded in, or on how they are split between calls. Returns the
+    /// elapsed time below which these categories' estimates hold
+    /// ([`Prediction::holds_below`]).
     fn fold<'h>(
         best: &mut Option<Ranked>,
         job: &Job,
         elapsed: Dur,
         categories: impl Iterator<Item = (usize, &'h Template, &'h History)>,
         ops: &mut EstimateOps,
-    ) {
+    ) -> Dur {
+        let mut holds_below = Dur::MAX;
         for (ti, t, history) in categories {
-            let Some(est) = Self::category_estimate(t, job, elapsed, history, ops) else {
+            let Some(est) =
+                Self::category_estimate(t, job, elapsed, history, ops, &mut holds_below)
+            else {
                 continue;
             };
             let better = match *best {
@@ -371,20 +407,32 @@ impl SmithPredictor {
                 *best = Some((est.ci, est.n, t.specificity(), ti, est.value));
             }
         }
+        holds_below
     }
 
     /// The prediction the winning estimate makes, capped by the longest
     /// run time seen, or the fallback when no category could predict.
-    /// Both global terms are read here, on every call.
-    fn finish(&self, best: Option<Ranked>, job: &Job, elapsed: Dur) -> Prediction {
+    /// Both global terms are read here, on every call. Neither depends
+    /// on the elapsed time, so the prediction holds below `holds_below`.
+    fn finish(
+        &self,
+        best: Option<Ranked>,
+        job: &Job,
+        elapsed: Dur,
+        holds_below: Dur,
+    ) -> Prediction {
         let cap = (self.max_seen * 2.0).max(3600.0);
         let prediction = match best {
             Some((ci, _, _, _, value)) => Prediction {
                 estimate: Dur::from_secs_f64(value.clamp(1.0, cap)),
                 ci_halfwidth: ci,
                 fallback: false,
+                holds_below,
             },
-            None => Prediction::fallback(self.fallback_estimate(job)),
+            None => Prediction {
+                holds_below,
+                ..Prediction::fallback(self.fallback_estimate(job))
+            },
         };
         prediction.clamped(elapsed)
     }
@@ -402,29 +450,31 @@ impl SmithPredictor {
             .iter()
             .filter_map(|&(ti, ref t)| Some((ti, t, self.store.history(ti, t, job)?)));
         let mut best = None;
-        Self::fold(
+        let holds_below = Self::fold(
             &mut best,
             job,
             elapsed,
             categories,
             &mut EstimateOps::default(),
         );
-        self.finish(best, job, elapsed)
+        self.finish(best, job, elapsed, holds_below)
     }
 
     /// The selection over the resolved job's categories under templates
     /// without elapsed-time conditioning, and the work its estimates did:
-    /// memoized per signature, computed when the memo does not hold.
-    fn plain_selection(&mut self, r: Resolved, job: &Job) -> (Option<Ranked>, EstimateOps) {
-        if let Some(held) = self.memo.get(r, job, &self.store) {
-            return held;
+    /// memoized per signature, computed when the memo does not hold,
+    /// and whether the memo held. These estimates hold at every elapsed
+    /// time.
+    fn plain_selection(&mut self, r: Resolved, job: &Job) -> (Option<Ranked>, EstimateOps, bool) {
+        if let Some((best, ops)) = self.memo.get(r, job, &self.store) {
+            return (best, ops, true);
         }
         let mut best = None;
         let mut ops = EstimateOps::default();
         let categories = self.store.matching(r, &self.memo.plain);
         Self::fold(&mut best, job, Dur::ZERO, categories, &mut ops);
         self.memo.put(r, job, &self.store, best, ops);
-        (best, ops)
+        (best, ops, false)
     }
 
     /// Predictions answered from a memoized selection, and those that
@@ -517,15 +567,21 @@ impl RunTimePredictor for SmithPredictor {
         let recording = qpredict_obs::recording();
         let _span = recording.then(|| qpredict_obs::span("smith.predict"));
         let r = self.store.resolve(job);
-        let (mut best, mut ops) = self.plain_selection(r, job);
+        let (mut best, mut ops, memo_hit) = self.plain_selection(r, job);
         let rtime = self.store.matching(r, &self.memo.rtime);
-        Self::fold(&mut best, job, elapsed, rtime, &mut ops);
-        let prediction = self.finish(best, job, elapsed);
+        let holds_below = Self::fold(&mut best, job, elapsed, rtime, &mut ops);
+        let prediction = self.finish(best, job, elapsed, holds_below);
         if recording {
             qpredict_obs::counter_add("smith.scanned_points", ops.scanned_points);
             qpredict_obs::counter_add("smith.moment_points", ops.moment_points);
             qpredict_obs::counter_add("smith.moment_estimates", ops.moment_estimates);
             qpredict_obs::counter_add("smith.scan_estimates", ops.scan_estimates);
+            let memo = if memo_hit {
+                "smith.memo_hits"
+            } else {
+                "smith.memo_misses"
+            };
+            qpredict_obs::counter_add(memo, 1);
         }
         self.ops.merge(ops);
         prediction

@@ -1,13 +1,12 @@
-//! The workspace's word hasher, for the hash tables on the prediction
-//! hot path.
+//! The workspace's word hasher, for the signature table on the
+//! prediction hot path.
 
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// A multiplicative word hasher (the rotate-xor-multiply step of FxHash):
 /// a handful of cycles per word where std's SipHash costs tens of
-/// nanoseconds per key. The tables it serves hold job signatures and
-/// `(job, elapsed)` pairs, not attacker-chosen input, so flooding
-/// resistance buys nothing here.
+/// nanoseconds per key. The table it serves holds job signatures, not
+/// attacker-chosen input, so flooding resistance buys nothing here.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct WordHasher(u64);
 

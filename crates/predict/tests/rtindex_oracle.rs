@@ -55,18 +55,35 @@ fn scan(h: &History, kind: Option<RegressionKind>, elapsed_s: f64, x0: f64) -> O
 }
 
 /// The same estimate from the index's moments, or `None` when the
-/// index declines.
+/// index declines. The run time the index reports at its split must be
+/// the scan's bound.
 fn indexed(
     h: &History,
     kind: Option<RegressionKind>,
     elapsed_s: f64,
     x0: f64,
 ) -> Option<Option<Estimate>> {
-    let (m, _) = h.rtime_moments(elapsed_s)?;
+    let (m, _, next) = h.rtime_moments(elapsed_s)?;
+    assert_eq!(
+        next.map_or(Dur::MAX, |r| Dur(i64::from(r))),
+        scan_bound(h, elapsed_s),
+        "elapsed {elapsed_s}: the index's next run time"
+    );
     Some(match kind {
         None => mean_from_moments(m.n, m.sy, m.syy),
         Some(kind) => regression_from_moments(kind, m.n, m.sg, m.sy, m.sgg, m.sgy, m.syy, x0),
     })
+}
+
+/// The elapsed time at which the scan's selection first changes: the
+/// smallest run time above `elapsed_s`, rounded up, or `Dur::MAX` when
+/// none lies above.
+fn scan_bound(h: &History, elapsed_s: f64) -> Dur {
+    h.iter()
+        .map(|p| p.runtime)
+        .filter(|&r| r > elapsed_s)
+        .reduce(f64::min)
+        .map_or(Dur::MAX, |r| Dur(r.ceil() as i64))
 }
 
 fn point(runtime: f64, nodes: f64) -> Point {
@@ -180,7 +197,7 @@ fn histories_through_the_threshold_and_every_stride_boundary() {
 
 /// The prediction `p`, whose longest run time seen is `max_seen`, makes
 /// for `probe` at each elapsed time equals the one a scan of `h`, its
-/// only category, gives.
+/// only category, gives, window included.
 fn predicts_as_the_scan(
     p: &mut SmithPredictor,
     h: &History,
@@ -196,6 +213,7 @@ fn predicts_as_the_scan(
             estimate: Dur::from_secs_f64(want.value.clamp(1.0, (max_seen * 2.0).max(3600.0))),
             ci_halfwidth: want.ci,
             fallback: false,
+            holds_below: scan_bound(h, e as f64),
         }
         .clamped(Dur(e));
         assert_eq!(got, expected, "elapsed {e}");

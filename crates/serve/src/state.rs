@@ -219,13 +219,10 @@ impl ServePredictor {
         })
     }
 
-    /// Completed data points in Smith's category store, for memory-bound
-    /// checks; the baselines report 0.
+    /// Completed data points the hosted predictor holds, for
+    /// memory-bound checks.
     fn resident_points(&self) -> usize {
-        match self {
-            ServePredictor::Smith(p) => p.resident_points(),
-            ServePredictor::Gibbons(_) | ServePredictor::Downey(_) => 0,
-        }
+        each!(self, p => p.resident_points())
     }
 }
 
@@ -401,9 +398,10 @@ impl ServiceState {
         self.live.len()
     }
 
-    /// Completed data points resident in the predictor's history (Smith
-    /// only; baselines report 0). Bounded by
-    /// `max_history × template count`.
+    /// Completed data points resident in the predictor's history.
+    /// Smith's are its category points, bounded by
+    /// `max_history × template count`. Gibbons' and Downey's are their
+    /// stored run times, one per completion and unbounded.
     pub fn predictor_resident_points(&self) -> usize {
         self.predictor.resident_points()
     }

@@ -6,6 +6,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
+use qpredict_predict::PredictorKind;
 use qpredict_serve::{wal, FsyncPolicy, ServeConfig, Service};
 use qpredict_workload::{synthesize_events, Rng64};
 
@@ -331,6 +332,37 @@ fn permutations_within_horizon_converge() {
         assert_eq!(
             probe_lines, want_probes,
             "probe predictions diverged for shuffle seed {seed}"
+        );
+    }
+}
+
+/// Gibbons and Downey keep every completion's run time, with no cap:
+/// their resident history grows by exactly one point per completion
+/// applied, and the service reports it.
+#[test]
+fn baseline_hosts_report_one_point_per_completion() {
+    for predictor in [PredictorKind::Gibbons, PredictorKind::DowneyAverage] {
+        let cfg = ServeConfig {
+            predictor: predictor.clone(),
+            ..cfg()
+        };
+        let mut svc = Service::open(cfg, None, None, false).unwrap();
+        for line in event_lines(300) {
+            svc.feed_line(&line).unwrap();
+            let state = svc.state();
+            assert_eq!(
+                state.predictor_resident_points() as u64,
+                state.counters().completions,
+                "{predictor}"
+            );
+        }
+        svc.finish().unwrap();
+        let state = svc.state();
+        assert!(state.counters().completions > 250, "{predictor}");
+        assert_eq!(
+            state.predictor_resident_points() as u64,
+            state.counters().completions,
+            "{predictor}"
         );
     }
 }

@@ -208,8 +208,9 @@ impl<E: RunTimePredictor> FaultyEstimator<E> {
 }
 
 /// The corrupted estimate replaces the inner prediction's; its interval
-/// and fallback flag pass through. `generation` stays `None`: every
-/// estimate draws from the corruption stream.
+/// and fallback flag pass through. It holds only where it was drawn, and
+/// `generation` stays `None`: every estimate draws from the corruption
+/// stream.
 impl<E: RunTimePredictor> RunTimePredictor for FaultyEstimator<E> {
     fn name(&self) -> &'static str {
         self.inner.name()
@@ -218,6 +219,7 @@ impl<E: RunTimePredictor> RunTimePredictor for FaultyEstimator<E> {
     fn predict(&mut self, job: &Job, elapsed: Dur) -> Prediction {
         let mut pred = self.inner.predict(job, elapsed);
         pred.estimate = self.corrupt(pred.estimate, elapsed);
+        pred.holds_below = Dur::ZERO;
         pred
     }
 

@@ -52,12 +52,11 @@ pub struct Metrics {
     pub mean_bounded_slowdown: f64,
     /// Total work in node-seconds.
     pub total_work_node_s: f64,
-    /// Estimate-cache hit/miss/invalidation counters: those of the
-    /// [`qpredict_predict::CachingPredictor`] behind the wait-time
-    /// studies, or a pass-through's (every estimate a miss) for
-    /// scheduling runs, which do not memoize. `None` for runs that never
-    /// consulted the estimation layer. Purely observability: two
-    /// otherwise-identical schedules may differ here.
+    /// Estimate-cache hit/miss/invalidation counters of the
+    /// [`qpredict_predict::CachingPredictor`] that served the run's
+    /// estimates (scheduling runs and the wait-time studies). `None` for
+    /// runs that never consulted the estimation layer. Purely
+    /// observability: two otherwise-identical schedules may differ here.
     pub estimate_cache: Option<CacheStats>,
 }
 

@@ -179,8 +179,9 @@ cargo test --release -q --test observability \
 # paper drift fixture and the faulted-trace schedule invariants in a
 # release build too, hold the planner's passes (carried plans included) to
 # from-scratch backfill passes, hold the event codec to the formatter
-# rendering it replaced, and check the runtime index's integer arithmetic
-# in optimized code.
+# rendering it replaced, check the runtime index's integer arithmetic
+# in optimized code, and hold the estimate cache's served predictions to
+# its bare predictor's.
 echo "==> cargo test --release -q --test estimation_lock --test robustness --test paper_drift"
 cargo test --release -q --test estimation_lock --test robustness --test paper_drift
 echo "==> cargo test --release -q -p qpredict-sim --test backfill_oracle"
@@ -189,6 +190,8 @@ echo "==> cargo test --release -q -p qpredict-workload --test event_codec"
 cargo test --release -q -p qpredict-workload --test event_codec
 echo "==> cargo test --release -q -p qpredict-predict --test rtindex_oracle"
 cargo test --release -q -p qpredict-predict --test rtindex_oracle
+echo "==> cargo test --release -q -p qpredict-predict --test cache_oracle"
+cargo test --release -q -p qpredict-predict --test cache_oracle
 
 # Synthesis is bit-identical to the bisection it replaced: the arrival
 # oracle runs its full million-target case count only in optimized code,

@@ -54,11 +54,15 @@ fn scheduling_run_populates_spans_and_counters() {
                 snap.spans.iter().map(|(l, _)| l).collect::<Vec<_>>()
             )
         });
+    // Every scored estimate is one Smith prediction or one served
+    // from the estimate cache above it.
     assert_eq!(
-        predict.count,
+        predict.count + snap.counter("cache.hits"),
         out.runtime_errors.count(),
-        "every scored estimate is one Smith prediction"
+        "every scored estimate is a Smith prediction or a cache hit"
     );
+    assert!(snap.counter("cache.hits") > 0, "repeats are served");
+    assert_eq!(snap.counter("cache.misses"), predict.count);
     assert_eq!(
         snap.counter("sim.jobs_started"),
         wl.len() as u64,
