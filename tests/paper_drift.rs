@@ -2,21 +2,24 @@
 //! must write exactly the committed report in `tests/fixtures`.
 //!
 //! The subset covers FCFS, LWF, conservative and EASY backfill, wait
-//! prediction and scheduling with predictions. Any change to what the
+//! prediction (with actual run times, Gibbons' predictor and Downey's
+//! conditional average) and scheduling with predictions. Any change to what the
 //! experiments compute shows here first, so a behaviour change must
 //! regenerate the fixture (and the committed results) in the same change:
 //!
 //! ```sh
-//! qpredict paper --jobs 800 --threads 1 table4 table10 compress2x \
-//!     easy-ablation statewait --out tests/fixtures/paper_subset.md
+//! qpredict paper --jobs 800 --threads 1 table4 table7 table8 table10 \
+//!     compress2x easy-ablation statewait --out tests/fixtures/paper_subset.md
 //! ```
 //!
 //! The report header prints the thread count, so the run pins it.
 
 use std::process::Command;
 
-const EXPERIMENTS: [&str; 5] = [
+const EXPERIMENTS: [&str; 7] = [
     "table4",
+    "table7",
+    "table8",
     "table10",
     "compress2x",
     "easy-ablation",
