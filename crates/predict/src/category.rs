@@ -3,7 +3,11 @@
 //! Each (template, matching characteristic values, node bucket) triple is
 //! a *category* holding the data points of completed jobs. Histories are
 //! bounded by their template's maximum history: when full, the oldest
-//! point is evicted (paper step 3(b)ii).
+//! point is evicted (paper step 3(b)ii). A [`History`] is the one
+//! category history of the workspace: Smith's template categories and
+//! Gibbons' subcategories are both histories, and both estimate through
+//! [`History::estimate`]. [`Totals`] holds what every learning predictor
+//! keeps over all completions: the fallback, the cap and the generation.
 //!
 //! A template equal to an earlier one in its set would keep an identical
 //! copy of every category and produce identical estimates, which the
@@ -22,16 +26,20 @@
 //! reading them. Stamps live only in memory: they are never encoded, and
 //! clearing or decoding a store starts them over.
 
+use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 
 use qpredict_durable::{codec_struct, Codec, CodecError, Reader, Writer};
-use qpredict_workload::Job;
+use qpredict_workload::{Dur, Job};
 
-use crate::estimators::RegressionKind;
+use crate::estimators::{
+    mean, mean_from_moments, regression, regression_from_moments, Estimate, RegressionKind,
+};
 use crate::rtindex::RuntimeIndex;
 use crate::template::{EstimatorKind, Template, TemplateSet};
 use crate::wordhash::WordBuildHasher;
+use crate::Prediction;
 
 /// Histories of indexed templates build their runtime index at this
 /// many points, one index stride: a shorter history is scanned, so no
@@ -60,6 +68,99 @@ impl Point {
                 .unwrap_or(f64::NAN),
             nodes: job.nodes as f64,
         }
+    }
+
+    /// Whether a completed job could have produced the point: a finite,
+    /// non-negative run time and node count, and a ratio that is finite
+    /// and non-negative or `NaN` (no limit).
+    fn is_plausible(&self) -> bool {
+        let count = |v: f64| v.is_finite() && v >= 0.0;
+        count(self.runtime) && count(self.nodes) && (self.ratio.is_nan() || count(self.ratio))
+    }
+}
+
+/// What a learning predictor keeps over every completion: the sum and
+/// count of the run times and the longest one. Smith, Gibbons and Downey
+/// each hold one.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Totals {
+    sum: f64,
+    n: u64,
+    max_seen: f64,
+}
+
+impl Totals {
+    /// Learn one completed run time, in seconds.
+    pub fn learn(&mut self, runtime_s: f64) {
+        self.sum += runtime_s;
+        self.n += 1;
+        self.max_seen = self.max_seen.max(runtime_s);
+    }
+
+    /// The prediction a category's `(estimate, interval)` in seconds
+    /// makes, or the fallback when no category could predict `job`,
+    /// never below `elapsed + 1` s. The estimate is capped at twice the
+    /// longest run time seen, and at least one hour: regressions can
+    /// extrapolate wildly at unseen node counts. The fallback is the mean
+    /// run time, else the job's limit, else one hour. Neither depends on
+    /// the elapsed time, so the prediction holds below `holds_below`.
+    pub fn predict(
+        &self,
+        est: Option<(f64, f64)>,
+        job: &Job,
+        elapsed: Dur,
+        holds_below: Dur,
+    ) -> Prediction {
+        let prediction = match est {
+            Some((value, ci)) => Prediction {
+                estimate: Dur::from_secs_f64(value.clamp(1.0, (self.max_seen * 2.0).max(3600.0))),
+                ci_halfwidth: ci,
+                fallback: false,
+                holds_below,
+            },
+            None => Prediction {
+                holds_below,
+                ..Prediction::fallback(if self.n > 0 {
+                    Dur::from_secs_f64(self.sum / self.n as f64)
+                } else {
+                    job.max_runtime.unwrap_or(Dur::HOUR)
+                })
+            },
+        };
+        prediction.clamped(elapsed)
+    }
+
+    /// The completions learned from: the predictor's generation.
+    pub fn generation(&self) -> u64 {
+        self.n
+    }
+}
+
+/// How estimates were produced: points actually traversed versus points
+/// the estimates covered without traversing them. Their sum is what a
+/// naive scan-everything implementation would have read.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EstimateOps {
+    /// History points actually traversed: every point of a scanned
+    /// category, and the at most 15 entries an indexed estimate sums
+    /// past its stride boundary.
+    pub scanned_points: u64,
+    /// History points covered by estimates without being traversed.
+    pub moment_points: u64,
+    /// Estimates served from running moments (no elapsed-time
+    /// conditioning).
+    pub moment_estimates: u64,
+    /// Elapsed-conditioned estimates, served by a scan or by the
+    /// runtime index.
+    pub scan_estimates: u64,
+}
+
+impl EstimateOps {
+    pub(crate) fn merge(&mut self, other: EstimateOps) {
+        self.scanned_points += other.scanned_points;
+        self.moment_points += other.moment_points;
+        self.moment_estimates += other.moment_estimates;
+        self.scan_estimates += other.scan_estimates;
     }
 }
 
@@ -275,7 +376,7 @@ impl History {
 
     /// Build the runtime index when `indexes(t)` and the history is
     /// large enough to need it (a no-op otherwise).
-    fn build_index(&mut self, t: &Template) {
+    pub(crate) fn build_index(&mut self, t: &Template) {
         if indexes(t) && self.points.len() >= INDEX_MIN_POINTS {
             let points = self.points.iter().map(|p| (p.runtime, p.nodes));
             self.index = Some(Box::new(RuntimeIndex::build(points)));
@@ -291,6 +392,128 @@ impl History {
     /// (see DESIGN.md §11).
     pub fn rtime_moments(&self, elapsed_s: f64) -> Option<(RegMoments, usize, Option<u32>)> {
         self.index.as_ref()?.above(elapsed_s)
+    }
+
+    /// This history's estimate for `job` under its template `t`, if
+    /// valid, with the work it did added to `ops`, and `holds_below`
+    /// narrowed to the elapsed time from which the estimate could differ
+    /// ([`crate::Prediction::holds_below`]). Only elapsed-time
+    /// conditioning narrows it. At elapsed zero the estimate reads the
+    /// running sums, which need not equal a selection's bitwise, so it
+    /// holds only there. Past zero it reads the points above the elapsed
+    /// time, the same ones until the elapsed time reaches the smallest of
+    /// their run times.
+    pub fn estimate(
+        &self,
+        t: &Template,
+        job: &Job,
+        elapsed: Dur,
+        ops: &mut EstimateOps,
+        holds_below: &mut Dur,
+    ) -> Option<Estimate> {
+        let elapsed_s = elapsed.as_secs_f64();
+        // Only elapsed-time conditioning selects points per estimate;
+        // every other configuration reads running aggregates. (Relative
+        // histories never hold non-finite ratios — `applies_to` requires
+        // a limit at insertion — so the scan path's ratio filter is
+        // vacuous and the aggregates cover the same points.)
+        let scans = t.use_rtime && elapsed_s > 0.0;
+        // Value extraction: absolute seconds, or ratio-to-limit scaled
+        // back to seconds by this job's limit.
+        let limit_s = job.max_runtime.map(|m| m.as_secs_f64().max(1.0));
+        // The smallest run time the scan selects.
+        let next = Cell::new(f64::INFINITY);
+        let filter = |p: &&Point| -> bool {
+            if scans && p.runtime <= elapsed_s {
+                return false;
+            }
+            if t.relative && !p.ratio.is_finite() {
+                return false;
+            }
+            next.set(next.get().min(p.runtime));
+            true
+        };
+        let value_of = |p: &Point| -> f64 {
+            if t.relative {
+                p.ratio
+            } else {
+                p.runtime
+            }
+        };
+        let len = self.len() as u64;
+        let x0 = job.nodes as f64;
+        // Running sums answer every unconditioned estimate. The runtime
+        // index answers a conditioned one when it can be exact, with the
+        // sums the scan below would form. Anything else scans.
+        let sums = if !scans {
+            ops.moment_estimates += 1;
+            ops.moment_points += len;
+            Some(match t.estimator.regression() {
+                None => {
+                    let m = if t.relative { self.ratio } else { self.abs };
+                    RegMoments {
+                        n: m.n,
+                        sy: m.sum,
+                        syy: m.sum2,
+                        ..RegMoments::default()
+                    }
+                }
+                Some(kind) => self
+                    .reg_moments(kind, t.relative)
+                    .expect("regression history maintains its sums"),
+            })
+        } else {
+            // Only histories of templates the index serves have one.
+            let indexed = self.rtime_moments(elapsed_s);
+            let read = indexed.map_or(len, |(_, read, _)| read as u64);
+            ops.scan_estimates += 1;
+            ops.scanned_points += read;
+            ops.moment_points += len - read;
+            indexed.map(|(m, _, above)| {
+                next.set(above.map_or(f64::INFINITY, f64::from));
+                m
+            })
+        };
+        let est = match (sums, t.estimator.regression()) {
+            (Some(m), None) => mean_from_moments(m.n, m.sy, m.syy),
+            (Some(m), Some(kind)) => {
+                regression_from_moments(kind, m.n, m.sg, m.sy, m.sgg, m.sgy, m.syy, x0)
+            }
+            (None, None) => mean(self.iter().filter(filter).map(&value_of)),
+            (None, Some(kind)) => regression(
+                kind,
+                self.iter().filter(filter).map(|p| (p.nodes, value_of(p))),
+                x0,
+            ),
+        };
+        if t.use_rtime {
+            // An integral elapsed time is below a run time `r` exactly
+            // when it is below `ceil(r)`; the cast saturates.
+            let bound = if scans {
+                Dur(next.get().ceil() as i64)
+            } else {
+                Dur::ZERO
+            };
+            *holds_below = (*holds_below).min(bound);
+        }
+        let est = est?;
+        // Scale relative estimates back to seconds.
+        let est = if t.relative {
+            let l = limit_s?; // applies_to guarantees Some, but stay safe
+            Estimate {
+                value: est.value * l,
+                ci: est.ci * l,
+                n: est.n,
+            }
+        } else {
+            est
+        };
+        // A NaN interval would make the selection order partial; the
+        // estimators clamp variances, so none arises from real history.
+        if !est.value.is_finite() || est.ci.is_nan() {
+            return None;
+        }
+        Some(est)
     }
 
     /// Keep the regression sums in step with the deque. Appends add one
@@ -593,8 +816,11 @@ codec_struct!(Point {
     nodes
 });
 
+codec_struct!(Totals { sum, n, max_seen });
+
 /// The aggregates and the point count, then one `pt` record per point,
-/// oldest first: no record grows with the history.
+/// oldest first: no record grows with the history. Decoding refuses a
+/// point no completed job produces.
 impl Codec for History {
     fn encode(&self, w: &mut Writer) {
         w.put(&self.abs)
@@ -623,6 +849,11 @@ impl Codec for History {
                 h.abs.n,
                 h.points.len()
             )));
+        }
+        // Verify rather than trust: no completed job yields such a point,
+        // and a non-finite node count would panic a Gibbons regression.
+        if let Some(p) = h.points.iter().find(|p| !p.is_plausible()) {
+            return Err(r.error(format!("point {p:?} is not a completed job's")));
         }
         Ok(h)
     }

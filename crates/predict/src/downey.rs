@@ -20,6 +20,7 @@ use std::collections::HashMap;
 use qpredict_durable::{Codec, CodecError, Reader, Writer};
 use qpredict_workload::{Characteristic, Dur, Job, Sym, SymbolTable, Workload};
 
+use crate::category::Totals;
 use crate::{Prediction, RunTimePredictor};
 
 /// Which of Downey's two point estimators to use.
@@ -130,8 +131,8 @@ pub struct DowneyPredictor {
     /// Pooled observations across all categories, used when a job's own
     /// category has too little data.
     global: Category,
-    total_sum: f64,
-    total_n: u64,
+    /// Every completion's run time: the fallback and the generation.
+    totals: Totals,
 }
 
 impl DowneyPredictor {
@@ -143,14 +144,13 @@ impl DowneyPredictor {
             category_char,
             categories: HashMap::new(),
             global: Category::default(),
-            total_sum: 0.0,
-            total_n: 0,
+            totals: Totals::default(),
         }
     }
 
-    /// Completed run times held: one per completion learned, since the
-    /// history is never bounded. Each is also filed under its category;
-    /// this counts it once.
+    /// Completed run times held, counted in the pooled sample: one per
+    /// completion learned, since the history is never bounded. Each is
+    /// also filed under its category; this counts it once.
     pub fn resident_points(&self) -> usize {
         self.global.runtimes.len()
     }
@@ -189,16 +189,31 @@ impl DowneyPredictor {
     }
 }
 
-/// Fitted models are *not* stored: the fit is a deterministic function
-/// of the sorted run-time vector, so restoring the vector with
-/// `dirty = true` reproduces bit-identical models lazily.
+/// The point count, then one `rt` record per run time in sorted order:
+/// no record grows with the history. Fitted models are *not* stored: the
+/// fit is a deterministic function of the sorted run times, so restoring
+/// them with `dirty = true` reproduces bit-identical models lazily.
+/// Decoding verifies rather than trusts that order, and that each run
+/// time is one a completed job has.
 impl Codec for Category {
     fn encode(&self, w: &mut Writer) {
-        w.put(&self.runtimes);
+        w.put(&self.runtimes.len());
+        for rt in &self.runtimes {
+            w.record("rt").put(rt);
+        }
     }
     fn decode(r: &mut Reader<'_>, _: &()) -> Result<Category, CodecError> {
+        let n: usize = r.get()?;
+        let mut runtimes = Vec::with_capacity(n.min(1 << 16));
+        for _ in 0..n {
+            let rt: f64 = r.record("rt")?.get()?;
+            if !(rt.is_finite() && rt >= runtimes.last().copied().unwrap_or(0.0)) {
+                return Err(r.error(format!("run time {rt} out of order or not finite")));
+            }
+            runtimes.push(rt);
+        }
         Ok(Category {
-            runtimes: r.get()?,
+            runtimes,
             model: None,
             dirty: true,
         })
@@ -221,34 +236,38 @@ impl Codec for DowneyVariant {
     }
 }
 
-/// The complete mutable state (v3: the generation is `total_n`, not a
-/// field). `Sym` keys are stored as interning
+/// Magic first record of an encoded Downey state (v4: the totals
+/// record holds the longest run time too, and each run time is one
+/// record).
+const DOWNEY_MAGIC: &str = "downey-state v4";
+
+/// The complete mutable state. `Sym` keys are stored as interning
 /// indices and decoded against the restorer's symbol table, which must
 /// have the same interning order as the one the state was recorded
 /// under.
 impl Codec<SymbolTable> for DowneyPredictor {
     fn encode(&self, w: &mut Writer) {
-        w.record("downey-state v3");
+        w.record(DOWNEY_MAGIC);
         w.record("config")
             .put(&self.variant)
             .put(&self.category_char);
-        w.record("totals").put(&self.total_sum).put(&self.total_n);
+        w.record("totals").put(&self.totals);
         w.map_records("cat", &self.categories);
         w.record("glob").put(&self.global);
     }
     fn decode(r: &mut Reader<'_>, syms: &SymbolTable) -> Result<DowneyPredictor, CodecError> {
-        r.record("downey-state v3")?.record("config")?;
-        let variant = r.get()?;
-        let category_char = r.get()?;
-        r.record("totals")?;
-        Ok(DowneyPredictor {
-            variant,
-            category_char,
-            total_sum: r.get()?,
-            total_n: r.get()?,
+        r.record(DOWNEY_MAGIC)?.record("config")?;
+        let p = DowneyPredictor {
+            variant: r.get()?,
+            category_char: r.get()?,
+            totals: r.record("totals")?.get()?,
             categories: r.map_records("cat", syms, &())?,
             global: r.record("glob")?.get()?,
-        })
+        };
+        if p.resident_points() as u64 != p.totals.generation() {
+            return Err(r.error("the pooled run times do not number the completions"));
+        }
+        Ok(p)
     }
 }
 
@@ -282,16 +301,7 @@ impl RunTimePredictor for DowneyPredictor {
                 }
                 .clamped(elapsed)
             }
-            None => {
-                let fb = if self.total_n > 0 {
-                    Dur::from_secs_f64(self.total_sum / self.total_n as f64)
-                } else if let Some(l) = job.max_runtime {
-                    l
-                } else {
-                    Dur::HOUR
-                };
-                Prediction::fallback(fb).clamped(elapsed)
-            }
+            None => self.totals.predict(None, job, elapsed, Dur::ZERO),
         }
     }
 
@@ -300,13 +310,12 @@ impl RunTimePredictor for DowneyPredictor {
         let rt = job.runtime.as_secs_f64();
         self.categories.entry(key).or_default().insert(rt);
         self.global.insert(rt);
-        self.total_sum += rt;
-        self.total_n += 1;
+        self.totals.learn(rt);
     }
 
     /// The completions learned from.
     fn generation(&self) -> Option<u64> {
-        Some(self.total_n)
+        Some(self.totals.generation())
     }
 }
 
@@ -507,7 +516,42 @@ mod tests {
         let restore = |text: &str| decode::<_, DowneyPredictor>(text, &syms);
         assert!(restore("").is_err());
         assert!(restore("downey-state v3\n").is_err());
-        let no_config = "downey-state v3\ntotals 0000000000000000 0\n";
+        let no_config = "downey-state v4\ntotals 0000000000000000 0 0000000000000000\n";
         assert!(restore(no_config).is_err());
+    }
+
+    /// Each run time is one record, so no line grows with history, and
+    /// decoding verifies that the run times are finite and sorted rather
+    /// than trusting them: the fit reads them as a sorted sample.
+    #[test]
+    fn state_decode_verifies_sorted_finite_runtimes() {
+        let (syms, p) = trained(DowneyVariant::ConditionalAverage);
+        let state = encode(&p);
+        assert!(
+            state.lines().all(|l| l.len() < 80),
+            "no line grows with history"
+        );
+        assert_eq!(state.matches("\nrt ").count(), 2 * 50);
+        assert!(decode::<_, DowneyPredictor>(&state, &syms).is_ok());
+        let rt = |v: f64| format!("\nrt {:016X}\n", v.to_bits());
+        let first = p.global.runtimes[0];
+        let last = *p.global.runtimes.last().unwrap();
+        let forgeries = [
+            (rt(first), rt(f64::NAN)),
+            (rt(first), rt(-1.0)),
+            (rt(last), rt(f64::INFINITY)),
+            (rt(last), rt(first - 1.0)),
+        ];
+        for (from, to) in forgeries {
+            assert!(state.contains(&from), "{from:?} in the state");
+            let err =
+                decode::<_, DowneyPredictor>(&state.replacen(&from, &to, 1), &syms).unwrap_err();
+            assert!(
+                err.to_string().contains("out of order or not finite"),
+                "{err}"
+            );
+        }
+        let v3 = state.replacen("downey-state v4", "downey-state v3", 1);
+        assert!(decode::<_, DowneyPredictor>(&v3, &syms).is_err());
     }
 }

@@ -21,10 +21,12 @@
 //!   run times;
 //! * history is never bounded.
 //!
-//! Level 1/3/5 means read exact sums from a runtime-ordered index once a
-//! subcategory is large enough, and levels 2/4/6 reuse each
-//! subcategory's `(mean nodes, mean run time, weight)` until it changes;
-//! both are bit-identical to recomputing (DESIGN.md §11).
+//! Each `(key, node-bucket)` subcategory is a [`History`] filed under
+//! one constant template, `SUBCATEGORY`, so level 1/3/5 means are the
+//! history's own estimate: running sums at elapsed zero, the runtime
+//! index or a scan above it. Levels 2/4/6 reuse each subcategory's
+//! `(mean nodes, mean run time, weight)` until it changes. Both are
+//! bit-identical to recomputing (DESIGN.md §11).
 //!
 //! Jobs lacking a user or executable fall into a single "unknown" value
 //! for that characteristic (relevant for traces like SDSC that record
@@ -36,91 +38,58 @@ use std::collections::HashMap;
 use qpredict_durable::{Codec, CodecError, Reader, Writer};
 use qpredict_workload::{Characteristic, Dur, Job, Sym, SymbolTable};
 
-use crate::category::INDEX_MIN_POINTS;
-use crate::estimators::{mean, mean_from_moments, weighted_linear, Estimate};
-use crate::rtindex::RuntimeIndex;
+use crate::category::{EstimateOps, History, Point, Totals};
+use crate::estimators::{weighted_linear, Estimate};
+use crate::template::{CharSet, EstimatorKind, Template};
 use crate::{Prediction, RunTimePredictor};
 
-/// Run times observed in one `(key, node-bucket)` subcategory.
+/// The template every subcategory's history is filed under: the mean of
+/// the run times above the elapsed time, with no history cap.
+const SUBCATEGORY: Template = Template {
+    chars: CharSet::EMPTY,
+    node_range_log2: None,
+    max_history: None,
+    relative: false,
+    use_rtime: true,
+    estimator: EstimatorKind::Mean,
+};
+
+/// One `(key, node-bucket)` subcategory.
 #[derive(Debug, Clone, Default)]
 struct SubCategory {
-    runtimes: Vec<f64>,
-    nodes: Vec<f64>,
-    /// Runtime-ordered index of the run times, from
-    /// [`INDEX_MIN_POINTS`] on. Derived; never encoded.
-    index: Option<Box<RuntimeIndex>>,
-    /// This subcategory's regression triple, until the next push.
-    /// Derived; never encoded.
+    history: History,
+    /// The regression triple, until the next push. Derived; never
+    /// encoded.
     triple: Option<(f64, f64, f64)>,
 }
 
 impl SubCategory {
-    fn push(&mut self, rt: f64, nodes: f64) {
-        self.runtimes.push(rt);
-        self.nodes.push(nodes);
-        self.triple = None;
-        match self.index.as_mut() {
-            Some(ix) => ix.insert(rt, 0.0),
-            None => self.build_index(),
-        }
-    }
-
-    /// Index the run times once there are enough of them.
-    fn build_index(&mut self) {
-        if self.runtimes.len() >= INDEX_MIN_POINTS {
-            let points = self.runtimes.iter().map(|&rt| (rt, 0.0));
-            self.index = Some(Box::new(RuntimeIndex::build(points)));
-        }
-    }
-
-    /// Mean of the run times above `elapsed_s` (all of them when
-    /// `elapsed_s <= 0`): from the index when it answers exactly, else
-    /// by scanning in insertion order. The two agree bit for bit.
-    fn mean_above(&self, elapsed_s: f64) -> Option<Estimate> {
-        let bound = if elapsed_s <= 0.0 {
-            f64::NEG_INFINITY
-        } else {
-            elapsed_s
-        };
-        match self.index.as_ref().and_then(|ix| ix.above(bound)) {
-            Some((m, _, _)) => mean_from_moments(m.n, m.sy, m.syy),
-            None => mean(
-                self.runtimes
-                    .iter()
-                    .copied()
-                    .filter(|&rt| elapsed_s <= 0.0 || rt > elapsed_s),
-            ),
-        }
-    }
-
     /// `(mean nodes, mean run time, inverse run-time variance)` for the
     /// weighted regression, computed once per change. Near-zero
-    /// variances are floored to keep weights finite.
+    /// variances are floored to keep weights finite. Needs at least two
+    /// points.
     fn triple(&mut self) -> (f64, f64, f64) {
         if let Some(t) = self.triple {
             return t;
         }
-        let var = self.runtime_variance().max(1.0); // floor: 1 s^2
-        let t = (self.mean_nodes(), self.mean_runtime(), 1.0 / var);
+        // Read the points, not the encoded sums: decoding verifies only
+        // the points, and a non-finite triple would panic the sort.
+        let n = self.history.len() as f64;
+        let (mut runtimes, mut nodes) = (0.0, 0.0);
+        for p in self.history.iter() {
+            runtimes += p.runtime;
+            nodes += p.nodes;
+        }
+        let mean_runtime = runtimes / n;
+        let squares: f64 = self
+            .history
+            .iter()
+            .map(|p| (p.runtime - mean_runtime).powi(2))
+            .sum();
+        let var = squares / (n - 1.0);
+        let t = (nodes / n, mean_runtime, 1.0 / var.max(1.0)); // floor: 1 s^2
         self.triple = Some(t);
         t
-    }
-
-    fn mean_nodes(&self) -> f64 {
-        self.nodes.iter().sum::<f64>() / self.nodes.len() as f64
-    }
-
-    fn mean_runtime(&self) -> f64 {
-        self.runtimes.iter().sum::<f64>() / self.runtimes.len() as f64
-    }
-
-    fn runtime_variance(&self) -> f64 {
-        let n = self.runtimes.len() as f64;
-        if n < 2.0 {
-            return f64::NAN;
-        }
-        let m = self.mean_runtime();
-        self.runtimes.iter().map(|r| (r - m).powi(2)).sum::<f64>() / (n - 1.0)
     }
 }
 
@@ -129,20 +98,38 @@ fn node_bucket(nodes: u32) -> u32 {
     31 - nodes.max(1).leading_zeros()
 }
 
-type Key2 = (Option<Sym>, Option<Sym>); // (user, executable)
+/// The characteristic key of one level pair of Table 3, in the order the
+/// levels are tried.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+enum Key {
+    /// Levels 1/2: `(u, e)`.
+    UserExe(Option<Sym>, Option<Sym>),
+    /// Levels 3/4: `(e)`.
+    Exe(Option<Sym>),
+    /// Levels 5/6: `()`.
+    All,
+}
+
+impl Key {
+    /// The three keys `job` is filed and predicted under, most specific
+    /// first.
+    fn of(job: &Job) -> [Key; 3] {
+        let u = job.characteristic(Characteristic::User);
+        let e = job.characteristic(Characteristic::Executable);
+        [Key::UserExe(u, e), Key::Exe(e), Key::All]
+    }
+}
+
+/// A key's subcategories, by node bucket.
+type Buckets = HashMap<u32, SubCategory>;
 
 /// Gibbons' predictor state.
 #[derive(Debug, Clone, Default)]
 pub struct GibbonsPredictor {
-    by_user_exe: HashMap<Key2, HashMap<u32, SubCategory>>,
-    by_exe: HashMap<Option<Sym>, HashMap<u32, SubCategory>>,
-    global: HashMap<u32, SubCategory>,
-    total_sum: f64,
-    total_n: u64,
-    /// Longest run time observed so far; regressions at levels 2/4/6 can
-    /// extrapolate wildly at unseen node counts, so predictions are
-    /// clamped to twice this (floor: one hour).
-    max_seen: f64,
+    subcats: HashMap<Key, Buckets>,
+    /// Every completion's run time: the fallback, the cap on the
+    /// extrapolating regressions and the generation.
+    totals: Totals,
 }
 
 /// Minimum points for a valid mean at levels 1/3/5.
@@ -154,43 +141,31 @@ impl GibbonsPredictor {
         GibbonsPredictor::default()
     }
 
-    /// Completed run times held: one per completion learned, since the
-    /// history is never bounded. Each is also filed under its user and
-    /// executable levels; this counts it once.
+    /// Completed points held, counted at the `()` key: one per
+    /// completion learned, since the history is never bounded. Each is
+    /// also filed under its `(u, e)` and `(e)` keys; this counts it once.
     pub fn resident_points(&self) -> usize {
-        self.global.values().map(|s| s.runtimes.len()).sum()
+        self.subcats
+            .get(&Key::All)
+            .map_or(0, |b| b.values().map(|s| s.history.len()).sum())
     }
 
-    /// One characteristic key's pair of levels: the bucket mean (1/3/5),
-    /// else the regression across its buckets (2/4/6).
-    fn levels(
-        subcats: &mut HashMap<u32, SubCategory>,
-        bucket: u32,
-        elapsed_s: f64,
-        nodes: f64,
-    ) -> Option<Estimate> {
-        Self::bucket_mean(subcats, bucket, elapsed_s)
-            .or_else(|| Self::subcat_regression(subcats, nodes))
-    }
-
-    /// Level 1/3/5: mean of the run times in the exact node bucket,
+    /// Level 1/3/5: mean of the run times in the job's node bucket,
     /// conditioned on the elapsed running time.
-    fn bucket_mean(
-        subcats: &HashMap<u32, SubCategory>,
-        bucket: u32,
-        elapsed_s: f64,
-    ) -> Option<Estimate> {
-        let est = subcats.get(&bucket)?.mean_above(elapsed_s)?;
+    fn bucket_mean(buckets: &Buckets, job: &Job, elapsed: Dur) -> Option<Estimate> {
+        let history = &buckets.get(&node_bucket(job.nodes))?.history;
+        let (mut ops, mut holds_below) = (EstimateOps::default(), Dur::MAX);
+        let est = history.estimate(&SUBCATEGORY, job, elapsed, &mut ops, &mut holds_below)?;
         (est.n >= MIN_MEAN_POINTS).then_some(est)
     }
 
     /// Level 2/4/6: weighted linear regression over subcategory means,
     /// weighted by inverse run-time variance. Subcategories need at
     /// least two points to contribute a variance.
-    fn subcat_regression(subcats: &mut HashMap<u32, SubCategory>, nodes: f64) -> Option<Estimate> {
-        let mut triples: Vec<(f64, f64, f64)> = subcats
+    fn regression(buckets: &mut Buckets, job: &Job) -> Option<Estimate> {
+        let mut triples: Vec<(f64, f64, f64)> = buckets
             .values_mut()
-            .filter(|sc| sc.runtimes.len() >= 2)
+            .filter(|sc| sc.history.len() >= 2)
             .map(SubCategory::triple)
             .collect();
         if triples.len() < 2 {
@@ -201,61 +176,79 @@ impl GibbonsPredictor {
         // and a tie there would leave their relative order — and hence
         // the f64 accumulation order inside the regression — up to the
         // map's iteration order, breaking cross-process bit-identity.
+        // Decoding refuses non-finite points, so every triple is finite.
         triples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        weighted_linear(triples.into_iter(), nodes)
+        weighted_linear(triples.into_iter(), job.nodes as f64)
     }
 }
 
-/// Observation vectors keep insertion order: mean and variance sums
-/// depend on the f64 summation order.
-impl Codec for SubCategory {
+/// A subcategory's place: its key and node bucket.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Place(Key, u32);
+
+impl Codec<SymbolTable> for Place {
     fn encode(&self, w: &mut Writer) {
-        w.put(&self.runtimes).put(&self.nodes);
-    }
-    fn decode(r: &mut Reader<'_>, _: &()) -> Result<SubCategory, CodecError> {
-        let mut sc = SubCategory {
-            runtimes: r.get()?,
-            nodes: r.get()?,
-            ..SubCategory::default()
-        };
-        if sc.runtimes.len() != sc.nodes.len() {
-            return Err(r.error(format!(
-                "{} runtimes vs {} node counts",
-                sc.runtimes.len(),
-                sc.nodes.len()
-            )));
+        match self.0 {
+            Key::UserExe(u, e) => w.word("ue").put(&u).put(&e),
+            Key::Exe(e) => w.word("exe").put(&e),
+            Key::All => w.word("all"),
         }
-        sc.build_index();
-        Ok(sc)
+        .put(&self.1);
+    }
+    fn decode(r: &mut Reader<'_>, syms: &SymbolTable) -> Result<Place, CodecError> {
+        let key = match r.word()? {
+            "ue" => Key::UserExe(r.get_in(syms)?, r.get_in(syms)?),
+            "exe" => Key::Exe(r.get_in(syms)?),
+            "all" => Key::All,
+            other => return Err(r.error(format!("unknown gibbons level {other:?}"))),
+        };
+        Ok(Place(key, r.get()?))
     }
 }
 
-/// The complete mutable state (v3: the generation is `total_n`, not a
-/// field). `Sym` keys are stored as interning
-/// indices and decoded against the restorer's symbol table, which must
-/// have the same interning order as the one the state was recorded
-/// under.
+/// Magic first record of an encoded Gibbons state (v4: each
+/// subcategory is a history, its points one record apiece).
+const GIBBONS_MAGIC: &str = "gibbons-state v4";
+
+/// The complete mutable state: the totals, then `sub <count>` and one
+/// `sub <key> <bucket> <history>` record per subcategory in key order,
+/// each followed by its points (see [`History`]'s codec). `Sym` keys are
+/// stored as interning indices and decoded against the restorer's symbol
+/// table, which must have the same interning order as the one the state
+/// was recorded under. Runtime indexes are rebuilt from the points.
 impl Codec<SymbolTable> for GibbonsPredictor {
     fn encode(&self, w: &mut Writer) {
-        w.record("gibbons-state v3");
-        w.record("totals")
-            .put(&self.total_sum)
-            .put(&self.total_n)
-            .put(&self.max_seen);
-        w.map_records("ue", &self.by_user_exe);
-        w.map_records("exe", &self.by_exe);
-        w.record("glob").put(&self.global);
+        w.record(GIBBONS_MAGIC);
+        w.record("totals").put(&self.totals);
+        let subs: Vec<(Place, &History)> = self
+            .subcats
+            .iter()
+            .flat_map(|(&k, b)| b.iter().map(move |(&n, sc)| (Place(k, n), &sc.history)))
+            .collect();
+        w.map_records("sub", subs.iter().map(|(place, h)| (place, *h)));
     }
     fn decode(r: &mut Reader<'_>, syms: &SymbolTable) -> Result<GibbonsPredictor, CodecError> {
-        r.record("gibbons-state v3")?.record("totals")?;
-        Ok(GibbonsPredictor {
-            total_sum: r.get()?,
-            total_n: r.get()?,
-            max_seen: r.get()?,
-            by_user_exe: r.map_records("ue", syms, &())?,
-            by_exe: r.map_records("exe", syms, &())?,
-            global: r.record("glob")?.get()?,
-        })
+        let totals: Totals = r.record(GIBBONS_MAGIC)?.record("totals")?.get()?;
+        let subs: Vec<(Place, History)> = r.map_records("sub", syms, &())?;
+        let mut p = GibbonsPredictor {
+            totals,
+            ..GibbonsPredictor::default()
+        };
+        for (Place(key, bucket), mut history) in subs {
+            if history.is_empty() {
+                return Err(r.error("empty subcategory"));
+            }
+            history.build_index(&SUBCATEGORY);
+            let sc = SubCategory {
+                history,
+                triple: None,
+            };
+            p.subcats.entry(key).or_default().insert(bucket, sc);
+        }
+        if p.resident_points() as u64 != p.totals.generation() {
+            return Err(r.error("the `all` points do not number the completions"));
+        }
+        Ok(p)
     }
 }
 
@@ -266,76 +259,37 @@ impl RunTimePredictor for GibbonsPredictor {
 
     fn predict(&mut self, job: &Job, elapsed: Dur) -> Prediction {
         let _span = qpredict_obs::span("gibbons.predict");
-        let u = job.characteristic(Characteristic::User);
-        let e = job.characteristic(Characteristic::Executable);
-        let bucket = node_bucket(job.nodes);
-        let elapsed_s = elapsed.as_secs_f64();
-        let nodes = job.nodes as f64;
-
-        // 1/2: (u, e, n, rtime) mean, else (u, e) weighted regression
-        let est = self
-            .by_user_exe
-            .get_mut(&(u, e))
-            .and_then(|s| Self::levels(s, bucket, elapsed_s, nodes))
-            // 3/4: (e, n, rtime) mean, else (e) weighted regression
-            .or_else(|| {
-                self.by_exe
-                    .get_mut(&e)
-                    .and_then(|s| Self::levels(s, bucket, elapsed_s, nodes))
-            })
-            // 5/6: (n, rtime) mean, else () weighted regression
-            .or_else(|| Self::levels(&mut self.global, bucket, elapsed_s, nodes));
-
-        let cap = (self.max_seen * 2.0).max(3600.0);
-        match est {
-            Some(est) if est.value.is_finite() => Prediction {
-                estimate: Dur::from_secs_f64(est.value.clamp(1.0, cap)),
-                ci_halfwidth: est.ci,
-                fallback: false,
-                holds_below: Dur::ZERO,
-            }
-            .clamped(elapsed),
-            _ => {
-                let fb = if self.total_n > 0 {
-                    Dur::from_secs_f64(self.total_sum / self.total_n as f64)
-                } else if let Some(m) = job.max_runtime {
-                    m
-                } else {
-                    Dur::HOUR
-                };
-                Prediction::fallback(fb).clamped(elapsed)
-            }
-        }
+        // 1/2: (u, e, n, rtime) mean, else (u, e) weighted regression;
+        // 3/4: (e, n, rtime) mean, else (e) weighted regression;
+        // 5/6: (n, rtime) mean, else () weighted regression.
+        let est = Key::of(job).into_iter().find_map(|key| {
+            let buckets = self.subcats.get_mut(&key)?;
+            Self::bucket_mean(buckets, job, elapsed).or_else(|| Self::regression(buckets, job))
+        });
+        let est = est.filter(|e| e.value.is_finite()).map(|e| (e.value, e.ci));
+        self.totals.predict(est, job, elapsed, Dur::ZERO)
     }
 
     fn on_complete(&mut self, job: &Job) {
         let _span = qpredict_obs::span("gibbons.learn");
-        let u = job.characteristic(Characteristic::User);
-        let e = job.characteristic(Characteristic::Executable);
         let bucket = node_bucket(job.nodes);
-        let rt = job.runtime.as_secs_f64();
-        let nodes = job.nodes as f64;
-        self.by_user_exe
-            .entry((u, e))
-            .or_default()
-            .entry(bucket)
-            .or_default()
-            .push(rt, nodes);
-        self.by_exe
-            .entry(e)
-            .or_default()
-            .entry(bucket)
-            .or_default()
-            .push(rt, nodes);
-        self.global.entry(bucket).or_default().push(rt, nodes);
-        self.total_sum += rt;
-        self.total_n += 1;
-        self.max_seen = self.max_seen.max(rt);
+        let p = Point::from_job(job);
+        for key in Key::of(job) {
+            let sc = self
+                .subcats
+                .entry(key)
+                .or_default()
+                .entry(bucket)
+                .or_default();
+            sc.history.push(p, &SUBCATEGORY);
+            sc.triple = None;
+        }
+        self.totals.learn(p.runtime);
     }
 
     /// The completions learned from.
     fn generation(&self) -> Option<u64> {
-        Some(self.total_n)
+        Some(self.totals.generation())
     }
 }
 
@@ -537,49 +491,97 @@ mod tests {
         assert!(restore("").is_err());
         assert!(restore("nonsense\n").is_err());
         // A symbol index beyond the table is a configuration mismatch.
-        let bad = "gibbons-state v3\n\
-                   totals 0000000000000000 0 0000000000000000\n\
-                   ue 0\n\
-                   exe 1\n\
-                   exe 7 1 0 1 4059000000000000 1 3FF0000000000000\n\
-                   glob 0\n";
+        let bad = "gibbons-state v4\n\
+                   totals 4059000000000000 1 4059000000000000\n\
+                   sub 1\n\
+                   sub exe 7 1 1 4059000000000000 40C3880000000000 \
+                   0 0000000000000000 0000000000000000 - 1\n\
+                   pt 4059000000000000 7FF8000000000000 3FF0000000000000\n";
         assert!(restore(bad)
             .unwrap_err()
             .to_string()
             .contains("beyond table"));
     }
 
-    /// The indexed bucket mean equals the insertion-order scan bit for
-    /// bit, at every elapsed time around the stored run times, and the
-    /// cached regression triple equals a fresh computation.
+    /// A sealed state can still be forged: a point whose node count is
+    /// `NaN` (or whose run time is negative or infinite) is refused with
+    /// a typed error, where it would otherwise panic the next regression
+    /// over its key.
+    #[test]
+    fn state_decode_refuses_points_no_job_produces() {
+        let mut syms = SymbolTable::new();
+        let mut p = GibbonsPredictor::new();
+        for (n, rt) in [(1, 100), (1, 120), (4, 400), (4, 450)] {
+            p.on_complete(&job(&mut syms, "a", "x", n, rt));
+        }
+        let state = encode(&p);
+        assert!(decode::<_, GibbonsPredictor>(&state, &syms).is_ok());
+        let four = f64::to_bits(4.0);
+        let forgeries = [
+            (
+                format!("{four:016X}\n"),
+                format!("{:016X}\n", f64::NAN.to_bits()),
+            ),
+            (
+                format!("pt {:016X}", f64::to_bits(400.0)),
+                format!("pt {:016X}", f64::to_bits(-400.0)),
+            ),
+            (
+                format!("pt {:016X}", f64::to_bits(450.0)),
+                format!("pt {:016X}", f64::INFINITY.to_bits()),
+            ),
+        ];
+        for (from, to) in forgeries {
+            assert!(state.contains(&from), "{from:?} in the state");
+            let forged = state.replace(&from, &to);
+            let err = decode::<_, GibbonsPredictor>(&forged, &syms).unwrap_err();
+            assert!(err.to_string().contains("not a completed job's"), "{err}");
+        }
+        // A v3 state is refused by its version.
+        let v3 = state.replacen("gibbons-state v4", "gibbons-state v3", 1);
+        assert!(decode::<_, GibbonsPredictor>(&v3, &syms).is_err());
+    }
+
+    /// The bucket mean equals an insertion-order scan of separate run-time
+    /// and node-count vectors bit for bit, at every elapsed time around the
+    /// stored run times, indexed or not, and the cached regression triple
+    /// equals separate mean, variance and node-mean passes over them.
     #[test]
     fn indexed_mean_and_cached_triple_match_recomputation() {
-        use qpredict_workload::rng::Rng64;
+        use crate::estimators::mean;
+        use qpredict_workload::{rng::Rng64, JobBuilder, JobId};
         let mut rng = Rng64::seed_from_u64(0x61BB);
+        let bits = |x: Option<Estimate>| x.map(|x| (x.n, x.value.to_bits(), x.ci.to_bits()));
         for case in 0..12 {
             let span = [5, 400, 200_000][case % 3];
             let mut sc = SubCategory::default();
+            let (mut runtimes, mut nodes) = (Vec::new(), Vec::new());
             for i in 0..400 {
-                sc.push(rng.gen_range_i64(0, span) as f64, (1 + i % 9) as f64);
-                let stored = sc.runtimes[rng.gen_index(sc.runtimes.len())];
+                let j = JobBuilder::new()
+                    .nodes(1 + i % 9)
+                    .runtime(Dur(rng.gen_range_i64(0, span)))
+                    .build(JobId(i));
+                sc.history.push(Point::from_job(&j), &SUBCATEGORY);
+                sc.triple = None;
+                runtimes.push(j.runtime.as_secs_f64());
+                nodes.push(j.nodes as f64);
+                let stored = runtimes[rng.gen_index(runtimes.len())];
+                let buckets = Buckets::from([(node_bucket(j.nodes), sc.clone())]);
                 for e in [0.0, 1.0, stored - 1.0, stored, stored + 1.0, span as f64] {
-                    let scan = mean(sc.runtimes.iter().copied().filter(|&rt| e <= 0.0 || rt > e));
-                    let fast = sc.mean_above(e);
-                    let bits =
-                        |x: Option<Estimate>| x.map(|x| (x.n, x.value.to_bits(), x.ci.to_bits()));
+                    let scan = mean(runtimes.iter().copied().filter(|&rt| e <= 0.0 || rt > e));
+                    let scan = scan.filter(|est| est.n >= MIN_MEAN_POINTS);
+                    let fast = GibbonsPredictor::bucket_mean(&buckets, &j, Dur(e.max(0.0) as i64));
                     assert_eq!(bits(fast), bits(scan), "case {case} point {i} elapsed {e}");
                 }
-                assert_eq!(sc.index.is_some(), sc.runtimes.len() >= INDEX_MIN_POINTS);
-                if sc.runtimes.len() >= 2 {
+                if runtimes.len() >= 2 {
+                    let n = runtimes.len() as f64;
+                    let m = runtimes.iter().sum::<f64>() / n;
+                    let var = runtimes.iter().map(|r| (r - m).powi(2)).sum::<f64>() / (n - 1.0);
+                    let fresh = (nodes.iter().sum::<f64>() / n, m, 1.0 / var.max(1.0));
                     let cached = sc.triple();
-                    let fresh = SubCategory {
-                        runtimes: sc.runtimes.clone(),
-                        nodes: sc.nodes.clone(),
-                        ..SubCategory::default()
-                    }
-                    .triple();
-                    let bits = |t: (f64, f64, f64)| (t.0.to_bits(), t.1.to_bits(), t.2.to_bits());
-                    assert_eq!(bits(cached), bits(fresh));
+                    let tbits = |t: (f64, f64, f64)| (t.0.to_bits(), t.1.to_bits(), t.2.to_bits());
+                    assert_eq!(tbits(cached), tbits(fresh));
+                    assert_eq!(tbits(sc.triple()), tbits(fresh), "served from the cache");
                 }
             }
         }
@@ -602,7 +604,9 @@ mod tests {
             ));
         }
         let mut back: GibbonsPredictor = decode(&encode(&p), &syms).expect("decodes");
-        assert!(back.global.values().any(|sc| sc.index.is_some()));
+        assert!(back.subcats[&Key::All]
+            .values()
+            .any(|sc| sc.history.rtime_moments(1.0).is_some()));
         for e in [0, 1, 29, 30, 2500, 4999, 6000] {
             let probe = job(&mut syms, "alice", "x", 5, 1);
             let a = p.predict(&probe, Dur(e));

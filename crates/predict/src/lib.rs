@@ -42,13 +42,14 @@ pub mod template;
 mod wordhash;
 
 pub use baseline::{MaxRuntimePredictor, OraclePredictor};
+pub use category::EstimateOps;
 pub use downey::{DowneyPredictor, DowneyVariant};
 pub use error::ErrorStats;
 pub use estimate::{CacheStats, CachingPredictor};
 pub use fallback::{DegradationCounts, FallbackPredictor};
 pub use gibbons::GibbonsPredictor;
 pub use kind::PredictorKind;
-pub use smith::{EstimateOps, SmithPredictor};
+pub use smith::SmithPredictor;
 pub use template::{CharSet, EstimatorKind, Template, TemplateSet};
 
 use qpredict_workload::{Dur, Job};
@@ -169,7 +170,8 @@ pub trait RunTimePredictor {
     /// [`holds_below`](Prediction::holds_below) window stays true until
     /// the generation moves. The learning predictors (Smith,
     /// Gibbons, Downey) learn only from completions, so theirs is the
-    /// number of completions learned from, read off their own totals.
+    /// number of completions learned from: the count in the
+    /// [`category::Totals`] each holds.
     /// Stateless predictors return a
     /// constant. The default `None` declares the state unobservable (or
     /// `predict` side-effecting, as in [`FallbackPredictor`]'s

@@ -2,19 +2,13 @@
 //!
 //! The paper searches for template sets per (workload, use) pair with a
 //! genetic algorithm. Searches are expensive, so — like the paper's
-//! authors, who ran them offline — we ship the sets found by
-//! `qpredict-search` for the four synthetic workloads. They were produced
-//! by `cargo run --release --bin qpredict -- paper ga-search`
-//! (population 28, 20 generations, seeded with the curated defaults
-//! below) and validated on a held-out backfill wait-prediction stream,
-//! where each beat its curated seed by 23–36%:
-//!
-//! | Workload | curated val MAE (min) | GA val MAE (min) |
-//! |----------|----------------------|------------------|
-//! | ANL      | 71.37                | 48.14            |
-//! | CTC      | 205.01               | 131.17           |
-//! | SDSC95   | 100.63               | 75.61            |
-//! | SDSC96   | 95.99                | 74.38            |
+//! authors, who ran them offline — we ship the sets `qpredict-search`
+//! found for the four synthetic workloads as an earlier workload
+//! generator drew them, by `cargo run --release --bin qpredict -- paper
+//! ga-search` (population 28, 20 generations, seeded with the curated
+//! defaults below). EXPERIMENTS.md gives each set's held-out validation
+//! error on today's streams, beside its curated seed's and a fresh
+//! search's.
 //!
 //! GA output is kept verbatim; templates that reference characteristics
 //! a site never records (e.g. `s` on ANL) simply never match a job and
@@ -63,7 +57,7 @@ pub fn curated_seed_for(wl: &Workload) -> TemplateSet {
     }
 }
 
-/// GA winner for ANL (val MAE 48.14 min vs curated 71.37).
+/// GA winner for ANL.
 fn anl_set() -> TemplateSet {
     TemplateSet::new(vec![
         Template::mean_over(&[C::User, C::Arguments]).with_max_history(4),
@@ -92,7 +86,7 @@ fn anl_set() -> TemplateSet {
     ])
 }
 
-/// GA winner for CTC (val MAE 131.17 min vs curated 205.01).
+/// GA winner for CTC.
 fn ctc_set() -> TemplateSet {
     TemplateSet::new(vec![
         Template::mean_over(&[C::Queue])
@@ -142,7 +136,7 @@ fn ctc_set() -> TemplateSet {
     ])
 }
 
-/// GA winner for SDSC95 (val MAE 75.61 min vs curated 100.63).
+/// GA winner for SDSC95.
 fn sdsc95_set() -> TemplateSet {
     TemplateSet::new(vec![
         Template::mean_over(&[C::Executable, C::Arguments])
@@ -171,7 +165,7 @@ fn sdsc95_set() -> TemplateSet {
     ])
 }
 
-/// GA winner for SDSC96 (val MAE 74.38 min vs curated 95.99).
+/// GA winner for SDSC96.
 fn sdsc96_set() -> TemplateSet {
     TemplateSet::new(vec![
         Template::mean_over(&[C::Queue, C::User])

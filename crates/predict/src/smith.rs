@@ -31,44 +31,12 @@
 //! elapsed time among the job's `rtime` categories, which is where their
 //! selections next change.
 
-use std::cell::Cell;
-
 use qpredict_durable::{Codec, CodecError, Reader, Writer};
 use qpredict_workload::{Dur, Job};
 
-use crate::category::{CategoryStore, History, Point, RegMoments, Resolved};
-use crate::estimators::{mean, mean_from_moments, regression, regression_from_moments, Estimate};
+use crate::category::{CategoryStore, EstimateOps, History, Resolved, Totals};
 use crate::template::{Template, TemplateSet};
 use crate::{Prediction, RunTimePredictor};
-
-/// How a [`SmithPredictor`] produced its estimates: points actually
-/// traversed versus points the estimates covered without traversing
-/// them. Their sum is what a naive scan-everything implementation would
-/// have read.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EstimateOps {
-    /// History points actually traversed: every point of a scanned
-    /// category, and the at most 15 entries an indexed estimate sums
-    /// past its stride boundary.
-    pub scanned_points: u64,
-    /// History points covered by estimates without being traversed.
-    pub moment_points: u64,
-    /// Estimates served from running moments (no elapsed-time
-    /// conditioning).
-    pub moment_estimates: u64,
-    /// Elapsed-conditioned estimates, served by a scan or by the
-    /// runtime index.
-    pub scan_estimates: u64,
-}
-
-impl EstimateOps {
-    fn merge(&mut self, other: EstimateOps) {
-        self.scanned_points += other.scanned_points;
-        self.moment_points += other.moment_points;
-        self.moment_estimates += other.moment_estimates;
-        self.scan_estimates += other.scan_estimates;
-    }
-}
 
 /// A category's estimate as selection ranks it: `(ci, n, specificity,
 /// template index, value)`, kept flat for cheap compares.
@@ -187,14 +155,9 @@ pub struct SmithPredictor {
     /// Boxed: hosts that keep predictors of several kinds in one enum
     /// pay one pointer for it.
     memo: Box<Memo>,
-    /// Running mean of all completed run times — the last-resort
-    /// fallback when no category can predict.
-    global_sum: f64,
-    global_n: u64,
-    /// Longest run time observed so far; regression templates can
-    /// extrapolate wildly at unseen node counts, so predictions are
-    /// clamped to twice this (floor: one hour).
-    max_seen: f64,
+    /// Every completion's run time: the fallback, the cap on an
+    /// estimate and the generation.
+    totals: Totals,
     /// Work of the estimates made since build or decode. Never encoded.
     ops: EstimateOps,
 }
@@ -207,9 +170,7 @@ impl SmithPredictor {
             memo: Memo::new(&store),
             store,
             set,
-            global_sum: 0.0,
-            global_n: 0,
-            max_seen: 0.0,
+            totals: Totals::default(),
             ops: EstimateOps::default(),
         }
     }
@@ -238,134 +199,6 @@ impl SmithPredictor {
         self.ops
     }
 
-    /// Estimate from one template's category for `job`, if valid, and
-    /// narrow `holds_below` to the elapsed time from which the estimate
-    /// could differ ([`Prediction::holds_below`]). Only elapsed-time
-    /// conditioning narrows it. At elapsed zero the estimate reads the
-    /// running sums, which need not equal a selection's bitwise, so it
-    /// holds only there. Past zero it reads the points above the elapsed
-    /// time, the same ones until the elapsed time reaches the smallest of
-    /// their run times.
-    fn category_estimate(
-        t: &Template,
-        job: &Job,
-        elapsed: Dur,
-        history: &History,
-        ops: &mut EstimateOps,
-        holds_below: &mut Dur,
-    ) -> Option<Estimate> {
-        let elapsed_s = elapsed.as_secs_f64();
-        // Only elapsed-time conditioning selects points per estimate;
-        // every other configuration reads running aggregates. (Relative
-        // histories never hold non-finite ratios — `applies_to` requires
-        // a limit at insertion — so the scan path's ratio filter is
-        // vacuous and the aggregates cover the same points.)
-        let scans = t.use_rtime && elapsed_s > 0.0;
-        // Value extraction: absolute seconds, or ratio-to-limit scaled
-        // back to seconds by this job's limit.
-        let limit_s = job.max_runtime.map(|m| m.as_secs_f64().max(1.0));
-        // The smallest run time the scan selects.
-        let next = Cell::new(f64::INFINITY);
-        let filter = |p: &&Point| -> bool {
-            if scans && p.runtime <= elapsed_s {
-                return false;
-            }
-            if t.relative && !p.ratio.is_finite() {
-                return false;
-            }
-            next.set(next.get().min(p.runtime));
-            true
-        };
-        let value_of = |p: &Point| -> f64 {
-            if t.relative {
-                p.ratio
-            } else {
-                p.runtime
-            }
-        };
-        let len = history.len() as u64;
-        let x0 = job.nodes as f64;
-        // Running sums answer every unconditioned estimate. The runtime
-        // index answers a conditioned one when it can be exact, with the
-        // sums the scan below would form. Anything else scans.
-        let sums = if !scans {
-            ops.moment_estimates += 1;
-            ops.moment_points += len;
-            Some(match t.estimator.regression() {
-                None => {
-                    let m = if t.relative {
-                        history.ratio_moments()
-                    } else {
-                        history.abs_moments()
-                    };
-                    RegMoments {
-                        n: m.n,
-                        sy: m.sum,
-                        syy: m.sum2,
-                        ..RegMoments::default()
-                    }
-                }
-                Some(kind) => history
-                    .reg_moments(kind, t.relative)
-                    .expect("regression history maintains its sums"),
-            })
-        } else {
-            // Only histories of templates the index serves have one.
-            let indexed = history.rtime_moments(elapsed_s);
-            let read = indexed.map_or(len, |(_, read, _)| read as u64);
-            ops.scan_estimates += 1;
-            ops.scanned_points += read;
-            ops.moment_points += len - read;
-            indexed.map(|(m, _, above)| {
-                next.set(above.map_or(f64::INFINITY, f64::from));
-                m
-            })
-        };
-        let est = match (sums, t.estimator.regression()) {
-            (Some(m), None) => mean_from_moments(m.n, m.sy, m.syy),
-            (Some(m), Some(kind)) => {
-                regression_from_moments(kind, m.n, m.sg, m.sy, m.sgg, m.sgy, m.syy, x0)
-            }
-            (None, None) => mean(history.iter().filter(filter).map(&value_of)),
-            (None, Some(kind)) => regression(
-                kind,
-                history
-                    .iter()
-                    .filter(filter)
-                    .map(|p| (p.nodes, value_of(p))),
-                x0,
-            ),
-        };
-        if t.use_rtime {
-            // An integral elapsed time is below a run time `r` exactly
-            // when it is below `ceil(r)`; the cast saturates.
-            let bound = if scans {
-                Dur(next.get().ceil() as i64)
-            } else {
-                Dur::ZERO
-            };
-            *holds_below = (*holds_below).min(bound);
-        }
-        let est = est?;
-        // Scale relative estimates back to seconds.
-        let est = if t.relative {
-            let l = limit_s?; // applies_to guarantees Some, but stay safe
-            Estimate {
-                value: est.value * l,
-                ci: est.ci * l,
-                n: est.n,
-            }
-        } else {
-            est
-        };
-        // A NaN interval would make the selection order partial; the
-        // estimators clamp variances, so none arises from real history.
-        if !est.value.is_finite() || est.ci.is_nan() {
-            return None;
-        }
-        Some(est)
-    }
-
     /// Step 2: fold the estimates from `categories` (each distinct
     /// template's index in the set, the template and the job's history
     /// under it) into `best`, keeping the one with the smallest
@@ -386,9 +219,7 @@ impl SmithPredictor {
     ) -> Dur {
         let mut holds_below = Dur::MAX;
         for (ti, t, history) in categories {
-            let Some(est) =
-                Self::category_estimate(t, job, elapsed, history, ops, &mut holds_below)
-            else {
+            let Some(est) = history.estimate(t, job, elapsed, ops, &mut holds_below) else {
                 continue;
             };
             let better = match *best {
@@ -408,33 +239,6 @@ impl SmithPredictor {
             }
         }
         holds_below
-    }
-
-    /// The prediction the winning estimate makes, capped by the longest
-    /// run time seen, or the fallback when no category could predict.
-    /// Both global terms are read here, on every call. Neither depends
-    /// on the elapsed time, so the prediction holds below `holds_below`.
-    fn finish(
-        &self,
-        best: Option<Ranked>,
-        job: &Job,
-        elapsed: Dur,
-        holds_below: Dur,
-    ) -> Prediction {
-        let cap = (self.max_seen * 2.0).max(3600.0);
-        let prediction = match best {
-            Some((ci, _, _, _, value)) => Prediction {
-                estimate: Dur::from_secs_f64(value.clamp(1.0, cap)),
-                ci_halfwidth: ci,
-                fallback: false,
-                holds_below,
-            },
-            None => Prediction {
-                holds_below,
-                ..Prediction::fallback(self.fallback_estimate(job))
-            },
-        };
-        prediction.clamped(elapsed)
     }
 
     /// [`RunTimePredictor::predict`] the simple way: each distinct
@@ -457,7 +261,12 @@ impl SmithPredictor {
             categories,
             &mut EstimateOps::default(),
         );
-        self.finish(best, job, elapsed, holds_below)
+        self.totals.predict(
+            best.map(|(ci, .., value)| (value, ci)),
+            job,
+            elapsed,
+            holds_below,
+        )
     }
 
     /// The selection over the resolved job's categories under templates
@@ -490,16 +299,6 @@ impl SmithPredictor {
     pub fn resolution_counts(&self) -> (usize, u64) {
         (self.store.signature_count(), self.store.key_resolutions())
     }
-
-    fn fallback_estimate(&self, job: &Job) -> Dur {
-        if self.global_n > 0 {
-            Dur::from_secs_f64(self.global_sum / self.global_n as f64)
-        } else if let Some(m) = job.max_runtime {
-            m
-        } else {
-            Dur::HOUR
-        }
-    }
 }
 
 /// Magic first record of an encoded Smith state (v5: no generation,
@@ -520,10 +319,7 @@ impl Codec<TemplateSet> for SmithPredictor {
     fn encode(&self, w: &mut Writer) {
         w.record(SMITH_MAGIC);
         w.record("set").put(&set_fingerprint(&self.set));
-        w.record("global")
-            .put(&self.global_sum)
-            .put(&self.global_n)
-            .put(&self.max_seen);
+        w.record("global").put(&self.totals);
         w.put(&self.store);
     }
     fn decode(r: &mut Reader<'_>, set: &TemplateSet) -> Result<SmithPredictor, CodecError> {
@@ -536,16 +332,13 @@ impl Codec<TemplateSet> for SmithPredictor {
                  ({fp:016X} != {have:016X})"
             )));
         }
-        r.record("global")?;
-        let (global_sum, global_n, max_seen) = (r.get()?, r.get()?, r.get()?);
+        let totals = r.record("global")?.get()?;
         let store: CategoryStore = r.get_in(set)?;
         Ok(SmithPredictor {
             set: set.clone(),
             memo: Memo::new(&store),
             store,
-            global_sum,
-            global_n,
-            max_seen,
+            totals,
             ops: EstimateOps::default(),
         })
     }
@@ -570,7 +363,12 @@ impl RunTimePredictor for SmithPredictor {
         let (mut best, mut ops, memo_hit) = self.plain_selection(r, job);
         let rtime = self.store.matching(r, &self.memo.rtime);
         let holds_below = Self::fold(&mut best, job, elapsed, rtime, &mut ops);
-        let prediction = self.finish(best, job, elapsed, holds_below);
+        let prediction = self.totals.predict(
+            best.map(|(ci, .., value)| (value, ci)),
+            job,
+            elapsed,
+            holds_below,
+        );
         if recording {
             qpredict_obs::counter_add("smith.scanned_points", ops.scanned_points);
             qpredict_obs::counter_add("smith.moment_points", ops.moment_points);
@@ -590,14 +388,12 @@ impl RunTimePredictor for SmithPredictor {
     fn on_complete(&mut self, job: &Job) {
         let _span = qpredict_obs::span("smith.learn");
         self.store.insert(job);
-        self.global_sum += job.runtime.as_secs_f64();
-        self.global_n += 1;
-        self.max_seen = self.max_seen.max(job.runtime.as_secs_f64());
+        self.totals.learn(job.runtime.as_secs_f64());
     }
 
     /// The completions learned from.
     fn generation(&self) -> Option<u64> {
-        Some(self.global_n)
+        Some(self.totals.generation())
     }
 }
 

@@ -6,10 +6,11 @@
 //! `Predict` event. The replay is deterministic in its inputs, so the GA
 //! and the greedy search map it over their candidates with
 //! [`qpredict_obs::par_map`] and get the same errors on any number of
-//! workers. It keeps no estimate cache: prediction workloads repeat a
-//! `(job, elapsed)` request between `Insert` events so rarely (0.005–3.4%
-//! of lookups across the site models) that a cache costs more than it
-//! saves.
+//! workers. It keeps no estimate cache: the offline drivers' job-keyed
+//! cache, which serves a repeat inside a prediction's `holds_below`
+//! window, would serve at most 5.3% of `ga-search`'s full-size training
+//! predictions (none on CTC and SDSC96, 0.15% on SDSC95, 3.8–5.3% on
+//! ANL), too few to pay for itself.
 
 use qpredict_predict::{ErrorStats, RunTimePredictor, SmithPredictor, TemplateSet};
 use qpredict_workload::Workload;

@@ -400,8 +400,9 @@ impl ServiceState {
 
     /// Completed data points resident in the predictor's history.
     /// Smith's are its category points, bounded by
-    /// `max_history × template count`. Gibbons' and Downey's are their
-    /// stored run times, one per completion and unbounded.
+    /// `max_history × template count`. Gibbons' are the points of its
+    /// `()` key and Downey's its pooled run times, one per completion
+    /// and unbounded.
     pub fn predictor_resident_points(&self) -> usize {
         self.predictor.resident_points()
     }

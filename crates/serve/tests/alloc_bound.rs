@@ -1,14 +1,13 @@
 //! Durable writes take bounded memory: on the end state of an ANL
-//! stream of 8,000 jobs (about 1.6 MB encoded), a state fingerprint and a
-//! base snapshot each grow the heap by at most 208 KiB — the streaming
-//! writer's 68 KiB buffer, which no record outgrows, plus the sort of
-//! the job table's 8,001 entry references (125 KiB) — where building the
-//! encoded state whole took 2.5–3 MB. Measured: 197,376 B for the
-//! fingerprint and 197,527 B for the base snapshot, so the bound leaves
-//! a margin of about 15 KB (8%). Before each Smith category's points
-//! were one record apiece and the done order was derived, a 39 KB done
-//! list and 26 KB category lines grew the buffer once per write, to
-//! 225,280 and 225,431 B.
+//! stream of 8,000 jobs, served by Smith, by Gibbons and by Downey
+//! (conditional average), a state fingerprint and a base snapshot each
+//! grow the heap by at most 208 KiB — the streaming writer's 68 KiB
+//! buffer, which no record outgrows, plus the sort of the job table's
+//! 8,001 entry references (125 KiB) — where building the encoded state
+//! whole took 2.5–3 MB. Measured, fingerprint and base snapshot: Smith
+//! 197,376 and 197,551 B (1.64 MB encoded), Gibbons 197,376 and 197,559 B
+//! (1.82 MB), Downey 197,376 and 197,571 B (0.77 MB), so the bound leaves
+//! a margin of about 15 KB (7.8%) over each.
 //!
 //! The test binary counts every allocation, so it holds this one test
 //! alone: another test running beside it would count too.
@@ -16,7 +15,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use qpredict_serve::{FsyncPolicy, ServeConfig, Service};
+use qpredict_serve::{FsyncPolicy, PredictorKind, ServeConfig, Service};
 
 /// Heap growth bound of one fingerprint or one base snapshot.
 const BOUND: usize = 208 * 1024;
@@ -75,34 +74,49 @@ fn fingerprint_and_base_snapshot_grow_the_heap_by_at_most_208_kib() {
         .iter()
         .map(|e| e.encode())
         .collect();
-    let dir = std::env::temp_dir().join(format!("qpredict-serve-alloc-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let cfg = ServeConfig {
-        machine_nodes: wl.machine_nodes,
-        snapshot_every: 0,
-        fsync: FsyncPolicy::Never,
-        ..ServeConfig::default()
-    };
-    let mut svc = Service::open(cfg, Some(&dir), None, false).unwrap();
-    for l in &lines {
-        svc.feed_line(l).unwrap();
-    }
-    let encoded = qpredict_durable::codec::encode(svc.state()).len();
-    assert!(encoded > 1_000_000, "end state of {encoded} bytes");
+    for predictor in [
+        PredictorKind::Smith,
+        PredictorKind::Gibbons,
+        PredictorKind::DowneyAverage,
+    ] {
+        let name = predictor.name();
+        let dir = std::env::temp_dir().join(format!(
+            "qpredict-serve-alloc-{name}-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = ServeConfig {
+            machine_nodes: wl.machine_nodes,
+            predictor,
+            snapshot_every: 0,
+            fsync: FsyncPolicy::Never,
+            ..ServeConfig::default()
+        };
+        let mut svc = Service::open(cfg, Some(&dir), None, false).unwrap();
+        for l in &lines {
+            svc.feed_line(l).unwrap();
+        }
+        let encoded = qpredict_durable::codec::encode(svc.state()).len();
+        assert!(encoded > 3 * BOUND, "{name}: end state of {encoded} bytes");
 
-    let (_, fingerprint) = growth(|| svc.state().fingerprint());
-    // The process's first segment is a base: the whole state.
-    let (written, snapshot) = growth(|| svc.snapshot_now());
-    written.unwrap();
-    assert_eq!(svc.snapshots_written(), 1);
-    eprintln!("heap growth: fingerprint {fingerprint} B, base snapshot {snapshot} B");
-    assert!(
-        fingerprint <= BOUND,
-        "fingerprint grew the heap {fingerprint} B"
-    );
-    assert!(
-        snapshot <= BOUND,
-        "base snapshot grew the heap {snapshot} B"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
+        let (_, fingerprint) = growth(|| svc.state().fingerprint());
+        // The process's first segment is a base: the whole state.
+        let (written, snapshot) = growth(|| svc.snapshot_now());
+        written.unwrap();
+        assert_eq!(svc.snapshots_written(), 1);
+        eprintln!(
+            "{name}: {encoded} B encoded; heap growth: fingerprint {fingerprint} B, \
+             base snapshot {snapshot} B"
+        );
+        assert!(
+            fingerprint <= BOUND,
+            "{name}: fingerprint grew the heap {fingerprint} B"
+        );
+        assert!(
+            snapshot <= BOUND,
+            "{name}: base snapshot grew the heap {snapshot} B"
+        );
+        drop(svc);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

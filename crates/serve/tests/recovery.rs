@@ -520,3 +520,147 @@ fn v4_segments_are_skipped_and_the_wal_replays() {
     assert_eq!(fs::read_to_string(&out).unwrap(), want_out);
     let _ = fs::remove_dir_all(&root);
 }
+
+/// A state directory the build before Gibbons' subcategories became
+/// category histories wrote (`qpredict events toy --jobs 12 --query-every
+/// 2`, served with `--predictor gibbons --nodes 64 --horizon 8
+/// --snapshot-every 36 --fsync never`): a WAL v2 and a `qpredict-serve-state
+/// v5` base whose predictor part is `gibbons-state v3`.
+const GIBBONS_V3_DIR: [(&str, &str); 2] = [
+    ("events.wal", include_str!("fixtures/gibbons-v3/events.wal")),
+    (
+        "snap-000000000001.snap",
+        include_str!("fixtures/gibbons-v3/snap-000000000001.snap"),
+    ),
+];
+
+fn gibbons_cfg() -> ServeConfig {
+    ServeConfig {
+        predictor: PredictorKind::Gibbons,
+        ..cfg()
+    }
+}
+
+#[test]
+fn gibbons_v3_base_is_skipped_and_the_wal_replays() {
+    let root = tmp_dir("gibbons-v3");
+    let lines = wal_lines(GIBBONS_V3_DIR[0].1);
+    let (want_fp, want_out) = reference_run(&gibbons_cfg(), &root, &lines);
+    let dir = root.join("state");
+    fs::create_dir_all(&dir).unwrap();
+    for (name, text) in GIBBONS_V3_DIR {
+        fs::write(dir.join(name), text).unwrap();
+    }
+    // The base passes its seal and the serve state format is current:
+    // only the predictor's own format refuses it.
+    let (base, _) = qpredict_durable::check_frame(GIBBONS_V3_DIR[1].1).unwrap();
+    assert!(base.contains("\nqpredict-serve-state v5\n"));
+    assert!(base.contains("\ngibbons-state v3\n"));
+    let out = root.join("run.out");
+    let svc = resumed_full_run(&gibbons_cfg(), &dir, &out, &lines);
+    let r = svc.recovery;
+    assert_eq!(r.snapshot_seq, 0, "{r:?}");
+    assert_eq!((r.deltas_applied, r.snapshot_fallbacks), (0, 1), "{r:?}");
+    assert_eq!(r.wal_replayed, lines.len() as u64, "{r:?}");
+    assert_eq!(svc.state().fingerprint(), want_fp);
+    assert_eq!(fs::read_to_string(&out).unwrap(), want_out);
+    let _ = fs::remove_dir_all(&root);
+}
+
+/// A sealed base can still carry a point no completed job produces: a
+/// Gibbons node count forged to `NaN`, or a Downey run time forged out of
+/// its sorted order. Decoding refuses it with a typed error (the `NaN`
+/// would otherwise panic the next Gibbons regression over its key), and
+/// recovery falls back to the WAL and ends where an uninterrupted run
+/// does.
+#[test]
+fn forged_predictor_points_are_refused_and_the_wal_replays() {
+    let lines = wal_lines(GIBBONS_V3_DIR[0].1);
+    fn hex(v: f64) -> String {
+        format!("{:016X}", v.to_bits())
+    }
+    /// The state with the last field of the first `tag` record whose
+    /// last field is `from` (any, if `None`) replaced by `to`.
+    fn forge(state: &str, tag: &str, from: Option<&str>, to: &str) -> String {
+        let mut done = false;
+        let mut forged: String = state
+            .lines()
+            .map(|line| match line.rsplit_once(' ') {
+                Some((head, last))
+                    if !done && line.starts_with(tag) && from.is_none_or(|f| f == last) =>
+                {
+                    done = true;
+                    format!("{head} {to}\n")
+                }
+                _ => format!("{line}\n"),
+            })
+            .collect();
+        assert!(done, "a {tag:?} record ending {from:?}");
+        if !state.ends_with('\n') {
+            forged.pop();
+        }
+        forged
+    }
+    let nan = hex(f64::NAN);
+    let (four, minus_one) = (hex(4.0), hex(-1.0));
+    // Gibbons: a node count of 4 becomes NaN. Downey: the first run
+    // time of a sorted sample falls below zero.
+    let forgeries = [
+        (
+            PredictorKind::Gibbons,
+            "pt ",
+            Some(four.as_str()),
+            &nan,
+            "not a completed job's",
+        ),
+        (
+            PredictorKind::DowneyAverage,
+            "rt ",
+            None,
+            &minus_one,
+            "out of order or not finite",
+        ),
+    ];
+    for (predictor, tag, from, to, why) in forgeries {
+        let name = predictor.name();
+        let cfg = ServeConfig {
+            predictor,
+            snapshot_every: 30,
+            ..cfg()
+        };
+        let root = tmp_dir(&format!("forged-{name}"));
+        let (want_fp, want_out) = reference_run(&cfg, &root, &lines);
+        let base = fs::read_to_string(root.join("ref-state").join("snap-000000000001.snap"));
+        let base = base.unwrap();
+        let (body, _) = qpredict_durable::check_frame(&base).unwrap();
+        let (header, state) = body.split_once('\n').unwrap();
+        assert!(header.ends_with(" base"), "{header}");
+        let forged = forge(state, tag, from, to);
+        assert_ne!(forged, state, "{name}");
+        let err = qpredict_durable::codec::decode::<_, qpredict_serve::ServiceState>(&forged, &cfg)
+            .unwrap_err();
+        assert!(err.reason.contains(why), "{name}: {err}");
+
+        let dir = root.join("state");
+        fs::create_dir_all(&dir).unwrap();
+        fs::copy(
+            root.join("ref-state").join("events.wal"),
+            dir.join("events.wal"),
+        )
+        .unwrap();
+        let sealed = qpredict_durable::seal(format!("{header}\n{forged}"));
+        fs::write(dir.join("snap-000000000001.snap"), sealed).unwrap();
+        let out = root.join("run.out");
+        let svc = resumed_full_run(&cfg, &dir, &out, &lines);
+        let r = svc.recovery;
+        assert_eq!(
+            (r.snapshot_seq, r.snapshot_fallbacks),
+            (0, 1),
+            "{name}: {r:?}"
+        );
+        assert_eq!(r.wal_replayed, lines.len() as u64, "{name}: {r:?}");
+        assert_eq!(svc.state().fingerprint(), want_fp, "{name}");
+        assert_eq!(fs::read_to_string(&out).unwrap(), want_out, "{name}");
+        let _ = fs::remove_dir_all(&root);
+    }
+}
